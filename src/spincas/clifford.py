@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import ExactMatrix, kron
-from .records import VerificationRecord, diff_witness
+from .records import VerificationRecord
 from .scalar import ExactScalar, Rat, rat
-from .linalg import first_difference
 
 _I = ExactScalar(0, 1)
 
@@ -125,11 +124,7 @@ def gamma_duality_check(rep: GammaRep, indices) -> VerificationRecord:
     eps = permutation_sign(indices + complement)
     coeff = (ExactScalar(0, -1) ** rep.r) * ((-1) ** (k // 2)) * eps
     right = antisym_gamma(rep, complement) * coeff
-    record.add(
-        f"duality-k{k}",
-        left == right,
-        diff_witness(first_difference(left, right)),
-    )
+    record.add_equal(f"duality-k{k}", left, right)
     return record
 
 
@@ -142,11 +137,7 @@ def integrity_report(rep: GammaRep) -> VerificationRecord:
         for j in range(i, n):
             anti = rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i]
             expected = ident * 2 if i == j else ExactMatrix.zero(rep.dim)
-            record.add(
-                f"anticommutator-{i + 1}-{j + 1}",
-                anti == expected,
-                diff_witness(first_difference(anti, expected)),
-            )
+            record.add_equal(f"anticommutator-{i + 1}-{j + 1}", anti, expected)
     for i in range(n):
         record.add(
             f"hermitian-{i + 1}",
@@ -163,11 +154,7 @@ def integrity_report(rep: GammaRep) -> VerificationRecord:
     for g in rep.gammas:
         product = product @ g
     rebuilt = product * (ExactScalar(0, -1) ** rep.r)
-    record.add(
-        "grading-equals-normalized-product",
-        rebuilt == chir,
-        diff_witness(first_difference(rebuilt, chir)),
-    )
+    record.add_equal("grading-equals-normalized-product", rebuilt, chir)
     for i in range(n):
         anti = chir @ rep.gammas[i] + rep.gammas[i] @ chir
         record.add(f"grading-anticommutes-{i + 1}", anti.is_zero())

@@ -1,5 +1,12 @@
 """Sparse exact matrices and the tensor-product toolkit.
 
+A matrix over Q(i) is stored as one positive rational ``scale`` times a
+sparse matrix of Gaussian integers whose real and imaginary parts have gcd 1
+(the zero matrix has scale 1 and no rows).  That form is unique, so equality
+is a structural comparison, and the kernels in ``_backend`` multiply and add
+plain ints.  The public interface speaks Q(i): entries come out as
+``ExactScalar`` values with ``Fraction`` parts.
+
 Index convention (fixed project-wide): the leftmost tensor factor is the
 slowest index.  For a matrix on V1 (x) V2 with dims (d1, d2), the flat row
 index is i1 * d2 + i2.  Legs are numbered from 1, left to right.
@@ -8,21 +15,39 @@ index is i1 * d2 + i2.  Legs are numbered from 1, left to right.
 from __future__ import annotations
 
 import json
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import _backend
-from .scalar import RAT_ZERO, ExactScalar, Rat, format_rat, parse_rat
-
-_VAL_ZERO = (RAT_ZERO, RAT_ZERO)
+from .scalar import RAT_ONE, RAT_ZERO, ExactScalar, Rat, format_rat, parse_rat
 
 
 def _val(value):
-    """Coerce a scalar-like to the internal (re, im) rational pair."""
-    if isinstance(value, tuple):
-        return value
+    """Coerce a scalar-like to an (re, im) pair of rationals."""
     if isinstance(value, ExactScalar):
         return (value.re, value.im)
+    if isinstance(value, tuple):
+        return (Rat(value[0]), Rat(value[1]))
     return (Rat(value), RAT_ZERO)
+
+
+def _int(value, den: int) -> int:
+    """The integer value * den, for a rational whose denominator divides den."""
+    return value.numerator * (den // value.denominator)
+
+
+def _from_rationals(rows) -> tuple:
+    """Canonical (scale, integer rows) of rows of nonzero rational pairs."""
+    den = lcm(*(x.denominator for row in rows.values() for v in row.values() for x in v))
+    int_rows = {
+        i: {j: (_int(re, den), _int(im, den)) for j, (re, im) in row.items()}
+        for i, row in rows.items()
+    }
+    return _canonical(Rat(1, den), int_rows)
+
+
+def _negated(rows) -> dict:
+    return {i: {j: (-a, -b) for j, (a, b) in row.items()} for i, row in rows.items()}
 
 
 class TensorShape:
@@ -62,14 +87,13 @@ class TensorShape:
 
 
 class ExactMatrix:
-    """Immutable sparse square matrix over Q(i)."""
+    """Immutable sparse square matrix over Q(i): ``scale`` times Z[i] rows."""
 
-    __slots__ = ("dim", "_rows")
+    __slots__ = ("dim", "scale", "_rows")
 
     def __init__(self, dim: int, entries=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        object.__setattr__(self, "dim", dim)
         rows: dict = {}
         if entries:
             for (i, j), value in entries.items():
@@ -78,28 +102,37 @@ class ExactMatrix:
                 v = _val(value)
                 if v[0] or v[1]:
                     rows.setdefault(i, {})[j] = v
+        scale, rows = _from_rationals(rows)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def _wrap(cls, dim: int, rows: dict) -> "ExactMatrix":
+    def _wrap(cls, dim: int, scale, rows: dict) -> "ExactMatrix":
+        """Trusted constructor: (scale, rows) must already be canonical."""
         m = cls.__new__(cls)
         object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "scale", scale)
         object.__setattr__(m, "_rows", rows)
         return m
+
+    @classmethod
+    def _make(cls, dim: int, scale, rows: dict) -> "ExactMatrix":
+        """Canonical matrix from a positive scale and integer rows of any content."""
+        return cls._wrap(dim, *_canonical(scale, rows))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "ExactMatrix":
-        return cls._wrap(dim, {})
+        return cls._wrap(dim, RAT_ONE, {})
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
-        one = _val(1)
-        return cls._wrap(dim, {i: {i: one} for i in range(dim)})
+        return cls._wrap(dim, RAT_ONE, {i: {i: (1, 0)} for i in range(dim)})
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
@@ -108,21 +141,25 @@ class ExactMatrix:
             v = _val(value)
             if v[0] or v[1]:
                 rows[i] = {i: v}
-        return cls._wrap(len(values), rows)
+        return cls._wrap(len(values), *_from_rationals(rows))
 
     # -- queries ----------------------------------------------------------
 
     def __getitem__(self, key) -> ExactScalar:
         i, j = key
         v = self._rows.get(i, {}).get(j)
-        return ExactScalar(*v) if v is not None else ExactScalar(0)
+        if v is None:
+            return ExactScalar(0)
+        return ExactScalar(self.scale * v[0], self.scale * v[1])
 
     def items(self) -> Iterator[tuple[int, int, ExactScalar]]:
         """Nonzero entries in (row, col) order."""
+        s = self.scale
         for i in sorted(self._rows):
             row = self._rows[i]
             for j in sorted(row):
-                yield i, j, ExactScalar(*row[j])
+                re, im = row[j]
+                yield i, j, ExactScalar(s * re, s * im)
 
     @property
     def nnz(self) -> int:
@@ -134,22 +171,22 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.dim == other.dim and self._rows == other._rows
+        return self.dim == other.dim and self.scale == other.scale and self._rows == other._rows
 
     def __bool__(self):
         return bool(self._rows)
 
     def trace(self) -> ExactScalar:
-        re = im = RAT_ZERO
+        re = im = 0
         for i, row in self._rows.items():
             v = row.get(i)
             if v is not None:
                 re += v[0]
                 im += v[1]
-        return ExactScalar(re, im)
+        return ExactScalar(self.scale * re, self.scale * im)
 
     def rank(self) -> int:
-        """Exact rank (Gaussian elimination over Q(i))."""
+        """Exact rank (fraction-free elimination over Z[i])."""
         return _backend.mat_rank(self._rows, self.dim)
 
     # -- arithmetic -------------------------------------------------------
@@ -157,28 +194,29 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
-        return ExactMatrix._wrap(self.dim, _backend.mat_mul(self._rows, other._rows))
+        rows = _backend.mat_mul(self._rows, other._rows)
+        return ExactMatrix._make(self.dim, self.scale * other.scale, rows)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in matrix sum")
-        rows = _backend.mat_lincomb([(_val(1), self._rows), (_val(1), other._rows)])
-        return ExactMatrix._wrap(self.dim, rows)
+        return lincomb(self.dim, [(1, self), (1, other)])
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in matrix difference")
-        rows = _backend.mat_lincomb([(_val(1), self._rows), (_val(-1), other._rows)])
-        return ExactMatrix._wrap(self.dim, rows)
+        return lincomb(self.dim, [(1, self), (-1, other)])
 
     def __mul__(self, scalar) -> "ExactMatrix":
-        rows = _backend.mat_lincomb([(_val(scalar), self._rows)])
-        return ExactMatrix._wrap(self.dim, rows)
+        re, im = _val(scalar)
+        if im:
+            return lincomb(self.dim, [(scalar, self)])
+        if not re or not self._rows:
+            return ExactMatrix.zero(self.dim)
+        if re > 0:
+            return ExactMatrix._wrap(self.dim, self.scale * re, self._rows)
+        return ExactMatrix._wrap(self.dim, self.scale * -re, _negated(self._rows))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ExactMatrix":
-        return self * -1
+        return ExactMatrix._wrap(self.dim, self.scale, _negated(self._rows))
 
     def pow(self, exponent: int) -> "ExactMatrix":
         """Binary exponentiation; exponent >= 0."""
@@ -199,14 +237,14 @@ class ExactMatrix:
         for i, row in self._rows.items():
             for j, (re, im) in row.items():
                 rows.setdefault(j, {})[i] = (re, -im)
-        return ExactMatrix._wrap(self.dim, rows)
+        return ExactMatrix._wrap(self.dim, self.scale, rows)
 
     def transpose(self) -> "ExactMatrix":
         rows: dict = {}
         for i, row in self._rows.items():
             for j, v in row.items():
                 rows.setdefault(j, {})[i] = v
-        return ExactMatrix._wrap(self.dim, rows)
+        return ExactMatrix._wrap(self.dim, self.scale, rows)
 
     # -- subspace embedding ------------------------------------------------
 
@@ -221,14 +259,14 @@ class ExactMatrix:
             new_row = {pos[j]: v for j, v in row.items() if j in pos}
             if new_row:
                 rows[pi] = new_row
-        return ExactMatrix._wrap(len(indices), rows)
+        return ExactMatrix._make(len(indices), self.scale, rows)
 
     def embed(self, indices: Sequence[int], dim: int) -> "ExactMatrix":
         """Inverse of ``restrict``: place this block at the given coordinates."""
         rows: dict = {}
         for i, row in self._rows.items():
             rows[indices[i]] = {indices[j]: v for j, v in row.items()}
-        return ExactMatrix._wrap(dim, rows)
+        return ExactMatrix._wrap(dim, self.scale, rows)
 
     # -- serialization -----------------------------------------------------
 
@@ -245,10 +283,41 @@ class ExactMatrix:
         rows: dict = {}
         for i, j, re, im in data["entries"]:
             rows.setdefault(i, {})[j] = (parse_rat(re), parse_rat(im))
-        return cls._wrap(data["dim"], rows)
+        return cls._wrap(data["dim"], *_from_rationals(rows))
 
     def __repr__(self):
         return f"ExactMatrix(dim={self.dim}, nnz={self.nnz})"
+
+
+def _canonical(scale, rows: dict) -> tuple:
+    """Divide integer rows by their content and fold it into the scale."""
+    g = _backend.content(rows)
+    if g == 0:
+        return RAT_ONE, {}
+    if g == 1:
+        return scale, rows
+    rows = {i: {j: (a // g, b // g) for j, (a, b) in row.items()} for i, row in rows.items()}
+    return scale * g, rows
+
+
+def lincomb(dim: int, terms) -> ExactMatrix:
+    """sum of c * m over (scalar, matrix) pairs, as one kernel call.
+
+    The coefficients times the matrix scales are brought to one common
+    denominator, so the kernel adds integer matrices.
+    """
+    scaled = []
+    for c, m in terms:
+        if m.dim != dim:
+            raise ValueError("dimension mismatch in linear combination")
+        re, im = _val(c)
+        if m._rows and (re or im):
+            scaled.append((re * m.scale, im * m.scale, m._rows))
+    if not scaled:
+        return ExactMatrix.zero(dim)
+    den = lcm(*(x.denominator for re, im, _ in scaled for x in (re, im)))
+    int_terms = [((_int(re, den), _int(im, den)), rows) for re, im, rows in scaled]
+    return ExactMatrix._make(dim, Rat(1, den), _backend.mat_lincomb(int_terms))
 
 
 # -- tensor toolkit --------------------------------------------------------
@@ -257,7 +326,25 @@ class ExactMatrix:
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; a acts on the leading (slow) leg."""
     rows = _backend.mat_kron(a._rows, b._rows, b.dim)
-    return ExactMatrix._wrap(a.dim * b.dim, rows)
+    return ExactMatrix._make(a.dim * b.dim, a.scale * b.scale, rows)
+
+
+def sum_of_kron_squares(factors: Sequence[ExactMatrix]) -> ExactMatrix:
+    """sum of kron(g, g) over the factors, as one kernel call.
+
+    The Kronecker squares are built one at a time while the kernel adds
+    them, so no more than one of them is held at once.
+    """
+    dim = factors[0].dim
+    factors = [g for g in factors if g._rows]
+    if not factors:
+        return ExactMatrix.zero(dim * dim)
+    den = lcm(*((g.scale * g.scale).denominator for g in factors))
+    terms = (
+        ((_int(g.scale * g.scale, den), 0), _backend.mat_kron(g._rows, g._rows, dim))
+        for g in factors
+    )
+    return ExactMatrix._make(dim * dim, Rat(1, den), _backend.mat_lincomb(terms))
 
 
 def kron_all(factors: Iterable[ExactMatrix]) -> ExactMatrix:
@@ -305,17 +392,16 @@ def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
         row = {j: v for j, v in row.items() if v[0] or v[1]}
         if row:
             clean[i] = row
-    return ExactMatrix._wrap(out_dim, clean)
+    return ExactMatrix._make(out_dim, m.scale, clean)
 
 
 def permutation_operator(d: int) -> ExactMatrix:
     """P(v (x) w) = w (x) v on dimension d^2."""
-    one = _val(1)
     rows = {}
     for a in range(d):
         for b in range(d):
-            rows[a * d + b] = {b * d + a: one}
-    return ExactMatrix._wrap(d * d, rows)
+            rows[a * d + b] = {b * d + a: (1, 0)}
+    return ExactMatrix._wrap(d * d, RAT_ONE, rows)
 
 
 def poly_eval(coeffs: Sequence, m: ExactMatrix) -> ExactMatrix:
@@ -330,20 +416,23 @@ def poly_eval(coeffs: Sequence, m: ExactMatrix) -> ExactMatrix:
 
 
 def mat_vec(m: ExactMatrix, vec: dict) -> dict:
-    """Apply to a sparse column vector {index: (re, im)}; canonical result."""
+    """Apply to a sparse column vector {index: (re, im)} of rationals;
+    canonical result with rational parts.
+    """
+    scale, ivec = _from_rationals({0: vec})
+    scale *= m.scale
+    ivec = ivec.get(0, {})
     out: dict = {}
     for i, row in m._rows.items():
-        re = im = RAT_ZERO
-        hit = False
+        re = im = 0
         for j, (a0, a1) in row.items():
-            v = vec.get(j)
+            v = ivec.get(j)
             if v is None:
                 continue
-            hit = True
             re += a0 * v[0] - a1 * v[1]
             im += a0 * v[1] + a1 * v[0]
-        if hit and (re or im):
-            out[i] = (re, im)
+        if re or im:
+            out[i] = (scale * re, scale * im)
     return out
 
 

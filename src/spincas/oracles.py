@@ -30,11 +30,14 @@ def _canon(i: int, j: int) -> tuple[int, Pair]:
     return (1, (i, j)) if i < j else (-1, (j, i))
 
 
+@lru_cache(maxsize=None)
 def commutator_table(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int]]:
     """[M_A, M_B] expanded in the canonical basis, from the four-delta formula.
 
     [M_{i1i2}, M_{j1j2}] = d_{i2j1}M_{i1j2} - d_{i2j2}M_{i1j1}
                          - d_{i1j1}M_{i2j2} + d_{i1j2}M_{i2j1}.
+
+    Built once per N and shared by every caller, who must not mutate it.
     """
     pairs = basis_pairs(n)
     table: dict[tuple[Pair, Pair], dict[Pair, int]] = {}
@@ -113,9 +116,12 @@ def inverse_metric_diagonal(n: int) -> Rat:
 
 def killing_metric_from_contraction(n: int, a: Pair, b: Pair) -> int:
     """g_AB = X^C_{AD} X^D_{BC} over the canonical basis."""
-    table = commutator_table(n)
+    return _contract_killing(commutator_table(n), basis_pairs(n), a, b)
+
+
+def _contract_killing(table, pairs: list[Pair], a: Pair, b: Pair) -> int:
     total = 0
-    for d_pair in basis_pairs(n):
+    for d_pair in pairs:
         row_ad = table[(a, d_pair)]
         for c_pair, f_cad in row_ad.items():
             f_dbc = table[(b, c_pair)].get(d_pair, 0)
@@ -131,7 +137,7 @@ def algebra_integrity(n: int) -> VerificationRecord:
     by_formula = structure_table_from_formula(n)
     record.add("structure-constants-match-commutators", by_comm == by_formula)
     metric_ok = all(
-        killing_metric_from_contraction(n, a, b) == killing_metric_closed_form(n, a, b)
+        _contract_killing(by_comm, pairs, a, b) == killing_metric_closed_form(n, a, b)
         for a in pairs
         for b in pairs
     )

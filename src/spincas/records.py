@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .linalg import first_difference
+
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
@@ -34,6 +36,14 @@ class VerificationRecord:
         result = CheckResult(check_id, PASS if passed else FAIL, witness if not passed else "")
         self.checks.append(result)
         return result
+
+    def add_equal(self, check_id: str, lhs, rhs) -> CheckResult:
+        """Pass when two matrices are equal; a failure's witness is their
+        first differing entry, computed only then.
+        """
+        if lhs == rhs:
+            return self.add(check_id, True)
+        return self.add(check_id, False, diff_witness(first_difference(lhs, rhs)))
 
     def note(self, check_id: str, witness: str = "") -> CheckResult:
         result = CheckResult(check_id, NOTE, witness)

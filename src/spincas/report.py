@@ -16,7 +16,7 @@ from .records import FAIL, NOTE, PASS, SKIP, VerificationRecord
 from .scalar import binomial
 from .spectra import c2k_eigenvalue, sector_kvalues, sector_trace_closed_form
 
-SUITES = ("gamma", "invariants", "spectra", "colour", "ybe")
+SUITES = ("gamma", "oracle", "invariants", "spectra", "colour", "ybe")
 
 SECTOR_LABELS = {"++": "pp", "+-": "pm", "-+": "mp", "--": "mm"}
 
@@ -122,6 +122,7 @@ def ybe_suite(r: int) -> list[VerificationRecord]:
 
 _SUITE_RUNNERS = {
     "gamma": gamma_suite,
+    "oracle": oracle_suite,
     "invariants": invariants_suite,
     "spectra": spectra_suite,
     "colour": colour_suite,

@@ -1,25 +1,14 @@
 """Exact Gaussian-rational scalars.
 
 Every number in the engine is an element of Q(i): a complex number whose real
-and imaginary parts are exact rationals with arbitrary-precision integer
-numerator and denominator.  There is no floating point anywhere.
-
-The rational backend is ``gmpy2.mpq`` when available (much faster), with
-``fractions.Fraction`` as a drop-in fallback.  Both keep values in canonical
-form (positive denominator, gcd 1) on construction.
+and imaginary parts are exact rationals (``fractions.Fraction``, kept in
+canonical form: positive denominator, gcd 1).  There is no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("SPINCAS_RATIONAL", "").lower() == "fractions":
-    from fractions import Fraction as Rat
-else:
-    try:
-        from gmpy2 import mpq as Rat
-    except ImportError:  # pragma: no cover
-        from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
@@ -50,8 +39,8 @@ class ExactScalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is type(RAT_ZERO) else Rat(re))
-        object.__setattr__(self, "im", im if type(im) is type(RAT_ZERO) else Rat(im))
+        object.__setattr__(self, "re", re if type(re) is Rat else Rat(re))
+        object.__setattr__(self, "im", im if type(im) is Rat else Rat(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
@@ -116,7 +105,7 @@ class ExactScalar:
         return not self.im
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(RAT_ZERO))):
+        if isinstance(other, (int, Rat)):
             return self.re == other and not self.im
         if isinstance(other, ExactScalar):
             return self.re == other.re and self.im == other.im

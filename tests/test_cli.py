@@ -27,6 +27,20 @@ def test_oracle_command(capsys):
     assert all(record["ok"] for record in payload["records"])
 
 
+def test_report_runs_the_oracle_suite(capsys):
+    code, out, _ = run(capsys, "report", "--r", "2", "--suites", "oracle")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert payload["config"]["suites"] == ["oracle"]
+    assert {entry["suite"] for entry in payload["records"]} == {"oracle"}
+    assert [entry["name"] for entry in payload["records"]] == [
+        "so-algebra-integrity N=4",
+        "defining-representation N=4",
+        "c2-closed-form-vs-weights r=2",
+    ]
+
+
 def test_invariants_command(capsys):
     code, out, _ = run(capsys, "invariants", "--r", "2")
     assert code == 0

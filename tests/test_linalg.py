@@ -1,8 +1,3 @@
-import importlib
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,28 +166,3 @@ def test_first_difference():
     assert (i, j) == (1, 1)
     assert left == ExactScalar(0) and right == ExactScalar(2)
 
-
-def test_backend_parity():
-    """The pure-Python fallback produces bit-identical results."""
-    code = (
-        "from spincas import _backend, casimir\n"
-        "print(_backend.BACKEND)\n"
-        "print(casimir.split_casimir_rho(3).matrix.to_dump())\n"
-    )
-    outputs = {}
-    for backend in ("", "python"):
-        env = dict(os.environ)
-        if backend:
-            env["SPINCAS_KERNEL"] = backend
-        else:
-            env.pop("SPINCAS_KERNEL", None)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        label, dump = out.stdout.splitlines()
-        outputs[label] = dump
-    if importlib.util.find_spec("spincas._kernels_cy") is None:
-        pytest.skip("compiled extension not built")
-    assert set(outputs) == {"compiled", "python"}
-    assert outputs["compiled"] == outputs["python"]
