@@ -29,13 +29,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _rank(text: str) -> int:
+    """Ranks outside 2..6 are refused before any work starts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 2 <= value <= 6:
+        raise argparse.ArgumentTypeError(f"rank must be an integer in 2..6, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spincas", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spincas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--r", type=int, default=2, help="rank (2..6)")
+        p.add_argument("--r", type=_rank, default=2, help="rank (2..6)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="output path (default: stdout or $SPINCAS_OUT)")
         p.add_argument("--jobs", type=int, default=1,
@@ -62,7 +73,7 @@ def _build_parser() -> _Parser:
     ybe_p.add_argument("--grid", action="store_true", help="run the full deterministic grid")
 
     report_p = common(sub.add_parser("report", help="run suites and emit a report"))
-    report_p.add_argument("--r-max", type=int, default=None,
+    report_p.add_argument("--r-max", type=_rank, default=None,
                           help="upper rank bound (default: --r)")
     report_p.add_argument("--suites", default=",".join(report.SUITES),
                           help="comma-separated subset of " + ",".join(report.SUITES))
@@ -103,7 +114,8 @@ def _run_command(args) -> tuple[str, int]:
             closure=closure[args.closure],
         )
         result = colour.colour_report(spec)
-        return json.dumps(result, indent=2) + "\n", 0 if result["cross_check"] else 1
+        ok = result["cross_check"] and result.get("is_identity_multiple", True)
+        return json.dumps(result, indent=2) + "\n", 0 if ok else 1
 
     if args.command == "ybe":
         return _run_ybe(args)

@@ -9,10 +9,11 @@ the engine is cross-checked against these oracles.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
-from .linalg import ExactMatrix
-from .records import VerificationRecord
+from .linalg import ExactMatrix, first_difference
+from .records import VerificationRecord, diff_witness
 from .scalar import Rat, binomial, rat
 
 Pair = tuple[int, int]
@@ -62,7 +63,11 @@ def commutator_table(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int]]:
 
 
 def structure_constant(n: int, k_pair: Pair, a: Pair, b: Pair) -> Rat:
-    """X^{k1k2}_{i1i2,j1j2} from the antisymmetrized-delta closed form."""
+    """X^{k1k2}_{i1i2,j1j2} from the antisymmetrized-delta closed form.
+
+    The normalized antisymmetrizer is (d d - d d)/2, so 2X is summed in ints
+    and halved once at the end.
+    """
     i1, i2 = a
     j1, j2 = b
     k1, k2 = k_pair
@@ -70,16 +75,17 @@ def structure_constant(n: int, k_pair: Pair, a: Pair, b: Pair) -> Rat:
     def d(p, q):
         return 1 if p == q else 0
 
-    def asym(p, q):
-        # d^{[k1}_p d^{k2]}_q with [..] the normalized antisymmetrizer
-        return Rat(d(k1, p) * d(k2, q) - d(k2, p) * d(k1, q), 2)
+    def asym2(p, q):
+        # 2 d^{[k1}_p d^{k2]}_q with [..] the normalized antisymmetrizer
+        return d(k1, p) * d(k2, q) - d(k2, p) * d(k1, q)
 
-    return (
-        d(i2, j1) * asym(i1, j2)
-        - d(i2, j2) * asym(i1, j1)
-        - d(i1, j1) * asym(i2, j2)
-        + d(i1, j2) * asym(i2, j1)
+    total = (
+        d(i2, j1) * asym2(i1, j2)
+        - d(i2, j2) * asym2(i1, j1)
+        - d(i1, j1) * asym2(i2, j2)
+        + d(i1, j2) * asym2(i2, j1)
     )
+    return Rat(total, 2)
 
 
 def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int]]:
@@ -87,13 +93,16 @@ def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, i
 
     The coefficient of the canonical element M_{k1k2} (k1 < k2) collects the
     ordered contributions X^{k1k2} and X^{k2k1} = -X^{k1k2}, hence the factor 2.
+    Every term of the formula carries d(k, p) with p an index of a or b, so
+    only the pairs c drawn from those indices can be non-zero.
     """
     pairs = basis_pairs(n)
     table: dict[tuple[Pair, Pair], dict[Pair, int]] = {}
     for a in pairs:
         for b in pairs:
+            indices = sorted(set(a) | set(b))
             acc: dict[Pair, int] = {}
-            for c in pairs:
+            for c in combinations(indices, 2):
                 x = 2 * structure_constant(n, c, a, b)
                 if x:
                     assert x.denominator == 1
@@ -130,40 +139,71 @@ def _contract_killing(table, pairs: list[Pair], a: Pair, b: Pair) -> int:
 
 
 def algebra_integrity(n: int) -> VerificationRecord:
-    """Structure constants vs commutators, Killing metric, Jacobi identity."""
+    """Structure constants vs commutators, Killing metric, Jacobi identity.
+
+    A failing check's witness is its first failing pair or triple.
+    """
     record = VerificationRecord(name=f"so-algebra-integrity N={n}")
     pairs = basis_pairs(n)
     by_comm = commutator_table(n)
     by_formula = structure_table_from_formula(n)
-    record.add("structure-constants-match-commutators", by_comm == by_formula)
-    metric_ok = all(
-        _contract_killing(by_comm, pairs, a, b) == killing_metric_closed_form(n, a, b)
-        for a in pairs
-        for b in pairs
-    )
-    record.add("killing-metric-contraction-equals-closed-form", metric_ok)
-    diag = inverse_metric_diagonal(n)
-    record.add(
-        "inverse-metric-times-metric-is-identity",
-        all(
-            diag * killing_metric_closed_form(n, a, b) == (1 if a == b else 0)
+    record.add_first_failure(
+        "structure-constants-match-commutators",
+        (
+            f"[{a}, {b}]: commutator table {by_comm[(a, b)]} != formula {by_formula[(a, b)]}"
             for a in pairs
             for b in pairs
+            if by_comm[(a, b)] != by_formula[(a, b)]
         ),
     )
-    jacobi_ok = True
+    record.add_first_failure(
+        "killing-metric-contraction-equals-closed-form",
+        _killing_failures(by_comm, pairs, n),
+    )
+    diag = inverse_metric_diagonal(n)
+    record.add_first_failure(
+        "inverse-metric-times-metric-is-identity",
+        (
+            f"({a}, {b}): inverse metric times metric is {diag * killing_metric_closed_form(n, a, b)}"
+            for a in pairs
+            for b in pairs
+            if diag * killing_metric_closed_form(n, a, b) != (1 if a == b else 0)
+        ),
+    )
+    record.add_first_failure("jacobi-identity", _jacobi_failures(by_comm, pairs))
+    return record
+
+
+def _killing_failures(table, pairs: list[Pair], n: int):
     for a in pairs:
         for b in pairs:
-            for c in pairs:
-                acc: dict[Pair, int] = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for mid, f1 in by_comm[(y, z)].items():
-                        for out, f2 in by_comm[(x, mid)].items():
-                            acc[out] = acc.get(out, 0) + f1 * f2
-                if any(acc.values()):
-                    jacobi_ok = False
-    record.add("jacobi-identity", jacobi_ok)
-    return record
+            contracted = _contract_killing(table, pairs, a, b)
+            closed = killing_metric_closed_form(n, a, b)
+            if contracted != closed:
+                yield f"g({a}, {b}): contraction {contracted} != closed form {closed}"
+
+
+def _jacobi_failures(table, pairs: list[Pair]):
+    """Antisymmetry violations over all ordered pairs, then non-zero
+    Jacobiators over the triples a < b < c.
+
+    With an antisymmetric bracket the Jacobiator is alternating and
+    trilinear, so the sorted distinct triples decide the identity.
+    """
+    for a in pairs:
+        for b in pairs:
+            negated = {c: -v for c, v in table[(a, b)].items()}
+            if table[(b, a)] != negated:
+                yield f"antisymmetry: [{b}, {a}] = {table[(b, a)]} != -[{a}, {b}] = {negated}"
+    for a, b, c in combinations(pairs, 3):
+        acc: dict[Pair, int] = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for mid, f1 in table[(y, z)].items():
+                for out, f2 in table[(x, mid)].items():
+                    acc[out] = acc.get(out, 0) + f1 * f2
+        nonzero = {out: v for out, v in acc.items() if v}
+        if nonzero:
+            yield f"Jacobiator of ({a}, {b}, {c}) = {nonzero}"
 
 
 # -- defining representation ------------------------------------------------
@@ -181,10 +221,14 @@ def defining_generators(n: int) -> tuple[ExactMatrix, ...]:
 def defining_rep_check(n: int) -> VerificationRecord:
     """The matrices e_ij - e_ji realize the canonical commutator table."""
     record = VerificationRecord(name=f"defining-representation N={n}")
+    record.add_first_failure("matrix-commutators-match-table", _defining_rep_failures(n))
+    return record
+
+
+def _defining_rep_failures(n: int):
     pairs = basis_pairs(n)
     gens = dict(zip(pairs, defining_generators(n)))
     table = commutator_table(n)
-    ok = True
     for a in pairs:
         for b in pairs:
             lhs = gens[a] @ gens[b] - gens[b] @ gens[a]
@@ -192,9 +236,7 @@ def defining_rep_check(n: int) -> VerificationRecord:
             for c, coeff in table[(a, b)].items():
                 rhs = rhs + gens[c] * coeff
             if lhs != rhs:
-                ok = False
-    record.add("matrix-commutators-match-table", ok)
-    return record
+                yield f"[{a}, {b}]: " + diff_witness(first_difference(lhs, rhs))
 
 
 def casimir_contraction(generators: Sequence[ExactMatrix], n: int) -> ExactMatrix:

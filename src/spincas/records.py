@@ -45,6 +45,13 @@ class VerificationRecord:
             return self.add(check_id, True)
         return self.add(check_id, False, diff_witness(first_difference(lhs, rhs)))
 
+    def add_first_failure(self, check_id: str, failures) -> CheckResult:
+        """Pass when `failures` yields nothing; otherwise fail with the first
+        witness it yields.  It is consumed only up to that witness.
+        """
+        witness = next(iter(failures), None)
+        return self.add(check_id, witness is None, witness or "")
+
     def note(self, check_id: str, witness: str = "") -> CheckResult:
         result = CheckResult(check_id, NOTE, witness)
         self.checks.append(result)

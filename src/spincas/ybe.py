@@ -297,7 +297,6 @@ class CoefficientFamily:
 
 def recurrence_coefficients(r: int) -> CoefficientFamily:
     """Both parity families generated from the unit seed by the recurrence."""
-    x = Poly.x()
     even = [RationalFunction.const(1)]
     for k in range(0, 2 * r - 1, 2):
         step = RationalFunction(Poly([k, 1]), Poly([k + 2 - 2 * r, -1]))
@@ -306,7 +305,6 @@ def recurrence_coefficients(r: int) -> CoefficientFamily:
     for k in range(1, 2 * r - 2, 2):
         step = RationalFunction(Poly([k, 1]), Poly([k + 2 - 2 * r, -1]))
         odd.append(odd[-1] * step)
-    del x
     return CoefficientFamily(r=r, even=tuple(even), odd=tuple(odd))
 
 
@@ -387,7 +385,6 @@ def chirality_split_check(r: int, u_values=None) -> VerificationRecord:
     projectors: S R = R S = even part, and the two projectors resolve the
     identity.
     """
-    from .casimir import chirality_projectors
     from .clifford import build_gamma
 
     record = VerificationRecord(name=f"chirality-split r={r}")
@@ -397,7 +394,6 @@ def chirality_split_check(r: int, u_values=None) -> VerificationRecord:
     anti = ExactMatrix.identity(dim) - sym
     record.add("projector-resolution", sym + anti == ExactMatrix.identity(dim))
     record.add("projector-idempotent", sym @ sym == sym)
-    del chirality_projectors
     if u_values is None:
         u_values = admissible_grid(r)[0][:3]
     for u in u_values:

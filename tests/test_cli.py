@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from spincas import colour, report, ybe
 from spincas.cli import main
+from spincas.scalar import Rat
 
 
 def run(capsys, *argv):
@@ -86,6 +88,18 @@ def test_colour_partial(capsys):
     assert payload["is_identity_multiple"] is True
 
 
+def test_colour_partial_not_scalar_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(colour, "ladder_partial_trace", lambda spec: (Rat(3, 32), False))
+    code, out, err = run(
+        capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp", "--closure", "partial"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["cross_check"] is True
+    assert payload["is_identity_multiple"] is False
+    assert "Traceback" not in err
+
+
 def test_ybe_single_point(capsys):
     code, out, _ = run(capsys, "ybe", "--r", "2", "--u", "2/3", "--v", "5/7")
     assert code == 0
@@ -117,6 +131,33 @@ def test_bad_rank_is_usage_error(capsys):
     code, _, err = run(capsys, "report", "--r", "9")
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--r", "1"),
+        ("oracle", "--r", "7"),
+        ("ybe", "--r", "9", "--mode", "full"),
+        ("report", "--r", "2", "--r-max", "7"),
+        ("gamma", "--r", "two"),
+    ],
+)
+def test_rank_outside_range_is_refused_before_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for an out-of-range rank")
+
+    for module, name in (
+        (report, "oracle_suite"),
+        (report, "run_suite"),
+        (ybe, "admissible_grid"),
+        (ybe, "full_ybe_check"),
+    ):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "2..6" in err
 
 
 def test_io_error_exit_code(capsys, tmp_path):

@@ -75,3 +75,18 @@ def test_report_schema():
     labels = [term["k"] for term in report["per_k"]]
     assert labels == [1, 3]
     assert "normalization_power" in report["metadata"]
+
+
+def test_non_scalar_partial_trace_fails_with_witness(monkeypatch):
+    def lopsided(spec):
+        # e_00 on the sector block: its partial trace is not scalar
+        return ExactMatrix(4 ** (spec.r - 1), {(0, 0): 1})
+
+    monkeypatch.setattr(colour, "ladder_operator", lopsided)
+    coeff, scalar = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=2, sector="++"))
+    assert coeff == Rat(3, 32) and scalar is False
+    record = colour.ladder_consistency(2, max_L=1)
+    failed = {c.check_id: c.witness for c in record.failures}
+    assert failed["partial-trace-scalar-++-L1"] == "partial trace is not 0 times the identity"
+    report = colour.colour_report(colour.LadderSpec(r=2, L=2, sector="++", closure="partial_trace"))
+    assert report["is_identity_multiple"] is False

@@ -1,13 +1,116 @@
+from itertools import product
+
 import pytest
 
 from spincas import oracles
+from spincas.records import PASS
 from spincas.scalar import Rat
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
 def test_algebra_integrity(n):
     record = oracles.algebra_integrity(n)
     assert record.ok, [c.check_id for c in record.failures]
+    assert all(c.witness == "" for c in record.checks)
+
+
+def _structure_constant_reference(k_pair, a, b):
+    """The closed form term by term in Fractions, each antisymmetrizer halved."""
+    (i1, i2), (j1, j2), (k1, k2) = a, b, k_pair
+    d = lambda p, q: 1 if p == q else 0
+    asym = lambda p, q: Rat(d(k1, p) * d(k2, q) - d(k2, p) * d(k1, q), 2)
+    return (
+        d(i2, j1) * asym(i1, j2)
+        - d(i2, j2) * asym(i1, j1)
+        - d(i1, j1) * asym(i2, j2)
+        + d(i1, j2) * asym(i2, j1)
+    )
+
+
+def _full_scan_table(n):
+    """The formula table with every basis pair c tried, not only those on
+    the indices of a and b."""
+    pairs = oracles.basis_pairs(n)
+    table = {}
+    for a in pairs:
+        for b in pairs:
+            row = {}
+            for c in pairs:
+                x = 2 * oracles.structure_constant(n, c, a, b)
+                if x:
+                    assert x.denominator == 1
+                    row[c] = int(x)
+            table[(a, b)] = row
+    return table
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_structure_constant_matches_fraction_reference(n):
+    pairs = oracles.basis_pairs(n)
+    for k_pair in product(range(1, n + 1), repeat=2):
+        for a in pairs:
+            for b in pairs:
+                value = oracles.structure_constant(n, k_pair, a, b)
+                assert value == _structure_constant_reference(k_pair, a, b)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_formula_table_equals_full_scan(n):
+    assert oracles.structure_table_from_formula(n) == _full_scan_table(n)
+
+
+def _patch_table(monkeypatch, n, changes):
+    """Serve a perturbed copy of the commutator table; the cached one is
+    never mutated."""
+    table = {key: dict(row) for key, row in oracles.commutator_table(n).items()}
+    table.update(changes)
+    monkeypatch.setattr(oracles, "commutator_table", lambda _n: table)
+
+
+def _check(record, check_id):
+    return next(c for c in record.checks if c.check_id == check_id)
+
+
+def test_antisymmetric_perturbation_breaks_jacobi(monkeypatch):
+    # [M12, M34] = M56 and [M34, M12] = -M56 keep the bracket antisymmetric
+    _patch_table(monkeypatch, 6, {((1, 2), (3, 4)): {(5, 6): 1}, ((3, 4), (1, 2)): {(5, 6): -1}})
+    record = oracles.algebra_integrity(6)
+    jacobi = _check(record, "jacobi-identity")
+    assert jacobi.status != PASS
+    assert jacobi.witness.startswith("Jacobiator of (")
+    assert _check(record, "structure-constants-match-commutators").witness.startswith(
+        "[(1, 2), (3, 4)]: commutator table {(5, 6): 1} != formula {}"
+    )
+    assert _check(record, "inverse-metric-times-metric-is-identity").status == PASS
+
+
+def test_one_sided_perturbation_fails_antisymmetry(monkeypatch):
+    _patch_table(monkeypatch, 6, {((1, 2), (3, 4)): {(5, 6): 1}})
+    jacobi = _check(oracles.algebra_integrity(6), "jacobi-identity")
+    assert jacobi.status != PASS
+    assert jacobi.witness == (
+        "antisymmetry: [(3, 4), (1, 2)] = {} != -[(1, 2), (3, 4)] = {(5, 6): -1}"
+    )
+
+
+def test_nonzero_self_bracket_fails_antisymmetry(monkeypatch):
+    _patch_table(monkeypatch, 4, {((1, 3), (1, 3)): {(2, 4): 2}})
+    jacobi = _check(oracles.algebra_integrity(4), "jacobi-identity")
+    assert jacobi.witness.startswith("antisymmetry: [(1, 3), (1, 3)] = {(2, 4): 2}")
+
+
+def test_killing_check_witness(monkeypatch):
+    _patch_table(monkeypatch, 4, {((1, 2), (1, 3)): {(2, 3): -2}, ((1, 3), (1, 2)): {(2, 3): 2}})
+    killing = _check(oracles.algebra_integrity(4), "killing-metric-contraction-equals-closed-form")
+    assert killing.status != PASS
+    assert killing.witness.startswith("g((1, 2), (1, 2)): contraction ")
+
+
+def test_defining_rep_check_witness(monkeypatch):
+    _patch_table(monkeypatch, 4, {((1, 2), (2, 3)): {(1, 3): -1}})
+    record = oracles.defining_rep_check(4)
+    assert not record.ok
+    assert record.checks[0].witness.startswith("[(1, 2), (2, 3)]: first differing entry (")
 
 
 def test_basis_pairs():

@@ -27,3 +27,19 @@ def test_add_equal_pass_does_not_look_for_a_witness(monkeypatch):
     assert check.status == PASS and check.witness == ""
     with pytest.raises(AssertionError):
         record.add_equal("differ", m, ExactMatrix.zero(2))
+
+
+def test_add_first_failure_stops_at_the_first_witness():
+    record = VerificationRecord(name="first")
+    seen = []
+
+    def failures(items):
+        for item in items:
+            seen.append(item)
+            if item < 0:
+                yield f"negative {item}"
+
+    assert record.add_first_failure("none", failures([1, 2])).status == PASS
+    check = record.add_first_failure("some", failures([3, -4, -5, 6]))
+    assert check.status == FAIL and check.witness == "negative -4"
+    assert seen == [1, 2, 3, -4]
