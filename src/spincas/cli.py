@@ -40,6 +40,16 @@ def _rank(text: str) -> int:
     return value
 
 
+def _spectral(text: str):
+    """A spectral parameter p or p/q; malformed text and q = 0 are refused."""
+    try:
+        return parse_rat(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"spectral parameter must be p or p/q with integers p, q and q != 0, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spincas", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spincas {__version__}")
@@ -68,8 +78,8 @@ def _build_parser() -> _Parser:
     ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter verification"))
     ybe_p.add_argument("--mode", choices=("sector", "full"), default="sector")
     ybe_p.add_argument("--form", choices=("plain", "braid"), default="braid")
-    ybe_p.add_argument("--u", help="spectral parameter, e.g. 2/3")
-    ybe_p.add_argument("--v", help="second spectral parameter, e.g. 5/7")
+    ybe_p.add_argument("--u", type=_spectral, help="spectral parameter, e.g. 2/3")
+    ybe_p.add_argument("--v", type=_spectral, help="second spectral parameter, e.g. 5/7")
     ybe_p.add_argument("--grid", action="store_true", help="run the full deterministic grid")
 
     report_p = common(sub.add_parser("report", help="run suites and emit a report"))
@@ -132,16 +142,23 @@ def _run_command(args) -> tuple[str, int]:
 
 def _run_ybe(args) -> tuple[str, int]:
     points = []
-    if args.grid or (args.u is None and args.v is None):
+    grid = args.grid or (args.u is None and args.v is None)
+    if grid:
         us, vs = ybe.admissible_grid(args.r)
         pairs = [(u, v) for u in us for v in vs]
     elif args.u is not None and args.v is not None:
-        pairs = [(parse_rat(args.u), parse_rat(args.v))]
+        pairs = [(args.u, args.v)]
     else:
         raise _UsageError("provide both --u and --v, or use --grid")
 
     failures = []
     if args.mode == "sector":
+        family = ybe.sector_r_matrix(args.r, "+", args.form)
+        for u, v in pairs:
+            if family.ybe_pole(u, v):
+                raise _UsageError(
+                    f"(u, v) = ({u}, {v}) is at a pole of the {args.form} sector family"
+                )
         if args.form == "braid":
             for u, v in pairs:
                 outcome = ybe.ybe_point(args.r, "+", u, v, "braid")
@@ -156,7 +173,10 @@ def _run_ybe(args) -> tuple[str, int]:
                 if check.status == FAIL:
                     failures.append({"u": str(u), "v": str(v), "witness": check.witness})
     else:
-        record = ybe.full_ybe_check(args.r, points=pairs)
+        if grid:
+            record = ybe.full_ybe_check(args.r)
+        else:
+            record = ybe.full_ybe_spot_check(args.r, pairs)
         for check, (u, v) in zip(record.checks, pairs):
             points.append({"u": str(u), "v": str(v), "pass": check.status != FAIL})
             if check.status == FAIL:

@@ -116,6 +116,54 @@ def test_ybe_full_mode(capsys):
     assert json.loads(out)["failures"] == []
 
 
+def test_ybe_full_mode_grid_matches_the_record(capsys):
+    code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", "full", "--grid")
+    assert code == 0
+    record = ybe.full_ybe_check(2)
+    points = json.loads(out)["points"]
+    assert len(points) == len(record.checks) == 49
+    assert [f"point-u{p['u']}-v{p['v']}" for p in points] == [c.check_id for c in record.checks]
+
+
+def _no_ybe_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a refused point")
+
+    for name in ("ybe_point", "plain_ybe_spot_check", "full_ybe_check", "full_ybe_spot_check"):
+        monkeypatch.setattr(ybe, name, no_work)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [("1/0", "1/2"), ("1/2", "0/0"), ("abc", "1/2"), ("1/2", "1/2/3"), ("0.5", "1/2"), ("", "1")],
+)
+@pytest.mark.parametrize("mode", ["sector", "full"])
+def test_ybe_bad_spectral_parameter_is_usage_error(capsys, monkeypatch, u, v, mode):
+    _no_ybe_work(monkeypatch)
+    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", mode, f"--u={u}", f"--v={v}")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "spectral parameter" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("form", ["braid", "plain"])
+@pytest.mark.parametrize("u, v", [("-1", "1"), ("1", "-1"), ("-1/2", "-1/2"), ("5", "-6")])
+def test_ybe_sector_pole_is_refused_before_work(capsys, monkeypatch, form, u, v):
+    # the only pole of the r=2 family is -1, here at u, v or u + v
+    _no_ybe_work(monkeypatch)
+    code, out, err = run(capsys, "ybe", "--r", "2", "--form", form, f"--u={u}", f"--v={v}")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "pole" in err
+
+
+def test_ybe_negative_point_off_the_poles_is_verified(capsys):
+    code, out, _ = run(capsys, "ybe", "--r", "3", "--u=-1/2", "--v=-2/3")
+    assert code == 0
+    assert json.loads(out)["points"] == [{"u": "-1/2", "v": "-2/3", "pass": True}]
+
+
 def test_ybe_missing_v_is_usage_error(capsys):
     code, _, err = run(capsys, "ybe", "--r", "2", "--u", "2/3")
     assert code == 2

@@ -1,8 +1,13 @@
-import pytest
+import dataclasses
+import functools
 
-from spincas import ybe
-from spincas.linalg import ExactMatrix
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spincas import spectra, ybe
+from spincas.linalg import ExactMatrix, first_difference, kron
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
+from spincas.records import FAIL, PASS, diff_witness
 from spincas.scalar import Rat
 
 
@@ -136,3 +141,216 @@ def test_rising_factorial_polynomial():
     rf3 = rising_factorial(x, 3)
     assert rf3(Rat(2)) == Rat(24)
     assert rf3.degree == 3
+
+
+# -- the coefficient-matrix expansion against direct products ---------------
+
+# the originals, so a test can call and clear them while their names are patched
+CLOSED_FORMS = ybe.closed_form_coefficients
+INVARIANTS = ybe._invariants
+GRID = ybe.admissible_grid
+
+# the caches that hold a family or anything derived from one
+CACHED = (
+    ybe.sector_r_matrix,
+    ybe.closed_form_coefficients,
+    ybe.full_r_matrix_coefficients,
+    ybe._invariants,
+    ybe._sector_ybe_differences,
+    ybe._full_ybe_differences,
+)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Nothing built from a perturbed family outlives the test."""
+    caches = (*CACHED, full_at, triple_products)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def direct_braid(r_u, r_uv, r_v, leg):
+    """Reference: both sides of R12(u) R23(u+v) R12(v) = R23(v) R12(u+v) R23(u)."""
+    ident = ExactMatrix.identity(leg)
+    lhs = kron(r_u, ident) @ kron(ident, r_uv) @ kron(r_v, ident)
+    rhs = kron(ident, r_v) @ kron(r_uv, ident) @ kron(ident, r_u)
+    return lhs, rhs
+
+
+def outcome_and_witness(lhs, rhs):
+    if lhs == rhs:
+        return True, ""
+    return False, diff_witness(first_difference(lhs, rhs))
+
+
+def direct_full(r, u, v):
+    """Reference outcome and witness of one full-series point."""
+    return outcome_and_witness(*direct_braid(*(full_at(r, x) for x in (u, u + v, v)), 2**r))
+
+
+@functools.lru_cache(maxsize=None)
+def full_at(r, u):
+    return ybe.full_r_matrix(r, u)
+
+
+def direct_sector(r, eps, u, v, form="braid"):
+    """Reference outcome and witness of one sector point; None at a pole."""
+    family = ybe.sector_r_matrix(r, eps, form)
+    if any(family.is_pole(x) for x in (u, v, u + v)):
+        return None
+    return outcome_and_witness(
+        *direct_braid(*(family.evaluate(x) for x in (u, u + v, v)), 2 ** (r - 1))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def triple_products(r, eps):
+    """K_abc of the projectors, each formed by its own four products."""
+    family = ybe.sector_r_matrix(r, eps)
+    ident = ExactMatrix.identity(2 ** (r - 1))
+    left = {a: kron(family.projector(a), ident) for a, _ in family.terms}
+    right = {a: kron(ident, family.projector(a)) for a, _ in family.terms}
+    return {
+        (a, b, c): left[a] @ right[b] @ left[c] - right[c] @ left[b] @ right[a]
+        for a in left
+        for b in left
+        for c in left
+    }
+
+
+def triple_product_sum(r, eps, u, v, form="braid"):
+    """Reference: sum_abc t_a(u) t_b(u+v) t_c(v) K_abc == 0; None at a pole."""
+    family = ybe.sector_r_matrix(r, eps, form)
+    if any(family.is_pole(x) for x in (u, v, u + v)):
+        return None
+    t = dict(family.terms)
+    total = ExactMatrix.zero(8 ** (r - 1))
+    for (a, b, c), k_abc in triple_products(r, eps).items():
+        total = total + k_abc * (t[a](u) * t[b](u + v) * t[c](v))
+    return total.is_zero()
+
+
+def assert_matches_direct(record, r, reference):
+    """Every check of a grid record has the reference's outcome and witness."""
+    us, vs = ybe.admissible_grid(r)
+    points = [(u, v) for u in us for v in vs]
+    assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in points]
+    for check, (u, v) in zip(record.checks, points):
+        passed, witness = reference(u, v)
+        assert (check.status == PASS) == passed, check.check_id
+        assert check.witness == witness, check.check_id
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_degree_parts_sum_to_full_r_matrix(r):
+    parts = ybe.full_r_matrix_coefficients(r)
+    assert len(parts) == r + 1  # the closed forms have degree r
+    for u in ybe.admissible_grid(r)[0]:
+        total = sum((part * u**d for d, part in enumerate(parts)), ExactMatrix.zero(4**r))
+        assert total == ybe.full_r_matrix(r, u)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_full_grid_matches_direct_products(r):
+    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("eps", ["+", "-"])
+@pytest.mark.parametrize("form", ["braid", "plain"])
+def test_sector_grid_matches_triple_products(r, eps, form):
+    us, vs = ybe.admissible_grid(r)
+    for u in us:
+        for v in vs:
+            assert ybe.ybe_point(r, eps, u, v, form) == triple_product_sum(r, eps, u, v, form)
+
+
+spectral = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from([2, 3]), eps=st.sampled_from(["+", "-"]), u=spectral, v=spectral)
+def test_sector_point_matches_direct_products(r, eps, u, v):
+    expected = direct_sector(r, eps, u, v)
+    outcome = ybe.ybe_point(r, eps, u, v)
+    assert outcome == (None if expected is None else expected[0])
+    assert outcome == triple_product_sum(r, eps, u, v)
+
+
+@settings(max_examples=15, deadline=None)
+@given(u=spectral, v=spectral)
+def test_full_point_matches_direct_products(u, v):
+    assert ybe.full_ybe_point(2, u, v) == direct_full(2, u, v)[0]
+
+
+# -- mutations: a perturbed family fails where direct products fail ---------
+
+
+def raised_degree(r):
+    """Closed forms with u^(r+1) added to the coefficient of I_2."""
+    closed = CLOSED_FORMS(r)
+    bump = RationalFunction(Poly([0] * (r + 1) + [1]))
+    return dataclasses.replace(closed, even=(closed.even[0], closed.even[1] + bump, *closed.even[2:]))
+
+
+def test_raised_coefficient_degree_fails_like_direct_products(fresh_caches, monkeypatch):
+    monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
+    r = 2
+    assert len(ybe.full_r_matrix_coefficients(r)) == r + 2  # the u^(r+1) part is kept
+    record = ybe.full_ybe_check(r)
+    assert record.failures
+    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
+
+
+def test_perturbed_invariant_fails_like_direct_products(fresh_caches, monkeypatch):
+    r = 2
+    inv = list(INVARIANTS(r))
+    inv[2] = inv[2] + ExactMatrix(4**r, {(0, 5): Rat(1, 3)})
+    monkeypatch.setattr(ybe, "_invariants", lambda rank: tuple(inv))
+    record = ybe.full_ybe_check(r)
+    assert record.failures
+    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
+
+
+def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatch):
+    r = 3
+    data = spectra.sector_spectral(r, "++")
+    projectors = dict(data.projectors)
+    projectors[1] = projectors[1] + ExactMatrix(data.block.dim, {(2, 3): 1})
+    perturbed = dataclasses.replace(data, projectors=projectors)
+    monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: perturbed)
+    record = ybe.ybe_check(r, "+")
+    assert record.failures
+    assert all(c.witness.startswith("first differing entry") for c in record.failures)
+    assert_matches_direct(record, r, lambda u, v: direct_sector(r, "+", u, v))
+
+
+# -- a pole on a YBE grid is a failure --------------------------------------
+
+
+def grid_with_pole(r):
+    us, vs = GRID(r)
+    return (Rat(-1), *us[1:]), vs
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: ybe.ybe_check(2, "+"),
+        lambda: ybe.unitarity_check(2, "+"),
+        lambda: ybe.symmetry_check(2, "+"),
+        lambda: ybe.symmetric_part_factorization(2),
+        lambda: ybe.plain_ybe_spot_check(2, "+", [(Rat(-1), Rat(1, 7))]),
+    ],
+    ids=["grid", "unitarity", "symmetry", "factorization", "plain-spot"],
+)
+def test_pole_on_grid_is_a_failure(monkeypatch, check):
+    monkeypatch.setattr(ybe, "admissible_grid", grid_with_pole)
+    record = check()
+    assert not record.ok
+    assert record.failures
+    assert all(c.witness == "pole hit" for c in record.failures)
+    assert all(c.status in (PASS, FAIL) for c in record.checks)
