@@ -10,11 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
-from .clifford import antisym_gamma, build_gamma, rotation_generators
-from .linalg import ExactMatrix, TensorShape, kron, lincomb, poly_eval, sum_of_kron_squares
+from .clifford import build_gamma, rotation_generators
+from .linalg import (
+    ExactMatrix,
+    TensorShape,
+    elementary_products,
+    kron,
+    lincomb,
+    poly_eval,
+    sum_of_kron_squares,
+)
 from .records import VerificationRecord
 from .scalar import Rat
 
@@ -60,9 +67,18 @@ def invariant_I(r: int, k: int) -> ExactMatrix:
         return ExactMatrix.identity(dim)
     if k > 2 * r:
         return ExactMatrix.zero(dim)
-    rep = build_gamma(r)
-    gammas = [antisym_gamma(rep, idx) for idx in combinations(range(1, 2 * r + 1), k)]
-    return sum_of_kron_squares(gammas) * factorial(k)
+    return _elementary_invariants(r)[k] * factorial(k)
+
+
+@lru_cache(maxsize=None)
+def _elementary_invariants(r: int) -> tuple[ExactMatrix, ...]:
+    """I_k / k! for k = 0..2r, all from the 2r matrices g_a = G_a (x) G_a.
+
+    For increasing a_1 < ... < a_k the mixed-product rule gives
+    G_[a_1..a_k] (x) G_[a_1..a_k] = g_(a_1) ... g_(a_k), so I_k / k! is the
+    k-th elementary sum of ordered products of the g_a.
+    """
+    return elementary_products([kron(g, g) for g in build_gamma(r).gammas])
 
 
 def verify_recurrences(r: int) -> VerificationRecord:

@@ -347,6 +347,28 @@ def sum_of_kron_squares(factors: Sequence[ExactMatrix]) -> ExactMatrix:
     return ExactMatrix._make(dim * dim, Rat(1, den), _backend.mat_lincomb(terms))
 
 
+def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ...]:
+    """e_0 .. e_n of the ordered products of n factors.
+
+    e_k is the sum over i_1 < ... < i_k of factors[i_1] @ ... @ factors[i_k],
+    so e_0 is the identity.  The factors are brought to one common
+    denominator D and the recurrence e_k += e_(k-1) @ factor runs on integer
+    rows; every term of e_k then carries the scale 1/D^k.  Multiplying on the
+    right keeps each product in ascending order, so the factors need not
+    commute.
+    """
+    dim = factors[0].dim
+    den = lcm(*(g.scale.denominator for g in factors))
+    sums = [ExactMatrix.identity(dim)._rows] + [{} for _ in factors]
+    for n, g in enumerate(factors, start=1):
+        c = _int(g.scale, den)
+        g_rows = {i: {j: (c * a, c * b) for j, (a, b) in row.items()} for i, row in g._rows.items()}
+        for k in range(n, 0, -1):
+            step = _backend.mat_mul(sums[k - 1], g_rows)
+            sums[k] = _backend.mat_lincomb([((1, 0), sums[k]), ((1, 0), step)])
+    return tuple(ExactMatrix._make(dim, Rat(1, den**k), rows) for k, rows in enumerate(sums))
+
+
 def kron_all(factors: Iterable[ExactMatrix]) -> ExactMatrix:
     out = None
     for f in factors:
@@ -434,6 +456,25 @@ def mat_vec(m: ExactMatrix, vec: dict) -> dict:
         if re or im:
             out[i] = (scale * re, scale * im)
     return out
+
+
+def trace_of_product(a: ExactMatrix, b: ExactMatrix) -> ExactScalar:
+    """tr(a @ b) = sum of a[i, j] b[j, i], without forming the product."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch in trace of product")
+    re = im = 0
+    b_rows = b._rows
+    for i, row in a._rows.items():
+        for j, (a0, a1) in row.items():
+            brow = b_rows.get(j)
+            if brow is None:
+                continue
+            v = brow.get(i)
+            if v is not None:
+                re += a0 * v[0] - a1 * v[1]
+                im += a0 * v[1] + a1 * v[0]
+    scale = a.scale * b.scale
+    return ExactScalar(scale * re, scale * im)
 
 
 def first_difference(a: ExactMatrix, b: ExactMatrix):

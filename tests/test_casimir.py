@@ -1,7 +1,12 @@
+from dataclasses import replace
+from itertools import combinations
+from math import factorial
+
 import pytest
 
-from spincas import casimir
-from spincas.linalg import ExactMatrix
+from spincas import casimir, linalg
+from spincas.clifford import antisym_gamma, build_gamma
+from spincas.linalg import ExactMatrix, sum_of_kron_squares
 from spincas.scalar import Rat
 
 
@@ -101,3 +106,58 @@ def test_sector_restrict_embed_roundtrip():
         block = casimir.restrict_to_sector(r, c, sector)
         total = total + casimir.embed_from_sector(r, block, sector)
     assert total == c
+
+
+def _old_invariant_I(r, k):
+    """The former definition: k! times the sum of Kronecker squares of the
+    antisymmetrized gamma products over increasing multi-indices."""
+    rep = build_gamma(r)
+    gammas = [antisym_gamma(rep, idx) for idx in combinations(range(1, 2 * r + 1), k)]
+    if not gammas:
+        return ExactMatrix.zero(4**r)
+    return sum_of_kron_squares(gammas) * factorial(k)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_invariants_match_sum_of_kron_squares(r):
+    for k in range(2 * r + 2):
+        assert casimir.invariant_I(r, k) == _old_invariant_I(r, k), k
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_split_casimir_does_not_use_the_invariants(r, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("split_casimir_rho went through the invariants")
+
+    monkeypatch.setattr(casimir, "invariant_I", refuse)
+    monkeypatch.setattr(casimir, "_elementary_invariants", refuse)
+    monkeypatch.setattr(casimir, "elementary_products", refuse)
+    monkeypatch.setattr(linalg, "elementary_products", refuse)
+    rebuilt = casimir.split_casimir_rho.__wrapped__(r)
+    assert rebuilt.matrix == casimir.split_casimir_rho(r).matrix
+
+
+@pytest.fixture
+def cold_invariant_caches():
+    """Invariant caches empty before and after the test, so no perturbed
+    build outlives it."""
+    casimir.invariant_I.cache_clear()
+    casimir._elementary_invariants.cache_clear()
+    yield
+    casimir.invariant_I.cache_clear()
+    casimir._elementary_invariants.cache_clear()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_recurrences_fail_on_a_perturbed_gamma(r, monkeypatch, cold_invariant_caches):
+    rep = build_gamma(r)
+    first = rep.gammas[0]
+    entries = {(i, j): value for i, j, value in first.items()}
+    i, j = next(iter(entries))
+    entries[(i, j)] = entries[(i, j)] * 2
+    perturbed = replace(rep, gammas=(ExactMatrix(first.dim, entries),) + rep.gammas[1:])
+    monkeypatch.setattr(casimir, "build_gamma", lambda rank: perturbed if rank == r else build_gamma(rank))
+    record = casimir.verify_recurrences(r)
+    assert not record.ok
+    assert record.failures and all(check.witness for check in record.failures)
+    assert build_gamma(r).gammas[0] == first

@@ -4,6 +4,7 @@ import pytest
 
 from spincas import colour, report, ybe
 from spincas.cli import main
+from spincas.records import VerificationRecord
 from spincas.scalar import Rat
 
 
@@ -162,6 +163,53 @@ def test_ybe_negative_point_off_the_poles_is_verified(capsys):
     code, out, _ = run(capsys, "ybe", "--r", "3", "--u=-1/2", "--v=-2/3")
     assert code == 0
     assert json.loads(out)["points"] == [{"u": "-1/2", "v": "-2/3", "pass": True}]
+
+
+NEGATIVE_POINTS = [("-1/2", "5/7"), ("2/3", "-5/7"), ("-1/2", "-2/3"), ("-7/2", "1/3")]
+
+
+@pytest.mark.parametrize("u, v", NEGATIVE_POINTS)
+def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
+    seen = []
+
+    def fake_point(r, eps, pu, pv, form):
+        seen.append((r, pu, pv))
+        return True
+
+    monkeypatch.setattr(ybe, "ybe_point", fake_point)
+    code, out, err = run(capsys, "ybe", "--r", "3", "--u", u, "--v", v)
+    assert code == 0, err
+    assert seen == [(3, Rat(u), Rat(v))]
+    assert json.loads(out)["points"] == [{"u": u, "v": v, "pass": True}]
+
+
+@pytest.mark.parametrize("u, v", NEGATIVE_POINTS)
+def test_ybe_full_mode_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
+    seen = []
+
+    def fake_spot_check(r, pairs):
+        seen.append((r, pairs))
+        record = VerificationRecord(name="fake")
+        for pu, pv in pairs:
+            record.add(f"point-u{pu}-v{pv}", True)
+        return record
+
+    monkeypatch.setattr(ybe, "full_ybe_spot_check", fake_spot_check)
+    code, out, err = run(capsys, "ybe", "--r", "3", "--mode", "full", "--u", u, "--v", v)
+    assert code == 0, err
+    assert seen == [(3, [(Rat(u), Rat(v))])]
+    assert json.loads(out)["points"] == [{"u": u, "v": v, "pass": True}]
+
+
+@pytest.mark.parametrize(
+    "u, message", [("-1/0", "spectral parameter"), ("-0/0", "spectral parameter"), ("-1/2/3", "expected one argument")]
+)
+def test_ybe_bad_negative_parameter_after_the_option(capsys, monkeypatch, u, message):
+    _no_ybe_work(monkeypatch)
+    code, out, err = run(capsys, "ybe", "--r", "3", "--u", u, "--v", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and message in err
 
 
 def test_ybe_missing_v_is_usage_error(capsys):

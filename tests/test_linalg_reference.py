@@ -7,11 +7,19 @@ matrix rebuilt from the reference entries, which holds only if both sides
 reached the same canonical (scale, integer rows) form.
 """
 
+from itertools import combinations
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from spincas.linalg import ExactMatrix, TensorShape, kron, partial_trace
+from spincas.linalg import (
+    ExactMatrix,
+    TensorShape,
+    elementary_products,
+    kron,
+    partial_trace,
+    trace_of_product,
+)
 from spincas.scalar import ExactScalar, Rat
 
 ZERO = ExactScalar(0)
@@ -193,6 +201,48 @@ def test_partial_trace(case):
     (d1, d2), a, leg = case
     got = partial_trace(a, TensorShape([d1, d2]), leg)
     assert_matches(got, ref_partial_trace(dense(a), d1, d2, leg))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs)
+def test_trace_of_product(ab):
+    a, b = ab
+    assert trace_of_product(a, b) == (a @ b).trace()
+    assert trace_of_product(a, b) == ref_trace(ref_mul(dense(a), dense(b)))
+
+
+def ref_elementary_products(factors):
+    """e_k as the sum over i_1 < ... < i_k of the ordered dense products."""
+    n = len(factors[0])
+    identity = [[ExactScalar(int(i == j)) for j in range(n)] for i in range(n)]
+    out = []
+    for k in range(len(factors) + 1):
+        total = [[ZERO] * n for _ in range(n)]
+        for idx in combinations(range(len(factors)), k):
+            product = identity
+            for i in idx:
+                product = ref_mul(product, factors[i])
+            total = ref_add(total, product)
+        out.append(total)
+    return out
+
+
+def _commute(a, b):
+    return a @ b == b @ a
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(matrices(d), min_size=2, max_size=4)))
+def test_elementary_products(factors):
+    # non-commuting factors whose scales are not 1: the order of each
+    # product and the common denominator both matter
+    assume(all(m.scale != 1 for m in factors))
+    assume(any(not _commute(a, b) for a, b in combinations(factors, 2)))
+    got = elementary_products(factors)
+    ref = ref_elementary_products([dense(m) for m in factors])
+    assert len(got) == len(factors) + 1
+    for m, r in zip(got, ref):
+        assert_matches(m, r)
 
 
 def test_gaussian_content_is_divided_out():

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from spincas import spectra
 from spincas.casimir import SECTORS, split_casimir_rho
+from spincas.linalg import ExactMatrix
 from spincas.scalar import Rat
 
 
@@ -114,6 +117,24 @@ def test_eigenvalue_consistency(r):
 def test_power_traces(r):
     record = spectra.power_trace_check(r)
     assert record.ok, [c.check_id for c in record.failures]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_power_traces_fail_on_a_perturbed_block(r, monkeypatch):
+    # the traces come from the block powers, not from the closed forms
+    real = spectra.sector_spectral
+
+    def perturbed(rank, sector):
+        data = real(rank, sector)
+        if sector != "++":
+            return data
+        block = data.block + ExactMatrix(data.block.dim, {(0, 0): 1})
+        return replace(data, block=block, powers=tuple(block.pow(p) for p in range(len(data.powers))))
+
+    monkeypatch.setattr(spectra, "sector_spectral", perturbed)
+    record = spectra.power_trace_check(r)
+    assert [c.check_id for c in record.failures] == ["power-2", "power-3", "power-4", "power-5"]
+    assert all(" != " in c.witness for c in record.failures)
 
 
 def test_full_space_spectral_reconstruction():
