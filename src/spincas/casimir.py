@@ -10,9 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
-from .clifford import build_gamma, rotation_generators
+from .clifford import (
+    build_gamma,
+    chain_generators,
+    chain_pairs,
+    closure_failures,
+    rotation_generators,
+)
 from .linalg import (
     ExactMatrix,
     TensorShape,
@@ -20,6 +26,7 @@ from .linalg import (
     kron,
     lincomb,
     poly_eval,
+    sum_at_scale,
     sum_of_kron_squares,
 )
 from .records import VerificationRecord
@@ -267,17 +274,25 @@ def block_structure_check(r: int) -> VerificationRecord:
 
 
 def ad_invariance_check(r: int) -> VerificationRecord:
-    """The split Casimir operator commutes with the diagonal algebra action."""
+    """The split Casimir operator commutes with the diagonal algebra action.
+
+    It is decided on the 2r-1 chain generators L_(i,i+1), after checking
+    that their iterated commutators reach every rotation generator, so that
+    they generate the algebra.
+    """
     record = VerificationRecord(name=f"casimir-ad-invariance r={r}")
     c = split_casimir_rho(r).matrix
     ident = ExactMatrix.identity(2**r)
-    ok = True
-    for g in rotation_generators(r):
-        diag = kron(g, ident) + kron(ident, g)
-        if diag @ c != c @ diag:
-            ok = False
-            break
-    record.add("commutes-with-diagonal-action", ok)
+    chain = chain_generators(r)
+
+    def failures():
+        yield from closure_failures(r, chain)
+        for pair, g in zip(chain_pairs(r), chain):
+            diag = kron(g, ident) + kron(ident, g)
+            if diag @ c != c @ diag:
+                yield f"C does not commute with the diagonal action of L_{pair}"
+
+    record.add_first_failure("commutes-with-diagonal-action", failures())
     return record
 
 
@@ -291,15 +306,12 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     dim = 2**r
     ident = ExactMatrix.identity(dim)
     coeff = Rat(-1, 2 * (n - 2))
-    c2_single = ExactMatrix.zero(dim)
-    for g in gens:
-        c2_single = c2_single + g @ g
-    c2_single = c2_single * coeff
-    c2_diag = ExactMatrix.zero(dim * dim)
-    for g in gens:
-        d = kron(g, ident) + kron(ident, g)
-        c2_diag = c2_diag + d @ d
-    c2_diag = c2_diag * coeff
+    c2_single = lincomb(dim, [(coeff, g @ g) for g in gens])
+    # d = g (x) 1 + 1 (x) g has integer entries over the scale of g, so every
+    # d @ d is an integer matrix over the square of that scale
+    den = lcm(*((g.scale * g.scale).denominator for g in gens))
+    diags = (kron(g, ident) + kron(ident, g) for g in gens)
+    c2_diag = sum_at_scale(dim * dim, (d @ d for d in diags), den) * coeff
     rhs = kron(c2_single, ident) + kron(ident, c2_single) + split_casimir_rho(r).matrix * 2
     record.add_equal("coproduct-split", c2_diag, rhs)
     spinor_c2 = Rat(r * (2 * r - 1), 16 * (r - 1))

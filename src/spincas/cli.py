@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage error,
-3 I/O error.  Output files are byte-identical across runs with the same
-arguments; wall time goes to stderr only.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
+(refused before any work), 3 I/O error (the result could not be
+written), 4 internal error (any other exception).  Output files are
+byte-identical across runs with the same arguments; wall time goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ class _UsageError(Exception):
     pass
 
 
+class _OutputError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -35,15 +41,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _rank(text: str) -> int:
-    """Ranks outside 2..6 are refused before any work starts."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or not 2 <= value <= 6:
-        raise argparse.ArgumentTypeError(f"rank must be an integer in 2..6, got {text!r}")
-    return value
+def _bounded_int(what: str, low: int, high: int):
+    """An argparse type: integers outside low..high are refused before any
+    work starts.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer in {low}..{high}, got {text!r}")
+        return value
+
+    return parse
+
+
+_rank = _bounded_int("rank", 2, 6)
+_rungs = _bounded_int("rung count", 0, colour.MAX_RUNGS)
 
 
 def _spectral(text: str):
@@ -77,7 +93,7 @@ def _build_parser() -> _Parser:
                            help="emit the eigenvalue/multiplicity CSV table only")
 
     colour_p = common(sub.add_parser("colour", help="ladder colour factors"))
-    colour_p.add_argument("--L", type=int, default=2, help="rung count")
+    colour_p.add_argument("--L", type=_rungs, default=2, help=f"rung count (0..{colour.MAX_RUNGS})")
     colour_p.add_argument("--sector", choices=tuple(REVERSE_SECTOR_LABELS), default="pp")
     colour_p.add_argument("--closure", choices=("full", "partial", "open"), default="full")
 
@@ -139,7 +155,10 @@ def _run_command(args) -> tuple[str, int]:
     if args.command == "report":
         r_max = args.r_max if args.r_max is not None else args.r
         suites = tuple(s for s in args.suites.split(",") if s)
-        cfg = report.SuiteConfig(r_min=args.r, r_max=r_max, suites=suites, fmt=args.format)
+        try:
+            cfg = report.SuiteConfig(r_min=args.r, r_max=r_max, suites=suites, fmt=args.format)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         result = report.run_suite(cfg)
         return report.render_report(result, args.format), 0 if result["ok"] else 1
 
@@ -211,7 +230,7 @@ def _write_output(text: str, args) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise RuntimeError(f"cannot write {out}: {exc}") from exc
+        raise _OutputError(f"cannot write {out}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -228,12 +247,15 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except _OutputError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        import traceback  # only here, so that start-up does not pay for it
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 4
     print(f"wall time: {time.monotonic() - start:.3f}s", file=sys.stderr)
     return code
 

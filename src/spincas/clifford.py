@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .linalg import ExactMatrix, kron
 from .records import VerificationRecord
@@ -179,6 +180,52 @@ def rotation_generators(r: int) -> tuple[ExactMatrix, ...]:
 
 def generator_pairs(r: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, 2 * r + 1) for j in range(i + 1, 2 * r + 1)]
+
+
+def chain_pairs(r: int) -> list[tuple[int, int]]:
+    """The neighbouring pairs (i, i+1), i = 1..2r-1."""
+    return [(i, i + 1) for i in range(1, 2 * r)]
+
+
+def chain_generators(r: int, gens=None) -> tuple[ExactMatrix, ...]:
+    """The images of L_(i,i+1), i = 1..2r-1, picked from gens, a tuple in
+    generator_pairs order (default: rotation_generators(r)).
+
+    Each is half a product of two generators, so it sends every basis vector
+    to a multiple of one basis vector.
+    """
+    by_pair = dict(zip(generator_pairs(r), rotation_generators(r) if gens is None else gens))
+    return tuple(by_pair[pair] for pair in chain_pairs(r))
+
+
+def closure_failures(r: int, chain) -> Iterator[str]:
+    """Witness against: iterated commutators of the chain matrices reach
+    every rotation generator rho(L_ab) up to a nonzero scalar.
+
+    The search only follows commutators that are such multiples, so it
+    stays among the r(2r-1) generators; it yields at most one witness.
+    """
+    targets = {g.ray(): pair for pair, g in zip(generator_pairs(r), rotation_generators(r))}
+    reached = set()
+
+    def new_generators(candidates):
+        found = []
+        for m in candidates:
+            key = m.ray()
+            if key in targets and key not in reached:
+                reached.add(key)
+                found.append(m)
+        return found
+
+    frontier = new_generators(chain)
+    while frontier:
+        frontier = new_generators(x @ g - g @ x for x in frontier for g in chain)
+    missed = [pair for key, pair in targets.items() if key not in reached]
+    if missed:
+        yield (
+            f"iterated commutators of {len(chain)} chain generators reach "
+            f"{len(reached)} of {len(targets)} rotation generators; L_{missed[0]} is missed"
+        )
 
 
 @lru_cache(maxsize=None)

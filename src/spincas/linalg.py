@@ -185,6 +185,26 @@ class ExactMatrix:
                 im += v[1]
         return ExactScalar(self.scale * re, self.scale * im)
 
+    def ray(self):
+        """A hashable key shared by the nonzero complex multiples of this
+        matrix; None for the zero matrix.
+
+        Multiplying by the conjugate of the first entry makes that entry a
+        positive integer; dividing by the content then fixes the multiple.
+        """
+        if not self._rows:
+            return None
+        first = self._rows[min(self._rows)]
+        a, b = first[min(first)]
+        rows = {
+            i: {j: (a * x + b * y, a * y - b * x) for j, (x, y) in row.items()}
+            for i, row in self._rows.items()
+        }
+        g = _backend.content(rows)
+        return tuple(
+            (i, j, x // g, y // g) for i in sorted(rows) for j, (x, y) in sorted(rows[i].items())
+        )
+
     def rank(self) -> int:
         """Exact rank (fraction-free elimination over Z[i])."""
         return _backend.mat_rank(self._rows, self.dim)
@@ -268,6 +288,11 @@ class ExactMatrix:
             rows[indices[i]] = {indices[j]: v for j, v in row.items()}
         return ExactMatrix._wrap(dim, self.scale, rows)
 
+    def row_slice(self, stop: int) -> "ExactMatrix":
+        """The rows i < stop; every other row becomes zero."""
+        rows = {i: row for i, row in self._rows.items() if i < stop}
+        return ExactMatrix._make(self.dim, self.scale, rows)
+
     # -- serialization -----------------------------------------------------
 
     def to_dump(self) -> str:
@@ -329,6 +354,22 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._make(a.dim * b.dim, a.scale * b.scale, rows)
 
 
+def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMatrix:
+    """The sum of matrices whose scales are integer multiples of 1/den, as
+    one kernel call that adds each matrix as the iterable yields it, so at
+    most one of them is held at a time.
+    """
+
+    def terms():
+        for m in matrices:
+            c = m.scale * den
+            if m.dim != dim or c.denominator != 1:
+                raise ValueError(f"cannot add a dim-{m.dim} matrix of scale {m.scale} at scale 1/{den}")
+            yield (c.numerator, 0), m._rows
+
+    return ExactMatrix._make(dim, Rat(1, den), _backend.mat_lincomb(terms()))
+
+
 def sum_of_kron_squares(factors: Sequence[ExactMatrix]) -> ExactMatrix:
     """sum of kron(g, g) over the factors, as one kernel call.
 
@@ -336,15 +377,9 @@ def sum_of_kron_squares(factors: Sequence[ExactMatrix]) -> ExactMatrix:
     them, so no more than one of them is held at once.
     """
     dim = factors[0].dim
-    factors = [g for g in factors if g._rows]
-    if not factors:
-        return ExactMatrix.zero(dim * dim)
+    # kron(g, g) is an integer matrix over the square of the scale of g
     den = lcm(*((g.scale * g.scale).denominator for g in factors))
-    terms = (
-        ((_int(g.scale * g.scale, den), 0), _backend.mat_kron(g._rows, g._rows, dim))
-        for g in factors
-    )
-    return ExactMatrix._make(dim * dim, Rat(1, den), _backend.mat_lincomb(terms))
+    return sum_at_scale(dim * dim, (kron(g, g) for g in factors), den)
 
 
 def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ...]:

@@ -21,8 +21,8 @@ SUITES = ("gamma", "oracle", "invariants", "spectra", "colour", "ybe")
 SECTOR_LABELS = {"++": "pp", "+-": "pm", "-+": "mp", "--": "mm"}
 
 # triple-product sweeps grow as 8^r; these caps keep the suite at desk scale
-YBE_SECTOR_MAX_R = 4
-YBE_FULL_MAX_R = 3
+YBE_SECTOR_MAX_R = 5
+YBE_FULL_MAX_R = 4
 COLOUR_MAX_R = 4
 SPECTRA_FULL_CROSSCHECK_MAX_R = 4
 
@@ -105,6 +105,7 @@ def ybe_suite(r: int) -> list[VerificationRecord]:
         ybe.coefficient_consistency(r),
     ]
     if r <= YBE_SECTOR_MAX_R:
+        records.append(ybe.ybe_identity_check(r, "+"))
         records.append(ybe.ybe_check(r, "+"))
         records.append(ybe.unitarity_check(r, "+"))
         records.append(ybe.unitarity_check(r, "-"))
@@ -114,6 +115,7 @@ def ybe_suite(r: int) -> list[VerificationRecord]:
         records.append(ybe.symmetric_part_factorization(r))
         records.append(ybe.chirality_split_check(r))
     if r <= YBE_FULL_MAX_R:
+        records.append(ybe.full_ybe_identity_check(r))
         records.append(ybe.full_ybe_check(r))
     if r == 2:
         records.append(ybe.rising_factorial_identity())

@@ -5,7 +5,9 @@ from math import factorial
 import pytest
 
 from spincas import casimir, linalg
-from spincas.clifford import antisym_gamma, build_gamma
+from spincas.clifford import antisym_gamma, build_gamma, chain_generators
+
+CHAIN_GENERATORS = chain_generators
 from spincas.linalg import ExactMatrix, sum_of_kron_squares
 from spincas.scalar import Rat
 
@@ -68,6 +70,15 @@ def test_block_structure(r):
 @pytest.mark.parametrize("r", [2, 3])
 def test_ad_invariance(r):
     assert casimir.ad_invariance_check(r).ok
+
+
+def test_ad_invariance_fails_without_one_chain_generator(monkeypatch):
+    r = 3
+    monkeypatch.setattr(casimir, "chain_generators", lambda rank: CHAIN_GENERATORS(rank)[1:])
+    record = casimir.ad_invariance_check(r)
+    assert [c.check_id for c in record.checks] == ["commutes-with-diagonal-action"]
+    assert not record.ok
+    assert "chain generators reach" in record.checks[0].witness
 
 
 @pytest.mark.parametrize("r", [2, 3])

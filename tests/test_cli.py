@@ -305,3 +305,48 @@ def test_empty_suites_report(capsys):
     payload = json.loads(out)
     assert payload["records"] == []
     assert payload["summary"]["pass"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--r", "2", "--suites", "foo"),
+        ("report", "--r", "2", "--suites", "gamma,foo"),
+        ("report", "--r", "4", "--r-max", "3"),
+        ("colour", "--r", "2", "--L", "99"),
+        ("colour", "--r", "2", "--L", "-1"),
+    ],
+)
+def test_bad_report_or_colour_arguments_are_refused_before_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for refused arguments")
+
+    for module, name in ((report, "run_suite"), (colour, "colour_report")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [ValueError("bad value"), RuntimeError("bad state"), RecursionError("too deep")]
+)
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (("report", "--r", "2", "--suites", "gamma"), report, "run_suite"),
+        (("oracle", "--r", "2"), report, "oracle_suite"),
+        (("ybe", "--r", "2", "--u", "2/3", "--v", "5/7"), ybe, "ybe_point"),
+    ],
+)
+def test_an_exception_in_the_work_is_an_internal_error(capsys, monkeypatch, exc, argv, module, name):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"internal error: {type(exc).__name__}: {exc}")
+    assert "usage error" not in err and "i/o error" not in err

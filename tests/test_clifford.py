@@ -5,6 +5,9 @@ from spincas.clifford import (
     antisym_gamma,
     build_gamma,
     canonical_index,
+    chain_generators,
+    chain_pairs,
+    closure_failures,
     gamma_duality_check,
     generator_pairs,
     half_spinor_blocks,
@@ -127,3 +130,21 @@ def test_entry_alphabet():
     for g in rep.gammas:
         for _, _, value in g.items():
             assert value in allowed
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_chain_generators_generate_the_algebra(r):
+    chain = chain_generators(r)
+    assert len(chain) == len(chain_pairs(r)) == 2 * r - 1
+    assert list(closure_failures(r, chain)) == []
+
+
+@pytest.mark.parametrize("drop", [0, 2, -1])
+def test_closure_fails_without_one_chain_generator(drop):
+    r = 3
+    chain = list(chain_generators(r))
+    del chain[drop]
+    witnesses = list(closure_failures(r, chain))
+    assert len(witnesses) == 1
+    assert witnesses[0].startswith("iterated commutators of 4 chain generators reach")
+    assert witnesses[0].endswith("is missed")

@@ -11,6 +11,7 @@ from spincas.linalg import (
     partial_trace,
     permutation_operator,
     poly_eval,
+    sum_at_scale,
 )
 from spincas.scalar import ExactScalar, Rat
 
@@ -166,3 +167,33 @@ def test_first_difference():
     assert (i, j) == (1, 1)
     assert left == ExactScalar(0) and right == ExactScalar(2)
 
+
+
+scalars = st.builds(ExactScalar, st.integers(-4, 4).map(Rat), st.integers(-4, 4).map(Rat))
+
+
+@settings(max_examples=60)
+@given(small_matrix(), scalars, small_matrix())
+def test_ray_is_shared_by_the_nonzero_multiples_only(m, c, other):
+    if not c:
+        assert (m * c).ray() is None
+        return
+    assert (m * c).ray() == m.ray()
+    proportional = any(other * (m[i, j] / value) == m for i, j, value in other.items() if m[i, j])
+    assert (other.ray() == m.ray()) == (proportional or (m.is_zero() and other.is_zero()))
+
+
+def test_row_slice():
+    m = ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3), (2, 0): 5})
+    assert m.row_slice(2) == ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3)})
+    assert m.row_slice(0).is_zero()
+
+
+def test_sum_at_scale():
+    a = ExactMatrix(2, {(0, 1): Rat(1, 2), (1, 1): 1})
+    b = ExactMatrix(2, {(0, 1): Rat(-1, 2), (1, 0): Rat(3, 4)})
+    assert sum_at_scale(2, iter([a, b]), 4) == a + b
+    with pytest.raises(ValueError):
+        sum_at_scale(2, [a, b], 2)  # 3/4 is not a multiple of 1/2
+    with pytest.raises(ValueError):
+        sum_at_scale(3, [a], 4)

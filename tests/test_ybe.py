@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincas import spectra, ybe
-from spincas.linalg import ExactMatrix, first_difference, kron
+from spincas.linalg import ExactMatrix, first_difference, kron, lincomb
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
 from spincas.records import FAIL, PASS, diff_witness
-from spincas.scalar import Rat
+from spincas.scalar import Rat, binomial
 
 
 def test_tau_coefficients():
@@ -149,6 +149,7 @@ def test_rising_factorial_polynomial():
 CLOSED_FORMS = ybe.closed_form_coefficients
 INVARIANTS = ybe._invariants
 GRID = ybe.admissible_grid
+FULL_SYMMETRIES = ybe._full_symmetries
 
 # the caches that hold a family or anything derived from one
 CACHED = (
@@ -156,8 +157,8 @@ CACHED = (
     ybe.closed_form_coefficients,
     ybe.full_r_matrix_coefficients,
     ybe._invariants,
-    ybe._sector_ybe_differences,
-    ybe._full_ybe_differences,
+    ybe._sector_braid_slice,
+    ybe._full_braid_slice,
 )
 
 
@@ -231,6 +232,44 @@ def triple_product_sum(r, eps, u, v, form="braid"):
     for (a, b, c), k_abc in triple_products(r, eps).items():
         total = total + k_abc * (t[a](u) * t[b](u + v) * t[c](v))
     return total.is_zero()
+
+
+def reference_braid_differences(parts, leg):
+    """The nonzero D_ij on all leg^3 columns, as {(i, j): D_ij}, from every
+    K_abc formed in full; the sliced build must agree with their columns.
+    """
+    ident = ExactMatrix.identity(leg)
+    left = [kron(m, ident) for m in parts]
+    right = [kron(ident, m) for m in parts]
+    n = len(parts)
+    grouped = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                k_abc = left[a] @ right[b] @ left[c] - right[c] @ left[b] @ right[a]
+                for m in range(b + 1):
+                    grouped.setdefault((a + m, c + b - m), []).append((binomial(b, m), k_abc))
+    diffs = {key: lincomb(leg**3, terms) for key, terms in grouped.items()}
+    return {key: d for key, d in diffs.items() if d}
+
+
+def columns_below(m, stop):
+    return ExactMatrix(m.dim, {(i, j): value for i, j, value in m.items() if j < stop})
+
+
+def sector_parts(r, eps, form):
+    family = ybe.sector_r_matrix(r, eps, form)
+    terms = [(coeff, family.projector(label)) for label, coeff in family.terms]
+    return ybe._degree_parts(4 ** (r - 1), terms)
+
+
+def assert_slice_matches_reference(parts, leg):
+    """The sliced D_ij are the first leg^2 columns of the reference D_ij."""
+    _, sliced = ybe._sliced_braid_differences(parts, leg)
+    reference = reference_braid_differences(parts, leg)
+    columns = {key: columns_below(d, leg * leg) for key, d in reference.items()}
+    assert dict(sliced) == {key: d for key, d in columns.items() if d}
+    return dict(sliced), reference
 
 
 def assert_matches_direct(record, r, reference):
@@ -326,6 +365,109 @@ def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatc
     assert record.failures
     assert all(c.witness.startswith("first differing entry") for c in record.failures)
     assert_matches_direct(record, r, lambda u, v: direct_sector(r, "+", u, v))
+
+
+# -- the slice e_0 (x) V (x) V and its equivariance premise -----------------
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_full_slice_matches_reference_columns(r):
+    sliced, reference = assert_slice_matches_reference(ybe.full_r_matrix_coefficients(r), 2**r)
+    assert sliced.keys() == reference.keys()  # zero exactly where the reference is
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("eps", ["+", "-"])
+@pytest.mark.parametrize("form", ["braid", "plain"])
+def test_sector_slice_matches_reference_columns(r, eps, form):
+    sliced, reference = assert_slice_matches_reference(sector_parts(r, eps, form), 2 ** (r - 1))
+    assert sliced.keys() == reference.keys()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_braid_identity_records_pass(r):
+    records = (
+        ybe.full_ybe_identity_check(r),
+        ybe.ybe_identity_check(r, "+"),
+        ybe.ybe_identity_check(r, "-"),
+    )
+    for record in records:
+        assert record.ok, [(c.check_id, c.witness) for c in record.failures]
+        assert record.name.startswith(f"yang-baxter-identity r={r} ")
+    assert records[0].checks[-1].check_id.endswith(f"-on-{4**r}-slice-columns")
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_plain_form_keeps_the_premise_but_is_no_braid_identity(r):
+    # the plain form solves R12 R13 R23 = R23 R13 R12, not the braid equation
+    record = ybe.ybe_identity_check(r, "+", "plain")
+    assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
+    assert "is nonzero on the slice" in record.checks[-1].witness
+
+
+def test_raised_degree_keeps_the_premise_and_fails_on_the_slice(fresh_caches, monkeypatch):
+    # the parts stay sums of invariants, so the slice decides, and the
+    # nonzero D_ij are nonzero on the slice too
+    monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
+    r = 2
+    sliced, reference = assert_slice_matches_reference(ybe.full_r_matrix_coefficients(r), 2**r)
+    assert reference and sliced.keys() == reference.keys()
+    record = ybe.full_ybe_identity_check(r)
+    assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
+    witness = record.checks[-1].witness
+    assert witness.startswith(f"D_{min(reference)} is nonzero on the slice: first differing entry")
+
+
+def perturb_projector(monkeypatch, r):
+    """The r, ++ family with one projector entry changed."""
+    data = spectra.sector_spectral(r, "++")
+    projectors = dict(data.projectors)
+    projectors[1] = projectors[1] + ExactMatrix(data.block.dim, {(2, 3): 1})
+    perturbed = dataclasses.replace(data, projectors=projectors)
+    monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: perturbed)
+
+
+def test_perturbed_projector_fails_the_premise(fresh_caches, monkeypatch):
+    r = 3
+    perturb_projector(monkeypatch, r)
+    assert_slice_matches_reference(sector_parts(r, "+", "braid"), 2 ** (r - 1))
+    commute = ybe.ybe_identity_check(r, "+").checks[0]
+    assert commute.check_id == "degree-parts-commute-with-symmetries"
+    assert commute.status == FAIL
+    assert commute.witness.startswith("S_") and "first differing entry" in commute.witness
+    assert not ybe._sector_braid_slice(r, "+", "braid").premise
+    assert_matches_direct(ybe.ybe_check(r, "+"), r, lambda u, v: direct_sector(r, "+", u, v))
+
+
+def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
+    # a slice on which every D_ij vanishes, for a family that fails the premise
+    r = 3
+    perturb_projector(monkeypatch, r)
+    monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg: (1, ()))
+    record = ybe.ybe_check(r, "+")
+    assert record.failures
+    assert_matches_direct(record, r, lambda u, v: direct_sector(r, "+", u, v))
+
+
+def test_full_series_without_gamma1_fails_the_orbit_check(fresh_caches, monkeypatch):
+    r = 2
+    monkeypatch.setattr(
+        ybe, "_full_symmetries", lambda rank: [s for s in FULL_SYMMETRIES(rank) if s[0] != "gamma_1"]
+    )
+    record = ybe.full_ybe_identity_check(r)
+    assert [c.status for c in record.checks] == [PASS, FAIL, PASS]
+    # the chain generators keep the chirality, so the orbit stays in Delta_+
+    assert record.checks[1].witness == "the orbit of e_0 reaches 2 of 4 basis vectors; e_2 is missed"
+    assert not ybe._full_braid_slice(r).premise
+    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v))
+
+
+def test_orbit_check_refuses_a_non_monomial_map():
+    g = ExactMatrix(2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
+    witnesses = list(ybe._orbit_failures([("g", g, True)], 2))
+    assert witnesses == ["g does not send e_0 to a nonzero multiple of one basis vector"]
+    swap = ExactMatrix(2, {(0, 1): 1, (1, 0): 1})
+    assert list(ybe._orbit_failures([("swap", swap, False)], 2)) == []
 
 
 # -- a pole on a YBE grid is a failure --------------------------------------
