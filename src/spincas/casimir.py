@@ -21,7 +21,6 @@ from .clifford import (
 )
 from .linalg import (
     ExactMatrix,
-    TensorShape,
     elementary_products,
     kron,
     lincomb,
@@ -39,10 +38,6 @@ SECTORS = ("++", "+-", "-+", "--")
 class SplitCasimir:
     r: int
     matrix: ExactMatrix
-
-    @property
-    def shape(self) -> TensorShape:
-        return TensorShape([2**self.r, 2**self.r])
 
 
 @dataclass(frozen=True)
@@ -216,14 +211,6 @@ def casimir_power_trace_closed_form(r: int, m: int) -> Rat:
 # -- chirality sectors ------------------------------------------------------
 
 
-def chirality_projectors(r: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """(I +- grading)/2 on the 2^r spinor space; diagonal 0/1 by construction."""
-    rep = build_gamma(r)
-    ident = ExactMatrix.identity(rep.dim)
-    half = Rat(1, 2)
-    return ((ident + rep.chirality) * half, (ident - rep.chirality) * half)
-
-
 def sector_indices(r: int, sector: str) -> tuple[int, ...]:
     """Flat coordinates of the sector block; leg 1 is the slow index."""
     if sector not in SECTORS:
@@ -233,14 +220,6 @@ def sector_indices(r: int, sector: str) -> tuple[int, ...]:
     first = range(half) if sector[0] == "+" else range(half, full)
     second = range(half) if sector[1] == "+" else range(half, full)
     return tuple(i1 * full + i2 for i1 in first for i2 in second)
-
-
-def restrict_to_sector(r: int, m: ExactMatrix, sector: str) -> ExactMatrix:
-    return m.restrict(sector_indices(r, sector))
-
-
-def embed_from_sector(r: int, m: ExactMatrix, sector: str) -> ExactMatrix:
-    return m.embed(sector_indices(r, sector), 4**r)
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +313,7 @@ def lemma_duality_sweep(r: int) -> VerificationRecord:
     return record
 
 
-def polynomial_consistency(r: int, max_k: int | None = None) -> VerificationRecord:
+def polynomial_consistency(r: int) -> VerificationRecord:
     """poly_eval of the generated coefficients reproduces each even invariant.
 
     Includes the first vanishing case 2k = 2r + 2, i.e. the characteristic
@@ -342,8 +321,7 @@ def polynomial_consistency(r: int, max_k: int | None = None) -> VerificationReco
     """
     record = VerificationRecord(name=f"even-invariant-polynomials r={r}")
     c = split_casimir_rho(r).matrix
-    top = r + 1 if max_k is None else max_k
-    for k in range(top + 1):
+    for k in range(r + 2):
         expected = invariant_I(r, 2 * k)
         got = poly_eval(i2k_polynomial(r, k), c)
         record.add_equal(f"polynomial-matches-invariant-k{k}", got, expected)

@@ -113,7 +113,7 @@ def _build_parser() -> _Parser:
 
 
 def _single_suite_report(args, suites: tuple[str, ...]) -> tuple[str, int]:
-    cfg = report.SuiteConfig(r_min=args.r, r_max=args.r, suites=suites, fmt=args.format)
+    cfg = report.SuiteConfig(r_min=args.r, r_max=args.r, suites=suites)
     result = report.run_suite(cfg)
     return report.render_report(result, args.format), 0 if result["ok"] else 1
 
@@ -156,7 +156,7 @@ def _run_command(args) -> tuple[str, int]:
         r_max = args.r_max if args.r_max is not None else args.r
         suites = tuple(s for s in args.suites.split(",") if s)
         try:
-            cfg = report.SuiteConfig(r_min=args.r, r_max=r_max, suites=suites, fmt=args.format)
+            cfg = report.SuiteConfig(r_min=args.r, r_max=r_max, suites=suites)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
         result = report.run_suite(cfg)
@@ -166,7 +166,6 @@ def _run_command(args) -> tuple[str, int]:
 
 
 def _run_ybe(args) -> tuple[str, int]:
-    points = []
     grid = args.grid or (args.u is None and args.v is None)
     if grid:
         us, vs = ybe.admissible_grid(args.r)
@@ -176,7 +175,6 @@ def _run_ybe(args) -> tuple[str, int]:
     else:
         raise _UsageError("provide both --u and --v, or use --grid")
 
-    failures = []
     if args.mode == "sector":
         family = ybe.sector_r_matrix(args.r, "+", args.form)
         for u, v in pairs:
@@ -185,27 +183,19 @@ def _run_ybe(args) -> tuple[str, int]:
                     f"(u, v) = ({u}, {v}) is at a pole of the {args.form} sector family"
                 )
         if args.form == "braid":
-            for u, v in pairs:
-                outcome = ybe.ybe_point(args.r, "+", u, v, "braid")
-                status = "skip" if outcome is None else ("pass" if outcome else "fail")
-                points.append({"u": str(u), "v": str(v), "pass": bool(outcome)})
-                if status == "fail":
-                    failures.append({"u": str(u), "v": str(v)})
+            record = ybe.ybe_check(args.r, "+", "braid", pairs)
         else:
             record = ybe.plain_ybe_spot_check(args.r, "+", pairs)
-            for check, (u, v) in zip(record.checks, pairs):
-                points.append({"u": str(u), "v": str(v), "pass": check.status != FAIL})
-                if check.status == FAIL:
-                    failures.append({"u": str(u), "v": str(v), "witness": check.witness})
+    elif grid:
+        record = ybe.full_ybe_check(args.r)
     else:
-        if grid:
-            record = ybe.full_ybe_check(args.r)
-        else:
-            record = ybe.full_ybe_spot_check(args.r, pairs)
-        for check, (u, v) in zip(record.checks, pairs):
-            points.append({"u": str(u), "v": str(v), "pass": check.status != FAIL})
-            if check.status == FAIL:
-                failures.append({"u": str(u), "v": str(v), "witness": check.witness})
+        record = ybe.full_ybe_spot_check(args.r, pairs)
+
+    points, failures = [], []
+    for check, (u, v) in zip(record.checks, pairs):
+        points.append({"u": str(u), "v": str(v), "pass": check.status != FAIL})
+        if check.status == FAIL:
+            failures.append({"u": str(u), "v": str(v), "witness": check.witness})
 
     payload = {
         "engine_version": __version__,

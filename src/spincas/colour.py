@@ -122,13 +122,15 @@ def colour_report(spec: LadderSpec) -> dict:
     return report
 
 
-def ladder_consistency(r: int, max_L: int = 6) -> VerificationRecord:
-    """Spectral vs direct powers, tracelessness at L=1, scalar partial traces."""
+def ladder_consistency(r: int) -> VerificationRecord:
+    """Spectral vs direct powers, tracelessness at L=1, scalar partial traces,
+    for L = 0..6.
+    """
     record = VerificationRecord(name=f"ladder-colour-factors r={r}")
     for sector in SECTORS:
         data = sector_spectral(r, sector)
         power = ExactMatrix.identity(data.block.dim)
-        for L in range(max_L + 1):
+        for L in range(7):
             spec = LadderSpec(r=r, L=L, sector=sector)
             spectral = ladder_operator(spec)
             record.add_equal(f"spectral-equals-direct-{sector}-L{L}", spectral, power)

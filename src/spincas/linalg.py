@@ -14,12 +14,11 @@ index is i1 * d2 + i2.  Legs are numbered from 1, left to right.
 
 from __future__ import annotations
 
-import json
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import _backend
-from .scalar import RAT_ONE, RAT_ZERO, ExactScalar, Rat, format_rat, parse_rat
+from .scalar import RAT_ONE, RAT_ZERO, ExactScalar, Rat
 
 
 def _val(value):
@@ -292,23 +291,6 @@ class ExactMatrix:
         """The rows i < stop; every other row becomes zero."""
         rows = {i: row for i, row in self._rows.items() if i < stop}
         return ExactMatrix._make(self.dim, self.scale, rows)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dump(self) -> str:
-        """JSON dump: {dim, entries: [[i, j, "re", "im"], ...]} sorted by (i, j)."""
-        entries = [
-            [i, j, format_rat(s.re), format_rat(s.im)] for i, j, s in self.items()
-        ]
-        return json.dumps({"dim": self.dim, "entries": entries})
-
-    @classmethod
-    def from_dump(cls, text: str) -> "ExactMatrix":
-        data = json.loads(text)
-        rows: dict = {}
-        for i, j, re, im in data["entries"]:
-            rows.setdefault(i, {})[j] = (parse_rat(re), parse_rat(im))
-        return cls._wrap(data["dim"], *_from_rationals(rows))
 
     def __repr__(self):
         return f"ExactMatrix(dim={self.dim}, nnz={self.nnz})"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__, casimir, clifford, colour, oracles, spectra, ybe
 from .records import FAIL, NOTE, PASS, SKIP, VerificationRecord
@@ -23,7 +23,6 @@ SECTOR_LABELS = {"++": "pp", "+-": "pm", "-+": "mp", "--": "mm"}
 # triple-product sweeps grow as 8^r; these caps keep the suite at desk scale
 YBE_SECTOR_MAX_R = 5
 YBE_FULL_MAX_R = 4
-COLOUR_MAX_R = 4
 SPECTRA_FULL_CROSSCHECK_MAX_R = 4
 
 
@@ -32,7 +31,6 @@ class SuiteConfig:
     r_min: int = 2
     r_max: int = 5
     suites: tuple[str, ...] = SUITES
-    fmt: str = "json"
 
     def __post_init__(self):
         if not 2 <= self.r_min <= self.r_max <= 6:
@@ -40,8 +38,6 @@ class SuiteConfig:
         for suite in self.suites:
             if suite not in SUITES:
                 raise ValueError(f"unknown suite {suite!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.fmt!r}")
 
 
 def gamma_suite(r: int) -> list[VerificationRecord]:
@@ -90,9 +86,7 @@ def spectra_suite(r: int) -> list[VerificationRecord]:
 
 
 def colour_suite(r: int) -> list[VerificationRecord]:
-    records = []
-    if r <= COLOUR_MAX_R:
-        records.append(colour.ladder_consistency(r))
+    records = [colour.ladder_consistency(r)]
     if r == 2:
         records.append(colour.worked_values())
     return records

@@ -131,10 +131,6 @@ def sector_spectral(r: int, sector: str) -> SectorSpectral:
     )
 
 
-def sector_spectrum(r: int, sector: str) -> Spectrum:
-    return sector_spectral(r, sector).spectrum
-
-
 def projector_axioms(r: int, sector: str) -> VerificationRecord:
     """Idempotence, orthogonality, completeness, reconstruction, traces, ranks."""
     record = VerificationRecord(name=f"projector-axioms r={r} sector={sector}")

@@ -30,6 +30,7 @@ slice; otherwise it is decided, with its witness, by direct products.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -200,11 +201,6 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int) -> tuple
     return len(sums), tuple((key, d.transpose()) for key, d in sorted(sums.items()) if d)
 
 
-def _vanishes(diffs, dim: int, u, v) -> bool:
-    """sum_ij u^i v^j D_ij == 0 at one point."""
-    return lincomb(dim, [(u**i * v**j, d) for (i, j), d in diffs]).is_zero()
-
-
 def _commutation_failures(parts, symmetries, leg: int):
     """Witnesses against: every degree part commutes with every symmetry on
     the tensor square of the leg.  A symmetry is (label, matrix, lie): a Lie
@@ -246,22 +242,43 @@ def _orbit_failures(symmetries, leg: int):
 
 
 @dataclass(frozen=True)
-class BraidSlice:
-    """The braid coefficients of one family on the slice e_0 (x) V (x) V, and
-    the identity record whose premise says whether the slice decides.
+class BraidFamily:
+    """One family R(x) on the tensor square of a leg of dimension leg, its
+    braid coefficients on the slice e_0 (x) V (x) V, and the identity record
+    whose premise says whether the slice decides.
     """
 
     record: VerificationRecord
     premise: bool
     diffs: tuple
-    dim: int
+    leg: int
+    evaluate: Callable
+    ybe_pole: Callable  # (u, v) -> True when u, v or u + v is a pole
 
-    def decides(self, u, v) -> bool:
-        """True when the slice proves the braid equation at (u, v)."""
-        return self.premise and _vanishes(self.diffs, self.dim, u, v)
+    def grid(self, name: str, points) -> VerificationRecord:
+        """One braid Yang-Baxter check per point (u, v).
+
+        A pole hit is a failure.  Away from a pole Q(u) Q(u+v) Q(v) is not
+        zero, so the equation holds exactly when sum_ij u^i v^j D_ij
+        vanishes; where the slice does not decide that, direct products do,
+        with their witness.
+        """
+        record = VerificationRecord(name=name)
+        for u, v in points:
+            u, v = rat(u), rat(v)
+            check_id = f"point-u{u}-v{v}"
+            if self.ybe_pole(u, v):
+                record.add(check_id, False, "pole hit")
+            elif self.premise and lincomb(
+                self.leg**3, [(u**i * v**j, d) for (i, j), d in self.diffs]
+            ).is_zero():
+                record.add(check_id, True)
+            else:
+                record.add_equal(check_id, *_braid_sides(self.evaluate, u, v, self.leg))
+        return record
 
 
-def _braid_slice(name: str, parts, symmetries, leg: int) -> BraidSlice:
+def _braid_family(name: str, parts, symmetries, leg: int, evaluate, ybe_pole) -> BraidFamily:
     record = VerificationRecord(name=name)
     premise = [
         record.add_first_failure(
@@ -276,12 +293,19 @@ def _braid_slice(name: str, parts, symmetries, leg: int) -> BraidSlice:
         for key, d in diffs
     )
     record.add_first_failure(f"all-{count}-D_ij-vanish-on-{leg * leg}-slice-columns", first)
-    return BraidSlice(
+    return BraidFamily(
         record=record,
         premise=all(check.status == PASS for check in premise),
         diffs=diffs,
-        dim=leg**3,
+        leg=leg,
+        evaluate=evaluate,
+        ybe_pole=ybe_pole,
     )
+
+
+def _grid_points(r: int) -> list:
+    us, vs = admissible_grid(r)
+    return [(u, v) for u in us for v in vs]
 
 
 def _chain_symmetries(r: int, gens) -> list:
@@ -303,17 +327,19 @@ def _full_symmetries(r: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _sector_braid_slice(r: int, eps: str, form: str) -> BraidSlice:
-    """The slice of one sector family, its tau denominators cleared by their
-    lcm Q: Q(u) R(u) = sum_d u^d S_d.
+def _sector_braid_slice(r: int, eps: str, form: str) -> BraidFamily:
+    """One sector family, its tau denominators cleared by their lcm Q:
+    Q(u) R(u) = sum_d u^d S_d.
     """
     family = sector_r_matrix(r, eps, form)
     terms = [(coeff, family.projector(label)) for label, coeff in family.terms]
-    return _braid_slice(
+    return _braid_family(
         f"yang-baxter-identity r={r} eps={eps} form={form}",
         _degree_parts(4 ** (r - 1), terms),
         _sector_symmetries(r, eps),
         2 ** (r - 1),
+        family.evaluate,
+        family.ybe_pole,
     )
 
 
@@ -326,41 +352,23 @@ def ybe_identity_check(r: int, eps: str = "+", form: str = "braid") -> Verificat
 
 
 def ybe_point(r: int, eps: str, u, v, form: str = "braid"):
-    """One braid Yang-Baxter grid point; None signals a pole.
-
-    Away from a pole Q(u) Q(u+v) Q(v) is not zero, so the equation holds
-    exactly when sum_ij u^i v^j D_ij vanishes; where the slice does not
-    decide that, direct products do.
-    """
+    """One braid Yang-Baxter point of a sector family; None signals a pole."""
     u, v = rat(u), rat(v)
-    family = sector_r_matrix(r, eps, form)
-    if family.ybe_pole(u, v):
+    if sector_r_matrix(r, eps, form).ybe_pole(u, v):
         return None
-    if _sector_braid_slice(r, eps, form).decides(u, v):
-        return True
-    lhs, rhs = _braid_sides(family.evaluate, u, v, 2 ** (r - 1))
-    return lhs == rhs
+    return ybe_check(r, eps, form, [(u, v)]).ok
 
 
-def ybe_check(r: int, eps: str = "+", form: str = "braid") -> VerificationRecord:
-    """Full deterministic grid sweep of the braid Yang-Baxter equation.
+def ybe_check(r: int, eps: str = "+", form: str = "braid", points=None) -> VerificationRecord:
+    """The braid Yang-Baxter equation of a sector family at the given points,
+    by default the admissible grid.
 
-    The grid is pole-free by construction, so a pole hit is a failure.
+    That grid is pole-free by construction, so a pole hit is a failure.
     """
-    record = VerificationRecord(name=f"yang-baxter-grid r={r} eps={eps} form={form}")
-    us, vs = admissible_grid(r)
-    for u in us:
-        for v in vs:
-            outcome = ybe_point(r, eps, u, v, form)
-            check_id = f"point-u{u}-v{v}"
-            if outcome is None:
-                record.add(check_id, False, "pole hit")
-            elif outcome:
-                record.add(check_id, True)
-            else:
-                family = sector_r_matrix(r, eps, form)
-                record.add_equal(check_id, *_braid_sides(family.evaluate, u, v, 2 ** (r - 1)))
-    return record
+    return _sector_braid_slice(r, eps, form).grid(
+        f"yang-baxter-grid r={r} eps={eps} form={form}",
+        _grid_points(r) if points is None else points,
+    )
 
 
 def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
@@ -390,17 +398,14 @@ def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
     return record
 
 
-def unitarity_check(r: int, eps: str, u_values=None) -> VerificationRecord:
+def unitarity_check(r: int, eps: str) -> VerificationRecord:
     """R12(u) R21(-u) = identity, with R21 = P R12 P."""
     record = VerificationRecord(name=f"unitarity r={r} eps={eps}")
     family = sector_r_matrix(r, eps, "plain")
     half = 2 ** (r - 1)
     swap = permutation_operator(half)
     ident = ExactMatrix.identity(half * half)
-    if u_values is None:
-        u_values = admissible_grid(r)[0][:10]
-    for u in u_values:
-        u = rat(u)
+    for u in admissible_grid(r)[0][:10]:
         if family.is_pole(u) or family.is_pole(-u):
             record.add(f"u{u}", False, "pole hit")
             continue
@@ -409,16 +414,13 @@ def unitarity_check(r: int, eps: str, u_values=None) -> VerificationRecord:
     return record
 
 
-def symmetry_check(r: int, eps: str, u_values=None) -> VerificationRecord:
+def symmetry_check(r: int, eps: str) -> VerificationRecord:
     """R21(u) = R12(u): conjugation by the swap leaves the R-matrix fixed."""
     record = VerificationRecord(name=f"swap-symmetry r={r} eps={eps}")
     family = sector_r_matrix(r, eps, "plain")
     half = 2 ** (r - 1)
     swap = permutation_operator(half)
-    if u_values is None:
-        u_values = admissible_grid(r)[0][:10]
-    for u in u_values:
-        u = rat(u)
+    for u in admissible_grid(r)[0][:10]:
         if family.is_pole(u):
             record.add(f"u{u}", False, "pole hit")
             continue
@@ -591,13 +593,11 @@ def full_r_matrix_parts(r: int, u) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
     return even + odd, even, odd
 
 
-def chirality_split_check(r: int, u_values=None) -> VerificationRecord:
+def chirality_split_check(r: int) -> VerificationRecord:
     """The even/odd parts are exactly the images of the chirality-sum
     projectors: S R = R S = even part, and the two projectors resolve the
     identity.
     """
-    from .clifford import build_gamma
-
     record = VerificationRecord(name=f"chirality-split r={r}")
     gamma = build_gamma(r)
     dim = 4**r
@@ -605,9 +605,7 @@ def chirality_split_check(r: int, u_values=None) -> VerificationRecord:
     anti = ExactMatrix.identity(dim) - sym
     record.add("projector-resolution", sym + anti == ExactMatrix.identity(dim))
     record.add("projector-idempotent", sym @ sym == sym)
-    if u_values is None:
-        u_values = admissible_grid(r)[0][:3]
-    for u in u_values:
+    for u in admissible_grid(r)[0][:3]:
         full, even, odd = full_r_matrix_parts(r, u)
         record.add(f"even-part-left-u{u}", sym @ full == even)
         record.add(f"even-part-right-u{u}", full @ sym == even)
@@ -617,13 +615,17 @@ def chirality_split_check(r: int, u_values=None) -> VerificationRecord:
 
 
 @lru_cache(maxsize=None)
-def _full_braid_slice(r: int) -> BraidSlice:
-    """The slice of the full series, R(u) = sum_d u^d R_d."""
-    return _braid_slice(
+def _full_braid_slice(r: int) -> BraidFamily:
+    """The full series, R(u) = sum_d u^d R_d; its coefficients are
+    polynomials, so it has no poles.
+    """
+    return _braid_family(
         f"yang-baxter-identity r={r} family=full",
         full_r_matrix_coefficients(r),
         _full_symmetries(r),
         2**r,
+        lambda x: full_r_matrix(r, x),
+        lambda u, v: False,
     )
 
 
@@ -633,30 +635,11 @@ def full_ybe_identity_check(r: int) -> VerificationRecord:
     return VerificationRecord(name=record.name, checks=list(record.checks))
 
 
-def full_ybe_point(r: int, u, v) -> bool:
-    """One braid Yang-Baxter point of the full series, decided on the slice
-    or, where that does not decide it, by direct products.
-    """
-    u, v = rat(u), rat(v)
-    if _full_braid_slice(r).decides(u, v):
-        return True
-    lhs, rhs = _braid_sides(lambda x: full_r_matrix(r, x), u, v, 2**r)
-    return lhs == rhs
-
-
 def full_ybe_check(r: int) -> VerificationRecord:
     """Braid Yang-Baxter for the full invariant-series R-matrix on the
     admissible grid of the 2^r-leg triple product.
     """
-    record = VerificationRecord(name=f"full-yang-baxter r={r}")
-    us, vs = admissible_grid(r)
-    for u in us:
-        for v in vs:
-            if full_ybe_point(r, u, v):
-                record.add(f"point-u{u}-v{v}", True)
-            else:
-                record.extend(full_ybe_spot_check(r, [(u, v)]))
-    return record
+    return _full_braid_slice(r).grid(f"full-yang-baxter r={r}", _grid_points(r))
 
 
 def full_ybe_spot_check(r: int, points) -> VerificationRecord:
@@ -694,12 +677,14 @@ def top_projector_relations(r: int) -> VerificationRecord:
     return record
 
 
-def rising_factorial_identity(max_r: int = 8, num_points: int = 20) -> VerificationRecord:
-    """sum_k binom(r,k) rf(x,k) rf(x,r-k) = prod_{k=0}^{r-1} (2x+k) at rational x."""
+def rising_factorial_identity() -> VerificationRecord:
+    """sum_k binom(r,k) rf(x,k) rf(x,r-k) = prod_{k=0}^{r-1} (2x+k) at 20
+    rational x, for r = 2..8.
+    """
     record = VerificationRecord(name="rising-factorial-identity")
-    xs = [Rat(2 * j + 1, 7) for j in range(num_points)]
+    xs = [Rat(2 * j + 1, 7) for j in range(20)]
     x_poly = Poly.x()
-    for r in range(2, max_r + 1):
+    for r in range(2, 9):
         ok = True
         for x in xs:
             lhs = sum(
@@ -717,7 +702,7 @@ def rising_factorial_identity(max_r: int = 8, num_points: int = 20) -> Verificat
     return record
 
 
-def symmetric_part_factorization(r: int, u_values=None) -> VerificationRecord:
+def symmetric_part_factorization(r: int) -> VerificationRecord:
     """The even part of the invariant-series R-matrix equals
     prod_{k=0}^{r-1} (u+k) times the sum of the two equal-chirality sector
     solutions in braid form, entrywise at every sampled point.
@@ -727,10 +712,7 @@ def symmetric_part_factorization(r: int, u_values=None) -> VerificationRecord:
     dim = 4**r
     plus = sector_r_matrix(r, "+", "braid")
     minus = sector_r_matrix(r, "-", "braid")
-    if u_values is None:
-        u_values = admissible_grid(r)[0][:10]
-    for u in u_values:
-        u = rat(u)
+    for u in admissible_grid(r)[0][:10]:
         if plus.is_pole(u):
             record.add(f"u{u}", False, "pole hit")
             continue

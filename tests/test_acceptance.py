@@ -120,7 +120,7 @@ def test_criterion_06_duality_and_recurrences(announce):
 
 
 def test_criterion_07_colour_factors(announce):
-    ok = all(colour.ladder_consistency(r, max_L=6).ok for r in range(2, 5))
+    ok = all(colour.ladder_consistency(r).ok for r in range(2, 5))
     ok = ok and colour.worked_values().ok
     ok = ok and colour.ladder_full_trace(
         colour.LadderSpec(r=2, L=2, sector="++")
@@ -135,16 +135,15 @@ def test_criterion_08_yang_baxter(announce):
     ok = all(ybe.ybe_check(r, "+").ok for r in (2, 3, 4))
     ok = ok and all(ybe.full_ybe_check(r).ok for r in (2, 3))
     for r in (2, 3, 4):
-        us = ybe.admissible_grid(r)[0][:10]
-        ok = ok and ybe.unitarity_check(r, "+", us).ok
-        ok = ok and ybe.symmetry_check(r, "+", us).ok
+        ok = ok and ybe.unitarity_check(r, "+").ok
+        ok = ok and ybe.symmetry_check(r, "+").ok
     assert announce(8, "yang-baxter grids, unitarity, swap symmetry", ok)
 
 
 def test_criterion_09_factorization_and_lemmas(announce):
     ok = all(ybe.symmetric_part_factorization(r).ok for r in (2, 3, 4))
     ok = ok and all(ybe.top_projector_relations(r).ok for r in (2, 3, 4))
-    ok = ok and ybe.rising_factorial_identity(max_r=8, num_points=20).ok
+    ok = ok and ybe.rising_factorial_identity().ok
     assert announce(9, "symmetric-part factorization and lemmas", ok)
 
 

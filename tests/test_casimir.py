@@ -91,14 +91,6 @@ def test_duality_sweep(r):
     assert casimir.lemma_duality_sweep(r).ok
 
 
-def test_chirality_projectors():
-    plus, minus = casimir.chirality_projectors(3)
-    assert plus + minus == ExactMatrix.identity(8)
-    assert plus @ plus == plus
-    assert (plus @ minus).is_zero()
-    assert plus.trace() == 4
-
-
 def test_sector_indices_partition():
     r = 3
     seen = []
@@ -114,8 +106,8 @@ def test_sector_restrict_embed_roundtrip():
     c = casimir.split_casimir_rho(r).matrix
     total = ExactMatrix.zero(c.dim)
     for sector in casimir.SECTORS:
-        block = casimir.restrict_to_sector(r, c, sector)
-        total = total + casimir.embed_from_sector(r, block, sector)
+        indices = casimir.sector_indices(r, sector)
+        total = total + c.restrict(indices).embed(indices, 4**r)
     assert total == c
 
 

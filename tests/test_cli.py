@@ -130,7 +130,13 @@ def _no_ybe_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started for a refused point")
 
-    for name in ("ybe_point", "plain_ybe_spot_check", "full_ybe_check", "full_ybe_spot_check"):
+    for name in (
+        "ybe_check",
+        "ybe_point",
+        "plain_ybe_spot_check",
+        "full_ybe_check",
+        "full_ybe_spot_check",
+    ):
         monkeypatch.setattr(ybe, name, no_work)
 
 
@@ -172,14 +178,17 @@ NEGATIVE_POINTS = [("-1/2", "5/7"), ("2/3", "-5/7"), ("-1/2", "-2/3"), ("-7/2", 
 def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
     seen = []
 
-    def fake_point(r, eps, pu, pv, form):
-        seen.append((r, pu, pv))
-        return True
+    def fake_check(r, eps, form, points):
+        seen.append((r, eps, form, points))
+        record = VerificationRecord(name="fake")
+        for pu, pv in points:
+            record.add(f"point-u{pu}-v{pv}", True)
+        return record
 
-    monkeypatch.setattr(ybe, "ybe_point", fake_point)
+    monkeypatch.setattr(ybe, "ybe_check", fake_check)
     code, out, err = run(capsys, "ybe", "--r", "3", "--u", u, "--v", v)
     assert code == 0, err
-    assert seen == [(3, Rat(u), Rat(v))]
+    assert seen == [(3, "+", "braid", [(Rat(u), Rat(v))])]
     assert json.loads(out)["points"] == [{"u": u, "v": v, "pass": True}]
 
 
@@ -337,7 +346,7 @@ def test_bad_report_or_colour_arguments_are_refused_before_work(capsys, monkeypa
     [
         (("report", "--r", "2", "--suites", "gamma"), report, "run_suite"),
         (("oracle", "--r", "2"), report, "oracle_suite"),
-        (("ybe", "--r", "2", "--u", "2/3", "--v", "5/7"), ybe, "ybe_point"),
+        (("ybe", "--r", "2", "--u", "2/3", "--v", "5/7"), ybe, "ybe_check"),
     ],
 )
 def test_an_exception_in_the_work_is_an_internal_error(capsys, monkeypatch, exc, argv, module, name):

@@ -85,7 +85,7 @@ def test_non_scalar_partial_trace_fails_with_witness(monkeypatch):
     monkeypatch.setattr(colour, "ladder_operator", lopsided)
     coeff, scalar = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=2, sector="++"))
     assert coeff == Rat(3, 32) and scalar is False
-    record = colour.ladder_consistency(2, max_L=1)
+    record = colour.ladder_consistency(2)
     failed = {c.check_id: c.witness for c in record.failures}
     assert failed["partial-trace-scalar-++-L1"] == "partial trace is not 0 times the identity"
     report = colour.colour_report(colour.LadderSpec(r=2, L=2, sector="++", closure="partial_trace"))

@@ -154,11 +154,6 @@ def test_restrict_embed_roundtrip():
     assert block.embed([1, 3], 4) == m
 
 
-def test_dump_roundtrip():
-    m = ExactMatrix(3, {(0, 2): ExactScalar(Rat(1, 3), Rat(-2, 5)), (2, 0): 7})
-    assert ExactMatrix.from_dump(m.to_dump()) == m
-
-
 def test_first_difference():
     a = ExactMatrix(2, {(0, 0): 1})
     b = ExactMatrix(2, {(0, 0): 1, (1, 1): 2})

@@ -53,7 +53,7 @@ KNOWN_SPECTRA = {
 @pytest.mark.parametrize("key", sorted(KNOWN_SPECTRA))
 def test_known_spectra(key):
     r, sector = key
-    spectrum = spectra.sector_spectrum(r, sector)
+    spectrum = spectra.sector_spectral(r, sector).spectrum
     assert list(spectrum.entries) == KNOWN_SPECTRA[key]
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincas import spectra, ybe
+from spincas.cli import main
 from spincas.linalg import ExactMatrix, first_difference, kron, lincomb
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
 from spincas.records import FAIL, PASS, diff_witness
@@ -132,7 +134,7 @@ def test_symmetric_part_factorization(r):
 
 
 def test_rising_factorial_identity():
-    record = ybe.rising_factorial_identity(max_r=8, num_points=20)
+    record = ybe.rising_factorial_identity()
     assert record.ok, [c.check_id for c in record.failures]
 
 
@@ -322,7 +324,8 @@ def test_sector_point_matches_direct_products(r, eps, u, v):
 @settings(max_examples=15, deadline=None)
 @given(u=spectral, v=spectral)
 def test_full_point_matches_direct_products(u, v):
-    assert ybe.full_ybe_point(2, u, v) == direct_full(2, u, v)[0]
+    [check] = ybe._full_braid_slice(2).grid("full-point", [(u, v)]).checks
+    assert (check.status == PASS, check.witness) == direct_full(2, u, v)
 
 
 # -- mutations: a perturbed family fails where direct products fail ---------
@@ -437,6 +440,31 @@ def test_perturbed_projector_fails_the_premise(fresh_caches, monkeypatch):
     assert commute.witness.startswith("S_") and "first differing entry" in commute.witness
     assert not ybe._sector_braid_slice(r, "+", "braid").premise
     assert_matches_direct(ybe.ybe_check(r, "+"), r, lambda u, v: direct_sector(r, "+", u, v))
+
+
+def test_failing_point_makes_its_direct_products_once(fresh_caches, monkeypatch):
+    r = 3
+    perturb_projector(monkeypatch, r)
+    braid_sides = ybe._braid_sides
+    calls = []
+
+    def counted(r_matrix, u, v, leg):
+        calls.append((u, v))
+        return braid_sides(r_matrix, u, v, leg)
+
+    monkeypatch.setattr(ybe, "_braid_sides", counted)
+    record = ybe.ybe_check(r, "+")
+    assert len(record.failures) == 81
+    assert len(calls) == len(set(calls)) == 81
+
+
+def test_cli_failure_carries_its_witness(fresh_caches, monkeypatch, capsys):
+    perturb_projector(monkeypatch, 3)
+    code = main(["ybe", "--r", "3", "--u", "1/3", "--v", "1/7"])
+    assert code == 1
+    [failure] = json.loads(capsys.readouterr().out)["failures"]
+    assert (failure["u"], failure["v"]) == ("1/3", "1/7")
+    assert failure["witness"].startswith("first differing entry")
 
 
 def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
