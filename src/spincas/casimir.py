@@ -244,7 +244,7 @@ def block_structure_check(r: int) -> VerificationRecord:
 
     record.add(
         "no-cross-sector-entries",
-        all(label(i) == label(j) for i, j, _ in c.items()),
+        all(label(i) == label(j) for i, j in c.support()),
     )
     ops = [sector_casimir(r, sector) for sector in SECTORS]
     total = lincomb(4**r, [(1, op.matrix.embed(op.indices, 4**r)) for op in ops])

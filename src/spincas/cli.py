@@ -166,6 +166,8 @@ def _run_command(args) -> tuple[str, int]:
 
 
 def _run_ybe(args) -> tuple[str, int]:
+    if args.mode == "full" and args.form == "plain":
+        raise _UsageError("--mode full checks the braid form only; --form plain needs --mode sector")
     grid = args.grid or (args.u is None and args.v is None)
     if grid:
         us, vs = ybe.admissible_grid(args.r)

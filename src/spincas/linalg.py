@@ -1,11 +1,15 @@
 """Sparse exact matrices and the tensor-product toolkit.
 
-A matrix over Q(i) is stored as one positive rational ``scale`` times a
-sparse matrix of Gaussian integers whose real and imaginary parts have gcd 1
-(the zero matrix has scale 1 and no rows).  That form is unique, so equality
-is a structural comparison, and the kernels in ``_backend`` multiply and add
-plain ints.  The public interface speaks Q(i): entries come out as
-``ExactScalar`` values with ``Fraction`` parts.
+A matrix over Q(i) is stored as one positive rational ``scale`` times
+``re + i*im``, where the real part ``re`` and the imaginary part ``im`` are
+sparse matrices of Python ints: rows dicts ``{i: {j: v}}`` with no zero
+entry and no empty row.  The gcd of all entries of both parts is 1, and the
+zero matrix has scale 1 and two empty parts.  That form is unique, so
+equality is a structural comparison.  The kernels in ``_backend`` multiply
+and add real integer matrices; the complex arithmetic here makes one kernel
+call per pair of nonzero parts, so a zero part costs nothing.  The public
+interface speaks Q(i): entries come out as ``ExactScalar`` values with
+``Fraction`` parts.
 
 Index convention (fixed project-wide): the leftmost tensor factor is the
 slowest index.  For a matrix on V1 (x) V2 with dims (d1, d2), the flat row
@@ -19,6 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 from . import _backend
 from .scalar import RAT_ONE, RAT_ZERO, ExactScalar, Rat
+
+_NO_ROW: dict = {}
 
 
 def _val(value):
@@ -35,18 +41,127 @@ def _int(value, den: int) -> int:
     return value.numerator * (den // value.denominator)
 
 
-def _from_rationals(rows) -> tuple:
-    """Canonical (scale, integer rows) of rows of nonzero rational pairs."""
-    den = lcm(*(x.denominator for row in rows.values() for v in row.values() for x in v))
-    int_rows = {
-        i: {j: (_int(re, den), _int(im, den)) for j, (re, im) in row.items()}
-        for i, row in rows.items()
-    }
-    return _canonical(Rat(1, den), int_rows)
+def _from_rationals(entries) -> tuple:
+    """Canonical (scale, re, im) of a dict {(i, j): (re, im)} of rationals."""
+    den = lcm(*(x.denominator for v in entries.values() for x in v))
+    re: dict = {}
+    im: dict = {}
+    for (i, j), (a, b) in entries.items():
+        if a:
+            re.setdefault(i, {})[j] = _int(a, den)
+        if b:
+            im.setdefault(i, {})[j] = _int(b, den)
+    return _canonical(Rat(1, den), re, im)
 
 
-def _negated(rows) -> dict:
-    return {i: {j: (-a, -b) for j, (a, b) in row.items()} for i, row in rows.items()}
+def _canonical(scale, re: dict, im: dict) -> tuple:
+    """Divide both integer parts by their content and fold it into the scale."""
+    g = _backend.content(re, im)
+    if g == 0:
+        return RAT_ONE, {}, {}
+    if g == 1:
+        return scale, re, im
+    return scale * g, _divided(re, g), _divided(im, g)
+
+
+def _divided(rows: dict, g: int) -> dict:
+    return {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
+
+
+def _times(rows: dict, c: int) -> dict:
+    return {i: {j: c * v for j, v in row.items()} for i, row in rows.items()} if rows else rows
+
+
+def _transpose(rows: dict) -> dict:
+    out: dict = {}
+    for i, row in rows.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return out
+
+
+def _entries(re: dict, im: dict) -> Iterator[tuple[int, int, int, int]]:
+    """(i, j, re, im) of every nonzero entry of re + i*im, in (row, col) order."""
+    for i in sorted(re.keys() | im.keys()):
+        x, y = re.get(i, _NO_ROW), im.get(i, _NO_ROW)
+        for j in sorted(x.keys() | y.keys()):
+            yield i, j, x.get(j, 0), y.get(j, 0)
+
+
+def _signed_sum(f, terms) -> dict:
+    """sum of sign * f(x, y) over (sign, x, y) with both x and y nonzero.
+
+    A lone term is one kernel call; a lone negative term negates its left
+    factor rather than the product.  Several terms are summed in one
+    ``mat_lincomb`` call, which applies the signs.
+    """
+    terms = [(s, x, y) for s, x, y in terms if x and y]
+    if len(terms) > 1:
+        return _backend.mat_lincomb((s, f(x, y)) for s, x, y in terms)
+    if not terms:
+        return {}
+    s, x, y = terms[0]
+    return f(x if s > 0 else _times(x, -1), y)
+
+
+def _product(f, a: tuple, b: tuple) -> tuple:
+    """(re, im) of the product of a = (re, im) and b = (re, im), integer
+    parts, under a real bilinear kernel f.
+    """
+    (ar, ai), (br, bi) = a, b
+    re = _signed_sum(f, ((1, ar, br), (-1, ai, bi)))
+    im = _signed_sum(f, ((1, ar, bi), (1, ai, br)))
+    return re, im
+
+
+def _sum(dim: int, den: int, terms) -> "ExactMatrix":
+    """1/den times the sum of (c0 + i c1)(re + i im) over the int terms
+    (c0, c1, re, im), as one kernel call that adds each term as ``terms``
+    yields it: the imaginary part is summed in the rows dim .. 2 dim - 1.
+    """
+    imaginary = []
+
+    def shifted(rows):
+        imaginary.append(True)
+        return {i + dim: row for i, row in rows.items()}
+
+    def stacked():
+        # (c0 + i c1)(re + i im) = (c0 re - c1 im) + i (c1 re + c0 im)
+        for c0, c1, re, im in terms:
+            if re:
+                if c0:
+                    yield c0, re
+                if c1:
+                    yield c1, shifted(re)
+            if im:
+                if c1:
+                    yield -c1, im
+                if c0:
+                    yield c0, shifted(im)
+
+    rows = _backend.mat_lincomb(stacked())
+    im = {}
+    if imaginary:
+        im = {i - dim: rows.pop(i) for i in [i for i in rows if i >= dim]}
+    return ExactMatrix._make(dim, Rat(1, den), rows, im)
+
+
+def _apply(columns: tuple, vec: dict) -> dict:
+    """(re + i*im) v for an integer vector v = {index: (x, y)}, given the
+    transposed parts ``columns`` = (re^T, im^T); only the columns in the
+    support of v are read.
+    """
+    re_t, im_t = columns
+    ox: dict = {}
+    oy: dict = {}
+    for j, (x, y) in vec.items():
+        for i, a in re_t.get(j, _NO_ROW).items():
+            ox[i] = ox.get(i, 0) + a * x
+            oy[i] = oy.get(i, 0) + a * y
+        for i, a in im_t.get(j, _NO_ROW).items():
+            ox[i] = ox.get(i, 0) - a * y
+            oy[i] = oy.get(i, 0) + a * x
+    return {i: (x, oy[i]) for i, x in ox.items() if x or oy[i]}
 
 
 class TensorShape:
@@ -86,135 +201,155 @@ class TensorShape:
 
 
 class ExactMatrix:
-    """Immutable sparse square matrix over Q(i): ``scale`` times Z[i] rows."""
+    """Immutable sparse square matrix over Q(i): ``scale`` times integer
+    parts ``re + i*im``.
+    """
 
-    __slots__ = ("dim", "scale", "_rows")
+    __slots__ = ("dim", "scale", "_re", "_im")
 
     def __init__(self, dim: int, entries=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        rows: dict = {}
-        if entries:
-            for (i, j), value in entries.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise IndexError(f"entry ({i}, {j}) outside [0, {dim})")
-                v = _val(value)
-                if v[0] or v[1]:
-                    rows.setdefault(i, {})[j] = v
-        scale, rows = _from_rationals(rows)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_rows", rows)
+        values = {}
+        for (i, j), value in (entries or {}).items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise IndexError(f"entry ({i}, {j}) outside [0, {dim})")
+            values[i, j] = _val(value)
+        for name, value in zip(self.__slots__, (dim, *_from_rationals(values))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def _wrap(cls, dim: int, scale, rows: dict) -> "ExactMatrix":
-        """Trusted constructor: (scale, rows) must already be canonical."""
+    def _wrap(cls, dim: int, scale, re: dict, im: dict) -> "ExactMatrix":
+        """Trusted constructor: (scale, re, im) must already be canonical."""
         m = cls.__new__(cls)
         object.__setattr__(m, "dim", dim)
         object.__setattr__(m, "scale", scale)
-        object.__setattr__(m, "_rows", rows)
+        object.__setattr__(m, "_re", re)
+        object.__setattr__(m, "_im", im)
         return m
 
     @classmethod
-    def _make(cls, dim: int, scale, rows: dict) -> "ExactMatrix":
-        """Canonical matrix from a positive scale and integer rows of any content."""
-        return cls._wrap(dim, *_canonical(scale, rows))
+    def _make(cls, dim: int, scale, re: dict, im: dict) -> "ExactMatrix":
+        """Canonical matrix from a positive scale and integer parts of any content."""
+        return cls._wrap(dim, *_canonical(scale, re, im))
+
+    def _map(self, f, canonical: bool = False, dim: int | None = None) -> "ExactMatrix":
+        """f applied to both parts; ``canonical`` when f may drop content."""
+        build = ExactMatrix._make if canonical else ExactMatrix._wrap
+        return build(self.dim if dim is None else dim, self.scale, f(self._re), f(self._im))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "ExactMatrix":
-        return cls._wrap(dim, RAT_ONE, {})
+        return cls._wrap(dim, RAT_ONE, {}, {})
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
-        return cls._wrap(dim, RAT_ONE, {i: {i: (1, 0)} for i in range(dim)})
+        return cls._wrap(dim, RAT_ONE, {i: {i: 1} for i in range(dim)}, {})
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
-        rows = {}
-        for i, value in enumerate(values):
-            v = _val(value)
-            if v[0] or v[1]:
-                rows[i] = {i: v}
-        return cls._wrap(len(values), *_from_rationals(rows))
+        return cls._wrap(len(values), *_from_rationals({(i, i): _val(v) for i, v in enumerate(values)}))
 
     # -- queries ----------------------------------------------------------
 
     def __getitem__(self, key) -> ExactScalar:
         i, j = key
-        v = self._rows.get(i, {}).get(j)
-        if v is None:
-            return ExactScalar(0)
-        return ExactScalar(self.scale * v[0], self.scale * v[1])
+        x = self._re.get(i, _NO_ROW).get(j, 0)
+        y = self._im.get(i, _NO_ROW).get(j, 0)
+        return ExactScalar(self.scale * x, self.scale * y)
 
     def items(self) -> Iterator[tuple[int, int, ExactScalar]]:
         """Nonzero entries in (row, col) order."""
         s = self.scale
-        for i in sorted(self._rows):
-            row = self._rows[i]
-            for j in sorted(row):
-                re, im = row[j]
-                yield i, j, ExactScalar(s * re, s * im)
+        for i, j, x, y in _entries(self._re, self._im):
+            yield i, j, ExactScalar(s * x, s * y)
+
+    def support(self) -> Iterator[tuple[int, int]]:
+        """(row, col) of the nonzero entries in (row, col) order; no entry
+        value is built.
+        """
+        for i, j, _, _ in _entries(self._re, self._im):
+            yield i, j
+
+    def column(self, j: int) -> dict:
+        """Column j as an integer vector {row: (re, im)}; the column itself
+        is ``scale`` times it.
+        """
+        out = {i: (row[j], 0) for i, row in self._re.items() if j in row}
+        for i, row in self._im.items():
+            if j in row:
+                out[i] = (out.get(i, (0, 0))[0], row[j])
+        return out
 
     @property
     def nnz(self) -> int:
-        return sum(len(row) for row in self._rows.values())
+        return sum(1 for _ in _entries(self._re, self._im))
 
     def is_zero(self) -> bool:
-        return not self._rows
+        return not (self._re or self._im)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.scale == other.scale and self._rows == other._rows
+        return (
+            self.dim == other.dim
+            and self.scale == other.scale
+            and self._re == other._re
+            and self._im == other._im
+        )
 
     def __bool__(self):
-        return bool(self._rows)
+        return bool(self._re or self._im)
 
     def trace(self) -> ExactScalar:
-        re = im = 0
-        for i, row in self._rows.items():
-            v = row.get(i)
-            if v is not None:
-                re += v[0]
-                im += v[1]
-        return ExactScalar(self.scale * re, self.scale * im)
+        x, y = (sum(row.get(i, 0) for i, row in part.items()) for part in (self._re, self._im))
+        return ExactScalar(self.scale * x, self.scale * y)
 
     def ray(self):
         """A hashable key shared by the nonzero complex multiples of this
         matrix; None for the zero matrix.
 
-        Multiplying by the conjugate of the first entry makes that entry a
-        positive integer; dividing by the content then fixes the multiple.
+        Multiplying by the conjugate of the first entry makes that entry
+        positive and real; the canonical form then fixes the multiple.
         """
-        if not self._rows:
+        if not self:
             return None
-        first = self._rows[min(self._rows)]
-        a, b = first[min(first)]
-        rows = {
-            i: {j: (a * x + b * y, a * y - b * x) for j, (x, y) in row.items()}
-            for i, row in self._rows.items()
-        }
-        g = _backend.content(rows)
-        return tuple(
-            (i, j, x // g, y // g) for i in sorted(rows) for j, (x, y) in sorted(rows[i].items())
-        )
+        _, _, a, b = next(_entries(self._re, self._im))
+        m = self * ExactScalar(a, -b)
+        return tuple(_entries(m._re, m._im))
 
     def rank(self) -> int:
-        """Exact rank (fraction-free elimination over Z[i])."""
-        return _backend.mat_rank(self._rows, self.dim)
+        """Exact rank, by fraction-free elimination over Z: of the nonzero
+        part when the other is zero, otherwise half the rank of the real
+        form [[re, -im], [im, re]].
+        """
+        re, im = self._re, self._im
+        if not (re and im):
+            return _backend.mat_rank(re or im, self.dim)
+        n = self.dim
+        real_form = {}
+        for offset, left, right, sign in ((0, re, im, -1), (n, im, re, 1)):
+            for i in left.keys() | right.keys():
+                row = dict(left.get(i, _NO_ROW))
+                row.update((n + j, sign * v) for j, v in right.get(i, _NO_ROW).items())
+                real_form[offset + i] = row
+        return _backend.mat_rank(real_form, 2 * n) // 2
 
     # -- arithmetic -------------------------------------------------------
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
-        rows = _backend.mat_mul(self._rows, other._rows)
-        return ExactMatrix._make(self.dim, self.scale * other.scale, rows)
+        if self._im or other._im:
+            re, im = _product(_backend.mat_mul, (self._re, self._im), (other._re, other._im))
+        else:
+            re, im = _backend.mat_mul(self._re, other._re), {}
+        return ExactMatrix._make(self.dim, self.scale * other.scale, re, im)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return lincomb(self.dim, [(1, self), (1, other)])
@@ -224,18 +359,22 @@ class ExactMatrix:
 
     def __mul__(self, scalar) -> "ExactMatrix":
         re, im = _val(scalar)
-        if im:
+        if re and im:
             return lincomb(self.dim, [(scalar, self)])
-        if not re or not self._rows:
+        q = re or im
+        if not q or not (self._re or self._im):
             return ExactMatrix.zero(self.dim)
-        if re > 0:
-            return ExactMatrix._wrap(self.dim, self.scale * re, self._rows)
-        return ExactMatrix._wrap(self.dim, self.scale * -re, _negated(self._rows))
+        x, y = self._re, self._im
+        if im:  # i q (x + i y) = q (-y + i x)
+            x, y = _times(y, -1), x
+        if q < 0:
+            x, y, q = _times(x, -1), _times(y, -1), -q
+        return ExactMatrix._wrap(self.dim, self.scale * q, x, y)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._wrap(self.dim, self.scale, _negated(self._rows))
+        return self._map(lambda rows: _times(rows, -1))
 
     def pow(self, exponent: int) -> "ExactMatrix":
         """Binary exponentiation; exponent >= 0."""
@@ -252,59 +391,43 @@ class ExactMatrix:
         return result
 
     def conj_transpose(self) -> "ExactMatrix":
-        rows: dict = {}
-        for i, row in self._rows.items():
-            for j, (re, im) in row.items():
-                rows.setdefault(j, {})[i] = (re, -im)
-        return ExactMatrix._wrap(self.dim, self.scale, rows)
+        return ExactMatrix._wrap(self.dim, self.scale, _transpose(self._re), _times(_transpose(self._im), -1))
 
     def transpose(self) -> "ExactMatrix":
-        rows: dict = {}
-        for i, row in self._rows.items():
-            for j, v in row.items():
-                rows.setdefault(j, {})[i] = v
-        return ExactMatrix._wrap(self.dim, self.scale, rows)
+        return self._map(_transpose)
 
     # -- subspace embedding ------------------------------------------------
 
     def restrict(self, indices: Sequence[int]) -> "ExactMatrix":
         """Compress to the subspace spanned by the given coordinate indices."""
         pos = {g: k for k, g in enumerate(indices)}
-        rows: dict = {}
-        for i, row in self._rows.items():
-            pi = pos.get(i)
-            if pi is None:
-                continue
-            new_row = {pos[j]: v for j, v in row.items() if j in pos}
-            if new_row:
-                rows[pi] = new_row
-        return ExactMatrix._make(len(indices), self.scale, rows)
+
+        def block(rows):
+            out = {}
+            for i, row in rows.items():
+                pi = pos.get(i)
+                if pi is not None:
+                    new_row = {pos[j]: v for j, v in row.items() if j in pos}
+                    if new_row:
+                        out[pi] = new_row
+            return out
+
+        return self._map(block, canonical=True, dim=len(indices))
 
     def embed(self, indices: Sequence[int], dim: int) -> "ExactMatrix":
         """Inverse of ``restrict``: place this block at the given coordinates."""
-        rows: dict = {}
-        for i, row in self._rows.items():
-            rows[indices[i]] = {indices[j]: v for j, v in row.items()}
-        return ExactMatrix._wrap(dim, self.scale, rows)
+
+        def place(rows):
+            return {indices[i]: {indices[j]: v for j, v in row.items()} for i, row in rows.items()}
+
+        return self._map(place, dim=dim)
 
     def row_slice(self, stop: int) -> "ExactMatrix":
         """The rows i < stop; every other row becomes zero."""
-        rows = {i: row for i, row in self._rows.items() if i < stop}
-        return ExactMatrix._make(self.dim, self.scale, rows)
+        return self._map(lambda rows: {i: row for i, row in rows.items() if i < stop}, canonical=True)
 
     def __repr__(self):
         return f"ExactMatrix(dim={self.dim}, nnz={self.nnz})"
-
-
-def _canonical(scale, rows: dict) -> tuple:
-    """Divide integer rows by their content and fold it into the scale."""
-    g = _backend.content(rows)
-    if g == 0:
-        return RAT_ONE, {}
-    if g == 1:
-        return scale, rows
-    rows = {i: {j: (a // g, b // g) for j, (a, b) in row.items()} for i, row in rows.items()}
-    return scale * g, rows
 
 
 def lincomb(dim: int, terms) -> ExactMatrix:
@@ -318,13 +441,12 @@ def lincomb(dim: int, terms) -> ExactMatrix:
         if m.dim != dim:
             raise ValueError("dimension mismatch in linear combination")
         re, im = _val(c)
-        if m._rows and (re or im):
-            scaled.append((re * m.scale, im * m.scale, m._rows))
+        if m and (re or im):
+            scaled.append((re and re * m.scale, im and im * m.scale, m))
     if not scaled:
         return ExactMatrix.zero(dim)
     den = lcm(*(x.denominator for re, im, _ in scaled for x in (re, im)))
-    int_terms = [((_int(re, den), _int(im, den)), rows) for re, im, rows in scaled]
-    return ExactMatrix._make(dim, Rat(1, den), _backend.mat_lincomb(int_terms))
+    return _sum(dim, den, [(_int(re, den), _int(im, den), m._re, m._im) for re, im, m in scaled])
 
 
 # -- tensor toolkit --------------------------------------------------------
@@ -332,8 +454,8 @@ def lincomb(dim: int, terms) -> ExactMatrix:
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; a acts on the leading (slow) leg."""
-    rows = _backend.mat_kron(a._rows, b._rows, b.dim)
-    return ExactMatrix._make(a.dim * b.dim, a.scale * b.scale, rows)
+    re, im = _product(lambda x, y: _backend.mat_kron(x, y, b.dim), (a._re, a._im), (b._re, b._im))
+    return ExactMatrix._make(a.dim * b.dim, a.scale * b.scale, re, im)
 
 
 def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMatrix:
@@ -347,9 +469,9 @@ def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMa
             c = m.scale * den
             if m.dim != dim or c.denominator != 1:
                 raise ValueError(f"cannot add a dim-{m.dim} matrix of scale {m.scale} at scale 1/{den}")
-            yield (c.numerator, 0), m._rows
+            yield c.numerator, 0, m._re, m._im
 
-    return ExactMatrix._make(dim, Rat(1, den), _backend.mat_lincomb(terms()))
+    return _sum(dim, den, terms())
 
 
 def sum_of_kron_squares(factors: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -370,20 +492,22 @@ def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ..
     e_k is the sum over i_1 < ... < i_k of factors[i_1] @ ... @ factors[i_k],
     so e_0 is the identity.  The factors are brought to one common
     denominator D and the recurrence e_k += e_(k-1) @ factor runs on integer
-    rows; every term of e_k then carries the scale 1/D^k.  Multiplying on the
-    right keeps each product in ascending order, so the factors need not
+    parts; every term of e_k then carries the scale 1/D^k.  Multiplying on
+    the right keeps each product in ascending order, so the factors need not
     commute.
     """
     dim = factors[0].dim
     den = lcm(*(g.scale.denominator for g in factors))
-    sums = [ExactMatrix.identity(dim)._rows] + [{} for _ in factors]
+    sums = [(ExactMatrix.identity(dim)._re, {})] + [({}, {}) for _ in factors]
     for n, g in enumerate(factors, start=1):
         c = _int(g.scale, den)
-        g_rows = {i: {j: (c * a, c * b) for j, (a, b) in row.items()} for i, row in g._rows.items()}
+        g_parts = (_times(g._re, c), _times(g._im, c))
         for k in range(n, 0, -1):
-            step = _backend.mat_mul(sums[k - 1], g_rows)
-            sums[k] = _backend.mat_lincomb([((1, 0), sums[k]), ((1, 0), step)])
-    return tuple(ExactMatrix._make(dim, Rat(1, den**k), rows) for k, rows in enumerate(sums))
+            step = _product(_backend.mat_mul, sums[k - 1], g_parts)
+            sums[k] = tuple(
+                _backend.mat_lincomb([(1, s), (1, t)]) if s and t else s or t for s, t in zip(sums[k], step)
+            )
+    return tuple(ExactMatrix._make(dim, Rat(1, den**k), *parts) for k, parts in enumerate(sums))
 
 
 def kron_all(factors: Iterable[ExactMatrix]) -> ExactMatrix:
@@ -402,7 +526,6 @@ def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
     if not 1 <= leg <= len(shape.factors):
         raise ValueError(f"leg {leg} out of range for {shape}")
     t = leg - 1
-    strides = shape.strides()
     kept = [k for k in range(len(shape.factors)) if k != t]
     out_dim = 1
     for k in kept:
@@ -414,24 +537,26 @@ def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
         acc *= shape.factors[k]
     out_strides = list(reversed(out_strides))
 
-    rows: dict = {}
-    for i, row in m._rows.items():
-        iparts = shape.split(i)
-        i_out = sum(iparts[k] * s for k, s in zip(kept, out_strides))
-        for j, v in row.items():
-            jparts = shape.split(j)
-            if jparts[t] != iparts[t]:
-                continue
-            j_out = sum(jparts[k] * s for k, s in zip(kept, out_strides))
-            out_row = rows.setdefault(i_out, {})
-            cur = out_row.get(j_out)
-            out_row[j_out] = v if cur is None else (cur[0] + v[0], cur[1] + v[1])
-    clean = {}
-    for i, row in rows.items():
-        row = {j: v for j, v in row.items() if v[0] or v[1]}
-        if row:
-            clean[i] = row
-    return ExactMatrix._make(out_dim, m.scale, clean)
+    def traced(part):
+        rows: dict = {}
+        for i, row in part.items():
+            iparts = shape.split(i)
+            i_out = sum(iparts[k] * s for k, s in zip(kept, out_strides))
+            for j, v in row.items():
+                jparts = shape.split(j)
+                if jparts[t] != iparts[t]:
+                    continue
+                j_out = sum(jparts[k] * s for k, s in zip(kept, out_strides))
+                out_row = rows.setdefault(i_out, {})
+                out_row[j_out] = out_row.get(j_out, 0) + v
+        clean = {}
+        for i, row in rows.items():
+            row = {j: v for j, v in row.items() if v}
+            if row:
+                clean[i] = row
+        return clean
+
+    return m._map(traced, canonical=True, dim=out_dim)
 
 
 def permutation_operator(d: int) -> ExactMatrix:
@@ -439,8 +564,8 @@ def permutation_operator(d: int) -> ExactMatrix:
     rows = {}
     for a in range(d):
         for b in range(d):
-            rows[a * d + b] = {b * d + a: (1, 0)}
-    return ExactMatrix._wrap(d * d, RAT_ONE, rows)
+            rows[a * d + b] = {b * d + a: 1}
+    return ExactMatrix._wrap(d * d, RAT_ONE, rows, {})
 
 
 def poly_eval(coeffs: Sequence, m: ExactMatrix) -> ExactMatrix:
@@ -458,38 +583,49 @@ def mat_vec(m: ExactMatrix, vec: dict) -> dict:
     """Apply to a sparse column vector {index: (re, im)} of rationals;
     canonical result with rational parts.
     """
-    scale, ivec = _from_rationals({0: vec})
-    scale *= m.scale
-    ivec = ivec.get(0, {})
-    out: dict = {}
-    for i, row in m._rows.items():
-        re = im = 0
-        for j, (a0, a1) in row.items():
-            v = ivec.get(j)
-            if v is None:
-                continue
-            re += a0 * v[0] - a1 * v[1]
-            im += a0 * v[1] + a1 * v[0]
-        if re or im:
-            out[i] = (scale * re, scale * im)
-    return out
+    den = lcm(*(x.denominator for v in vec.values() for x in v))
+    columns = (_transpose(m._re), _transpose(m._im))
+    out = _apply(columns, {i: (_int(Rat(a), den), _int(Rat(b), den)) for i, (a, b) in vec.items()})
+    scale = m.scale / den
+    return {i: (scale * x, scale * y) for i, (x, y) in out.items()}
+
+
+def shifted_image(m: ExactMatrix, shifts: Iterable, vec: dict) -> dict:
+    """(m - s_n) ... (m - s_1) v for rational shifts s and an integer vector
+    v = {index: (re, im)}, up to a positive factor.
+
+    With scale p/q and shift a/b, each step computes b q (m - s) v =
+    p b (re + i*im) v - a q v, so the whole product stays in ints.
+    """
+    p, q = m.scale.numerator, m.scale.denominator
+    columns = (_transpose(m._re), _transpose(m._im))
+    for s in shifts:
+        s = Rat(s)
+        c, d = p * s.denominator, s.numerator * q
+        out = {i: (c * x, c * y) for i, (x, y) in _apply(columns, vec).items()}
+        for i, (x, y) in vec.items():
+            cur = out.get(i, (0, 0))
+            out[i] = (cur[0] - d * x, cur[1] - d * y)
+        vec = {i: v for i, v in out.items() if v[0] or v[1]}
+    return vec
 
 
 def trace_of_product(a: ExactMatrix, b: ExactMatrix) -> ExactScalar:
     """tr(a @ b) = sum of a[i, j] b[j, i], without forming the product."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch in trace of product")
-    re = im = 0
-    b_rows = b._rows
-    for i, row in a._rows.items():
-        for j, (a0, a1) in row.items():
-            brow = b_rows.get(j)
-            if brow is None:
-                continue
-            v = brow.get(i)
-            if v is not None:
-                re += a0 * v[0] - a1 * v[1]
-                im += a0 * v[1] + a1 * v[0]
+
+    def tr(x, y):
+        total = 0
+        for i, row in x.items():
+            for j, v in row.items():
+                w = y.get(j, _NO_ROW).get(i)
+                if w is not None:
+                    total += v * w
+        return total
+
+    re = tr(a._re, b._re) - tr(a._im, b._im)
+    im = tr(a._re, b._im) + tr(a._im, b._re)
     scale = a.scale * b.scale
     return ExactScalar(scale * re, scale * im)
 
@@ -498,11 +634,7 @@ def first_difference(a: ExactMatrix, b: ExactMatrix):
     """First (row, col) where two matrices differ, or None if equal."""
     if a.dim != b.dim:
         return (-1, -1, None, None)
-    keys = set()
-    for i, row in a._rows.items():
-        keys.update((i, j) for j in row)
-    for i, row in b._rows.items():
-        keys.update((i, j) for j in row)
+    keys = set(a.support()) | set(b.support())
     for i, j in sorted(keys):
         va, vb = a[i, j], b[i, j]
         if va != vb:

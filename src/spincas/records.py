@@ -57,7 +57,10 @@ class VerificationRecord:
         self.checks.append(result)
         return result
 
-    def skip(self, check_id: str, witness: str = "") -> CheckResult:
+    def skip(self, check_id: str, witness: str) -> CheckResult:
+        """Record a statement that was not checked; the witness says why."""
+        if not witness:
+            raise ValueError(f"skip of {check_id!r} needs a reason")
         result = CheckResult(check_id, SKIP, witness)
         self.checks.append(result)
         return result
@@ -67,7 +70,12 @@ class VerificationRecord:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """No check failed, and unless the record is empty, at least one was
+        checked: a record made only of skips verified nothing.
+        """
+        return all(c.ok for c in self.checks) and (
+            not self.checks or any(c.status != SKIP for c in self.checks)
+        )
 
     @property
     def failures(self) -> list[CheckResult]:

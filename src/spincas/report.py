@@ -160,7 +160,7 @@ def run_suite(cfg: SuiteConfig) -> dict:
             "suites": list(cfg.suites),
         },
         "summary": summary,
-        "ok": summary[FAIL] == 0,
+        "ok": all(record.ok for _, _, record in records),
         "records": entries,
         "notes": notes,
     }

@@ -24,9 +24,9 @@ from .casimir import (
 from .linalg import (
     ExactMatrix,
     lincomb,
-    mat_vec,
     permutation_operator,
     poly_eval,
+    shifted_image,
     trace_of_product,
 )
 from .ratfunc import Poly, poly_from_roots
@@ -183,26 +183,11 @@ def char_identity_rho(r: int) -> VerificationRecord:
             data = sector_spectral(r, sector)
             # a column of the omitted eigenprojector is an eigenvector
             proj = data.projectors[omit]
-            col = None
-            for i, j, value in proj.items():
-                col = j
-                break
-            vec = {i: (value.re, value.im) for i, jj, value in proj.items() if jj == col}
+            _, col = next(proj.support())
             # lift to the full space and push through the remaining factors
             indices = sector_indices(r, sector)
-            vec = {indices[i]: v for i, v in vec.items()}
-            for e in sub_eigs:
-                nxt = mat_vec(c, vec)
-                for i, (re, im) in vec.items():
-                    cur = nxt.get(i, (Rat(0), Rat(0)))
-                    val = (cur[0] - e * re, cur[1] - e * im)
-                    if val[0] or val[1]:
-                        nxt[i] = val
-                    elif i in nxt:
-                        del nxt[i]
-                vec = nxt
-            if vec:
-                witness_found = True
+            vec = {indices[i]: v for i, v in proj.column(col).items()}
+            witness_found = bool(shifted_image(c, sub_eigs, vec))
             break
         record.add(
             f"minimality-omit-k{omit}",

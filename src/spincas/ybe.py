@@ -225,7 +225,7 @@ def _orbit_failures(symmetries, leg: int):
     images = []
     for label, g, _ in symmetries:
         columns: dict = {}
-        for i, j, _ in g.items():
+        for i, j in g.support():
             columns.setdefault(j, []).append(i)
         for j in range(leg):
             if len(columns.get(j, ())) != 1:

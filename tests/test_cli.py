@@ -117,6 +117,22 @@ def test_ybe_full_mode(capsys):
     assert json.loads(out)["failures"] == []
 
 
+@pytest.mark.parametrize("point", [["--u", "1/3", "--v", "1/7"], ["--grid"]])
+def test_ybe_full_mode_plain_form_is_refused_before_work(capsys, monkeypatch, point):
+    # the full series is verified in braid form only
+    _no_ybe_work(monkeypatch)
+    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", "full", "--form", "plain", *point)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--form plain" in err
+
+
+def test_ybe_full_mode_without_form_writes_braid(capsys):
+    code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", "full", "--u", "1/3", "--v", "1/7")
+    assert code == 0
+    assert json.loads(out)["form"] == "braid"
+
+
 def test_ybe_full_mode_grid_matches_the_record(capsys):
     code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", "full", "--grid")
     assert code == 0

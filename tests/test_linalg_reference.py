@@ -17,7 +17,9 @@ from spincas.linalg import (
     TensorShape,
     elementary_products,
     kron,
+    mat_vec,
     partial_trace,
+    shifted_image,
     trace_of_product,
 )
 from spincas.scalar import ExactScalar, Rat
@@ -104,9 +106,9 @@ def assert_matches(m: ExactMatrix, ref) -> None:
     assert dense(m) == ref
     assert m == from_dense(ref)
     assert m.scale > 0
-    parts = [x for row in m._rows.values() for v in row.values() for x in v]
-    assert all(row for row in m._rows.values())
-    assert all(v != (0, 0) for row in m._rows.values() for v in row.values())
+    parts = [x for rows in (m._re, m._im) for row in rows.values() for x in row.values()]
+    assert all(row for rows in (m._re, m._im) for row in rows.values())
+    assert all(x != 0 for x in parts)
     assert all(type(x) is int for x in parts)
     if parts:
         assert gcd(*parts) == 1
@@ -251,4 +253,164 @@ def test_gaussian_content_is_divided_out():
     b = ExactMatrix(1, {(0, 0): ExactScalar(1, -1)})
     assert_matches(a @ b, [[ExactScalar(2)]])
     assert_matches(kron(a, b), [[ExactScalar(2)]])
-    assert (a @ b)._rows == {0: {0: (1, 0)}} and (a @ b).scale == 2
+    assert (a @ b)._re == {0: {0: 1}} and (a @ b)._im == {} and (a @ b).scale == 2
+
+
+# -- real, imaginary and mixed parts ------------------------------------------
+#
+# Nearly all matrices of the verifier are real or purely imaginary, so these
+# draws make each of the parts zero on purpose, and also draw matrices and
+# coefficients with both parts nonzero, whose paths only tests exercise.
+
+nonzero_rationals = rationals.filter(bool)
+KINDS = {
+    "real": st.builds(ExactScalar, nonzero_rationals),
+    "imaginary": st.builds(lambda y: ExactScalar(0, y), nonzero_rationals),
+    "mixed": st.builds(ExactScalar, nonzero_rationals, nonzero_rationals),
+}
+kinds = st.sampled_from(sorted(KINDS))
+coefficients = kinds.flatmap(lambda k: KINDS[k])
+
+
+def kind_matrices(dim, kind):
+    entry = KINDS[kind] if kind != "mixed" else st.one_of(*KINDS.values())
+    entries = st.dictionaries(
+        st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)), entry, max_size=dim * dim
+    )
+    return entries.map(lambda e: ExactMatrix(dim, e))
+
+
+def part_matrices(dim):
+    return kinds.flatmap(lambda k: kind_matrices(dim, k))
+
+
+part_pairs = dims.flatmap(lambda d: st.tuples(part_matrices(d), part_matrices(d)))
+
+
+def ref_conj_transpose(a):
+    return [[a[j][i].conj() for j in range(len(a))] for i in range(len(a))]
+
+
+def ref_mat_vec(a, vec):
+    return {
+        i: total
+        for i, row in enumerate(a)
+        if (total := sum((row[j] * v for j, v in vec.items()), ZERO))
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(part_pairs, coefficients)
+def test_parts_product_sum_and_multiple(ab, c):
+    a, b = ab
+    da, db = dense(a), dense(b)
+    assert_matches(a @ b, ref_mul(da, db))
+    assert_matches(a + b, ref_add(da, db))
+    assert_matches(a - b, ref_add(da, db, -1))
+    assert_matches(a * c, ref_scale(da, c))
+    assert_matches(a.conj_transpose(), ref_conj_transpose(da))
+    assert trace_of_product(a, b) == ref_trace(ref_mul(da, db))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims.flatmap(part_matrices), dims.flatmap(part_matrices))
+def test_parts_kron(a, b):
+    assert_matches(kron(a, b), ref_kron(dense(a), dense(b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(part_pairs)
+def test_parts_rank_and_trace(ab):
+    a, b = ab
+    assert a.rank() == ref_rank(dense(a))
+    assert a.trace() == ref_trace(dense(a))
+    thin = a @ ExactMatrix.diagonal([1] + [0] * (a.dim - 1)) @ b
+    assert thin.rank() == ref_rank(dense(thin))
+
+
+def test_rank_of_a_mixed_matrix_is_its_complex_rank():
+    # both parts have rank 2, the matrix has rank 1: row 1 is i times row 0
+    m = ExactMatrix(2, {(0, 0): 1, (0, 1): ExactScalar(0, 1), (1, 0): ExactScalar(0, 1), (1, 1): -1})
+    assert m.rank() == 1
+    assert (m + ExactMatrix.identity(2)).rank() == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda d: st.tuples(st.just(d), part_matrices(d[0] * d[1]), st.sampled_from([1, 2]))
+    )
+)
+def test_parts_partial_trace(case):
+    (d1, d2), a, leg = case
+    got = partial_trace(a, TensorShape([d1, d2]), leg)
+    assert_matches(got, ref_partial_trace(dense(a), d1, d2, leg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims.flatmap(
+        lambda d: st.tuples(
+            part_matrices(d), st.dictionaries(st.integers(0, d - 1), coefficients, max_size=d)
+        )
+    )
+)
+def test_parts_mat_vec(case):
+    a, vec = case
+    got = mat_vec(a, {i: (v.re, v.im) for i, v in vec.items()})
+    assert {i: ExactScalar(*v) for i, v in got.items()} == ref_mat_vec(dense(a), vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims.flatmap(
+        lambda d: st.tuples(
+            part_matrices(d),
+            st.dictionaries(st.integers(0, d - 1), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+            st.lists(rationals, max_size=3),
+        )
+    )
+)
+def test_shifted_image_is_a_positive_multiple(case):
+    a, vec, shifts = case
+    vec = {i: v for i, v in vec.items() if v != (0, 0)}
+    expected = {i: ExactScalar(*v) for i, v in vec.items()}
+    for s in shifts:
+        image = ref_mat_vec(dense(a), expected)
+        for i, v in expected.items():
+            image[i] = image.get(i, ZERO) - v * s
+        expected = {i: v for i, v in image.items() if v}
+    got = shifted_image(a, shifts, vec)
+    assert all(type(x) is int for v in got.values() for x in v)
+    assert set(got) == set(expected)
+    if got:
+        i = min(got)
+        factor = ExactScalar(*got[i]) / expected[i]
+        assert factor.is_real() and factor.re > 0
+        assert all(ExactScalar(*got[k]) == expected[k] * factor for k in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(part_matrices(d), min_size=2, max_size=4)))
+def test_parts_elementary_products(factors):
+    got = elementary_products(factors)
+    ref = ref_elementary_products([dense(m) for m in factors])
+    for m, r in zip(got, ref):
+        assert_matches(m, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims.flatmap(part_matrices))
+def test_support_and_column_read_the_parts(a):
+    entries = {(i, j): v for i, j, v in a.items()}
+    assert list(a.support()) == list(entries)
+    for j in range(a.dim):
+        column = {i: ExactScalar(a.scale * x, a.scale * y) for i, (x, y) in a.column(j).items()}
+        assert column == {i: v for (i, jj), v in entries.items() if jj == j}
+
+
+def test_imaginary_content_is_divided_out():
+    # content is taken over both parts: 2 + 4i over 6 is (1 + 2i) / 3
+    m = ExactMatrix(2, {(0, 0): ExactScalar(Rat(1, 3)), (1, 1): ExactScalar(0, Rat(2, 3))})
+    assert m._re == {0: {0: 1}} and m._im == {1: {1: 2}} and m.scale == Rat(1, 3)
+    assert_matches(m * 6, [[ExactScalar(2), ZERO], [ZERO, ExactScalar(0, 4)]])
