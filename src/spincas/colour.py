@@ -2,8 +2,9 @@
 
 The L-rung ladder is the L-th power of the sector split Casimir.  Spectral
 evaluation (eigenvalue powers times eigenprojectors) is cross-checked
-entrywise against direct binary-exponentiation matrix powers, and the two
-closures are the full trace and the partial trace over the second line.
+entrywise against direct matrix powers, taken from the sector block's power
+table, and the two closures are the full trace and the partial trace over
+the second line.
 """
 
 from __future__ import annotations
@@ -66,17 +67,19 @@ def ladder_full_trace(spec: LadderSpec) -> Rat:
     return total
 
 
-def ladder_partial_trace(spec: LadderSpec) -> tuple[Rat, bool]:
+def ladder_partial_trace(spec: LadderSpec, ladder: ExactMatrix | None = None) -> tuple[Rat, bool]:
     """Close only the second line: exact identity multiple on the first.
 
-    Returns (coefficient, is_identity_multiple), with the coefficient fixed
-    by the full trace; a non-scalar partial trace gives False.
+    ``ladder`` is the spectral ladder of ``spec`` when the caller already
+    holds it.  Returns (coefficient, is_identity_multiple), with the
+    coefficient fixed by the full trace; a non-scalar partial trace gives
+    False.
     """
     half = 2 ** (spec.r - 1)
     coefficient = ladder_full_trace(spec) / half
-    traced = partial_trace(
-        ladder_operator(spec), TensorShape([half, half]), 2
-    )
+    if ladder is None:
+        ladder = ladder_operator(spec)
+    traced = partial_trace(ladder, TensorShape([half, half]), 2)
     return coefficient, traced == ExactMatrix.identity(half) * coefficient
 
 
@@ -128,23 +131,21 @@ def ladder_consistency(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"ladder-colour-factors r={r}")
     for sector in SECTORS:
-        data = sector_spectral(r, sector)
-        power = ExactMatrix.identity(data.block.dim)
-        for L in range(7):
+        for L, power in enumerate(sector_spectral(r, sector).powers.upto(6)):
             spec = LadderSpec(r=r, L=L, sector=sector)
             spectral = ladder_operator(spec)
             record.add_equal(f"spectral-equals-direct-{sector}-L{L}", spectral, power)
+            trace = power.trace()
             record.add(
                 f"full-trace-matches-matrix-{sector}-L{L}",
-                ladder_full_trace(spec) == power.trace().re and power.trace().is_real(),
+                ladder_full_trace(spec) == trace.re and trace.is_real(),
             )
-            coefficient, scalar = ladder_partial_trace(spec)
+            coefficient, scalar = ladder_partial_trace(spec, spectral)
             record.add(
                 f"partial-trace-scalar-{sector}-L{L}",
                 scalar,
                 f"partial trace is not {coefficient} times the identity",
             )
-            power = power @ data.block
         record.add(
             f"traceless-L1-{sector}",
             ladder_full_trace(LadderSpec(r=r, L=1, sector=sector)) == 0,

@@ -11,6 +11,11 @@ call per pair of nonzero parts, so a zero part costs nothing.  The public
 interface speaks Q(i): entries come out as ``ExactScalar`` values with
 ``Fraction`` parts.
 
+Polynomials in an operator are evaluated from its ``PowerTable``, which
+keeps the powers base^0, base^1, ... once made; ``poly_eval`` is one linear
+combination of them, so any number of polynomials in one operator share
+its products.
+
 Index convention (fixed project-wide): the leftmost tensor factor is the
 slowest index.  For a matrix on V1 (x) V2 with dims (d1, d2), the flat row
 index is i1 * d2 + i2.  Legs are numbered from 1, left to right.
@@ -526,29 +531,26 @@ def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
     if not 1 <= leg <= len(shape.factors):
         raise ValueError(f"leg {leg} out of range for {shape}")
     t = leg - 1
-    kept = [k for k in range(len(shape.factors)) if k != t]
-    out_dim = 1
-    for k in kept:
-        out_dim *= shape.factors[k]
-    out_strides = []
-    acc = 1
-    for k in reversed(kept):
-        out_strides.append(acc)
-        acc *= shape.factors[k]
-    out_strides = list(reversed(out_strides))
+    # per flat index: its coordinate on the traced leg, and its flat index
+    # on the kept legs, built one leg at a time, slowest first
+    leg_of, kept_of = [0], [0]
+    for k, f in enumerate(shape.factors):
+        if k == t:
+            leg_of = [d for _ in leg_of for d in range(f)]
+            kept_of = [x for x in kept_of for _ in range(f)]
+        else:
+            leg_of = [x for x in leg_of for _ in range(f)]
+            kept_of = [x * f + d for x in kept_of for d in range(f)]
 
     def traced(part):
         rows: dict = {}
         for i, row in part.items():
-            iparts = shape.split(i)
-            i_out = sum(iparts[k] * s for k, s in zip(kept, out_strides))
+            i_leg, i_out = leg_of[i], kept_of[i]
             for j, v in row.items():
-                jparts = shape.split(j)
-                if jparts[t] != iparts[t]:
-                    continue
-                j_out = sum(jparts[k] * s for k, s in zip(kept, out_strides))
-                out_row = rows.setdefault(i_out, {})
-                out_row[j_out] = out_row.get(j_out, 0) + v
+                if leg_of[j] == i_leg:
+                    out_row = rows.setdefault(i_out, {})
+                    j_out = kept_of[j]
+                    out_row[j_out] = out_row.get(j_out, 0) + v
         clean = {}
         for i, row in rows.items():
             row = {j: v for j, v in row.items() if v}
@@ -556,7 +558,7 @@ def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
                 clean[i] = row
         return clean
 
-    return m._map(traced, canonical=True, dim=out_dim)
+    return m._map(traced, canonical=True, dim=m.dim // shape.factors[t])
 
 
 def permutation_operator(d: int) -> ExactMatrix:
@@ -568,46 +570,60 @@ def permutation_operator(d: int) -> ExactMatrix:
     return ExactMatrix._wrap(d * d, RAT_ONE, rows, {})
 
 
-def poly_eval(coeffs: Sequence, m: ExactMatrix) -> ExactMatrix:
-    """Horner evaluation of sum coeffs[j] * m^j (coeffs[0] is the constant)."""
-    if not coeffs:
-        return ExactMatrix.zero(m.dim)
-    ident = ExactMatrix.identity(m.dim)
-    result = ident * coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        result = result @ m + ident * c
-    return result
+class PowerTable:
+    """The powers base^0, base^1, ... of one square matrix.
 
-
-def mat_vec(m: ExactMatrix, vec: dict) -> dict:
-    """Apply to a sparse column vector {index: (re, im)} of rationals;
-    canonical result with rational parts.
+    A power is made when a caller first needs it, as one product of the
+    last kept power with the base, and then kept: reaching degree d costs
+    d - 1 products in all, however many callers share the table.
     """
-    den = lcm(*(x.denominator for v in vec.values() for x in v))
-    columns = (_transpose(m._re), _transpose(m._im))
-    out = _apply(columns, {i: (_int(Rat(a), den), _int(Rat(b), den)) for i, (a, b) in vec.items()})
-    scale = m.scale / den
-    return {i: (scale * x, scale * y) for i, (x, y) in out.items()}
+
+    __slots__ = ("base", "_powers")
+
+    def __init__(self, base: ExactMatrix):
+        self.base = base
+        self._powers = [ExactMatrix.identity(base.dim), base]
+
+    def upto(self, degree: int) -> list[ExactMatrix]:
+        """base^0 .. base^degree."""
+        powers = self._powers
+        while len(powers) <= degree:
+            powers.append(powers[-1] @ self.base)
+        return powers[: degree + 1]
 
 
-def shifted_image(m: ExactMatrix, shifts: Iterable, vec: dict) -> dict:
-    """(m - s_n) ... (m - s_1) v for rational shifts s and an integer vector
-    v = {index: (re, im)}, up to a positive factor.
+def poly_eval(coeffs: Sequence, table: PowerTable) -> ExactMatrix:
+    """sum coeffs[j] * base^j (coeffs[0] is the constant), as one linear
+    combination of the table's powers.
+    """
+    return lincomb(table.base.dim, zip(coeffs, table.upto(len(coeffs) - 1)))
+
+
+def shifted_images(m: ExactMatrix, cases) -> Iterator[dict]:
+    """(m - s_n) ... (m - s_1) v for each (shifts, v) of ``cases``, with
+    rational shifts s and an integer vector v = {index: (re, im)}, up to a
+    positive factor; m is transposed once for all of them.
 
     With scale p/q and shift a/b, each step computes b q (m - s) v =
     p b (re + i*im) v - a q v, so the whole product stays in ints.
     """
     p, q = m.scale.numerator, m.scale.denominator
     columns = (_transpose(m._re), _transpose(m._im))
-    for s in shifts:
-        s = Rat(s)
-        c, d = p * s.denominator, s.numerator * q
-        out = {i: (c * x, c * y) for i, (x, y) in _apply(columns, vec).items()}
-        for i, (x, y) in vec.items():
-            cur = out.get(i, (0, 0))
-            out[i] = (cur[0] - d * x, cur[1] - d * y)
-        vec = {i: v for i, v in out.items() if v[0] or v[1]}
-    return vec
+    for shifts, vec in cases:
+        for s in shifts:
+            s = Rat(s)
+            c, d = p * s.denominator, s.numerator * q
+            out = {i: (c * x, c * y) for i, (x, y) in _apply(columns, vec).items()}
+            for i, (x, y) in vec.items():
+                cur = out.get(i, (0, 0))
+                out[i] = (cur[0] - d * x, cur[1] - d * y)
+            vec = {i: v for i, v in out.items() if v[0] or v[1]}
+        yield vec
+
+
+def shifted_image(m: ExactMatrix, shifts: Iterable, vec: dict) -> dict:
+    """``shifted_images`` for one vector."""
+    return next(shifted_images(m, [(shifts, vec)]))
 
 
 def trace_of_product(a: ExactMatrix, b: ExactMatrix) -> ExactScalar:

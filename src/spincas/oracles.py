@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
-from .linalg import ExactMatrix, first_difference
+from .linalg import ExactMatrix, first_difference, lincomb
 from .records import VerificationRecord, diff_witness
 from .scalar import Rat, binomial, rat
 
@@ -229,12 +229,11 @@ def _defining_rep_failures(n: int):
     pairs = basis_pairs(n)
     gens = dict(zip(pairs, defining_generators(n)))
     table = commutator_table(n)
+    products = {(a, b): gens[a] @ gens[b] for a in pairs for b in pairs}
     for a in pairs:
         for b in pairs:
-            lhs = gens[a] @ gens[b] - gens[b] @ gens[a]
-            rhs = ExactMatrix.zero(n)
-            for c, coeff in table[(a, b)].items():
-                rhs = rhs + gens[c] * coeff
+            lhs = products[a, b] - products[b, a]
+            rhs = lincomb(n, [(coeff, gens[c]) for c, coeff in table[(a, b)].items()])
             if lhs != rhs:
                 yield f"[{a}, {b}]: " + diff_witness(first_difference(lhs, rhs))
 

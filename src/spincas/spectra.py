@@ -3,7 +3,10 @@ identities, Lagrange eigenprojectors per sector and on the full tensor
 square, projector traces, and permutation symmetry.
 
 Multiplicities are always recomputed as exact ranks; the closed-form
-binomial dimensions act as assertions on top of that ground truth.
+binomial dimensions act as assertions on top of that ground truth.  Every
+polynomial in a sector block is evaluated from the block's power table,
+held by its ``SectorSpectral``; the direct projectors on the full space
+use the power table of the full operator.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from math import factorial
 from .casimir import (
     SECTORS,
     block_structure_check,
+    casimir_powers,
     i2k_polynomial,
     invariant_I,
     sector_casimir,
@@ -23,10 +27,11 @@ from .casimir import (
 )
 from .linalg import (
     ExactMatrix,
+    PowerTable,
     lincomb,
     permutation_operator,
     poly_eval,
-    shifted_image,
+    shifted_images,
     trace_of_product,
 )
 from .ratfunc import Poly, poly_from_roots
@@ -79,27 +84,16 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SectorSpectral:
-    """One sector block with its powers, projectors, and verified spectrum."""
+    """One sector block with its power table, projectors, and verified
+    spectrum.
+    """
 
     r: int
     sector: str
     block: ExactMatrix
-    powers: tuple[ExactMatrix, ...]  # block^0 .. block^(deg)
+    powers: PowerTable  # of the block
     spectrum: Spectrum
     projectors: dict[int, ExactMatrix]
-
-
-def _eval_with_powers(coeffs, powers: tuple[ExactMatrix, ...]) -> ExactMatrix:
-    """sum coeffs[m] * powers[m]; one linear combination of cached powers."""
-    return lincomb(powers[0].dim, zip(coeffs, powers))
-
-
-def _powers_to(data: "SectorSpectral", degree: int) -> tuple[ExactMatrix, ...]:
-    """Powers 0..degree of the sector block, extending the cached ones."""
-    powers = list(data.powers)
-    while len(powers) <= degree:
-        powers.append(powers[-1] @ data.block)
-    return tuple(powers)
 
 
 @lru_cache(maxsize=None)
@@ -108,17 +102,13 @@ def sector_spectral(r: int, sector: str) -> SectorSpectral:
     block = sector_casimir(r, sector).matrix
     kvals = sector_kvalues(r, sector)
     eigs = [c2k_eigenvalue(r, k) for k in kvals]
-    deg = len(eigs)
-    powers = [ExactMatrix.identity(block.dim)]
-    for _ in range(deg):
-        powers.append(powers[-1] @ block)
-    powers = tuple(powers)
+    powers = PowerTable(block)
     projectors: dict[int, ExactMatrix] = {}
     entries = []
     for k, ev in zip(kvals, eigs):
         numer = poly_from_roots(e for e in eigs if e != ev)
         denom = numer(ev)
-        proj = _eval_with_powers([c / denom for c in numer.coeffs], powers)
+        proj = poly_eval([c / denom for c in numer.coeffs], powers)
         projectors[k] = proj
         entries.append((k, ev, proj.rank()))
     return SectorSpectral(
@@ -168,30 +158,27 @@ def char_identity_rho(r: int) -> VerificationRecord:
     eigs = [c2k_eigenvalue(r, k) for k in range(r + 1)]
     full_poly = poly_from_roots(eigs)
     for sector in SECTORS:
-        powers = _powers_to(sector_spectral(r, sector), full_poly.degree)
-        product = _eval_with_powers(full_poly.coeffs, powers)
+        powers = sector_spectral(r, sector).powers
+        product = poly_eval(full_poly.coeffs, powers)
         record.add(f"factorized-identity-{sector}", product.is_zero())
-        top_val = _eval_with_powers(i2k_polynomial(r, r + 1), powers)
+        top_val = poly_eval(i2k_polynomial(r, r + 1), powers)
         record.add(f"top-invariant-vanishes-{sector}", top_val.is_zero())
-    c = split_casimir_rho(r).matrix
+    cases = []
     for omit in range(r + 1):
-        sub_eigs = [e for j, e in enumerate(eigs) if j != omit]
-        witness_found = False
-        for sector in SECTORS:
-            if omit not in sector_kvalues(r, sector):
-                continue
-            data = sector_spectral(r, sector)
-            # a column of the omitted eigenprojector is an eigenvector
-            proj = data.projectors[omit]
-            _, col = next(proj.support())
-            # lift to the full space and push through the remaining factors
-            indices = sector_indices(r, sector)
-            vec = {indices[i]: v for i, v in proj.column(col).items()}
-            witness_found = bool(shifted_image(c, sub_eigs, vec))
-            break
+        # every label lies in some sector; a column of its eigenprojector
+        # there is an eigenvector, lifted to the full space
+        sector = next(s for s in SECTORS if omit in sector_kvalues(r, s))
+        proj = sector_spectral(r, sector).projectors[omit]
+        _, col = next(proj.support())
+        indices = sector_indices(r, sector)
+        vec = {indices[i]: v for i, v in proj.column(col).items()}
+        cases.append(([e for j, e in enumerate(eigs) if j != omit], vec))
+    # push each through the remaining factors, on the full operator
+    images = shifted_images(split_casimir_rho(r).matrix, cases)
+    for omit, image in enumerate(images):
         record.add(
             f"minimality-omit-k{omit}",
-            witness_found,
+            bool(image),
             "subproduct annihilated the candidate eigenvector",
         )
     return record
@@ -233,8 +220,8 @@ def _pair_checks(r: int, sector: str, polys) -> list[tuple[CheckResult, CheckRes
     """
     sign_r = (-1) ** r
     eps = 1 if sector in ("++", "--") else -1
-    powers = _powers_to(sector_spectral(r, sector), r)
-    values = [_eval_with_powers(p, powers) for p in polys]
+    powers = sector_spectral(r, sector).powers
+    values = [poly_eval(p, powers) for p in polys]
     scratch = VerificationRecord(name="")
     out = []
     for k in range(r + 1):
@@ -252,16 +239,14 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
     """Minimal-degree invariant identities annihilating each sector block."""
     record = VerificationRecord(name=f"sector-minimal-identities r={r}")
 
-    def eval_poly(coeffs, data):
-        return _eval_with_powers(coeffs, _powers_to(data, len(coeffs) - 1))
+    def vanishes(check_id, coeffs, sector):
+        powers = sector_spectral(r, sector).powers
+        record.add_equal(check_id, poly_eval(coeffs, powers), ExactMatrix.zero(powers.base.dim))
 
     if r % 2 == 0:
         for sector in ("+-", "-+"):
-            data = sector_spectral(r, sector)
-            val = eval_poly(i2k_polynomial(r, r // 2), data)
-            record.add(f"opposite-chirality-{sector}", val.is_zero())
+            vanishes(f"opposite-chirality-{sector}", i2k_polynomial(r, r // 2), sector)
         for sector in ("++", "--"):
-            data = sector_spectral(r, sector)
             hi = i2k_polynomial(r, r // 2 + 1)
             lo = i2k_polynomial(r, r // 2 - 1)
             coeff = r * (r * r - 1) * (r + 2)
@@ -269,7 +254,7 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
                 a - coeff * (lo[m] if m < len(lo) else Rat(0))
                 for m, a in enumerate(hi)
             ]
-            record.add(f"equal-chirality-{sector}", eval_poly(combo, data).is_zero())
+            vanishes(f"equal-chirality-{sector}", combo, sector)
     else:
         hi = i2k_polynomial(r, (r + 1) // 2)
         lo = i2k_polynomial(r, (r - 1) // 2)
@@ -281,8 +266,7 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
                 a + sign * coeff * (lo[m] if m < len(lo) else Rat(0))
                 for m, a in enumerate(hi)
             ]
-            data = sector_spectral(r, sector)
-            record.add(f"degree-{(r + 1) // 2}-{sector}", eval_poly(combo, data).is_zero())
+            vanishes(f"degree-{(r + 1) // 2}-{sector}", combo, sector)
     return record
 
 
@@ -336,7 +320,7 @@ def rho_family_check(r: int, direct_lagrange: bool = True) -> VerificationRecord
         for k in range(r + 1):
             numer = poly_from_roots(e for e in eigs if e != eigs[k])
             denom = numer(eigs[k])
-            direct = poly_eval([cf / denom for cf in numer.coeffs], c)
+            direct = poly_eval([cf / denom for cf in numer.coeffs], casimir_powers(r))
             record.add_equal(f"direct-lagrange-k{k}", direct, projectors[k])
     return record
 
@@ -364,13 +348,13 @@ def permutation_symmetry(r: int, eps: str) -> VerificationRecord:
 def power_trace_check(r: int) -> VerificationRecord:
     """Traces of powers two through five of the operator match their closed
     forms.  tr(C^m) is summed over the four sector blocks as tr(B^a B^(m-a))
-    with a = ceil(m/2), from the cached block powers, entrywise.
+    with a = ceil(m/2), from the block power tables, entrywise.
     """
     from .casimir import casimir_power_trace_closed_form
 
     record = VerificationRecord(name=f"power-traces r={r}")
     # powers up to ceil(5/2) = 3 cover every split of m <= 5
-    powers = [_powers_to(sector_spectral(r, sector), 3) for sector in SECTORS]
+    powers = [sector_spectral(r, sector).powers.upto(3) for sector in SECTORS]
     for m in range(2, 6):
         a = (m + 1) // 2
         total = sum(trace_of_product(p[a], p[m - a]) for p in powers)

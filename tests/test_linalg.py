@@ -3,11 +3,11 @@ from hypothesis import given, settings, strategies as st
 
 from spincas.linalg import (
     ExactMatrix,
+    PowerTable,
     TensorShape,
     first_difference,
     kron,
     kron_all,
-    mat_vec,
     partial_trace,
     permutation_operator,
     poly_eval,
@@ -136,15 +136,8 @@ def test_permutation_operator():
 def test_poly_eval():
     m = ExactMatrix.diagonal([1, 2])
     # x^2 - 3x + 2 annihilates diag(1, 2)
-    assert poly_eval([2, -3, 1], m).is_zero()
-    assert poly_eval([], m).is_zero()
-
-
-def test_mat_vec():
-    m = ExactMatrix(2, {(0, 0): 1, (0, 1): ExactScalar(0, 1), (1, 1): 2})
-    vec = {0: (Rat(1), Rat(0)), 1: (Rat(0), Rat(1))}
-    out = mat_vec(m, vec)
-    assert out == {1: (Rat(0), Rat(2))}
+    assert poly_eval([2, -3, 1], PowerTable(m)).is_zero()
+    assert poly_eval([], PowerTable(m)).is_zero()
 
 
 def test_restrict_embed_roundtrip():

@@ -17,7 +17,6 @@ from spincas.linalg import (
     TensorShape,
     elementary_products,
     kron,
-    mat_vec,
     partial_trace,
     shifted_image,
     trace_of_product,
@@ -345,20 +344,6 @@ def test_parts_partial_trace(case):
     (d1, d2), a, leg = case
     got = partial_trace(a, TensorShape([d1, d2]), leg)
     assert_matches(got, ref_partial_trace(dense(a), d1, d2, leg))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    dims.flatmap(
-        lambda d: st.tuples(
-            part_matrices(d), st.dictionaries(st.integers(0, d - 1), coefficients, max_size=d)
-        )
-    )
-)
-def test_parts_mat_vec(case):
-    a, vec = case
-    got = mat_vec(a, {i: (v.re, v.im) for i, v in vec.items()})
-    assert {i: ExactScalar(*v) for i, v in got.items()} == ref_mat_vec(dense(a), vec)
 
 
 @settings(max_examples=60, deadline=None)

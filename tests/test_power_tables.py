@@ -1,0 +1,147 @@
+"""Power tables: each power is one product, made once and shared, and every
+check that reads a table fails, with a witness, when a kept power is wrong.
+
+The mutation tests serve a perturbed copy of a cached table and leave the
+cached table itself as it was.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from spincas import _backend, casimir, colour, spectra
+from spincas.linalg import ExactMatrix, PowerTable, poly_eval
+from spincas.scalar import Rat
+
+
+def perturbed_copy(table: PowerTable, n: int, degree: int) -> PowerTable:
+    """A copy of the table's powers 0..degree with 1 added at (0, 0) of the
+    n-th; the table itself is not changed.
+    """
+    copy = PowerTable(table.base)
+    copy._powers = table.upto(degree)
+    copy._powers[n] = copy._powers[n] + ExactMatrix(table.base.dim, {(0, 0): 1})
+    return copy
+
+
+@pytest.fixture
+def mat_mul_calls(monkeypatch):
+    calls = []
+    real = _backend.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(_backend, "mat_mul", counted)
+    return calls
+
+
+def test_a_table_makes_each_power_once(mat_mul_calls):
+    # a real matrix, so that each product is one kernel call
+    base = ExactMatrix(4, {(0, 1): 1, (1, 2): 2, (2, 3): 3, (3, 0): Rat(1, 2), (2, 2): -1})
+    table = PowerTable(base)
+    powers = table.upto(5)
+    assert len(mat_mul_calls) == 4
+    mat_mul_calls.clear()
+    # a second caller, at this degree or below, costs no product
+    assert poly_eval([1, 2, 3, 4, 5, 6], table) == sum(
+        (p * c for c, p in zip(range(2, 7), powers[1:])), ExactMatrix.identity(4)
+    )
+    assert poly_eval([0, 1], table) == base
+    assert table.upto(3) == powers[:4]
+    assert table.upto(5)[5] is powers[5]
+    assert not mat_mul_calls
+    # going further costs one product per new power
+    table.upto(7)
+    assert len(mat_mul_calls) == 2
+    assert [base.pow(d) for d in range(8)] == table.upto(7)
+
+
+def test_empty_polynomial_is_zero_without_products(mat_mul_calls):
+    assert poly_eval([], PowerTable(ExactMatrix.identity(3))).is_zero()
+    assert not mat_mul_calls
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_sector_records_share_the_sector_tables(r, mat_mul_calls):
+    assert spectra.char_identity_rho(r).ok  # reaches degree r + 1 on each block
+    colour.ladder_consistency(r)  # reaches degree 6
+    mat_mul_calls.clear()
+    assert spectra.sector_minimal_identities(r).ok
+    assert spectra.duality_pair_identities(r).ok
+    assert spectra.power_trace_check(r).ok
+    assert not mat_mul_calls
+
+
+def test_full_table_is_shared(mat_mul_calls):
+    r = 2
+    assert casimir.polynomial_consistency(r).ok  # reaches degree r + 1
+    mat_mul_calls.clear()
+    powers = casimir.casimir_powers(r)
+    assert powers is casimir.casimir_powers(r)
+    assert poly_eval(range(r + 2), powers) == poly_eval(range(r + 2), PowerTable(powers.base))
+    assert len(mat_mul_calls) == r  # the fresh table's products only
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_polynomials_fail_on_a_perturbed_full_power(r, monkeypatch):
+    table = casimir.casimir_powers(r)
+    kept = table.upto(r + 1)
+    monkeypatch.setattr(casimir, "casimir_powers", lambda rank: perturbed_copy(table, 2, r + 1))
+    record = casimir.polynomial_consistency(r)
+    failed = [c.check_id for c in record.failures]
+    # I_0 and I_2 are polynomials of degree 0 and 1; every later one reads C^2
+    assert failed == [f"polynomial-matches-invariant-k{k}" for k in range(2, r + 2)]
+    assert all(c.witness.startswith("first differing entry") for c in record.failures)
+    assert all(a is b for a, b in zip(table.upto(r + 1), kept))
+    monkeypatch.undo()
+    assert casimir.polynomial_consistency(r).ok
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_ladders_fail_on_a_perturbed_block_power(r, monkeypatch):
+    real = spectra.sector_spectral
+    table = real(r, "++").powers
+    kept = table.upto(6)
+    copy = perturbed_copy(table, 3, 6)
+
+    def served(rank, sector):
+        data = real(rank, sector)
+        return replace(data, powers=copy) if (rank, sector) == (r, "++") else data
+
+    monkeypatch.setattr(colour, "sector_spectral", served)
+    record = colour.ladder_consistency(r)
+    failed = {c.check_id: c.witness for c in record.failures}
+    assert failed["spectral-equals-direct-++-L3"].startswith("first differing entry (0, 0)")
+    assert not any(check_id.startswith("spectral-equals-direct") and check_id.endswith(("L2", "L4"))
+                   for check_id in failed)
+    assert all("-++-" in check_id for check_id in failed)
+    assert all(a is b for a, b in zip(table.upto(6), kept))
+    monkeypatch.undo()
+    assert colour.ladder_consistency(r).ok
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_minimal_identities_fail_on_a_perturbed_block_power(r, monkeypatch):
+    real = spectra.sector_spectral
+    # the top power each identity reads: r/2 + 1 on the equal-chirality
+    # blocks at even rank, (r + 1)/2 on every block at odd rank
+    degree = (r + 1) // 2 if r % 2 else r // 2 + 1
+    sector = "--"
+    table = real(r, sector).powers
+    kept = table.upto(degree)
+    copy = perturbed_copy(table, degree, degree)
+
+    def served(rank, s):
+        data = real(rank, s)
+        return replace(data, powers=copy) if (rank, s) == (r, sector) else data
+
+    monkeypatch.setattr(spectra, "sector_spectral", served)
+    record = spectra.sector_minimal_identities(r)
+    check_id = f"equal-chirality-{sector}" if r % 2 == 0 else f"degree-{degree}-{sector}"
+    assert [c.check_id for c in record.failures] == [check_id]
+    assert record.failures[0].witness.startswith("first differing entry (0, 0)")
+    assert all(a is b for a, b in zip(table.upto(degree), kept))
+    monkeypatch.undo()
+    assert spectra.sector_minimal_identities(r).ok

@@ -4,7 +4,7 @@ import pytest
 
 from spincas import spectra
 from spincas.casimir import SECTORS, split_casimir_rho
-from spincas.linalg import ExactMatrix
+from spincas.linalg import ExactMatrix, PowerTable
 from spincas.scalar import Rat
 
 
@@ -129,7 +129,7 @@ def test_power_traces_fail_on_a_perturbed_block(r, monkeypatch):
         if sector != "++":
             return data
         block = data.block + ExactMatrix(data.block.dim, {(0, 0): 1})
-        return replace(data, block=block, powers=tuple(block.pow(p) for p in range(len(data.powers))))
+        return replace(data, block=block, powers=PowerTable(block))
 
     monkeypatch.setattr(spectra, "sector_spectral", perturbed)
     record = spectra.power_trace_check(r)
