@@ -5,7 +5,7 @@ Q(i) with zero tolerance.
 """
 
 from ._backend import BACKEND
-from .linalg import ExactMatrix, TensorShape, kron, kron_all, partial_trace
+from .linalg import ExactMatrix, TensorShape, kron, partial_trace
 from .scalar import ExactScalar, Rat, rat
 
 __version__ = "1.0.0"
@@ -17,7 +17,6 @@ __all__ = [
     "Rat",
     "TensorShape",
     "kron",
-    "kron_all",
     "partial_trace",
     "rat",
     "__version__",

@@ -29,6 +29,7 @@ from .linalg import (
     sum_at_scale,
     sum_of_kron_squares,
 )
+from .oracles import c2_closed_form, casimir_contraction, inverse_metric_diagonal
 from .records import VerificationRecord
 from .scalar import Rat
 
@@ -41,29 +42,18 @@ class SplitCasimir:
     matrix: ExactMatrix
 
 
-@dataclass(frozen=True)
-class SectorOperator:
-    """A sector block of an operator, compressed to its coordinate support."""
-
-    r: int
-    sector: str
-    indices: tuple[int, ...]
-    matrix: ExactMatrix
-
-
 @lru_cache(maxsize=None)
 def split_casimir_rho(r: int) -> SplitCasimir:
     """-1/(2(N-2)) sum_{i<j} rho(M_ij) (x) rho(M_ij) with N = 2r."""
     if r < 2:
         raise ValueError("rank must be at least 2")
     total = sum_of_kron_squares(rotation_generators(r))
-    return SplitCasimir(r=r, matrix=total * Rat(-1, 2 * (2 * r - 2)))
+    return SplitCasimir(r=r, matrix=total * inverse_metric_diagonal(2 * r))
 
 
-@lru_cache(maxsize=None)
 def casimir_powers(r: int) -> PowerTable:
-    """The power table of the split Casimir operator, shared by every
-    polynomial in it on the full space.
+    """A fresh power table of the split Casimir operator, for the polynomials
+    of one record on the full space; it lives as long as that record holds it.
     """
     return PowerTable(split_casimir_rho(r).matrix)
 
@@ -232,10 +222,9 @@ def sector_indices(r: int, sector: str) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def sector_casimir(r: int, sector: str) -> SectorOperator:
-    indices = sector_indices(r, sector)
-    block = split_casimir_rho(r).matrix.restrict(indices)
-    return SectorOperator(r=r, sector=sector, indices=indices, matrix=block)
+def sector_casimir(r: int, sector: str) -> ExactMatrix:
+    """The sector block, compressed to the coordinates of ``sector_indices``."""
+    return split_casimir_rho(r).matrix.restrict(sector_indices(r, sector))
 
 
 def block_structure_check(r: int) -> VerificationRecord:
@@ -255,8 +244,8 @@ def block_structure_check(r: int) -> VerificationRecord:
         "no-cross-sector-entries",
         all(label(i) == label(j) for i, j in c.support()),
     )
-    ops = [sector_casimir(r, sector) for sector in SECTORS]
-    total = lincomb(4**r, [(1, op.matrix.embed(op.indices, 4**r)) for op in ops])
+    blocks = [sector_casimir(r, s).embed(sector_indices(r, s), 4**r) for s in SECTORS]
+    total = lincomb(4**r, [(1, block) for block in blocks])
     record.add_equal("sector-blocks-sum-to-operator", total, c)
     return record
 
@@ -293,8 +282,8 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     gens = rotation_generators(r)
     dim = 2**r
     ident = ExactMatrix.identity(dim)
-    coeff = Rat(-1, 2 * (n - 2))
-    c2_single = lincomb(dim, [(coeff, g @ g) for g in gens])
+    coeff = inverse_metric_diagonal(n)
+    c2_single = casimir_contraction(gens, n)
     # d = g (x) 1 + 1 (x) g has integer entries over the scale of g, so every
     # d @ d is an integer matrix over the square of that scale
     den = lcm(*((g.scale * g.scale).denominator for g in gens))
@@ -302,7 +291,7 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     c2_diag = sum_at_scale(dim * dim, (d @ d for d in diags), den) * coeff
     rhs = kron(c2_single, ident) + kron(ident, c2_single) + split_casimir_rho(r).matrix * 2
     record.add_equal("coproduct-split", c2_diag, rhs)
-    spinor_c2 = Rat(r * (2 * r - 1), 16 * (r - 1))
+    spinor_c2 = c2_closed_form("Delta_plus", r)
     record.add("single-space-casimir-scalar", c2_single == ident * spinor_c2)
     return record
 

@@ -134,7 +134,8 @@ def _run_command(args) -> tuple[str, int]:
 
     if args.command == "spectra":
         if args.tables or args.format == "csv":
-            return report.emit_tables(args.r), 0
+            tables, ok = report.emit_tables(args.r)
+            return tables, 0 if ok else 1
         return _single_suite_report(args, ("spectra",))
 
     if args.command == "colour":
@@ -170,8 +171,7 @@ def _run_ybe(args) -> tuple[str, int]:
         raise _UsageError("--mode full checks the braid form only; --form plain needs --mode sector")
     grid = args.grid or (args.u is None and args.v is None)
     if grid:
-        us, vs = ybe.admissible_grid(args.r)
-        pairs = [(u, v) for u in us for v in vs]
+        pairs = ybe.grid_points(args.r)
     elif args.u is not None and args.v is not None:
         pairs = [(args.u, args.v)]
     else:

@@ -91,7 +91,7 @@ def colour_report(spec: LadderSpec) -> dict:
     the trace normalization constant is k = n34 - npr.
     """
     data = sector_spectral(spec.r, spec.sector)
-    direct = data.block.pow(spec.L)
+    direct = data.powers.upto(spec.L)[spec.L]
     spectral = ladder_operator(spec)
     per_k = []
     for k in sector_kvalues(spec.r, spec.sector):

@@ -187,20 +187,6 @@ class TensorShape:
             out *= f
         return out
 
-    def strides(self) -> tuple[int, ...]:
-        out, acc = [], 1
-        for f in reversed(self.factors):
-            out.append(acc)
-            acc *= f
-        return tuple(reversed(out))
-
-    def split(self, flat: int) -> tuple[int, ...]:
-        parts = []
-        for stride in self.strides():
-            parts.append(flat // stride)
-            flat %= stride
-        return tuple(parts)
-
     def __repr__(self):
         return f"TensorShape{self.factors}"
 
@@ -381,20 +367,6 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return self._map(lambda rows: _times(rows, -1))
 
-    def pow(self, exponent: int) -> "ExactMatrix":
-        """Binary exponentiation; exponent >= 0."""
-        if exponent < 0:
-            raise ValueError("negative matrix power")
-        result = ExactMatrix.identity(self.dim)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result @ base
-            exponent >>= 1
-            if exponent:
-                base = base @ base
-        return result
-
     def conj_transpose(self) -> "ExactMatrix":
         return ExactMatrix._wrap(self.dim, self.scale, _transpose(self._re), _times(_transpose(self._im), -1))
 
@@ -515,15 +487,6 @@ def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ..
     return tuple(ExactMatrix._make(dim, Rat(1, den**k), *parts) for k, parts in enumerate(sums))
 
 
-def kron_all(factors: Iterable[ExactMatrix]) -> ExactMatrix:
-    out = None
-    for f in factors:
-        out = f if out is None else kron(out, f)
-    if out is None:
-        raise ValueError("empty Kronecker product")
-    return out
-
-
 def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
     """Trace out one leg (1-based, leftmost = 1) of a tensor-product operator."""
     if shape.dim != m.dim:
@@ -619,11 +582,6 @@ def shifted_images(m: ExactMatrix, cases) -> Iterator[dict]:
                 out[i] = (cur[0] - d * x, cur[1] - d * y)
             vec = {i: v for i, v in out.items() if v[0] or v[1]}
         yield vec
-
-
-def shifted_image(m: ExactMatrix, shifts: Iterable, vec: dict) -> dict:
-    """``shifted_images`` for one vector."""
-    return next(shifted_images(m, [(shifts, vec)]))
 
 
 def trace_of_product(a: ExactMatrix, b: ExactMatrix) -> ExactScalar:

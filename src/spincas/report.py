@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from . import __version__, casimir, clifford, colour, oracles, spectra, ybe
 from .records import FAIL, NOTE, PASS, SKIP, VerificationRecord
-from .scalar import binomial
-from .spectra import c2k_eigenvalue, sector_kvalues, sector_trace_closed_form
+from .spectra import c2k_eigenvalue, sector_trace_closed_form
 
 SUITES = ("gamma", "oracle", "invariants", "spectra", "colour", "ybe")
 
@@ -181,23 +180,26 @@ def render_report(report: dict, fmt: str) -> str:
     return out.getvalue()
 
 
-def emit_tables(r: int) -> str:
-    """CSV of the eigenvalue/multiplicity listings, one row per (sector, k).
+def emit_tables(r: int) -> tuple[str, bool]:
+    """CSV of the eigenvalue/multiplicity listings, one row per (sector, k),
+    and whether every multiplicity equals its closed form.
 
     Sector labels: pp, pm, mp, mm for the four chirality blocks and rho for
-    the assembled family on the full tensor square.
+    the assembled family on the full tensor square.  A sector multiplicity
+    is the exact rank of its eigenprojector, and a rho multiplicity the sum
+    of the sector ranks of its label.
     """
     rows = []
+    rho: dict = {}  # k -> summed sector ranks
     for sector in casimir.SECTORS:
-        label = SECTOR_LABELS[sector]
-        for k in sector_kvalues(r, sector):
-            rows.append((label, k, str(c2k_eigenvalue(r, k)), sector_trace_closed_form(r, k)))
-    for k in range(r + 1):
-        mult = 2 * binomial(2 * r, k) if k < r else binomial(2 * r, r)
-        rows.append(("rho", k, str(c2k_eigenvalue(r, k)), mult))
-    rows.sort(key=lambda row: (row[0], row[1]))
+        for k, eigenvalue, rank in spectra.sector_spectral(r, sector).spectrum.entries:
+            rows.append((SECTOR_LABELS[sector], k, eigenvalue, rank, sector_trace_closed_form(r, k)))
+            rho[k] = rho.get(k, 0) + rank
+    for k, rank in rho.items():
+        rows.append(("rho", k, c2k_eigenvalue(r, k), rank, 2 * sector_trace_closed_form(r, k)))
+    rows.sort(key=lambda row: row[:2])
     out = io.StringIO()
     out.write("sector,k,eigenvalue,multiplicity\n")
-    for label, k, eigenvalue, mult in rows:
-        out.write(f"{label},{k},{eigenvalue},{mult}\n")
-    return out.getvalue()
+    for label, k, eigenvalue, rank, _ in rows:
+        out.write(f"{label},{k},{eigenvalue},{rank}\n")
+    return out.getvalue(), all(rank == expected for *_, rank, expected in rows)

@@ -71,16 +71,6 @@ def sector_trace_closed_form(r: int, k: int) -> int:
 class Spectrum:
     entries: tuple[tuple[int, Rat, int], ...]  # (k, eigenvalue, multiplicity)
 
-    @property
-    def eigenvalues(self) -> tuple[Rat, ...]:
-        return tuple(e[1] for e in self.entries)
-
-    def multiplicity(self, k: int) -> int:
-        for kk, _, mult in self.entries:
-            if kk == k:
-                return mult
-        raise KeyError(k)
-
 
 @dataclass(frozen=True)
 class SectorSpectral:
@@ -99,7 +89,7 @@ class SectorSpectral:
 @lru_cache(maxsize=None)
 def sector_spectral(r: int, sector: str) -> SectorSpectral:
     """Build the sector block, its eigenprojectors, and rank-verified spectrum."""
-    block = sector_casimir(r, sector).matrix
+    block = sector_casimir(r, sector)
     kvals = sector_kvalues(r, sector)
     eigs = [c2k_eigenvalue(r, k) for k in kvals]
     powers = PowerTable(block)
@@ -303,7 +293,7 @@ def rho_family_check(r: int, direct_lagrange: bool = True) -> VerificationRecord
     recon = lincomb(dim, [(c2k_eigenvalue(r, k), proj) for k, proj in projectors.items()])
     for k, proj in projectors.items():
         record.add(f"idempotent-k{k}", proj @ proj == proj)
-        expected = 2 * binomial(2 * r, k) if k < r else binomial(2 * r, r)
+        expected = 2 * sector_trace_closed_form(r, k)
         record.add(f"trace-k{k}", proj.trace() == expected, f"trace != {expected}")
     for a in range(r + 1):
         for b in range(a + 1, r + 1):
@@ -317,10 +307,11 @@ def rho_family_check(r: int, direct_lagrange: bool = True) -> VerificationRecord
         record.add(f"parity-split-k{k}", _embedded_sum(r, k, sectors) == projectors[k])
     if direct_lagrange:
         eigs = [c2k_eigenvalue(r, k) for k in range(r + 1)]
+        powers = casimir_powers(r)
         for k in range(r + 1):
             numer = poly_from_roots(e for e in eigs if e != eigs[k])
             denom = numer(eigs[k])
-            direct = poly_eval([cf / denom for cf in numer.coeffs], casimir_powers(r))
+            direct = poly_eval([cf / denom for cf in numer.coeffs], powers)
             record.add_equal(f"direct-lagrange-k{k}", direct, projectors[k])
     return record
 

@@ -303,7 +303,8 @@ def _braid_family(name: str, parts, symmetries, leg: int, evaluate, ybe_pole) ->
     )
 
 
-def _grid_points(r: int) -> list:
+def grid_points(r: int) -> list:
+    """Every pair (u, v) of the admissible grid."""
     us, vs = admissible_grid(r)
     return [(u, v) for u in us for v in vs]
 
@@ -367,7 +368,7 @@ def ybe_check(r: int, eps: str = "+", form: str = "braid", points=None) -> Verif
     """
     return _sector_braid_slice(r, eps, form).grid(
         f"yang-baxter-grid r={r} eps={eps} form={form}",
-        _grid_points(r) if points is None else points,
+        grid_points(r) if points is None else points,
     )
 
 
@@ -639,7 +640,7 @@ def full_ybe_check(r: int) -> VerificationRecord:
     """Braid Yang-Baxter for the full invariant-series R-matrix on the
     admissible grid of the 2^r-leg triple product.
     """
-    return _full_braid_slice(r).grid(f"full-yang-baxter r={r}", _grid_points(r))
+    return _full_braid_slice(r).grid(f"full-yang-baxter r={r}", grid_points(r))
 
 
 def full_ybe_spot_check(r: int, points) -> VerificationRecord:
@@ -672,7 +673,7 @@ def top_projector_relations(r: int) -> VerificationRecord:
     casimir_action = split_casimir_rho(r).matrix @ top
     record.add(
         "casimir-top-eigenvalue",
-        casimir_action == top * Rat(r, 16 * (r - 1)),
+        casimir_action == top * c2k_eigenvalue(r, r),
     )
     return record
 

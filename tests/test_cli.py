@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from spincas import colour, report, ybe
+from spincas import colour, report, spectra, ybe
 from spincas.cli import main
 from spincas.records import VerificationRecord
 from spincas.scalar import Rat
@@ -67,6 +68,30 @@ def test_spectra_tables_known_rows(capsys):
     assert "rho,5,5/64,252" in out
     _, out, _ = run(capsys, "spectra", "--r", "2", "--tables")
     assert "pm,1,0,4" in out
+
+
+@pytest.mark.parametrize("flag", [("--tables",), ("--format", "csv")])
+def test_spectra_tables_show_the_verified_rank(capsys, monkeypatch, flag):
+    real = spectra.sector_spectral
+
+    def served(rank, sector):
+        # one rank off by one, in a copy; the cached spectrum is not touched
+        data = real(rank, sector)
+        if sector != "+-":
+            return data
+        (k, eigenvalue, mult), *rest = data.spectrum.entries
+        return replace(data, spectrum=spectra.Spectrum(entries=((k, eigenvalue, mult + 1), *rest)))
+
+    monkeypatch.setattr(spectra, "sector_spectral", served)
+    code, out, _ = run(capsys, "spectra", "--r", "3", *flag)
+    assert code == 1
+    lines = out.splitlines()
+    assert "pm,0,-15/32,2" in lines and "mp,0,-15/32,1" in lines
+    assert "rho,0,-15/32,3" in lines
+    monkeypatch.undo()
+    assert real(3, "+-").spectrum.entries[0] == (0, Rat(-15, 32), 1)
+    code, out, _ = run(capsys, "spectra", "--r", "3", *flag)
+    assert code == 0 and "rho,0,-15/32,2" in out.splitlines()
 
 
 def test_colour_command(capsys):

@@ -28,7 +28,7 @@ def test_zero_rungs_is_identity():
 def test_one_rung_is_sector_casimir():
     for sector in SECTORS:
         op = colour.ladder_operator(colour.LadderSpec(r=3, L=1, sector=sector))
-        assert op == sector_casimir(3, sector).matrix
+        assert op == sector_casimir(3, sector)
 
 
 def test_opposite_chirality_vanishes_at_minimal_rank():

@@ -7,7 +7,6 @@ from spincas.linalg import (
     TensorShape,
     first_difference,
     kron,
-    kron_all,
     partial_trace,
     permutation_operator,
     poly_eval,
@@ -77,7 +76,7 @@ def test_pow_matches_iterated_product(m, k):
     expected = ExactMatrix.identity(3)
     for _ in range(k):
         expected = expected @ m
-    assert m.pow(k) == expected
+    assert PowerTable(m).upto(k)[k] == expected
 
 
 def test_rank():
@@ -95,13 +94,6 @@ def test_kron_mixed_product():
     assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
 
-def test_kron_all_associative():
-    a = ExactMatrix.identity(2)
-    b = ExactMatrix(2, {(0, 1): 1})
-    c = ExactMatrix.diagonal([1, -1])
-    assert kron_all([a, b, c]) == kron(kron(a, b), c)
-
-
 def test_partial_trace_of_kron():
     a = ExactMatrix(3, {(0, 0): 2, (1, 2): ExactScalar(0, 1)})
     b = ExactMatrix(2, {(0, 0): 1, (1, 1): 3})
@@ -116,13 +108,6 @@ def test_partial_trace_preserves_full_trace():
     shape = TensorShape([2, 3])
     assert partial_trace(m, shape, 1).trace() == m.trace()
     assert partial_trace(m, shape, 2).trace() == m.trace()
-
-
-def test_tensor_shape_split():
-    shape = TensorShape([2, 3, 4])
-    assert shape.dim == 24
-    assert shape.strides() == (12, 4, 1)
-    assert shape.split(23) == (1, 2, 3)
 
 
 def test_permutation_operator():

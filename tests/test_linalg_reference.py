@@ -18,7 +18,7 @@ from spincas.linalg import (
     elementary_products,
     kron,
     partial_trace,
-    shifted_image,
+    shifted_images,
     trace_of_product,
 )
 from spincas.scalar import ExactScalar, Rat
@@ -365,7 +365,7 @@ def test_shifted_image_is_a_positive_multiple(case):
         for i, v in expected.items():
             image[i] = image.get(i, ZERO) - v * s
         expected = {i: v for i, v in image.items() if v}
-    got = shifted_image(a, shifts, vec)
+    got = next(shifted_images(a, [(shifts, vec)]))
     assert all(type(x) is int for v in got.values() for x in v)
     assert set(got) == set(expected)
     if got:

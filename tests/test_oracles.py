@@ -166,11 +166,22 @@ def test_closed_form_values():
     assert oracles.c2_closed_form("Delta_plus", 5) == Rat(45, 64)
 
 
-def test_rep_dimensions():
-    assert oracles.rep_dimension("T_f", 4) == 8
-    assert oracles.rep_dimension("T_k", 5, 5) == 252
-    assert oracles.rep_dimension("T_r_plus", 5) == 126
-    assert oracles.rep_dimension("Delta_plus", 5) == 16
+def test_weight_consistency_fails_on_a_wrong_highest_weight(monkeypatch):
+    r = 4
+    real = oracles.highest_weight
+
+    def served(rep, rank, k=None):
+        # the weight of T_r_plus in place of Delta_minus
+        return real("T_r_plus", rank) if rep == "Delta_minus" else real(rep, rank, k)
+
+    monkeypatch.setattr(oracles, "highest_weight", served)
+    record = oracles.weight_consistency(r)
+    assert [c.check_id for c in record.failures] == ["Delta_minus"]
+    closed = oracles.c2_closed_form("Delta_minus", r)
+    wrong = oracles.c2_closed_form("T_r_plus", r)
+    assert record.failures[0].witness == f"closed form {closed} != weight formula {wrong}"
+    monkeypatch.undo()
+    assert oracles.weight_consistency(r).ok
 
 
 def test_invalid_selectors():

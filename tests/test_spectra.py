@@ -145,3 +145,38 @@ def test_full_space_spectral_reconstruction():
         term = proj * spectra.c2k_eigenvalue(r, k)
         acc = term if acc is None else acc + term
     assert acc == split_casimir_rho(r).matrix
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_records_fail_on_a_perturbed_projector(r, monkeypatch):
+    # the swap fixes e_0 (x) e_0, so the wrong entry sits in row 1, which it moves
+    real = spectra.sector_spectral
+    data = real(r, "++")
+    kept = dict(data.projectors)
+    projectors = dict(data.projectors)
+    projectors[r] = projectors[r] + ExactMatrix(data.block.dim, {(1, 1): 1})
+
+    def served(rank, sector):
+        got = real(rank, sector)
+        return replace(got, projectors=projectors) if (rank, sector) == (r, "++") else got
+
+    def records():
+        return [
+            spectra.projector_axioms(r, "++"),
+            spectra.permutation_symmetry(r, "+"),
+            spectra.rho_family_check(r),
+        ]
+
+    monkeypatch.setattr(spectra, "sector_spectral", served)
+    # the full-space family is assembled afresh from the served block
+    monkeypatch.setattr(spectra, "rho_projectors", spectra.rho_projectors.__wrapped__)
+    axioms, swap, family = records()
+    failed = {record.name: {c.check_id: c.witness for c in record.failures} for record in (axioms, swap, family)}
+    assert failed[axioms.name][f"idempotent-k{r}"].startswith("first differing entry")
+    assert list(failed[swap.name]) == [f"swap-sign-k{r}"]
+    assert failed[swap.name][f"swap-sign-k{r}"].startswith("first differing entry")
+    assert failed[family.name]["spectral-reconstruction"].startswith("first differing entry")
+    assert failed[family.name][f"direct-lagrange-k{r}"].startswith("first differing entry")
+    assert real(r, "++").projectors == kept
+    monkeypatch.undo()
+    assert all(record.ok for record in records())
