@@ -46,17 +46,54 @@ def mat_kron(a_rows, b_rows, b_dim):
     return out
 
 
-def mat_lincomb(terms):
-    """Sum of coeff * matrix over (int coeff, rows) pairs.
+def mat_mul_leg(terms, b_dim):
+    """Sum of c * a @ (1 (x) b (x) 1_inner) over the terms (int c, a_rows,
+    b_rows, inner), each b b_dim-square, by index arithmetic on the legs: no
+    Kronecker matrix is formed, and the terms are added row by row as they
+    are multiplied.
 
-    ``terms`` is consumed once, so it may be a generator that builds each
-    matrix only when it is added.
+    A column j of a splits as j = base + k * inner with k = j // inner % b_dim;
+    b sends it to the columns base + k2 * inner, one per entry b[k, k2].
     """
-    acc = {}
-    mixed = set()  # rows that received more than one contribution
-    for c, rows in terms:
+    out = {}
+    for i in set().union(*(a_rows for _, a_rows, _, _ in terms)):
+        acc = {}
+        for c, a_rows, b_rows, inner in terms:
+            arow = a_rows.get(i)
+            if arow is None:
+                continue
+            for j, a in arow.items():
+                k = j // inner % b_dim
+                brow = b_rows.get(k)
+                if brow is None:
+                    continue
+                base = j - k * inner
+                a *= c
+                for k2, b in brow.items():
+                    col = base + k2 * inner
+                    acc[col] = acc.get(col, 0) + a * b
+        row = {j: v for j, v in acc.items() if v}
+        if row:
+            out[i] = row
+    return out
+
+
+class RowsSum:
+    """A sum of int multiples of matrices, each added in place as it comes;
+    a zero entry stays until ``rows`` ends the sum.
+    """
+
+    __slots__ = ("acc", "mixed")
+
+    def __init__(self):
+        self.acc = {}
+        self.mixed = set()  # rows that received more than one contribution
+
+    def add(self, c, rows):
+        """Add c * rows."""
         if not c:
-            continue
+            return
+        acc, mixed = self.acc, self.mixed
         for i, row in rows.items():
             arow = acc.get(i)
             if arow is None:
@@ -65,13 +102,31 @@ def mat_lincomb(terms):
             mixed.add(i)
             for j, v in row.items():
                 arow[j] = arow.get(j, 0) + c * v
-    for i in mixed:
-        row = {j: v for j, v in acc[i].items() if v}
-        if row:
-            acc[i] = row
-        else:
-            del acc[i]
-    return acc
+
+    def rows(self):
+        """The sum, without zero entries or empty rows; nothing may be added
+        after this.
+        """
+        acc = self.acc
+        for i in self.mixed:
+            row = {j: v for j, v in acc[i].items() if v}
+            if row:
+                acc[i] = row
+            else:
+                del acc[i]
+        return acc
+
+
+def mat_lincomb(terms):
+    """Sum of coeff * matrix over (int coeff, rows) pairs.
+
+    ``terms`` is consumed once, so it may be a generator that builds each
+    matrix only when it is added.
+    """
+    total = RowsSum()
+    for c, rows in terms:
+        total.add(c, rows)
+    return total.rows()
 
 
 def content(*parts) -> int:

@@ -2,7 +2,7 @@
 
 The L-rung ladder is the L-th power of the sector split Casimir.  Spectral
 evaluation (eigenvalue powers times eigenprojectors) is cross-checked
-entrywise against direct matrix powers, taken from the sector block's power
+entrywise against direct matrix powers, made from the sector block's power
 table, and the two closures are the full trace and the partial trace over
 the second line.
 """
@@ -91,7 +91,7 @@ def colour_report(spec: LadderSpec) -> dict:
     the trace normalization constant is k = n34 - npr.
     """
     data = sector_spectral(spec.r, spec.sector)
-    direct = data.powers.upto(spec.L)[spec.L]
+    direct = data.powers.power(spec.L)
     spectral = ladder_operator(spec)
     per_k = []
     for k in sector_kvalues(spec.r, spec.sector):

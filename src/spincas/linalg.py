@@ -119,38 +119,6 @@ def _product(f, a: tuple, b: tuple) -> tuple:
     return re, im
 
 
-def _sum(dim: int, den: int, terms) -> "ExactMatrix":
-    """1/den times the sum of (c0 + i c1)(re + i im) over the int terms
-    (c0, c1, re, im), as one kernel call that adds each term as ``terms``
-    yields it: the imaginary part is summed in the rows dim .. 2 dim - 1.
-    """
-    imaginary = []
-
-    def shifted(rows):
-        imaginary.append(True)
-        return {i + dim: row for i, row in rows.items()}
-
-    def stacked():
-        # (c0 + i c1)(re + i im) = (c0 re - c1 im) + i (c1 re + c0 im)
-        for c0, c1, re, im in terms:
-            if re:
-                if c0:
-                    yield c0, re
-                if c1:
-                    yield c1, shifted(re)
-            if im:
-                if c1:
-                    yield -c1, im
-                if c0:
-                    yield c0, shifted(im)
-
-    rows = _backend.mat_lincomb(stacked())
-    im = {}
-    if imaginary:
-        im = {i - dim: rows.pop(i) for i in [i for i in rows if i >= dim]}
-    return ExactMatrix._make(dim, Rat(1, den), rows, im)
-
-
 def _apply(columns: tuple, vec: dict) -> dict:
     """(re + i*im) v for an integer vector v = {index: (x, y)}, given the
     transposed parts ``columns`` = (re^T, im^T); only the columns in the
@@ -399,19 +367,15 @@ class ExactMatrix:
 
         return self._map(place, dim=dim)
 
-    def row_slice(self, stop: int) -> "ExactMatrix":
-        """The rows i < stop; every other row becomes zero."""
-        return self._map(lambda rows: {i: row for i, row in rows.items() if i < stop}, canonical=True)
-
     def __repr__(self):
         return f"ExactMatrix(dim={self.dim}, nnz={self.nnz})"
 
 
 def lincomb(dim: int, terms) -> ExactMatrix:
-    """sum of c * m over (scalar, matrix) pairs, as one kernel call.
+    """sum of c * m over (scalar, matrix) pairs, as one ``ScaledSum``.
 
     The coefficients times the matrix scales are brought to one common
-    denominator, so the kernel adds integer matrices.
+    denominator, so the integer parts are added with int coefficients.
     """
     scaled = []
     for c, m in terms:
@@ -423,7 +387,37 @@ def lincomb(dim: int, terms) -> ExactMatrix:
     if not scaled:
         return ExactMatrix.zero(dim)
     den = lcm(*(x.denominator for re, im, _ in scaled for x in (re, im)))
-    return _sum(dim, den, [(_int(re, den), _int(im, den), m._re, m._im) for re, im, m in scaled])
+    total = ScaledSum(dim, den)
+    for re, im, m in scaled:
+        total.add(_int(re, den), _int(im, den), (m._re, m._im))
+    return total.matrix()
+
+
+class ScaledSum:
+    """A sum of matrices at the one scale 1/den.  Each term is added in place
+    into integer accumulators of the real and the imaginary part as it comes,
+    so no term need be held after it is added and no partial sum is read
+    again; ``matrix`` makes the sum canonical once, at the end.
+    """
+
+    __slots__ = ("dim", "den", "_re", "_im")
+
+    def __init__(self, dim: int, den: int):
+        self.dim, self.den = dim, den
+        self._re, self._im = _backend.RowsSum(), _backend.RowsSum()
+
+    def add(self, c0: int, c1: int, parts: tuple) -> None:
+        """Add (c0 + i c1)(re + i im)/den for integer parts (re, im)."""
+        # (c0 + i c1)(re + i im) = (c0 re - c1 im) + i (c1 re + c0 im)
+        re, im = parts
+        self._re.add(c0, re)
+        self._re.add(-c1, im)
+        self._im.add(c1, re)
+        self._im.add(c0, im)
+
+    def matrix(self) -> ExactMatrix:
+        """The sum; nothing may be added after this."""
+        return ExactMatrix._make(self.dim, Rat(1, self.den), self._re.rows(), self._im.rows())
 
 
 # -- tensor toolkit --------------------------------------------------------
@@ -435,20 +429,44 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._make(a.dim * b.dim, a.scale * b.scale, re, im)
 
 
-def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMatrix:
-    """The sum of matrices whose scales are integer multiples of 1/den, as
-    one kernel call that adds each matrix as the iterable yields it, so at
-    most one of them is held at a time.
+def integer_parts(matrices: Sequence[ExactMatrix]) -> tuple[int, list]:
+    """(den, [(c, (re, im)), ...]): one common denominator den of the scales,
+    and per matrix the int c with matrix = c/den (re + i*im).  The parts are
+    the matrix's own rows dicts, to be read, not changed.
     """
+    den = lcm(*(m.scale.denominator for m in matrices))
+    return den, [(_int(m.scale, den), (m._re, m._im)) for m in matrices]
 
-    def terms():
-        for m in matrices:
-            c = m.scale * den
-            if m.dim != dim or c.denominator != 1:
-                raise ValueError(f"cannot add a dim-{m.dim} matrix of scale {m.scale} at scale 1/{den}")
-            yield c.numerator, 0, m._re, m._im
 
-    return _sum(dim, den, terms())
+def leg_products(terms, b_dim: int) -> tuple:
+    """Integer parts (re, im) of the sum of c * a @ (1 (x) b (x) 1_inner)
+    over the terms (c, a, b, inner): c an int, a and b integer parts (re, im),
+    b acting on the legs whose flat index has stride ``inner`` and the
+    identity on the legs before and after them.  One kernel call per nonzero
+    part of the result; no Kronecker matrix is formed.
+    """
+    re_terms: list = []
+    im_terms: list = []
+    for c, (ar, ai), (br, bi), inner in terms:
+        # (ar + i ai)(br + i bi) = (ar br - ai bi) + i (ar bi + ai br)
+        products = ((re_terms, c, ar, br), (re_terms, -c, ai, bi), (im_terms, c, ar, bi), (im_terms, c, ai, br))
+        for out, s, x, y in products:
+            if x and y:
+                out.append((s, x, y, inner))
+    return tuple(_backend.mat_mul_leg(t, b_dim) if t else {} for t in (re_terms, im_terms))
+
+
+def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMatrix:
+    """The sum of matrices whose scales are integer multiples of 1/den, each
+    added as the iterable yields it, so at most one of them is held at a time.
+    """
+    total = ScaledSum(dim, den)
+    for m in matrices:
+        c = m.scale * den
+        if m.dim != dim or c.denominator != 1:
+            raise ValueError(f"cannot add a dim-{m.dim} matrix of scale {m.scale} at scale 1/{den}")
+        total.add(c.numerator, 0, (m._re, m._im))
+    return total.matrix()
 
 
 def sum_of_kron_squares(factors: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -553,6 +571,17 @@ class PowerTable:
         while len(powers) <= degree:
             powers.append(powers[-1] @ self.base)
         return powers[: degree + 1]
+
+    def power(self, degree: int) -> ExactMatrix:
+        """base^degree.  A power beyond the kept ones is made from the last
+        kept power, one product per degree, and is not kept, so a one-off
+        high power does not grow the table.
+        """
+        powers = self._powers
+        m = powers[min(degree, len(powers) - 1)]
+        for _ in range(len(powers) - 1, degree):
+            m = m @ self.base
+        return m
 
 
 def poly_eval(coeffs: Sequence, table: PowerTable) -> ExactMatrix:

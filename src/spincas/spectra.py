@@ -116,13 +116,14 @@ def projector_axioms(r: int, sector: str) -> VerificationRecord:
     record = VerificationRecord(name=f"projector-axioms r={r} sector={sector}")
     data = sector_spectral(r, sector)
     ident = ExactMatrix.identity(data.block.dim)
+    zero = ExactMatrix.zero(data.block.dim)
     for k, proj in data.projectors.items():
         record.add_equal(f"idempotent-k{k}", proj @ proj, proj)
     ks = sorted(data.projectors)
     for a in range(len(ks)):
         for b in range(a + 1, len(ks)):
             prod = data.projectors[ks[a]] @ data.projectors[ks[b]]
-            record.add(f"orthogonal-k{ks[a]}-k{ks[b]}", prod.is_zero())
+            record.add_equal(f"orthogonal-k{ks[a]}-k{ks[b]}", prod, zero)
     projectors = data.projectors.items()
     total = lincomb(data.block.dim, [(1, proj) for _, proj in projectors])
     recon = lincomb(data.block.dim, [(c2k_eigenvalue(r, k), proj) for k, proj in projectors])
@@ -133,7 +134,8 @@ def projector_axioms(r: int, sector: str) -> VerificationRecord:
         eigen = data.block @ proj
         record.add_equal(f"eigen-relation-k{k}", eigen, proj * ev)
         expected = sector_trace_closed_form(r, k)
-        record.add(f"trace-k{k}", proj.trace() == expected, f"trace != {expected}")
+        trace = proj.trace()
+        record.add(f"trace-k{k}", trace == expected, f"trace {trace} != {expected}")
         record.add(f"rank-k{k}", mult == expected, f"rank {mult} != {expected}")
     return record
 
@@ -291,20 +293,22 @@ def rho_family_check(r: int, direct_lagrange: bool = True) -> VerificationRecord
     c = split_casimir_rho(r).matrix
     total = lincomb(dim, [(1, proj) for proj in projectors.values()])
     recon = lincomb(dim, [(c2k_eigenvalue(r, k), proj) for k, proj in projectors.items()])
+    zero = ExactMatrix.zero(dim)
     for k, proj in projectors.items():
-        record.add(f"idempotent-k{k}", proj @ proj == proj)
+        record.add_equal(f"idempotent-k{k}", proj @ proj, proj)
         expected = 2 * sector_trace_closed_form(r, k)
-        record.add(f"trace-k{k}", proj.trace() == expected, f"trace != {expected}")
+        trace = proj.trace()
+        record.add(f"trace-k{k}", trace == expected, f"trace {trace} != {expected}")
     for a in range(r + 1):
         for b in range(a + 1, r + 1):
-            record.add(f"orthogonal-k{a}-k{b}", (projectors[a] @ projectors[b]).is_zero())
-    record.add("completeness", total == ExactMatrix.identity(dim))
+            record.add_equal(f"orthogonal-k{a}-k{b}", projectors[a] @ projectors[b], zero)
+    record.add_equal("completeness", total, ExactMatrix.identity(dim))
     record.add_equal("spectral-reconstruction", recon, c)
     equal_sectors = ("++", "--")
     for k in range(r + 1):
         parity_equal = k in sector_kvalues(r, "++")
         sectors = equal_sectors if parity_equal else ("+-", "-+")
-        record.add(f"parity-split-k{k}", _embedded_sum(r, k, sectors) == projectors[k])
+        record.add_equal(f"parity-split-k{k}", _embedded_sum(r, k, sectors), projectors[k])
     if direct_lagrange:
         eigs = [c2k_eigenvalue(r, k) for k in range(r + 1)]
         powers = casimir_powers(r)

@@ -37,7 +37,16 @@ from math import factorial
 
 from .casimir import invariant_I, sector_indices, split_casimir_rho
 from .clifford import build_gamma, chain_generators, chain_pairs, half_spinor_blocks
-from .linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
+from .linalg import (
+    ExactMatrix,
+    ScaledSum,
+    first_difference,
+    integer_parts,
+    kron,
+    leg_products,
+    lincomb,
+    permutation_operator,
+)
 from .ratfunc import Poly, RationalFunction, rising_factorial
 from .records import PASS, VerificationRecord, diff_witness
 from .scalar import Rat, binomial, rat
@@ -171,34 +180,36 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int) -> tuple
     LHS - RHS = sum_abc u^a (u+v)^b v^c K_abc, and the binomial expansion of
     (u+v)^b gives sum_ij u^i v^j D_ij.  The slice is the first leg^2 columns.
     The products are formed on transposes, so each runs over the leg^2 rows
-    of the slice, from the rightmost factor of K_abc to the leftmost; the
-    pair products are shared between the triples, and each K_abc goes into
-    its partial sums as soon as it is formed.
+    of the slice, from the rightmost factor of K_abc to the leftmost, and
+    each factor R_d^T x 1 or 1 x R_d^T acts on those rows by index arithmetic
+    on the legs.  They run on integer parts: with R_d^T = c_d/den Z_d, K_abc
+    is c_a c_b c_c/den^3 times a difference of products of the Z_d.  The
+    pair products of one b are shared by the triples of that b.  Each K_abc
+    is formed once, as one difference of its two triple products, and added
+    in place into the integer accumulators of its D_ij, which are made
+    canonical once, at the end.
     """
-    ident = ExactMatrix.identity(leg)
     dim = leg**3
-    n = len(parts)
-    parts_t = [m.transpose() for m in parts]
-    left = [kron(m, ident) for m in parts_t]  # (R_d x 1)^T
-    right = [kron(ident, m) for m in parts_t]  # (1 x R_d)^T
-    left_slice = [kron(m.row_slice(leg), ident) for m in parts_t]
-    right_slice = [m.embed(range(leg * leg), dim) for m in parts_t]
-    # ((1 x R_b)(R_c x 1))^T and ((R_b x 1)(1 x R_a))^T on the slice
-    right_left = {(c, b): left_slice[c] @ right[b] for c in range(n) for b in range(n)}
-    left_right = {(a, b): right_slice[a] @ left[b] for a in range(n) for b in range(n)}
-    zero = ExactMatrix.zero(dim)
+    square = leg * leg
+    den, factors = integer_parts([m.transpose() for m in parts])
+    start = ({i: {i: 1} for i in range(square)}, {})  # the slice rows of the identity
+    left = [leg_products([(1, start, z, leg)], square) for _, z in factors]  # (R_d x 1)^T
+    right = [leg_products([(1, start, z, 1)], square) for _, z in factors]  # (1 x R_d)^T
     sums: dict = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                k_abc = right_left[c, b] @ left[a] - left_right[a, b] @ right[c]
+    for b, (c_b, z_b) in enumerate(factors):
+        # ((1 x R_b)(R_c x 1))^T and ((R_b x 1)(1 x R_a))^T on the slice
+        right_left = [leg_products([(1, x, z_b, 1)], square) for x in left]
+        left_right = [leg_products([(1, x, z_b, leg)], square) for x in right]
+        for a, (c_a, z_a) in enumerate(factors):
+            for c, (c_c, z_c) in enumerate(factors):
+                k_abc = leg_products([(1, right_left[c], z_a, leg), (-1, left_right[a], z_c, 1)], square)
                 for m in range(b + 1):
                     key = (a + m, c + b - m)
-                    partial = sums.get(key, zero)
-                    if k_abc:
-                        partial = lincomb(dim, [(1, partial), (binomial(b, m), k_abc)])
-                    sums[key] = partial
-    return len(sums), tuple((key, d.transpose()) for key, d in sorted(sums.items()) if d)
+                    if key not in sums:
+                        sums[key] = ScaledSum(dim, den**3)
+                    sums[key].add(binomial(b, m) * c_a * c_b * c_c, 0, k_abc)
+    diffs = ((key, total.matrix()) for key, total in sorted(sums.items()))
+    return len(sums), tuple((key, d.transpose()) for key, d in diffs if d)
 
 
 def _commutation_failures(parts, symmetries, leg: int):

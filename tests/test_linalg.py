@@ -156,12 +156,6 @@ def test_ray_is_shared_by_the_nonzero_multiples_only(m, c, other):
     assert (other.ray() == m.ray()) == (proportional or (m.is_zero() and other.is_zero()))
 
 
-def test_row_slice():
-    m = ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3), (2, 0): 5})
-    assert m.row_slice(2) == ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3)})
-    assert m.row_slice(0).is_zero()
-
-
 def test_sum_at_scale():
     a = ExactMatrix(2, {(0, 1): Rat(1, 2), (1, 1): 1})
     b = ExactMatrix(2, {(0, 1): Rat(-1, 2), (1, 0): Rat(3, 4)})

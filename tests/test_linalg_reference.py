@@ -12,11 +12,14 @@ from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
 
+from spincas import _backend
 from spincas.linalg import (
     ExactMatrix,
     TensorShape,
     elementary_products,
+    integer_parts,
     kron,
+    leg_products,
     partial_trace,
     shifted_images,
     trace_of_product,
@@ -315,6 +318,90 @@ def test_parts_product_sum_and_multiple(ab, c):
 @given(dims.flatmap(part_matrices), dims.flatmap(part_matrices))
 def test_parts_kron(a, b):
     assert_matches(kron(a, b), ref_kron(dense(a), dense(b)))
+
+
+@st.composite
+def leg_cases(draw):
+    """(terms, b_dim, layouts, cancelling row): one or two terms (c, a, b,
+    inner) of integer rows on outer * b_dim * inner columns, the second with
+    outer and inner exchanged, and when drawn a third term that cancels a row
+    of the first to zero.
+    """
+    outer, b_dim, inner = (draw(st.integers(1, 3)) for _ in range(3))
+    dim = outer * b_dim * inner
+    ints = st.integers(-3, 3)
+
+    def rows(count, width, size):
+        row = st.dictionaries(st.integers(0, width - 1), ints, max_size=size)
+        drawn = draw(st.dictionaries(st.integers(0, count - 1), row))
+        return {i: r for i, row in drawn.items() if (r := {j: v for j, v in row.items() if v})}
+
+    c = draw(ints.filter(bool))
+    a = rows(6, dim, 4)
+    terms = [(c, a, rows(b_dim, b_dim, b_dim), inner)]
+    layouts = [outer]
+    if draw(st.booleans()):
+        terms.append((draw(ints), rows(6, dim, 4), rows(b_dim, b_dim, b_dim), outer))
+        layouts.append(inner)
+    cancelling = None
+    if draw(st.booleans()):
+        cancelling = 6
+        a[cancelling] = {draw(st.integers(0, dim - 1)): draw(ints.filter(bool))}
+        terms.append((-c, {cancelling: a[cancelling]}, terms[0][2], inner))
+        layouts.append(outer)
+    return terms, b_dim, layouts, cancelling
+
+
+def identity_rows(dim):
+    return {i: {i: 1} for i in range(dim)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(leg_cases())
+def test_mul_leg_kernel_matches_kron_then_mul(case):
+    terms, b_dim, layouts, cancelling = case
+    products = []
+    for (c, a, b, inner), outer in zip(terms, layouts):
+        factor = _backend.mat_kron(identity_rows(outer), b, b_dim)
+        factor = _backend.mat_kron(factor, identity_rows(inner), inner)
+        products.append((c, _backend.mat_mul(a, factor)))
+    expected = _backend.mat_lincomb(products)
+    assert _backend.mat_mul_leg(terms, b_dim) == expected
+    if cancelling is not None:
+        assert cancelling not in expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2)).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(
+                st.tuples(part_matrices(d[0] * d[1] * d[2]), part_matrices(d[1])), min_size=1, max_size=2
+            ),
+            st.integers(-2, 2),
+        )
+    )
+)
+def test_parts_leg_products(case):
+    # the second term, if any, acts with outer and inner exchanged
+    (outer, b_dim, inner), pairs, c = case
+    dim = outer * b_dim * inner
+    expected = [[ZERO] * dim for _ in range(dim)]
+    terms = []
+    for (a, b), coeff, (o, n) in zip(pairs, (1, c), ((outer, inner), (inner, outer))):
+        (den_a, [(c_a, parts_a)]), (den_b, [(c_b, parts_b)]) = integer_parts([a]), integer_parts([b])
+        # the integer parts are den/c times the matrix
+        factor = kron(kron(ExactMatrix.identity(o), b * Rat(den_b, c_b)), ExactMatrix.identity(n))
+        product = ref_mul(dense(a * Rat(den_a, c_a)), dense(factor))
+        expected = ref_add(expected, ref_scale(product, coeff))
+        terms.append((coeff, parts_a, parts_b, n))
+    re, im = leg_products(terms, b_dim)
+    rows = [row for part in (re, im) for row in part.values()]
+    assert all(row and all(type(x) is int and x for x in row.values()) for row in rows)
+    support = {(i, j) for part in (re, im) for i, row in part.items() for j in row}
+    got = {(i, j): ExactScalar(re.get(i, {}).get(j, 0), im.get(i, {}).get(j, 0)) for i, j in support}
+    assert ExactMatrix(dim, got) == from_dense(expected)
 
 
 @settings(max_examples=80, deadline=None)

@@ -61,6 +61,28 @@ def test_a_table_makes_each_power_once(mat_mul_calls):
     assert expected == table.upto(7)
 
 
+def test_a_power_beyond_the_table_is_not_kept(mat_mul_calls):
+    base = ExactMatrix(3, {(0, 1): 1, (1, 2): Rat(1, 2), (2, 0): 3, (1, 1): -1})
+    table = PowerTable(base)
+    kept = table.upto(2)
+    mat_mul_calls.clear()
+    assert table.power(2) is kept[2]
+    assert not mat_mul_calls
+    expected = kept[2] @ base @ base @ base
+    mat_mul_calls.clear()
+    assert table.power(5) == expected
+    assert len(mat_mul_calls) == 3  # one product per degree past the table
+    assert table.upto(2) == kept and len(table._powers) == 3
+
+
+def test_colour_report_leaves_the_sector_table_as_it_was():
+    table = spectra.sector_spectral(2, "++").powers
+    kept = list(table._powers)
+    report = colour.colour_report(colour.LadderSpec(r=2, L=colour.MAX_RUNGS, sector="++"))
+    assert report["cross_check"]
+    assert table._powers == kept
+
+
 def test_empty_polynomial_is_zero_without_products(mat_mul_calls):
     assert poly_eval([], PowerTable(ExactMatrix.identity(3))).is_zero()
     assert not mat_mul_calls

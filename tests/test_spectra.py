@@ -177,6 +177,9 @@ def test_records_fail_on_a_perturbed_projector(r, monkeypatch):
     assert failed[swap.name][f"swap-sign-k{r}"].startswith("first differing entry")
     assert failed[family.name]["spectral-reconstruction"].startswith("first differing entry")
     assert failed[family.name][f"direct-lagrange-k{r}"].startswith("first differing entry")
+    for name in (axioms.name, family.name):
+        assert failed[name][f"trace-k{r}"].startswith("trace ")  # the trace found, then the expected
+    assert all(witness for checks in failed.values() for witness in checks.values())
     assert real(r, "++").projectors == kept
     monkeypatch.undo()
     assert all(record.ok for record in records())

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincas import spectra, ybe
+from spincas import _backend, spectra, ybe
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, first_difference, kron, lincomb
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
@@ -379,12 +379,50 @@ def test_full_slice_matches_reference_columns(r):
     assert sliced.keys() == reference.keys()  # zero exactly where the reference is
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 @pytest.mark.parametrize("eps", ["+", "-"])
 @pytest.mark.parametrize("form", ["braid", "plain"])
 def test_sector_slice_matches_reference_columns(r, eps, form):
     sliced, reference = assert_slice_matches_reference(sector_parts(r, eps, form), 2 ** (r - 1))
     assert sliced.keys() == reference.keys()
+
+
+def test_slice_forms_no_kronecker_matrix_on_the_triple_product(monkeypatch):
+    r = 3
+    leg = 2**r
+    parts = ybe.full_r_matrix_coefficients(r)
+    real = _backend.mat_kron
+    output_rows = []
+
+    def counted(a_rows, b_rows, b_dim):
+        out = real(a_rows, b_rows, b_dim)
+        output_rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(_backend, "mat_kron", counted)
+    ybe._sliced_braid_differences(parts, leg)
+    assert all(rows < leg**3 for rows in output_rows)
+
+
+def test_wrong_right_hand_triple_product_fails_with_a_D_witness(fresh_caches, monkeypatch):
+    # each K_abc is one call with its two triple products as terms; the first
+    # such call forms K_000, and an added term puts one wrong entry into its
+    # right-hand product (1 x R_c)(R_b x 1)(1 x R_a) only
+    real = ybe.leg_products
+    wrong = []
+
+    def perturbed(terms, b_dim):
+        if len(terms) == 2 and not wrong:
+            identity = ({k: {k: 1} for k in range(b_dim)}, {})
+            terms = [*terms, (-1, ({0: {1: 1}}, {}), identity, 1)]
+            wrong.append(terms)
+        return real(terms, b_dim)
+
+    monkeypatch.setattr(ybe, "leg_products", perturbed)
+    record = ybe.ybe_identity_check(2, "+")
+    assert len(wrong) == 1
+    assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
+    assert record.checks[-1].witness.startswith("D_(0, 0) is nonzero on the slice: first differing entry")
 
 
 @pytest.mark.parametrize("r", [2, 3])
