@@ -32,17 +32,40 @@ def mat_mul(a_rows, b_rows):
     return out
 
 
-def mat_kron(a_rows, b_rows, b_dim):
-    """Kronecker product; left factor indexes the slow (leading) legs."""
+def mat_kron(terms, b_dim):
+    """Sum of c * a (x) b over the terms (nonzero int c, a_rows, b_rows),
+    each b b_dim-square; a indexes the slow (leading) legs.  No Kronecker matrix is
+    formed per term: each is added row by row into the output as it is
+    formed, and only a row in which a sum of contributions came to zero is
+    filtered.
+    """
     out = {}
-    for i1, arow in a_rows.items():
-        for i2, brow in b_rows.items():
-            row = {}
-            for j1, a in arow.items():
-                base = j1 * b_dim
-                for j2, b in brow.items():
-                    row[base + j2] = a * b
-            out[i1 * b_dim + i2] = row
+    zeroed = set()  # rows in which a sum came to zero
+    for c, a_rows, b_rows in terms:
+        for i1, arow in a_rows.items():
+            scaled = [(j1 * b_dim, c * a) for j1, a in arow.items()]
+            for i2, brow in b_rows.items():
+                i = i1 * b_dim + i2
+                row = out.get(i)
+                if row is None:
+                    out[i] = {base + j2: a * b for base, a in scaled for j2, b in brow.items()}
+                    continue
+                for base, a in scaled:
+                    for j2, b in brow.items():
+                        col = base + j2
+                        v = row.get(col)
+                        if v is None:
+                            row[col] = a * b
+                        else:
+                            row[col] = v = v + a * b
+                            if not v:
+                                zeroed.add(i)
+    for i in zeroed:
+        row = {j: v for j, v in out[i].items() if v}
+        if row:
+            out[i] = row
+        else:
+            del out[i]
     return out
 
 

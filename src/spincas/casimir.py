@@ -24,10 +24,10 @@ from .linalg import (
     PowerTable,
     elementary_products,
     kron,
+    kron_sum,
     lincomb,
     poly_eval,
     sum_at_scale,
-    sum_of_kron_squares,
 )
 from .oracles import c2_closed_form, casimir_contraction, inverse_metric_diagonal
 from .records import VerificationRecord
@@ -47,7 +47,7 @@ def split_casimir_rho(r: int) -> SplitCasimir:
     """-1/(2(N-2)) sum_{i<j} rho(M_ij) (x) rho(M_ij) with N = 2r."""
     if r < 2:
         raise ValueError("rank must be at least 2")
-    total = sum_of_kron_squares(rotation_generators(r))
+    total = kron_sum([(1, g, g) for g in rotation_generators(r)])
     return SplitCasimir(r=r, matrix=total * inverse_metric_diagonal(2 * r))
 
 
@@ -265,7 +265,7 @@ def ad_invariance_check(r: int) -> VerificationRecord:
     def failures():
         yield from closure_failures(r, chain)
         for pair, g in zip(chain_pairs(r), chain):
-            diag = kron(g, ident) + kron(ident, g)
+            diag = kron_sum([(1, g, ident), (1, ident, g)])
             if diag @ c != c @ diag:
                 yield f"C does not commute with the diagonal action of L_{pair}"
 
@@ -287,9 +287,9 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     # d = g (x) 1 + 1 (x) g has integer entries over the scale of g, so every
     # d @ d is an integer matrix over the square of that scale
     den = lcm(*((g.scale * g.scale).denominator for g in gens))
-    diags = (kron(g, ident) + kron(ident, g) for g in gens)
+    diags = (kron_sum([(1, g, ident), (1, ident, g)]) for g in gens)
     c2_diag = sum_at_scale(dim * dim, (d @ d for d in diags), den) * coeff
-    rhs = kron(c2_single, ident) + kron(ident, c2_single) + split_casimir_rho(r).matrix * 2
+    rhs = kron_sum([(1, c2_single, ident), (1, ident, c2_single)]) + split_casimir_rho(r).matrix * 2
     record.add_equal("coproduct-split", c2_diag, rhs)
     spinor_c2 = c2_closed_form("Delta_plus", r)
     record.add("single-space-casimir-scalar", c2_single == ident * spinor_c2)

@@ -60,6 +60,7 @@ def _bounded_int(what: str, low: int, high: int):
 
 _rank = _bounded_int("rank", 2, 6)
 _rungs = _bounded_int("rung count", 0, colour.MAX_RUNGS)
+_jobs = _bounded_int("job count", 1, 1024)
 
 
 def _spectral(text: str):
@@ -81,8 +82,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--r", type=_rank, default=2, help="rank (2..6)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="output path (default: stdout or $SPINCAS_OUT)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for interface compatibility; execution is sequential")
+        p.add_argument("--jobs", type=_jobs, default=1,
+                       help="1..1024, accepted for interface compatibility; execution is sequential")
         return p
 
     common(sub.add_parser("gamma", help="gamma-matrix integrity checks"))

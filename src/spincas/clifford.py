@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Iterator
 
-from .linalg import ExactMatrix, kron
+from .linalg import ExactMatrix, NotABasisMap, kron
 from .records import VerificationRecord
 from .scalar import ExactScalar, Rat, rat
 
@@ -198,28 +199,72 @@ def chain_generators(r: int, gens=None) -> tuple[ExactMatrix, ...]:
     return tuple(by_pair[pair] for pair in chain_pairs(r))
 
 
+def _ray(images, phases):
+    """The key shared by the nonzero complex multiples of a basis map: its
+    phases times the conjugate of the first phase, divided by the gcd of all
+    their parts.  The key is itself such a multiple of the map.
+    """
+    x0, y0 = phases[0]
+    # (x + i y)(x0 - i y0) = (x x0 + y y0) + i (y x0 - x y0)
+    turned = [(x * x0 + y * y0, y * x0 - x * y0) for x, y in phases]
+    g = gcd(*(v for phase in turned for v in phase))
+    return images, tuple((x // g, y // g) for x, y in turned)
+
+
+def _commutator(a, b):
+    """a b - b a of two basis maps (images, phases), or None when it is not
+    a basis map: the products send some e_j to two basis vectors, or to the
+    same multiple of one.
+    """
+    (a_im, a_ph), (b_im, b_ph) = a, b
+    phases = []
+    for j, (aj, bj) in enumerate(zip(a_im, b_im)):
+        if a_im[bj] != b_im[aj]:
+            return None
+        # (a b) e_j = b_ph[j] a_ph[bj] e_k and (b a) e_j = a_ph[j] b_ph[aj] e_k
+        (p, q), (s, t) = b_ph[j], a_ph[bj]
+        (u, v), (w, z) = a_ph[j], b_ph[aj]
+        x, y = p * s - q * t - u * w + v * z, p * t + q * s - u * z - v * w
+        if not (x or y):
+            return None
+        phases.append((x, y))
+    return tuple(a_im[bj] for bj in b_im), tuple(phases)
+
+
 def closure_failures(r: int, chain) -> Iterator[str]:
     """Witness against: iterated commutators of the chain matrices reach
     every rotation generator rho(L_ab) up to a nonzero scalar.
 
-    The search only follows commutators that are such multiples, so it
-    stays among the r(2r-1) generators; it yields at most one witness.
+    The rotation generators are basis maps (each sends every basis vector to
+    a nonzero multiple of one basis vector), so a chain matrix must be one
+    too, and the search runs on the maps.  It only follows commutators that
+    are again basis maps and multiples of a generator, so it stays among the
+    r(2r-1) generators; it yields at most one witness.
     """
-    targets = {g.ray(): pair for pair, g in zip(generator_pairs(r), rotation_generators(r))}
+    maps = []
+    for k, m in enumerate(chain, start=1):
+        try:
+            maps.append(m.basis_map())
+        except NotABasisMap as exc:
+            yield f"chain generator {k} of {len(chain)} {exc}"
+            return
+    targets = {_ray(*g.basis_map()): pair for pair, g in zip(generator_pairs(r), rotation_generators(r))}
     reached = set()
 
     def new_generators(candidates):
         found = []
         for m in candidates:
-            key = m.ray()
+            if m is None:
+                continue
+            key = _ray(*m)
             if key in targets and key not in reached:
                 reached.add(key)
-                found.append(m)
+                found.append(key)
         return found
 
-    frontier = new_generators(chain)
+    frontier = new_generators(maps)
     while frontier:
-        frontier = new_generators(x @ g - g @ x for x in frontier for g in chain)
+        frontier = new_generators(_commutator(x, g) for x in frontier for g in maps)
     missed = [pair for key, pair in targets.items() if key not in reached]
     if missed:
         yield (

@@ -23,7 +23,7 @@ index is i1 * d2 + i2.  Legs are numbered from 1, left to right.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import _backend
@@ -119,6 +119,23 @@ def _product(f, a: tuple, b: tuple) -> tuple:
     return re, im
 
 
+def _part_terms(terms) -> tuple[list, list]:
+    """The real and the imaginary part of a sum of c * x * y over the terms
+    (c, x, y, *rest), with x and y integer parts (re, im) and * a real
+    bilinear kernel, as two lists of kernel terms (k, x_part, y_part, *rest);
+    a product with an empty part is left out.
+    """
+    re_terms: list = []
+    im_terms: list = []
+    for c, (xr, xi), (yr, yi), *rest in terms:
+        # (xr + i xi)(yr + i yi) = (xr yr - xi yi) + i (xr yi + xi yr)
+        products = ((re_terms, c, xr, yr), (re_terms, -c, xi, yi), (im_terms, c, xr, yi), (im_terms, c, xi, yr))
+        for out, k, x, y in products:
+            if x and y:
+                out.append((k, x, y, *rest))
+    return re_terms, im_terms
+
+
 def _apply(columns: tuple, vec: dict) -> dict:
     """(re + i*im) v for an integer vector v = {index: (x, y)}, given the
     transposed parts ``columns`` = (re^T, im^T); only the columns in the
@@ -135,6 +152,14 @@ def _apply(columns: tuple, vec: dict) -> dict:
             ox[i] = ox.get(i, 0) - a * y
             oy[i] = oy.get(i, 0) + a * x
     return {i: (x, oy[i]) for i, x in ox.items() if x or oy[i]}
+
+
+class NotABasisMap(ValueError):
+    """A column of a matrix is not a nonzero multiple of one basis vector."""
+
+    def __init__(self, column: int):
+        super().__init__(f"does not send e_{column} to a nonzero multiple of one basis vector")
+        self.column = column
 
 
 class TensorShape:
@@ -269,18 +294,28 @@ class ExactMatrix:
         x, y = (sum(row.get(i, 0) for i, row in part.items()) for part in (self._re, self._im))
         return ExactScalar(self.scale * x, self.scale * y)
 
-    def ray(self):
-        """A hashable key shared by the nonzero complex multiples of this
-        matrix; None for the zero matrix.
-
-        Multiplying by the conjugate of the first entry makes that entry
-        positive and real; the canonical form then fixes the multiple.
+    def basis_map(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """(images, phases) of a matrix that sends each basis vector e_j to
+        a nonzero multiple of one basis vector: e_j goes to scale * (x + i*y)
+        e_images[j] with the Gaussian integer (x, y) = phases[j].  Otherwise
+        ``NotABasisMap`` names the first column that is not such a multiple.
         """
-        if not self:
-            return None
-        _, _, a, b = next(_entries(self._re, self._im))
-        m = self * ExactScalar(a, -b)
-        return tuple(_entries(m._re, m._im))
+        re, im = self._re, self._im
+        image: dict = {}
+        spread = set()  # columns with entries in more than one row
+        for part in (re, im):
+            for i, row in part.items():
+                for j in row:
+                    if image.setdefault(j, i) != i:
+                        spread.add(j)
+        for j in range(self.dim):
+            if j not in image or j in spread:
+                raise NotABasisMap(j)
+        images = tuple(image[j] for j in range(self.dim))
+        phases = tuple(
+            (re.get(i, _NO_ROW).get(j, 0), im.get(i, _NO_ROW).get(j, 0)) for j, i in enumerate(images)
+        )
+        return images, phases
 
     def rank(self) -> int:
         """Exact rank, by fraction-free elimination over Z: of the nonzero
@@ -425,8 +460,30 @@ class ScaledSum:
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product; a acts on the leading (slow) leg."""
-    re, im = _product(lambda x, y: _backend.mat_kron(x, y, b.dim), (a._re, a._im), (b._re, b._im))
-    return ExactMatrix._make(a.dim * b.dim, a.scale * b.scale, re, im)
+    return kron_sum([(1, a, b)])
+
+
+def kron_sum(terms) -> ExactMatrix:
+    """sum of c * a (x) b over the terms (c, a, b), c rational and a acting
+    on the leading (slow) leg.
+
+    The coefficients times the scales of a and b are brought to one common
+    denominator; each nonzero part of the sum is then one kernel call over
+    all the terms, so no Kronecker matrix is formed per term.
+    """
+    terms = [(Rat(c) * a.scale * b.scale, a, b) for c, a, b in terms]
+    a_dims, b_dims = {a.dim for _, a, _ in terms}, {b.dim for _, _, b in terms}
+    if len(a_dims) != 1 or len(b_dims) != 1:
+        raise ValueError("dimension mismatch in Kronecker sum")
+    (a_dim,), (b_dim,) = a_dims, b_dims
+    terms = [(s, a, b) for s, a, b in terms if s and a and b]
+    if not terms:
+        return ExactMatrix.zero(a_dim * b_dim)
+    den = lcm(*(s.denominator for s, _, _ in terms))
+    g = gcd(*(s.numerator for s, _, _ in terms))  # kept in the scale, out of the kernel
+    parts = _part_terms((_int(s, den) // g, (a._re, a._im), (b._re, b._im)) for s, a, b in terms)
+    re, im = (_backend.mat_kron(t, b_dim) if t else {} for t in parts)
+    return ExactMatrix._make(a_dim * b_dim, Rat(g, den), re, im)
 
 
 def integer_parts(matrices: Sequence[ExactMatrix]) -> tuple[int, list]:
@@ -445,15 +502,7 @@ def leg_products(terms, b_dim: int) -> tuple:
     identity on the legs before and after them.  One kernel call per nonzero
     part of the result; no Kronecker matrix is formed.
     """
-    re_terms: list = []
-    im_terms: list = []
-    for c, (ar, ai), (br, bi), inner in terms:
-        # (ar + i ai)(br + i bi) = (ar br - ai bi) + i (ar bi + ai br)
-        products = ((re_terms, c, ar, br), (re_terms, -c, ai, bi), (im_terms, c, ar, bi), (im_terms, c, ai, br))
-        for out, s, x, y in products:
-            if x and y:
-                out.append((s, x, y, inner))
-    return tuple(_backend.mat_mul_leg(t, b_dim) if t else {} for t in (re_terms, im_terms))
+    return tuple(_backend.mat_mul_leg(t, b_dim) if t else {} for t in _part_terms(terms))
 
 
 def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMatrix:
@@ -467,18 +516,6 @@ def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMa
             raise ValueError(f"cannot add a dim-{m.dim} matrix of scale {m.scale} at scale 1/{den}")
         total.add(c.numerator, 0, (m._re, m._im))
     return total.matrix()
-
-
-def sum_of_kron_squares(factors: Sequence[ExactMatrix]) -> ExactMatrix:
-    """sum of kron(g, g) over the factors, as one kernel call.
-
-    The Kronecker squares are built one at a time while the kernel adds
-    them, so no more than one of them is held at once.
-    """
-    dim = factors[0].dim
-    # kron(g, g) is an integer matrix over the square of the scale of g
-    den = lcm(*((g.scale * g.scale).denominator for g in factors))
-    return sum_at_scale(dim * dim, (kron(g, g) for g in factors), den)
 
 
 def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ...]:

@@ -39,10 +39,12 @@ from .casimir import invariant_I, sector_indices, split_casimir_rho
 from .clifford import build_gamma, chain_generators, chain_pairs, half_spinor_blocks
 from .linalg import (
     ExactMatrix,
+    NotABasisMap,
     ScaledSum,
     first_difference,
     integer_parts,
     kron,
+    kron_sum,
     leg_products,
     lincomb,
     permutation_operator,
@@ -219,7 +221,7 @@ def _commutation_failures(parts, symmetries, leg: int):
     """
     ident = ExactMatrix.identity(leg)
     for label, g, lie in symmetries:
-        action = kron(g, ident) + kron(ident, g) if lie else kron(g, g)
+        action = kron_sum([(1, g, ident), (1, ident, g)]) if lie else kron(g, g)
         for d, part in enumerate(parts):
             lhs, rhs = part @ action, action @ part
             if lhs != rhs:
@@ -235,14 +237,11 @@ def _orbit_failures(symmetries, leg: int):
     """
     images = []
     for label, g, _ in symmetries:
-        columns: dict = {}
-        for i, j in g.support():
-            columns.setdefault(j, []).append(i)
-        for j in range(leg):
-            if len(columns.get(j, ())) != 1:
-                yield f"{label} does not send e_{j} to a nonzero multiple of one basis vector"
-                return
-        images.append({j: rows[0] for j, rows in columns.items()})
+        try:
+            images.append(g.basis_map()[0])
+        except NotABasisMap as exc:
+            yield f"{label} {exc}"
+            return
     reached, frontier = {0}, [0]
     while frontier:
         frontier = [image[j] for j in frontier for image in images if image[j] not in reached]
@@ -613,7 +612,8 @@ def chirality_split_check(r: int) -> VerificationRecord:
     record = VerificationRecord(name=f"chirality-split r={r}")
     gamma = build_gamma(r)
     dim = 4**r
-    sym = (ExactMatrix.identity(dim) + kron(gamma.chirality, gamma.chirality)) * Rat(1, 2)
+    ident = ExactMatrix.identity(2**r)
+    sym = kron_sum([(Rat(1, 2), ident, ident), (Rat(1, 2), gamma.chirality, gamma.chirality)])
     anti = ExactMatrix.identity(dim) - sym
     record.add("projector-resolution", sym + anti == ExactMatrix.identity(dim))
     record.add("projector-idempotent", sym @ sym == sym)

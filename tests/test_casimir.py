@@ -4,11 +4,11 @@ from math import factorial
 
 import pytest
 
-from spincas import casimir, linalg
-from spincas.clifford import antisym_gamma, build_gamma, chain_generators
+from spincas import _backend, casimir, linalg
+from spincas.clifford import antisym_gamma, build_gamma, chain_generators, rotation_generators
 
 CHAIN_GENERATORS = chain_generators
-from spincas.linalg import ExactMatrix, sum_of_kron_squares
+from spincas.linalg import ExactMatrix, kron_sum
 from spincas.scalar import Rat
 
 
@@ -81,6 +81,34 @@ def test_ad_invariance_fails_without_one_chain_generator(monkeypatch):
     assert "chain generators reach" in record.checks[0].witness
 
 
+def test_kronecker_sums_make_one_kernel_call_per_nonzero_part(monkeypatch):
+    # each g = rho(M_ij) is real or imaginary, so g (x) g is real: C is one
+    # call over all r(2r-1) generators, and g (x) 1 + 1 (x) g and
+    # C2 (x) 1 + 1 (x) C2 are one call each over their two terms
+    real = _backend.mat_kron
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for r in (3, 4):
+        rotation_generators(r)  # built before the count
+    casimir.split_casimir_rho.cache_clear()
+    monkeypatch.setattr(_backend, "mat_kron", counted)
+    try:
+        casimir.split_casimir_rho(4)
+        assert len(calls) == 1
+        assert [len(terms) for terms, _ in calls] == [28]
+        casimir.split_casimir_rho(3)
+        calls.clear()
+        assert casimir.coproduct_consistency(3).ok
+        assert len(calls) == 16
+        assert [len(terms) for terms, _ in calls] == [2] * 16
+    finally:
+        casimir.split_casimir_rho.cache_clear()
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_coproduct_consistency(r):
     assert casimir.coproduct_consistency(r).ok
@@ -118,7 +146,7 @@ def _old_invariant_I(r, k):
     gammas = [antisym_gamma(rep, idx) for idx in combinations(range(1, 2 * r + 1), k)]
     if not gammas:
         return ExactMatrix.zero(4**r)
-    return sum_of_kron_squares(gammas) * factorial(k)
+    return kron_sum([(1, g, g) for g in gammas]) * factorial(k)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

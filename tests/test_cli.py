@@ -349,6 +349,18 @@ def test_jobs_flag_accepted(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_is_refused_before_work(capsys, monkeypatch, jobs):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a refused job count")
+
+    monkeypatch.setattr(report, "run_suite", no_work)
+    code, out, err = run(capsys, "gamma", "--r", "2", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "job count must be an integer in 1..1024" in err
+
+
 def test_empty_suites_report(capsys):
     code, out, _ = run(capsys, "report", "--r", "2", "--suites", "")
     assert code == 0

@@ -1,6 +1,6 @@
 import pytest
 
-from spincas import oracles
+from spincas import casimir, oracles
 from spincas.clifford import (
     antisym_gamma,
     build_gamma,
@@ -16,6 +16,7 @@ from spincas.clifford import (
     rotation_generators,
 )
 from spincas.linalg import ExactMatrix
+from spincas.records import FAIL
 from spincas.scalar import ExactScalar, Rat
 
 
@@ -144,7 +145,33 @@ def test_closure_fails_without_one_chain_generator(drop):
     r = 3
     chain = list(chain_generators(r))
     del chain[drop]
+    reached, missed = {0: (10, "(1, 2)"), 2: (6, "(1, 4)"), -1: (10, "(1, 6)")}[drop]
     witnesses = list(closure_failures(r, chain))
-    assert len(witnesses) == 1
-    assert witnesses[0].startswith("iterated commutators of 4 chain generators reach")
-    assert witnesses[0].endswith("is missed")
+    assert witnesses == [
+        f"iterated commutators of 4 chain generators reach {reached} of 15 rotation generators; "
+        f"L_{missed} is missed"
+    ]
+
+
+def test_closure_fails_on_a_chain_matrix_that_is_no_basis_map(monkeypatch):
+    # the commutators of the other four still reach every generator, so only
+    # the basis-map premise catches a sum of two chain generators
+    r = 3
+    chain = list(chain_generators(r))
+    chain[0] = chain[0] + chain[1]
+    witness = "chain generator 1 of 5 does not send e_0 to a nonzero multiple of one basis vector"
+    assert list(closure_failures(r, chain)) == [witness]
+    monkeypatch.setattr(casimir, "chain_generators", lambda rank: tuple(chain))
+    record = casimir.ad_invariance_check(r)
+    assert [(c.status, c.witness) for c in record.checks] == [(FAIL, witness)]
+
+
+@pytest.mark.parametrize("factor", [ExactScalar(0, 1), ExactScalar(3), ExactScalar(Rat(-1, 2), 1)])
+@pytest.mark.parametrize("k", [0, 3])
+def test_closure_holds_for_a_chain_generator_times_a_scalar(monkeypatch, factor, k):
+    r = 3
+    chain = list(chain_generators(r))
+    chain[k] = chain[k] * factor
+    assert list(closure_failures(r, chain)) == []
+    monkeypatch.setattr(casimir, "chain_generators", lambda rank: tuple(chain))
+    assert casimir.ad_invariance_check(r).ok

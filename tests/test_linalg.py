@@ -142,20 +142,6 @@ def test_first_difference():
 
 
 
-scalars = st.builds(ExactScalar, st.integers(-4, 4).map(Rat), st.integers(-4, 4).map(Rat))
-
-
-@settings(max_examples=60)
-@given(small_matrix(), scalars, small_matrix())
-def test_ray_is_shared_by_the_nonzero_multiples_only(m, c, other):
-    if not c:
-        assert (m * c).ray() is None
-        return
-    assert (m * c).ray() == m.ray()
-    proportional = any(other * (m[i, j] / value) == m for i, j, value in other.items() if m[i, j])
-    assert (other.ray() == m.ray()) == (proportional or (m.is_zero() and other.is_zero()))
-
-
 def test_sum_at_scale():
     a = ExactMatrix(2, {(0, 1): Rat(1, 2), (1, 1): 1})
     b = ExactMatrix(2, {(0, 1): Rat(-1, 2), (1, 0): Rat(3, 4)})

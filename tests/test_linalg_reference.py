@@ -320,6 +320,65 @@ def test_parts_kron(a, b):
     assert_matches(kron(a, b), ref_kron(dense(a), dense(b)))
 
 
+def ref_kron_sum(terms, b_dim):
+    """sum of c * a (x) b over the terms (c, a, b), each product built entry
+    by entry; zero sums are left out.
+    """
+    total = {}
+    for c, a, b in terms:
+        for i1, arow in a.items():
+            for j1, x in arow.items():
+                for i2, brow in b.items():
+                    for j2, y in brow.items():
+                        key = (i1 * b_dim + i2, j1 * b_dim + j2)
+                        total[key] = total.get(key, 0) + c * x * y
+    rows = {}
+    for (i, j), v in total.items():
+        if v:
+            rows.setdefault(i, {})[j] = v
+    return rows
+
+
+@st.composite
+def kron_cases(draw):
+    """(terms, b_dim, cancelled row): one to three terms (c, a, b) of sparse
+    int rows, and when drawn a last term that cancels the product of the
+    first in one row, a row of a that no other term has, so that row of the
+    sum vanishes.
+    """
+    a_dim, b_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ints = st.integers(-3, 3)
+
+    def rows(dim):
+        row = st.dictionaries(st.integers(0, dim - 1), ints, max_size=dim)
+        drawn = draw(st.dictionaries(st.integers(0, dim - 1), row))
+        return {i: r for i, row in drawn.items() if (r := {j: v for j, v in row.items() if v})}
+
+    terms = [(draw(ints.filter(bool)), rows(a_dim), rows(b_dim)) for _ in range(draw(st.integers(1, 3)))]
+    cancelled = None
+    if draw(st.booleans()):
+        c, a, b = terms[0]
+        i1, i2 = a_dim, draw(st.integers(0, b_dim - 1))
+        a[i1] = {draw(st.integers(0, a_dim - 1)): draw(ints.filter(bool))}
+        b[i2] = b.get(i2) or {draw(st.integers(0, b_dim - 1)): draw(ints.filter(bool))}
+        terms.append((-c, {i1: a[i1]}, {i2: b[i2]}))
+        cancelled = i1 * b_dim + i2
+    return terms, b_dim, cancelled
+
+
+@settings(max_examples=150, deadline=None)
+@given(kron_cases())
+def test_kron_kernel_matches_the_sum_of_single_products(case):
+    terms, b_dim, cancelled = case
+    got = _backend.mat_kron(terms, b_dim)
+    assert got == ref_kron_sum(terms, b_dim)
+    assert all(row and all(type(v) is int and v for v in row.values()) for row in got.values())
+    if cancelled is not None:
+        assert cancelled not in got
+    for c, a, b in terms:
+        assert _backend.mat_kron([(c, a, b)], b_dim) == ref_kron_sum([(c, a, b)], b_dim)
+
+
 @st.composite
 def leg_cases(draw):
     """(terms, b_dim, layouts, cancelling row): one or two terms (c, a, b,
@@ -362,8 +421,8 @@ def test_mul_leg_kernel_matches_kron_then_mul(case):
     terms, b_dim, layouts, cancelling = case
     products = []
     for (c, a, b, inner), outer in zip(terms, layouts):
-        factor = _backend.mat_kron(identity_rows(outer), b, b_dim)
-        factor = _backend.mat_kron(factor, identity_rows(inner), inner)
+        factor = _backend.mat_kron([(1, identity_rows(outer), b)], b_dim)
+        factor = _backend.mat_kron([(1, factor, identity_rows(inner))], inner)
         products.append((c, _backend.mat_mul(a, factor)))
     expected = _backend.mat_lincomb(products)
     assert _backend.mat_mul_leg(terms, b_dim) == expected

@@ -394,8 +394,8 @@ def test_slice_forms_no_kronecker_matrix_on_the_triple_product(monkeypatch):
     real = _backend.mat_kron
     output_rows = []
 
-    def counted(a_rows, b_rows, b_dim):
-        out = real(a_rows, b_rows, b_dim)
+    def counted(terms, b_dim):
+        out = real(terms, b_dim)
         output_rows.append(len(out))
         return out
 
