@@ -78,27 +78,27 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"spincas {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=("json", "csv")):
         p.add_argument("--r", type=_rank, default=2, help="rank (2..6)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="output path (default: stdout or $SPINCAS_OUT)")
         p.add_argument("--jobs", type=_jobs, default=1,
                        help="1..1024, accepted for interface compatibility; execution is sequential")
         return p
 
     common(sub.add_parser("gamma", help="gamma-matrix integrity checks"))
-    common(sub.add_parser("oracle", help="independent algebra oracles"))
+    common(sub.add_parser("oracle", help="independent algebra oracles"), ("json",))
     common(sub.add_parser("invariants", help="invariant recurrences and polynomial tables"))
     spectra_p = common(sub.add_parser("spectra", help="spectral suite or eigenvalue tables"))
     spectra_p.add_argument("--tables", action="store_true",
                            help="emit the eigenvalue/multiplicity CSV table only")
 
-    colour_p = common(sub.add_parser("colour", help="ladder colour factors"))
+    colour_p = common(sub.add_parser("colour", help="ladder colour factors"), ("json",))
     colour_p.add_argument("--L", type=_rungs, default=2, help=f"rung count (0..{colour.MAX_RUNGS})")
     colour_p.add_argument("--sector", choices=tuple(REVERSE_SECTOR_LABELS), default="pp")
     colour_p.add_argument("--closure", choices=("full", "partial", "open"), default="full")
 
-    ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter verification"))
+    ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter verification"), ("json",))
     ybe_p.add_argument("--mode", choices=("sector", "full"), default="sector")
     ybe_p.add_argument("--form", choices=("plain", "braid"), default="braid")
     ybe_p.add_argument("--u", type=_spectral, help="spectral parameter, e.g. 2/3")
@@ -113,15 +113,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _single_suite_report(args, suites: tuple[str, ...]) -> tuple[str, int]:
-    cfg = report.SuiteConfig(r_min=args.r, r_max=args.r, suites=suites)
+def _suite_report(args, suites: tuple[str, ...], r_max: int) -> tuple[str, int]:
+    try:
+        cfg = report.SuiteConfig(r_min=args.r, r_max=r_max, suites=suites)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     result = report.run_suite(cfg)
     return report.render_report(result, args.format), 0 if result["ok"] else 1
 
 
 def _run_command(args) -> tuple[str, int]:
     if args.command in ("gamma", "invariants"):
-        return _single_suite_report(args, (args.command,))
+        return _suite_report(args, (args.command,), args.r)
 
     if args.command == "oracle":
         records = report.oracle_suite(args.r)
@@ -137,7 +140,7 @@ def _run_command(args) -> tuple[str, int]:
         if args.tables or args.format == "csv":
             tables, ok = report.emit_tables(args.r)
             return tables, 0 if ok else 1
-        return _single_suite_report(args, ("spectra",))
+        return _suite_report(args, ("spectra",), args.r)
 
     if args.command == "colour":
         closure = {"full": "full_trace", "partial": "partial_trace", "open": "open"}
@@ -155,14 +158,8 @@ def _run_command(args) -> tuple[str, int]:
         return _run_ybe(args)
 
     if args.command == "report":
-        r_max = args.r_max if args.r_max is not None else args.r
         suites = tuple(s for s in args.suites.split(",") if s)
-        try:
-            cfg = report.SuiteConfig(r_min=args.r, r_max=r_max, suites=suites)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        result = report.run_suite(cfg)
-        return report.render_report(result, args.format), 0 if result["ok"] else 1
+        return _suite_report(args, suites, args.r if args.r_max is None else args.r_max)
 
     raise _UsageError(f"unknown command {args.command!r}")
 
@@ -170,29 +167,24 @@ def _run_command(args) -> tuple[str, int]:
 def _run_ybe(args) -> tuple[str, int]:
     if args.mode == "full" and args.form == "plain":
         raise _UsageError("--mode full checks the braid form only; --form plain needs --mode sector")
-    grid = args.grid or (args.u is None and args.v is None)
-    if grid:
+    if args.grid or (args.u is None and args.v is None):
         pairs = ybe.grid_points(args.r)
     elif args.u is not None and args.v is not None:
         pairs = [(args.u, args.v)]
     else:
         raise _UsageError("provide both --u and --v, or use --grid")
 
-    if args.mode == "sector":
+    if args.mode == "full":
+        record = ybe.full_ybe_check(args.r, pairs)
+    else:
         family = ybe.sector_r_matrix(args.r, "+", args.form)
         for u, v in pairs:
             if family.ybe_pole(u, v):
                 raise _UsageError(
                     f"(u, v) = ({u}, {v}) is at a pole of the {args.form} sector family"
                 )
-        if args.form == "braid":
-            record = ybe.ybe_check(args.r, "+", "braid", pairs)
-        else:
-            record = ybe.plain_ybe_spot_check(args.r, "+", pairs)
-    elif grid:
-        record = ybe.full_ybe_check(args.r)
-    else:
-        record = ybe.full_ybe_spot_check(args.r, pairs)
+        verify = ybe.ybe_check if args.form == "braid" else ybe.plain_ybe_spot_check
+        record = verify(args.r, "+", pairs)
 
     points, failures = [], []
     for check, (u, v) in zip(record.checks, pairs):

@@ -16,6 +16,7 @@ from math import gcd
 from typing import Iterator
 
 from .linalg import ExactMatrix, NotABasisMap, kron
+from .oracles import basis_pairs
 from .records import VerificationRecord
 from .scalar import ExactScalar, Rat, rat
 
@@ -171,16 +172,7 @@ def rotation_generators(r: int) -> tuple[ExactMatrix, ...]:
     antisymmetrized product of generators i and j.
     """
     rep = build_gamma(r)
-    half = Rat(1, 2)
-    out = []
-    for i in range(1, 2 * r + 1):
-        for j in range(i + 1, 2 * r + 1):
-            out.append(antisym_gamma(rep, (i, j)) * half)
-    return tuple(out)
-
-
-def generator_pairs(r: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, 2 * r + 1) for j in range(i + 1, 2 * r + 1)]
+    return tuple(antisym_gamma(rep, pair) * Rat(1, 2) for pair in basis_pairs(2 * r))
 
 
 def chain_pairs(r: int) -> list[tuple[int, int]]:
@@ -190,12 +182,12 @@ def chain_pairs(r: int) -> list[tuple[int, int]]:
 
 def chain_generators(r: int, gens=None) -> tuple[ExactMatrix, ...]:
     """The images of L_(i,i+1), i = 1..2r-1, picked from gens, a tuple in
-    generator_pairs order (default: rotation_generators(r)).
+    basis_pairs(2r) order (default: rotation_generators(r)).
 
     Each is half a product of two generators, so it sends every basis vector
     to a multiple of one basis vector.
     """
-    by_pair = dict(zip(generator_pairs(r), rotation_generators(r) if gens is None else gens))
+    by_pair = dict(zip(basis_pairs(2 * r), rotation_generators(r) if gens is None else gens))
     return tuple(by_pair[pair] for pair in chain_pairs(r))
 
 
@@ -248,7 +240,7 @@ def closure_failures(r: int, chain) -> Iterator[str]:
         except NotABasisMap as exc:
             yield f"chain generator {k} of {len(chain)} {exc}"
             return
-    targets = {_ray(*g.basis_map()): pair for pair, g in zip(generator_pairs(r), rotation_generators(r))}
+    targets = {_ray(*g.basis_map()): pair for pair, g in zip(basis_pairs(2 * r), rotation_generators(r))}
     reached = set()
 
     def new_generators(candidates):

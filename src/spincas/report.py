@@ -20,7 +20,7 @@ SUITES = ("gamma", "oracle", "invariants", "spectra", "colour", "ybe")
 SECTOR_LABELS = {"++": "pp", "+-": "pm", "-+": "mp", "--": "mm"}
 
 # triple-product sweeps grow as 8^r; these caps keep the suite at desk scale
-YBE_SECTOR_MAX_R = 5
+YBE_SECTOR_MAX_R = 6
 YBE_FULL_MAX_R = 4
 SPECTRA_FULL_CROSSCHECK_MAX_R = 4
 
@@ -32,6 +32,8 @@ class SuiteConfig:
     suites: tuple[str, ...] = SUITES
 
     def __post_init__(self):
+        if not self.suites:
+            raise ValueError("no suite selected")
         if not 2 <= self.r_min <= self.r_max <= 6:
             raise ValueError("rank range must satisfy 2 <= min <= max <= 6")
         for suite in self.suites:
@@ -103,6 +105,7 @@ def ybe_suite(r: int) -> list[VerificationRecord]:
         records.append(ybe.unitarity_check(r, "+"))
         records.append(ybe.unitarity_check(r, "-"))
         records.append(ybe.symmetry_check(r, "+"))
+        records.append(ybe.swap_relation_check(r, "+"))
         us, vs = ybe.admissible_grid(r)
         records.append(ybe.plain_ybe_spot_check(r, "+", [(us[0], vs[0]), (us[1], vs[1])]))
         records.append(ybe.symmetric_part_factorization(r))

@@ -26,6 +26,10 @@ gamma_1 e (x) (gamma_1 (x) gamma_1) w, a D_ij that kills e (x) V (x) V also
 kills Le (x) V (x) V and gamma_1 e (x) V (x) V, so it kills everything.  A grid
 point passes when the premise holds and sum_ij u^i v^j D_ij vanishes on the
 slice; otherwise it is decided, with its witness, by direct products.
+
+The plain form R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) is the braid
+equation at (v, u) once the braid family is P times the plain one, which is
+checked as an identity in u.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import factorial
 
 from .casimir import invariant_I, sector_indices, split_casimir_rho
@@ -337,16 +342,22 @@ def _full_symmetries(r: int) -> list:
     return _chain_symmetries(r, chain_generators(r)) + [("gamma_1", gamma_1, False)]
 
 
-@lru_cache(maxsize=None)
-def _sector_braid_slice(r: int, eps: str, form: str) -> BraidFamily:
+def _sector_parts(r: int, eps: str, form: str) -> tuple[ExactMatrix, ...]:
     """One sector family, its tau denominators cleared by their lcm Q:
-    Q(u) R(u) = sum_d u^d S_d.
+    Q(u) R(u) = sum_d u^d S_d.  The two forms' taus differ only in sign.
     """
     family = sector_r_matrix(r, eps, form)
     terms = [(coeff, family.projector(label)) for label, coeff in family.terms]
+    return _degree_parts(4 ** (r - 1), terms)
+
+
+@lru_cache(maxsize=None)
+def _sector_braid_slice(r: int, eps: str) -> BraidFamily:
+    """The braid sector family, Q(u) R(u) = sum_d u^d S_d."""
+    family = sector_r_matrix(r, eps, "braid")
     return _braid_family(
-        f"yang-baxter-identity r={r} eps={eps} form={form}",
-        _degree_parts(4 ** (r - 1), terms),
+        f"yang-baxter-identity r={r} eps={eps} form=braid",
+        _sector_parts(r, eps, "braid"),
         _sector_symmetries(r, eps),
         2 ** (r - 1),
         family.evaluate,
@@ -354,58 +365,68 @@ def _sector_braid_slice(r: int, eps: str, form: str) -> BraidFamily:
     )
 
 
-def ybe_identity_check(r: int, eps: str = "+", form: str = "braid") -> VerificationRecord:
+def ybe_identity_check(r: int, eps: str = "+") -> VerificationRecord:
     """The braid equation of a sector family as an identity in (u, v): the
     equivariance premise and every D_ij vanishing on the slice.
     """
-    record = _sector_braid_slice(r, eps, form).record
+    record = _sector_braid_slice(r, eps).record
     return VerificationRecord(name=record.name, checks=list(record.checks))
 
 
-def ybe_point(r: int, eps: str, u, v, form: str = "braid"):
+def ybe_point(r: int, eps: str, u, v):
     """One braid Yang-Baxter point of a sector family; None signals a pole."""
     u, v = rat(u), rat(v)
-    if sector_r_matrix(r, eps, form).ybe_pole(u, v):
+    if sector_r_matrix(r, eps, "braid").ybe_pole(u, v):
         return None
-    return ybe_check(r, eps, form, [(u, v)]).ok
+    return ybe_check(r, eps, [(u, v)]).ok
 
 
-def ybe_check(r: int, eps: str = "+", form: str = "braid", points=None) -> VerificationRecord:
+def ybe_check(r: int, eps: str = "+", points=None) -> VerificationRecord:
     """The braid Yang-Baxter equation of a sector family at the given points,
     by default the admissible grid.
 
     That grid is pole-free by construction, so a pole hit is a failure.
     """
-    return _sector_braid_slice(r, eps, form).grid(
-        f"yang-baxter-grid r={r} eps={eps} form={form}",
+    return _sector_braid_slice(r, eps).grid(
+        f"yang-baxter-grid r={r} eps={eps} form=braid",
         grid_points(r) if points is None else points,
     )
 
 
-def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
-    """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u), direct products.
-
-    The plain form needs the leg-1/leg-3 embedding, so this is done by
-    explicit matrix products at a handful of points rather than on the grid.
+def swap_relation_check(r: int, eps: str) -> VerificationRecord:
+    """The braid family is P times the plain one, as an identity in u: the
+    same Q clears both forms, so it holds exactly when each cleared degree
+    part S_d of the braid form is P S_d of the plain form.
     """
+    swap = permutation_operator(2 ** (r - 1))
+    zero = ExactMatrix.zero(4 ** (r - 1))
+    parts = zip_longest(_sector_parts(r, eps, "braid"), _sector_parts(r, eps, "plain"), fillvalue=zero)
+    failures = (
+        f"S_{d} of the braid form is not P S_{d} of the plain form: {diff_witness(first_difference(lhs, rhs))}"
+        for d, (lhs, rhs) in enumerate((braid, swap @ plain) for braid, plain in parts)
+        if lhs != rhs
+    )
+    record = VerificationRecord(name=f"swap-relation r={r} eps={eps}")
+    record.add_first_failure("braid-parts-equal-swap-times-plain-parts", failures)
+    return record
+
+
+def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
+    """R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u), decided as the braid
+    point (v, u): given the swap relation, moving the swaps of the braid
+    sides to the left leaves P12 P23 P12 = P13 times the plain sides.
+    Without the relation every point fails with its witness.
+    """
+    points = [(rat(u), rat(v)) for u, v in points]
     record = VerificationRecord(name=f"plain-yang-baxter r={r} eps={eps}")
-    family = sector_r_matrix(r, eps, "plain")
-    half = 2 ** (r - 1)
-    ident = ExactMatrix.identity(half)
-    swap23 = kron(ident, permutation_operator(half))
-    for u, v in points:
-        u, v = rat(u), rat(v)
-        if family.ybe_pole(u, v):
-            record.add(f"point-u{u}-v{v}", False, "pole hit")
-            continue
-        r12_u = kron(family.evaluate(u), ident)
-        r12_v = kron(family.evaluate(v), ident)
-        r23_u = kron(ident, family.evaluate(u))
-        r23_v = kron(ident, family.evaluate(v))
-        r13 = swap23 @ kron(family.evaluate(u + v), ident) @ swap23
-        lhs = r12_u @ r13 @ r23_v
-        rhs = r23_v @ r13 @ r12_u
-        record.add_equal(f"point-u{u}-v{v}", lhs, rhs)
+    [relation] = swap_relation_check(r, eps).checks
+    if relation.status == PASS:
+        braid = _sector_braid_slice(r, eps).grid(record.name, [(v, u) for u, v in points])
+        outcomes = [(check.status == PASS, check.witness) for check in braid.checks]
+    else:
+        outcomes = [(False, relation.witness)] * len(points)
+    for (u, v), (passed, witness) in zip(points, outcomes):
+        record.add(f"point-u{u}-v{v}", passed, witness)
     return record
 
 
@@ -647,23 +668,11 @@ def full_ybe_identity_check(r: int) -> VerificationRecord:
     return VerificationRecord(name=record.name, checks=list(record.checks))
 
 
-def full_ybe_check(r: int) -> VerificationRecord:
-    """Braid Yang-Baxter for the full invariant-series R-matrix on the
-    admissible grid of the 2^r-leg triple product.
+def full_ybe_check(r: int, points=None) -> VerificationRecord:
+    """Braid Yang-Baxter for the full invariant-series R-matrix at the given
+    points of the 2^r-leg triple product, by default the admissible grid.
     """
-    return _full_braid_slice(r).grid(f"full-yang-baxter r={r}", grid_points(r))
-
-
-def full_ybe_spot_check(r: int, points) -> VerificationRecord:
-    """Braid Yang-Baxter for the full R-matrix by direct products at the
-    given points, without the rank-wide expansion.
-    """
-    record = VerificationRecord(name=f"full-yang-baxter r={r}")
-    for u, v in points:
-        u, v = rat(u), rat(v)
-        sides = _braid_sides(lambda x: full_r_matrix(r, x), u, v, 2**r)
-        record.add_equal(f"point-u{u}-v{v}", *sides)
-    return record
+    return _full_braid_slice(r).grid(f"full-yang-baxter r={r}", grid_points(r) if points is None else points)
 
 
 # -- the symmetric-part factorization and its lemmas ------------------------

@@ -138,7 +138,9 @@ def test_criterion_08_yang_baxter(announce):
     for r in (2, 3, 4):
         ok = ok and ybe.unitarity_check(r, "+").ok
         ok = ok and ybe.symmetry_check(r, "+").ok
-    assert announce(8, "yang-baxter grids, unitarity, swap symmetry", ok)
+        ok = ok and all(ybe.swap_relation_check(r, eps).ok for eps in ("+", "-"))
+        ok = ok and ybe.plain_ybe_spot_check(r, "+", ybe.grid_points(r)).ok
+    assert announce(8, "yang-baxter grids, unitarity, swap symmetry, swap relation, plain form", ok)
 
 
 def test_criterion_09_factorization_and_lemmas(announce):

@@ -176,7 +176,6 @@ def _no_ybe_work(monkeypatch):
         "ybe_point",
         "plain_ybe_spot_check",
         "full_ybe_check",
-        "full_ybe_spot_check",
     ):
         monkeypatch.setattr(ybe, name, no_work)
 
@@ -219,8 +218,8 @@ NEGATIVE_POINTS = [("-1/2", "5/7"), ("2/3", "-5/7"), ("-1/2", "-2/3"), ("-7/2", 
 def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
     seen = []
 
-    def fake_check(r, eps, form, points):
-        seen.append((r, eps, form, points))
+    def fake_check(r, eps, points):
+        seen.append((r, eps, points))
         record = VerificationRecord(name="fake")
         for pu, pv in points:
             record.add(f"point-u{pu}-v{pv}", True)
@@ -229,7 +228,7 @@ def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
     monkeypatch.setattr(ybe, "ybe_check", fake_check)
     code, out, err = run(capsys, "ybe", "--r", "3", "--u", u, "--v", v)
     assert code == 0, err
-    assert seen == [(3, "+", "braid", [(Rat(u), Rat(v))])]
+    assert seen == [(3, "+", [(Rat(u), Rat(v))])]
     assert json.loads(out)["points"] == [{"u": u, "v": v, "pass": True}]
 
 
@@ -237,14 +236,14 @@ def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
 def test_ybe_full_mode_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
     seen = []
 
-    def fake_spot_check(r, pairs):
-        seen.append((r, pairs))
+    def fake_check(r, points):
+        seen.append((r, points))
         record = VerificationRecord(name="fake")
-        for pu, pv in pairs:
+        for pu, pv in points:
             record.add(f"point-u{pu}-v{pv}", True)
         return record
 
-    monkeypatch.setattr(ybe, "full_ybe_spot_check", fake_spot_check)
+    monkeypatch.setattr(ybe, "full_ybe_check", fake_check)
     code, out, err = run(capsys, "ybe", "--r", "3", "--mode", "full", "--u", u, "--v", v)
     assert code == 0, err
     assert seen == [(3, [(Rat(u), Rat(v))])]
@@ -361,12 +360,46 @@ def test_jobs_below_one_is_refused_before_work(capsys, monkeypatch, jobs):
     assert "usage error" in err and "job count must be an integer in 1..1024" in err
 
 
-def test_empty_suites_report(capsys):
-    code, out, _ = run(capsys, "report", "--r", "2", "--suites", "")
+def test_empty_suites_report(capsys, monkeypatch):
+    # a report that selects no suite verifies nothing, so it is refused
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for an empty suite list")
+
+    monkeypatch.setattr(report, "run_suite", no_work)
+    for suites in ("", ",", ",,"):
+        code, out, err = run(capsys, "report", "--r", "2", "--suites", suites)
+        assert code == 2
+        assert out == ""
+        assert "usage error: no suite selected" in err
+    with pytest.raises(ValueError, match="no suite selected"):
+        report.SuiteConfig(suites=())
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (("oracle", "--r", "2"), report, "oracle_suite"),
+        (("colour", "--r", "2", "--L", "2"), colour, "colour_report"),
+        (("ybe", "--r", "2", "--u", "2/3", "--v", "5/7"), ybe, "ybe_check"),
+    ],
+    ids=["oracle", "colour", "ybe"],
+)
+def test_csv_format_is_refused_where_only_json_is_written(capsys, monkeypatch, tmp_path, argv, module, name):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for a refused format")
+
+    monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setenv("SPINCAS_OUT", str(tmp_path))
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--format" in err and "'csv'" in err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    monkeypatch.setenv("SPINCAS_OUT", str(tmp_path))
+    code, _, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["records"] == []
-    assert payload["summary"]["pass"] == 0
+    assert [p.name for p in tmp_path.iterdir()] == [f"{argv[0]}-r2.json"]
 
 
 @pytest.mark.parametrize(

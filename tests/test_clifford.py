@@ -9,7 +9,6 @@ from spincas.clifford import (
     chain_pairs,
     closure_failures,
     gamma_duality_check,
-    generator_pairs,
     half_spinor_blocks,
     integrity_report,
     permutation_sign,
@@ -81,7 +80,7 @@ def test_rotation_generators_realize_commutators(r):
     commutator table computed independently from the delta formula.
     """
     n = 2 * r
-    gens = dict(zip(generator_pairs(r), rotation_generators(r)))
+    gens = dict(zip(oracles.basis_pairs(n), rotation_generators(r)))
     table = oracles.commutator_table(n)
     for a in oracles.basis_pairs(n):
         for b in oracles.basis_pairs(n):
@@ -102,7 +101,7 @@ def test_half_spinor_blocks_realize_commutators(r):
     n = 2 * r
     table = oracles.commutator_table(n)
     for blocks in half_spinor_blocks(r):
-        gens = dict(zip(generator_pairs(r), blocks))
+        gens = dict(zip(oracles.basis_pairs(n), blocks))
         for a in oracles.basis_pairs(n):
             for b in oracles.basis_pairs(n):
                 lhs = gens[a] @ gens[b] - gens[b] @ gens[a]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spincas import _backend, spectra, ybe
 from spincas.cli import main
-from spincas.linalg import ExactMatrix, first_difference, kron, lincomb
+from spincas.linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
 from spincas.records import FAIL, PASS, diff_witness
 from spincas.scalar import Rat, binomial
@@ -259,10 +259,19 @@ def columns_below(m, stop):
     return ExactMatrix(m.dim, {(i, j): value for i, j, value in m.items() if j < stop})
 
 
-def sector_parts(r, eps, form):
+def sector_braid_family(r, eps, form):
+    """The braid slice of a sector family in either form; the program builds
+    only the braid form's, so the plain form's is built here.
+    """
     family = ybe.sector_r_matrix(r, eps, form)
-    terms = [(coeff, family.projector(label)) for label, coeff in family.terms]
-    return ybe._degree_parts(4 ** (r - 1), terms)
+    return ybe._braid_family(
+        f"yang-baxter-identity r={r} eps={eps} form={form}",
+        ybe._sector_parts(r, eps, form),
+        ybe._sector_symmetries(r, eps),
+        2 ** (r - 1),
+        family.evaluate,
+        family.ybe_pole,
+    )
 
 
 def assert_slice_matches_reference(parts, leg):
@@ -303,10 +312,12 @@ def test_full_grid_matches_direct_products(r):
 @pytest.mark.parametrize("eps", ["+", "-"])
 @pytest.mark.parametrize("form", ["braid", "plain"])
 def test_sector_grid_matches_triple_products(r, eps, form):
-    us, vs = ybe.admissible_grid(r)
-    for u in us:
-        for v in vs:
-            assert ybe.ybe_point(r, eps, u, v, form) == triple_product_sum(r, eps, u, v, form)
+    points = ybe.grid_points(r)
+    record = sector_braid_family(r, eps, form).grid("grid", points)
+    for check, (u, v) in zip(record.checks, points):
+        assert (check.status == PASS) == triple_product_sum(r, eps, u, v, form)
+    if form == "braid":
+        assert [ybe.ybe_point(r, eps, u, v) for u, v in points] == [c.status == PASS for c in record.checks]
 
 
 spectral = st.fractions(min_value=-6, max_value=6, max_denominator=9)
@@ -383,7 +394,7 @@ def test_full_slice_matches_reference_columns(r):
 @pytest.mark.parametrize("eps", ["+", "-"])
 @pytest.mark.parametrize("form", ["braid", "plain"])
 def test_sector_slice_matches_reference_columns(r, eps, form):
-    sliced, reference = assert_slice_matches_reference(sector_parts(r, eps, form), 2 ** (r - 1))
+    sliced, reference = assert_slice_matches_reference(ybe._sector_parts(r, eps, form), 2 ** (r - 1))
     assert sliced.keys() == reference.keys()
 
 
@@ -441,7 +452,7 @@ def test_braid_identity_records_pass(r):
 @pytest.mark.parametrize("r", [2, 3])
 def test_plain_form_keeps_the_premise_but_is_no_braid_identity(r):
     # the plain form solves R12 R13 R23 = R23 R13 R12, not the braid equation
-    record = ybe.ybe_identity_check(r, "+", "plain")
+    record = sector_braid_family(r, "+", "plain").record
     assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
     assert "is nonzero on the slice" in record.checks[-1].witness
 
@@ -471,12 +482,12 @@ def perturb_projector(monkeypatch, r):
 def test_perturbed_projector_fails_the_premise(fresh_caches, monkeypatch):
     r = 3
     perturb_projector(monkeypatch, r)
-    assert_slice_matches_reference(sector_parts(r, "+", "braid"), 2 ** (r - 1))
+    assert_slice_matches_reference(ybe._sector_parts(r, "+", "braid"), 2 ** (r - 1))
     commute = ybe.ybe_identity_check(r, "+").checks[0]
     assert commute.check_id == "degree-parts-commute-with-symmetries"
     assert commute.status == FAIL
     assert commute.witness.startswith("S_") and "first differing entry" in commute.witness
-    assert not ybe._sector_braid_slice(r, "+", "braid").premise
+    assert not ybe._sector_braid_slice(r, "+").premise
     assert_matches_direct(ybe.ybe_check(r, "+"), r, lambda u, v: direct_sector(r, "+", u, v))
 
 
@@ -534,6 +545,147 @@ def test_orbit_check_refuses_a_non_monomial_map():
     assert witnesses == ["g does not send e_0 to a nonzero multiple of one basis vector"]
     swap = ExactMatrix(2, {(0, 1): 1, (1, 0): 1})
     assert list(ybe._orbit_failures([("swap", swap, False)], 2)) == []
+
+
+# -- the plain form through the swap relation --------------------------------
+
+TAU = ybe.tau_coefficient
+
+
+def direct_plain(r, eps, u, v):
+    """Reference: both sides of R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u)
+    by products on the triple product, R13 = P23 R12 P23; None at a pole.
+    """
+    family = ybe.sector_r_matrix(r, eps, "plain")
+    if family.ybe_pole(u, v):
+        return None
+    ident = ExactMatrix.identity(2 ** (r - 1))
+    swap23 = kron(ident, permutation_operator(2 ** (r - 1)))
+    r12_u, r23_v = kron(family.evaluate(u), ident), kron(ident, family.evaluate(v))
+    r13 = swap23 @ kron(family.evaluate(u + v), ident) @ swap23
+    return r12_u @ r13 @ r23_v, r23_v @ r13 @ r12_u
+
+
+def swap13(r):
+    """P13 = P12 P23 P12 on the triple product of the half-spinor leg."""
+    ident = ExactMatrix.identity(2 ** (r - 1))
+    swap = permutation_operator(2 ** (r - 1))
+    p12, p23 = kron(swap, ident), kron(ident, swap)
+    return p12 @ p23 @ p12
+
+
+def assert_plain_matches_direct(r, eps, points):
+    """Each plain check has the outcome of the direct plain products; a
+    failing one carries the witness of the braid sides at (v, u), which are
+    P13 times the plain right and left sides.
+    """
+    record = ybe.plain_ybe_spot_check(r, eps, points)
+    assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in points]
+    p13 = swap13(r)
+    for check, (u, v) in zip(record.checks, points):
+        sides = direct_plain(r, eps, u, v)
+        if sides is None:
+            assert (check.status, check.witness) == (FAIL, "pole hit")
+            continue
+        lhs, rhs = sides
+        assert (check.status == PASS) == (lhs == rhs), check.check_id
+        assert check.witness == outcome_and_witness(p13 @ rhs, p13 @ lhs)[1], check.check_id
+    return record
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_swap_relation_holds(r, eps):
+    record = ybe.swap_relation_check(r, eps)
+    assert record.name == f"swap-relation r={r} eps={eps}"
+    assert record.ok, [(c.check_id, c.witness) for c in record.failures]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_plain_record_matches_direct_plain_products(r, eps):
+    record = assert_plain_matches_direct(r, eps, ybe.grid_points(r))
+    assert record.ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from([2, 3]), eps=st.sampled_from(["+", "-"]), u=spectral, v=spectral)
+def test_plain_point_matches_direct_plain_products(r, eps, u, v):
+    assert_plain_matches_direct(r, eps, [(Rat(u), Rat(v))])
+
+
+def rescaled_tau(r, k, form="plain"):
+    """tau_k times 2 for k = 1 in both forms: the swap relation still holds,
+    the Yang-Baxter equation does not.
+    """
+    tau = TAU(r, k, form)
+    return tau * Rat(2) if k == 1 else tau
+
+
+@pytest.mark.parametrize("r, eps", [(2, "+"), (2, "-"), (3, "+")])
+def test_rescaled_tau_fails_plain_points_like_direct_products(fresh_caches, monkeypatch, r, eps):
+    monkeypatch.setattr(ybe, "tau_coefficient", rescaled_tau)
+    assert ybe.swap_relation_check(r, eps).ok
+    assert not ybe.ybe_identity_check(r, eps).ok
+    record = assert_plain_matches_direct(r, eps, ybe.grid_points(r))
+    assert record.failures
+
+
+def test_skewed_projector_fails_plain_points_like_direct_products(fresh_caches, monkeypatch):
+    # P_2 + P_2 X P_2 keeps the P-eigenvalue of P_2, so the swap relation
+    # holds, but it is not symmetric: the sides at (u, v) are no longer the
+    # transposes of those at (v, u), and the witnesses tell the points apart
+    r = 2
+    data = spectra.sector_spectral(r, "++")
+    projectors = dict(data.projectors)
+    top = projectors[2]
+    skew = top @ ExactMatrix(data.block.dim, {(0, 1): 1}) @ top
+    assert skew and skew.transpose() != skew
+    projectors[2] = top + skew
+    monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: dataclasses.replace(data, projectors=projectors))
+    assert ybe.swap_relation_check(r, "+").ok
+    record = assert_plain_matches_direct(r, "+", ybe.grid_points(r))
+    assert record.failures
+
+
+@pytest.mark.parametrize("r, k", [(2, 1), (3, 0), (4, 2)])
+def test_flipped_braid_tau_fails_the_relation_and_every_plain_point(fresh_caches, monkeypatch, r, k):
+    def flipped(rank, index, form="plain"):
+        tau = TAU(rank, index, form)
+        return -tau if form == "braid" and index == k else tau
+
+    monkeypatch.setattr(ybe, "tau_coefficient", flipped)
+    [relation] = ybe.swap_relation_check(r, "+").checks
+    assert relation.status == FAIL
+    assert relation.witness.startswith("S_")
+    assert "of the braid form is not P S_" in relation.witness
+    assert "first differing entry" in relation.witness
+    record = ybe.plain_ybe_spot_check(r, "+", ybe.grid_points(r)[:5])
+    assert len(record.checks) == 5
+    assert all((c.status, c.witness) == (FAIL, relation.witness) for c in record.checks)
+
+
+def test_plain_and_full_points_make_no_direct_products_once_the_slices_are_built(monkeypatch):
+    us, vs = ybe.admissible_grid(4)
+    ybe.ybe_identity_check(4, "+")  # builds and keeps the slices
+    ybe.full_ybe_identity_check(3)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a direct product on the triple product")
+
+    real = _backend.mat_kron
+    kron_calls = []
+
+    def counted(terms, b_dim):
+        kron_calls.append(len(terms))
+        return real(terms, b_dim)
+
+    monkeypatch.setattr(ybe, "_braid_sides", refused)
+    monkeypatch.setattr(ybe, "kron", refused)
+    monkeypatch.setattr(_backend, "mat_kron", counted)
+    assert ybe.plain_ybe_spot_check(4, "+", [(us[0], vs[0]), (us[1], vs[1])]).ok
+    assert ybe.full_ybe_check(3, [(Rat(-1, 2), Rat(5, 7))]).ok
+    assert kron_calls == []
 
 
 # -- a pole on a YBE grid is a failure --------------------------------------
