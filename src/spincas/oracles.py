@@ -12,9 +12,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
+from . import _backend
 from .linalg import ExactMatrix, first_difference, lincomb
 from .records import VerificationRecord, diff_witness
-from .scalar import Rat, rat
+from .scalar import RAT_ZERO, Rat, rat
 
 Pair = tuple[int, int]
 
@@ -65,27 +66,21 @@ def commutator_table(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int]]:
 def structure_constant(n: int, k_pair: Pair, a: Pair, b: Pair) -> Rat:
     """X^{k1k2}_{i1i2,j1j2} from the antisymmetrized-delta closed form.
 
-    The normalized antisymmetrizer is (d d - d d)/2, so 2X is summed in ints
-    and halved once at the end.
+    The normalized antisymmetrizer is (d d - d d)/2, so 2X is summed in ints,
+    each delta a bool, and halved once at the end; a zero sum is the shared
+    ``RAT_ZERO``.
     """
     i1, i2 = a
     j1, j2 = b
     k1, k2 = k_pair
-
-    def d(p, q):
-        return 1 if p == q else 0
-
-    def asym2(p, q):
-        # 2 d^{[k1}_p d^{k2]}_q with [..] the normalized antisymmetrizer
-        return d(k1, p) * d(k2, q) - d(k2, p) * d(k1, q)
-
+    # each inner bracket is 2 d^{[k1}_p d^{k2]}_q for the (p, q) of its term
     total = (
-        d(i2, j1) * asym2(i1, j2)
-        - d(i2, j2) * asym2(i1, j1)
-        - d(i1, j1) * asym2(i2, j2)
-        + d(i1, j2) * asym2(i2, j1)
+        (i2 == j1) * ((k1 == i1 and k2 == j2) - (k2 == i1 and k1 == j2))
+        - (i2 == j2) * ((k1 == i1 and k2 == j1) - (k2 == i1 and k1 == j1))
+        - (i1 == j1) * ((k1 == i2 and k2 == j2) - (k2 == i2 and k1 == j2))
+        + (i1 == j2) * ((k1 == i2 and k2 == j1) - (k2 == i2 and k1 == j1))
     )
-    return Rat(total, 2)
+    return Rat(total, 2) if total else RAT_ZERO
 
 
 def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int]]:
@@ -93,29 +88,33 @@ def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, i
 
     The coefficient of the canonical element M_{k1k2} (k1 < k2) collects the
     ordered contributions X^{k1k2} and X^{k2k1} = -X^{k1k2}, hence the factor 2.
-    Every term of the formula carries d(k, p) with p an index of a or b, so
-    only the pairs c drawn from those indices can be non-zero.
+    Every term of the formula carries a delta between an index of a and one
+    of b, so a pair (a, b) that shares no index has the empty row without a
+    call; and every term carries d(k, p) with p an index of a or b, so only
+    the pairs c drawn from those indices are tried.
     """
     pairs = basis_pairs(n)
     table: dict[tuple[Pair, Pair], dict[Pair, int]] = {}
     for a in pairs:
         for b in pairs:
-            indices = sorted(set(a) | set(b))
             acc: dict[Pair, int] = {}
-            for c in combinations(indices, 2):
-                x = 2 * structure_constant(n, c, a, b)
+            table[(a, b)] = acc
+            indices = set(a) | set(b)
+            if len(indices) == 4:
+                continue
+            for c in combinations(sorted(indices), 2):
+                x = structure_constant(n, c, a, b)
                 if x:
+                    x *= 2
                     assert x.denominator == 1
                     acc[c] = int(x)
-            table[(a, b)] = acc
     return table
 
 
 def killing_metric_closed_form(n: int, a: Pair, b: Pair) -> int:
     i1, i2 = a
     j1, j2 = b
-    d = lambda p, q: 1 if p == q else 0
-    return 2 * (n - 2) * (d(i1, j2) * d(i2, j1) - d(i1, j1) * d(i2, j2))
+    return 2 * (n - 2) * ((i1 == j2 and i2 == j1) - (i1 == j1 and i2 == j2))
 
 
 def inverse_metric_diagonal(n: int) -> Rat:
@@ -123,19 +122,37 @@ def inverse_metric_diagonal(n: int) -> Rat:
     return Rat(-1, 2 * (n - 2))
 
 
+AdjointMap = dict[tuple[Pair, Pair], int]
+
+_ADJOINT_MAPS: dict[int, tuple[dict, dict[Pair, AdjointMap]]] = {}
+
+
+def _adjoint_maps(n: int) -> dict[Pair, AdjointMap]:
+    """ad(M_A) of every basis element as a sparse map {(D, C): X^C_{AD}}:
+    ad(M_A) sends M_D to the sum of X^C_{AD} M_C.
+
+    Built from commutator_table(n) once per N, and again only when that
+    table is not the object they were built from; shared by every caller,
+    who must not mutate them.
+    """
+    table = commutator_table(n)
+    built = _ADJOINT_MAPS.get(n)
+    if built is None or built[0] is not table:
+        pairs = basis_pairs(n)
+        maps = {a: {(d, c): f for d in pairs for c, f in table[(a, d)].items()} for a in pairs}
+        built = _ADJOINT_MAPS[n] = (table, maps)
+    return built[1]
+
+
 def killing_metric_from_contraction(n: int, a: Pair, b: Pair) -> int:
     """g_AB = X^C_{AD} X^D_{BC} over the canonical basis."""
-    return _contract_killing(commutator_table(n), basis_pairs(n), a, b)
+    ad = _adjoint_maps(n)
+    return _contract_killing(ad[a], ad[b])
 
 
-def _contract_killing(table, pairs: list[Pair], a: Pair, b: Pair) -> int:
-    total = 0
-    for d_pair in pairs:
-        row_ad = table[(a, d_pair)]
-        for c_pair, f_cad in row_ad.items():
-            f_dbc = table[(b, c_pair)].get(d_pair, 0)
-            total += f_cad * f_dbc
-    return total
+def _contract_killing(ad_a: AdjointMap, ad_b: AdjointMap) -> int:
+    """tr(ad_A ad_B) = X^C_{AD} X^D_{BC}, summed over the entries of ad_A."""
+    return sum(f * ad_b.get((c, d), 0) for (d, c), f in ad_a.items())
 
 
 def algebra_integrity(n: int) -> VerificationRecord:
@@ -158,29 +175,33 @@ def algebra_integrity(n: int) -> VerificationRecord:
     )
     record.add_first_failure(
         "killing-metric-contraction-equals-closed-form",
-        _killing_failures(by_comm, pairs, n),
+        _killing_failures(_adjoint_maps(n), pairs, n),
     )
-    diag = inverse_metric_diagonal(n)
-    record.add_first_failure(
-        "inverse-metric-times-metric-is-identity",
-        (
-            f"({a}, {b}): inverse metric times metric is {diag * killing_metric_closed_form(n, a, b)}"
-            for a in pairs
-            for b in pairs
-            if diag * killing_metric_closed_form(n, a, b) != (1 if a == b else 0)
-        ),
-    )
+    record.add_first_failure("inverse-metric-times-metric-is-identity", _inverse_metric_failures(pairs, n))
     record.add_first_failure("jacobi-identity", _jacobi_failures(by_comm, pairs))
     return record
 
 
-def _killing_failures(table, pairs: list[Pair], n: int):
+def _killing_failures(ad: dict[Pair, AdjointMap], pairs: list[Pair], n: int):
     for a in pairs:
         for b in pairs:
-            contracted = _contract_killing(table, pairs, a, b)
+            contracted = _contract_killing(ad[a], ad[b])
             closed = killing_metric_closed_form(n, a, b)
             if contracted != closed:
                 yield f"g({a}, {b}): contraction {contracted} != closed form {closed}"
+
+
+def _inverse_metric_failures(pairs: list[Pair], n: int):
+    """The diagonal inverse metric times the closed-form metric against the
+    identity; a Fraction is formed only where the metric is nonzero.
+    """
+    diag = inverse_metric_diagonal(n)
+    for a in pairs:
+        for b in pairs:
+            g = killing_metric_closed_form(n, a, b)
+            product = diag * g if g else 0
+            if product != (a == b):
+                yield f"({a}, {b}): inverse metric times metric is {product}"
 
 
 def _jacobi_failures(table, pairs: list[Pair]):
@@ -188,18 +209,27 @@ def _jacobi_failures(table, pairs: list[Pair]):
     Jacobiators over the triples a < b < c.
 
     With an antisymmetric bracket the Jacobiator is alternating and
-    trilinear, so the sorted distinct triples decide the identity.
+    trilinear, so the sorted distinct triples decide the identity.  The
+    table is split once into one row per left argument, and each triple's
+    three inner brackets [b, c], [c, a], [a, b] are read from those rows
+    once; the Jacobiator is linear in them, so a triple whose three are all
+    empty is zero and is skipped.
     """
     for a in pairs:
         for b in pairs:
             negated = {c: -v for c, v in table[(a, b)].items()}
             if table[(b, a)] != negated:
                 yield f"antisymmetry: [{b}, {a}] = {table[(b, a)]} != -[{a}, {b}] = {negated}"
+    rows = {x: {y: table[(x, y)] for y in pairs} for x in pairs}
     for a, b, c in combinations(pairs, 3):
+        row_a, row_b, row_c = rows[a], rows[b], rows[c]
+        bc, ca, ab = row_b[c], row_c[a], row_a[b]
+        if not (bc or ca or ab):
+            continue
         acc: dict[Pair, int] = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for mid, f1 in table[(y, z)].items():
-                for out, f2 in table[(x, mid)].items():
+        for row_x, bracket in ((row_a, bc), (row_b, ca), (row_c, ab)):
+            for mid, f1 in bracket.items():
+                for out, f2 in row_x[mid].items():
                     acc[out] = acc.get(out, 0) + f1 * f2
         nonzero = {out: v for out, v in acc.items() if v}
         if nonzero:
@@ -226,16 +256,33 @@ def defining_rep_check(n: int) -> VerificationRecord:
 
 
 def _defining_rep_failures(n: int):
+    """Each commutator [T_a, T_b] against the table's right side, both as
+    integer rows from the ``_backend`` kernels; matrices are built only for
+    a failing pair's witness.  A generator entry that is not a real integer
+    fails the check, since integer rows cannot hold it.
+    """
     pairs = basis_pairs(n)
-    gens = dict(zip(pairs, defining_generators(n)))
+    gens: dict[Pair, dict] = {}
+    for a, gen in zip(pairs, defining_generators(n)):
+        rows: dict = {}
+        for i, j, v in gen.items():
+            if v.im or v.re.denominator != 1:
+                yield f"T{a}: entry ({i}, {j}) = {v} is not a real integer"
+                return
+            rows.setdefault(i, {})[j] = int(v.re)
+        gens[a] = rows
     table = commutator_table(n)
-    products = {(a, b): gens[a] @ gens[b] for a in pairs for b in pairs}
+    products = {(a, b): _backend.mat_mul(gens[a], gens[b]) for a in pairs for b in pairs}
     for a in pairs:
         for b in pairs:
-            lhs = products[a, b] - products[b, a]
-            rhs = lincomb(n, [(coeff, gens[c]) for c, coeff in table[(a, b)].items()])
+            lhs = _backend.mat_lincomb(((1, products[a, b]), (-1, products[b, a])))
+            rhs = _backend.mat_lincomb((coeff, gens[c]) for c, coeff in table[(a, b)].items())
             if lhs != rhs:
-                yield f"[{a}, {b}]: " + diff_witness(first_difference(lhs, rhs))
+                yield f"[{a}, {b}]: " + diff_witness(first_difference(_matrix(n, lhs), _matrix(n, rhs)))
+
+
+def _matrix(n: int, rows: dict) -> ExactMatrix:
+    return ExactMatrix(n, {(i, j): v for i, row in rows.items() for j, v in row.items()})
 
 
 def casimir_contraction(generators: Sequence[ExactMatrix], n: int) -> ExactMatrix:

@@ -398,6 +398,15 @@ def swap_relation_check(r: int, eps: str) -> VerificationRecord:
     same Q clears both forms, so it holds exactly when each cleared degree
     part S_d of the braid form is P S_d of the plain form.
     """
+    record = _swap_relation(r, eps)
+    return VerificationRecord(name=record.name, checks=list(record.checks))
+
+
+@lru_cache(maxsize=None)
+def _swap_relation(r: int, eps: str) -> VerificationRecord:
+    """The swap relation's record, built once per family and rank; callers
+    read it and must not mutate it.
+    """
     swap = permutation_operator(2 ** (r - 1))
     zero = ExactMatrix.zero(4 ** (r - 1))
     parts = zip_longest(_sector_parts(r, eps, "braid"), _sector_parts(r, eps, "plain"), fillvalue=zero)
@@ -419,7 +428,7 @@ def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
     """
     points = [(rat(u), rat(v)) for u, v in points]
     record = VerificationRecord(name=f"plain-yang-baxter r={r} eps={eps}")
-    [relation] = swap_relation_check(r, eps).checks
+    [relation] = _swap_relation(r, eps).checks
     if relation.status == PASS:
         braid = _sector_braid_slice(r, eps).grid(record.name, [(v, u) for u, v in points])
         outcomes = [(check.status == PASS, check.witness) for check in braid.checks]

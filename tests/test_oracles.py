@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 
 from spincas import oracles
-from spincas.records import PASS
-from spincas.scalar import Rat
+from spincas.linalg import ExactMatrix
+from spincas.records import FAIL, PASS
+from spincas.scalar import ExactScalar, Rat
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
@@ -99,18 +100,81 @@ def test_nonzero_self_bracket_fails_antisymmetry(monkeypatch):
     assert jacobi.witness.startswith("antisymmetry: [(1, 3), (1, 3)] = {(2, 4): 2}")
 
 
+# [M12, M13] = -2 M23 in place of -M23, kept antisymmetric
+DOUBLED = {((1, 2), (1, 3)): {(2, 3): -2}, ((1, 3), (1, 2)): {(2, 3): 2}}
+
+
 def test_killing_check_witness(monkeypatch):
-    _patch_table(monkeypatch, 4, {((1, 2), (1, 3)): {(2, 3): -2}, ((1, 3), (1, 2)): {(2, 3): 2}})
+    _patch_table(monkeypatch, 4, DOUBLED)
     killing = _check(oracles.algebra_integrity(4), "killing-metric-contraction-equals-closed-form")
     assert killing.status != PASS
-    assert killing.witness.startswith("g((1, 2), (1, 2)): contraction ")
+    assert killing.witness == "g((1, 2), (1, 2)): contraction -6 != closed form -4"
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
+def test_killing_contraction_equals_closed_form(n):
+    pairs = oracles.basis_pairs(n)
+    for a in pairs:
+        for b in pairs:
+            assert oracles.killing_metric_from_contraction(n, a, b) == oracles.killing_metric_closed_form(n, a, b)
+
+
+def test_perturbed_table_moves_the_contraction_and_the_record(monkeypatch):
+    a = (1, 2)
+    assert oracles.killing_metric_from_contraction(4, a, a) == -4  # maps built from the real table
+    _patch_table(monkeypatch, 4, DOUBLED)
+    assert oracles.killing_metric_from_contraction(4, a, a) == -6
+    assert not oracles.algebra_integrity(4).ok
+    monkeypatch.undo()
+    assert oracles.killing_metric_from_contraction(4, a, a) == -4
+    assert oracles.algebra_integrity(4).ok
+
+
+def test_flipped_structure_constant_fails_the_formula_check(monkeypatch):
+    real = oracles.structure_constant
+
+    def flipped(n, k_pair, a, b):
+        value = real(n, k_pair, a, b)
+        return -value if (a, b) == ((1, 3), (3, 4)) else value
+
+    monkeypatch.setattr(oracles, "structure_constant", flipped)
+    record = oracles.algebra_integrity(4)
+    assert [c.check_id for c in record.failures] == ["structure-constants-match-commutators"]
+    assert record.failures[0].witness == (
+        "[(1, 3), (3, 4)]: commutator table {(1, 4): 1} != formula {(1, 4): -1}"
+    )
+
+
+def test_wrong_inverse_metric_fails_its_check(monkeypatch):
+    monkeypatch.setattr(oracles, "inverse_metric_diagonal", lambda n: Rat(-1, 2 * (n - 1)))
+    record = oracles.algebra_integrity(4)
+    assert [c.check_id for c in record.failures] == ["inverse-metric-times-metric-is-identity"]
+    assert record.failures[0].witness == "((1, 2), (1, 2)): inverse metric times metric is 2/3"
 
 
 def test_defining_rep_check_witness(monkeypatch):
     _patch_table(monkeypatch, 4, {((1, 2), (2, 3)): {(1, 3): -1}})
     record = oracles.defining_rep_check(4)
     assert not record.ok
-    assert record.checks[0].witness.startswith("[(1, 2), (2, 3)]: first differing entry (")
+    assert record.checks[0].witness == "[(1, 2), (2, 3)]: first differing entry (0, 2): 1/1 != -1/1"
+
+
+@pytest.mark.parametrize(
+    "entry, witness",
+    [
+        (2, "[(1, 2), (1, 3)]: first differing entry (2, 1): 2/1 != 1/1"),
+        (ExactScalar(0, 1), "T(1, 2): entry (0, 1) = 0/1+i*1/1 is not a real integer"),
+        (Rat(1, 2), "T(1, 2): entry (0, 1) = 1/2 is not a real integer"),
+    ],
+)
+def test_defining_rep_fails_on_a_wrong_generator_entry(monkeypatch, entry, witness):
+    # T(M12) with its (0, 1) entry replaced
+    gens = list(oracles.defining_generators(4))
+    gens[0] = ExactMatrix(4, {(0, 1): entry, (1, 0): -1})
+    monkeypatch.setattr(oracles, "defining_generators", lambda n: tuple(gens))
+    [check] = oracles.defining_rep_check(4).checks
+    assert (check.check_id, check.status) == ("matrix-commutators-match-table", FAIL)
+    assert check.witness == witness
 
 
 def test_basis_pairs():

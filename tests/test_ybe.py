@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincas import _backend, spectra, ybe
+from spincas import _backend, report, spectra, ybe
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
@@ -161,6 +161,7 @@ CACHED = (
     ybe._invariants,
     ybe._sector_braid_slice,
     ybe._full_braid_slice,
+    ybe._swap_relation,
 )
 
 
@@ -599,6 +600,27 @@ def test_swap_relation_holds(r, eps):
     record = ybe.swap_relation_check(r, eps)
     assert record.name == f"swap-relation r={r} eps={eps}"
     assert record.ok, [(c.check_id, c.witness) for c in record.failures]
+
+
+def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
+    built = []
+    real = ybe._sector_parts
+
+    def counted(r, eps, form):
+        built.append(form)
+        return real(r, eps, form)
+
+    monkeypatch.setattr(ybe, "_sector_parts", counted)
+    records = report.ybe_suite(2)
+    assert built.count("plain") == 1
+    names = [record.name for record in records]
+    assert "swap-relation r=2 eps=+" in names and "plain-yang-baxter r=2 eps=+" in names
+    # each record handed out is a copy of the cached one
+    copy = ybe.swap_relation_check(2, "+")
+    copy.add("extra", False, "x")
+    assert [c.check_id for c in ybe.swap_relation_check(2, "+").checks] == [
+        "braid-parts-equal-swap-times-plain-parts"
+    ]
 
 
 @pytest.mark.parametrize("r", [2, 3])
