@@ -5,7 +5,7 @@ Q(i) with zero tolerance.
 """
 
 from ._backend import BACKEND
-from .linalg import ExactMatrix, TensorShape, kron, partial_trace
+from .linalg import ExactMatrix, kron, partial_trace
 from .scalar import ExactScalar, Rat, rat
 
 __version__ = "1.0.0"
@@ -15,7 +15,6 @@ __all__ = [
     "ExactMatrix",
     "ExactScalar",
     "Rat",
-    "TensorShape",
     "kron",
     "partial_trace",
     "rat",

@@ -16,7 +16,7 @@ import re
 import sys
 import time
 
-from . import __version__, clifford, colour, report, ybe
+from . import __version__, colour, report, ybe
 from .records import FAIL
 from .scalar import parse_rat
 
@@ -58,7 +58,7 @@ def _bounded_int(what: str, low: int, high: int):
     return parse
 
 
-_rank = _bounded_int("rank", 2, 6)
+_rank = _bounded_int("rank", 2, report.MAX_RANK)
 _rungs = _bounded_int("rung count", 0, colour.MAX_RUNGS)
 _jobs = _bounded_int("job count", 1, 1024)
 
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("json", "csv")):
-        p.add_argument("--r", type=_rank, default=2, help="rank (2..6)")
+        p.add_argument("--r", type=_rank, default=2, help=f"rank (2..{report.MAX_RANK})")
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="output path (default: stdout or $SPINCAS_OUT)")
         p.add_argument("--jobs", type=_jobs, default=1,
@@ -206,8 +206,12 @@ def _run_ybe(args) -> tuple[str, int]:
 def _write_output(text: str, args) -> None:
     out = args.out
     if out is None and os.environ.get("SPINCAS_OUT"):
-        name = f"{args.command}-r{args.r}.{args.format}"
-        out = os.path.join(os.environ["SPINCAS_OUT"], name)
+        # named after what the file holds: the rank range, and CSV for the tables
+        ranks = f"r{args.r}"
+        if getattr(args, "r_max", None) not in (None, args.r):
+            ranks += f"-{args.r_max}"
+        ext = "csv" if getattr(args, "tables", False) else args.format
+        out = os.path.join(os.environ["SPINCAS_OUT"], f"{args.command}-{ranks}.{ext}")
     if out is None:
         sys.stdout.write(text)
         return

@@ -18,7 +18,7 @@ from typing import Iterator
 from .linalg import ExactMatrix, NotABasisMap, kron
 from .oracles import basis_pairs
 from .records import VerificationRecord
-from .scalar import ExactScalar, Rat, rat
+from .scalar import ExactScalar, Rat
 
 _I = ExactScalar(0, 1)
 
@@ -67,68 +67,18 @@ def build_gamma(r: int) -> GammaRep:
     return GammaRep(r=r, gammas=tuple(gammas), chirality=chirality)
 
 
-def canonical_index(indices) -> tuple[int, tuple[int, ...]]:
-    """Sort a multi-index, tracking the permutation sign.
-
-    Returns (sign, sorted indices); sign 0 when an index repeats.
-    """
-    items = list(indices)
-    sign = 1
-    # insertion sort; index lists are short (k <= 2r <= 12)
-    for a in range(1, len(items)):
-        b = a
-        while b > 0 and items[b - 1] > items[b]:
-            items[b - 1], items[b] = items[b], items[b - 1]
-            sign = -sign
-            b -= 1
-    for a in range(1, len(items)):
-        if items[a - 1] == items[a]:
-            return 0, tuple(items)
-    return sign, tuple(items)
-
-
 def antisym_gamma(rep: GammaRep, indices) -> ExactMatrix:
-    """Antisymmetrized product of generators for the given multi-index.
-
-    For strictly increasing indices this equals the plain product; repeated
-    indices give zero; the empty index gives the identity.
+    """Antisymmetrized product of generators for a strictly increasing
+    multi-index: the generators anticommute, so it is their ordered
+    product; the empty index gives the identity.
     """
-    for i in indices:
-        if not 1 <= i <= 2 * rep.r:
-            raise IndexError(f"generator index {i} outside [1, {2 * rep.r}]")
-    sign, ordered = canonical_index(indices)
-    if sign == 0:
-        return ExactMatrix.zero(rep.dim)
-    out = ExactMatrix.identity(rep.dim)
-    for i in ordered:
-        out = out @ rep.gammas[i - 1]
-    return out if sign == 1 else -out
-
-
-def permutation_sign(sequence) -> int:
-    sign, _ = canonical_index(sequence)
-    return sign
-
-
-def gamma_duality_check(rep: GammaRep, indices) -> VerificationRecord:
-    """Check the grading-element product rule for one increasing multi-index.
-
-    The product of a basis element with the grading element is proportional
-    to the basis element on the complementary index set, with coefficient
-    (-i)^r (-1)^[k/2] times the sign of the full-index permutation.
-    """
-    record = VerificationRecord(name=f"gamma-duality r={rep.r} idx={tuple(indices)}")
     indices = tuple(indices)
-    k = len(indices)
-    if list(indices) != sorted(set(indices)) or k > 2 * rep.r:
-        raise ValueError("multi-index must be strictly increasing with length <= 2r")
-    left = antisym_gamma(rep, indices) @ rep.chirality
-    complement = tuple(i for i in range(1, 2 * rep.r + 1) if i not in indices)
-    eps = permutation_sign(indices + complement)
-    coeff = (ExactScalar(0, -1) ** rep.r) * ((-1) ** (k // 2)) * eps
-    right = antisym_gamma(rep, complement) * coeff
-    record.add_equal(f"duality-k{k}", left, right)
-    return record
+    if indices != tuple(sorted(set(indices))) or not set(indices) <= set(range(1, 2 * rep.r + 1)):
+        raise ValueError(f"generator indices must be strictly increasing in [1, {2 * rep.r}], got {indices}")
+    out = ExactMatrix.identity(rep.dim)
+    for i in indices:
+        out = out @ rep.gammas[i - 1]
+    return out
 
 
 def integrity_report(rep: GammaRep) -> VerificationRecord:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import ExactMatrix, TensorShape, lincomb, partial_trace
+from .linalg import ExactMatrix, lincomb, partial_trace
 from .records import VerificationRecord
 from .scalar import Rat
 from .spectra import (
@@ -79,7 +79,7 @@ def ladder_partial_trace(spec: LadderSpec, ladder: ExactMatrix | None = None) ->
     coefficient = ladder_full_trace(spec) / half
     if ladder is None:
         ladder = ladder_operator(spec)
-    traced = partial_trace(ladder, TensorShape([half, half]), 2)
+    traced = partial_trace(ladder, half)
     return coefficient, traced == ExactMatrix.identity(half) * coefficient
 
 

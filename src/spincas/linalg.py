@@ -162,28 +162,6 @@ class NotABasisMap(ValueError):
         self.column = column
 
 
-class TensorShape:
-    """Interpretation of a square matrix as an operator on V1 (x) V2 (x) ..."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: Sequence[int]):
-        factors = tuple(int(f) for f in factors)
-        if any(f < 1 for f in factors):
-            raise ValueError("tensor factors must be positive")
-        self.factors = factors
-
-    @property
-    def dim(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f
-        return out
-
-    def __repr__(self):
-        return f"TensorShape{self.factors}"
-
-
 class ExactMatrix:
     """Immutable sparse square matrix over Q(i): ``scale`` times integer
     parts ``re + i*im``.
@@ -234,10 +212,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
         return cls._wrap(dim, RAT_ONE, {i: {i: 1} for i in range(dim)}, {})
-
-    @classmethod
-    def diagonal(cls, values) -> "ExactMatrix":
-        return cls._wrap(len(values), *_from_rationals({(i, i): _val(v) for i, v in enumerate(values)}))
 
     # -- queries ----------------------------------------------------------
 
@@ -542,32 +516,21 @@ def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ..
     return tuple(ExactMatrix._make(dim, Rat(1, den**k), *parts) for k, parts in enumerate(sums))
 
 
-def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
-    """Trace out one leg (1-based, leftmost = 1) of a tensor-product operator."""
-    if shape.dim != m.dim:
-        raise ValueError(f"shape {shape.factors} does not match dim {m.dim}")
-    if not 1 <= leg <= len(shape.factors):
-        raise ValueError(f"leg {leg} out of range for {shape}")
-    t = leg - 1
-    # per flat index: its coordinate on the traced leg, and its flat index
-    # on the kept legs, built one leg at a time, slowest first
-    leg_of, kept_of = [0], [0]
-    for k, f in enumerate(shape.factors):
-        if k == t:
-            leg_of = [d for _ in leg_of for d in range(f)]
-            kept_of = [x for x in kept_of for _ in range(f)]
-        else:
-            leg_of = [x for x in leg_of for _ in range(f)]
-            kept_of = [x * f + d for x in kept_of for d in range(f)]
+def partial_trace(m: ExactMatrix, inner: int) -> ExactMatrix:
+    """Trace out the fast (rightmost) leg, of dimension ``inner``, of an
+    operator on V (x) W with dim W = inner.
+    """
+    if inner < 1 or m.dim % inner:
+        raise ValueError(f"a leg of dimension {inner} does not divide dim {m.dim}")
 
     def traced(part):
         rows: dict = {}
         for i, row in part.items():
-            i_leg, i_out = leg_of[i], kept_of[i]
+            i_out, i_leg = divmod(i, inner)
             for j, v in row.items():
-                if leg_of[j] == i_leg:
+                j_out, j_leg = divmod(j, inner)
+                if j_leg == i_leg:
                     out_row = rows.setdefault(i_out, {})
-                    j_out = kept_of[j]
                     out_row[j_out] = out_row.get(j_out, 0) + v
         clean = {}
         for i, row in rows.items():
@@ -576,7 +539,7 @@ def partial_trace(m: ExactMatrix, shape: TensorShape, leg: int) -> ExactMatrix:
                 clean[i] = row
         return clean
 
-    return m._map(traced, canonical=True, dim=m.dim // shape.factors[t])
+    return m._map(traced, canonical=True, dim=m.dim // inner)
 
 
 def permutation_operator(d: int) -> ExactMatrix:

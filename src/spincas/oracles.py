@@ -291,16 +291,6 @@ def casimir_contraction(generators: Sequence[ExactMatrix], n: int) -> ExactMatri
     return lincomb(generators[0].dim, [(coeff, g @ g) for g in generators])
 
 
-def c2_from_matrices(generators: Sequence[ExactMatrix], n: int) -> Rat:
-    """Scalar of the Casimir contraction; fails loudly if it is not scalar."""
-    c2 = casimir_contraction(generators, n)
-    dim = generators[0].dim
-    value = c2[0, 0]
-    if not value.is_real() or c2 != ExactMatrix.identity(dim) * value.re:
-        raise ArithmeticError("Casimir contraction is not a multiple of the identity")
-    return value.re
-
-
 # -- weights and closed forms ----------------------------------------------
 
 WEYL_VECTOR = lambda r: tuple(Rat(r - 1 - i) for i in range(r))

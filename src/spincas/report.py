@@ -15,30 +15,14 @@ from . import __version__, casimir, clifford, colour, oracles, spectra, ybe
 from .records import FAIL, NOTE, PASS, SKIP, VerificationRecord
 from .spectra import c2k_eigenvalue, sector_trace_closed_form
 
-SUITES = ("gamma", "oracle", "invariants", "spectra", "colour", "ybe")
-
 SECTOR_LABELS = {"++": "pp", "+-": "pm", "-+": "mp", "--": "mm"}
 
-# triple-product sweeps grow as 8^r; these caps keep the suite at desk scale
-YBE_SECTOR_MAX_R = 6
+# the highest rank any command or suite accepts
+MAX_RANK = 6
+
+# the full-series triple products grow as 8^r; these caps keep the suite at desk scale
 YBE_FULL_MAX_R = 4
 SPECTRA_FULL_CROSSCHECK_MAX_R = 4
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    r_min: int = 2
-    r_max: int = 5
-    suites: tuple[str, ...] = SUITES
-
-    def __post_init__(self):
-        if not self.suites:
-            raise ValueError("no suite selected")
-        if not 2 <= self.r_min <= self.r_max <= 6:
-            raise ValueError("rank range must satisfy 2 <= min <= max <= 6")
-        for suite in self.suites:
-            if suite not in SUITES:
-                raise ValueError(f"unknown suite {suite!r}")
 
 
 def gamma_suite(r: int) -> list[VerificationRecord]:
@@ -94,22 +78,21 @@ def colour_suite(r: int) -> list[VerificationRecord]:
 
 
 def ybe_suite(r: int) -> list[VerificationRecord]:
+    us, vs = ybe.admissible_grid(r)
     records = [
         ybe.asymptotic_check(r),
         ybe.tau_ratio_constraints(r),
         ybe.coefficient_consistency(r),
+        ybe.ybe_identity_check(r, "+"),
+        ybe.ybe_check(r, "+"),
+        ybe.unitarity_check(r, "+"),
+        ybe.unitarity_check(r, "-"),
+        ybe.symmetry_check(r, "+"),
+        ybe.swap_relation_check(r, "+"),
+        ybe.plain_ybe_spot_check(r, "+", [(us[0], vs[0]), (us[1], vs[1])]),
+        ybe.symmetric_part_factorization(r),
+        ybe.chirality_split_check(r),
     ]
-    if r <= YBE_SECTOR_MAX_R:
-        records.append(ybe.ybe_identity_check(r, "+"))
-        records.append(ybe.ybe_check(r, "+"))
-        records.append(ybe.unitarity_check(r, "+"))
-        records.append(ybe.unitarity_check(r, "-"))
-        records.append(ybe.symmetry_check(r, "+"))
-        records.append(ybe.swap_relation_check(r, "+"))
-        us, vs = ybe.admissible_grid(r)
-        records.append(ybe.plain_ybe_spot_check(r, "+", [(us[0], vs[0]), (us[1], vs[1])]))
-        records.append(ybe.symmetric_part_factorization(r))
-        records.append(ybe.chirality_split_check(r))
     if r <= YBE_FULL_MAX_R:
         records.append(ybe.full_ybe_identity_check(r))
         records.append(ybe.full_ybe_check(r))
@@ -126,6 +109,24 @@ _SUITE_RUNNERS = {
     "colour": colour_suite,
     "ybe": ybe_suite,
 }
+
+SUITES = tuple(_SUITE_RUNNERS)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    r_min: int = 2
+    r_max: int = 5
+    suites: tuple[str, ...] = SUITES
+
+    def __post_init__(self):
+        if not self.suites:
+            raise ValueError("no suite selected")
+        if not 2 <= self.r_min <= self.r_max <= MAX_RANK:
+            raise ValueError(f"rank range must satisfy 2 <= min <= max <= {MAX_RANK}")
+        for suite in self.suites:
+            if suite not in SUITES:
+                raise ValueError(f"unknown suite {suite!r}")
 
 
 def run_suite(cfg: SuiteConfig) -> dict:

@@ -15,11 +15,9 @@ RAT_ONE = Rat(1)
 
 
 def rat(numerator, denominator=None):
-    """Exact rational p/q in canonical form; accepts ``"p/q"`` strings."""
+    """Exact rational p/q in canonical form."""
     if denominator is not None:
         return Rat(numerator, denominator)
-    if isinstance(numerator, str):
-        return parse_rat(numerator)
     return Rat(numerator)
 
 
@@ -124,14 +122,6 @@ class ExactScalar:
             return format_rat(self.re)
         return f"{format_rat(self.re)}+i*{format_rat(self.im)}"
 
-    @classmethod
-    def parse(cls, text: str) -> "ExactScalar":
-        """Inverse of ``str``: accepts ``p/q`` and ``p/q+i*r/s``."""
-        re_part, sep, im_part = text.partition("+i*")
-        if sep:
-            return cls(parse_rat(re_part), parse_rat(im_part))
-        return cls(parse_rat(re_part))
-
 
 def _coerce(value) -> ExactScalar:
     if isinstance(value, ExactScalar):
@@ -139,9 +129,7 @@ def _coerce(value) -> ExactScalar:
     return ExactScalar(value)
 
 
-ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
-IMAG_UNIT = ExactScalar(0, 1)
 
 
 def binomial(n: int, k: int) -> int:

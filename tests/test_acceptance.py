@@ -7,6 +7,7 @@ pytest capture) and asserts the same condition.
 import pytest
 
 from spincas import casimir, clifford, colour, oracles, report, spectra, ybe
+from spincas.linalg import ExactMatrix
 from spincas.scalar import Rat
 
 
@@ -162,14 +163,15 @@ def test_criterion_10_oracle_consistency(announce):
             from_weight = oracles.c2_from_weight(oracles.highest_weight(weight_sel, r), n)
             if closed != from_weight:
                 ok = False
+        half = ExactMatrix.identity(2 ** (r - 1))
         plus_blocks, minus_blocks = clifford.half_spinor_blocks(r)
-        if oracles.c2_from_matrices(plus_blocks, n) != oracles.c2_closed_form("Delta_plus", r):
+        if oracles.casimir_contraction(plus_blocks, n) != half * oracles.c2_closed_form("Delta_plus", r):
             ok = False
-        if oracles.c2_from_matrices(minus_blocks, n) != oracles.c2_closed_form("Delta_minus", r):
+        if oracles.casimir_contraction(minus_blocks, n) != half * oracles.c2_closed_form("Delta_minus", r):
             ok = False
         closed_f = oracles.c2_closed_form("T_f", r)
         if closed_f != oracles.c2_from_weight(oracles.highest_weight("T_k", r, 1), n):
             ok = False
-        if oracles.c2_from_matrices(oracles.defining_generators(n), n) != closed_f:
+        if oracles.casimir_contraction(oracles.defining_generators(n), n) != ExactMatrix.identity(n) * closed_f:
             ok = False
     assert announce(10, "oracle consistency weights/closed forms/matrices", ok)

@@ -324,6 +324,18 @@ def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "spectra-r2.csv").read_text().startswith("sector,k,")
 
+    # the name says what the file holds: CSV tables, and the rank range
+    (tmp_path / "spectra-r2.csv").unlink()
+    code, out, _ = run(capsys, "spectra", "--r", "2", "--tables")
+    assert code == 0
+    assert (tmp_path / "spectra-r2.csv").read_text().startswith("sector,k,")
+    assert not (tmp_path / "spectra-r2.json").exists()
+    for argv in (["--r", "2", "--r-max", "3"], ["--r", "2"], ["--r", "3", "--r-max", "3"]):
+        assert run(capsys, "report", *argv, "--suites", "gamma")[0] == 0
+    for name, ranks in {"report-r2-3.json": (2, 3), "report-r2.json": (2, 2), "report-r3.json": (3, 3)}.items():
+        config = json.loads((tmp_path / name).read_text())["config"]
+        assert (config["r_min"], config["r_max"]) == ranks
+
 
 def test_report_determinism(capsys):
     """Identical invocations produce byte-identical artifacts."""

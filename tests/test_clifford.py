@@ -1,17 +1,17 @@
+from itertools import combinations, permutations
+from math import factorial
+
 import pytest
 
 from spincas import casimir, oracles
 from spincas.clifford import (
     antisym_gamma,
     build_gamma,
-    canonical_index,
     chain_generators,
     chain_pairs,
     closure_failures,
-    gamma_duality_check,
     half_spinor_blocks,
     integrity_report,
-    permutation_sign,
     rotation_generators,
 )
 from spincas.linalg import ExactMatrix
@@ -31,47 +31,58 @@ def test_dimensions():
     assert len(rep.gammas) == 6
 
 
-def test_canonical_index():
-    assert canonical_index((2, 1)) == (-1, (1, 2))
-    assert canonical_index((1, 2, 3)) == (1, (1, 2, 3))
-    assert canonical_index((3, 1, 2)) == (1, (1, 2, 3))
-    assert canonical_index((1, 1)) == (0, (1, 1))
+def permutation_sign(sequence) -> int:
+    """Sign of the permutation that sorts a sequence of distinct items."""
+    inversions = sum(a > b for a, b in combinations(sequence, 2))
+    return -1 if inversions % 2 else 1
 
 
-def test_permutation_sign():
-    assert permutation_sign((1, 2, 3)) == 1
-    assert permutation_sign((2, 1, 3)) == -1
-    assert permutation_sign((3, 1, 2)) == 1
+def product(rep, indices):
+    out = ExactMatrix.identity(rep.dim)
+    for i in indices:
+        out = out @ rep.gammas[i - 1]
+    return out
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_antisym_gamma_alternating(r):
+    # the ordered product of increasing indices is the alternating sum
+    # (1/k!) sum_s sign(s) G_s(1) ... G_s(k) over the permutations s
     rep = build_gamma(r)
-    # repeated index kills the antisymmetrized product
-    assert antisym_gamma(rep, (1, 1)).is_zero()
-    # odd permutation flips the sign
-    assert antisym_gamma(rep, (2, 1)) == -antisym_gamma(rep, (1, 2))
+    for k in (2, 3):
+        for indices in combinations(range(1, 2 * r + 1), k):
+            terms = [product(rep, p) * permutation_sign(p) for p in permutations(indices)]
+            alternating = sum(terms[1:], terms[0]) * Rat(1, factorial(k))
+            assert antisym_gamma(rep, indices) == alternating
 
 
 def test_antisym_gamma_equals_plain_product_when_ordered():
     rep = build_gamma(3)
     direct = rep.gammas[0] @ rep.gammas[2] @ rep.gammas[4]
     assert antisym_gamma(rep, (1, 3, 5)) == direct
+    assert antisym_gamma(rep, ()) == ExactMatrix.identity(8)
 
 
 def test_antisym_gamma_range_check():
     rep = build_gamma(2)
-    with pytest.raises(IndexError):
-        antisym_gamma(rep, (1, 5))
+    for indices in ((1, 5), (0, 1), (2, 1), (1, 3, 2), (1, 1), (2, 2, 3)):
+        with pytest.raises(ValueError):
+            antisym_gamma(rep, indices)
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_duality_sweep(r):
+    """The grading element times the product on an increasing index set is
+    (-i)^r (-1)^[k/2] eps times the product on its complement, eps the sign
+    of the index set followed by its complement.
+    """
     rep = build_gamma(r)
+    every = range(1, 2 * r + 1)
     for k in range(2 * r + 1):
-        indices = tuple(range(1, k + 1))
-        record = gamma_duality_check(rep, indices)
-        assert record.ok, (k, [c.check_id for c in record.failures])
+        for indices in combinations(every, k):
+            complement = tuple(i for i in every if i not in indices)
+            coeff = ExactScalar(0, -1) ** r * (-1) ** (k // 2) * permutation_sign(indices + complement)
+            assert product(rep, indices) @ rep.chirality == product(rep, complement) * coeff, indices
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -114,9 +125,9 @@ def test_half_spinor_blocks_realize_commutators(r):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_spinor_casimir_value(r):
     """Quadratic Casimir of the half-spinor blocks equals the closed form."""
+    closed = Rat(r * (2 * r - 1), 16 * (r - 1))
     for blocks in half_spinor_blocks(r):
-        value = oracles.c2_from_matrices(blocks, 2 * r)
-        assert value == Rat(r * (2 * r - 1), 16 * (r - 1))
+        assert oracles.casimir_contraction(blocks, 2 * r) == ExactMatrix.identity(2 ** (r - 1)) * closed
 
 
 def test_entry_alphabet():

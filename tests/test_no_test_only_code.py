@@ -1,8 +1,11 @@
-"""Every module-level function and class of the package has a caller.
+"""Every module-level function, class and constant of the package, and every
+method other than a dunder, has a caller.
 
 A definition counts as used when a module of ``src/spincas`` or of the
 benchmark (``perfbench/*.py``, not its own tests) refers to it outside the
-definition itself.  The benchmark's string constants count too, because
+definition itself.  A method counts as used when any attribute of that name
+is read, since the scan does not know the type of the object it is read
+from.  The benchmark's string constants count too, because
 ``perfbench/spans.py`` wraps functions by name.  The re-exports of the
 package's ``__init__`` do not count: a name that only they and the tests
 use is code that only tests call.
@@ -14,12 +17,6 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# statements that are not in the report yet; each waits for the record named
-ALLOWED = {
-    "gamma_duality_check": "a gamma-suite record of the grading-element product rule",
-    "c2_from_matrices": "a record of the Casimir contraction on the half-spinor and defining matrices",
-}
 
 
 def _names(tree, strings: bool = False):
@@ -35,8 +32,25 @@ def _names(tree, strings: bool = False):
             yield from re.findall(r"\w+", node.value)
 
 
+def _definitions(module: str, tree):
+    """(dotted name, bare name, node) of each module-level function, class
+    and constant, and of each non-dunder method of a module-level class.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield f"{module}.{target.id}", target.id, node
+
+
 def unreferenced(root: Path = ROOT) -> list[str]:
-    """module.name of each module-level definition that nothing refers to."""
+    """The dotted name of each definition that nothing refers to."""
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted((root / "src" / "spincas").glob("*.py"))
@@ -50,16 +64,33 @@ def unreferenced(root: Path = ROOT) -> list[str]:
             used.update(_names(ast.parse(path.read_text()), strings=True))
     out = []
     for module, tree in modules.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = sum(1 for name in _names(node) if name == node.name)
-                if used[node.name] == own:
-                    out.append(f"{module}.{node.name}")
+        for dotted, name, node in _definitions(module, tree):
+            own = sum(1 for ref in _names(node) if ref == name)
+            if used[name] == own:
+                out.append(dotted)
     return out
 
 
 def test_every_definition_has_a_caller():
-    found = unreferenced()
-    assert [name for name in found if name.split(".")[1] not in ALLOWED] == []
-    # an allowed name that gained a caller leaves the list
-    assert {name.split(".")[1] for name in found} >= set(ALLOWED)
+    assert unreferenced() == []
+
+
+def test_unused_constants_and_methods_are_found(tmp_path):
+    package = tmp_path / "src" / "spincas"
+    package.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (package / "mod.py").write_text(
+        "USED = 1\n"
+        "UNUSED: int = 2\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.value = USED\n"
+        "    def kept(self):\n"
+        "        return self.value\n"
+        "    def dropped(self):\n"
+        "        return self.dropped\n"
+        "def main():\n"
+        "    return Box().kept()\n"
+    )
+    (tmp_path / "perfbench" / "run.py").write_text('TRACED = "mod.main"\n')
+    assert unreferenced(tmp_path) == ["mod.UNUSED", "mod.Box.dropped"]

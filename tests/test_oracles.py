@@ -206,8 +206,8 @@ def test_defining_representation(n):
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_defining_rep_casimir_matches_closed_form(n):
-    value = oracles.c2_from_matrices(oracles.defining_generators(n), n)
-    assert value == oracles.c2_closed_form("T_f", n // 2)
+    contraction = oracles.casimir_contraction(oracles.defining_generators(n), n)
+    assert contraction == ExactMatrix.identity(n) * oracles.c2_closed_form("T_f", n // 2)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
