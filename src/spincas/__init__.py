@@ -6,7 +6,7 @@ Q(i) with zero tolerance.
 
 from ._backend import BACKEND
 from .linalg import ExactMatrix, kron, partial_trace
-from .scalar import ExactScalar, Rat, rat
+from .scalar import ExactScalar, Rat
 
 __version__ = "1.0.0"
 
@@ -17,6 +17,5 @@ __all__ = [
     "Rat",
     "kron",
     "partial_trace",
-    "rat",
     "__version__",
 ]

@@ -167,7 +167,9 @@ def _run_command(args) -> tuple[str, int]:
 def _run_ybe(args) -> tuple[str, int]:
     if args.mode == "full" and args.form == "plain":
         raise _UsageError("--mode full checks the braid form only; --form plain needs --mode sector")
-    if args.grid or (args.u is None and args.v is None):
+    if args.grid and (args.u is not None or args.v is not None):
+        raise _UsageError("--grid runs the whole grid; give a point with --u and --v instead")
+    if args.u is None and args.v is None:
         pairs = ybe.grid_points(args.r)
     elif args.u is not None and args.v is not None:
         pairs = [(args.u, args.v)]

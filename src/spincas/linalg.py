@@ -6,10 +6,10 @@ sparse matrices of Python ints: rows dicts ``{i: {j: v}}`` with no zero
 entry and no empty row.  The gcd of all entries of both parts is 1, and the
 zero matrix has scale 1 and two empty parts.  That form is unique, so
 equality is a structural comparison.  The kernels in ``_backend`` multiply
-and add real integer matrices; the complex arithmetic here makes one kernel
-call per pair of nonzero parts, so a zero part costs nothing.  The public
-interface speaks Q(i): entries come out as ``ExactScalar`` values with
-``Fraction`` parts.
+and add real integer matrices; ``_part_terms`` splits every complex product
+here into one kernel term per pair of nonzero parts, so a zero part costs
+nothing.  The public interface speaks Q(i): entries come out as
+``ExactScalar`` values with ``Fraction`` parts.
 
 Polynomials in an operator are evaluated from its ``PowerTable``, which
 keeps the powers base^0, base^1, ... once made; ``poly_eval`` is one linear
@@ -36,8 +36,6 @@ def _val(value):
     """Coerce a scalar-like to an (re, im) pair of rationals."""
     if isinstance(value, ExactScalar):
         return (value.re, value.im)
-    if isinstance(value, tuple):
-        return (Rat(value[0]), Rat(value[1]))
     return (Rat(value), RAT_ZERO)
 
 
@@ -93,37 +91,13 @@ def _entries(re: dict, im: dict) -> Iterator[tuple[int, int, int, int]]:
             yield i, j, x.get(j, 0), y.get(j, 0)
 
 
-def _signed_sum(f, terms) -> dict:
-    """sum of sign * f(x, y) over (sign, x, y) with both x and y nonzero.
-
-    A lone term is one kernel call; a lone negative term negates its left
-    factor rather than the product.  Several terms are summed in one
-    ``mat_lincomb`` call, which applies the signs.
-    """
-    terms = [(s, x, y) for s, x, y in terms if x and y]
-    if len(terms) > 1:
-        return _backend.mat_lincomb((s, f(x, y)) for s, x, y in terms)
-    if not terms:
-        return {}
-    s, x, y = terms[0]
-    return f(x if s > 0 else _times(x, -1), y)
-
-
-def _product(f, a: tuple, b: tuple) -> tuple:
-    """(re, im) of the product of a = (re, im) and b = (re, im), integer
-    parts, under a real bilinear kernel f.
-    """
-    (ar, ai), (br, bi) = a, b
-    re = _signed_sum(f, ((1, ar, br), (-1, ai, bi)))
-    im = _signed_sum(f, ((1, ar, bi), (1, ai, br)))
-    return re, im
-
-
 def _part_terms(terms) -> tuple[list, list]:
     """The real and the imaginary part of a sum of c * x * y over the terms
     (c, x, y, *rest), with x and y integer parts (re, im) and * a real
     bilinear kernel, as two lists of kernel terms (k, x_part, y_part, *rest);
-    a product with an empty part is left out.
+    a product with an empty part is left out.  This is the one place where a
+    complex product is split into real ones: matrix products, Kronecker sums,
+    leg products and traces of products all go through it.
     """
     re_terms: list = []
     im_terms: list = []
@@ -134,6 +108,24 @@ def _part_terms(terms) -> tuple[list, list]:
             if x and y:
                 out.append((k, x, y, *rest))
     return re_terms, im_terms
+
+
+def _products(terms) -> tuple:
+    """Integer parts (re, im) of the sum of c * x @ y over the terms (c, x, y),
+    c an int and x, y integer parts (re, im).  A lone kernel term of a part
+    is one ``mat_mul`` call, a negative one negating its left factor rather
+    than the product; several are summed in one ``mat_lincomb`` call.
+    """
+
+    def part(t):
+        if len(t) > 1:
+            return _backend.mat_lincomb((k, _backend.mat_mul(x, y)) for k, x, y in t)
+        if not t:
+            return {}
+        ((k, x, y),) = t
+        return _backend.mat_mul(x if k == 1 else _times(x, k), y)
+
+    return tuple(part(t) for t in _part_terms(terms))
 
 
 def _apply(columns: tuple, vec: dict) -> dict:
@@ -313,10 +305,7 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
-        if self._im or other._im:
-            re, im = _product(_backend.mat_mul, (self._re, self._im), (other._re, other._im))
-        else:
-            re, im = _backend.mat_mul(self._re, other._re), {}
+        re, im = _products([(1, (self._re, self._im), (other._re, other._im))])
         return ExactMatrix._make(self.dim, self.scale * other.scale, re, im)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -509,7 +498,7 @@ def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ..
         c = _int(g.scale, den)
         g_parts = (_times(g._re, c), _times(g._im, c))
         for k in range(n, 0, -1):
-            step = _product(_backend.mat_mul, sums[k - 1], g_parts)
+            step = _products([(1, sums[k - 1], g_parts)])
             sums[k] = tuple(
                 _backend.mat_lincomb([(1, s), (1, t)]) if s and t else s or t for s, t in zip(sums[k], step)
             )
@@ -627,8 +616,8 @@ def trace_of_product(a: ExactMatrix, b: ExactMatrix) -> ExactScalar:
                     total += v * w
         return total
 
-    re = tr(a._re, b._re) - tr(a._im, b._im)
-    im = tr(a._re, b._im) + tr(a._im, b._re)
+    parts = _part_terms([(1, (a._re, a._im), (b._re, b._im))])
+    re, im = (sum(k * tr(x, y) for k, x, y in t) for t in parts)
     scale = a.scale * b.scale
     return ExactScalar(scale * re, scale * im)
 

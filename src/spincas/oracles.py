@@ -15,7 +15,7 @@ from typing import Sequence
 from . import _backend
 from .linalg import ExactMatrix, first_difference, lincomb
 from .records import VerificationRecord, diff_witness
-from .scalar import RAT_ZERO, Rat, rat
+from .scalar import RAT_ZERO, Rat
 
 Pair = tuple[int, int]
 
@@ -124,30 +124,18 @@ def inverse_metric_diagonal(n: int) -> Rat:
 
 AdjointMap = dict[tuple[Pair, Pair], int]
 
-_ADJOINT_MAPS: dict[int, tuple[dict, dict[Pair, AdjointMap]]] = {}
 
-
-def _adjoint_maps(n: int) -> dict[Pair, AdjointMap]:
-    """ad(M_A) of every basis element as a sparse map {(D, C): X^C_{AD}}:
-    ad(M_A) sends M_D to the sum of X^C_{AD} M_C.
-
-    Built from commutator_table(n) once per N, and again only when that
-    table is not the object they were built from; shared by every caller,
-    who must not mutate them.
+def _adjoint_map(table, a: Pair, pairs: list[Pair]) -> AdjointMap:
+    """ad(M_A) as a sparse map {(D, C): X^C_{AD}}: ad(M_A) sends M_D to the
+    sum of X^C_{AD} M_C, read off the commutator table the caller holds.
     """
-    table = commutator_table(n)
-    built = _ADJOINT_MAPS.get(n)
-    if built is None or built[0] is not table:
-        pairs = basis_pairs(n)
-        maps = {a: {(d, c): f for d in pairs for c, f in table[(a, d)].items()} for a in pairs}
-        built = _ADJOINT_MAPS[n] = (table, maps)
-    return built[1]
+    return {(d, c): f for d in pairs for c, f in table[(a, d)].items()}
 
 
 def killing_metric_from_contraction(n: int, a: Pair, b: Pair) -> int:
     """g_AB = X^C_{AD} X^D_{BC} over the canonical basis."""
-    ad = _adjoint_maps(n)
-    return _contract_killing(ad[a], ad[b])
+    table, pairs = commutator_table(n), basis_pairs(n)
+    return _contract_killing(_adjoint_map(table, a, pairs), _adjoint_map(table, b, pairs))
 
 
 def _contract_killing(ad_a: AdjointMap, ad_b: AdjointMap) -> int:
@@ -175,7 +163,7 @@ def algebra_integrity(n: int) -> VerificationRecord:
     )
     record.add_first_failure(
         "killing-metric-contraction-equals-closed-form",
-        _killing_failures(_adjoint_maps(n), pairs, n),
+        _killing_failures({a: _adjoint_map(by_comm, a, pairs) for a in pairs}, pairs, n),
     )
     record.add_first_failure("inverse-metric-times-metric-is-identity", _inverse_metric_failures(pairs, n))
     record.add_first_failure("jacobi-identity", _jacobi_failures(by_comm, pairs))
@@ -303,7 +291,7 @@ def c2_from_weight(weight: Sequence, n: int) -> Rat:
         raise ValueError("weight length must equal N/2")
     delta = WEYL_VECTOR(r)
     total = Rat(0)
-    for lam, dl in zip((rat(w) for w in weight), delta):
+    for lam, dl in zip((Rat(w) for w in weight), delta):
         total += lam * (lam + 2 * dl)
     return total / (2 * (n - 2))
 

@@ -9,7 +9,7 @@ removed with exact gcd.
 
 from __future__ import annotations
 
-from .scalar import Rat, rat
+from .scalar import Rat
 
 
 class Poly:
@@ -18,14 +18,14 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
+        cs = [Rat(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls([rat(value)])
+        return cls([Rat(value)])
 
     @classmethod
     def x(cls) -> "Poly":
@@ -75,12 +75,12 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return Poly(out)
-        return Poly([c * rat(other) for c in self.coeffs])
+        return Poly([c * Rat(other) for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __call__(self, point) -> Rat:
-        x = rat(point)
+        x = Rat(point)
         acc = Rat(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -118,7 +118,7 @@ class Poly:
 def poly_from_roots(roots) -> Poly:
     out = Poly.const(1)
     for root in roots:
-        out = out * Poly([-rat(root), 1])
+        out = out * Poly([-Rat(root), 1])
     return out
 
 
@@ -187,7 +187,7 @@ class RationalFunction:
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
             return RationalFunction(self.num * other.num, self.den * other.den)
-        return RationalFunction(self.num * rat(other), self.den)
+        return RationalFunction(self.num * Rat(other), self.den)
 
     __rmul__ = __mul__
 
@@ -200,7 +200,7 @@ class RationalFunction:
         return not self.den(point)
 
     def __call__(self, point) -> Rat:
-        x = rat(point)
+        x = Rat(point)
         d = self.den(x)
         if not d:
             raise ZeroDivisionError(f"evaluation at pole {point}")

@@ -77,10 +77,6 @@ class VerificationRecord:
             not self.checks or any(c.status != SKIP for c in self.checks)
         )
 
-    @property
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if c.status == FAIL]
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,

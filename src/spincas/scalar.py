@@ -14,13 +14,6 @@ RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
 
 
-def rat(numerator, denominator=None):
-    """Exact rational p/q in canonical form."""
-    if denominator is not None:
-        return Rat(numerator, denominator)
-    return Rat(numerator)
-
-
 def format_rat(value) -> str:
     """Render a rational as ``p/q`` (denominator always shown)."""
     return f"{value.numerator}/{value.denominator}"
@@ -130,9 +123,3 @@ def _coerce(value) -> ExactScalar:
 
 
 ONE = ExactScalar(1)
-
-
-def binomial(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k) if 0 <= k <= n else 0

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .casimir import (
     SECTORS,
     block_structure_check,
     casimir_powers,
     i2k_polynomial,
-    invariant_I,
     sector_casimir,
     sector_indices,
     split_casimir_rho,
@@ -34,9 +33,9 @@ from .linalg import (
     shifted_images,
     trace_of_product,
 )
-from .ratfunc import Poly, poly_from_roots
+from .ratfunc import poly_from_roots
 from .records import PASS, CheckResult, VerificationRecord
-from .scalar import Rat, binomial
+from .scalar import Rat
 
 OPPOSITE = {"++": "+-", "+-": "++", "-+": "--", "--": "-+"}
 
@@ -64,7 +63,7 @@ def sector_kvalues(r: int, sector: str) -> tuple[int, ...]:
 
 def sector_trace_closed_form(r: int, k: int) -> int:
     """Projector trace: binomial(2r, k), halved at the top label k = r."""
-    return binomial(2 * r, k) // 2 if k == r else binomial(2 * r, k)
+    return comb(2 * r, k) // 2 if k == r else comb(2 * r, k)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from math import factorial
+from math import comb, factorial
 
 from .casimir import invariant_I, sector_indices, split_casimir_rho
 from .clifford import build_gamma, chain_generators, chain_pairs, half_spinor_blocks
@@ -56,7 +56,7 @@ from .linalg import (
 )
 from .ratfunc import Poly, RationalFunction, rising_factorial
 from .records import PASS, VerificationRecord, diff_witness
-from .scalar import Rat, binomial, rat
+from .scalar import Rat
 from .spectra import c2k_eigenvalue, rho_projectors, sector_spectral
 
 FORMS = ("plain", "braid")
@@ -102,7 +102,7 @@ class RMatrixFamily:
         return self.is_pole(u) or self.is_pole(v) or self.is_pole(u + v)
 
     def evaluate(self, u) -> ExactMatrix:
-        u = rat(u)
+        u = Rat(u)
         data = sector_spectral(self.r, self.sector)
         return lincomb(
             data.block.dim, [(coeff(u), data.projectors[label]) for label, coeff in self.terms]
@@ -214,7 +214,7 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int) -> tuple
                     key = (a + m, c + b - m)
                     if key not in sums:
                         sums[key] = ScaledSum(dim, den**3)
-                    sums[key].add(binomial(b, m) * c_a * c_b * c_c, 0, k_abc)
+                    sums[key].add(comb(b, m) * c_a * c_b * c_c, 0, k_abc)
     diffs = ((key, total.matrix()) for key, total in sorted(sums.items()))
     return len(sums), tuple((key, d.transpose()) for key, d in diffs if d)
 
@@ -280,7 +280,7 @@ class BraidFamily:
         """
         record = VerificationRecord(name=name)
         for u, v in points:
-            u, v = rat(u), rat(v)
+            u, v = Rat(u), Rat(v)
             check_id = f"point-u{u}-v{v}"
             if self.ybe_pole(u, v):
                 record.add(check_id, False, "pole hit")
@@ -375,7 +375,7 @@ def ybe_identity_check(r: int, eps: str = "+") -> VerificationRecord:
 
 def ybe_point(r: int, eps: str, u, v):
     """One braid Yang-Baxter point of a sector family; None signals a pole."""
-    u, v = rat(u), rat(v)
+    u, v = Rat(u), Rat(v)
     if sector_r_matrix(r, eps, "braid").ybe_pole(u, v):
         return None
     return ybe_check(r, eps, [(u, v)]).ok
@@ -426,7 +426,7 @@ def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
     sides to the left leaves P12 P23 P12 = P13 times the plain sides.
     Without the relation every point fails with its witness.
     """
-    points = [(rat(u), rat(v)) for u, v in points]
+    points = [(Rat(u), Rat(v)) for u, v in points]
     record = VerificationRecord(name=f"plain-yang-baxter r={r} eps={eps}")
     [relation] = _swap_relation(r, eps).checks
     if relation.status == PASS:
@@ -597,21 +597,15 @@ def coefficient_consistency(r: int) -> VerificationRecord:
 
 
 @lru_cache(maxsize=None)
-def _invariants(r: int) -> tuple[ExactMatrix, ...]:
-    return tuple(invariant_I(r, k) for k in range(2 * r + 1))
-
-
-@lru_cache(maxsize=None)
 def full_r_matrix_coefficients(r: int) -> tuple[ExactMatrix, ...]:
     """R_0, ..., R_D with R(u) = sum_d u^d R_d, where D is the highest degree
     the closed-form coefficients actually have (they are polynomials, so
     nothing is cleared).
     """
     closed = closed_form_coefficients(r)
-    inv = _invariants(r)
     series = [(coeff, 2 * k) for k, coeff in enumerate(closed.even)]
     series += [(coeff, 2 * k + 1) for k, coeff in enumerate(closed.odd)]
-    return _degree_parts(4**r, [(coeff * Rat(1, factorial(k)), inv[k]) for coeff, k in series])
+    return _degree_parts(4**r, [(coeff * Rat(1, factorial(k)), invariant_I(r, k)) for coeff, k in series])
 
 
 def full_r_matrix(r: int, u) -> ExactMatrix:
@@ -621,14 +615,13 @@ def full_r_matrix(r: int, u) -> ExactMatrix:
 
 def full_r_matrix_parts(r: int, u) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """(full, even part, odd part); the parts sum to the full matrix."""
-    u = rat(u)
+    u = Rat(u)
     closed = closed_form_coefficients(r)
-    inv = _invariants(r)
     even_terms = [
-        (coeff(u) / factorial(2 * k), inv[2 * k]) for k, coeff in enumerate(closed.even)
+        (coeff(u) / factorial(2 * k), invariant_I(r, 2 * k)) for k, coeff in enumerate(closed.even)
     ]
     odd_terms = [
-        (coeff(u) / factorial(2 * k + 1), inv[2 * k + 1]) for k, coeff in enumerate(closed.odd)
+        (coeff(u) / factorial(2 * k + 1), invariant_I(r, 2 * k + 1)) for k, coeff in enumerate(closed.odd)
     ]
     even, odd = lincomb(4**r, even_terms), lincomb(4**r, odd_terms)
     return even + odd, even, odd
@@ -694,10 +687,9 @@ def top_projector_relations(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"top-projector-relations r={r}")
     top = rho_projectors(r)[r]
-    inv = _invariants(r)
     for k in range(r + 1):
-        lhs = inv[2 * k] @ top
-        rhs = top * Rat((-1) ** k * binomial(r, k) * factorial(2 * k))
+        lhs = invariant_I(r, 2 * k) @ top
+        rhs = top * Rat((-1) ** k * comb(r, k) * factorial(2 * k))
         record.add_equal(f"invariant-scaling-k{k}", lhs, rhs)
     casimir_action = split_casimir_rho(r).matrix @ top
     record.add(
@@ -718,7 +710,7 @@ def rising_factorial_identity() -> VerificationRecord:
         ok = True
         for x in xs:
             lhs = sum(
-                binomial(r, k)
+                comb(r, k)
                 * rising_factorial(x_poly, k)(x)
                 * rising_factorial(x_poly, r - k)(x)
                 for k in range(r + 1)

@@ -11,6 +11,8 @@ CHAIN_GENERATORS = chain_generators
 from spincas.linalg import ExactMatrix, kron_sum
 from spincas.scalar import Rat
 
+from failing import failing_checks
+
 
 def test_split_casimir_shape_and_trace():
     c = casimir.split_casimir_rho(2)
@@ -35,13 +37,13 @@ def test_invariant_vanishes_beyond_top_degree():
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_recurrences(r):
     record = casimir.verify_recurrences(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_polynomial_consistency(r):
     record = casimir.polynomial_consistency(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
@@ -64,7 +66,7 @@ def test_power_traces_match_closed_forms_directly(r):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_block_structure(r):
     record = casimir.block_structure_check(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -190,5 +192,5 @@ def test_recurrences_fail_on_a_perturbed_gamma(r, monkeypatch, cold_invariant_ca
     monkeypatch.setattr(casimir, "build_gamma", lambda rank: perturbed if rank == r else build_gamma(rank))
     record = casimir.verify_recurrences(r)
     assert not record.ok
-    assert record.failures and all(check.witness for check in record.failures)
+    assert failing_checks(record) and all(check.witness for check in failing_checks(record))
     assert build_gamma(r).gammas[0] == first

@@ -261,6 +261,17 @@ def test_ybe_bad_negative_parameter_after_the_option(capsys, monkeypatch, u, mes
     assert "usage error" in err and message in err
 
 
+@pytest.mark.parametrize("mode", ["sector", "full"])
+@pytest.mark.parametrize("point", [["--u", "2/3", "--v", "5/7"], ["--u", "2/3"], ["--v", "5/7"]])
+def test_ybe_grid_with_a_point_is_refused_before_work(capsys, monkeypatch, mode, point):
+    # the grid would run and the point be dropped without a word
+    _no_ybe_work(monkeypatch)
+    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", mode, "--grid", *point)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--grid" in err
+
+
 def test_ybe_missing_v_is_usage_error(capsys):
     code, _, err = run(capsys, "ybe", "--r", "2", "--u", "2/3")
     assert code == 2

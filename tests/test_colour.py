@@ -5,6 +5,8 @@ from spincas.casimir import SECTORS, sector_casimir
 from spincas.linalg import ExactMatrix
 from spincas.scalar import Rat
 
+from failing import failing_checks
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -41,12 +43,12 @@ def test_opposite_chirality_vanishes_at_minimal_rank():
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_ladder_consistency(r):
     record = colour.ladder_consistency(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 def test_worked_values():
     record = colour.worked_values()
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 def test_full_trace_values():
@@ -86,7 +88,7 @@ def test_non_scalar_partial_trace_fails_with_witness(monkeypatch):
     coeff, scalar = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=2, sector="++"))
     assert coeff == Rat(3, 32) and scalar is False
     record = colour.ladder_consistency(2)
-    failed = {c.check_id: c.witness for c in record.failures}
+    failed = {c.check_id: c.witness for c in failing_checks(record)}
     assert failed["partial-trace-scalar-++-L1"] == "partial trace is not 0 times the identity"
     report = colour.colour_report(colour.LadderSpec(r=2, L=2, sector="++", closure="partial_trace"))
     assert report["is_identity_multiple"] is False

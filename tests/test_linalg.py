@@ -1,6 +1,9 @@
+from operator import matmul
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spincas import _backend
 from spincas.linalg import (
     ExactMatrix,
     PowerTable,
@@ -10,6 +13,7 @@ from spincas.linalg import (
     permutation_operator,
     poly_eval,
     sum_at_scale,
+    trace_of_product,
 )
 from spincas.scalar import ExactScalar, Rat
 
@@ -144,3 +148,32 @@ def test_sum_at_scale():
         sum_at_scale(2, [a, b], 2)  # 3/4 is not a multiple of 1/2
     with pytest.raises(ValueError):
         sum_at_scale(3, [a], 4)
+
+
+def test_products_make_one_kernel_call_per_pair_of_nonzero_parts(monkeypatch):
+    # a real or an imaginary factor meets each nonzero part of the other once;
+    # two complex factors make four products, summed per part in one call
+    real = ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3), (2, 0): -1})
+    imaginary = ExactMatrix(3, {(0, 0): ExactScalar(0, 5), (2, 1): ExactScalar(0, -1)})
+    both = real + imaginary
+    calls = []
+    for name in ("mat_mul", "mat_lincomb"):
+
+        def counted(*args, _name=name, _kernel=getattr(_backend, name)):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(_backend, name, counted)
+
+    def kernel_calls(product, a, b):
+        calls.clear()
+        product(a, b)
+        return calls.count("mat_mul"), calls.count("mat_lincomb")
+
+    assert kernel_calls(matmul, real, real) == (1, 0)
+    assert kernel_calls(matmul, real, imaginary) == (1, 0)
+    assert kernel_calls(matmul, imaginary, imaginary) == (1, 0)
+    assert kernel_calls(matmul, both, both) == (4, 2)
+    assert kernel_calls(trace_of_product, both, both) == (0, 0)
+    assert trace_of_product(both, both) == (both @ both).trace()
+    assert imaginary @ imaginary == ExactMatrix(3, {(0, 0): -25})

@@ -5,10 +5,8 @@ from spincas.scalar import (
     ONE,
     ExactScalar,
     Rat,
-    binomial,
     format_rat,
     parse_rat,
-    rat,
 )
 
 rationals = st.builds(
@@ -19,12 +17,6 @@ rationals = st.builds(
 scalars = st.builds(ExactScalar, rationals, rationals)
 ZERO = ExactScalar(0)
 IMAG_UNIT = ExactScalar(0, 1)
-
-
-def test_rat_constructor():
-    assert rat(3) == Rat(3)
-    assert rat(Rat(1, 2)) == Rat(1, 2)
-    assert rat(4, -6) == Rat(-2, 3)
 
 
 def test_format_parse_roundtrip_rational():
@@ -82,13 +74,3 @@ def test_scalar_immutability():
 def test_integer_powers():
     assert IMAG_UNIT**4 == ONE
     assert ExactScalar(Rat(1, 2)) ** 3 == ExactScalar(Rat(1, 8))
-
-
-def test_binomial():
-    assert binomial(8, 0) == 1
-    assert binomial(8, 3) == 56
-    assert binomial(10, 5) == 252
-    # Pascal rule on a small triangle
-    for n in range(2, 12):
-        for k in range(1, n):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)

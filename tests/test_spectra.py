@@ -7,6 +7,8 @@ from spincas.casimir import SECTORS, split_casimir_rho
 from spincas.linalg import ExactMatrix, PowerTable
 from spincas.scalar import Rat
 
+from failing import failing_checks
+
 
 def test_eigenvalue_formula():
     assert spectra.c2k_eigenvalue(2, 0) == Rat(-3, 8)
@@ -61,19 +63,19 @@ def test_known_spectra(key):
 @pytest.mark.parametrize("sector", SECTORS)
 def test_projector_axioms(r, sector):
     record = spectra.projector_axioms(r, sector)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_characteristic_identity(r):
     record = spectra.char_identity_rho(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_sector_minimal_identities(r):
     record = spectra.sector_minimal_identities(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 4])
@@ -99,7 +101,7 @@ def test_pair_identities_odd_rank_notes(r):
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_rho_family(r):
     record = spectra.rho_family_check(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -116,7 +118,7 @@ def test_eigenvalue_consistency(r):
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_power_traces(r):
     record = spectra.power_trace_check(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -133,8 +135,8 @@ def test_power_traces_fail_on_a_perturbed_block(r, monkeypatch):
 
     monkeypatch.setattr(spectra, "sector_spectral", perturbed)
     record = spectra.power_trace_check(r)
-    assert [c.check_id for c in record.failures] == ["power-2", "power-3", "power-4", "power-5"]
-    assert all(" != " in c.witness for c in record.failures)
+    assert [c.check_id for c in failing_checks(record)] == ["power-2", "power-3", "power-4", "power-5"]
+    assert all(" != " in c.witness for c in failing_checks(record))
 
 
 def test_full_space_spectral_reconstruction():
@@ -171,7 +173,7 @@ def test_records_fail_on_a_perturbed_projector(r, monkeypatch):
     # the full-space family is assembled afresh from the served block
     monkeypatch.setattr(spectra, "rho_projectors", spectra.rho_projectors.__wrapped__)
     axioms, swap, family = records()
-    failed = {record.name: {c.check_id: c.witness for c in record.failures} for record in (axioms, swap, family)}
+    failed = {record.name: {c.check_id: c.witness for c in failing_checks(record)} for record in (axioms, swap, family)}
     assert failed[axioms.name][f"idempotent-k{r}"].startswith("first differing entry")
     assert list(failed[swap.name]) == [f"swap-sign-k{r}"]
     assert failed[swap.name][f"swap-sign-k{r}"].startswith("first differing entry")

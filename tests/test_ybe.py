@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,9 @@ from spincas.cli import main
 from spincas.linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
 from spincas.records import FAIL, PASS, diff_witness
-from spincas.scalar import Rat, binomial
+from spincas.scalar import Rat
+
+from failing import failing_checks
 
 
 def test_tau_coefficients():
@@ -55,14 +58,14 @@ def test_admissible_grid():
 @pytest.mark.parametrize("r", [2, 3])
 def test_braid_ybe_grid(r):
     record = ybe.ybe_check(r, "+")
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
     assert len(record.checks) == (2 * r + 3) ** 2
 
 
 def test_plain_ybe_spot():
     us, vs = ybe.admissible_grid(2)
     record = ybe.plain_ybe_spot_check(2, "+", [(us[0], vs[0]), (us[2], vs[3])])
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -79,19 +82,19 @@ def test_swap_symmetry(r):
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_asymptotics(r):
     record = ybe.asymptotic_check(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_tau_ratio_constraints(r):
     record = ybe.tau_ratio_constraints(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_coefficient_consistency(r):
     record = ybe.coefficient_consistency(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 def test_recurrence_ratio_example():
@@ -112,30 +115,30 @@ def test_closed_form_example():
 @pytest.mark.parametrize("r", [2, 3])
 def test_full_ybe(r):
     record = ybe.full_ybe_check(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_chirality_split(r):
     record = ybe.chirality_split_check(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_top_projector_relations(r):
     record = ybe.top_projector_relations(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_symmetric_part_factorization(r):
     record = ybe.symmetric_part_factorization(r)
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 def test_rising_factorial_identity():
     record = ybe.rising_factorial_identity()
-    assert record.ok, [c.check_id for c in record.failures]
+    assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
 def test_rising_factorial_polynomial():
@@ -149,7 +152,6 @@ def test_rising_factorial_polynomial():
 
 # the originals, so a test can call and clear them while their names are patched
 CLOSED_FORMS = ybe.closed_form_coefficients
-INVARIANTS = ybe._invariants
 GRID = ybe.admissible_grid
 FULL_SYMMETRIES = ybe._full_symmetries
 
@@ -158,7 +160,6 @@ CACHED = (
     ybe.sector_r_matrix,
     ybe.closed_form_coefficients,
     ybe.full_r_matrix_coefficients,
-    ybe._invariants,
     ybe._sector_braid_slice,
     ybe._full_braid_slice,
     ybe._swap_relation,
@@ -251,7 +252,7 @@ def reference_braid_differences(parts, leg):
             for c in range(n):
                 k_abc = left[a] @ right[b] @ left[c] - right[c] @ left[b] @ right[a]
                 for m in range(b + 1):
-                    grouped.setdefault((a + m, c + b - m), []).append((binomial(b, m), k_abc))
+                    grouped.setdefault((a + m, c + b - m), []).append((comb(b, m), k_abc))
     diffs = {key: lincomb(leg**3, terms) for key, terms in grouped.items()}
     return {key: d for key, d in diffs.items() if d}
 
@@ -355,17 +356,17 @@ def test_raised_coefficient_degree_fails_like_direct_products(fresh_caches, monk
     r = 2
     assert len(ybe.full_r_matrix_coefficients(r)) == r + 2  # the u^(r+1) part is kept
     record = ybe.full_ybe_check(r)
-    assert record.failures
+    assert failing_checks(record)
     assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
 
 
 def test_perturbed_invariant_fails_like_direct_products(fresh_caches, monkeypatch):
     r = 2
-    inv = list(INVARIANTS(r))
-    inv[2] = inv[2] + ExactMatrix(4**r, {(0, 5): Rat(1, 3)})
-    monkeypatch.setattr(ybe, "_invariants", lambda rank: tuple(inv))
+    real = ybe.invariant_I
+    perturbed = real(r, 2) + ExactMatrix(4**r, {(0, 5): Rat(1, 3)})
+    monkeypatch.setattr(ybe, "invariant_I", lambda rank, k: perturbed if k == 2 else real(rank, k))
     record = ybe.full_ybe_check(r)
-    assert record.failures
+    assert failing_checks(record)
     assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
 
 
@@ -377,8 +378,8 @@ def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatc
     perturbed = dataclasses.replace(data, projectors=projectors)
     monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: perturbed)
     record = ybe.ybe_check(r, "+")
-    assert record.failures
-    assert all(c.witness.startswith("first differing entry") for c in record.failures)
+    assert failing_checks(record)
+    assert all(c.witness.startswith("first differing entry") for c in failing_checks(record))
     assert_matches_direct(record, r, lambda u, v: direct_sector(r, "+", u, v))
 
 
@@ -445,7 +446,7 @@ def test_braid_identity_records_pass(r):
         ybe.ybe_identity_check(r, "-"),
     )
     for record in records:
-        assert record.ok, [(c.check_id, c.witness) for c in record.failures]
+        assert record.ok, [(c.check_id, c.witness) for c in failing_checks(record)]
         assert record.name.startswith(f"yang-baxter-identity r={r} ")
     assert records[0].checks[-1].check_id.endswith(f"-on-{4**r}-slice-columns")
 
@@ -504,7 +505,7 @@ def test_failing_point_makes_its_direct_products_once(fresh_caches, monkeypatch)
 
     monkeypatch.setattr(ybe, "_braid_sides", counted)
     record = ybe.ybe_check(r, "+")
-    assert len(record.failures) == 81
+    assert len(failing_checks(record)) == 81
     assert len(calls) == len(set(calls)) == 81
 
 
@@ -523,7 +524,7 @@ def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
     perturb_projector(monkeypatch, r)
     monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg: (1, ()))
     record = ybe.ybe_check(r, "+")
-    assert record.failures
+    assert failing_checks(record)
     assert_matches_direct(record, r, lambda u, v: direct_sector(r, "+", u, v))
 
 
@@ -599,7 +600,7 @@ def assert_plain_matches_direct(r, eps, points):
 def test_swap_relation_holds(r, eps):
     record = ybe.swap_relation_check(r, eps)
     assert record.name == f"swap-relation r={r} eps={eps}"
-    assert record.ok, [(c.check_id, c.witness) for c in record.failures]
+    assert record.ok, [(c.check_id, c.witness) for c in failing_checks(record)]
 
 
 def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
@@ -650,7 +651,7 @@ def test_rescaled_tau_fails_plain_points_like_direct_products(fresh_caches, monk
     assert ybe.swap_relation_check(r, eps).ok
     assert not ybe.ybe_identity_check(r, eps).ok
     record = assert_plain_matches_direct(r, eps, ybe.grid_points(r))
-    assert record.failures
+    assert failing_checks(record)
 
 
 def test_skewed_projector_fails_plain_points_like_direct_products(fresh_caches, monkeypatch):
@@ -667,7 +668,7 @@ def test_skewed_projector_fails_plain_points_like_direct_products(fresh_caches, 
     monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: dataclasses.replace(data, projectors=projectors))
     assert ybe.swap_relation_check(r, "+").ok
     record = assert_plain_matches_direct(r, "+", ybe.grid_points(r))
-    assert record.failures
+    assert failing_checks(record)
 
 
 @pytest.mark.parametrize("r, k", [(2, 1), (3, 0), (4, 2)])
@@ -733,6 +734,6 @@ def test_pole_on_grid_is_a_failure(monkeypatch, check):
     monkeypatch.setattr(ybe, "admissible_grid", grid_with_pole)
     record = check()
     assert not record.ok
-    assert record.failures
-    assert all(c.witness == "pole hit" for c in record.failures)
+    assert failing_checks(record)
+    assert all(c.witness == "pole hit" for c in failing_checks(record))
     assert all(c.status in (PASS, FAIL) for c in record.checks)
