@@ -22,6 +22,7 @@ from .clifford import (
 from .linalg import (
     ExactMatrix,
     PowerTable,
+    diagonal_action,
     elementary_products,
     kron,
     kron_sum,
@@ -259,13 +260,12 @@ def ad_invariance_check(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"casimir-ad-invariance r={r}")
     c = split_casimir_rho(r).matrix
-    ident = ExactMatrix.identity(2**r)
     chain = chain_generators(r)
 
     def failures():
         yield from closure_failures(r, chain)
         for pair, g in zip(chain_pairs(r), chain):
-            diag = kron_sum([(1, g, ident), (1, ident, g)])
+            diag = diagonal_action(g)
             if diag @ c != c @ diag:
                 yield f"C does not commute with the diagonal action of L_{pair}"
 
@@ -287,9 +287,9 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     # d = g (x) 1 + 1 (x) g has integer entries over the scale of g, so every
     # d @ d is an integer matrix over the square of that scale
     den = lcm(*((g.scale * g.scale).denominator for g in gens))
-    diags = (kron_sum([(1, g, ident), (1, ident, g)]) for g in gens)
+    diags = (diagonal_action(g) for g in gens)
     c2_diag = sum_at_scale(dim * dim, (d @ d for d in diags), den) * coeff
-    rhs = kron_sum([(1, c2_single, ident), (1, ident, c2_single)]) + split_casimir_rho(r).matrix * 2
+    rhs = diagonal_action(c2_single) + split_casimir_rho(r).matrix * 2
     record.add_equal("coproduct-split", c2_diag, rhs)
     spinor_c2 = c2_closed_form("Delta_plus", r)
     record.add("single-space-casimir-scalar", c2_single == ident * spinor_c2)

@@ -449,6 +449,14 @@ def kron_sum(terms) -> ExactMatrix:
     return ExactMatrix._make(a_dim * b_dim, Rat(g, den), re, im)
 
 
+def diagonal_action(g: ExactMatrix) -> ExactMatrix:
+    """g (x) 1 + 1 (x) g: how a Lie algebra element g acts on the tensor
+    square of its space.
+    """
+    ident = ExactMatrix.identity(g.dim)
+    return kron_sum([(1, g, ident), (1, ident, g)])
+
+
 def integer_parts(matrices: Sequence[ExactMatrix]) -> tuple[int, list]:
     """(den, [(c, (re, im)), ...]): one common denominator den of the scales,
     and per matrix the int c with matrix = c/den (re + i*im).  The parts are

@@ -85,27 +85,29 @@ class SectorSpectral:
     projectors: dict[int, ExactMatrix]
 
 
+def _lagrange_projector(eigs: dict[int, Rat], k: int, powers: PowerTable) -> ExactMatrix:
+    """prod over the other eigenvalues e of (C - e) / (eigs[k] - e), for eigs
+    the eigenvalue of each label and C the operator whose powers the table holds.
+    """
+    numer = poly_from_roots(e for e in eigs.values() if e != eigs[k])
+    denom = numer(eigs[k])
+    return poly_eval([c / denom for c in numer.coeffs], powers)
+
+
 @lru_cache(maxsize=None)
 def sector_spectral(r: int, sector: str) -> SectorSpectral:
     """Build the sector block, its eigenprojectors, and rank-verified spectrum."""
     block = sector_casimir(r, sector)
-    kvals = sector_kvalues(r, sector)
-    eigs = [c2k_eigenvalue(r, k) for k in kvals]
+    eigs = {k: c2k_eigenvalue(r, k) for k in sector_kvalues(r, sector)}
     powers = PowerTable(block)
-    projectors: dict[int, ExactMatrix] = {}
-    entries = []
-    for k, ev in zip(kvals, eigs):
-        numer = poly_from_roots(e for e in eigs if e != ev)
-        denom = numer(ev)
-        proj = poly_eval([c / denom for c in numer.coeffs], powers)
-        projectors[k] = proj
-        entries.append((k, ev, proj.rank()))
+    projectors = {k: _lagrange_projector(eigs, k, powers) for k in eigs}
+    entries = tuple((k, ev, projectors[k].rank()) for k, ev in eigs.items())
     return SectorSpectral(
         r=r,
         sector=sector,
         block=block,
         powers=powers,
-        spectrum=Spectrum(entries=tuple(entries)),
+        spectrum=Spectrum(entries=entries),
         projectors=projectors,
     )
 
@@ -309,13 +311,10 @@ def rho_family_check(r: int, direct_lagrange: bool = True) -> VerificationRecord
         sectors = equal_sectors if parity_equal else ("+-", "-+")
         record.add_equal(f"parity-split-k{k}", _embedded_sum(r, k, sectors), projectors[k])
     if direct_lagrange:
-        eigs = [c2k_eigenvalue(r, k) for k in range(r + 1)]
+        eigs = {k: c2k_eigenvalue(r, k) for k in range(r + 1)}
         powers = casimir_powers(r)
-        for k in range(r + 1):
-            numer = poly_from_roots(e for e in eigs if e != eigs[k])
-            denom = numer(eigs[k])
-            direct = poly_eval([cf / denom for cf in numer.coeffs], powers)
-            record.add_equal(f"direct-lagrange-k{k}", direct, projectors[k])
+        for k in eigs:
+            record.add_equal(f"direct-lagrange-k{k}", _lagrange_projector(eigs, k, powers), projectors[k])
     return record
 
 

@@ -23,9 +23,11 @@ the basis of the leg.  Then each D_ij commutes with the same maps on the
 triple product, and since L(x)1(x)1 + 1(x)Delta(L) sends e (x) w to
 Le (x) w + e (x) Delta(L) w, and gamma_1^(x)3 sends it to
 gamma_1 e (x) (gamma_1 (x) gamma_1) w, a D_ij that kills e (x) V (x) V also
-kills Le (x) V (x) V and gamma_1 e (x) V (x) V, so it kills everything.  A grid
-point passes when the premise holds and sum_ij u^i v^j D_ij vanishes on the
-slice; otherwise it is decided, with its witness, by direct products.
+kills Le (x) V (x) V and gamma_1 e (x) V (x) V, so it kills everything.  The
+slice is the only path that decides a grid point, and no point forms a matrix
+on the triple product: under the premise a point passes exactly when
+sum_ij u^i v^j D_ij vanishes on the slice, and without it every point fails
+with the witness of the failed premise check.
 
 The plain form R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) is the braid
 equation at (v, u) once the braid family is P times the plain one, which is
@@ -46,6 +48,7 @@ from .linalg import (
     ExactMatrix,
     NotABasisMap,
     ScaledSum,
+    diagonal_action,
     first_difference,
     integer_parts,
     kron,
@@ -68,6 +71,8 @@ def tau_coefficient(r: int, k: int, form: str = "plain") -> RationalFunction:
     Plain form: product over m = 1..k of (u - (2m-1)) / (u + (2m-1)); the
     braid form carries an extra (-1)^k from the swap eigenvalue.
     """
+    if form not in FORMS:
+        raise ValueError(f"unknown form {form!r}")
     num = Poly.const(1)
     den = Poly.const(1)
     for m in range(1, k + 1):
@@ -115,8 +120,6 @@ def sector_r_matrix(r: int, eps: str, form: str = "plain") -> RMatrixFamily:
         raise ValueError("rank must be at least 2")
     if eps not in ("+", "-"):
         raise ValueError("eps must be '+' or '-'")
-    if form not in FORMS:
-        raise ValueError(f"unknown form {form!r}")
     terms = tuple(
         (r - 2 * k, tau_coefficient(r, k, form)) for k in range(r // 2 + 1)
     )
@@ -147,17 +150,6 @@ def admissible_grid(r: int) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
 
 
 # -- Yang-Baxter verification ----------------------------------------------
-
-
-def _braid_sides(r_matrix, u, v, leg: int) -> tuple[ExactMatrix, ExactMatrix]:
-    """R12(u) R23(u+v) R12(v) and R23(v) R12(u+v) R23(u) by direct products,
-    for a family r_matrix(x) on the tensor square of a leg of dimension leg.
-    """
-    ident = ExactMatrix.identity(leg)
-    r_u, r_uv, r_v = r_matrix(u), r_matrix(u + v), r_matrix(v)
-    lhs = kron(r_u, ident) @ kron(ident, r_uv) @ kron(r_v, ident)
-    rhs = kron(ident, r_v) @ kron(r_uv, ident) @ kron(ident, r_u)
-    return lhs, rhs
 
 
 def _degree_parts(dim: int, terms) -> tuple[ExactMatrix, ...]:
@@ -224,9 +216,8 @@ def _commutation_failures(parts, symmetries, leg: int):
     the tensor square of the leg.  A symmetry is (label, matrix, lie): a Lie
     generator L acts as L (x) 1 + 1 (x) L, a group element g as g (x) g.
     """
-    ident = ExactMatrix.identity(leg)
     for label, g, lie in symmetries:
-        action = kron_sum([(1, g, ident), (1, ident, g)]) if lie else kron(g, g)
+        action = diagonal_action(g) if lie else kron(g, g)
         for d, part in enumerate(parts):
             lhs, rhs = part @ action, action @ part
             if lhs != rhs:
@@ -256,27 +247,32 @@ def _orbit_failures(symmetries, leg: int):
         yield f"the orbit of e_0 reaches {len(reached)} of {leg} basis vectors; e_{missed} is missed"
 
 
+def _first_nonzero(m: ExactMatrix) -> str:
+    return diff_witness(first_difference(m, ExactMatrix.zero(m.dim)))
+
+
 @dataclass(frozen=True)
 class BraidFamily:
     """One family R(x) on the tensor square of a leg of dimension leg, its
     braid coefficients on the slice e_0 (x) V (x) V, and the identity record
-    whose premise says whether the slice decides.
+    whose premise says whether the slice decides.  premise is None when the
+    premise holds, else the witness of its first failed check.
     """
 
     record: VerificationRecord
-    premise: bool
+    premise: str | None
     diffs: tuple
     leg: int
-    evaluate: Callable
     ybe_pole: Callable  # (u, v) -> True when u, v or u + v is a pole
 
     def grid(self, name: str, points) -> VerificationRecord:
         """One braid Yang-Baxter check per point (u, v).
 
-        A pole hit is a failure.  Away from a pole Q(u) Q(u+v) Q(v) is not
-        zero, so the equation holds exactly when sum_ij u^i v^j D_ij
-        vanishes; where the slice does not decide that, direct products do,
-        with their witness.
+        A pole hit is a failure.  Without the premise the slice decides
+        nothing, so every other point fails with the premise's witness.  With
+        it, Q(u) Q(u+v) Q(v) is not zero away from a pole, so the equation
+        holds exactly when sum_ij u^i v^j D_ij vanishes on the slice; a
+        failure's witness is the first nonzero entry of that sum.
         """
         record = VerificationRecord(name=name)
         for u, v in points:
@@ -284,16 +280,19 @@ class BraidFamily:
             check_id = f"point-u{u}-v{v}"
             if self.ybe_pole(u, v):
                 record.add(check_id, False, "pole hit")
-            elif self.premise and lincomb(
-                self.leg**3, [(u**i * v**j, d) for (i, j), d in self.diffs]
-            ).is_zero():
-                record.add(check_id, True)
+            elif self.premise is not None:
+                record.add(check_id, False, self.premise)
             else:
-                record.add_equal(check_id, *_braid_sides(self.evaluate, u, v, self.leg))
+                total = lincomb(self.leg**3, [(u**i * v**j, d) for (i, j), d in self.diffs])
+                if total.is_zero():
+                    record.add(check_id, True)
+                else:
+                    witness = _first_nonzero(total)
+                    record.add(check_id, False, f"Q(u) Q(u+v) Q(v) (LHS - RHS) is nonzero on the slice: {witness}")
         return record
 
 
-def _braid_family(name: str, parts, symmetries, leg: int, evaluate, ybe_pole) -> BraidFamily:
+def _braid_family(name: str, parts, symmetries, leg: int, ybe_pole) -> BraidFamily:
     record = VerificationRecord(name=name)
     premise = [
         record.add_first_failure(
@@ -302,20 +301,10 @@ def _braid_family(name: str, parts, symmetries, leg: int, evaluate, ybe_pole) ->
         record.add_first_failure("orbit-of-e0-covers-leg", _orbit_failures(symmetries, leg)),
     ]
     count, diffs = _sliced_braid_differences(parts, leg)
-    zero = ExactMatrix.zero(leg**3)
-    first = (
-        f"D_{key} is nonzero on the slice: {diff_witness(first_difference(d, zero))}"
-        for key, d in diffs
-    )
+    first = (f"D_{key} is nonzero on the slice: {_first_nonzero(d)}" for key, d in diffs)
     record.add_first_failure(f"all-{count}-D_ij-vanish-on-{leg * leg}-slice-columns", first)
-    return BraidFamily(
-        record=record,
-        premise=all(check.status == PASS for check in premise),
-        diffs=diffs,
-        leg=leg,
-        evaluate=evaluate,
-        ybe_pole=ybe_pole,
-    )
+    failed = (f"premise {check.check_id} fails: {check.witness}" for check in premise if check.status != PASS)
+    return BraidFamily(record=record, premise=next(failed, None), diffs=diffs, leg=leg, ybe_pole=ybe_pole)
 
 
 def grid_points(r: int) -> list:
@@ -354,14 +343,12 @@ def _sector_parts(r: int, eps: str, form: str) -> tuple[ExactMatrix, ...]:
 @lru_cache(maxsize=None)
 def _sector_braid_slice(r: int, eps: str) -> BraidFamily:
     """The braid sector family, Q(u) R(u) = sum_d u^d S_d."""
-    family = sector_r_matrix(r, eps, "braid")
     return _braid_family(
         f"yang-baxter-identity r={r} eps={eps} form=braid",
         _sector_parts(r, eps, "braid"),
         _sector_symmetries(r, eps),
         2 ** (r - 1),
-        family.evaluate,
-        family.ybe_pole,
+        sector_r_matrix(r, eps, "braid").ybe_pole,
     )
 
 
@@ -659,7 +646,6 @@ def _full_braid_slice(r: int) -> BraidFamily:
         full_r_matrix_coefficients(r),
         _full_symmetries(r),
         2**r,
-        lambda x: full_r_matrix(r, x),
         lambda u, v: False,
     )
 

@@ -26,6 +26,12 @@ def test_tau_coefficients():
     assert first.is_pole(Rat(-1))
 
 
+@pytest.mark.parametrize("form", ["brade", "Braid", ""])
+def test_tau_coefficient_refuses_an_unknown_form(form):
+    with pytest.raises(ValueError, match="unknown form"):
+        ybe.tau_coefficient(3, 1, form)
+
+
 def test_family_structure():
     family = ybe.sector_r_matrix(4, "+")
     assert [label for label, _ in family.terms] == [4, 2, 0]
@@ -185,15 +191,10 @@ def direct_braid(r_u, r_uv, r_v, leg):
     return lhs, rhs
 
 
-def outcome_and_witness(lhs, rhs):
-    if lhs == rhs:
-        return True, ""
-    return False, diff_witness(first_difference(lhs, rhs))
-
-
 def direct_full(r, u, v):
-    """Reference outcome and witness of one full-series point."""
-    return outcome_and_witness(*direct_braid(*(full_at(r, x) for x in (u, u + v, v)), 2**r))
+    """Reference outcome of one full-series point."""
+    lhs, rhs = direct_braid(*(full_at(r, x) for x in (u, u + v, v)), 2**r)
+    return lhs == rhs
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,13 +203,12 @@ def full_at(r, u):
 
 
 def direct_sector(r, eps, u, v, form="braid"):
-    """Reference outcome and witness of one sector point; None at a pole."""
+    """Reference outcome of one sector point; None at a pole."""
     family = ybe.sector_r_matrix(r, eps, form)
     if any(family.is_pole(x) for x in (u, v, u + v)):
         return None
-    return outcome_and_witness(
-        *direct_braid(*(family.evaluate(x) for x in (u, u + v, v)), 2 ** (r - 1))
-    )
+    lhs, rhs = direct_braid(*(family.evaluate(x) for x in (u, u + v, v)), 2 ** (r - 1))
+    return lhs == rhs
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,14 +265,12 @@ def sector_braid_family(r, eps, form):
     """The braid slice of a sector family in either form; the program builds
     only the braid form's, so the plain form's is built here.
     """
-    family = ybe.sector_r_matrix(r, eps, form)
     return ybe._braid_family(
         f"yang-baxter-identity r={r} eps={eps} form={form}",
         ybe._sector_parts(r, eps, form),
         ybe._sector_symmetries(r, eps),
         2 ** (r - 1),
-        family.evaluate,
-        family.ybe_pole,
+        ybe.sector_r_matrix(r, eps, form).ybe_pole,
     )
 
 
@@ -280,20 +278,56 @@ def assert_slice_matches_reference(parts, leg):
     """The sliced D_ij are the first leg^2 columns of the reference D_ij."""
     _, sliced = ybe._sliced_braid_differences(parts, leg)
     reference = reference_braid_differences(parts, leg)
-    columns = {key: columns_below(d, leg * leg) for key, d in reference.items()}
+    columns = on_slice(reference, leg)
     assert dict(sliced) == {key: d for key, d in columns.items() if d}
     return dict(sliced), reference
 
 
-def assert_matches_direct(record, r, reference):
-    """Every check of a grid record has the reference's outcome and witness."""
-    us, vs = ybe.admissible_grid(r)
-    points = [(u, v) for u in us for v in vs]
+def on_slice(diffs, leg):
+    """The D_ij restricted to the slice, their first leg^2 columns."""
+    return {key: columns_below(d, leg * leg) for key, d in diffs.items()}
+
+
+def slice_witness(diffs, leg, u, v):
+    """The witness of a failing point under the premise: the first nonzero
+    entry of sum_ij u^i v^j D_ij, for the D_ij on the slice.
+    """
+    total = lincomb(leg**3, [(u**i * v**j, d) for (i, j), d in diffs.items()])
+    assert total, "a failing point must be nonzero on the slice"
+    witness = diff_witness(first_difference(total, ExactMatrix.zero(leg**3)))
+    return f"Q(u) Q(u+v) Q(v) (LHS - RHS) is nonzero on the slice: {witness}"
+
+
+def assert_matches_direct(record, r, direct, parts, leg):
+    """Every check of a grid record whose family keeps the premise has the
+    direct products' outcome; a failing one carries the slice witness.
+    """
+    points = ybe.grid_points(r)
     assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in points]
+    diffs = None  # built on the first failing point
     for check, (u, v) in zip(record.checks, points):
-        passed, witness = reference(u, v)
+        passed = direct(u, v)
         assert (check.status == PASS) == passed, check.check_id
-        assert check.witness == witness, check.check_id
+        if not passed:
+            diffs = diffs or on_slice(reference_braid_differences(parts, leg), leg)
+        assert check.witness == ("" if passed else slice_witness(diffs, leg, u, v)), check.check_id
+
+
+def premise_witness(identity):
+    """What every point of a family that fails the premise carries: the
+    first failed premise check of its identity record, by id and witness.
+    """
+    failed = next(c for c in identity.checks[:2] if c.status == FAIL)
+    return f"premise {failed.check_id} fails: {failed.witness}"
+
+
+def assert_premise_fails_every_point(record, r, identity):
+    """Without the premise the slice decides nothing: every grid point fails
+    with the premise witness.
+    """
+    assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in ybe.grid_points(r)]
+    witness = premise_witness(identity)
+    assert all((c.status, c.witness) == (FAIL, witness) for c in record.checks)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -307,7 +341,8 @@ def test_degree_parts_sum_to_full_r_matrix(r):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_full_grid_matches_direct_products(r):
-    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v))
+    parts = ybe.full_r_matrix_coefficients(r)
+    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v), parts, 2**r)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -320,6 +355,9 @@ def test_sector_grid_matches_triple_products(r, eps, form):
         assert (check.status == PASS) == triple_product_sum(r, eps, u, v, form)
     if form == "braid":
         assert [ybe.ybe_point(r, eps, u, v) for u, v in points] == [c.status == PASS for c in record.checks]
+    else:
+        direct = functools.partial(direct_sector, r, eps, form="plain")
+        assert_matches_direct(record, r, direct, ybe._sector_parts(r, eps, form), 2 ** (r - 1))
 
 
 spectral = st.fractions(min_value=-6, max_value=6, max_denominator=9)
@@ -330,7 +368,7 @@ spectral = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 def test_sector_point_matches_direct_products(r, eps, u, v):
     expected = direct_sector(r, eps, u, v)
     outcome = ybe.ybe_point(r, eps, u, v)
-    assert outcome == (None if expected is None else expected[0])
+    assert outcome == expected
     assert outcome == triple_product_sum(r, eps, u, v)
 
 
@@ -338,7 +376,8 @@ def test_sector_point_matches_direct_products(r, eps, u, v):
 @given(u=spectral, v=spectral)
 def test_full_point_matches_direct_products(u, v):
     [check] = ybe._full_braid_slice(2).grid("full-point", [(u, v)]).checks
-    assert (check.status == PASS, check.witness) == direct_full(2, u, v)
+    assert direct_full(2, u, v)
+    assert (check.status, check.witness) == (PASS, "")
 
 
 # -- mutations: a perturbed family fails where direct products fail ---------
@@ -357,7 +396,8 @@ def test_raised_coefficient_degree_fails_like_direct_products(fresh_caches, monk
     assert len(ybe.full_r_matrix_coefficients(r)) == r + 2  # the u^(r+1) part is kept
     record = ybe.full_ybe_check(r)
     assert failing_checks(record)
-    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
+    parts = ybe.full_r_matrix_coefficients(r)
+    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v), parts, 2**r)
 
 
 def test_perturbed_invariant_fails_like_direct_products(fresh_caches, monkeypatch):
@@ -365,22 +405,16 @@ def test_perturbed_invariant_fails_like_direct_products(fresh_caches, monkeypatc
     real = ybe.invariant_I
     perturbed = real(r, 2) + ExactMatrix(4**r, {(0, 5): Rat(1, 3)})
     monkeypatch.setattr(ybe, "invariant_I", lambda rank, k: perturbed if k == 2 else real(rank, k))
-    record = ybe.full_ybe_check(r)
-    assert failing_checks(record)
-    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
+    # the perturbed I_2 breaks the premise, and direct products fail everywhere
+    assert not any(direct_full(r, u, v) for u, v in ybe.grid_points(r))
+    assert_premise_fails_every_point(ybe.full_ybe_check(r), r, ybe.full_ybe_identity_check(r))
 
 
 def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatch):
     r = 3
-    data = spectra.sector_spectral(r, "++")
-    projectors = dict(data.projectors)
-    projectors[1] = projectors[1] + ExactMatrix(data.block.dim, {(2, 3): 1})
-    perturbed = dataclasses.replace(data, projectors=projectors)
-    monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: perturbed)
-    record = ybe.ybe_check(r, "+")
-    assert failing_checks(record)
-    assert all(c.witness.startswith("first differing entry") for c in failing_checks(record))
-    assert_matches_direct(record, r, lambda u, v: direct_sector(r, "+", u, v))
+    perturb_projector(monkeypatch, r)
+    assert not any(direct_sector(r, "+", u, v) for u, v in ybe.grid_points(r))
+    assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, ybe.ybe_identity_check(r, "+"))
 
 
 # -- the slice e_0 (x) V (x) V and its equivariance premise -----------------
@@ -489,24 +523,29 @@ def test_perturbed_projector_fails_the_premise(fresh_caches, monkeypatch):
     assert commute.check_id == "degree-parts-commute-with-symmetries"
     assert commute.status == FAIL
     assert commute.witness.startswith("S_") and "first differing entry" in commute.witness
-    assert not ybe._sector_braid_slice(r, "+").premise
-    assert_matches_direct(ybe.ybe_check(r, "+"), r, lambda u, v: direct_sector(r, "+", u, v))
+    premise = ybe._sector_braid_slice(r, "+").premise
+    assert premise == f"premise degree-parts-commute-with-symmetries fails: {commute.witness}"
 
 
-def test_failing_point_makes_its_direct_products_once(fresh_caches, monkeypatch):
+@pytest.mark.parametrize("failing", ["premise", "slice"])
+def test_failing_points_make_no_products(fresh_caches, monkeypatch, failing):
+    # without the premise a point takes the premise's witness; with it, a
+    # point is one linear combination of the sliced D_ij and its witness
     r = 3
-    perturb_projector(monkeypatch, r)
-    braid_sides = ybe._braid_sides
-    calls = []
+    if failing == "premise":
+        perturb_projector(monkeypatch, r)
+        family = ybe._sector_braid_slice(r, "+")
+    else:
+        family = sector_braid_family(r, "+", "plain")
+    assert (family.premise is None) == (failing == "slice")
 
-    def counted(r_matrix, u, v, leg):
-        calls.append((u, v))
-        return braid_sides(r_matrix, u, v, leg)
+    def refused(*args):
+        raise AssertionError("a matrix product at a grid point")
 
-    monkeypatch.setattr(ybe, "_braid_sides", counted)
-    record = ybe.ybe_check(r, "+")
+    for kernel in ("mat_mul", "mat_kron", "mat_mul_leg"):
+        monkeypatch.setattr(_backend, kernel, refused)
+    record = family.grid("grid", ybe.grid_points(r))
     assert len(failing_checks(record)) == 81
-    assert len(calls) == len(set(calls)) == 81
 
 
 def test_cli_failure_carries_its_witness(fresh_caches, monkeypatch, capsys):
@@ -515,7 +554,8 @@ def test_cli_failure_carries_its_witness(fresh_caches, monkeypatch, capsys):
     assert code == 1
     [failure] = json.loads(capsys.readouterr().out)["failures"]
     assert (failure["u"], failure["v"]) == ("1/3", "1/7")
-    assert failure["witness"].startswith("first differing entry")
+    assert failure["witness"] == premise_witness(ybe.ybe_identity_check(3, "+"))
+    assert failure["witness"].startswith("premise degree-parts-commute-with-symmetries fails: S_")
 
 
 def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
@@ -523,9 +563,9 @@ def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
     r = 3
     perturb_projector(monkeypatch, r)
     monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg: (1, ()))
-    record = ybe.ybe_check(r, "+")
-    assert failing_checks(record)
-    assert_matches_direct(record, r, lambda u, v: direct_sector(r, "+", u, v))
+    identity = ybe.ybe_identity_check(r, "+")
+    assert [c.status for c in identity.checks] == [FAIL, PASS, PASS]
+    assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, identity)
 
 
 def test_full_series_without_gamma1_fails_the_orbit_check(fresh_caches, monkeypatch):
@@ -537,8 +577,10 @@ def test_full_series_without_gamma1_fails_the_orbit_check(fresh_caches, monkeypa
     assert [c.status for c in record.checks] == [PASS, FAIL, PASS]
     # the chain generators keep the chirality, so the orbit stays in Delta_+
     assert record.checks[1].witness == "the orbit of e_0 reaches 2 of 4 basis vectors; e_2 is missed"
-    assert not ybe._full_braid_slice(r).premise
-    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v))
+    # the series solves the equation, but without the premise the slice
+    # cannot show it, so every point fails
+    assert all(direct_full(r, u, v) for u, v in ybe.grid_points(r))
+    assert_premise_fails_every_point(ybe.full_ybe_check(r), r, record)
 
 
 def test_orbit_check_refuses_a_non_monomial_map():
@@ -568,30 +610,31 @@ def direct_plain(r, eps, u, v):
     return r12_u @ r13 @ r23_v, r23_v @ r13 @ r12_u
 
 
-def swap13(r):
-    """P13 = P12 P23 P12 on the triple product of the half-spinor leg."""
-    ident = ExactMatrix.identity(2 ** (r - 1))
-    swap = permutation_operator(2 ** (r - 1))
-    p12, p23 = kron(swap, ident), kron(ident, swap)
-    return p12 @ p23 @ p12
-
-
 def assert_plain_matches_direct(r, eps, points):
     """Each plain check has the outcome of the direct plain products; a
-    failing one carries the witness of the braid sides at (v, u), which are
-    P13 times the plain right and left sides.
+    failing one carries the witness of the braid point (v, u): the premise's,
+    if the braid family fails it, else the slice witness.
     """
     record = ybe.plain_ybe_spot_check(r, eps, points)
     assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in points]
-    p13 = swap13(r)
+    identity = ybe.ybe_identity_check(r, eps)
+    leg = 2 ** (r - 1)
+    diffs = None  # built on the first failing point that the slice decides
     for check, (u, v) in zip(record.checks, points):
         sides = direct_plain(r, eps, u, v)
         if sides is None:
             assert (check.status, check.witness) == (FAIL, "pole hit")
             continue
-        lhs, rhs = sides
-        assert (check.status == PASS) == (lhs == rhs), check.check_id
-        assert check.witness == outcome_and_witness(p13 @ rhs, p13 @ lhs)[1], check.check_id
+        passed = sides[0] == sides[1]
+        assert (check.status == PASS) == passed, check.check_id
+        if passed:
+            expected = ""
+        elif all(c.status == PASS for c in identity.checks[:2]):
+            diffs = diffs or on_slice(reference_braid_differences(ybe._sector_parts(r, eps, "braid"), leg), leg)
+            expected = slice_witness(diffs, leg, v, u)
+        else:
+            expected = premise_witness(identity)
+        assert check.witness == expected, check.check_id
     return record
 
 
@@ -703,7 +746,6 @@ def test_plain_and_full_points_make_no_direct_products_once_the_slices_are_built
         kron_calls.append(len(terms))
         return real(terms, b_dim)
 
-    monkeypatch.setattr(ybe, "_braid_sides", refused)
     monkeypatch.setattr(ybe, "kron", refused)
     monkeypatch.setattr(_backend, "mat_kron", counted)
     assert ybe.plain_ybe_spot_check(4, "+", [(us[0], vs[0]), (us[1], vs[1])]).ok
