@@ -179,9 +179,9 @@ def _run_ybe(args) -> tuple[str, int]:
     if args.mode == "full":
         record = ybe.full_ybe_check(args.r, pairs)
     else:
-        family = ybe.sector_r_matrix(args.r, "+", args.form)
+        q = ybe.tau_denominator(args.r, args.form)
         for u, v in pairs:
-            if family.ybe_pole(u, v):
+            if ybe.ybe_pole(q, u, v):
                 raise _UsageError(
                     f"(u, v) = ({u}, {v}) is at a pole of the {args.form} sector family"
                 )

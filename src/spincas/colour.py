@@ -117,7 +117,7 @@ def colour_report(spec: LadderSpec) -> dict:
     if spec.closure == "full_trace":
         report["total"] = str(ladder_full_trace(spec))
     elif spec.closure == "partial_trace":
-        coefficient, scalar = ladder_partial_trace(spec)
+        coefficient, scalar = ladder_partial_trace(spec, spectral)
         report["total"] = str(coefficient)
         report["is_identity_multiple"] = scalar
     else:

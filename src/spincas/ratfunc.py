@@ -196,9 +196,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def is_pole(self, point) -> bool:
-        return not self.den(point)
-
     def __call__(self, point) -> Rat:
         x = Rat(point)
         d = self.den(x)

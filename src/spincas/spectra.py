@@ -27,6 +27,7 @@ from .casimir import (
 from .linalg import (
     ExactMatrix,
     PowerTable,
+    first_difference,
     lincomb,
     permutation_operator,
     poly_eval,
@@ -34,7 +35,7 @@ from .linalg import (
     trace_of_product,
 )
 from .ratfunc import poly_from_roots
-from .records import PASS, CheckResult, VerificationRecord
+from .records import VerificationRecord, diff_witness
 from .scalar import Rat
 
 OPPOSITE = {"++": "+-", "+-": "++", "-+": "--", "--": "-+"}
@@ -191,13 +192,14 @@ def duality_pair_identities(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"sector-pair-identities r={r}")
     polys = [i2k_polynomial(r, j) for j in range(r + 1)]
-    checks = {sector: _pair_checks(r, sector, polys) for sector in SECTORS}
+    outcomes = {sector: _signed_pair_outcomes(r, sector, polys) for sector in SECTORS}
     for sector in SECTORS:
-        for k, (signed, unsigned) in enumerate(checks[sector]):
-            record.checks.append(signed)
+        for k, (passed, witness) in enumerate(outcomes[sector]):
+            record.add(f"signed-pair-{sector}-k{k}", passed, witness)
             if r % 2 == 0:
-                record.checks.append(unsigned)
-            elif checks[OPPOSITE[sector]][k][0].status == PASS:
+                # (-1)^r = 1, so the unsigned form is the signed one
+                record.add(f"unsigned-pair-{sector}-k{k}", passed, witness)
+            elif outcomes[OPPOSITE[sector]][k][0]:
                 record.note(
                     f"unsigned-pair-{sector}-k{k}",
                     "odd rank: unsigned form holds on the exchanged sector",
@@ -207,24 +209,19 @@ def duality_pair_identities(r: int) -> VerificationRecord:
     return record
 
 
-def _pair_checks(r: int, sector: str, polys) -> list[tuple[CheckResult, CheckResult | None]]:
-    """(signed, unsigned) pair-identity checks on one sector for k = 0..r;
-    the unsigned check only at even rank.  Each I_2j is evaluated once.
+def _signed_pair_outcomes(r: int, sector: str, polys) -> list[tuple[bool, str]]:
+    """(passed, witness) of the signed pair identity on one sector for
+    k = 0..r.  Each I_2j is evaluated once.
     """
     sign_r = (-1) ** r
     eps = 1 if sector in ("++", "--") else -1
     powers = sector_spectral(r, sector).powers
     values = [poly_eval(p, powers) for p in polys]
-    scratch = VerificationRecord(name="")
     out = []
     for k in range(r + 1):
         ratio = Rat(factorial(2 * r - 2 * k), factorial(2 * k))
         lhs, rhs = values[r - k], values[k] * (eps * sign_r * ratio)
-        signed = scratch.add_equal(f"signed-pair-{sector}-k{k}", lhs, rhs)
-        unsigned = None
-        if r % 2 == 0:
-            unsigned = scratch.add_equal(f"unsigned-pair-{sector}-k{k}", lhs, rhs * sign_r)
-        out.append((signed, unsigned))
+        out.append((True, "") if lhs == rhs else (False, diff_witness(first_difference(lhs, rhs))))
     return out
 
 

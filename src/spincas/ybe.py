@@ -6,13 +6,18 @@ eigenprojector coefficients.  The full family acts on the tensor square of
 the reducible 2^r spinor space as a series in the antisymmetrized gamma
 invariants, with coefficients generated by a two-step recurrence.
 
+Each family has one representation, its cleared degree parts: with
+R(u) = sum_a c_a(u) M_a for rational c_a and parameter-free M_a, and Q the
+lcm of the denominators of the c_a, Q(u) R(u) = sum_d u^d S_d.  For a sector
+family the M_a are the eigenprojectors and the c_a the taus; Q is built from
+the taus alone, so its roots, the family's poles, are known before any
+projector.  The full series has polynomial coefficients (Q = 1), and its
+parts are those of its even and odd invariants added degree by degree.  A
+matrix at a point is sum_d u^d/Q(u) S_d, and every check reads these parts.
+
 Yang-Baxter checks run over a deterministic pole-free grid of rational
-spectral parameters.  Each family is written as Q(u) R(u) = sum_a p_a(u) M_a
-with polynomials p_a and parameter-free matrices M_a: the eigenprojectors
-with the tau denominators cleared by their lcm Q, or the u-degree parts R_d
-of the full series (Q = 1).  Both sides of the braid equation are then
-trilinear in the M_a, so Q(u) Q(u+v) Q(v) (LHS - RHS) = sum_ij u^i v^j D_ij
-exactly.
+spectral parameters.  Both sides of the braid equation are trilinear in the
+S_d, so Q(u) Q(u+v) Q(v) (LHS - RHS) = sum_ij u^i v^j D_ij exactly.
 
 Each D_ij is built only on the columns e_0 (x) V (x) V, a 1/dim V slice.  The
 slice decides only when an equivariance premise holds: every degree part
@@ -36,7 +41,6 @@ checked as an identity in u.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -85,45 +89,67 @@ def tau_coefficient(r: int, k: int, form: str = "plain") -> RationalFunction:
 
 @dataclass(frozen=True)
 class RMatrixFamily:
-    """Projector expansion of one sector R-matrix on the compressed block."""
+    """R(u) = sum_d u^d/q(u) parts[d]: one family with the denominators of
+    its coefficients cleared by their lcm q, so the parts are parameter-free.
+    """
 
-    r: int
-    eps: str
-    form: str
-    terms: tuple[tuple[int, RationalFunction], ...]  # (label, coefficient)
-
-    @property
-    def sector(self) -> str:
-        return self.eps + self.eps
-
-    def projector(self, label: int) -> ExactMatrix:
-        return sector_spectral(self.r, self.sector).projectors[label]
+    q: Poly
+    parts: tuple[ExactMatrix, ...]
 
     def is_pole(self, u) -> bool:
-        return any(coeff.is_pole(u) for _, coeff in self.terms)
-
-    def ybe_pole(self, u, v) -> bool:
-        """True when u, v or u + v is a pole, so the YBE at (u, v) is undefined."""
-        return self.is_pole(u) or self.is_pole(v) or self.is_pole(u + v)
+        return not self.q(u)
 
     def evaluate(self, u) -> ExactMatrix:
         u = Rat(u)
-        data = sector_spectral(self.r, self.sector)
-        return lincomb(
-            data.block.dim, [(coeff(u), data.projectors[label]) for label, coeff in self.terms]
-        )
+        scale = 1 / self.q(u)
+        return lincomb(self.parts[0].dim, [(scale * u**d, part) for d, part in enumerate(self.parts)])
+
+
+def _cleared_family(dim: int, q: Poly, terms) -> RMatrixFamily:
+    """The family sum_a c_a(u) M_a, for terms (c_a, M_a) with rational
+    functions c_a whose denominators all divide q: parts[d] is the u^d
+    coefficient of q(u) sum_a c_a(u) M_a, up to the highest degree the
+    cleared numerators actually have, so no coefficient is cut off.
+    """
+    cleared = [(coeff.num * q.divmod(coeff.den)[0], m) for coeff, m in terms]
+    degree = max(p.degree for p, _ in cleared)
+    parts = tuple(
+        lincomb(dim, [(p.coeffs[d], m) for p, m in cleared if d <= p.degree])
+        for d in range(degree + 1)
+    )
+    return RMatrixFamily(q=q, parts=parts)
+
+
+def tau_denominator(r: int, form: str = "plain") -> Poly:
+    """Q, the lcm of the tau denominators of a sector family: the family's
+    poles are its roots.  It is built from the taus alone, no projector.
+    """
+    q = Poly.const(1)
+    for k in range(r // 2 + 1):
+        den = tau_coefficient(r, k, form).den
+        q = q * den.divmod(q.gcd(den))[0]
+    return q
+
+
+def ybe_pole(q: Poly, u, v) -> bool:
+    """True when u, v or u + v is a root of q, the cleared denominator of a
+    family, so the braid equation at (u, v) is undefined.
+    """
+    return any(not q(x) for x in (u, v, u + v))
 
 
 @lru_cache(maxsize=None)
 def sector_r_matrix(r: int, eps: str, form: str = "plain") -> RMatrixFamily:
+    """R(u) = sum_k tau_k(u) P_(r-2k) on the compressed block of the sector
+    eps eps, built once per rank, chirality and form.
+    """
     if r < 2:
         raise ValueError("rank must be at least 2")
     if eps not in ("+", "-"):
         raise ValueError("eps must be '+' or '-'")
-    terms = tuple(
-        (r - 2 * k, tau_coefficient(r, k, form)) for k in range(r // 2 + 1)
-    )
-    return RMatrixFamily(r=r, eps=eps, form=form, terms=terms)
+    projectors = sector_spectral(r, eps + eps).projectors
+    terms = [(tau_coefficient(r, k, form), projectors[r - 2 * k]) for k in range(r // 2 + 1)]
+    return _cleared_family(4 ** (r - 1), tau_denominator(r, form), terms)
 
 
 # -- deterministic pole-free spectral grid ----------------------------------
@@ -150,23 +176,6 @@ def admissible_grid(r: int) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
 
 
 # -- Yang-Baxter verification ----------------------------------------------
-
-
-def _degree_parts(dim: int, terms) -> tuple[ExactMatrix, ...]:
-    """S_0, ..., S_D with Q(u) sum_a c_a(u) M_a = sum_d u^d S_d, for terms
-    (c_a, M_a) with rational functions c_a and Q the lcm of their
-    denominators.  D is the highest degree the cleared numerators actually
-    have, so no coefficient is cut off.
-    """
-    q = Poly.const(1)
-    for coeff, _ in terms:
-        q = q * coeff.den.divmod(q.gcd(coeff.den))[0]
-    cleared = [(coeff.num * q.divmod(coeff.den)[0], m) for coeff, m in terms]
-    degree = max(p.degree for p, _ in cleared)
-    return tuple(
-        lincomb(dim, [(p.coeffs[d], m) for p, m in cleared if d <= p.degree])
-        for d in range(degree + 1)
-    )
 
 
 def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int) -> tuple[int, tuple]:
@@ -259,11 +268,11 @@ class BraidFamily:
     premise holds, else the witness of its first failed check.
     """
 
+    family: RMatrixFamily
     record: VerificationRecord
     premise: str | None
     diffs: tuple
     leg: int
-    ybe_pole: Callable  # (u, v) -> True when u, v or u + v is a pole
 
     def grid(self, name: str, points) -> VerificationRecord:
         """One braid Yang-Baxter check per point (u, v).
@@ -278,7 +287,7 @@ class BraidFamily:
         for u, v in points:
             u, v = Rat(u), Rat(v)
             check_id = f"point-u{u}-v{v}"
-            if self.ybe_pole(u, v):
+            if ybe_pole(self.family.q, u, v):
                 record.add(check_id, False, "pole hit")
             elif self.premise is not None:
                 record.add(check_id, False, self.premise)
@@ -292,19 +301,19 @@ class BraidFamily:
         return record
 
 
-def _braid_family(name: str, parts, symmetries, leg: int, ybe_pole) -> BraidFamily:
+def _braid_family(name: str, family: RMatrixFamily, symmetries, leg: int) -> BraidFamily:
     record = VerificationRecord(name=name)
     premise = [
         record.add_first_failure(
-            "degree-parts-commute-with-symmetries", _commutation_failures(parts, symmetries, leg)
+            "degree-parts-commute-with-symmetries", _commutation_failures(family.parts, symmetries, leg)
         ),
         record.add_first_failure("orbit-of-e0-covers-leg", _orbit_failures(symmetries, leg)),
     ]
-    count, diffs = _sliced_braid_differences(parts, leg)
+    count, diffs = _sliced_braid_differences(family.parts, leg)
     first = (f"D_{key} is nonzero on the slice: {_first_nonzero(d)}" for key, d in diffs)
     record.add_first_failure(f"all-{count}-D_ij-vanish-on-{leg * leg}-slice-columns", first)
     failed = (f"premise {check.check_id} fails: {check.witness}" for check in premise if check.status != PASS)
-    return BraidFamily(record=record, premise=next(failed, None), diffs=diffs, leg=leg, ybe_pole=ybe_pole)
+    return BraidFamily(family=family, record=record, premise=next(failed, None), diffs=diffs, leg=leg)
 
 
 def grid_points(r: int) -> list:
@@ -331,24 +340,14 @@ def _full_symmetries(r: int) -> list:
     return _chain_symmetries(r, chain_generators(r)) + [("gamma_1", gamma_1, False)]
 
 
-def _sector_parts(r: int, eps: str, form: str) -> tuple[ExactMatrix, ...]:
-    """One sector family, its tau denominators cleared by their lcm Q:
-    Q(u) R(u) = sum_d u^d S_d.  The two forms' taus differ only in sign.
-    """
-    family = sector_r_matrix(r, eps, form)
-    terms = [(coeff, family.projector(label)) for label, coeff in family.terms]
-    return _degree_parts(4 ** (r - 1), terms)
-
-
 @lru_cache(maxsize=None)
 def _sector_braid_slice(r: int, eps: str) -> BraidFamily:
     """The braid sector family, Q(u) R(u) = sum_d u^d S_d."""
     return _braid_family(
         f"yang-baxter-identity r={r} eps={eps} form=braid",
-        _sector_parts(r, eps, "braid"),
+        sector_r_matrix(r, eps, "braid"),
         _sector_symmetries(r, eps),
         2 ** (r - 1),
-        sector_r_matrix(r, eps, "braid").ybe_pole,
     )
 
 
@@ -363,7 +362,7 @@ def ybe_identity_check(r: int, eps: str = "+") -> VerificationRecord:
 def ybe_point(r: int, eps: str, u, v):
     """One braid Yang-Baxter point of a sector family; None signals a pole."""
     u, v = Rat(u), Rat(v)
-    if sector_r_matrix(r, eps, "braid").ybe_pole(u, v):
+    if ybe_pole(sector_r_matrix(r, eps, "braid").q, u, v):
         return None
     return ybe_check(r, eps, [(u, v)]).ok
 
@@ -396,7 +395,7 @@ def _swap_relation(r: int, eps: str) -> VerificationRecord:
     """
     swap = permutation_operator(2 ** (r - 1))
     zero = ExactMatrix.zero(4 ** (r - 1))
-    parts = zip_longest(_sector_parts(r, eps, "braid"), _sector_parts(r, eps, "plain"), fillvalue=zero)
+    parts = zip_longest(sector_r_matrix(r, eps, "braid").parts, sector_r_matrix(r, eps, "plain").parts, fillvalue=zero)
     failures = (
         f"S_{d} of the braid form is not P S_{d} of the plain form: {diff_witness(first_difference(lhs, rhs))}"
         for d, (lhs, rhs) in enumerate((braid, swap @ plain) for braid, plain in parts)
@@ -479,8 +478,7 @@ def tau_ratio_constraints(r: int) -> VerificationRecord:
     from . import oracles
 
     record = VerificationRecord(name=f"coefficient-ratio-constraints r={r}")
-    family = sector_r_matrix(r, "+", "plain")
-    coeffs = dict(family.terms)
+    coeffs = {r - 2 * k: tau_coefficient(r, k, "plain") for k in range(r // 2 + 1)}
     for label in sorted(coeffs):
         if label + 2 not in coeffs:
             continue
@@ -584,33 +582,34 @@ def coefficient_consistency(r: int) -> VerificationRecord:
 
 
 @lru_cache(maxsize=None)
-def full_r_matrix_coefficients(r: int) -> tuple[ExactMatrix, ...]:
-    """R_0, ..., R_D with R(u) = sum_d u^d R_d, where D is the highest degree
-    the closed-form coefficients actually have (they are polynomials, so
-    nothing is cleared).
+def _full_series(r: int) -> tuple[RMatrixFamily, RMatrixFamily, RMatrixFamily]:
+    """(full, even, odd): the series R(u) = sum_k c_k(u)/k! I_k and its sums
+    over the even and the odd k, each built once per rank.  The closed forms
+    are polynomials, so Q = 1, and the full series' parts are the even and
+    odd parts added degree by degree.
     """
     closed = closed_form_coefficients(r)
-    series = [(coeff, 2 * k) for k, coeff in enumerate(closed.even)]
-    series += [(coeff, 2 * k + 1) for k, coeff in enumerate(closed.odd)]
-    return _degree_parts(4**r, [(coeff * Rat(1, factorial(k)), invariant_I(r, k)) for coeff, k in series])
+    one = Poly.const(1)
+
+    def parity(first: int, coeffs) -> RMatrixFamily:
+        ks = range(first, 2 * r + 1, 2)
+        return _cleared_family(4**r, one, [(c * Rat(1, factorial(k)), invariant_I(r, k)) for k, c in zip(ks, coeffs)])
+
+    even, odd = parity(0, closed.even), parity(1, closed.odd)
+    zero = ExactMatrix.zero(4**r)
+    parts = tuple(a + b for a, b in zip_longest(even.parts, odd.parts, fillvalue=zero))
+    return RMatrixFamily(q=one, parts=parts), even, odd
 
 
 def full_r_matrix(r: int, u) -> ExactMatrix:
     """R(u) = sum_{k=0}^{2r} c_k(u)/k! I_k on the 4^r-dim reducible square."""
-    return full_r_matrix_parts(r, u)[0]
+    return _full_series(r)[0].evaluate(u)
 
 
 def full_r_matrix_parts(r: int, u) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """(full, even part, odd part); the parts sum to the full matrix."""
-    u = Rat(u)
-    closed = closed_form_coefficients(r)
-    even_terms = [
-        (coeff(u) / factorial(2 * k), invariant_I(r, 2 * k)) for k, coeff in enumerate(closed.even)
-    ]
-    odd_terms = [
-        (coeff(u) / factorial(2 * k + 1), invariant_I(r, 2 * k + 1)) for k, coeff in enumerate(closed.odd)
-    ]
-    even, odd = lincomb(4**r, even_terms), lincomb(4**r, odd_terms)
+    _, even, odd = _full_series(r)
+    even, odd = even.evaluate(u), odd.evaluate(u)
     return even + odd, even, odd
 
 
@@ -621,11 +620,10 @@ def chirality_split_check(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"chirality-split r={r}")
     gamma = build_gamma(r)
-    dim = 4**r
     ident = ExactMatrix.identity(2**r)
     sym = kron_sum([(Rat(1, 2), ident, ident), (Rat(1, 2), gamma.chirality, gamma.chirality)])
-    anti = ExactMatrix.identity(dim) - sym
-    record.add("projector-resolution", sym + anti == ExactMatrix.identity(dim))
+    anti = kron_sum([(Rat(1, 2), ident, ident), (Rat(-1, 2), gamma.chirality, gamma.chirality)])
+    record.add("projector-resolution", sym + anti == ExactMatrix.identity(4**r))
     record.add("projector-idempotent", sym @ sym == sym)
     for u in admissible_grid(r)[0][:3]:
         full, even, odd = full_r_matrix_parts(r, u)
@@ -643,10 +641,9 @@ def _full_braid_slice(r: int) -> BraidFamily:
     """
     return _braid_family(
         f"yang-baxter-identity r={r} family=full",
-        full_r_matrix_coefficients(r),
+        _full_series(r)[0],
         _full_symmetries(r),
         2**r,
-        lambda u, v: False,
     )
 
 

@@ -1,5 +1,7 @@
 import json
+import tomllib
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -115,7 +117,7 @@ def test_colour_partial(capsys):
 
 
 def test_colour_partial_not_scalar_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(colour, "ladder_partial_trace", lambda spec: (Rat(3, 32), False))
+    monkeypatch.setattr(colour, "ladder_partial_trace", lambda spec, ladder: (Rat(3, 32), False))
     code, out, err = run(
         capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp", "--closure", "partial"
     )
@@ -468,3 +470,12 @@ def test_an_exception_in_the_work_is_an_internal_error(capsys, monkeypatch, exc,
     assert out == ""
     assert err.startswith(f"internal error: {type(exc).__name__}: {exc}")
     assert "usage error" not in err and "i/o error" not in err
+
+
+def test_version_has_one_source():
+    # the package version, stamped into every artifact, is the one pyproject reads
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        config = tomllib.load(f)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "spincas.__version__"}

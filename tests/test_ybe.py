@@ -1,12 +1,12 @@
 import dataclasses
 import functools
 import json
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincas import _backend, report, spectra, ybe
+from spincas import _backend, casimir, report, spectra, ybe
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
@@ -23,7 +23,7 @@ def test_tau_coefficients():
     assert first(Rat(3)) == Rat(1, 2)
     braid = ybe.tau_coefficient(2, 1, "braid")
     assert braid(Rat(3)) == Rat(-1, 2)
-    assert first.is_pole(Rat(-1))
+    assert first.den(Rat(-1)) == 0  # the pole at u = -1
 
 
 @pytest.mark.parametrize("form", ["brade", "Braid", ""])
@@ -33,16 +33,24 @@ def test_tau_coefficient_refuses_an_unknown_form(form):
 
 
 def test_family_structure():
-    family = ybe.sector_r_matrix(4, "+")
-    assert [label for label, _ in family.terms] == [4, 2, 0]
-    family = ybe.sector_r_matrix(5, "-")
-    assert [label for label, _ in family.terms] == [5, 3, 1]
+    # Q is the lcm of the tau denominators, and Q(u) R(u) has one part per
+    # power of u up to the degree of Q
+    for r, eps, roots in [(3, "-", [1]), (4, "+", [1, 3]), (5, "-", [1, 3])]:
+        q = Poly.const(1)
+        for root in roots:
+            q = q * Poly([root, 1])
+        assert ybe.tau_denominator(r) == ybe.tau_denominator(r, "braid") == q
+        if r < 5:  # the r=5 blocks are left to the spectra tests
+            family = ybe.sector_r_matrix(r, eps)
+            assert family.q == q
+            assert len(family.parts) == len(roots) + 1
+            assert all(part.dim == 4 ** (r - 1) for part in family.parts)
 
 
 def test_family_at_u_one_is_top_projector():
     # every non-top coefficient contains the factor (u - 1)
     family = ybe.sector_r_matrix(2, "+")
-    assert family.evaluate(1) == family.projector(2)
+    assert family.evaluate(1) == spectra.sector_spectral(2, "++").projectors[2]
 
 
 def test_family_at_zero_squares_to_identity():
@@ -165,7 +173,7 @@ FULL_SYMMETRIES = ybe._full_symmetries
 CACHED = (
     ybe.sector_r_matrix,
     ybe.closed_form_coefficients,
-    ybe.full_r_matrix_coefficients,
+    ybe._full_series,
     ybe._sector_braid_slice,
     ybe._full_braid_slice,
     ybe._swap_relation,
@@ -202,22 +210,49 @@ def full_at(r, u):
     return ybe.full_r_matrix(r, u)
 
 
+def taus(r, form):
+    """{label r - 2k: tau_k} of a sector family."""
+    return {r - 2 * k: ybe.tau_coefficient(r, k, form) for k in range(r // 2 + 1)}
+
+
+def at_pole(r, form, *points):
+    return any(not tau.den(x) for tau in taus(r, form).values() for x in points)
+
+
+def sector_expansion(r, eps, u, form):
+    """Reference: sum_k tau_k(u) P_(r-2k), from the taus and the sector
+    projectors, not from the family's parts.
+    """
+    projectors = spectra.sector_spectral(r, eps + eps).projectors
+    return lincomb(4 ** (r - 1), [(tau(u), projectors[label]) for label, tau in taus(r, form).items()])
+
+
+def invariant_series(r, u):
+    """Reference: the sums of c_k(u)/k! I_k over the even and the odd k,
+    from the closed forms and the invariants, not from the family's parts.
+    """
+    closed = ybe.closed_form_coefficients(r)
+    return tuple(
+        lincomb(4**r, [(c(u) / factorial(k), casimir.invariant_I(r, k)) for k, c in zip(range(first, 2 * r + 1, 2), coeffs)])
+        for first, coeffs in ((0, closed.even), (1, closed.odd))
+    )
+
+
 def direct_sector(r, eps, u, v, form="braid"):
     """Reference outcome of one sector point; None at a pole."""
-    family = ybe.sector_r_matrix(r, eps, form)
-    if any(family.is_pole(x) for x in (u, v, u + v)):
+    if at_pole(r, form, u, v, u + v):
         return None
-    lhs, rhs = direct_braid(*(family.evaluate(x) for x in (u, u + v, v)), 2 ** (r - 1))
+    lhs, rhs = direct_braid(*(sector_expansion(r, eps, x, form) for x in (u, u + v, v)), 2 ** (r - 1))
     return lhs == rhs
 
 
 @functools.lru_cache(maxsize=None)
 def triple_products(r, eps):
     """K_abc of the projectors, each formed by its own four products."""
-    family = ybe.sector_r_matrix(r, eps)
+    projectors = spectra.sector_spectral(r, eps + eps).projectors
     ident = ExactMatrix.identity(2 ** (r - 1))
-    left = {a: kron(family.projector(a), ident) for a, _ in family.terms}
-    right = {a: kron(ident, family.projector(a)) for a, _ in family.terms}
+    left = {a: kron(projectors[a], ident) for a in taus(r, "plain")}
+    right = {a: kron(ident, projectors[a]) for a in taus(r, "plain")}
     return {
         (a, b, c): left[a] @ right[b] @ left[c] - right[c] @ left[b] @ right[a]
         for a in left
@@ -228,10 +263,9 @@ def triple_products(r, eps):
 
 def triple_product_sum(r, eps, u, v, form="braid"):
     """Reference: sum_abc t_a(u) t_b(u+v) t_c(v) K_abc == 0; None at a pole."""
-    family = ybe.sector_r_matrix(r, eps, form)
-    if any(family.is_pole(x) for x in (u, v, u + v)):
+    if at_pole(r, form, u, v, u + v):
         return None
-    t = dict(family.terms)
+    t = taus(r, form)
     total = ExactMatrix.zero(8 ** (r - 1))
     for (a, b, c), k_abc in triple_products(r, eps).items():
         total = total + k_abc * (t[a](u) * t[b](u + v) * t[c](v))
@@ -267,10 +301,9 @@ def sector_braid_family(r, eps, form):
     """
     return ybe._braid_family(
         f"yang-baxter-identity r={r} eps={eps} form={form}",
-        ybe._sector_parts(r, eps, form),
+        ybe.sector_r_matrix(r, eps, form),
         ybe._sector_symmetries(r, eps),
         2 ** (r - 1),
-        ybe.sector_r_matrix(r, eps, form).ybe_pole,
     )
 
 
@@ -331,17 +364,28 @@ def assert_premise_fails_every_point(record, r, identity):
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("eps", ["+", "-"])
+@pytest.mark.parametrize("form", ["braid", "plain"])
+def test_sector_family_is_its_projector_expansion(r, eps, form):
+    family = ybe.sector_r_matrix(r, eps, form)
+    for u in sum(ybe.admissible_grid(r), ()):
+        assert family.evaluate(u) == sector_expansion(r, eps, u, form)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_degree_parts_sum_to_full_r_matrix(r):
-    parts = ybe.full_r_matrix_coefficients(r)
+    parts = ybe._full_series(r)[0].parts
     assert len(parts) == r + 1  # the closed forms have degree r
-    for u in ybe.admissible_grid(r)[0]:
-        total = sum((part * u**d for d, part in enumerate(parts)), ExactMatrix.zero(4**r))
-        assert total == ybe.full_r_matrix(r, u)
+    for u in sum(ybe.admissible_grid(r), ()):
+        even, odd = invariant_series(r, u)
+        assert lincomb(4**r, [(u**d, part) for d, part in enumerate(parts)]) == even + odd
+        assert ybe.full_r_matrix(r, u) == even + odd
+        assert ybe.full_r_matrix_parts(r, u) == (even + odd, even, odd)
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_full_grid_matches_direct_products(r):
-    parts = ybe.full_r_matrix_coefficients(r)
+    parts = ybe._full_series(r)[0].parts
     assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v), parts, 2**r)
 
 
@@ -357,7 +401,7 @@ def test_sector_grid_matches_triple_products(r, eps, form):
         assert [ybe.ybe_point(r, eps, u, v) for u, v in points] == [c.status == PASS for c in record.checks]
     else:
         direct = functools.partial(direct_sector, r, eps, form="plain")
-        assert_matches_direct(record, r, direct, ybe._sector_parts(r, eps, form), 2 ** (r - 1))
+        assert_matches_direct(record, r, direct, ybe.sector_r_matrix(r, eps, form).parts, 2 ** (r - 1))
 
 
 spectral = st.fractions(min_value=-6, max_value=6, max_denominator=9)
@@ -393,10 +437,10 @@ def raised_degree(r):
 def test_raised_coefficient_degree_fails_like_direct_products(fresh_caches, monkeypatch):
     monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
     r = 2
-    assert len(ybe.full_r_matrix_coefficients(r)) == r + 2  # the u^(r+1) part is kept
+    parts = ybe._full_series(r)[0].parts
+    assert len(parts) == r + 2  # the u^(r+1) part is kept
     record = ybe.full_ybe_check(r)
     assert failing_checks(record)
-    parts = ybe.full_r_matrix_coefficients(r)
     assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v), parts, 2**r)
 
 
@@ -422,7 +466,7 @@ def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatc
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_full_slice_matches_reference_columns(r):
-    sliced, reference = assert_slice_matches_reference(ybe.full_r_matrix_coefficients(r), 2**r)
+    sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r)
     assert sliced.keys() == reference.keys()  # zero exactly where the reference is
 
 
@@ -430,14 +474,14 @@ def test_full_slice_matches_reference_columns(r):
 @pytest.mark.parametrize("eps", ["+", "-"])
 @pytest.mark.parametrize("form", ["braid", "plain"])
 def test_sector_slice_matches_reference_columns(r, eps, form):
-    sliced, reference = assert_slice_matches_reference(ybe._sector_parts(r, eps, form), 2 ** (r - 1))
+    sliced, reference = assert_slice_matches_reference(ybe.sector_r_matrix(r, eps, form).parts, 2 ** (r - 1))
     assert sliced.keys() == reference.keys()
 
 
 def test_slice_forms_no_kronecker_matrix_on_the_triple_product(monkeypatch):
     r = 3
     leg = 2**r
-    parts = ybe.full_r_matrix_coefficients(r)
+    parts = ybe._full_series(r)[0].parts
     real = _backend.mat_kron
     output_rows = []
 
@@ -498,7 +542,7 @@ def test_raised_degree_keeps_the_premise_and_fails_on_the_slice(fresh_caches, mo
     # nonzero D_ij are nonzero on the slice too
     monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
     r = 2
-    sliced, reference = assert_slice_matches_reference(ybe.full_r_matrix_coefficients(r), 2**r)
+    sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r)
     assert reference and sliced.keys() == reference.keys()
     record = ybe.full_ybe_identity_check(r)
     assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
@@ -506,19 +550,34 @@ def test_raised_degree_keeps_the_premise_and_fails_on_the_slice(fresh_caches, mo
     assert witness.startswith(f"D_{min(reference)} is nonzero on the slice: first differing entry")
 
 
+SECTOR_SPECTRAL = spectra.sector_spectral
+
+
+def replace_projectors(monkeypatch, r, projectors):
+    """The r, ++ sector with the given projectors, for the program and for
+    the references alike.
+    """
+    perturbed = dataclasses.replace(SECTOR_SPECTRAL(r, "++"), projectors=projectors)
+
+    def patched(rank, sector):
+        return perturbed if (rank, sector) == (r, "++") else SECTOR_SPECTRAL(rank, sector)
+
+    monkeypatch.setattr(ybe, "sector_spectral", patched)
+    monkeypatch.setattr(spectra, "sector_spectral", patched)
+
+
 def perturb_projector(monkeypatch, r):
     """The r, ++ family with one projector entry changed."""
-    data = spectra.sector_spectral(r, "++")
+    data = SECTOR_SPECTRAL(r, "++")
     projectors = dict(data.projectors)
     projectors[1] = projectors[1] + ExactMatrix(data.block.dim, {(2, 3): 1})
-    perturbed = dataclasses.replace(data, projectors=projectors)
-    monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: perturbed)
+    replace_projectors(monkeypatch, r, projectors)
 
 
 def test_perturbed_projector_fails_the_premise(fresh_caches, monkeypatch):
     r = 3
     perturb_projector(monkeypatch, r)
-    assert_slice_matches_reference(ybe._sector_parts(r, "+", "braid"), 2 ** (r - 1))
+    assert_slice_matches_reference(ybe.sector_r_matrix(r, "+", "braid").parts, 2 ** (r - 1))
     commute = ybe.ybe_identity_check(r, "+").checks[0]
     assert commute.check_id == "degree-parts-commute-with-symmetries"
     assert commute.status == FAIL
@@ -600,13 +659,13 @@ def direct_plain(r, eps, u, v):
     """Reference: both sides of R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u)
     by products on the triple product, R13 = P23 R12 P23; None at a pole.
     """
-    family = ybe.sector_r_matrix(r, eps, "plain")
-    if family.ybe_pole(u, v):
+    if at_pole(r, "plain", u, v, u + v):
         return None
     ident = ExactMatrix.identity(2 ** (r - 1))
     swap23 = kron(ident, permutation_operator(2 ** (r - 1)))
-    r12_u, r23_v = kron(family.evaluate(u), ident), kron(ident, family.evaluate(v))
-    r13 = swap23 @ kron(family.evaluate(u + v), ident) @ swap23
+    r_u, r_uv, r_v = (sector_expansion(r, eps, x, "plain") for x in (u, u + v, v))
+    r12_u, r23_v = kron(r_u, ident), kron(ident, r_v)
+    r13 = swap23 @ kron(r_uv, ident) @ swap23
     return r12_u @ r13 @ r23_v, r23_v @ r13 @ r12_u
 
 
@@ -630,7 +689,7 @@ def assert_plain_matches_direct(r, eps, points):
         if passed:
             expected = ""
         elif all(c.status == PASS for c in identity.checks[:2]):
-            diffs = diffs or on_slice(reference_braid_differences(ybe._sector_parts(r, eps, "braid"), leg), leg)
+            diffs = diffs or on_slice(reference_braid_differences(ybe.sector_r_matrix(r, eps, "braid").parts, leg), leg)
             expected = slice_witness(diffs, leg, v, u)
         else:
             expected = premise_witness(identity)
@@ -647,22 +706,41 @@ def test_swap_relation_holds(r, eps):
 
 
 def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
-    built = []
-    real = ybe._sector_parts
+    # every build of a family's parts goes through _cleared_family
+    built, requested = [], set()
+    real_build, real_family = ybe._cleared_family, ybe.sector_r_matrix
 
-    def counted(r, eps, form):
-        built.append(form)
-        return real(r, eps, form)
+    def counted_build(dim, q, terms):
+        built.append(dim)
+        return real_build(dim, q, terms)
 
-    monkeypatch.setattr(ybe, "_sector_parts", counted)
-    records = report.ybe_suite(2)
-    assert built.count("plain") == 1
+    def counted_family(r, eps, form="plain"):
+        requested.add((r, eps, form))
+        return real_family(r, eps, form)
+
+    # the swap relation's record and plain_ybe_spot_check read one cached result
+    relations = []
+    real_relation = ybe._swap_relation.__wrapped__
+
+    @functools.lru_cache(maxsize=None)
+    def counted_relation(r, eps):
+        relations.append((r, eps))
+        return real_relation(r, eps)
+
+    monkeypatch.setattr(ybe, "_cleared_family", counted_build)
+    monkeypatch.setattr(ybe, "sector_r_matrix", counted_family)
+    monkeypatch.setattr(ybe, "_swap_relation", counted_relation)
+    records = report.ybe_suite(3)
+    assert requested == {(3, eps, form) for eps in "+-" for form in ("plain", "braid")}
+    # one build per (eps, form) on the 16-dim sector block, one per parity of the full series
+    assert sorted(built) == [16] * 4 + [64] * 2
+    assert relations == [(3, "+")]
     names = [record.name for record in records]
-    assert "swap-relation r=2 eps=+" in names and "plain-yang-baxter r=2 eps=+" in names
+    assert "swap-relation r=3 eps=+" in names and "plain-yang-baxter r=3 eps=+" in names
     # each record handed out is a copy of the cached one
-    copy = ybe.swap_relation_check(2, "+")
+    copy = ybe.swap_relation_check(3, "+")
     copy.add("extra", False, "x")
-    assert [c.check_id for c in ybe.swap_relation_check(2, "+").checks] == [
+    assert [c.check_id for c in ybe.swap_relation_check(3, "+").checks] == [
         "braid-parts-equal-swap-times-plain-parts"
     ]
 
@@ -708,7 +786,7 @@ def test_skewed_projector_fails_plain_points_like_direct_products(fresh_caches, 
     skew = top @ ExactMatrix(data.block.dim, {(0, 1): 1}) @ top
     assert skew and skew.transpose() != skew
     projectors[2] = top + skew
-    monkeypatch.setattr(ybe, "sector_spectral", lambda rank, sector: dataclasses.replace(data, projectors=projectors))
+    replace_projectors(monkeypatch, r, projectors)
     assert ybe.swap_relation_check(r, "+").ok
     record = assert_plain_matches_direct(r, "+", ybe.grid_points(r))
     assert failing_checks(record)
@@ -779,3 +857,30 @@ def test_pole_on_grid_is_a_failure(monkeypatch, check):
     assert failing_checks(record)
     assert all(c.witness == "pole hit" for c in failing_checks(record))
     assert all(c.status in (PASS, FAIL) for c in record.checks)
+
+
+def test_cli_refuses_a_pole_before_any_projector(fresh_caches, monkeypatch, capsys):
+    # Q comes from the taus alone, so the refusal needs no sector block
+    def refused(*args):
+        raise AssertionError("a sector projector built for a refused point")
+
+    monkeypatch.setattr(ybe, "sector_spectral", refused)
+    monkeypatch.setattr(spectra, "sector_spectral", refused)
+    assert main(["ybe", "--r", "2", "--u", "-1", "--v", "1/3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: (u, v) = (-1, 1/3) is at a pole of the braid sector family\n"
+
+
+# -- the chirality split ------------------------------------------------------
+
+
+def test_wrong_odd_projector_fails_the_resolution(monkeypatch):
+    # the odd projector built with a + where its gamma term has a -: it is
+    # then the even one, and the two no longer resolve the identity
+    real = ybe.kron_sum
+    monkeypatch.setattr(ybe, "kron_sum", lambda terms: real([(abs(c), a, b) for c, a, b in terms]))
+    record = ybe.chirality_split_check(2)
+    failed = [c.check_id for c in failing_checks(record)]
+    assert failed[0] == "projector-resolution"
+    assert all(check_id.startswith("odd-part-") for check_id in failed[1:])
