@@ -173,9 +173,10 @@ def _commutator(a, b):
     return tuple(a_im[bj] for bj in b_im), tuple(phases)
 
 
-def closure_failures(r: int, chain) -> Iterator[str]:
+def closure_failures(r: int, chain, gens=None) -> Iterator[str]:
     """Witness against: iterated commutators of the chain matrices reach
-    every rotation generator rho(L_ab) up to a nonzero scalar.
+    every rotation generator rho(L_ab) up to a nonzero scalar; gens holds
+    the generators in basis_pairs(2r) order (default: rotation_generators(r)).
 
     The rotation generators are basis maps (each sends every basis vector to
     a nonzero multiple of one basis vector), so a chain matrix must be one
@@ -190,7 +191,8 @@ def closure_failures(r: int, chain) -> Iterator[str]:
         except NotABasisMap as exc:
             yield f"chain generator {k} of {len(chain)} {exc}"
             return
-    targets = {_ray(*g.basis_map()): pair for pair, g in zip(basis_pairs(2 * r), rotation_generators(r))}
+    gens = rotation_generators(r) if gens is None else gens
+    targets = {_ray(*g.basis_map()): pair for pair, g in zip(basis_pairs(2 * r), gens)}
     reached = set()
 
     def new_generators(candidates):

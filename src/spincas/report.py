@@ -20,8 +20,7 @@ SECTOR_LABELS = {"++": "pp", "+-": "pm", "-+": "mp", "--": "mm"}
 # the highest rank any command or suite accepts
 MAX_RANK = 6
 
-# the full-series triple products grow as 8^r; these caps keep the suite at desk scale
-YBE_FULL_MAX_R = 4
+# the direct Lagrange cross-check rebuilds every projector on the 4^r square
 SPECTRA_FULL_CROSSCHECK_MAX_R = 4
 
 
@@ -92,10 +91,9 @@ def ybe_suite(r: int) -> list[VerificationRecord]:
         ybe.plain_ybe_spot_check(r, "+", [(us[0], vs[0]), (us[1], vs[1])]),
         ybe.symmetric_part_factorization(r),
         ybe.chirality_split_check(r),
+        ybe.full_ybe_identity_check(r),
+        ybe.full_ybe_check(r),
     ]
-    if r <= YBE_FULL_MAX_R:
-        records.append(ybe.full_ybe_identity_check(r))
-        records.append(ybe.full_ybe_check(r))
     if r == 2:
         records.append(ybe.rising_factorial_identity())
     return records

@@ -188,7 +188,8 @@ def duality_pair_identities(r: int) -> VerificationRecord:
     documented-discrepancy note, not a failure.  On the exchanged sector's
     block the unsigned form carries the factor eps * ratio, which at odd
     rank is exactly the signed form's factor there (eps and (-1)^r both
-    flip sign), so its outcome is read from that sector's signed check.
+    flip sign), so its outcome is read from that sector's signed check, and
+    a failure names that check and carries its witness.
     """
     record = VerificationRecord(name=f"sector-pair-identities r={r}")
     polys = [i2k_polynomial(r, j) for j in range(r + 1)]
@@ -205,7 +206,8 @@ def duality_pair_identities(r: int) -> VerificationRecord:
                     "odd rank: unsigned form holds on the exchanged sector",
                 )
             else:
-                record.add(f"unsigned-pair-{sector}-k{k}", False)
+                witness = f"signed-pair-{OPPOSITE[sector]}-k{k} fails: {outcomes[OPPOSITE[sector]][k][1]}"
+                record.add(f"unsigned-pair-{sector}-k{k}", False, witness)
     return record
 
 

@@ -19,20 +19,41 @@ Yang-Baxter checks run over a deterministic pole-free grid of rational
 spectral parameters.  Both sides of the braid equation are trilinear in the
 S_d, so Q(u) Q(u+v) Q(v) (LHS - RHS) = sum_ij u^i v^j D_ij exactly.
 
-Each D_ij is built only on the columns e_0 (x) V (x) V, a 1/dim V slice.  The
-slice decides only when an equivariance premise holds: every degree part
-commutes with L (x) 1 + 1 (x) L for the chain generators L = L_(i,i+1)
-(restricted to the half-spinor leg for a sector family), the full series
-also with gamma_1 (x) gamma_1, and the orbit of e_0 under these maps covers
-the basis of the leg.  Then each D_ij commutes with the same maps on the
-triple product, and since L(x)1(x)1 + 1(x)Delta(L) sends e (x) w to
+Each D_ij is built only on the columns of the Levi slice, a subset of
+e_0 (x) V (x) V.  The slice decides only when a premise holds, checked in
+four parts:
+
+- every degree part commutes with L (x) 1 + 1 (x) L for the chain
+  generators L = L_(i,i+1) (restricted to the half-spinor leg for a sector
+  family), the full series also with gamma_1 (x) gamma_1;
+- the orbit of e_0 under these maps covers the basis of the leg;
+- the leg basis is a weight basis: the Cartan generators L_(2k-1,2k),
+  which are chain generators, are diagonal, and e_j has the weight w(j)
+  read off their diagonals;
+- the Levi subalgebra fixes the line of e_0.  With sigma_k the sign of
+  w(0)_k, the Levi is the Cartan and the root spaces of the roots
+  sigma_a eps_a - sigma_b eps_b.  Its root vectors lie in the algebra the
+  chain generates when iterated commutators of the chain reach every
+  rotation generator on the leg, and one of them kills e_0 when no leg
+  weight is w(0) + alpha for its root alpha.
+
+Then each D_ij commutes with the same maps on the triple product, and with
+the group they generate.  The Weyl group of the Levi permutes the
+coordinates of the weights twisted by sigma, and is carried by group
+elements that keep the line of e_0.  So a D_ij that kills e_0 (x) x (x) y
+for every weight vector x (x) y of V (x) V whose twisted weight
+sigma (w(x) + w(y)) is weakly decreasing kills e_0 (x) V (x) V; those
+vectors are the slice.  Since L(x)1(x)1 + 1(x)Delta(L) sends e (x) w to
 Le (x) w + e (x) Delta(L) w, and gamma_1^(x)3 sends it to
 gamma_1 e (x) (gamma_1 (x) gamma_1) w, a D_ij that kills e (x) V (x) V also
-kills Le (x) V (x) V and gamma_1 e (x) V (x) V, so it kills everything.  The
-slice is the only path that decides a grid point, and no point forms a matrix
-on the triple product: under the premise a point passes exactly when
+kills Le (x) V (x) V and gamma_1 e (x) V (x) V, so by the orbit it kills
+everything.  The twist matters on Delta_-, where e_0 has weight
+(+, ..., +, -): in plain coordinates w(0) + eps_r - eps_1 is a weight there,
+so the Levi of the plain roots eps_a - eps_b would not fix the line of e_0.
+The slice is the only path that decides a grid point, and no point forms a
+matrix on the triple product: under the premise a point passes exactly when
 sum_ij u^i v^j D_ij vanishes on the slice, and without it every point fails
-with the witness of the failed premise check.
+with the witness of the first failed premise check.
 
 The plain form R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) is the braid
 equation at (v, u) once the braid family is P times the plain one, which is
@@ -43,11 +64,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import permutations, zip_longest
 from math import comb, factorial
 
 from .casimir import invariant_I, sector_indices, split_casimir_rho
-from .clifford import build_gamma, chain_generators, chain_pairs, half_spinor_blocks
+from .clifford import (
+    build_gamma,
+    chain_generators,
+    chain_pairs,
+    closure_failures,
+    half_spinor_blocks,
+    rotation_generators,
+)
 from .linalg import (
     ExactMatrix,
     NotABasisMap,
@@ -178,17 +206,19 @@ def admissible_grid(r: int) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
 # -- Yang-Baxter verification ----------------------------------------------
 
 
-def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int) -> tuple[int, tuple]:
-    """(count, nonzero) for the D_ij of LHS - RHS, restricted to the columns
-    e_0 (x) V (x) V, for the family R(u) = sum_d u^d parts[d] on the tensor
-    square of a leg V of dimension leg.  count is the number of D_ij in the
-    expansion; nonzero lists ((i, j), sliced D_ij) for those not zero there.
+def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int, rows) -> tuple[int, tuple]:
+    """(count, nonzero) for the D_ij of LHS - RHS, restricted to the slice
+    columns ``rows``, for the family R(u) = sum_d u^d parts[d] on the tensor
+    square of a leg V of dimension leg.  A slice column i < leg^2 is the basis
+    vector e_0 (x) e_(i // leg) (x) e_(i % leg).  count is the number of D_ij
+    in the expansion; nonzero lists ((i, j), sliced D_ij) for those not zero
+    there.
 
     With K_abc = (R_a x 1)(1 x R_b)(R_c x 1) - (1 x R_c)(R_b x 1)(1 x R_a),
     LHS - RHS = sum_abc u^a (u+v)^b v^c K_abc, and the binomial expansion of
-    (u+v)^b gives sum_ij u^i v^j D_ij.  The slice is the first leg^2 columns.
-    The products are formed on transposes, so each runs over the leg^2 rows
-    of the slice, from the rightmost factor of K_abc to the leftmost, and
+    (u+v)^b gives sum_ij u^i v^j D_ij.
+    The products are formed on transposes, so each runs over the rows of
+    the slice, from the rightmost factor of K_abc to the leftmost, and
     each factor R_d^T x 1 or 1 x R_d^T acts on those rows by index arithmetic
     on the legs.  They run on integer parts: with R_d^T = c_d/den Z_d, K_abc
     is c_a c_b c_c/den^3 times a difference of products of the Z_d.  The
@@ -200,7 +230,7 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int) -> tuple
     dim = leg**3
     square = leg * leg
     den, factors = integer_parts([m.transpose() for m in parts])
-    start = ({i: {i: 1} for i in range(square)}, {})  # the slice rows of the identity
+    start = ({i: {i: 1} for i in rows}, {})  # the slice rows of the identity
     left = [leg_products([(1, start, z, leg)], square) for _, z in factors]  # (R_d x 1)^T
     right = [leg_products([(1, start, z, 1)], square) for _, z in factors]  # (1 x R_d)^T
     sums: dict = {}
@@ -256,6 +286,71 @@ def _orbit_failures(symmetries, leg: int):
         yield f"the orbit of e_0 reaches {len(reached)} of {leg} basis vectors; e_{missed} is missed"
 
 
+def _leg_weights(cartan) -> list[tuple[int, ...]]:
+    """w(j) for each basis vector e_j of the leg: twice the imaginary parts
+    of the diagonal entries (j, j) of the Cartan generators L_(2k-1,2k), so
+    a spinor weight has coordinates +-1 and a root +-2 eps_a +- 2 eps_b.  It
+    is the weight of e_j when the leg basis is a weight basis.
+    """
+    return [tuple(int(2 * h[j, j].im) for _, h in cartan) for j in range(cartan[0][1].dim)]
+
+
+def _twist(weights) -> tuple[int, ...]:
+    """sigma: the signs of the coordinates of w(0)."""
+    return tuple(-1 if x < 0 else 1 for x in weights[0])
+
+
+def _levi_rows(weights) -> list[int]:
+    """The slice: the flat indices x * leg + y of the basis vectors x (x) y
+    of V (x) V whose weight, twisted by sigma, is weakly decreasing.
+    """
+    sigma = _twist(weights)
+    twisted = [tuple(s * c for s, c in zip(sigma, w)) for w in weights]
+    rows = []
+    for x, wx in enumerate(twisted):
+        for y, wy in enumerate(twisted):
+            nu = [a + b for a, b in zip(wx, wy)]
+            if all(p >= q for p, q in zip(nu, nu[1:])):
+                rows.append(x * len(weights) + y)
+    return rows
+
+
+def _weight_basis_failures(cartan):
+    """Witness against: each Cartan generator L_(2k-1,2k) is diagonal with
+    entries in (i/2) Z, so every basis vector of the leg has a weight.
+    """
+    for pair, h in cartan:
+        for i, j, value in h.items():
+            if i != j or value.re or (2 * value.im).denominator != 1:
+                yield f"L_{pair} has entry ({i}, {j}) = {value}, not a diagonal entry in (i/2) Z"
+                return
+
+
+def _levi_failures(weights, r: int, chain, gens):
+    """Witness against: the Levi subalgebra, the Cartan and the root spaces
+    of the roots alpha = sigma_a eps_a - sigma_b eps_b, lies in the algebra
+    the chain generates and fixes the line of e_0.  A root vector sends e_0
+    into the weight space of w(0) + alpha, so it kills e_0 when no leg weight
+    is w(0) + alpha.  The root vectors are sums of rotation generators, so
+    they lie in the algebra when iterated commutators of the chain reach
+    every rotation generator on the leg.
+    """
+    w0, sigma = weights[0], _twist(weights)
+    first = {}
+    for j, w in enumerate(weights):
+        first.setdefault(w, j)
+    for a, b in permutations(range(len(w0)), 2):
+        shifted = list(w0)
+        shifted[a] += 2 * sigma[a]
+        shifted[b] -= 2 * sigma[b]
+        j = first.get(tuple(shifted))
+        if j is not None:
+            root = f"sigma_{a + 1} eps_{a + 1} - sigma_{b + 1} eps_{b + 1}"
+            yield f"e_{j} has weight w(0) + alpha for the Levi root alpha = {root}"
+            return
+    yield from closure_failures(r, chain, gens)
+
+
 def _first_nonzero(m: ExactMatrix) -> str:
     return diff_witness(first_difference(m, ExactMatrix.zero(m.dim)))
 
@@ -263,8 +358,8 @@ def _first_nonzero(m: ExactMatrix) -> str:
 @dataclass(frozen=True)
 class BraidFamily:
     """One family R(x) on the tensor square of a leg of dimension leg, its
-    braid coefficients on the slice e_0 (x) V (x) V, and the identity record
-    whose premise says whether the slice decides.  premise is None when the
+    braid coefficients on the Levi slice, and the identity record whose
+    premise says whether the slice decides.  premise is None when the
     premise holds, else the witness of its first failed check.
     """
 
@@ -301,17 +396,30 @@ class BraidFamily:
         return record
 
 
-def _braid_family(name: str, family: RMatrixFamily, symmetries, leg: int) -> BraidFamily:
+def _braid_family(name: str, family: RMatrixFamily, r: int, gens, group=()) -> BraidFamily:
+    """The braid slice of a family on the tensor square of a leg V, with
+    gens the rotation generators on V in basis_pairs(2r) order and group the
+    (label, g) of further group elements g that act as g (x) g.
+    """
+    leg = gens[0].dim
+    chain = chain_generators(r, gens)
+    labelled = list(zip(chain_pairs(r), chain))
+    symmetries = [(f"L_{pair}", g, True) for pair, g in labelled] + [(label, g, False) for label, g in group]
+    cartan = labelled[::2]  # L_(2k-1,2k)
+    weights = _leg_weights(cartan)
+    rows = _levi_rows(weights)
     record = VerificationRecord(name=name)
     premise = [
         record.add_first_failure(
             "degree-parts-commute-with-symmetries", _commutation_failures(family.parts, symmetries, leg)
         ),
         record.add_first_failure("orbit-of-e0-covers-leg", _orbit_failures(symmetries, leg)),
+        record.add_first_failure("leg-basis-is-a-weight-basis", _weight_basis_failures(cartan)),
+        record.add_first_failure("levi-fixes-the-line-of-e0", _levi_failures(weights, r, chain, gens)),
     ]
-    count, diffs = _sliced_braid_differences(family.parts, leg)
+    count, diffs = _sliced_braid_differences(family.parts, leg, rows)
     first = (f"D_{key} is nonzero on the slice: {_first_nonzero(d)}" for key, d in diffs)
-    record.add_first_failure(f"all-{count}-D_ij-vanish-on-{leg * leg}-slice-columns", first)
+    record.add_first_failure(f"all-{count}-D_ij-vanish-on-{len(rows)}-slice-columns", first)
     failed = (f"premise {check.check_id} fails: {check.witness}" for check in premise if check.status != PASS)
     return BraidFamily(family=family, record=record, premise=next(failed, None), diffs=diffs, leg=leg)
 
@@ -322,32 +430,16 @@ def grid_points(r: int) -> list:
     return [(u, v) for u in us for v in vs]
 
 
-def _chain_symmetries(r: int, gens) -> list:
-    return [(f"L_{pair}", g, True) for pair, g in zip(chain_pairs(r), gens)]
-
-
-def _sector_symmetries(r: int, eps: str) -> list:
-    """The chain generators restricted to the half-spinor leg Delta_eps."""
-    blocks = half_spinor_blocks(r)[0 if eps == "+" else 1]
-    return _chain_symmetries(r, chain_generators(r, blocks))
-
-
-def _full_symmetries(r: int) -> list:
-    """The chain generators and gamma_1, which exchanges the two chiralities,
-    on the full spinor leg.
-    """
-    gamma_1 = build_gamma(r).gammas[0]
-    return _chain_symmetries(r, chain_generators(r)) + [("gamma_1", gamma_1, False)]
+def _sector_leg(r: int, eps: str) -> tuple[ExactMatrix, ...]:
+    """The rotation generators on the half-spinor leg Delta_eps."""
+    return half_spinor_blocks(r)[0 if eps == "+" else 1]
 
 
 @lru_cache(maxsize=None)
 def _sector_braid_slice(r: int, eps: str) -> BraidFamily:
     """The braid sector family, Q(u) R(u) = sum_d u^d S_d."""
     return _braid_family(
-        f"yang-baxter-identity r={r} eps={eps} form=braid",
-        sector_r_matrix(r, eps, "braid"),
-        _sector_symmetries(r, eps),
-        2 ** (r - 1),
+        f"yang-baxter-identity r={r} eps={eps} form=braid", sector_r_matrix(r, eps, "braid"), r, _sector_leg(r, eps)
     )
 
 
@@ -639,11 +731,9 @@ def _full_braid_slice(r: int) -> BraidFamily:
     """The full series, R(u) = sum_d u^d R_d; its coefficients are
     polynomials, so it has no poles.
     """
+    gamma_1 = build_gamma(r).gammas[0]  # exchanges the two chiralities
     return _braid_family(
-        f"yang-baxter-identity r={r} family=full",
-        _full_series(r)[0],
-        _full_symmetries(r),
-        2**r,
+        f"yang-baxter-identity r={r} family=full", _full_series(r)[0], r, rotation_generators(r), [("gamma_1", gamma_1)]
     )
 
 

@@ -98,6 +98,29 @@ def test_pair_identities_odd_rank_notes(r):
     assert all(c.check_id.startswith("unsigned-pair-") for c in notes)
 
 
+def test_odd_rank_unsigned_pair_failure_names_the_exchanged_signed_check(monkeypatch):
+    # I_0 of the ++ block with one wrong entry: the signed checks of ++ fail
+    # at k = 0 and k = r, and the unsigned checks of the exchanged sector +-
+    # fail with their witnesses
+    r = 3
+    real = spectra.poly_eval
+    plus = spectra.sector_spectral(r, "++").powers
+
+    def perturbed(coeffs, table):
+        value = real(coeffs, table)
+        if table is plus and list(coeffs) == [1]:
+            value = value + ExactMatrix(value.dim, {(0, 1): 1})
+        return value
+
+    monkeypatch.setattr(spectra, "poly_eval", perturbed)
+    record = spectra.duality_pair_identities(r)
+    failed = {c.check_id: c.witness for c in failing_checks(record)}
+    assert sorted(failed) == ["signed-pair-++-k0", "signed-pair-++-k3", "unsigned-pair-+--k0", "unsigned-pair-+--k3"]
+    for k in (0, r):
+        assert failed[f"signed-pair-++-k{k}"].startswith("first differing entry")
+        assert failed[f"unsigned-pair-+--k{k}"] == f"signed-pair-++-k{k} fails: {failed[f'signed-pair-++-k{k}']}"
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_rho_family(r):
     record = spectra.rho_family_check(r)

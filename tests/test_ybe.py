@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 from math import comb, factorial
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincas import _backend, casimir, report, spectra, ybe
+from spincas.clifford import build_gamma, chain_generators, chain_pairs, rotation_generators
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
+from spincas.oracles import basis_pairs
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
-from spincas.records import FAIL, PASS, diff_witness
-from spincas.scalar import Rat
+from spincas.records import FAIL, PASS, VerificationRecord, diff_witness
+from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks
 
@@ -167,7 +170,6 @@ def test_rising_factorial_polynomial():
 # the originals, so a test can call and clear them while their names are patched
 CLOSED_FORMS = ybe.closed_form_coefficients
 GRID = ybe.admissible_grid
-FULL_SYMMETRIES = ybe._full_symmetries
 
 # the caches that hold a family or anything derived from one
 CACHED = (
@@ -291,34 +293,43 @@ def reference_braid_differences(parts, leg):
     return {key: d for key, d in diffs.items() if d}
 
 
-def columns_below(m, stop):
-    return ExactMatrix(m.dim, {(i, j): value for i, j, value in m.items() if j < stop})
+def columns_in(m, columns):
+    return ExactMatrix(m.dim, {(i, j): value for i, j, value in m.items() if j in columns})
 
 
 def sector_braid_family(r, eps, form):
     """The braid slice of a sector family in either form; the program builds
     only the braid form's, so the plain form's is built here.
     """
-    return ybe._braid_family(
-        f"yang-baxter-identity r={r} eps={eps} form={form}",
-        ybe.sector_r_matrix(r, eps, form),
-        ybe._sector_symmetries(r, eps),
-        2 ** (r - 1),
-    )
+    name = f"yang-baxter-identity r={r} eps={eps} form={form}"
+    return ybe._braid_family(name, ybe.sector_r_matrix(r, eps, form), r, ybe._sector_leg(r, eps))
 
 
-def assert_slice_matches_reference(parts, leg):
-    """The sliced D_ij are the first leg^2 columns of the reference D_ij."""
-    _, sliced = ybe._sliced_braid_differences(parts, leg)
+def e0_slice(leg):
+    """The reference slice e_0 (x) V (x) V: the first leg^2 columns."""
+    return range(leg * leg)
+
+
+def levi_slice(r, eps=None):
+    """The program's Levi slice of the full leg (eps None) or of Delta_eps."""
+    gens = rotation_generators(r) if eps is None else ybe._sector_leg(r, eps)
+    cartan = list(zip(chain_pairs(r), chain_generators(r, gens)))[::2]
+    return ybe._levi_rows(ybe._leg_weights(cartan))
+
+
+def assert_slice_matches_reference(parts, leg, rows):
+    """The sliced D_ij are the reference D_ij on the slice columns rows."""
+    _, sliced = ybe._sliced_braid_differences(parts, leg, rows)
     reference = reference_braid_differences(parts, leg)
-    columns = on_slice(reference, leg)
+    columns = on_slice(reference, rows)
     assert dict(sliced) == {key: d for key, d in columns.items() if d}
     return dict(sliced), reference
 
 
-def on_slice(diffs, leg):
-    """The D_ij restricted to the slice, their first leg^2 columns."""
-    return {key: columns_below(d, leg * leg) for key, d in diffs.items()}
+def on_slice(diffs, rows):
+    """The D_ij restricted to the slice columns rows."""
+    rows = set(rows)
+    return {key: columns_in(d, rows) for key, d in diffs.items()}
 
 
 def slice_witness(diffs, leg, u, v):
@@ -331,9 +342,10 @@ def slice_witness(diffs, leg, u, v):
     return f"Q(u) Q(u+v) Q(v) (LHS - RHS) is nonzero on the slice: {witness}"
 
 
-def assert_matches_direct(record, r, direct, parts, leg):
+def assert_matches_direct(record, r, direct, parts, leg, rows):
     """Every check of a grid record whose family keeps the premise has the
-    direct products' outcome; a failing one carries the slice witness.
+    direct products' outcome; a failing one carries the witness on the
+    slice columns rows.
     """
     points = ybe.grid_points(r)
     assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in points]
@@ -342,15 +354,24 @@ def assert_matches_direct(record, r, direct, parts, leg):
         passed = direct(u, v)
         assert (check.status == PASS) == passed, check.check_id
         if not passed:
-            diffs = diffs or on_slice(reference_braid_differences(parts, leg), leg)
+            diffs = diffs or on_slice(reference_braid_differences(parts, leg), rows)
         assert check.witness == ("" if passed else slice_witness(diffs, leg, u, v)), check.check_id
+
+
+# the premise checks of a yang-baxter-identity record, before its D_ij check
+PREMISE = [
+    "degree-parts-commute-with-symmetries",
+    "orbit-of-e0-covers-leg",
+    "leg-basis-is-a-weight-basis",
+    "levi-fixes-the-line-of-e0",
+]
 
 
 def premise_witness(identity):
     """What every point of a family that fails the premise carries: the
     first failed premise check of its identity record, by id and witness.
     """
-    failed = next(c for c in identity.checks[:2] if c.status == FAIL)
+    failed = next(c for c in identity.checks[:-1] if c.status == FAIL)
     return f"premise {failed.check_id} fails: {failed.witness}"
 
 
@@ -386,7 +407,7 @@ def test_degree_parts_sum_to_full_r_matrix(r):
 @pytest.mark.parametrize("r", [2, 3])
 def test_full_grid_matches_direct_products(r):
     parts = ybe._full_series(r)[0].parts
-    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v), parts, 2**r)
+    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v), parts, 2**r, levi_slice(r))
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -401,7 +422,8 @@ def test_sector_grid_matches_triple_products(r, eps, form):
         assert [ybe.ybe_point(r, eps, u, v) for u, v in points] == [c.status == PASS for c in record.checks]
     else:
         direct = functools.partial(direct_sector, r, eps, form="plain")
-        assert_matches_direct(record, r, direct, ybe.sector_r_matrix(r, eps, form).parts, 2 ** (r - 1))
+        parts = ybe.sector_r_matrix(r, eps, form).parts
+        assert_matches_direct(record, r, direct, parts, 2 ** (r - 1), levi_slice(r, eps))
 
 
 spectral = st.fractions(min_value=-6, max_value=6, max_denominator=9)
@@ -441,7 +463,7 @@ def test_raised_coefficient_degree_fails_like_direct_products(fresh_caches, monk
     assert len(parts) == r + 2  # the u^(r+1) part is kept
     record = ybe.full_ybe_check(r)
     assert failing_checks(record)
-    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v), parts, 2**r)
+    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v), parts, 2**r, levi_slice(r))
 
 
 def test_perturbed_invariant_fails_like_direct_products(fresh_caches, monkeypatch):
@@ -461,21 +483,101 @@ def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatc
     assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, ybe.ybe_identity_check(r, "+"))
 
 
-# -- the slice e_0 (x) V (x) V and its equivariance premise -----------------
+# -- the Levi slice and its premise ------------------------------------------
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_full_slice_matches_reference_columns(r):
-    sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r)
-    assert sliced.keys() == reference.keys()  # zero exactly where the reference is
+    for rows in (e0_slice(2**r), levi_slice(r)):
+        sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r, rows)
+        assert sliced.keys() == reference.keys()  # zero exactly where the reference is
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 @pytest.mark.parametrize("eps", ["+", "-"])
 @pytest.mark.parametrize("form", ["braid", "plain"])
 def test_sector_slice_matches_reference_columns(r, eps, form):
-    sliced, reference = assert_slice_matches_reference(ybe.sector_r_matrix(r, eps, form).parts, 2 ** (r - 1))
-    assert sliced.keys() == reference.keys()
+    parts = ybe.sector_r_matrix(r, eps, form).parts
+    for rows in (e0_slice(2 ** (r - 1)), levi_slice(r, eps)):
+        sliced, reference = assert_slice_matches_reference(parts, 2 ** (r - 1), rows)
+        assert sliced.keys() == reference.keys()
+
+
+def spinor_weights(r, chirality=None):
+    """The weights (+-1, ..., +-1), in units of 1/2, of the full spinor leg,
+    or of the half-spinor leg with that product of signs, led by the weight
+    of e_0: (1, ..., 1) on Delta_+ and on the full leg, (1, ..., 1, -1) on
+    Delta_-.
+    """
+    weights = list(itertools.product((1, -1), repeat=r))
+    if chirality is not None:
+        weights = [w for w in weights if (-1) ** w.count(-1) == chirality]
+    lead = (1,) * (r - 1) + (chirality or 1,)
+    return [lead] + [w for w in weights if w != lead]
+
+
+# slice widths: the full series, and each sector leg, at r = 3..7
+LEVI_WIDTHS = {3: (26, 6), 4: (57, 17), 5: (120, 27), 6: (247, 70), 7: (502, 112)}
+
+
+@pytest.mark.parametrize("r", sorted(LEVI_WIDTHS))
+def test_levi_slice_widths(r):
+    # weight arithmetic alone: no leg matrix and no family is built
+    full, sector = LEVI_WIDTHS[r]
+    assert len(ybe._levi_rows(spinor_weights(r))) == full
+    assert len(ybe._levi_rows(spinor_weights(r, 1))) == sector
+    assert len(ybe._levi_rows(spinor_weights(r, -1))) == sector
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_leg_weights_are_the_spinor_weights(r):
+    # the Cartan generators L_(2k-1,2k) are diagonal in the gamma basis, with
+    # e_0 of weight (1, ..., 1) on the full leg and on Delta_+
+    legs = ((rotation_generators(r), None), (ybe._sector_leg(r, "+"), 1), (ybe._sector_leg(r, "-"), -1))
+    for gens, chirality in legs:
+        cartan = list(zip(chain_pairs(r), chain_generators(r, gens)))[::2]
+        assert list(ybe._weight_basis_failures(cartan)) == []
+        weights = ybe._leg_weights(cartan)
+        assert weights[0] == spinor_weights(r, chirality)[0]
+        assert sorted(weights) == sorted(spinor_weights(r, chirality))
+
+
+def identity_family(leg):
+    """R(u) = 1 on the tensor square of a leg: it solves the braid equation."""
+    return ybe.RMatrixFamily(q=Poly.const(1), parts=(ExactMatrix.identity(leg * leg),))
+
+
+def real_family(r, eps):
+    """(family, gens, group) of the full series (eps None) or of a braid
+    sector family, as the program passes them to its braid slice.
+    """
+    if eps is None:
+        return ybe._full_series(r)[0], rotation_generators(r), [("gamma_1", build_gamma(r).gammas[0])]
+    return ybe.sector_r_matrix(r, eps, "braid"), ybe._sector_leg(r, eps), []
+
+
+# equivariant mutations of the degree parts: each keeps every part a sum of
+# invariants, so the premise holds and the Levi slice must still decide
+MUTATIONS = {
+    "none": lambda parts: parts,
+    "double-S1": lambda parts: (parts[0], parts[1] * 2, *parts[2:]),
+    "S0-plus-1": lambda parts: (parts[0] + ExactMatrix.identity(parts[0].dim), *parts[1:]),
+    "drop-top": lambda parts: parts[:-1],
+    "swap-S0-S1": lambda parts: (parts[1], parts[0], *parts[2:]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("r, eps", [(3, None), (4, None), (4, "+"), (4, "-")])
+def test_levi_slice_sees_the_nonzero_D_ij_of_the_e0_slice(r, eps, mutation):
+    family, gens, group = real_family(r, eps)
+    mutated = ybe.RMatrixFamily(q=family.q, parts=MUTATIONS[mutation](family.parts))
+    levi = ybe._braid_family("mutated", mutated, r, gens, group)
+    assert levi.premise is None
+    leg = gens[0].dim
+    _, reference = ybe._sliced_braid_differences(mutated.parts, leg, e0_slice(leg))
+    assert {key for key, _ in levi.diffs} == {key for key, _ in reference}
+    assert bool(reference) == (mutation != "none")
 
 
 def test_slice_forms_no_kronecker_matrix_on_the_triple_product(monkeypatch):
@@ -491,7 +593,7 @@ def test_slice_forms_no_kronecker_matrix_on_the_triple_product(monkeypatch):
         return out
 
     monkeypatch.setattr(_backend, "mat_kron", counted)
-    ybe._sliced_braid_differences(parts, leg)
+    ybe._sliced_braid_differences(parts, leg, e0_slice(leg))
     assert all(rows < leg**3 for rows in output_rows)
 
 
@@ -512,7 +614,7 @@ def test_wrong_right_hand_triple_product_fails_with_a_D_witness(fresh_caches, mo
     monkeypatch.setattr(ybe, "leg_products", perturbed)
     record = ybe.ybe_identity_check(2, "+")
     assert len(wrong) == 1
-    assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
+    assert [c.status for c in record.checks] == [PASS] * 4 + [FAIL]
     assert record.checks[-1].witness.startswith("D_(0, 0) is nonzero on the slice: first differing entry")
 
 
@@ -526,14 +628,17 @@ def test_braid_identity_records_pass(r):
     for record in records:
         assert record.ok, [(c.check_id, c.witness) for c in failing_checks(record)]
         assert record.name.startswith(f"yang-baxter-identity r={r} ")
-    assert records[0].checks[-1].check_id.endswith(f"-on-{4**r}-slice-columns")
+        assert [c.check_id for c in record.checks[:4]] == PREMISE
+    full, sector = {2: (11, 4), **LEVI_WIDTHS}[r]
+    assert records[0].checks[-1].check_id.endswith(f"-on-{full}-slice-columns")
+    assert all(record.checks[-1].check_id.endswith(f"-on-{sector}-slice-columns") for record in records[1:])
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_plain_form_keeps_the_premise_but_is_no_braid_identity(r):
     # the plain form solves R12 R13 R23 = R23 R13 R12, not the braid equation
     record = sector_braid_family(r, "+", "plain").record
-    assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
+    assert [c.status for c in record.checks] == [PASS] * 4 + [FAIL]
     assert "is nonzero on the slice" in record.checks[-1].witness
 
 
@@ -542,10 +647,10 @@ def test_raised_degree_keeps_the_premise_and_fails_on_the_slice(fresh_caches, mo
     # nonzero D_ij are nonzero on the slice too
     monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
     r = 2
-    sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r)
+    sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r, levi_slice(r))
     assert reference and sliced.keys() == reference.keys()
     record = ybe.full_ybe_identity_check(r)
-    assert [c.status for c in record.checks] == [PASS, PASS, FAIL]
+    assert [c.status for c in record.checks] == [PASS] * 4 + [FAIL]
     witness = record.checks[-1].witness
     assert witness.startswith(f"D_{min(reference)} is nonzero on the slice: first differing entry")
 
@@ -577,7 +682,7 @@ def perturb_projector(monkeypatch, r):
 def test_perturbed_projector_fails_the_premise(fresh_caches, monkeypatch):
     r = 3
     perturb_projector(monkeypatch, r)
-    assert_slice_matches_reference(ybe.sector_r_matrix(r, "+", "braid").parts, 2 ** (r - 1))
+    assert_slice_matches_reference(ybe.sector_r_matrix(r, "+", "braid").parts, 2 ** (r - 1), e0_slice(2 ** (r - 1)))
     commute = ybe.ybe_identity_check(r, "+").checks[0]
     assert commute.check_id == "degree-parts-commute-with-symmetries"
     assert commute.status == FAIL
@@ -621,25 +726,110 @@ def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
     # a slice on which every D_ij vanishes, for a family that fails the premise
     r = 3
     perturb_projector(monkeypatch, r)
-    monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg: (1, ()))
+    monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg, rows: (1, ()))
     identity = ybe.ybe_identity_check(r, "+")
-    assert [c.status for c in identity.checks] == [FAIL, PASS, PASS]
+    assert [c.status for c in identity.checks] == [FAIL] + [PASS] * 4
     assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, identity)
 
 
-def test_full_series_without_gamma1_fails_the_orbit_check(fresh_caches, monkeypatch):
+def test_full_series_without_gamma1_fails_the_orbit_check():
     r = 2
-    monkeypatch.setattr(
-        ybe, "_full_symmetries", lambda rank: [s for s in FULL_SYMMETRIES(rank) if s[0] != "gamma_1"]
-    )
-    record = ybe.full_ybe_identity_check(r)
-    assert [c.status for c in record.checks] == [PASS, FAIL, PASS]
+    family = ybe._braid_family("no-gamma-1", ybe._full_series(r)[0], r, rotation_generators(r))
+    record = family.record
+    assert [c.status for c in record.checks] == [PASS, FAIL, PASS, PASS, PASS]
     # the chain generators keep the chirality, so the orbit stays in Delta_+
     assert record.checks[1].witness == "the orbit of e_0 reaches 2 of 4 basis vectors; e_2 is missed"
     # the series solves the equation, but without the premise the slice
     # cannot show it, so every point fails
     assert all(direct_full(r, u, v) for u, v in ybe.grid_points(r))
-    assert_premise_fails_every_point(ybe.full_ybe_check(r), r, record)
+    assert_premise_fails_every_point(family.grid("grid", ybe.grid_points(r)), r, record)
+
+
+def assert_first_failed_premise(family, r, check_id):
+    """check_id is the family's first failed premise check, and every grid
+    point fails with its witness, though R = 1 solves the equation.
+    """
+    statuses = {c.check_id: c.status for c in family.record.checks}
+    before = PREMISE[: PREMISE.index(check_id) + 1]
+    assert [statuses[name] for name in before] == [PASS] * (len(before) - 1) + [FAIL]
+    assert family.premise.startswith(f"premise {check_id} fails: ")
+    assert_premise_fails_every_point(family.grid("grid", ybe.grid_points(r)), r, family.record)
+
+
+def test_mixed_cartan_generator_fails_the_weight_basis_check():
+    # L_(1,2) conjugated by the mix e_0 +- e_a of two basis vectors whose
+    # L_(1,2) weights differ: it still sends each basis vector to a multiple
+    # of one, so the orbit check passes, but it is no longer diagonal
+    r = 3
+    gens = list(ybe._sector_leg(r, "+"))
+    index = basis_pairs(2 * r).index((1, 2))
+    h = gens[index]
+    a = next(j for j in range(h.dim) if h[j, j] != h[0, 0])
+    mix = {(j, j): 1 for j in range(h.dim)}
+    mix.update({(0, a): 1, (a, 0): 1, (a, a): -1})
+    mix = ExactMatrix(h.dim, mix)
+    gens[index] = mix @ h @ mix * Rat(1, 2)  # the mix squares to 2
+    family = ybe._braid_family("mixed", identity_family(h.dim), r, gens)
+    [check] = [c for c in family.record.checks if c.check_id == "leg-basis-is-a-weight-basis"]
+    assert check.witness == f"L_(1, 2) has entry (0, {a}) = {h[0, 0]}, not a diagonal entry in (i/2) Z"
+    assert_first_failed_premise(family, r, "leg-basis-is-a-weight-basis")
+
+
+@pytest.mark.parametrize("entry", [ExactScalar(0, Rat(1, 3)), ExactScalar(Rat(1, 2), Rat(1, 2))])
+def test_cartan_entry_outside_half_integers_fails_the_weight_basis_check(entry):
+    cartan = [((1, 2), ExactMatrix(2, {(0, 0): ExactScalar(0, Rat(1, 2)), (1, 1): entry}))]
+    assert list(ybe._weight_basis_failures(cartan)) == [
+        f"L_(1, 2) has entry (1, 1) = {entry}, not a diagonal entry in (i/2) Z"
+    ]
+
+
+def test_e0_inside_a_weight_string_fails_the_levi_check():
+    # spinor legs have only extremal weights, so this leg is made for the
+    # test: three basis vectors on the string of the root (1, -1), permuted
+    # so that e_0 has the middle weight (1/2, 1/2); L_(2,3) cycles them
+    r = 2
+
+    def cartan(*weights):
+        return ExactMatrix(3, {(j, j): ExactScalar(0, Rat(w, 2)) for j, w in enumerate(weights)})
+
+    cartan_1, cartan_2 = cartan(1, 3, -1), cartan(1, -1, 3)
+    cycle = ExactMatrix(3, {(1, 0): 1, (2, 1): 1, (0, 2): 1})
+    # basis_pairs(4) order: (1,2) (1,3) (1,4) (2,3) (2,4) (3,4); the chain is (1,2) (2,3) (3,4)
+    gens = (cartan_1, cycle, cycle, cycle, cycle, cartan_2)
+    family = ybe._braid_family("string", identity_family(3), r, gens)
+    [check] = [c for c in family.record.checks if c.check_id == "levi-fixes-the-line-of-e0"]
+    assert check.witness == "e_1 has weight w(0) + alpha for the Levi root alpha = sigma_1 eps_1 - sigma_2 eps_2"
+    assert_first_failed_premise(family, r, "levi-fixes-the-line-of-e0")
+
+
+def test_chain_that_misses_a_root_vector_fails_the_levi_check():
+    # L_(1,2) in place of L_(2,3): the chain then generates so(2) + so(4),
+    # which holds no root vector of eps_1 - eps_2; a cyclic group element
+    # keeps the orbit check passing
+    r = 3
+    gens = list(ybe._sector_leg(r, "+"))
+    gens[basis_pairs(2 * r).index((2, 3))] = gens[basis_pairs(2 * r).index((1, 2))]
+    leg = gens[0].dim
+    cycle = ExactMatrix(leg, {((j + 1) % leg, j): 1 for j in range(leg)})
+    family = ybe._braid_family("short-chain", identity_family(leg), r, gens, [("cycle", cycle)])
+    [check] = [c for c in family.record.checks if c.check_id == "levi-fixes-the-line-of-e0"]
+    assert check.witness == (
+        "iterated commutators of 5 chain generators reach 7 of 14 rotation generators; L_(1, 3) is missed"
+    )
+    assert_first_failed_premise(family, r, "levi-fixes-the-line-of-e0")
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_untwisted_levi_fails_on_delta_minus(monkeypatch, r):
+    # e_0 of Delta_- has weight (+, ..., +, -), so with the plain roots
+    # eps_a - eps_b the weight w(0) + eps_r - eps_1 is on the leg
+    monkeypatch.setattr(ybe, "_twist", lambda weights: (1,) * len(weights[0]))
+    family = ybe._braid_family("untwisted", identity_family(2 ** (r - 1)), r, ybe._sector_leg(r, "-"))
+    [check] = [c for c in family.record.checks if c.check_id == "levi-fixes-the-line-of-e0"]
+    assert check.witness.startswith("e_") and check.witness.endswith(f"sigma_{r} eps_{r} - sigma_1 eps_1")
+    assert_first_failed_premise(family, r, "levi-fixes-the-line-of-e0")
+    monkeypatch.undo()
+    assert ybe._braid_family("twisted", identity_family(2 ** (r - 1)), r, ybe._sector_leg(r, "-")).premise is None
 
 
 def test_orbit_check_refuses_a_non_monomial_map():
@@ -688,8 +878,9 @@ def assert_plain_matches_direct(r, eps, points):
         assert (check.status == PASS) == passed, check.check_id
         if passed:
             expected = ""
-        elif all(c.status == PASS for c in identity.checks[:2]):
-            diffs = diffs or on_slice(reference_braid_differences(ybe.sector_r_matrix(r, eps, "braid").parts, leg), leg)
+        elif all(c.status == PASS for c in identity.checks[:-1]):
+            parts = ybe.sector_r_matrix(r, eps, "braid").parts
+            diffs = diffs or on_slice(reference_braid_differences(parts, leg), levi_slice(r, eps))
             expected = slice_witness(diffs, leg, v, u)
         else:
             expected = premise_witness(identity)
@@ -743,6 +934,33 @@ def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
     assert [c.check_id for c in ybe.swap_relation_check(3, "+").checks] == [
         "braid-parts-equal-swap-times-plain-parts"
     ]
+
+
+def test_ybe_suite_runs_the_full_series_at_every_rank(monkeypatch):
+    # each record builder is stubbed and no family may be built, so no rank-6
+    # work runs; the suite must still ask for both full-series records
+    calls = []
+
+    def stub(name, *args):
+        calls.append((name, *args))
+        return VerificationRecord(name=name)
+
+    def refused(*args):
+        raise AssertionError("a family built by a stubbed suite")
+
+    builders = (
+        "asymptotic_check tau_ratio_constraints coefficient_consistency ybe_identity_check ybe_check unitarity_check "
+        "symmetry_check swap_relation_check plain_ybe_spot_check symmetric_part_factorization chirality_split_check "
+        "full_ybe_identity_check full_ybe_check rising_factorial_identity"
+    )
+    for name in builders.split():
+        monkeypatch.setattr(ybe, name, functools.partial(stub, name))
+    for name in ("sector_r_matrix", "_full_series", "_cleared_family"):
+        monkeypatch.setattr(ybe, name, refused)
+    for r in range(2, report.MAX_RANK + 1):
+        calls.clear()
+        assert len(report.ybe_suite(r)) == len(calls)
+        assert ("full_ybe_identity_check", r) in calls and ("full_ybe_check", r) in calls
 
 
 @pytest.mark.parametrize("r", [2, 3])
