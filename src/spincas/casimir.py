@@ -17,6 +17,7 @@ from .clifford import (
     chain_generators,
     chain_pairs,
     closure_failures,
+    commutation_failures,
     rotation_generators,
 )
 from .linalg import (
@@ -264,10 +265,8 @@ def ad_invariance_check(r: int) -> VerificationRecord:
 
     def failures():
         yield from closure_failures(r, chain)
-        for pair, g in zip(chain_pairs(r), chain):
-            diag = diagonal_action(g)
-            if diag @ c != c @ diag:
-                yield f"C does not commute with the diagonal action of L_{pair}"
+        symmetries = [(f"L_{pair}", g, True) for pair, g in zip(chain_pairs(r), chain)]
+        yield from commutation_failures([("C", c)], symmetries)
 
     record.add_first_failure("commutes-with-diagonal-action", failures())
     return record

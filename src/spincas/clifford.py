@@ -15,9 +15,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .linalg import ExactMatrix, NotABasisMap, kron
+from .linalg import ExactMatrix, NotABasisMap, diagonal_action, first_difference, kron
 from .oracles import basis_pairs
-from .records import VerificationRecord
+from .records import VerificationRecord, diff_witness
 from .scalar import ExactScalar, Rat
 
 _I = ExactScalar(0, 1)
@@ -215,6 +215,22 @@ def closure_failures(r: int, chain, gens=None) -> Iterator[str]:
             f"iterated commutators of {len(chain)} chain generators reach "
             f"{len(reached)} of {len(targets)} rotation generators; L_{missed[0]} is missed"
         )
+
+
+def commutation_failures(matrices, symmetries) -> Iterator[str]:
+    """Witnesses against: each labelled matrix (label, X) on the tensor
+    square of a space commutes with the action there of each symmetry
+    (label, g, lie) of the space.  A Lie algebra element g (lie true) acts
+    as g (x) 1 + 1 (x) g, a group element g as g (x) g.  One witness per
+    failing pair, with the first entry where X @ action and action @ X
+    differ.
+    """
+    for symmetry, g, lie in symmetries:
+        action = diagonal_action(g) if lie else kron(g, g)
+        for label, x in matrices:
+            lhs, rhs = x @ action, action @ x
+            if lhs != rhs:
+                yield f"{label} does not commute with {symmetry}: {diff_witness(first_difference(lhs, rhs))}"
 
 
 @lru_cache(maxsize=None)

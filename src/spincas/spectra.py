@@ -5,8 +5,11 @@ square, projector traces, and permutation symmetry.
 Multiplicities are always recomputed as exact ranks; the closed-form
 binomial dimensions act as assertions on top of that ground truth.  Every
 polynomial in a sector block is evaluated from the block's power table,
-held by its ``SectorSpectral``; the direct projectors on the full space
-use the power table of the full operator.
+held by its ``SectorSpectral``.  The family on the full space is assembled
+from the sector projectors and checked by its axioms there; with distinct
+eigenvalues those imply that each member is the Lagrange projector of the
+full operator (see ``rho_family_check``), so none is rebuilt from the
+full operator's powers.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
+from . import oracles
 from .casimir import (
     SECTORS,
     block_structure_check,
-    casimir_powers,
+    casimir_power_trace_closed_form,
     i2k_polynomial,
     sector_casimir,
     sector_indices,
@@ -267,25 +271,33 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
 
 @lru_cache(maxsize=None)
 def rho_projectors(r: int) -> dict[int, ExactMatrix]:
-    """Eigenprojectors on the full 4^r space, assembled from sector blocks."""
-    return {k: _embedded_sum(r, k, SECTORS) for k in range(r + 1)}
-
-
-def _embedded_sum(r: int, k: int, sectors) -> ExactMatrix:
-    """Sum of the label-k sector projectors of the given sectors, on 4^r."""
+    """Eigenprojectors on the full 4^r space: the label-k member is the sum
+    of the label-k sector projectors, each embedded on its sector's
+    coordinates.
+    """
     dim = 4**r
-    blocks = [
-        (1, sector_spectral(r, s).projectors[k].embed(sector_indices(r, s), dim))
-        for s in sectors
-        if k in sector_kvalues(r, s)
-    ]
-    return lincomb(dim, blocks)
+    terms = {k: [] for k in range(r + 1)}
+    for s in SECTORS:
+        for k, proj in sector_spectral(r, s).projectors.items():
+            terms[k].append((1, proj.embed(sector_indices(r, s), dim)))
+    return {k: lincomb(dim, blocks) for k, blocks in terms.items()}
 
 
-def rho_family_check(r: int, direct_lagrange: bool = True) -> VerificationRecord:
-    """Axioms and traces of the assembled family, the parity split into the
-    equal/opposite chirality halves, and (optionally, small ranks) entrywise
-    agreement with projectors built directly on the full space.
+def rho_family_check(r: int) -> VerificationRecord:
+    """Axioms and traces of the assembled family P_0..P_r on the full space.
+
+    Together they make each P_k the Lagrange projector of the full operator
+    C, prod over j != k of (C - lambda_j) / (lambda_k - lambda_j) with
+    lambda_j = c2k_eigenvalue(r, j), so that is not rebuilt:
+
+    * the lambda_j, j = 0..r, are pairwise distinct, since 2j(2r-j)
+      strictly increases on 0..r;
+    * idempotent-k and completeness give sum rank P_k = sum tr P_k =
+      tr 1 = 4^r, so the images form a direct sum, and P_a P_b = 0 for
+      every a != b, in both orders;
+    * with spectral-reconstruction, C = sum lambda_j P_j, every polynomial
+      f then satisfies f(C) = sum f(lambda_j) P_j, and the Lagrange
+      polynomial of k is 1 at lambda_k and 0 at the others.
     """
     record = VerificationRecord(name=f"tensor-square-projectors r={r}")
     projectors = rho_projectors(r)
@@ -304,16 +316,6 @@ def rho_family_check(r: int, direct_lagrange: bool = True) -> VerificationRecord
             record.add_equal(f"orthogonal-k{a}-k{b}", projectors[a] @ projectors[b], zero)
     record.add_equal("completeness", total, ExactMatrix.identity(dim))
     record.add_equal("spectral-reconstruction", recon, c)
-    equal_sectors = ("++", "--")
-    for k in range(r + 1):
-        parity_equal = k in sector_kvalues(r, "++")
-        sectors = equal_sectors if parity_equal else ("+-", "-+")
-        record.add_equal(f"parity-split-k{k}", _embedded_sum(r, k, sectors), projectors[k])
-    if direct_lagrange:
-        eigs = {k: c2k_eigenvalue(r, k) for k in range(r + 1)}
-        powers = casimir_powers(r)
-        for k in eigs:
-            record.add_equal(f"direct-lagrange-k{k}", _lagrange_projector(eigs, k, powers), projectors[k])
     return record
 
 
@@ -342,8 +344,6 @@ def power_trace_check(r: int) -> VerificationRecord:
     forms.  tr(C^m) is summed over the four sector blocks as tr(B^a B^(m-a))
     with a = ceil(m/2), from the block power tables, entrywise.
     """
-    from .casimir import casimir_power_trace_closed_form
-
     record = VerificationRecord(name=f"power-traces r={r}")
     # powers up to ceil(5/2) = 3 cover every split of m <= 5
     powers = [sector_spectral(r, sector).powers.upto(3) for sector in SECTORS]
@@ -359,8 +359,6 @@ def eigenvalue_consistency(r: int) -> VerificationRecord:
     """The sector eigenvalues equal half of (constituent Casimir minus the two
     spinor Casimirs), computed from the independent oracles.
     """
-    from . import oracles
-
     record = VerificationRecord(name=f"eigenvalue-consistency r={r}")
     spinor = oracles.c2_closed_form("Delta_plus", r)
     for k in range(r + 1):

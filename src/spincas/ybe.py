@@ -67,12 +67,14 @@ from functools import lru_cache
 from itertools import permutations, zip_longest
 from math import comb, factorial
 
+from . import oracles
 from .casimir import invariant_I, sector_indices, split_casimir_rho
 from .clifford import (
     build_gamma,
     chain_generators,
     chain_pairs,
     closure_failures,
+    commutation_failures,
     half_spinor_blocks,
     rotation_generators,
 )
@@ -80,10 +82,8 @@ from .linalg import (
     ExactMatrix,
     NotABasisMap,
     ScaledSum,
-    diagonal_action,
     first_difference,
     integer_parts,
-    kron,
     kron_sum,
     leg_products,
     lincomb,
@@ -250,21 +250,6 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int, rows) ->
     return len(sums), tuple((key, d.transpose()) for key, d in diffs if d)
 
 
-def _commutation_failures(parts, symmetries, leg: int):
-    """Witnesses against: every degree part commutes with every symmetry on
-    the tensor square of the leg.  A symmetry is (label, matrix, lie): a Lie
-    generator L acts as L (x) 1 + 1 (x) L, a group element g as g (x) g.
-    """
-    for label, g, lie in symmetries:
-        action = diagonal_action(g) if lie else kron(g, g)
-        for d, part in enumerate(parts):
-            lhs, rhs = part @ action, action @ part
-            if lhs != rhs:
-                witness = diff_witness(first_difference(lhs, rhs))
-                yield f"S_{d} does not commute with {label}: {witness}"
-                return
-
-
 def _orbit_failures(symmetries, leg: int):
     """Witness against: each symmetry sends each basis vector of the leg to a
     nonzero multiple of one basis vector, and the orbit of e_0 under them
@@ -411,7 +396,8 @@ def _braid_family(name: str, family: RMatrixFamily, r: int, gens, group=()) -> B
     record = VerificationRecord(name=name)
     premise = [
         record.add_first_failure(
-            "degree-parts-commute-with-symmetries", _commutation_failures(family.parts, symmetries, leg)
+            "degree-parts-commute-with-symmetries",
+            commutation_failures([(f"S_{d}", part) for d, part in enumerate(family.parts)], symmetries),
         ),
         record.add_first_failure("orbit-of-e0-covers-leg", _orbit_failures(symmetries, leg)),
         record.add_first_failure("leg-basis-is-a-weight-basis", _weight_basis_failures(cartan)),
@@ -567,8 +553,6 @@ def tau_ratio_constraints(r: int) -> VerificationRecord:
     """Neighbouring coefficient ratios as rational-function identities, and
     the unscaled form recovered from independent quadratic-Casimir values.
     """
-    from . import oracles
-
     record = VerificationRecord(name=f"coefficient-ratio-constraints r={r}")
     coeffs = {r - 2 * k: tau_coefficient(r, k, "plain") for k in range(r // 2 + 1)}
     for label in sorted(coeffs):
@@ -773,27 +757,19 @@ def top_projector_relations(r: int) -> VerificationRecord:
 
 
 def rising_factorial_identity() -> VerificationRecord:
-    """sum_k binom(r,k) rf(x,k) rf(x,r-k) = prod_{k=0}^{r-1} (2x+k) at 20
-    rational x, for r = 2..8.
+    """sum_k binom(r,k) rf(x,k) rf(x,r-k) = prod_{k=0}^{r-1} (2x+k) as an
+    identity of polynomials in x, for r = 2..8.
     """
     record = VerificationRecord(name="rising-factorial-identity")
-    xs = [Rat(2 * j + 1, 7) for j in range(20)]
-    x_poly = Poly.x()
+    x = Poly.x()
     for r in range(2, 9):
-        ok = True
-        for x in xs:
-            lhs = sum(
-                comb(r, k)
-                * rising_factorial(x_poly, k)(x)
-                * rising_factorial(x_poly, r - k)(x)
-                for k in range(r + 1)
-            )
-            rhs = Rat(1)
-            for k in range(r):
-                rhs *= 2 * x + k
-            if lhs != rhs:
-                ok = False
-        record.add(f"r{r}", ok)
+        lhs = Poly()
+        for k in range(r + 1):
+            lhs += rising_factorial(x, k) * rising_factorial(x, r - k) * comb(r, k)
+        rhs = Poly.const(1)
+        for k in range(r):
+            rhs *= Poly([k, 2])
+        record.add(f"r{r}", lhs == rhs, f"{lhs} != {rhs}")
     return record
 
 
@@ -811,7 +787,7 @@ def symmetric_part_factorization(r: int) -> VerificationRecord:
         if plus.is_pole(u):
             record.add(f"u{u}", False, "pole hit")
             continue
-        _, even, _ = full_r_matrix_parts(r, u)
+        even = _full_series(r)[1].evaluate(u)
         lifted = plus.evaluate(u).embed(sector_indices(r, "++"), dim) + minus.evaluate(
             u
         ).embed(sector_indices(r, "--"), dim)

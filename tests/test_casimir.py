@@ -83,6 +83,17 @@ def test_ad_invariance_fails_without_one_chain_generator(monkeypatch):
     assert "chain generators reach" in record.checks[0].witness
 
 
+def test_ad_invariance_witness_names_the_first_differing_entry(monkeypatch):
+    r = 2
+    c = casimir.split_casimir_rho(r)
+    perturbed = replace(c, matrix=c.matrix + ExactMatrix(c.matrix.dim, {(0, 1): 1}))
+    monkeypatch.setattr(casimir, "split_casimir_rho", lambda rank: perturbed)
+    record = casimir.ad_invariance_check(r)
+    witness = record.checks[0].witness
+    assert not record.ok
+    assert witness.startswith("C does not commute with L_(") and "first differing entry (" in witness
+
+
 def test_kronecker_sums_make_one_kernel_call_per_nonzero_part(monkeypatch):
     # each g = rho(M_ij) is real or imaginary, so g (x) g is real: C is one
     # call over all r(2r-1) generators, and g (x) 1 + 1 (x) g and

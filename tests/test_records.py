@@ -2,7 +2,7 @@ import pytest
 
 from spincas import records
 from spincas.linalg import ExactMatrix
-from spincas.records import FAIL, PASS, SKIP, VerificationRecord
+from spincas.records import FAIL, PASS, VerificationRecord
 from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks
@@ -45,34 +45,3 @@ def test_add_first_failure_stops_at_the_first_witness():
     check = record.add_first_failure("some", failures([3, -4, -5, 6]))
     assert check.status == FAIL and check.witness == "negative -4"
     assert seen == [1, 2, 3, -4]
-
-
-def test_a_record_of_skips_only_is_not_ok():
-    record = VerificationRecord(name="capped")
-    record.skip("ybe-grid r=6", "capped: over the time budget")
-    assert record.checks[0].status == SKIP
-    assert not record.ok and not record.as_dict()["ok"]
-    record.add("identity", True)
-    assert record.ok
-    assert VerificationRecord(name="empty").ok
-
-
-def test_skip_needs_a_reason():
-    record = VerificationRecord(name="capped")
-    with pytest.raises(ValueError):
-        record.skip("ybe-grid r=6", "")
-    assert record.checks == []
-
-
-def test_a_report_with_a_record_of_skips_only_is_not_ok(monkeypatch):
-    from spincas import report
-
-    def capped(r):
-        record = VerificationRecord(name=f"capped r={r}")
-        record.skip("grid", "capped")
-        return [record]
-
-    monkeypatch.setitem(report._SUITE_RUNNERS, "gamma", capped)
-    result = report.run_suite(report.SuiteConfig(r_min=2, r_max=2, suites=("gamma",)))
-    assert result["summary"][FAIL] == 0 and result["summary"][SKIP] == 1
-    assert result["ok"] is False

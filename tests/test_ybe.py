@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincas import _backend, casimir, report, spectra, ybe
+from spincas import _backend, casimir, clifford, report, spectra, ybe
 from spincas.clifford import build_gamma, chain_generators, chain_pairs, rotation_generators
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
@@ -156,6 +156,15 @@ def test_symmetric_part_factorization(r):
 def test_rising_factorial_identity():
     record = ybe.rising_factorial_identity()
     assert record.ok, [c.check_id for c in failing_checks(record)]
+
+
+def test_rising_factorial_identity_fails_on_an_off_by_one_rising_factorial(monkeypatch):
+    # x (x+1) ... (x+k): one factor too many, so each side's degree differs
+    real = ybe.rising_factorial
+    monkeypatch.setattr(ybe, "rising_factorial", lambda x, k: real(x, k + 1))
+    record = ybe.rising_factorial_identity()
+    assert [c.check_id for c in failing_checks(record)] == [f"r{r}" for r in range(2, 9)]
+    assert all(" != " in c.witness for c in failing_checks(record))
 
 
 def test_rising_factorial_polynomial():
@@ -1042,7 +1051,7 @@ def test_plain_and_full_points_make_no_direct_products_once_the_slices_are_built
         kron_calls.append(len(terms))
         return real(terms, b_dim)
 
-    monkeypatch.setattr(ybe, "kron", refused)
+    monkeypatch.setattr(clifford, "kron", refused)
     monkeypatch.setattr(_backend, "mat_kron", counted)
     assert ybe.plain_ybe_spot_check(4, "+", [(us[0], vs[0]), (us[1], vs[1])]).ok
     assert ybe.full_ybe_check(3, [(Rat(-1, 2), Rat(5, 7))]).ok
