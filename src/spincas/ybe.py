@@ -15,6 +15,10 @@ projector.  The full series has polynomial coefficients (Q = 1), and its
 parts are those of its even and odd invariants added degree by degree.  A
 matrix at a point is sum_d u^d/Q(u) S_d, and every check reads these parts.
 
+Unitarity, swap symmetry, the chirality split and the factorization of the
+even part are identities in u, decided on the u^n coefficients of their
+cleared sides; only the braid grids and the plain spot check sample points.
+
 Yang-Baxter checks run over a deterministic pole-free grid of rational
 spectral parameters.  Both sides of the braid equation are trilinear in the
 S_d, so Q(u) Q(u+v) Q(v) (LHS - RHS) = sum_ij u^i v^j D_ij exactly.
@@ -124,28 +128,36 @@ class RMatrixFamily:
     q: Poly
     parts: tuple[ExactMatrix, ...]
 
-    def is_pole(self, u) -> bool:
-        return not self.q(u)
-
     def evaluate(self, u) -> ExactMatrix:
         u = Rat(u)
         scale = 1 / self.q(u)
         return lincomb(self.parts[0].dim, [(scale * u**d, part) for d, part in enumerate(self.parts)])
 
 
+def _degree_parts(dim: int, terms) -> tuple[ExactMatrix, ...]:
+    """sum_t p_t(u) M_t collected by degree, for terms (p_t, M_t) with
+    polynomials p_t and parameter-free M_t: part d is sum_t [u^d]p_t M_t, up
+    to the highest degree of the p_t, so no coefficient is cut off.
+    """
+    degree = max(p.degree for p, _ in terms)
+    return tuple(lincomb(dim, [(p.coeffs[d], m) for p, m in terms if d <= p.degree]) for d in range(degree + 1))
+
+
 def _cleared_family(dim: int, q: Poly, terms) -> RMatrixFamily:
     """The family sum_a c_a(u) M_a, for terms (c_a, M_a) with rational
-    functions c_a whose denominators all divide q: parts[d] is the u^d
-    coefficient of q(u) sum_a c_a(u) M_a, up to the highest degree the
-    cleared numerators actually have, so no coefficient is cut off.
+    functions c_a whose denominators all divide q: its parts are the degree
+    parts of q(u) sum_a c_a(u) M_a.
     """
-    cleared = [(coeff.num * q.divmod(coeff.den)[0], m) for coeff, m in terms]
-    degree = max(p.degree for p, _ in cleared)
-    parts = tuple(
-        lincomb(dim, [(p.coeffs[d], m) for p, m in cleared if d <= p.degree])
-        for d in range(degree + 1)
-    )
-    return RMatrixFamily(q=q, parts=parts)
+    return RMatrixFamily(q=q, parts=_degree_parts(dim, [(c.num * q.divmod(c.den)[0], m) for c, m in terms]))
+
+
+def _degree_checks(record: VerificationRecord, prefix: str, lhs, rhs) -> None:
+    """One check per power u^n of two sides given by their degree parts, up
+    to the higher degree; a part missing on one side is zero.
+    """
+    zero = ExactMatrix.zero(lhs[0].dim)
+    for n, (a, b) in enumerate(zip_longest(lhs, rhs, fillvalue=zero)):
+        record.add_equal(f"{prefix}{n}", a, b)
 
 
 def tau_denominator(r: int, form: str = "plain") -> Poly:
@@ -504,33 +516,32 @@ def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
 
 
 def unitarity_check(r: int, eps: str) -> VerificationRecord:
-    """R12(u) R21(-u) = identity, with R21 = P R12 P."""
+    """R12(u) R21(-u) = 1, with R21 = P R12 P, as an identity in u: with
+    Q(u) R(u) = sum_d u^d S_d, the u^n coefficient of
+    sum_de (-1)^e u^(d+e) S_d P S_e P is that of Q(u) Q(-u) times 1.
+    """
     record = VerificationRecord(name=f"unitarity r={r} eps={eps}")
     family = sector_r_matrix(r, eps, "plain")
-    half = 2 ** (r - 1)
-    swap = permutation_operator(half)
-    ident = ExactMatrix.identity(half * half)
-    for u in admissible_grid(r)[0][:10]:
-        if family.is_pole(u) or family.is_pole(-u):
-            record.add(f"u{u}", False, "pole hit")
-            continue
-        product = family.evaluate(u) @ swap @ family.evaluate(-u) @ swap
-        record.add_equal(f"u{u}", product, ident)
+    dim = 4 ** (r - 1)
+    swap = permutation_operator(2 ** (r - 1))
+    swapped = [swap @ part @ swap for part in family.parts]
+    products = [
+        (Poly([0] * (d + e) + [(-1) ** e]), a @ b) for d, a in enumerate(family.parts) for e, b in enumerate(swapped)
+    ]
+    q_minus = Poly([c * (-1) ** d for d, c in enumerate(family.q.coeffs)])
+    identity = _degree_parts(dim, [(family.q * q_minus, ExactMatrix.identity(dim))])
+    _degree_checks(record, "coefficient-u^", _degree_parts(dim, products), identity)
     return record
 
 
 def symmetry_check(r: int, eps: str) -> VerificationRecord:
-    """R21(u) = R12(u): conjugation by the swap leaves the R-matrix fixed."""
+    """R21(u) = R12(u) as an identity in u: conjugation by the swap fixes
+    each cleared degree part, P S_d P = S_d.
+    """
     record = VerificationRecord(name=f"swap-symmetry r={r} eps={eps}")
-    family = sector_r_matrix(r, eps, "plain")
-    half = 2 ** (r - 1)
-    swap = permutation_operator(half)
-    for u in admissible_grid(r)[0][:10]:
-        if family.is_pole(u):
-            record.add(f"u{u}", False, "pole hit")
-            continue
-        value = family.evaluate(u)
-        record.add(f"u{u}", swap @ value @ swap == value)
+    parts = sector_r_matrix(r, eps, "plain").parts
+    swap = permutation_operator(2 ** (r - 1))
+    _degree_checks(record, "coefficient-u^", [swap @ part @ swap for part in parts], parts)
     return record
 
 
@@ -691,8 +702,9 @@ def full_r_matrix_parts(r: int, u) -> tuple[ExactMatrix, ExactMatrix, ExactMatri
 
 def chirality_split_check(r: int) -> VerificationRecord:
     """The even/odd parts are exactly the images of the chirality-sum
-    projectors: S R = R S = even part, and the two projectors resolve the
-    identity.
+    projectors, as identities in u: the two projectors resolve the identity,
+    and S R_d = R_d S = E_d and A R_d = R_d A = O_d for the degree parts of
+    the full series R and of its even and odd parts E and O.
     """
     record = VerificationRecord(name=f"chirality-split r={r}")
     gamma = build_gamma(r)
@@ -701,12 +713,10 @@ def chirality_split_check(r: int) -> VerificationRecord:
     anti = kron_sum([(Rat(1, 2), ident, ident), (Rat(-1, 2), gamma.chirality, gamma.chirality)])
     record.add("projector-resolution", sym + anti == ExactMatrix.identity(4**r))
     record.add("projector-idempotent", sym @ sym == sym)
-    for u in admissible_grid(r)[0][:3]:
-        full, even, odd = full_r_matrix_parts(r, u)
-        record.add(f"even-part-left-u{u}", sym @ full == even)
-        record.add(f"even-part-right-u{u}", full @ sym == even)
-        record.add(f"odd-part-left-u{u}", anti @ full == odd)
-        record.add(f"odd-part-right-u{u}", full @ anti == odd)
+    full, even, odd = _full_series(r)
+    for name, projector, part in (("even", sym, even), ("odd", anti, odd)):
+        _degree_checks(record, f"{name}-part-left-u^", [projector @ p for p in full.parts], part.parts)
+        _degree_checks(record, f"{name}-part-right-u^", [p @ projector for p in full.parts], part.parts)
     return record
 
 
@@ -774,26 +784,22 @@ def rising_factorial_identity() -> VerificationRecord:
 
 
 def symmetric_part_factorization(r: int) -> VerificationRecord:
-    """The even part of the invariant-series R-matrix equals
+    """The even part E(u) of the invariant-series R-matrix equals
     prod_{k=0}^{r-1} (u+k) times the sum of the two equal-chirality sector
-    solutions in braid form, entrywise at every sampled point.
+    solutions in braid form, as an identity in u: the same Q clears both,
+    Q(u) R^eps(u) = sum_d u^d S^eps_d, and Q(u) E(u) must equal
+    prod_k (u+k) (S^+(u) (+) S^-(u)) part by part.
     """
     record = VerificationRecord(name=f"symmetric-part-factorization r={r}")
     record.extend(top_projector_relations(r))
     dim = 4**r
-    plus = sector_r_matrix(r, "+", "braid")
-    minus = sector_r_matrix(r, "-", "braid")
-    for u in admissible_grid(r)[0][:10]:
-        if plus.is_pole(u):
-            record.add(f"u{u}", False, "pole hit")
-            continue
-        even = _full_series(r)[1].evaluate(u)
-        lifted = plus.evaluate(u).embed(sector_indices(r, "++"), dim) + minus.evaluate(
-            u
-        ).embed(sector_indices(r, "--"), dim)
-        scale = Rat(1)
-        for k in range(r):
-            scale *= u + k
-        rhs = lifted * scale
-        record.add_equal(f"u{u}", even, rhs)
+    q = tau_denominator(r, "braid")
+    rising = rising_factorial(Poly.x(), r)  # prod_{k<r} (u+k)
+    even = [(q * Poly([0] * d + [1]), part) for d, part in enumerate(_full_series(r)[1].parts)]
+    lifted = [
+        (rising * Poly([0] * d + [1]), part.embed(sector_indices(r, eps + eps), dim))
+        for eps in "+-"
+        for d, part in enumerate(sector_r_matrix(r, eps, "braid").parts)
+    ]
+    _degree_checks(record, "coefficient-u^", _degree_parts(dim, even), _degree_parts(dim, lifted))
     return record

@@ -213,6 +213,33 @@ def test_full_space_spectral_reconstruction():
     assert acc == split_casimir_rho(r).matrix
 
 
+@pytest.mark.parametrize("r", [3, 4])
+def test_a_non_orthogonal_idempotent_fails_completeness(r, monkeypatch):
+    # orthogonality is not checked apart: P_a + P_a X P_b is idempotent, has
+    # the trace of P_a and a nonzero product with P_b, and the family then
+    # no longer sums to the identity
+    real = spectra.sector_spectral
+    data = real(r, "++")
+    a, b = sorted(data.projectors)[:2]
+    p_a, p_b = data.projectors[a], data.projectors[b]
+    unit = ExactMatrix(data.block.dim, {(next(p_a.support())[1], next(p_b.support())[0]): 1})
+    skewed = p_a + p_a @ unit @ p_b
+    assert skewed @ skewed == skewed and skewed.trace() == p_a.trace()
+    assert not (skewed @ p_b).is_zero()
+    projectors = {**data.projectors, a: skewed}
+
+    def served(rank, sector):
+        got = real(rank, sector)
+        return replace(got, projectors=projectors) if (rank, sector) == (r, "++") else got
+
+    monkeypatch.setattr(spectra, "sector_spectral", served)
+    monkeypatch.setattr(spectra, "rho_projectors", spectra.rho_projectors.__wrapped__)
+    for record in (spectra.projector_axioms(r, "++"), spectra.rho_family_check(r)):
+        failed = [c.check_id for c in failing_checks(record)]
+        assert "completeness" in failed, record.name
+        assert not any(check_id.startswith(("idempotent-", "trace-")) for check_id in failed), record.name
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_records_fail_on_a_perturbed_projector(r, monkeypatch):
     # the swap fixes e_0 (x) e_0, so the wrong entry sits in row 1, which it moves

@@ -1070,12 +1070,9 @@ def grid_with_pole(r):
     "check",
     [
         lambda: ybe.ybe_check(2, "+"),
-        lambda: ybe.unitarity_check(2, "+"),
-        lambda: ybe.symmetry_check(2, "+"),
-        lambda: ybe.symmetric_part_factorization(2),
         lambda: ybe.plain_ybe_spot_check(2, "+", [(Rat(-1), Rat(1, 7))]),
     ],
-    ids=["grid", "unitarity", "symmetry", "factorization", "plain-spot"],
+    ids=["grid", "plain-spot"],
 )
 def test_pole_on_grid_is_a_failure(monkeypatch, check):
     monkeypatch.setattr(ybe, "admissible_grid", grid_with_pole)
@@ -1111,3 +1108,145 @@ def test_wrong_odd_projector_fails_the_resolution(monkeypatch):
     failed = [c.check_id for c in failing_checks(record)]
     assert failed[0] == "projector-resolution"
     assert all(check_id.startswith("odd-part-") for check_id in failed[1:])
+
+
+# -- the identities in u: unitarity, swap symmetry, chirality split, factorization
+
+SECTOR_FAMILY = ybe.sector_r_matrix
+
+IDENTITY_RECORDS = {
+    "unitarity+": lambda r: ybe.unitarity_check(r, "+"),
+    "unitarity-": lambda r: ybe.unitarity_check(r, "-"),
+    "symmetry": lambda r: ybe.symmetry_check(r, "+"),
+    "chirality": ybe.chirality_split_check,
+    "factorization": ybe.symmetric_part_factorization,
+}
+
+
+def serve_family(monkeypatch, key, parts):
+    """sector_r_matrix serves, for key = (r, eps, form), a new family with the
+    given parts and the cached family's Q; the cached family is not touched.
+    """
+    served = ybe.RMatrixFamily(q=SECTOR_FAMILY(*key).q, parts=tuple(parts))
+
+    def patched(r, eps, form="plain"):
+        return served if (r, eps, form) == key else SECTOR_FAMILY(r, eps, form)
+
+    monkeypatch.setattr(ybe, "sector_r_matrix", patched)
+
+
+def top_degree(name, r):
+    """The higher degree in u of the two cleared sides of a record."""
+    plain, braid = SECTOR_FAMILY(r, "+"), SECTOR_FAMILY(r, "+", "braid")
+    if name.startswith("unitarity"):  # Q(u) R(u) P Q(-u) R(-u) P and Q(u) Q(-u)
+        return 2 * max(len(plain.parts) - 1, plain.q.degree)
+    if name == "factorization":  # Q(u) E(u) and prod_(k<r) (u+k) Q(u) R^eps(u)
+        return max(braid.q.degree, len(braid.parts) - 1) + r
+    return {"symmetry": len(plain.parts) - 1, "chirality": r}[name]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", sorted(IDENTITY_RECORDS))
+def test_identity_records_compare_every_degree_and_evaluate_no_family(monkeypatch, r, name):
+    def refused(self, u):
+        raise AssertionError("a family evaluated at a point")
+
+    monkeypatch.setattr(ybe.RMatrixFamily, "evaluate", refused)
+    record = IDENTITY_RECORDS[name](r)
+    assert record.ok, [(c.check_id, c.witness) for c in failing_checks(record)]
+    degrees = {}
+    for check in record.checks:
+        prefix, hat, n = check.check_id.partition("u^")
+        if hat:
+            degrees.setdefault(prefix, []).append(int(n))
+    if name == "chirality":
+        expected = [f"{parity}-part-{side}-" for parity in ("even", "odd") for side in ("left", "right")]
+    else:
+        expected = ["coefficient-"]
+    assert degrees == {prefix: list(range(top_degree(name, r) + 1)) for prefix in expected}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", sorted(IDENTITY_RECORDS))
+def test_dropping_the_top_part_of_one_side_fails_the_top_degree(monkeypatch, r, name):
+    # a comparison that stopped at the shorter side would pass
+    real, sides = ybe._degree_checks, []
+
+    def dropped(record, prefix, lhs, rhs):
+        sides.append((prefix, lhs, rhs))
+        real(record, prefix, lhs, rhs[:-1])
+
+    monkeypatch.setattr(ybe, "_degree_checks", dropped)
+    record = IDENTITY_RECORDS[name](r)
+    expected = {}
+    for prefix, lhs, rhs in sides:
+        top = len(rhs) - 1
+        assert lhs[top] == rhs[top]
+        expected[f"{prefix}{top}"] = diff_witness(first_difference(lhs[top], ExactMatrix.zero(lhs[top].dim)))
+    assert sides and all(expected.values())
+    assert {c.check_id: c.witness for c in failing_checks(record)} == expected
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("eps", ["+", "-"])
+def test_unitarity_fails_on_a_scaled_part(monkeypatch, r, eps):
+    # Q(u) R(u) at u = 0 is S_0, so doubling it makes the u^0 coefficient
+    # 4 Q(0)^2 where Q(0)^2 is due
+    family = SECTOR_FAMILY(r, eps)
+    serve_family(monkeypatch, (r, eps, "plain"), [family.parts[0] * 2, *family.parts[1:]])
+    failed = failing_checks(ybe.unitarity_check(r, eps))
+    assert failed[0].check_id == "coefficient-u^0"
+    due = ExactMatrix.identity(4 ** (r - 1)) * (family.q(0) ** 2)
+    assert failed[0].witness == diff_witness(first_difference(due * 4, due))
+    assert failed[0].witness.startswith("first differing entry (0, 0): ")
+    monkeypatch.undo()
+    assert SECTOR_FAMILY(r, eps) is family
+    assert ybe.unitarity_check(r, eps).ok
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_factorization_fails_on_a_scaled_part(monkeypatch, r):
+    # prod_k (u+k) has no constant term, so S^+_0 first shows at u^1
+    family = SECTOR_FAMILY(r, "+", "braid")
+    scaled = family.parts[0] * 2
+    serve_family(monkeypatch, (r, "+", "braid"), [scaled, *family.parts[1:]])
+    record = ybe.symmetric_part_factorization(r)
+    failed = failing_checks(record)
+    assert failed[0].check_id == "coefficient-u^1"
+    dim, q, rising = 4**r, ybe.tau_denominator(r, "braid"), rising_factorial(Poly.x(), r)
+    even = ybe._full_series(r)[1].parts
+    lhs = lincomb(dim, [(q.coeffs[1 - d], even[d]) for d in (0, 1) if 1 - d < len(q.coeffs)])
+    minus = SECTOR_FAMILY(r, "-", "braid").parts[0]
+    lifted = scaled.embed(casimir.sector_indices(r, "++"), dim) + minus.embed(casimir.sector_indices(r, "--"), dim)
+    assert failed[0].witness == diff_witness(first_difference(lhs, lifted * rising.coeffs[1]))
+    assert all(c.check_id.startswith("coefficient-u^") for c in failed)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_swap_symmetry_fails_on_an_asymmetric_part(monkeypatch, r):
+    # e_0 (x) e_1 <- e_0 (x) e_0 is not fixed by the swap, which moves it to
+    # e_1 (x) e_0 <- e_0 (x) e_0
+    family = SECTOR_FAMILY(r, "+")
+    last = len(family.parts) - 1
+    skewed = family.parts[last] + ExactMatrix(family.parts[last].dim, {(1, 0): 1})
+    serve_family(monkeypatch, (r, "+", "plain"), [*family.parts[:last], skewed])
+    swap = permutation_operator(2 ** (r - 1))
+    failed = failing_checks(ybe.symmetry_check(r, "+"))
+    assert [c.check_id for c in failed] == [f"coefficient-u^{last}"]
+    assert failed[0].witness == diff_witness(first_difference(swap @ skewed @ swap, skewed))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_swap_symmetry_fails_with_the_legs_of_one_side_swapped(monkeypatch, r):
+    # P S_0 on the right: the swap moves P_(r-2) to -P_(r-2), so P S_0 != S_0
+    real = ybe._degree_checks
+    swap = permutation_operator(2 ** (r - 1))
+
+    def swapped(record, prefix, lhs, rhs):
+        real(record, prefix, lhs, [swap @ rhs[0], *rhs[1:]])
+
+    monkeypatch.setattr(ybe, "_degree_checks", swapped)
+    failed = failing_checks(ybe.symmetry_check(r, "+"))
+    assert [c.check_id for c in failed] == ["coefficient-u^0"]
+    s_0 = SECTOR_FAMILY(r, "+").parts[0]
+    assert failed[0].witness == diff_witness(first_difference(swap @ s_0 @ swap, swap @ s_0))
