@@ -32,6 +32,7 @@ from .linalg import (
     sum_at_scale,
 )
 from .oracles import c2_closed_form, casimir_contraction, inverse_metric_diagonal
+from .ratfunc import Poly
 from .records import VerificationRecord
 from .scalar import Rat
 
@@ -105,59 +106,51 @@ def verify_recurrences(r: int) -> VerificationRecord:
     return record
 
 
-def i2k_polynomial(r: int, k: int) -> list[Rat]:
-    """Coefficients (constant first) of I_{2k} as a degree-k polynomial in the
-    split Casimir operator, generated by iterating the even recurrence.
-
-    Seeds: I_0 = 1 and I_2 = -32(r-1) C.
+def i2k_polynomial(r: int, k: int) -> Poly:
+    """I_{2k} as a degree-k polynomial in the split Casimir operator C,
+    generated by the even recurrence
+    p_{m+1} = p_m * I_2 + a_m p_m + b_m p_{m-1}, with p_m the polynomial of
+    I_{2m}, from p_0 = 1 and the polynomial of I_2 = -32(r-1) C.
     """
     if k < 0:
         raise ValueError("negative invariant index")
-    polys = [[Rat(1)], [Rat(0), Rat(-32 * (r - 1))]]
-    while len(polys) <= k:
-        m = len(polys) - 1
-        prev, cur = polys[-2], polys[-1]
-        # multiply by I_2, i.e. by the polynomial -32(r-1) x
-        shifted = [Rat(0)] + [c * (-32 * (r - 1)) for c in cur]
+    i2 = Poly([0, -32 * (r - 1)])
+    polys = [Poly.const(1), i2]
+    for m in range(1, k):
         a = -8 * m * (r - m)
         b = -4 * m * (2 * m - 1) * (r + 1 - m) * (2 * r + 1 - 2 * m)
-        nxt = list(shifted)
-        for i, c in enumerate(cur):
-            nxt[i] += a * c
-        for i, c in enumerate(prev):
-            nxt[i] += b * c
-        polys.append(nxt)
+        polys.append(polys[m] * i2 + polys[m] * a + polys[m - 1] * b)
     return polys[k]
 
 
-def reference_even_polynomial(r: int, k: int) -> list[Rat]:
+def reference_even_polynomial(r: int, k: int) -> Poly:
     """Closed-form coefficient tables for I_4 .. I_12, independent of the
     recurrence generator; used to cross-check i2k_polynomial.
     """
     R = Rat(r)
     if k == 2:
-        return [
+        return Poly([
             -4 * R * (2 * R - 1),
             Rat(256) * (R - 1) ** 2,
             Rat(1024) * (R - 1) ** 2,
-        ]
+        ])
     if k == 3:
-        return [
+        return Poly([
             64 * R * (R - 2) * (2 * R - 1),
             -128 * (R - 1) * (18 * R**2 - 65 * R + 46),
             -8192 * (R - 1) ** 2 * (3 * R - 5),
             Rat(-32768) * (R - 1) ** 3,
-        ]
+        ])
     if k == 4:
-        return [
+        return Poly([
             -48 * R * (R - 2) * (2 * R - 1) * (22 * R - 71),
             2**11 * (R - 1) * (10 * R**3 - 91 * R**2 + 217 * R - 132),
             2**13 * (R - 1) ** 2 * (66 * R**2 - 301 * R + 308),
             2**19 * (R - 1) ** 3 * (3 * R - 7),
             2**20 * (R - 1) ** 4,
-        ]
+        ])
     if k == 5:
-        return [
+        return Poly([
             2**9 * (R - 2) * R * (2 * R - 9) * (2 * R - 1) * (19 * R - 62),
             -(2**9) * (R - 1)
             * (140 * R**4 - 5820 * R**3 + 36351 * R**2 - 72610 * R + 40536),
@@ -165,9 +158,9 @@ def reference_even_polynomial(r: int, k: int) -> list[Rat]:
             -(2**18) * (R - 1) ** 3 * (230 * R**2 - 1335 * R + 1806),
             -(2**24) * 5 * (R - 1) ** 4 * (R - 3),
             -(2**25) * (R - 1) ** 5,
-        ]
+        ])
     if k == 6:
-        return [
+        return Poly([
             -320 * R * (R - 2) * (2 * R - 9) * (2 * R - 1)
             * (622 * R**2 - 5755 * R + 12172),
             -(2**12) * (R - 1)
@@ -191,7 +184,7 @@ def reference_even_polynomial(r: int, k: int) -> list[Rat]:
             2**22 * (R - 1) ** 4 * (1170 * R**2 - 8305 * R + 13992),
             2**28 * 5 * (R - 1) ** 5 * (3 * R - 11),
             2**30 * (R - 1) ** 6,
-        ]
+        ])
     raise ValueError("reference table covers k = 2..6 only")
 
 
@@ -291,7 +284,7 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     rhs = diagonal_action(c2_single) + split_casimir_rho(r).matrix * 2
     record.add_equal("coproduct-split", c2_diag, rhs)
     spinor_c2 = c2_closed_form("Delta_plus", r)
-    record.add("single-space-casimir-scalar", c2_single == ident * spinor_c2)
+    record.add_equal("single-space-casimir-scalar", c2_single, ident * spinor_c2)
     return record
 
 

@@ -92,16 +92,13 @@ def integrity_report(rep: GammaRep) -> VerificationRecord:
             expected = ident * 2 if i == j else ExactMatrix.zero(rep.dim)
             record.add_equal(f"anticommutator-{i + 1}-{j + 1}", anti, expected)
     for i in range(n):
-        record.add(
-            f"hermitian-{i + 1}",
-            rep.gammas[i] == rep.gammas[i].conj_transpose(),
-        )
+        record.add_equal(f"hermitian-{i + 1}", rep.gammas[i], rep.gammas[i].conj_transpose())
     chir = rep.chirality
     diag_pm_one = all(
         i == j and value in (ExactScalar(1), ExactScalar(-1)) for i, j, value in chir.items()
     ) and chir.nnz == rep.dim
     record.add("grading-diagonal-pm1", diag_pm_one)
-    record.add("grading-squares-to-identity", chir @ chir == ident)
+    record.add_equal("grading-squares-to-identity", chir @ chir, ident)
     record.add("grading-traceless", chir.trace() == ExactScalar(0))
     product = ExactMatrix.identity(rep.dim)
     for g in rep.gammas:
@@ -110,7 +107,7 @@ def integrity_report(rep: GammaRep) -> VerificationRecord:
     record.add_equal("grading-equals-normalized-product", rebuilt, chir)
     for i in range(n):
         anti = chir @ rep.gammas[i] + rep.gammas[i] @ chir
-        record.add(f"grading-anticommutes-{i + 1}", anti.is_zero())
+        record.add_equal(f"grading-anticommutes-{i + 1}", anti, ExactMatrix.zero(rep.dim))
     return record
 
 

@@ -11,10 +11,12 @@ here into one kernel term per pair of nonzero parts, so a zero part costs
 nothing.  The public interface speaks Q(i): entries come out as
 ``ExactScalar`` values with ``Fraction`` parts.
 
-Polynomials in an operator are evaluated from its ``PowerTable``, which
-keeps the powers base^0, base^1, ... once made; ``poly_eval`` is one linear
-combination of them, so any number of polynomials in one operator share
-its products.
+A polynomial in an operator is a ``ratfunc.Poly`` evaluated from the
+operator's ``PowerTable``, which keeps the powers base^0, base^1, ... once
+made; ``poly_eval`` is one linear combination of them, so any number of
+polynomials in one operator share its products.  There is no kernel for
+a vector or for a trace of a product: a vector is a matrix with one nonzero
+row, and the trace of a product is read from the product.
 
 Index convention (fixed project-wide): the leftmost tensor factor is the
 slowest index.  For a matrix on V1 (x) V2 with dims (d1, d2), the flat row
@@ -27,6 +29,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from . import _backend
+from .ratfunc import Poly
 from .scalar import RAT_ONE, RAT_ZERO, ExactScalar, Rat
 
 _NO_ROW: dict = {}
@@ -96,8 +99,8 @@ def _part_terms(terms) -> tuple[list, list]:
     (c, x, y, *rest), with x and y integer parts (re, im) and * a real
     bilinear kernel, as two lists of kernel terms (k, x_part, y_part, *rest);
     a product with an empty part is left out.  This is the one place where a
-    complex product is split into real ones: matrix products, Kronecker sums,
-    leg products and traces of products all go through it.
+    complex product is split into real ones: matrix products, Kronecker sums
+    and leg products all go through it.
     """
     re_terms: list = []
     im_terms: list = []
@@ -126,24 +129,6 @@ def _products(terms) -> tuple:
         return _backend.mat_mul(x if k == 1 else _times(x, k), y)
 
     return tuple(part(t) for t in _part_terms(terms))
-
-
-def _apply(columns: tuple, vec: dict) -> dict:
-    """(re + i*im) v for an integer vector v = {index: (x, y)}, given the
-    transposed parts ``columns`` = (re^T, im^T); only the columns in the
-    support of v are read.
-    """
-    re_t, im_t = columns
-    ox: dict = {}
-    oy: dict = {}
-    for j, (x, y) in vec.items():
-        for i, a in re_t.get(j, _NO_ROW).items():
-            ox[i] = ox.get(i, 0) + a * x
-            oy[i] = oy.get(i, 0) + a * y
-        for i, a in im_t.get(j, _NO_ROW).items():
-            ox[i] = ox.get(i, 0) - a * y
-            oy[i] = oy.get(i, 0) + a * x
-    return {i: (x, oy[i]) for i, x in ox.items() if x or oy[i]}
 
 
 class NotABasisMap(ValueError):
@@ -225,16 +210,6 @@ class ExactMatrix:
         """
         for i, j, _, _ in _entries(self._re, self._im):
             yield i, j
-
-    def column(self, j: int) -> dict:
-        """Column j as an integer vector {row: (re, im)}; the column itself
-        is ``scale`` times it.
-        """
-        out = {i: (row[j], 0) for i, row in self._re.items() if j in row}
-        for i, row in self._im.items():
-            if j in row:
-                out[i] = (out.get(i, (0, 0))[0], row[j])
-        return out
 
     @property
     def nnz(self) -> int:
@@ -581,53 +556,11 @@ class PowerTable:
         return m
 
 
-def poly_eval(coeffs: Sequence, table: PowerTable) -> ExactMatrix:
-    """sum coeffs[j] * base^j (coeffs[0] is the constant), as one linear
-    combination of the table's powers.
+def poly_eval(p: Poly, table: PowerTable) -> ExactMatrix:
+    """p(base), the sum of p.coeffs[j] * base^j, as one linear combination
+    of the table's powers up to p.degree; the zero polynomial gives zero.
     """
-    return lincomb(table.base.dim, zip(coeffs, table.upto(len(coeffs) - 1)))
-
-
-def shifted_images(m: ExactMatrix, cases) -> Iterator[dict]:
-    """(m - s_n) ... (m - s_1) v for each (shifts, v) of ``cases``, with
-    rational shifts s and an integer vector v = {index: (re, im)}, up to a
-    positive factor; m is transposed once for all of them.
-
-    With scale p/q and shift a/b, each step computes b q (m - s) v =
-    p b (re + i*im) v - a q v, so the whole product stays in ints.
-    """
-    p, q = m.scale.numerator, m.scale.denominator
-    columns = (_transpose(m._re), _transpose(m._im))
-    for shifts, vec in cases:
-        for s in shifts:
-            s = Rat(s)
-            c, d = p * s.denominator, s.numerator * q
-            out = {i: (c * x, c * y) for i, (x, y) in _apply(columns, vec).items()}
-            for i, (x, y) in vec.items():
-                cur = out.get(i, (0, 0))
-                out[i] = (cur[0] - d * x, cur[1] - d * y)
-            vec = {i: v for i, v in out.items() if v[0] or v[1]}
-        yield vec
-
-
-def trace_of_product(a: ExactMatrix, b: ExactMatrix) -> ExactScalar:
-    """tr(a @ b) = sum of a[i, j] b[j, i], without forming the product."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch in trace of product")
-
-    def tr(x, y):
-        total = 0
-        for i, row in x.items():
-            for j, v in row.items():
-                w = y.get(j, _NO_ROW).get(i)
-                if w is not None:
-                    total += v * w
-        return total
-
-    parts = _part_terms([(1, (a._re, a._im), (b._re, b._im))])
-    re, im = (sum(k * tr(x, y) for k, x, y in t) for t in parts)
-    scale = a.scale * b.scale
-    return ExactScalar(scale * re, scale * im)
+    return lincomb(table.base.dim, zip(p.coeffs, table.upto(p.degree)))
 
 
 def first_difference(a: ExactMatrix, b: ExactMatrix):

@@ -1,6 +1,7 @@
 """Univariate polynomials and rational functions over exact rationals.
 
-Used for the spectral-parameter dependence of R-matrix coefficients.  The
+Used for the spectral-parameter dependence of R-matrix coefficients and for
+every polynomial in the split Casimir operator (``linalg.poly_eval``).  The
 normal form keeps the denominator monic, so equality is plain coefficient
 comparison.  No floating point, no polynomial gcd surprises: denominators
 here are always explicit products of linear factors, and common factors are

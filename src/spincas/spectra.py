@@ -35,8 +35,6 @@ from .linalg import (
     lincomb,
     permutation_operator,
     poly_eval,
-    shifted_images,
-    trace_of_product,
 )
 from .ratfunc import poly_from_roots
 from .records import VerificationRecord, diff_witness
@@ -95,8 +93,7 @@ def _lagrange_projector(eigs: dict[int, Rat], k: int, powers: PowerTable) -> Exa
     the eigenvalue of each label and C the operator whose powers the table holds.
     """
     numer = poly_from_roots(e for e in eigs.values() if e != eigs[k])
-    denom = numer(eigs[k])
-    return poly_eval([c / denom for c in numer.coeffs], powers)
+    return poly_eval(numer * (1 / numer(eigs[k])), powers)
 
 
 @lru_cache(maxsize=None)
@@ -146,34 +143,40 @@ def char_identity_rho(r: int) -> VerificationRecord:
     """Product of the r+1 eigenvalue factors annihilates the operator,
     the top even invariant vanishes as a polynomial, and every subproduct
     omitting one factor is nonzero (minimality).
+
+    All three are decided on the sector blocks: the record's own
+    block_structure_check shows that C is the direct sum of its blocks, so
+    a polynomial in C is the direct sum of the same polynomial in each
+    block.  The two identities are evaluated from each block's power table.
+    For minimality, a nonzero row v of the label-k projector of a sector
+    that carries k is pushed through the factors (B - lambda_j), j != k, of
+    that sector's block B.  v is a left eigenvector of B with eigenvalue
+    lambda_k, so its image is a nonzero multiple of v; a nonzero image shows
+    that the subproduct is nonzero on the block, and so on the full space.
     """
     record = VerificationRecord(name=f"characteristic-identity r={r}")
     record.extend(block_structure_check(r))
     eigs = [c2k_eigenvalue(r, k) for k in range(r + 1)]
     full_poly = poly_from_roots(eigs)
+    top_poly = i2k_polynomial(r, r + 1)
     for sector in SECTORS:
         powers = sector_spectral(r, sector).powers
-        product = poly_eval(full_poly.coeffs, powers)
-        record.add(f"factorized-identity-{sector}", product.is_zero())
-        top_val = poly_eval(i2k_polynomial(r, r + 1), powers)
-        record.add(f"top-invariant-vanishes-{sector}", top_val.is_zero())
-    cases = []
+        zero = ExactMatrix.zero(powers.base.dim)
+        record.add_equal(f"factorized-identity-{sector}", poly_eval(full_poly, powers), zero)
+        record.add_equal(f"top-invariant-vanishes-{sector}", poly_eval(top_poly, powers), zero)
     for omit in range(r + 1):
-        # every label lies in some sector; a column of its eigenprojector
-        # there is an eigenvector, lifted to the full space
         sector = next(s for s in SECTORS if omit in sector_kvalues(r, s))
-        proj = sector_spectral(r, sector).projectors[omit]
-        _, col = next(proj.support())
-        indices = sector_indices(r, sector)
-        vec = {indices[i]: v for i, v in proj.column(col).items()}
-        cases.append(([e for j, e in enumerate(eigs) if j != omit], vec))
-    # push each through the remaining factors, on the full operator
-    images = shifted_images(split_casimir_rho(r).matrix, cases)
-    for omit, image in enumerate(images):
+        data = sector_spectral(r, sector)
+        proj = data.projectors[omit]
+        row, _ = next(proj.support())
+        image = ExactMatrix(proj.dim, {(row, row): 1}) @ proj
+        for j, e in enumerate(eigs):
+            if j != omit:
+                image = image @ data.block - image * e
         record.add(
             f"minimality-omit-k{omit}",
             bool(image),
-            "subproduct annihilated the candidate eigenvector",
+            f"the subproduct omitting k{omit} annihilates row {row} of the k{omit} projector of sector {sector}",
         )
     return record
 
@@ -231,9 +234,9 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
     """Minimal-degree invariant identities annihilating each sector block."""
     record = VerificationRecord(name=f"sector-minimal-identities r={r}")
 
-    def vanishes(check_id, coeffs, sector):
+    def vanishes(check_id, poly, sector):
         powers = sector_spectral(r, sector).powers
-        record.add_equal(check_id, poly_eval(coeffs, powers), ExactMatrix.zero(powers.base.dim))
+        record.add_equal(check_id, poly_eval(poly, powers), ExactMatrix.zero(powers.base.dim))
 
     if r % 2 == 0:
         for sector in ("+-", "-+"):
@@ -241,12 +244,7 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
         for sector in ("++", "--"):
             hi = i2k_polynomial(r, r // 2 + 1)
             lo = i2k_polynomial(r, r // 2 - 1)
-            coeff = r * (r * r - 1) * (r + 2)
-            combo = [
-                a - coeff * (lo[m] if m < len(lo) else Rat(0))
-                for m, a in enumerate(hi)
-            ]
-            vanishes(f"equal-chirality-{sector}", combo, sector)
+            vanishes(f"equal-chirality-{sector}", hi - lo * (r * (r * r - 1) * (r + 2)), sector)
     else:
         hi = i2k_polynomial(r, (r + 1) // 2)
         lo = i2k_polynomial(r, (r - 1) // 2)
@@ -254,11 +252,7 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
         for sector in SECTORS:
             # equal chirality: plus sign; opposite chirality: minus sign
             sign = 1 if sector in ("++", "--") else -1
-            combo = [
-                a + sign * coeff * (lo[m] if m < len(lo) else Rat(0))
-                for m, a in enumerate(hi)
-            ]
-            vanishes(f"degree-{(r + 1) // 2}-{sector}", combo, sector)
+            vanishes(f"degree-{(r + 1) // 2}-{sector}", hi + lo * (sign * coeff), sector)
     return record
 
 
@@ -333,15 +327,15 @@ def permutation_symmetry(r: int, eps: str) -> VerificationRecord:
 
 def power_trace_check(r: int) -> VerificationRecord:
     """Traces of powers two through five of the operator match their closed
-    forms.  tr(C^m) is summed over the four sector blocks as tr(B^a B^(m-a))
-    with a = ceil(m/2), from the block power tables, entrywise.
+    forms.  tr(C^m) is the sum over the four sector blocks of tr(B^m), read
+    from the block power tables.  In the spectra suite char_identity_rho has
+    already taken every table to degree r+1, so from rank 4 on this makes
+    no product.
     """
     record = VerificationRecord(name=f"power-traces r={r}")
-    # powers up to ceil(5/2) = 3 cover every split of m <= 5
-    powers = [sector_spectral(r, sector).powers.upto(3) for sector in SECTORS]
+    powers = [sector_spectral(r, sector).powers.upto(5) for sector in SECTORS]
     for m in range(2, 6):
-        a = (m + 1) // 2
-        total = sum(trace_of_product(p[a], p[m - a]) for p in powers)
+        total = sum(p[m].trace() for p in powers)
         expected = casimir_power_trace_closed_form(r, m)
         record.add(f"power-{m}", total == expected, f"{total} != {expected}")
     return record

@@ -711,8 +711,8 @@ def chirality_split_check(r: int) -> VerificationRecord:
     ident = ExactMatrix.identity(2**r)
     sym = kron_sum([(Rat(1, 2), ident, ident), (Rat(1, 2), gamma.chirality, gamma.chirality)])
     anti = kron_sum([(Rat(1, 2), ident, ident), (Rat(-1, 2), gamma.chirality, gamma.chirality)])
-    record.add("projector-resolution", sym + anti == ExactMatrix.identity(4**r))
-    record.add("projector-idempotent", sym @ sym == sym)
+    record.add_equal("projector-resolution", sym + anti, ExactMatrix.identity(4**r))
+    record.add_equal("projector-idempotent", sym @ sym, sym)
     full, even, odd = _full_series(r)
     for name, projector, part in (("even", sym, even), ("odd", anti, odd)):
         _degree_checks(record, f"{name}-part-left-u^", [projector @ p for p in full.parts], part.parts)
@@ -759,10 +759,7 @@ def top_projector_relations(r: int) -> VerificationRecord:
         rhs = top * Rat((-1) ** k * comb(r, k) * factorial(2 * k))
         record.add_equal(f"invariant-scaling-k{k}", lhs, rhs)
     casimir_action = split_casimir_rho(r).matrix @ top
-    record.add(
-        "casimir-top-eigenvalue",
-        casimir_action == top * c2k_eigenvalue(r, r),
-    )
+    record.add_equal("casimir-top-eigenvalue", casimir_action, top * c2k_eigenvalue(r, r))
     return record
 
 

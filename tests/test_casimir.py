@@ -4,11 +4,12 @@ from math import factorial
 
 import pytest
 
-from spincas import _backend, casimir, linalg
+from spincas import _backend, casimir, linalg, report
 from spincas.clifford import antisym_gamma, build_gamma, chain_generators, rotation_generators
 
 CHAIN_GENERATORS = chain_generators
 from spincas.linalg import ExactMatrix, kron_sum
+from spincas.ratfunc import Poly
 from spincas.scalar import Rat
 
 from failing import failing_checks
@@ -50,6 +51,14 @@ def test_polynomial_consistency(r):
 def test_polynomial_generator_matches_reference_tables(r):
     for k in range(2, 7):
         assert casimir.i2k_polynomial(r, k) == casimir.reference_even_polynomial(r, k)
+
+
+def test_a_wrong_reference_table_fails_with_both_polynomials(monkeypatch):
+    real = casimir.reference_even_polynomial
+    monkeypatch.setattr(casimir, "reference_even_polynomial", lambda r, k: real(r, k) + Poly.const(int(k == 3)))
+    (reference,) = [record for record in report.invariants_suite(2) if record.name.startswith("reference-")]
+    failed = {c.check_id: c.witness for c in failing_checks(reference)}
+    assert failed == {"table-k3": f"{casimir.i2k_polynomial(2, 3)} != {real(2, 3) + Poly.const(1)}"}
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -120,6 +129,14 @@ def test_kronecker_sums_make_one_kernel_call_per_nonzero_part(monkeypatch):
         assert [len(terms) for terms, _ in calls] == [2] * 16
     finally:
         casimir.split_casimir_rho.cache_clear()
+
+
+def test_a_wrong_spinor_casimir_fails_with_a_witness(monkeypatch):
+    real = casimir.c2_closed_form
+    monkeypatch.setattr(casimir, "c2_closed_form", lambda *args: real(*args) + 1)
+    failed = {c.check_id: c.witness for c in failing_checks(casimir.coproduct_consistency(2))}
+    assert list(failed) == ["single-space-casimir-scalar"]
+    assert failed["single-space-casimir-scalar"].startswith("first differing entry (0, 0)")
 
 
 @pytest.mark.parametrize("r", [2, 3])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, permutations
 from math import factorial
 
@@ -25,6 +26,21 @@ from failing import failing_checks
 def test_integrity(r):
     record = integrity_report(build_gamma(r))
     assert record.ok, [c.check_id for c in failing_checks(record)]
+
+
+def test_integrity_witnesses_name_the_first_differing_entry():
+    # i G_1 is anti-hermitian, and 1 + chirality neither squares to the
+    # identity nor anticommutes with any generator
+    rep = build_gamma(2)
+    skewed = replace(
+        rep,
+        gammas=(rep.gammas[0] * ExactScalar(0, 1), *rep.gammas[1:]),
+        chirality=rep.chirality + ExactMatrix.identity(rep.dim),
+    )
+    failed = {c.check_id: c.witness for c in failing_checks(integrity_report(skewed))}
+    expected = ["hermitian-1", "grading-squares-to-identity", *(f"grading-anticommutes-{i}" for i in range(1, 5))]
+    for check_id in expected:
+        assert failed[check_id].startswith("first differing entry"), check_id
 
 
 def test_dimensions():

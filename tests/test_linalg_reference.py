@@ -21,8 +21,6 @@ from spincas.linalg import (
     kron,
     leg_products,
     partial_trace,
-    shifted_images,
-    trace_of_product,
 )
 from spincas.scalar import ExactScalar, Rat
 
@@ -206,14 +204,6 @@ def test_partial_trace_refuses_a_leg_that_does_not_divide():
             partial_trace(a, inner)
 
 
-@settings(max_examples=40, deadline=None)
-@given(pairs)
-def test_trace_of_product(ab):
-    a, b = ab
-    assert trace_of_product(a, b) == (a @ b).trace()
-    assert trace_of_product(a, b) == ref_trace(ref_mul(dense(a), dense(b)))
-
-
 def ref_elementary_products(factors):
     """e_k as the sum over i_1 < ... < i_k of the ordered dense products."""
     n = len(factors[0])
@@ -292,14 +282,6 @@ def ref_conj_transpose(a):
     return [[a[j][i].conj() for j in range(len(a))] for i in range(len(a))]
 
 
-def ref_mat_vec(a, vec):
-    return {
-        i: total
-        for i, row in enumerate(a)
-        if (total := sum((row[j] * v for j, v in vec.items()), ZERO))
-    }
-
-
 @settings(max_examples=80, deadline=None)
 @given(part_pairs, coefficients)
 def test_parts_product_sum_and_multiple(ab, c):
@@ -310,7 +292,6 @@ def test_parts_product_sum_and_multiple(ab, c):
     assert_matches(a - b, ref_add(da, db, -1))
     assert_matches(a * c, ref_scale(da, c))
     assert_matches(a.conj_transpose(), ref_conj_transpose(da))
-    assert trace_of_product(a, b) == ref_trace(ref_mul(da, db))
 
 
 @settings(max_examples=60, deadline=None)
@@ -490,35 +471,6 @@ def test_parts_partial_trace(case):
     assert_matches(partial_trace(a, d2), ref_partial_trace(dense(a), d1, d2))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    dims.flatmap(
-        lambda d: st.tuples(
-            part_matrices(d),
-            st.dictionaries(st.integers(0, d - 1), st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
-            st.lists(rationals, max_size=3),
-        )
-    )
-)
-def test_shifted_image_is_a_positive_multiple(case):
-    a, vec, shifts = case
-    vec = {i: v for i, v in vec.items() if v != (0, 0)}
-    expected = {i: ExactScalar(*v) for i, v in vec.items()}
-    for s in shifts:
-        image = ref_mat_vec(dense(a), expected)
-        for i, v in expected.items():
-            image[i] = image.get(i, ZERO) - v * s
-        expected = {i: v for i, v in image.items() if v}
-    got = next(shifted_images(a, [(shifts, vec)]))
-    assert all(type(x) is int for v in got.values() for x in v)
-    assert set(got) == set(expected)
-    if got:
-        i = min(got)
-        factor = ExactScalar(*got[i]) / expected[i]
-        assert factor.is_real() and factor.re > 0
-        assert all(ExactScalar(*got[k]) == expected[k] * factor for k in got)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 3).flatmap(lambda d: st.lists(part_matrices(d), min_size=2, max_size=4)))
 def test_parts_elementary_products(factors):
@@ -530,12 +482,9 @@ def test_parts_elementary_products(factors):
 
 @settings(max_examples=40, deadline=None)
 @given(dims.flatmap(part_matrices))
-def test_support_and_column_read_the_parts(a):
+def test_support_reads_the_parts(a):
     entries = {(i, j): v for i, j, v in a.items()}
     assert list(a.support()) == list(entries)
-    for j in range(a.dim):
-        column = {i: ExactScalar(a.scale * x, a.scale * y) for i, (x, y) in a.column(j).items()}
-        assert column == {i: v for (i, jj), v in entries.items() if jj == j}
 
 
 def test_imaginary_content_is_divided_out():

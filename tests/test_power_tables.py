@@ -11,6 +11,7 @@ import pytest
 
 from spincas import _backend, casimir, colour, spectra
 from spincas.linalg import ExactMatrix, PowerTable, poly_eval
+from spincas.ratfunc import Poly
 from spincas.scalar import Rat
 
 from failing import failing_checks
@@ -47,10 +48,10 @@ def test_a_table_makes_each_power_once(mat_mul_calls):
     assert len(mat_mul_calls) == 4
     mat_mul_calls.clear()
     # a second caller, at this degree or below, costs no product
-    assert poly_eval([1, 2, 3, 4, 5, 6], table) == sum(
+    assert poly_eval(Poly([1, 2, 3, 4, 5, 6]), table) == sum(
         (p * c for c, p in zip(range(2, 7), powers[1:])), ExactMatrix.identity(4)
     )
-    assert poly_eval([0, 1], table) == base
+    assert poly_eval(Poly.x(), table) == base
     assert table.upto(3) == powers[:4]
     assert table.upto(5)[5] is powers[5]
     assert not mat_mul_calls
@@ -86,7 +87,7 @@ def test_colour_report_leaves_the_sector_table_as_it_was():
 
 
 def test_empty_polynomial_is_zero_without_products(mat_mul_calls):
-    assert poly_eval([], PowerTable(ExactMatrix.identity(3))).is_zero()
+    assert poly_eval(Poly(), PowerTable(ExactMatrix.identity(3))).is_zero()
     assert not mat_mul_calls
 
 
@@ -97,6 +98,20 @@ def test_sector_records_share_the_sector_tables(r, mat_mul_calls):
     mat_mul_calls.clear()
     assert spectra.sector_minimal_identities(r).ok
     assert spectra.duality_pair_identities(r).ok
+    assert spectra.power_trace_check(r).ok
+    assert not mat_mul_calls
+
+
+def test_power_traces_read_the_powers_the_characteristic_identity_made(monkeypatch, mat_mul_calls):
+    # from rank 4 on, char_identity_rho takes every block to degree r + 1 >= 5,
+    # the top power the traces read, so in suite order they make no product;
+    # fresh tables, so that no other record has grown them first
+    r = 4
+    real = spectra.sector_spectral
+    fresh = {s: replace(real(r, s), powers=PowerTable(real(r, s).block)) for s in casimir.SECTORS}
+    monkeypatch.setattr(spectra, "sector_spectral", lambda rank, s: fresh[s] if rank == r else real(rank, s))
+    assert spectra.char_identity_rho(r).ok
+    mat_mul_calls.clear()
     assert spectra.power_trace_check(r).ok
     assert not mat_mul_calls
 
@@ -175,3 +190,26 @@ def test_minimal_identities_fail_on_a_perturbed_block_power(r, monkeypatch):
     assert all(a is b for a, b in zip(table.upto(degree), kept))
     monkeypatch.undo()
     assert spectra.sector_minimal_identities(r).ok
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_characteristic_identities_fail_on_a_perturbed_block_power(r, monkeypatch):
+    # both identities are polynomials of degree r + 1 in the block
+    real = spectra.sector_spectral
+    sector = "+-"
+    table = real(r, sector).powers
+    kept = table.upto(r + 1)
+    copy = perturbed_copy(table, r + 1, r + 1)
+
+    def served(rank, s):
+        data = real(rank, s)
+        return replace(data, powers=copy) if (rank, s) == (r, sector) else data
+
+    monkeypatch.setattr(spectra, "sector_spectral", served)
+    record = spectra.char_identity_rho(r)
+    failed = {c.check_id: c.witness for c in failing_checks(record)}
+    assert sorted(failed) == [f"factorized-identity-{sector}", f"top-invariant-vanishes-{sector}"]
+    assert all(witness.startswith("first differing entry (0, 0)") for witness in failed.values())
+    assert all(a is b for a, b in zip(table.upto(r + 1), kept))
+    monkeypatch.undo()
+    assert spectra.char_identity_rho(r).ok

@@ -6,6 +6,7 @@ import pytest
 from spincas import report, spectra
 from spincas.casimir import SECTORS, casimir_powers, split_casimir_rho
 from spincas.linalg import ExactMatrix, PowerTable
+from spincas.ratfunc import Poly
 from spincas.records import VerificationRecord
 from spincas.scalar import Rat
 
@@ -74,6 +75,30 @@ def test_characteristic_identity(r):
     assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_minimality_fails_on_swapped_projectors(r, monkeypatch):
+    # a row of the swapped-in projector is an eigenvector of the other label,
+    # so the subproduct omitting its own label still has the other's factor
+    real = spectra.sector_spectral
+    data = real(r, "++")
+    a, b = sorted(data.projectors)[:2]
+    projectors = {**data.projectors, a: data.projectors[b], b: data.projectors[a]}
+
+    def served(rank, sector):
+        got = real(rank, sector)
+        return replace(got, projectors=projectors) if (rank, sector) == (r, "++") else got
+
+    monkeypatch.setattr(spectra, "sector_spectral", served)
+    record = spectra.char_identity_rho(r)
+    failed = {c.check_id: c.witness for c in failing_checks(record)}
+    assert sorted(failed) == [f"minimality-omit-k{a}", f"minimality-omit-k{b}"]
+    for k in (a, b):
+        row, _ = next(projectors[k].support())
+        assert f"row {row} of the k{k} projector of sector ++" in failed[f"minimality-omit-k{k}"]
+    monkeypatch.undo()
+    assert spectra.char_identity_rho(r).ok
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_sector_minimal_identities(r):
     record = spectra.sector_minimal_identities(r)
@@ -108,9 +133,9 @@ def test_odd_rank_unsigned_pair_failure_names_the_exchanged_signed_check(monkeyp
     real = spectra.poly_eval
     plus = spectra.sector_spectral(r, "++").powers
 
-    def perturbed(coeffs, table):
-        value = real(coeffs, table)
-        if table is plus and list(coeffs) == [1]:
+    def perturbed(p, table):
+        value = real(p, table)
+        if table is plus and p == Poly.const(1):
             value = value + ExactMatrix(value.dim, {(0, 1): 1})
         return value
 

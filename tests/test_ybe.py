@@ -147,6 +147,17 @@ def test_top_projector_relations(r):
     assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
+def test_a_wrong_top_projector_fails_with_witnesses(monkeypatch):
+    # e_0 (x) e_0 is a top eigenvector, so the wrong entry sits in row 1
+    r = 2
+    real = spectra.rho_projectors(r)
+    skewed = {**real, r: real[r] + ExactMatrix(4**r, {(1, 1): 1})}
+    monkeypatch.setattr(ybe, "rho_projectors", lambda rank: skewed if rank == r else spectra.rho_projectors(rank))
+    failed = failing_checks(ybe.top_projector_relations(r))
+    assert "casimir-top-eigenvalue" in [c.check_id for c in failed]
+    assert all(c.witness.startswith("first differing entry") for c in failed)
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_symmetric_part_factorization(r):
     record = ybe.symmetric_part_factorization(r)
@@ -1107,6 +1118,7 @@ def test_wrong_odd_projector_fails_the_resolution(monkeypatch):
     record = ybe.chirality_split_check(2)
     failed = [c.check_id for c in failing_checks(record)]
     assert failed[0] == "projector-resolution"
+    assert failing_checks(record)[0].witness.startswith("first differing entry")
     assert all(check_id.startswith("odd-part-") for check_id in failed[1:])
 
 
