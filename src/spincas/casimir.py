@@ -228,17 +228,13 @@ def block_structure_check(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"casimir-block-structure r={r}")
     c = split_casimir_rho(r).matrix
-    half = 2 ** (r - 1)
-    full = 2 * half
-
-    def label(flat: int) -> tuple[bool, bool]:
-        i1, i2 = divmod(flat, full)
-        return (i1 < half, i2 < half)
-
-    record.add(
-        "no-cross-sector-entries",
-        all(label(i) == label(j) for i, j in c.support()),
+    sector_of = {i: s for s in SECTORS for i in sector_indices(r, s)}
+    crossing = (
+        f"entry ({i}, {j}) joins sector {sector_of[i]} to sector {sector_of[j]}"
+        for i, j in c.support()
+        if sector_of[i] != sector_of[j]
     )
+    record.add_first_failure("no-cross-sector-entries", crossing)
     blocks = [sector_casimir(r, s).embed(sector_indices(r, s), 4**r) for s in SECTORS]
     total = lincomb(4**r, [(1, block) for block in blocks])
     record.add_equal("sector-blocks-sum-to-operator", total, c)

@@ -15,9 +15,9 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .linalg import ExactMatrix, NotABasisMap, diagonal_action, first_difference, kron
+from .linalg import ExactMatrix, NotABasisMap, diagonal_action, kron
 from .oracles import basis_pairs
-from .records import VerificationRecord, diff_witness
+from .records import VerificationRecord, mismatch
 from .scalar import ExactScalar, Rat
 
 _I = ExactScalar(0, 1)
@@ -94,12 +94,11 @@ def integrity_report(rep: GammaRep) -> VerificationRecord:
     for i in range(n):
         record.add_equal(f"hermitian-{i + 1}", rep.gammas[i], rep.gammas[i].conj_transpose())
     chir = rep.chirality
-    diag_pm_one = all(
-        i == j and value in (ExactScalar(1), ExactScalar(-1)) for i, j, value in chir.items()
-    ) and chir.nnz == rep.dim
-    record.add("grading-diagonal-pm1", diag_pm_one)
+    half = rep.dim // 2
+    layout = ExactMatrix(rep.dim, {(i, i): 1 if i < half else -1 for i in range(rep.dim)})
+    record.add_equal("grading-diagonal-pm1", chir, layout)
     record.add_equal("grading-squares-to-identity", chir @ chir, ident)
-    record.add("grading-traceless", chir.trace() == ExactScalar(0))
+    record.add_equal("grading-traceless", chir.trace(), 0)
     product = ExactMatrix.identity(rep.dim)
     for g in rep.gammas:
         product = product @ g
@@ -225,9 +224,8 @@ def commutation_failures(matrices, symmetries) -> Iterator[str]:
     for symmetry, g, lie in symmetries:
         action = diagonal_action(g) if lie else kron(g, g)
         for label, x in matrices:
-            lhs, rhs = x @ action, action @ x
-            if lhs != rhs:
-                yield f"{label} does not commute with {symmetry}: {diff_witness(first_difference(lhs, rhs))}"
+            if witness := mismatch(x @ action, action @ x):
+                yield f"{label} does not commute with {symmetry}: {witness}"
 
 
 @lru_cache(maxsize=None)

@@ -135,50 +135,33 @@ def ladder_consistency(r: int) -> VerificationRecord:
             spec = LadderSpec(r=r, L=L, sector=sector)
             spectral = ladder_operator(spec)
             record.add_equal(f"spectral-equals-direct-{sector}-L{L}", spectral, power)
-            trace = power.trace()
-            record.add(
-                f"full-trace-matches-matrix-{sector}-L{L}",
-                ladder_full_trace(spec) == trace.re and trace.is_real(),
-            )
+            record.add_equal(f"full-trace-matches-matrix-{sector}-L{L}", ladder_full_trace(spec), power.trace())
             coefficient, scalar = ladder_partial_trace(spec, spectral)
             record.add(
                 f"partial-trace-scalar-{sector}-L{L}",
                 scalar,
                 f"partial trace is not {coefficient} times the identity",
             )
-        record.add(
-            f"traceless-L1-{sector}",
-            ladder_full_trace(LadderSpec(r=r, L=1, sector=sector)) == 0,
-        )
+        record.add_equal(f"traceless-L1-{sector}", ladder_full_trace(LadderSpec(r=r, L=1, sector=sector)), 0)
     return record
 
 
 def worked_values() -> VerificationRecord:
     """Small closed-form ladder values pinned as regression anchors."""
     record = VerificationRecord(name="ladder-worked-values")
-    record.add(
-        "full-trace-r2-pp-L2",
-        ladder_full_trace(LadderSpec(r=2, L=2, sector="++")) == Rat(3, 16),
-    )
+    record.add_equal("full-trace-r2-pp-L2", ladder_full_trace(LadderSpec(r=2, L=2, sector="++")), Rat(3, 16))
     coefficient, _ = ladder_partial_trace(LadderSpec(r=2, L=2, sector="++"))
-    record.add("partial-trace-r2-pp-L2", coefficient == Rat(3, 32))
+    record.add_equal("partial-trace-r2-pp-L2", coefficient, Rat(3, 32))
     coefficient, _ = ladder_partial_trace(LadderSpec(r=2, L=1, sector="++"))
-    record.add("partial-trace-r2-pp-L1-vanishes", coefficient == 0)
-    record.add(
-        "full-trace-r4-pp-L2",
-        ladder_full_trace(LadderSpec(r=4, L=2, sector="++")) == Rat(7, 9),
+    record.add_equal("partial-trace-r2-pp-L1-vanishes", coefficient, 0)
+    record.add_equal("full-trace-r4-pp-L2", ladder_full_trace(LadderSpec(r=4, L=2, sector="++")), Rat(7, 9))
+    record.add_equal("full-trace-r5-pp-L1-vanishes", ladder_full_trace(LadderSpec(r=5, L=1, sector="++")), 0)
+    nonzero = (
+        f"the L={L} ladder of sector +- is nonzero"
+        for L in range(1, 5)
+        if not ladder_operator(LadderSpec(r=2, L=L, sector="+-")).is_zero()
     )
-    record.add(
-        "full-trace-r5-pp-L1-vanishes",
-        ladder_full_trace(LadderSpec(r=5, L=1, sector="++")) == 0,
-    )
-    record.add(
-        "opposite-sector-vanishes-r2",
-        all(
-            ladder_operator(LadderSpec(r=2, L=L, sector="+-")).is_zero()
-            for L in range(1, 5)
-        ),
-    )
+    record.add_first_failure("opposite-sector-vanishes-r2", nonzero)
     L0 = ladder_partial_trace(LadderSpec(r=3, L=0, sector="++"))[0]
-    record.add("L0-partial-trace-counts-dimension-r3", L0 == 2 ** (3 - 1))
+    record.add_equal("L0-partial-trace-counts-dimension-r3", L0, 2 ** (3 - 1))
     return record

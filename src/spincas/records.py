@@ -1,10 +1,16 @@
-"""Structured pass/fail records shared by all verification routines."""
+"""Structured pass/fail records shared by all verification routines.
+
+Every failing check carries a witness.  An equality is stated through
+``add_equal``, whose witness is the first differing entry of two matrices,
+or ``got != want`` for any other values; ``add`` refuses a failure without
+one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import first_difference
+from .linalg import ExactMatrix, first_difference
 
 PASS = "pass"
 FAIL = "fail"
@@ -32,24 +38,25 @@ class VerificationRecord:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, check_id: str, passed: bool, witness: str = "") -> CheckResult:
+        """Record one check; a failing check must carry a witness."""
+        if not passed and not witness:
+            raise ValueError(f"check {check_id} fails with no witness")
         result = CheckResult(check_id, PASS if passed else FAIL, witness if not passed else "")
         self.checks.append(result)
         return result
 
-    def add_equal(self, check_id: str, lhs, rhs) -> CheckResult:
-        """Pass when two matrices are equal; a failure's witness is their
-        first differing entry, computed only then.
-        """
-        if lhs == rhs:
-            return self.add(check_id, True)
-        return self.add(check_id, False, diff_witness(first_difference(lhs, rhs)))
+    def add_equal(self, check_id: str, got, want) -> CheckResult:
+        """Pass when got == want; a failure's witness is their ``mismatch``."""
+        witness = mismatch(got, want)
+        return self.add(check_id, not witness, witness)
 
     def add_first_failure(self, check_id: str, failures) -> CheckResult:
         """Pass when `failures` yields nothing; otherwise fail with the first
         witness it yields.  It is consumed only up to that witness.
         """
-        witness = next(iter(failures), None)
-        return self.add(check_id, witness is None, witness or "")
+        for witness in failures:
+            return self.add(check_id, False, witness)
+        return self.add(check_id, True)
 
     def note(self, check_id: str, witness: str = "") -> CheckResult:
         result = CheckResult(check_id, NOTE, witness)
@@ -75,9 +82,15 @@ class VerificationRecord:
         }
 
 
-def diff_witness(difference) -> str:
-    """Render the output of linalg.first_difference for a failure report."""
-    if difference is None:
+def mismatch(got, want) -> str:
+    """The witness that got and want differ, or the empty string when
+    got == want.  It is computed only on a difference: the first differing
+    entry of two matrices of one dimension, and ``got != want`` for any
+    other values.
+    """
+    if got == want:
         return ""
-    i, j, left, right = difference
-    return f"first differing entry ({i}, {j}): {left} != {right}"
+    if isinstance(got, ExactMatrix) and isinstance(want, ExactMatrix) and got.dim == want.dim:
+        i, j, left, right = first_difference(got, want)
+        return f"first differing entry ({i}, {j}): {left} != {right}"
+    return f"{got} != {want}"

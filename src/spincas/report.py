@@ -43,8 +43,7 @@ def invariants_suite(r: int) -> list[VerificationRecord]:
     ]
     reference = VerificationRecord(name=f"reference-polynomial-tables r={r}")
     for k in range(2, 7):
-        got, want = casimir.i2k_polynomial(r, k), casimir.reference_even_polynomial(r, k)
-        reference.add(f"table-k{k}", got == want, f"{got} != {want}")
+        reference.add_equal(f"table-k{k}", casimir.i2k_polynomial(r, k), casimir.reference_even_polynomial(r, k))
     records.append(reference)
     return records
 

@@ -92,9 +92,6 @@ class ExactScalar:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_real(self):
-        return not self.im
-
     def __eq__(self, other):
         if isinstance(other, (int, Rat)):
             return self.re == other and not self.im

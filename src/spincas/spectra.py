@@ -31,13 +31,12 @@ from .casimir import (
 from .linalg import (
     ExactMatrix,
     PowerTable,
-    first_difference,
     lincomb,
     permutation_operator,
     poly_eval,
 )
 from .ratfunc import poly_from_roots
-from .records import VerificationRecord, diff_witness
+from .records import VerificationRecord, mismatch
 from .scalar import Rat
 
 OPPOSITE = {"++": "+-", "+-": "++", "-+": "--", "--": "-+"}
@@ -133,9 +132,8 @@ def projector_axioms(r: int, sector: str) -> VerificationRecord:
         eigen = data.block @ proj
         record.add_equal(f"eigen-relation-k{k}", eigen, proj * ev)
         expected = sector_trace_closed_form(r, k)
-        trace = proj.trace()
-        record.add(f"trace-k{k}", trace == expected, f"trace {trace} != {expected}")
-        record.add(f"rank-k{k}", mult == expected, f"rank {mult} != {expected}")
+        record.add_equal(f"trace-k{k}", proj.trace(), expected)
+        record.add_equal(f"rank-k{k}", mult, expected)
     return record
 
 
@@ -196,27 +194,28 @@ def duality_pair_identities(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"sector-pair-identities r={r}")
     polys = [i2k_polynomial(r, j) for j in range(r + 1)]
-    outcomes = {sector: _signed_pair_outcomes(r, sector, polys) for sector in SECTORS}
+    witnesses = {sector: _signed_pair_witnesses(r, sector, polys) for sector in SECTORS}
     for sector in SECTORS:
-        for k, (passed, witness) in enumerate(outcomes[sector]):
-            record.add(f"signed-pair-{sector}-k{k}", passed, witness)
+        for k, witness in enumerate(witnesses[sector]):
+            record.add(f"signed-pair-{sector}-k{k}", not witness, witness)
+            exchanged = witnesses[OPPOSITE[sector]][k]
             if r % 2 == 0:
                 # (-1)^r = 1, so the unsigned form is the signed one
-                record.add(f"unsigned-pair-{sector}-k{k}", passed, witness)
-            elif outcomes[OPPOSITE[sector]][k][0]:
+                record.add(f"unsigned-pair-{sector}-k{k}", not witness, witness)
+            elif not exchanged:
                 record.note(
                     f"unsigned-pair-{sector}-k{k}",
                     "odd rank: unsigned form holds on the exchanged sector",
                 )
             else:
-                witness = f"signed-pair-{OPPOSITE[sector]}-k{k} fails: {outcomes[OPPOSITE[sector]][k][1]}"
+                witness = f"signed-pair-{OPPOSITE[sector]}-k{k} fails: {exchanged}"
                 record.add(f"unsigned-pair-{sector}-k{k}", False, witness)
     return record
 
 
-def _signed_pair_outcomes(r: int, sector: str, polys) -> list[tuple[bool, str]]:
-    """(passed, witness) of the signed pair identity on one sector for
-    k = 0..r.  Each I_2j is evaluated once.
+def _signed_pair_witnesses(r: int, sector: str, polys) -> list[str]:
+    """The mismatch of the signed pair identity on one sector for k = 0..r,
+    empty where it holds.  Each I_2j is evaluated once.
     """
     sign_r = (-1) ** r
     eps = 1 if sector in ("++", "--") else -1
@@ -225,8 +224,7 @@ def _signed_pair_outcomes(r: int, sector: str, polys) -> list[tuple[bool, str]]:
     out = []
     for k in range(r + 1):
         ratio = Rat(factorial(2 * r - 2 * k), factorial(2 * k))
-        lhs, rhs = values[r - k], values[k] * (eps * sign_r * ratio)
-        out.append((True, "") if lhs == rhs else (False, diff_witness(first_difference(lhs, rhs))))
+        out.append(mismatch(values[r - k], values[k] * (eps * sign_r * ratio)))
     return out
 
 
@@ -297,9 +295,7 @@ def rho_family_check(r: int) -> VerificationRecord:
     recon = lincomb(dim, [(c2k_eigenvalue(r, k), proj) for k, proj in projectors.items()])
     for k, proj in projectors.items():
         record.add_equal(f"idempotent-k{k}", proj @ proj, proj)
-        expected = 2 * sector_trace_closed_form(r, k)
-        trace = proj.trace()
-        record.add(f"trace-k{k}", trace == expected, f"trace {trace} != {expected}")
+        record.add_equal(f"trace-k{k}", proj.trace(), 2 * sector_trace_closed_form(r, k))
     record.add_equal("completeness", total, ExactMatrix.identity(dim))
     record.add_equal("spectral-reconstruction", recon, c)
     return record
@@ -336,8 +332,7 @@ def power_trace_check(r: int) -> VerificationRecord:
     powers = [sector_spectral(r, sector).powers.upto(5) for sector in SECTORS]
     for m in range(2, 6):
         total = sum(p[m].trace() for p in powers)
-        expected = casimir_power_trace_closed_form(r, m)
-        record.add(f"power-{m}", total == expected, f"{total} != {expected}")
+        record.add_equal(f"power-{m}", total, casimir_power_trace_closed_form(r, m))
     return record
 
 
@@ -352,10 +347,5 @@ def eigenvalue_consistency(r: int) -> VerificationRecord:
             c2 = oracles.c2_closed_form("T_r_plus", r)
         else:
             c2 = oracles.c2_closed_form("T_k", r, k)
-        expected = (c2 - 2 * spinor) / 2
-        record.add(
-            f"difference-formula-k{k}",
-            c2k_eigenvalue(r, k) == expected,
-            f"{c2k_eigenvalue(r, k)} != {expected}",
-        )
+        record.add_equal(f"difference-formula-k{k}", c2k_eigenvalue(r, k), (c2 - 2 * spinor) / 2)
     return record

@@ -67,7 +67,7 @@ def test_power_traces_match_closed_forms_directly(r):
     power = c @ c
     for m in range(2, 6):
         value = power.trace()
-        assert value.is_real()
+        assert value.im == 0
         assert value.re == casimir.casimir_power_trace_closed_form(r, m)
         power = power @ c
 
@@ -76,6 +76,20 @@ def test_power_traces_match_closed_forms_directly(r):
 def test_block_structure(r):
     record = casimir.block_structure_check(r)
     assert record.ok, [c.check_id for c in failing_checks(record)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_cross_sector_entry_fails_with_the_entry(monkeypatch, r):
+    # row 0 is e_0 (x) e_0, in ++; the last column is in --.  A sector block
+    # restricts C to its sector, which drops the entry, so a block cached
+    # here is the real one
+    real = casimir.split_casimir_rho(r)
+    last = 4**r - 1
+    crossed = casimir.SplitCasimir(r=r, matrix=real.matrix + ExactMatrix(4**r, {(0, last): 1}))
+    monkeypatch.setattr(casimir, "split_casimir_rho", lambda rank: crossed)
+    failed = {c.check_id: c.witness for c in failing_checks(casimir.block_structure_check(r))}
+    assert failed["no-cross-sector-entries"] == f"entry (0, {last}) joins sector ++ to sector --"
+    assert failed["sector-blocks-sum-to-operator"] == f"first differing entry (0, {last}): 0/1 != 1/1"
 
 
 @pytest.mark.parametrize("r", [2, 3])

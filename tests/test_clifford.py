@@ -43,6 +43,25 @@ def test_integrity_witnesses_name_the_first_differing_entry():
         assert failed[check_id].startswith("first differing entry"), check_id
 
 
+def test_a_grading_with_two_entries_swapped_fails_the_layout():
+    # +1 and -1 exchanged between the first and the last basis vector: still
+    # diagonal, +-1 and traceless, but not +1 on the first half
+    rep = build_gamma(2)
+    last = rep.dim - 1
+    swapped = rep.chirality + ExactMatrix(rep.dim, {(0, 0): -2, (last, last): 2})
+    failed = {c.check_id: c.witness for c in failing_checks(integrity_report(replace(rep, chirality=swapped)))}
+    assert failed["grading-diagonal-pm1"] == "first differing entry (0, 0): -1/1 != 1/1"
+    assert "grading-traceless" not in failed
+
+
+def test_a_grading_with_a_nonzero_trace_fails_with_the_trace():
+    rep = build_gamma(2)
+    shifted = rep.chirality + ExactMatrix(rep.dim, {(0, 0): 1})
+    failed = {c.check_id: c.witness for c in failing_checks(integrity_report(replace(rep, chirality=shifted)))}
+    assert failed["grading-traceless"] == "1/1 != 0"
+    assert failed["grading-diagonal-pm1"] == "first differing entry (0, 0): 2/1 != 1/1"
+
+
 def test_dimensions():
     rep = build_gamma(3)
     assert rep.dim == 8

@@ -3,7 +3,7 @@ import pytest
 from spincas import colour
 from spincas.casimir import SECTORS, sector_casimir
 from spincas.linalg import ExactMatrix
-from spincas.scalar import Rat
+from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks
 
@@ -92,3 +92,36 @@ def test_non_scalar_partial_trace_fails_with_witness(monkeypatch):
     assert failed["partial-trace-scalar-++-L1"] == "partial trace is not 0 times the identity"
     report = colour.colour_report(colour.LadderSpec(r=2, L=2, sector="++", closure="partial_trace"))
     assert report["is_identity_multiple"] is False
+
+
+def test_a_wrong_full_trace_fails_with_both_values(monkeypatch):
+    real = colour.ladder_full_trace
+    monkeypatch.setattr(colour, "ladder_full_trace", lambda spec: real(spec) + 1)
+    failed = {c.check_id: c.witness for c in failing_checks(colour.ladder_consistency(2))}
+    for sector in SECTORS:
+        assert failed[f"traceless-L1-{sector}"] == "1 != 0"
+        for L in range(7):
+            due = real(colour.LadderSpec(r=2, L=L, sector=sector))
+            assert failed[f"full-trace-matches-matrix-{sector}-L{L}"] == f"{due + 1} != {ExactScalar(due)}"
+
+
+def test_wrong_worked_values_fail_with_both_values(monkeypatch):
+    # every full trace one too large, and so every partial trace 1/2^(r-1)
+    # too large; the opposite ladders of r = 2 made the identity
+    real_trace, real_ladder = colour.ladder_full_trace, colour.ladder_operator
+    monkeypatch.setattr(colour, "ladder_full_trace", lambda spec: real_trace(spec) + 1)
+
+    def ladder(spec):
+        return ExactMatrix.identity(4 ** (spec.r - 1)) if spec.sector == "+-" else real_ladder(spec)
+
+    monkeypatch.setattr(colour, "ladder_operator", ladder)
+    failed = {c.check_id: c.witness for c in failing_checks(colour.worked_values())}
+    assert failed == {
+        "full-trace-r2-pp-L2": "19/16 != 3/16",
+        "partial-trace-r2-pp-L2": "19/32 != 3/32",
+        "partial-trace-r2-pp-L1-vanishes": "1/2 != 0",
+        "full-trace-r4-pp-L2": "16/9 != 7/9",
+        "full-trace-r5-pp-L1-vanishes": "1 != 0",
+        "opposite-sector-vanishes-r2": "the L=1 ladder of sector +- is nonzero",
+        "L0-partial-trace-counts-dimension-r3": "17/4 != 4",
+    }

@@ -2,6 +2,7 @@ import pytest
 
 from spincas import records
 from spincas.linalg import ExactMatrix
+from spincas.ratfunc import Poly, RationalFunction
 from spincas.records import FAIL, PASS, VerificationRecord
 from spincas.scalar import ExactScalar, Rat
 
@@ -45,3 +46,34 @@ def test_add_first_failure_stops_at_the_first_witness():
     check = record.add_first_failure("some", failures([3, -4, -5, 6]))
     assert check.status == FAIL and check.witness == "negative -4"
     assert seen == [1, 2, 3, -4]
+
+
+def test_a_failure_without_a_witness_is_refused():
+    record = VerificationRecord(name="bare")
+    with pytest.raises(ValueError, match="bare-failure"):
+        record.add("bare-failure", False)
+    with pytest.raises(ValueError, match="empty-witness"):
+        record.add_first_failure("empty-witness", iter([""]))
+    assert record.checks == []
+
+
+def test_mismatch_is_empty_on_equal_values_and_shows_both_otherwise():
+    m = ExactMatrix(2, {(0, 1): Rat(-5, 7)})
+    p = Poly([1, Rat(1, 2)])
+    f = RationalFunction(Poly([1, 1]), Poly([-1, 1]))
+    for value in (m, ExactScalar(Rat(1, 3), -2), Rat(3, 4), 7, p, f):
+        assert records.mismatch(value, value) == ""
+    assert records.mismatch(ExactScalar(2), 2) == ""
+    assert records.mismatch(m, ExactMatrix.zero(2)) == "first differing entry (0, 1): -5/7 != 0/1"
+    assert records.mismatch(m, ExactMatrix.zero(3)) == "ExactMatrix(dim=2, nnz=1) != ExactMatrix(dim=3, nnz=0)"
+    assert records.mismatch(ExactScalar(Rat(1, 3), -2), Rat(1, 3)) == "1/3+i*-2/1 != 1/3"
+    assert records.mismatch(6, 7) == "6 != 7"
+    assert records.mismatch(p, Poly([1])) == f"{p} != {Poly([1])}"
+    assert records.mismatch(f, f * 2) == f"{f} != {f * 2}"
+
+
+def test_add_equal_takes_scalars_and_polynomials():
+    record = VerificationRecord(name="values")
+    assert record.add_equal("scalar", Rat(1, 2), ExactScalar(Rat(1, 2))).status == PASS
+    check = record.add_equal("polynomial", Poly([0, 1]), Poly([1]))
+    assert check.status == FAIL and check.witness == f"{Poly([0, 1])} != {Poly([1])}"

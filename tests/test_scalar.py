@@ -52,7 +52,7 @@ def test_multiplicative_inverse(z):
 def test_conjugation_involution(z):
     assert z.conj().conj() == z
     norm = z * z.conj()
-    assert norm.is_real()
+    assert norm.im == 0
     assert norm.re >= 0
 
 

@@ -8,7 +8,7 @@ from spincas.casimir import SECTORS, casimir_powers, split_casimir_rho
 from spincas.linalg import ExactMatrix, PowerTable
 from spincas.ratfunc import Poly
 from spincas.records import VerificationRecord
-from spincas.scalar import Rat
+from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks
 
@@ -294,8 +294,10 @@ def test_records_fail_on_a_perturbed_projector(r, monkeypatch):
     assert list(failed[swap.name]) == [f"swap-sign-k{r}"]
     assert failed[swap.name][f"swap-sign-k{r}"].startswith("first differing entry")
     assert failed[family.name]["spectral-reconstruction"].startswith("first differing entry")
-    for name in (axioms.name, family.name):
-        assert failed[name][f"trace-k{r}"].startswith("trace ")  # the trace found, then the expected
+    due = spectra.sector_trace_closed_form(r, r)
+    for name, expected in ((axioms.name, due), (family.name, 2 * due)):
+        # the trace found, one more than the expected one, then the expected
+        assert failed[name][f"trace-k{r}"] == f"{ExactScalar(expected + 1)} != {expected}"
     assert all(witness for checks in failed.values() for witness in checks.values())
     assert real(r, "++").projectors == kept
     monkeypatch.undo()

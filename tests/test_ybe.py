@@ -7,13 +7,13 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spincas import _backend, casimir, clifford, report, spectra, ybe
+from spincas import _backend, casimir, clifford, oracles, report, spectra, ybe
 from spincas.clifford import build_gamma, chain_generators, chain_pairs, rotation_generators
 from spincas.cli import main
-from spincas.linalg import ExactMatrix, first_difference, kron, lincomb, permutation_operator
+from spincas.linalg import ExactMatrix, kron, lincomb, permutation_operator
 from spincas.oracles import basis_pairs
 from spincas.ratfunc import Poly, RationalFunction, rising_factorial
-from spincas.records import FAIL, PASS, VerificationRecord, diff_witness
+from spincas.records import FAIL, PASS, VerificationRecord, mismatch
 from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks
@@ -112,6 +112,64 @@ def test_tau_ratio_constraints(r):
 def test_coefficient_consistency(r):
     record = ybe.coefficient_consistency(r)
     assert record.ok, [c.check_id for c in failing_checks(record)]
+
+
+def test_a_wrong_top_eigenvalue_fails_every_casimir_difference(monkeypatch):
+    # c_r one too large moves each 4(r-1)(c_(r-2k) - c_r), k > 0, by -4(r-1)
+    r = 4
+    real = ybe.c2k_eigenvalue
+    monkeypatch.setattr(ybe, "c2k_eigenvalue", lambda rank, k: real(rank, k) + 1 if k == rank else real(rank, k))
+    failed = {c.check_id: c.witness for c in failing_checks(ybe.asymptotic_check(r))}
+    assert failed == {f"casimir-difference-k{k}": f"{-2 * k * k - 4 * (r - 1)} != {-2 * k * k}" for k in (1, 2)}
+
+
+def test_a_doubled_tau_fails_both_of_its_ratios(monkeypatch):
+    # r = 4: tau_1 is the coefficient of P_2, the top of one ratio and the
+    # bottom of the other; the ratio of label l is (u + d)/(u - d), d = 3 - l
+    r = 4
+    real = ybe.tau_coefficient
+    monkeypatch.setattr(
+        ybe, "tau_coefficient", lambda rank, k, form="plain": real(rank, k, form) * (2 if k == 1 else 1)
+    )
+    failed = {c.check_id: c.witness for c in failing_checks(ybe.tau_ratio_constraints(r))}
+    ratio = {d: RationalFunction(Poly([d, 1]), Poly([-d, 1])) for d in (1, 3)}
+    assert failed == {
+        "scaled-ratio-label0": f"{ratio[3] * 2} != {ratio[3]}",
+        "scaled-ratio-label2": f"{ratio[1] * Rat(1, 2)} != {ratio[1]}",
+    }
+
+
+def test_a_wrong_casimir_value_fails_the_rescaling_with_both_functions(monkeypatch):
+    # c2(T_r_plus) one too large adds 1/4 to the quarter difference of the
+    # top label pair, so the rescaled ratio of label 2 is (u + 4)/(u - 4)
+    r = 4
+    real = oracles.c2_closed_form
+    monkeypatch.setattr(
+        oracles, "c2_closed_form", lambda rep, *args: real(rep, *args) + (1 if rep == "T_r_plus" else 0)
+    )
+    failed = {c.check_id: c.witness for c in failing_checks(ybe.tau_ratio_constraints(r))}
+    assert failed == {
+        "casimir-quarter-difference-label2": "1/3 != 1/12",
+        "rescaling-consistency-label2": (
+            f"{RationalFunction(Poly([4, 1]), Poly([-4, 1]))} != {RationalFunction(Poly([1, 1]), Poly([-1, 1]))}"
+        ),
+    }
+
+
+def test_a_wrong_closed_form_fails_its_recurrence_and_normalization(monkeypatch):
+    # even[1] doubled: the recurrence into it and out of it breaks, and so
+    # does its ratio to the seed
+    r = 3
+    real = ybe.closed_form_coefficients(r)
+    even = (real.even[0], real.even[1] * 2, *real.even[2:])
+    monkeypatch.setattr(ybe, "closed_form_coefficients", lambda rank: dataclasses.replace(real, even=even))
+    failed = {c.check_id: c.witness for c in failing_checks(ybe.coefficient_consistency(r))}
+    rec = ybe.recurrence_coefficients(r)
+    assert failed == {
+        "closed-form-recurrence-even-k0": f"{real.even[1] * 2} != {real.even[1]}",
+        "closed-form-recurrence-even-k2": f"{real.even[2]} != {real.even[2] * 2}",
+        "normalization-ratio-even-j1": f"{rec.even[1] * real.even[0]} != {real.even[1] * 2}",
+    }
 
 
 def test_recurrence_ratio_example():
@@ -339,7 +397,7 @@ def levi_slice(r, eps=None):
 
 def assert_slice_matches_reference(parts, leg, rows):
     """The sliced D_ij are the reference D_ij on the slice columns rows."""
-    _, sliced = ybe._sliced_braid_differences(parts, leg, rows)
+    sliced = ybe._sliced_braid_differences(parts, leg, rows)
     reference = reference_braid_differences(parts, leg)
     columns = on_slice(reference, rows)
     assert dict(sliced) == {key: d for key, d in columns.items() if d}
@@ -358,7 +416,7 @@ def slice_witness(diffs, leg, u, v):
     """
     total = lincomb(leg**3, [(u**i * v**j, d) for (i, j), d in diffs.items()])
     assert total, "a failing point must be nonzero on the slice"
-    witness = diff_witness(first_difference(total, ExactMatrix.zero(leg**3)))
+    witness = mismatch(total, ExactMatrix.zero(leg**3))
     return f"Q(u) Q(u+v) Q(v) (LHS - RHS) is nonzero on the slice: {witness}"
 
 
@@ -595,7 +653,7 @@ def test_levi_slice_sees_the_nonzero_D_ij_of_the_e0_slice(r, eps, mutation):
     levi = ybe._braid_family("mutated", mutated, r, gens, group)
     assert levi.premise is None
     leg = gens[0].dim
-    _, reference = ybe._sliced_braid_differences(mutated.parts, leg, e0_slice(leg))
+    reference = ybe._sliced_braid_differences(mutated.parts, leg, e0_slice(leg))
     assert {key for key, _ in levi.diffs} == {key for key, _ in reference}
     assert bool(reference) == (mutation != "none")
 
@@ -649,9 +707,10 @@ def test_braid_identity_records_pass(r):
         assert record.ok, [(c.check_id, c.witness) for c in failing_checks(record)]
         assert record.name.startswith(f"yang-baxter-identity r={r} ")
         assert [c.check_id for c in record.checks[:4]] == PREMISE
+        assert record.checks[-1].check_id == "every-D_ij-vanishes-on-the-slice"
     full, sector = {2: (11, 4), **LEVI_WIDTHS}[r]
-    assert records[0].checks[-1].check_id.endswith(f"-on-{full}-slice-columns")
-    assert all(record.checks[-1].check_id.endswith(f"-on-{sector}-slice-columns") for record in records[1:])
+    assert len(levi_slice(r)) == full
+    assert len(levi_slice(r, "+")) == len(levi_slice(r, "-")) == sector
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -746,7 +805,7 @@ def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
     # a slice on which every D_ij vanishes, for a family that fails the premise
     r = 3
     perturb_projector(monkeypatch, r)
-    monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg, rows: (1, ()))
+    monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg, rows: ())
     identity = ybe.ybe_identity_check(r, "+")
     assert [c.status for c in identity.checks] == [FAIL] + [PASS] * 4
     assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, identity)
@@ -1194,7 +1253,7 @@ def test_dropping_the_top_part_of_one_side_fails_the_top_degree(monkeypatch, r, 
     for prefix, lhs, rhs in sides:
         top = len(rhs) - 1
         assert lhs[top] == rhs[top]
-        expected[f"{prefix}{top}"] = diff_witness(first_difference(lhs[top], ExactMatrix.zero(lhs[top].dim)))
+        expected[f"{prefix}{top}"] = mismatch(lhs[top], ExactMatrix.zero(lhs[top].dim))
     assert sides and all(expected.values())
     assert {c.check_id: c.witness for c in failing_checks(record)} == expected
 
@@ -1209,7 +1268,7 @@ def test_unitarity_fails_on_a_scaled_part(monkeypatch, r, eps):
     failed = failing_checks(ybe.unitarity_check(r, eps))
     assert failed[0].check_id == "coefficient-u^0"
     due = ExactMatrix.identity(4 ** (r - 1)) * (family.q(0) ** 2)
-    assert failed[0].witness == diff_witness(first_difference(due * 4, due))
+    assert failed[0].witness == mismatch(due * 4, due)
     assert failed[0].witness.startswith("first differing entry (0, 0): ")
     monkeypatch.undo()
     assert SECTOR_FAMILY(r, eps) is family
@@ -1230,7 +1289,7 @@ def test_factorization_fails_on_a_scaled_part(monkeypatch, r):
     lhs = lincomb(dim, [(q.coeffs[1 - d], even[d]) for d in (0, 1) if 1 - d < len(q.coeffs)])
     minus = SECTOR_FAMILY(r, "-", "braid").parts[0]
     lifted = scaled.embed(casimir.sector_indices(r, "++"), dim) + minus.embed(casimir.sector_indices(r, "--"), dim)
-    assert failed[0].witness == diff_witness(first_difference(lhs, lifted * rising.coeffs[1]))
+    assert failed[0].witness == mismatch(lhs, lifted * rising.coeffs[1])
     assert all(c.check_id.startswith("coefficient-u^") for c in failed)
 
 
@@ -1245,7 +1304,7 @@ def test_swap_symmetry_fails_on_an_asymmetric_part(monkeypatch, r):
     swap = permutation_operator(2 ** (r - 1))
     failed = failing_checks(ybe.symmetry_check(r, "+"))
     assert [c.check_id for c in failed] == [f"coefficient-u^{last}"]
-    assert failed[0].witness == diff_witness(first_difference(swap @ skewed @ swap, skewed))
+    assert failed[0].witness == mismatch(swap @ skewed @ swap, skewed)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -1261,4 +1320,4 @@ def test_swap_symmetry_fails_with_the_legs_of_one_side_swapped(monkeypatch, r):
     failed = failing_checks(ybe.symmetry_check(r, "+"))
     assert [c.check_id for c in failed] == ["coefficient-u^0"]
     s_0 = SECTOR_FAMILY(r, "+").parts[0]
-    assert failed[0].witness == diff_witness(first_difference(swap @ s_0 @ swap, swap @ s_0))
+    assert failed[0].witness == mismatch(swap @ s_0 @ swap, swap @ s_0)
