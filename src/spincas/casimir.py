@@ -16,6 +16,7 @@ from .clifford import (
     build_gamma,
     chain_generators,
     chain_pairs,
+    chirality_indices,
     closure_failures,
     commutation_failures,
     rotation_generators,
@@ -209,11 +210,8 @@ def sector_indices(r: int, sector: str) -> tuple[int, ...]:
     """Flat coordinates of the sector block; leg 1 is the slow index."""
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}")
-    half = 2 ** (r - 1)
-    full = 2 * half
-    first = range(half) if sector[0] == "+" else range(half, full)
-    second = range(half) if sector[1] == "+" else range(half, full)
-    return tuple(i1 * full + i2 for i1 in first for i2 in second)
+    first, second = (chirality_indices(r, eps) for eps in sector)
+    return tuple(i1 * 2**r + i2 for i1 in first for i2 in second)
 
 
 @lru_cache(maxsize=None)

@@ -179,7 +179,7 @@ def _run_ybe(args) -> tuple[str, int]:
     if args.mode == "full":
         record = ybe.full_ybe_check(args.r, pairs)
     else:
-        q = ybe.tau_denominator(args.r, args.form)
+        q = ybe.tau_denominator(args.r)
         for u, v in pairs:
             if ybe.ybe_pole(q, u, v):
                 raise _UsageError(

@@ -5,13 +5,16 @@ G_i G_j + G_j G_i = 2 delta_ij.  The construction is the iterated
 two-dimensional tensor build, ordered so that the top grading element
 (product of all generators, normalized by (-i)^r) comes out diagonal with
 +1 on the first half of the basis and -1 on the second half.  All entries
-are in {0, +-1, +-i}, asserted at build time.
+are in {0, +-1, +-i}, asserted at build time.  The module is the one home
+of the spinor leg: the chirality layout, the generators on Delta_+-, the
+Cartan, the leg weights, and the closure, orbit and Levi premises.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from math import gcd
 from typing import Iterator
 
@@ -32,6 +35,14 @@ _ALLOWED_ENTRIES = {
     ExactScalar(0, 1),
     ExactScalar(0, -1),
 }
+
+
+def chirality_indices(r: int, eps: str) -> range:
+    """The basis of Delta_eps in the layout of ``build_gamma`` (see above)."""
+    if eps not in ("+", "-"):
+        raise ValueError(f"eps must be '+' or '-', got {eps!r}")
+    half = 2 ** (r - 1)
+    return range(half) if eps == "+" else range(half, 2 * half)
 
 
 @dataclass(frozen=True)
@@ -94,8 +105,8 @@ def integrity_report(rep: GammaRep) -> VerificationRecord:
     for i in range(n):
         record.add_equal(f"hermitian-{i + 1}", rep.gammas[i], rep.gammas[i].conj_transpose())
     chir = rep.chirality
-    half = rep.dim // 2
-    layout = ExactMatrix(rep.dim, {(i, i): 1 if i < half else -1 for i in range(rep.dim)})
+    signs = {"+": 1, "-": -1}
+    layout = ExactMatrix(rep.dim, {(i, i): s for eps, s in signs.items() for i in chirality_indices(rep.r, eps)})
     record.add_equal("grading-diagonal-pm1", chir, layout)
     record.add_equal("grading-squares-to-identity", chir @ chir, ident)
     record.add_equal("grading-traceless", chir.trace(), 0)
@@ -135,6 +146,11 @@ def chain_generators(r: int, gens=None) -> tuple[ExactMatrix, ...]:
     """
     by_pair = dict(zip(basis_pairs(2 * r), rotation_generators(r) if gens is None else gens))
     return tuple(by_pair[pair] for pair in chain_pairs(r))
+
+
+def cartan_generators(r: int, gens=None) -> list[tuple[tuple[int, int], ExactMatrix]]:
+    """(pair, L_pair) of the Cartan L_(2k-1,2k), k = 1..r: every other chain generator."""
+    return list(zip(chain_pairs(r), chain_generators(r, gens)))[::2]
 
 
 def _ray(images, phases):
@@ -213,6 +229,77 @@ def closure_failures(r: int, chain, gens=None) -> Iterator[str]:
         )
 
 
+def orbit_failures(symmetries, leg: int):
+    """Witness against: each symmetry sends each basis vector of the leg to a
+    nonzero multiple of one basis vector, and the orbit of e_0 under them
+    covers the basis.
+    """
+    images = []
+    for label, g, _ in symmetries:
+        try:
+            images.append(g.basis_map()[0])
+        except NotABasisMap as exc:
+            yield f"{label} {exc}"
+            return
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [image[j] for j in frontier for image in images if image[j] not in reached]
+        reached.update(frontier)
+    if len(reached) < leg:
+        missed = min(set(range(leg)) - reached)
+        yield f"the orbit of e_0 reaches {len(reached)} of {leg} basis vectors; e_{missed} is missed"
+
+
+def leg_weights(cartan) -> list[tuple[int, ...]]:
+    """w(j) for each basis vector e_j of the leg: twice the imaginary parts
+    of the diagonal entries (j, j) of the Cartan generators L_(2k-1,2k), so
+    a spinor weight has coordinates +-1 and a root +-2 eps_a +- 2 eps_b.  It
+    is the weight of e_j when the leg basis is a weight basis.
+    """
+    return [tuple(int(2 * h[j, j].im) for _, h in cartan) for j in range(cartan[0][1].dim)]
+
+
+def twist(weights) -> tuple[int, ...]:
+    """sigma: the signs of the coordinates of w(0)."""
+    return tuple(-1 if x < 0 else 1 for x in weights[0])
+
+
+def weight_basis_failures(cartan):
+    """Witness against: each Cartan generator L_(2k-1,2k) is diagonal with
+    entries in (i/2) Z, so every basis vector of the leg has a weight.
+    """
+    for pair, h in cartan:
+        for i, j, value in h.items():
+            if i != j or value.re or (2 * value.im).denominator != 1:
+                yield f"L_{pair} has entry ({i}, {j}) = {value}, not a diagonal entry in (i/2) Z"
+                return
+
+
+def levi_failures(weights, r: int, chain, gens):
+    """Witness against: the Levi subalgebra, the Cartan and the root spaces
+    of the roots alpha = sigma_a eps_a - sigma_b eps_b, lies in the algebra
+    the chain generates and fixes the line of e_0.  A root vector sends e_0
+    into the weight space of w(0) + alpha, so it kills e_0 when no leg weight
+    is w(0) + alpha.  The root vectors are sums of rotation generators, so
+    they lie in the algebra when iterated commutators of the chain reach
+    every rotation generator on the leg.
+    """
+    w0, sigma = weights[0], twist(weights)
+    first = {}
+    for j, w in enumerate(weights):
+        first.setdefault(w, j)
+    for a, b in permutations(range(len(w0)), 2):
+        shifted = list(w0)
+        shifted[a] += 2 * sigma[a]
+        shifted[b] -= 2 * sigma[b]
+        j = first.get(tuple(shifted))
+        if j is not None:
+            root = f"sigma_{a + 1} eps_{a + 1} - sigma_{b + 1} eps_{b + 1}"
+            yield f"e_{j} has weight w(0) + alpha for the Levi root alpha = {root}"
+            return
+    yield from closure_failures(r, chain, gens)
+
+
 def commutation_failures(matrices, symmetries) -> Iterator[str]:
     """Witnesses against: each labelled matrix (label, X) on the tensor
     square of a space commutes with the action there of each symmetry
@@ -229,17 +316,7 @@ def commutation_failures(matrices, symmetries) -> Iterator[str]:
 
 
 @lru_cache(maxsize=None)
-def half_spinor_blocks(r: int) -> tuple[tuple[ExactMatrix, ...], tuple[ExactMatrix, ...]]:
-    """Rotation generators compressed to the two chirality eigenspaces.
-
-    With the grading element diagonal (+1 first, -1 second), the positive-
-    chirality block is the first 2^(r-1) coordinates.
-    """
-    half_dim = 2 ** (r - 1)
-    plus = list(range(half_dim))
-    minus = list(range(half_dim, 2 * half_dim))
-    gens = rotation_generators(r)
-    return (
-        tuple(g.restrict(plus) for g in gens),
-        tuple(g.restrict(minus) for g in gens),
-    )
+def half_spinor_blocks(r: int, eps: str) -> tuple[ExactMatrix, ...]:
+    """The rotation generators compressed to the half-spinor leg Delta_eps."""
+    indices = chirality_indices(r, eps)
+    return tuple(g.restrict(indices) for g in rotation_generators(r))

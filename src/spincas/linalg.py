@@ -564,9 +564,7 @@ def poly_eval(p: Poly, table: PowerTable) -> ExactMatrix:
 
 
 def first_difference(a: ExactMatrix, b: ExactMatrix):
-    """First (row, col) where two matrices differ, or None if equal."""
-    if a.dim != b.dim:
-        return (-1, -1, None, None)
+    """First (row, col) where two matrices of one dimension differ, or None."""
     keys = set(a.support()) | set(b.support())
     for i, j in sorted(keys):
         va, vb = a[i, j], b[i, j]

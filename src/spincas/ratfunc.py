@@ -10,7 +10,7 @@ removed with exact gcd.
 
 from __future__ import annotations
 
-from .scalar import Rat
+from .scalar import Rat, format_rat
 
 
 class Poly:
@@ -113,7 +113,7 @@ class Poly:
         return a * (Rat(1) / a.leading())
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
+        return f"Poly([{', '.join(format_rat(c) for c in self.coeffs)}])"
 
 
 def poly_from_roots(roots) -> Poly:

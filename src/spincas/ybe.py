@@ -25,7 +25,7 @@ S_d, so Q(u) Q(u+v) Q(v) (LHS - RHS) = sum_ij u^i v^j D_ij exactly.
 
 Each D_ij is built only on the columns of the Levi slice, a subset of
 e_0 (x) V (x) V.  The slice decides only when a premise holds, checked in
-four parts:
+four parts; ``clifford`` holds the last three, which read only the leg:
 
 - every degree part commutes with L (x) 1 + 1 (x) L for the chain
   generators L = L_(i,i+1) (restricted to the half-spinor leg for a sector
@@ -36,10 +36,7 @@ four parts:
   read off their diagonals;
 - the Levi subalgebra fixes the line of e_0.  With sigma_k the sign of
   w(0)_k, the Levi is the Cartan and the root spaces of the roots
-  sigma_a eps_a - sigma_b eps_b.  Its root vectors lie in the algebra the
-  chain generates when iterated commutators of the chain reach every
-  rotation generator on the leg, and one of them kills e_0 when no leg
-  weight is w(0) + alpha for its root alpha.
+  sigma_a eps_a - sigma_b eps_b.
 
 Then each D_ij commutes with the same maps on the triple product, and with
 the group they generate.  The Weyl group of the Levi permutes the
@@ -68,23 +65,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, zip_longest
+from itertools import zip_longest
 from math import comb, factorial
 
 from . import oracles
 from .casimir import invariant_I, sector_indices, split_casimir_rho
 from .clifford import (
     build_gamma,
+    cartan_generators,
     chain_generators,
     chain_pairs,
-    closure_failures,
     commutation_failures,
     half_spinor_blocks,
+    leg_weights,
+    levi_failures,
+    orbit_failures,
     rotation_generators,
+    twist,
+    weight_basis_failures,
 )
 from .linalg import (
     ExactMatrix,
-    NotABasisMap,
     ScaledSum,
     integer_parts,
     kron_sum,
@@ -159,13 +160,14 @@ def _degree_checks(record: VerificationRecord, prefix: str, lhs, rhs) -> None:
         record.add_equal(f"{prefix}{n}", a, b)
 
 
-def tau_denominator(r: int, form: str = "plain") -> Poly:
+def tau_denominator(r: int) -> Poly:
     """Q, the lcm of the tau denominators of a sector family: the family's
-    poles are its roots.  It is built from the taus alone, no projector.
+    poles are its roots.  It is built from the taus alone, no projector;
+    the braid form only flips the sign of odd numerators, so it is the same.
     """
     q = Poly.const(1)
     for k in range(r // 2 + 1):
-        den = tau_coefficient(r, k, form).den
+        den = tau_coefficient(r, k).den
         q = q * den.divmod(q.gcd(den))[0]
     return q
 
@@ -188,7 +190,7 @@ def sector_r_matrix(r: int, eps: str, form: str = "plain") -> RMatrixFamily:
         raise ValueError("eps must be '+' or '-'")
     projectors = sector_spectral(r, eps + eps).projectors
     terms = [(tau_coefficient(r, k, form), projectors[r - 2 * k]) for k in range(r // 2 + 1)]
-    return _cleared_family(4 ** (r - 1), tau_denominator(r, form), terms)
+    return _cleared_family(4 ** (r - 1), tau_denominator(r), terms)
 
 
 # -- deterministic pole-free spectral grid ----------------------------------
@@ -259,46 +261,11 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int, rows) ->
     return tuple((key, d.transpose()) for key, d in diffs if d)
 
 
-def _orbit_failures(symmetries, leg: int):
-    """Witness against: each symmetry sends each basis vector of the leg to a
-    nonzero multiple of one basis vector, and the orbit of e_0 under them
-    covers the basis.
-    """
-    images = []
-    for label, g, _ in symmetries:
-        try:
-            images.append(g.basis_map()[0])
-        except NotABasisMap as exc:
-            yield f"{label} {exc}"
-            return
-    reached, frontier = {0}, [0]
-    while frontier:
-        frontier = [image[j] for j in frontier for image in images if image[j] not in reached]
-        reached.update(frontier)
-    if len(reached) < leg:
-        missed = min(set(range(leg)) - reached)
-        yield f"the orbit of e_0 reaches {len(reached)} of {leg} basis vectors; e_{missed} is missed"
-
-
-def _leg_weights(cartan) -> list[tuple[int, ...]]:
-    """w(j) for each basis vector e_j of the leg: twice the imaginary parts
-    of the diagonal entries (j, j) of the Cartan generators L_(2k-1,2k), so
-    a spinor weight has coordinates +-1 and a root +-2 eps_a +- 2 eps_b.  It
-    is the weight of e_j when the leg basis is a weight basis.
-    """
-    return [tuple(int(2 * h[j, j].im) for _, h in cartan) for j in range(cartan[0][1].dim)]
-
-
-def _twist(weights) -> tuple[int, ...]:
-    """sigma: the signs of the coordinates of w(0)."""
-    return tuple(-1 if x < 0 else 1 for x in weights[0])
-
-
 def _levi_rows(weights) -> list[int]:
     """The slice: the flat indices x * leg + y of the basis vectors x (x) y
     of V (x) V whose weight, twisted by sigma, is weakly decreasing.
     """
-    sigma = _twist(weights)
+    sigma = twist(weights)
     twisted = [tuple(s * c for s, c in zip(sigma, w)) for w in weights]
     rows = []
     for x, wx in enumerate(twisted):
@@ -307,42 +274,6 @@ def _levi_rows(weights) -> list[int]:
             if all(p >= q for p, q in zip(nu, nu[1:])):
                 rows.append(x * len(weights) + y)
     return rows
-
-
-def _weight_basis_failures(cartan):
-    """Witness against: each Cartan generator L_(2k-1,2k) is diagonal with
-    entries in (i/2) Z, so every basis vector of the leg has a weight.
-    """
-    for pair, h in cartan:
-        for i, j, value in h.items():
-            if i != j or value.re or (2 * value.im).denominator != 1:
-                yield f"L_{pair} has entry ({i}, {j}) = {value}, not a diagonal entry in (i/2) Z"
-                return
-
-
-def _levi_failures(weights, r: int, chain, gens):
-    """Witness against: the Levi subalgebra, the Cartan and the root spaces
-    of the roots alpha = sigma_a eps_a - sigma_b eps_b, lies in the algebra
-    the chain generates and fixes the line of e_0.  A root vector sends e_0
-    into the weight space of w(0) + alpha, so it kills e_0 when no leg weight
-    is w(0) + alpha.  The root vectors are sums of rotation generators, so
-    they lie in the algebra when iterated commutators of the chain reach
-    every rotation generator on the leg.
-    """
-    w0, sigma = weights[0], _twist(weights)
-    first = {}
-    for j, w in enumerate(weights):
-        first.setdefault(w, j)
-    for a, b in permutations(range(len(w0)), 2):
-        shifted = list(w0)
-        shifted[a] += 2 * sigma[a]
-        shifted[b] -= 2 * sigma[b]
-        j = first.get(tuple(shifted))
-        if j is not None:
-            root = f"sigma_{a + 1} eps_{a + 1} - sigma_{b + 1} eps_{b + 1}"
-            yield f"e_{j} has weight w(0) + alpha for the Levi root alpha = {root}"
-            return
-    yield from closure_failures(r, chain, gens)
 
 
 def _first_nonzero(m: ExactMatrix) -> str:
@@ -397,10 +328,10 @@ def _braid_family(name: str, family: RMatrixFamily, r: int, gens, group=()) -> B
     """
     leg = gens[0].dim
     chain = chain_generators(r, gens)
-    labelled = list(zip(chain_pairs(r), chain))
-    symmetries = [(f"L_{pair}", g, True) for pair, g in labelled] + [(label, g, False) for label, g in group]
-    cartan = labelled[::2]  # L_(2k-1,2k)
-    weights = _leg_weights(cartan)
+    symmetries = [(f"L_{pair}", g, True) for pair, g in zip(chain_pairs(r), chain)]
+    symmetries += [(label, g, False) for label, g in group]
+    cartan = cartan_generators(r, gens)
+    weights = leg_weights(cartan)
     rows = _levi_rows(weights)
     record = VerificationRecord(name=name)
     premise = [
@@ -408,9 +339,9 @@ def _braid_family(name: str, family: RMatrixFamily, r: int, gens, group=()) -> B
             "degree-parts-commute-with-symmetries",
             commutation_failures([(f"S_{d}", part) for d, part in enumerate(family.parts)], symmetries),
         ),
-        record.add_first_failure("orbit-of-e0-covers-leg", _orbit_failures(symmetries, leg)),
-        record.add_first_failure("leg-basis-is-a-weight-basis", _weight_basis_failures(cartan)),
-        record.add_first_failure("levi-fixes-the-line-of-e0", _levi_failures(weights, r, chain, gens)),
+        record.add_first_failure("orbit-of-e0-covers-leg", orbit_failures(symmetries, leg)),
+        record.add_first_failure("leg-basis-is-a-weight-basis", weight_basis_failures(cartan)),
+        record.add_first_failure("levi-fixes-the-line-of-e0", levi_failures(weights, r, chain, gens)),
     ]
     diffs = _sliced_braid_differences(family.parts, leg, rows)
     first = (f"D_{key} is nonzero on the slice: {_first_nonzero(d)}" for key, d in diffs)
@@ -425,17 +356,11 @@ def grid_points(r: int) -> list:
     return [(u, v) for u in us for v in vs]
 
 
-def _sector_leg(r: int, eps: str) -> tuple[ExactMatrix, ...]:
-    """The rotation generators on the half-spinor leg Delta_eps."""
-    return half_spinor_blocks(r)[0 if eps == "+" else 1]
-
-
 @lru_cache(maxsize=None)
 def _sector_braid_slice(r: int, eps: str) -> BraidFamily:
     """The braid sector family, Q(u) R(u) = sum_d u^d S_d."""
-    return _braid_family(
-        f"yang-baxter-identity r={r} eps={eps} form=braid", sector_r_matrix(r, eps, "braid"), r, _sector_leg(r, eps)
-    )
+    name = f"yang-baxter-identity r={r} eps={eps} form=braid"
+    return _braid_family(name, sector_r_matrix(r, eps, "braid"), r, half_spinor_blocks(r, eps))
 
 
 def ybe_identity_check(r: int, eps: str = "+") -> VerificationRecord:
@@ -783,7 +708,7 @@ def symmetric_part_factorization(r: int) -> VerificationRecord:
     record = VerificationRecord(name=f"symmetric-part-factorization r={r}")
     record.extend(top_projector_relations(r))
     dim = 4**r
-    q = tau_denominator(r, "braid")
+    q = tau_denominator(r)
     rising = rising_factorial(Poly.x(), r)  # prod_{k<r} (u+k)
     even = [(q * Poly([0] * d + [1]), part) for d, part in enumerate(_full_series(r)[1].parts)]
     lifted = [

@@ -164,11 +164,10 @@ def test_criterion_10_oracle_consistency(announce):
             if closed != from_weight:
                 ok = False
         half = ExactMatrix.identity(2 ** (r - 1))
-        plus_blocks, minus_blocks = clifford.half_spinor_blocks(r)
-        if oracles.casimir_contraction(plus_blocks, n) != half * oracles.c2_closed_form("Delta_plus", r):
-            ok = False
-        if oracles.casimir_contraction(minus_blocks, n) != half * oracles.c2_closed_form("Delta_minus", r):
-            ok = False
+        for eps, rep in (("+", "Delta_plus"), ("-", "Delta_minus")):
+            blocks = clifford.half_spinor_blocks(r, eps)
+            if oracles.casimir_contraction(blocks, n) != half * oracles.c2_closed_form(rep, r):
+                ok = False
         closed_f = oracles.c2_closed_form("T_f", r)
         if closed_f != oracles.c2_from_weight(oracles.highest_weight("T_k", r, 1), n):
             ok = False

@@ -4,12 +4,13 @@ from math import factorial
 
 import pytest
 
-from spincas import casimir, oracles
+from spincas import casimir, clifford, oracles
 from spincas.clifford import (
     antisym_gamma,
     build_gamma,
     chain_generators,
     chain_pairs,
+    chirality_indices,
     closure_failures,
     half_spinor_blocks,
     integrity_report,
@@ -20,6 +21,8 @@ from spincas.records import FAIL
 from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks
+
+CHIRALITY_INDICES = chirality_indices
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -148,8 +151,8 @@ def test_rotation_generators_antihermitian():
 def test_half_spinor_blocks_realize_commutators(r):
     n = 2 * r
     table = oracles.commutator_table(n)
-    for blocks in half_spinor_blocks(r):
-        gens = dict(zip(oracles.basis_pairs(n), blocks))
+    for eps in "+-":
+        gens = dict(zip(oracles.basis_pairs(n), half_spinor_blocks(r, eps)))
         for a in oracles.basis_pairs(n):
             for b in oracles.basis_pairs(n):
                 lhs = gens[a] @ gens[b] - gens[b] @ gens[a]
@@ -163,8 +166,54 @@ def test_half_spinor_blocks_realize_commutators(r):
 def test_spinor_casimir_value(r):
     """Quadratic Casimir of the half-spinor blocks equals the closed form."""
     closed = Rat(r * (2 * r - 1), 16 * (r - 1))
-    for blocks in half_spinor_blocks(r):
+    for eps in "+-":
+        blocks = half_spinor_blocks(r, eps)
         assert oracles.casimir_contraction(blocks, 2 * r) == ExactMatrix.identity(2 ** (r - 1)) * closed
+
+
+def test_half_spinor_blocks_restrict_to_the_chirality_layout():
+    # Delta_+ is the +1 eigenspace of the grading element, Delta_- the -1 one
+    r = 3
+    chirality = build_gamma(r).chirality
+    for eps, sign in (("+", 1), ("-", -1)):
+        indices = chirality_indices(r, eps)
+        assert len(indices) == 2 ** (r - 1)
+        assert chirality.restrict(indices) == ExactMatrix.identity(len(indices)) * sign
+        assert half_spinor_blocks(r, eps) == tuple(g.restrict(indices) for g in rotation_generators(r))
+
+
+@pytest.mark.parametrize("eps", ["", "0", "++", "plus"])
+def test_bad_eps_is_refused(eps):
+    for call in (chirality_indices, half_spinor_blocks):
+        with pytest.raises(ValueError, match="eps must be"):
+            call(3, eps)
+    for sector in ("+" + eps, eps + "-"):
+        with pytest.raises(ValueError):
+            casimir.sector_indices(3, sector)
+
+
+def test_patched_layout_reaches_every_user(monkeypatch):
+    # with Delta_- first, the grading check fails, and the sector coordinates
+    # and the half-spinor leg follow the patched layout; casimir binds the
+    # name by import, so it is patched there too
+    r = 3
+    half = 2 ** (r - 1)
+    minus = range(half, 2 * half)
+
+    def minus_first(rank, eps):
+        return CHIRALITY_INDICES(rank, "-" if eps == "+" else "+")
+
+    for module in (clifford, casimir):
+        monkeypatch.setattr(module, "chirality_indices", minus_first)
+    half_spinor_blocks.cache_clear()
+    try:
+        [check] = failing_checks(integrity_report(build_gamma(r)))
+        assert check.check_id == "grading-diagonal-pm1"
+        assert check.witness == "first differing entry (0, 0): 1/1 != -1/1"
+        assert casimir.sector_indices(r, "++") == tuple(i * 2 * half + j for i in minus for j in minus)
+        assert half_spinor_blocks(r, "+") == tuple(g.restrict(minus) for g in rotation_generators(r))
+    finally:
+        half_spinor_blocks.cache_clear()
 
 
 def test_entry_alphabet():

@@ -72,6 +72,14 @@ def test_mismatch_is_empty_on_equal_values_and_shows_both_otherwise():
     assert records.mismatch(f, f * 2) == f"{f} != {f * 2}"
 
 
+def test_polynomial_witnesses_render_coefficients_as_fractions():
+    p = Poly([1, Rat(-1, 2)])
+    f = RationalFunction(Poly([1, 1]), Poly([-1, 1]))
+    assert records.mismatch(p, Poly([1])) == "Poly([1/1, -1/2]) != Poly([1/1])"
+    for witness in (records.mismatch(p, Poly([1])), records.mismatch(f, f * 2)):
+        assert "Fraction(" not in witness
+
+
 def test_add_equal_takes_scalars_and_polynomials():
     record = VerificationRecord(name="values")
     assert record.add_equal("scalar", Rat(1, 2), ExactScalar(Rat(1, 2))).status == PASS

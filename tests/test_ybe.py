@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincas import _backend, casimir, clifford, oracles, report, spectra, ybe
-from spincas.clifford import build_gamma, chain_generators, chain_pairs, rotation_generators
+from spincas.clifford import build_gamma, cartan_generators, half_spinor_blocks, rotation_generators
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, kron, lincomb, permutation_operator
 from spincas.oracles import basis_pairs
@@ -42,7 +42,9 @@ def test_family_structure():
         q = Poly.const(1)
         for root in roots:
             q = q * Poly([root, 1])
-        assert ybe.tau_denominator(r) == ybe.tau_denominator(r, "braid") == q
+        assert ybe.tau_denominator(r) == q
+        # the braid form flips only numerator signs, so one Q serves both forms
+        assert all(ybe.tau_coefficient(r, k, "braid").den == ybe.tau_coefficient(r, k).den for k in range(r // 2 + 1))
         if r < 5:  # the r=5 blocks are left to the spectra tests
             family = ybe.sector_r_matrix(r, eps)
             assert family.q == q
@@ -380,7 +382,7 @@ def sector_braid_family(r, eps, form):
     only the braid form's, so the plain form's is built here.
     """
     name = f"yang-baxter-identity r={r} eps={eps} form={form}"
-    return ybe._braid_family(name, ybe.sector_r_matrix(r, eps, form), r, ybe._sector_leg(r, eps))
+    return ybe._braid_family(name, ybe.sector_r_matrix(r, eps, form), r, half_spinor_blocks(r, eps))
 
 
 def e0_slice(leg):
@@ -390,9 +392,8 @@ def e0_slice(leg):
 
 def levi_slice(r, eps=None):
     """The program's Levi slice of the full leg (eps None) or of Delta_eps."""
-    gens = rotation_generators(r) if eps is None else ybe._sector_leg(r, eps)
-    cartan = list(zip(chain_pairs(r), chain_generators(r, gens)))[::2]
-    return ybe._levi_rows(ybe._leg_weights(cartan))
+    gens = rotation_generators(r) if eps is None else half_spinor_blocks(r, eps)
+    return ybe._levi_rows(clifford.leg_weights(cartan_generators(r, gens)))
 
 
 def assert_slice_matches_reference(parts, leg, rows):
@@ -611,11 +612,11 @@ def test_levi_slice_widths(r):
 def test_leg_weights_are_the_spinor_weights(r):
     # the Cartan generators L_(2k-1,2k) are diagonal in the gamma basis, with
     # e_0 of weight (1, ..., 1) on the full leg and on Delta_+
-    legs = ((rotation_generators(r), None), (ybe._sector_leg(r, "+"), 1), (ybe._sector_leg(r, "-"), -1))
+    legs = ((rotation_generators(r), None), (half_spinor_blocks(r, "+"), 1), (half_spinor_blocks(r, "-"), -1))
     for gens, chirality in legs:
-        cartan = list(zip(chain_pairs(r), chain_generators(r, gens)))[::2]
-        assert list(ybe._weight_basis_failures(cartan)) == []
-        weights = ybe._leg_weights(cartan)
+        cartan = cartan_generators(r, gens)
+        assert list(clifford.weight_basis_failures(cartan)) == []
+        weights = clifford.leg_weights(cartan)
         assert weights[0] == spinor_weights(r, chirality)[0]
         assert sorted(weights) == sorted(spinor_weights(r, chirality))
 
@@ -631,7 +632,7 @@ def real_family(r, eps):
     """
     if eps is None:
         return ybe._full_series(r)[0], rotation_generators(r), [("gamma_1", build_gamma(r).gammas[0])]
-    return ybe.sector_r_matrix(r, eps, "braid"), ybe._sector_leg(r, eps), []
+    return ybe.sector_r_matrix(r, eps, "braid"), half_spinor_blocks(r, eps), []
 
 
 # equivariant mutations of the degree parts: each keeps every part a sum of
@@ -840,7 +841,7 @@ def test_mixed_cartan_generator_fails_the_weight_basis_check():
     # L_(1,2) weights differ: it still sends each basis vector to a multiple
     # of one, so the orbit check passes, but it is no longer diagonal
     r = 3
-    gens = list(ybe._sector_leg(r, "+"))
+    gens = list(half_spinor_blocks(r, "+"))
     index = basis_pairs(2 * r).index((1, 2))
     h = gens[index]
     a = next(j for j in range(h.dim) if h[j, j] != h[0, 0])
@@ -857,7 +858,7 @@ def test_mixed_cartan_generator_fails_the_weight_basis_check():
 @pytest.mark.parametrize("entry", [ExactScalar(0, Rat(1, 3)), ExactScalar(Rat(1, 2), Rat(1, 2))])
 def test_cartan_entry_outside_half_integers_fails_the_weight_basis_check(entry):
     cartan = [((1, 2), ExactMatrix(2, {(0, 0): ExactScalar(0, Rat(1, 2)), (1, 1): entry}))]
-    assert list(ybe._weight_basis_failures(cartan)) == [
+    assert list(clifford.weight_basis_failures(cartan)) == [
         f"L_(1, 2) has entry (1, 1) = {entry}, not a diagonal entry in (i/2) Z"
     ]
 
@@ -886,7 +887,7 @@ def test_chain_that_misses_a_root_vector_fails_the_levi_check():
     # which holds no root vector of eps_1 - eps_2; a cyclic group element
     # keeps the orbit check passing
     r = 3
-    gens = list(ybe._sector_leg(r, "+"))
+    gens = list(half_spinor_blocks(r, "+"))
     gens[basis_pairs(2 * r).index((2, 3))] = gens[basis_pairs(2 * r).index((1, 2))]
     leg = gens[0].dim
     cycle = ExactMatrix(leg, {((j + 1) % leg, j): 1 for j in range(leg)})
@@ -901,22 +902,29 @@ def test_chain_that_misses_a_root_vector_fails_the_levi_check():
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_untwisted_levi_fails_on_delta_minus(monkeypatch, r):
     # e_0 of Delta_- has weight (+, ..., +, -), so with the plain roots
-    # eps_a - eps_b the weight w(0) + eps_r - eps_1 is on the leg
-    monkeypatch.setattr(ybe, "_twist", lambda weights: (1,) * len(weights[0]))
-    family = ybe._braid_family("untwisted", identity_family(2 ** (r - 1)), r, ybe._sector_leg(r, "-"))
+    # eps_a - eps_b the weight w(0) + eps_r - eps_1 is on the leg; both users
+    # of the twist, the slice rows and the Levi check, go untwisted
+    def untwisted(weights):
+        return (1,) * len(weights[0])
+
+    monkeypatch.setattr(clifford, "twist", untwisted)
+    monkeypatch.setattr(ybe, "twist", untwisted)
+    untwisted_rows = levi_slice(r, "-")
+    family = ybe._braid_family("untwisted", identity_family(2 ** (r - 1)), r, half_spinor_blocks(r, "-"))
     [check] = [c for c in family.record.checks if c.check_id == "levi-fixes-the-line-of-e0"]
     assert check.witness.startswith("e_") and check.witness.endswith(f"sigma_{r} eps_{r} - sigma_1 eps_1")
     assert_first_failed_premise(family, r, "levi-fixes-the-line-of-e0")
     monkeypatch.undo()
-    assert ybe._braid_family("twisted", identity_family(2 ** (r - 1)), r, ybe._sector_leg(r, "-")).premise is None
+    assert levi_slice(r, "-") != untwisted_rows
+    assert ybe._braid_family("twisted", identity_family(2 ** (r - 1)), r, half_spinor_blocks(r, "-")).premise is None
 
 
 def test_orbit_check_refuses_a_non_monomial_map():
     g = ExactMatrix(2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
-    witnesses = list(ybe._orbit_failures([("g", g, True)], 2))
+    witnesses = list(clifford.orbit_failures([("g", g, True)], 2))
     assert witnesses == ["g does not send e_0 to a nonzero multiple of one basis vector"]
     swap = ExactMatrix(2, {(0, 1): 1, (1, 0): 1})
-    assert list(ybe._orbit_failures([("swap", swap, False)], 2)) == []
+    assert list(clifford.orbit_failures([("swap", swap, False)], 2)) == []
 
 
 # -- the plain form through the swap relation --------------------------------
@@ -1284,7 +1292,7 @@ def test_factorization_fails_on_a_scaled_part(monkeypatch, r):
     record = ybe.symmetric_part_factorization(r)
     failed = failing_checks(record)
     assert failed[0].check_id == "coefficient-u^1"
-    dim, q, rising = 4**r, ybe.tau_denominator(r, "braid"), rising_factorial(Poly.x(), r)
+    dim, q, rising = 4**r, ybe.tau_denominator(r), rising_factorial(Poly.x(), r)
     even = ybe._full_series(r)[1].parts
     lhs = lincomb(dim, [(q.coeffs[1 - d], even[d]) for d in (0, 1) if 1 - d < len(q.coeffs)])
     minus = SECTOR_FAMILY(r, "-", "braid").parts[0]
