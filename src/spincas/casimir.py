@@ -62,7 +62,6 @@ def casimir_powers(r: int) -> PowerTable:
     return PowerTable(split_casimir_rho(r).matrix)
 
 
-@lru_cache(maxsize=None)
 def invariant_I(r: int, k: int) -> ExactMatrix:
     """I_k = k! sum over increasing multi-indices of G_[idx] (x) G_[idx]."""
     if k < 0:
@@ -216,8 +215,11 @@ def sector_indices(r: int, sector: str) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def sector_casimir(r: int, sector: str) -> ExactMatrix:
-    """The sector block, compressed to the coordinates of ``sector_indices``."""
-    return split_casimir_rho(r).matrix.restrict(sector_indices(r, sector))
+    """The sector block, compressed to the coordinates of ``sector_indices``;
+    a bad sector name is refused before the operator is built.
+    """
+    indices = sector_indices(r, sector)
+    return split_casimir_rho(r).matrix.restrict(indices)
 
 
 def block_structure_check(r: int) -> VerificationRecord:

@@ -315,7 +315,6 @@ def commutation_failures(matrices, symmetries) -> Iterator[str]:
                 yield f"{label} does not commute with {symmetry}: {witness}"
 
 
-@lru_cache(maxsize=None)
 def half_spinor_blocks(r: int, eps: str) -> tuple[ExactMatrix, ...]:
     """The rotation generators compressed to the half-spinor leg Delta_eps."""
     indices = chirality_indices(r, eps)

@@ -227,7 +227,6 @@ def _jacobi_failures(table, pairs: list[Pair]):
 # -- defining representation ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def defining_generators(n: int) -> tuple[ExactMatrix, ...]:
     """T(M_ij) = e_ij - e_ji on the N-dimensional defining space, canonical order."""
     out = []

@@ -1,11 +1,12 @@
-"""Univariate polynomials and rational functions over exact rationals.
+"""Univariate polynomials over exact rationals.
 
 Used for the spectral-parameter dependence of R-matrix coefficients and for
-every polynomial in the split Casimir operator (``linalg.poly_eval``).  The
-normal form keeps the denominator monic, so equality is plain coefficient
-comparison.  No floating point, no polynomial gcd surprises: denominators
-here are always explicit products of linear factors, and common factors are
-removed with exact gcd.
+every polynomial in the split Casimir operator (``linalg.poly_eval``).  A
+rational function of u is a pair (num, den) of polynomials, never reduced:
+every denominator here is a product of linear factors, so none is zero, and
+for nonzero b and d, a/b = c/d in Q(u) exactly when a d = c b in Q[u].  So
+every identity in u is decided by comparing the coefficients of two
+polynomials.
 """
 
 from __future__ import annotations
@@ -131,88 +132,14 @@ def rising_factorial(x: Poly, k: int) -> Poly:
     return out
 
 
-class RationalFunction:
-    """Quotient of two polynomials, reduced, with a monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly | None = None):
-        den = Poly.const(1) if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = Poly(), Poly.const(1)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.leading()
-            if lead != 1:
-                inv = Rat(1) / lead
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, value) -> "RationalFunction":
-        return cls(Poly.const(value))
-
-    @classmethod
-    def x(cls) -> "RationalFunction":
-        return cls(Poly.x())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.num, self.den * other.den)
-        return RationalFunction(self.num * Rat(other), self.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __call__(self, point) -> Rat:
-        x = Rat(point)
-        d = self.den(x)
-        if not d:
-            raise ZeroDivisionError(f"evaluation at pole {point}")
-        return self.num(x) / d
-
-    def limit_at_infinity(self) -> Rat | None:
-        """Exact limit for u -> infinity; None when the function diverges."""
-        if self.num.is_zero():
-            return Rat(0)
-        if self.num.degree > self.den.degree:
-            return None
-        if self.num.degree < self.den.degree:
-            return Rat(0)
-        return self.num.leading() / self.den.leading()
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+def limit_at_infinity(num: Poly, den: Poly) -> Rat | None:
+    """Exact limit of num/den for u -> infinity, den nonzero; None when the
+    ratio diverges.
+    """
+    if num.is_zero():
+        return Rat(0)
+    if num.degree > den.degree:
+        return None
+    if num.degree < den.degree:
+        return Rat(0)
+    return num.leading() / den.leading()

@@ -305,13 +305,10 @@ def permutation_symmetry(r: int, eps: str) -> VerificationRecord:
     """The swap operator acts on the equal-chirality projector family with
     alternating signs: swap * P_{r-2k} = (-1)^k P_{r-2k}.
     """
-    if eps not in ("+", "-"):
-        raise ValueError("eps must be '+' or '-'")
     sector = eps + eps
-    record = VerificationRecord(name=f"permutation-symmetry r={r} sector={sector}")
-    half = 2 ** (r - 1)
-    swap = permutation_operator(half)
     data = sector_spectral(r, sector)
+    record = VerificationRecord(name=f"permutation-symmetry r={r} sector={sector}")
+    swap = permutation_operator(2 ** (r - 1))
     for k in range(r // 2 + 1):
         label = r - 2 * k
         proj = data.projectors[label]

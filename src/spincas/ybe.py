@@ -18,6 +18,9 @@ matrix at a point is sum_d u^d/Q(u) S_d, and every check reads these parts.
 Unitarity, swap symmetry, the chirality split and the factorization of the
 even part are identities in u, decided on the u^n coefficients of their
 cleared sides; only the braid grids and the plain spot check sample points.
+The scalar identities in u (the tau ratios, the large-u limits and the
+coefficient recurrence) are polynomial identities too: a coefficient is a
+pair (num, den) of ``Poly``, and a/b = c/d is decided as a d = c b.
 
 Yang-Baxter checks run over a deterministic pole-free grid of rational
 spectral parameters.  Both sides of the braid equation are trilinear in the
@@ -93,7 +96,7 @@ from .linalg import (
     lincomb,
     permutation_operator,
 )
-from .ratfunc import Poly, RationalFunction, rising_factorial
+from .ratfunc import Poly, limit_at_infinity, rising_factorial
 from .records import PASS, VerificationRecord, mismatch
 from .scalar import Rat
 from .spectra import c2k_eigenvalue, rho_projectors, sector_spectral
@@ -101,8 +104,8 @@ from .spectra import c2k_eigenvalue, rho_projectors, sector_spectral
 FORMS = ("plain", "braid")
 
 
-def tau_coefficient(r: int, k: int, form: str = "plain") -> RationalFunction:
-    """Coefficient of the projector with label r - 2k.
+def tau_coefficient(r: int, k: int, form: str = "plain") -> tuple[Poly, Poly]:
+    """Coefficient (num, den) of the projector with label r - 2k.
 
     Plain form: product over m = 1..k of (u - (2m-1)) / (u + (2m-1)); the
     braid form carries an extra (-1)^k from the swap eigenvalue.
@@ -116,7 +119,7 @@ def tau_coefficient(r: int, k: int, form: str = "plain") -> RationalFunction:
         den = den * Poly([2 * m - 1, 1])
     if form == "braid" and k % 2:
         num = -num
-    return RationalFunction(num, den)
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,11 @@ def _degree_parts(dim: int, terms) -> tuple[ExactMatrix, ...]:
 
 
 def _cleared_family(dim: int, q: Poly, terms) -> RMatrixFamily:
-    """The family sum_a c_a(u) M_a, for terms (c_a, M_a) with rational
-    functions c_a whose denominators all divide q: its parts are the degree
+    """The family sum_a c_a(u) M_a, for terms ((num_a, den_a), M_a) with
+    c_a = num_a/den_a and every den_a dividing q: its parts are the degree
     parts of q(u) sum_a c_a(u) M_a.
     """
-    return RMatrixFamily(q=q, parts=_degree_parts(dim, [(c.num * q.divmod(c.den)[0], m) for c, m in terms]))
+    return RMatrixFamily(q=q, parts=_degree_parts(dim, [(num * q.divmod(den)[0], m) for (num, den), m in terms]))
 
 
 def _degree_checks(record: VerificationRecord, prefix: str, lhs, rhs) -> None:
@@ -167,7 +170,7 @@ def tau_denominator(r: int) -> Poly:
     """
     q = Poly.const(1)
     for k in range(r // 2 + 1):
-        den = tau_coefficient(r, k).den
+        _, den = tau_coefficient(r, k)
         q = q * den.divmod(q.gcd(den))[0]
     return q
 
@@ -182,12 +185,11 @@ def ybe_pole(q: Poly, u, v) -> bool:
 @lru_cache(maxsize=None)
 def sector_r_matrix(r: int, eps: str, form: str = "plain") -> RMatrixFamily:
     """R(u) = sum_k tau_k(u) P_(r-2k) on the compressed block of the sector
-    eps eps, built once per rank, chirality and form.
+    eps eps, built once per rank, chirality and form.  A bad eps is refused
+    by the sector build before any operator is built.
     """
     if r < 2:
         raise ValueError("rank must be at least 2")
-    if eps not in ("+", "-"):
-        raise ValueError("eps must be '+' or '-'")
     projectors = sector_spectral(r, eps + eps).projectors
     terms = [(tau_coefficient(r, k, form), projectors[r - 2 * k]) for k in range(r // 2 + 1)]
     return _cleared_family(4 ** (r - 1), tau_denominator(r), terms)
@@ -472,10 +474,9 @@ def asymptotic_check(r: int) -> VerificationRecord:
     eigenvalue difference 4(r-1)(c_{r-2k} - c_r) exactly.
     """
     record = VerificationRecord(name=f"large-u-asymptotics r={r}")
-    x = RationalFunction.x()
     for k in range(r // 2 + 1):
-        tau = tau_coefficient(r, k, "plain")
-        limit = (x * (tau - RationalFunction.const(1))).limit_at_infinity()
+        num, den = tau_coefficient(r, k, "plain")
+        limit = limit_at_infinity(Poly.x() * (num - den), den)  # u (num/den - 1)
         record.add_equal(f"limit-k{k}", limit, Rat(-2 * k * k))
         diff = 4 * (r - 1) * (c2k_eigenvalue(r, r - 2 * k) - c2k_eigenvalue(r, r))
         record.add_equal(f"casimir-difference-k{k}", diff, Rat(-2 * k * k))
@@ -483,8 +484,9 @@ def asymptotic_check(r: int) -> VerificationRecord:
 
 
 def tau_ratio_constraints(r: int) -> VerificationRecord:
-    """Neighbouring coefficient ratios as rational-function identities, and
-    the unscaled form recovered from independent quadratic-Casimir values.
+    """Neighbouring coefficient ratios tau_(l+2)/tau_l = (u + d)/(u - d),
+    d = r - 1 - l, as polynomial identities, cross-multiplied; and the
+    unscaled form recovered from independent quadratic-Casimir values.
     """
     record = VerificationRecord(name=f"coefficient-ratio-constraints r={r}")
     coeffs = {r - 2 * k: tau_coefficient(r, k, "plain") for k in range(r // 2 + 1)}
@@ -492,9 +494,10 @@ def tau_ratio_constraints(r: int) -> VerificationRecord:
         if label + 2 not in coeffs:
             continue
         d = r - 1 - label
-        ratio = coeffs[label + 2] / coeffs[label]
-        expected = RationalFunction(Poly([d, 1]), Poly([-d, 1]))
-        record.add_equal(f"scaled-ratio-label{label}", ratio, expected)
+        (num_hi, den_hi), (num_lo, den_lo) = coeffs[label + 2], coeffs[label]
+        # (num_hi/den_hi) / (num_lo/den_lo) = (u + d)/(u - d)
+        plus, minus = Poly([d, 1]), Poly([-d, 1])
+        record.add_equal(f"scaled-ratio-label{label}", num_hi * den_lo * minus, plus * den_hi * num_lo)
         if label + 2 == r:
             c_hi = oracles.c2_closed_form("T_r_plus", r)
         else:
@@ -502,10 +505,9 @@ def tau_ratio_constraints(r: int) -> VerificationRecord:
         c_lo = oracles.c2_closed_form("T_k", r, label)
         quarter = (c_hi - c_lo) / 4
         record.add_equal(f"casimir-quarter-difference-label{label}", quarter, Rat(d, 4 * (r - 1)))
-        unscaled = RationalFunction(
-            Poly([4 * (r - 1) * quarter, 1]), Poly([-4 * (r - 1) * quarter, 1])
-        )
-        record.add_equal(f"rescaling-consistency-label{label}", unscaled, expected)
+        shift = 4 * (r - 1) * quarter
+        # (u + shift)/(u - shift) = (u + d)/(u - d)
+        record.add_equal(f"rescaling-consistency-label{label}", Poly([shift, 1]) * minus, plus * Poly([-shift, 1]))
     return record
 
 
@@ -517,31 +519,33 @@ class CoefficientFamily:
     """Coefficients of the invariant expansion R(u) = sum_k c_k(u)/k! I_k.
 
     even[k] is the coefficient of I_{2k}, odd[k] of I_{2k+1}; both satisfy
-    c_{k+2}(u) = ((k + u)/(k + 2 - 2r - u)) c_k(u).
+    c_{k+2}(u) = ((k + u)/(k + 2 - 2r - u)) c_k(u).  A coefficient is a Poly
+    in the closed forms and a pair (num, den) in the generated family.
     """
 
     r: int
-    even: tuple[RationalFunction, ...]
-    odd: tuple[RationalFunction, ...]
+    even: tuple
+    odd: tuple
 
 
-def _recurrence_step(r: int, k: int) -> RationalFunction:
-    """c_{k+2}(u) / c_k(u) = (k + u) / (k + 2 - 2r - u)."""
-    return RationalFunction(Poly([k, 1]), Poly([k + 2 - 2 * r, -1]))
+def _recurrence_step(r: int, k: int) -> tuple[Poly, Poly]:
+    """c_{k+2}(u) / c_k(u) = (k + u) / (k + 2 - 2r - u), as (num, den)."""
+    return Poly([k, 1]), Poly([k + 2 - 2 * r, -1])
 
 
 def recurrence_coefficients(r: int) -> CoefficientFamily:
     """Both parity families generated from the unit seed by the recurrence;
     step k takes c_k to c_{k+2}, in the family of the parity of k.
     """
-    even, odd = [RationalFunction.const(1)], [RationalFunction.const(1)]
+    one = (Poly.const(1), Poly.const(1))
+    even, odd = [one], [one]
     for k in range(2 * r - 1):
         family = odd if k % 2 else even
-        family.append(family[-1] * _recurrence_step(r, k))
+        (num, den), (step_num, step_den) = family[-1], _recurrence_step(r, k)
+        family.append((num * step_num, den * step_den))
     return CoefficientFamily(r=r, even=tuple(even), odd=tuple(odd))
 
 
-@lru_cache(maxsize=None)
 def closed_form_coefficients(r: int) -> CoefficientFamily:
     """Polynomial closed forms, unit normalization:
 
@@ -555,17 +559,18 @@ def closed_form_coefficients(r: int) -> CoefficientFamily:
     even = []
     for k in range(r + 1):
         p = rising_factorial(half_u, k) * rising_factorial(half_u, r - k)
-        even.append(RationalFunction(p * ((-1) ** k)))
+        even.append(p * ((-1) ** k))
     odd = []
     for k in range(r):
         p = rising_factorial(half_u1, k) * rising_factorial(half_u1, r - k - 1)
-        odd.append(RationalFunction(p * (Rat((-1) ** k, 2))))
+        odd.append(p * Rat((-1) ** k, 2))
     return CoefficientFamily(r=r, even=tuple(even), odd=tuple(odd))
 
 
 def coefficient_consistency(r: int) -> VerificationRecord:
     """Closed forms satisfy the recurrence and agree with the generated
-    family up to one overall normalization per parity.
+    family up to one overall normalization per parity, both as polynomial
+    identities, cross-multiplied.
     """
     record = VerificationRecord(name=f"coefficient-recurrence r={r}")
     rec = recurrence_coefficients(r)
@@ -576,12 +581,16 @@ def coefficient_consistency(r: int) -> VerificationRecord:
     ):
         for j in range(len(closed_fam) - 1):
             k = 2 * j + offset
+            step_num, step_den = _recurrence_step(r, k)
+            # c_(j+1) = c_j step_num/step_den
             record.add_equal(
-                f"closed-form-recurrence-{parity}-k{k}", closed_fam[j + 1], closed_fam[j] * _recurrence_step(r, k)
+                f"closed-form-recurrence-{parity}-k{k}", closed_fam[j + 1] * step_den, closed_fam[j] * step_num
             )
-        for j in range(len(closed_fam)):
+        (seed_num, seed_den), seed_closed = rec_fam[0], closed_fam[0]
+        for j, ((num, den), closed_j) in enumerate(zip(rec_fam, closed_fam)):
+            # (num/den) seed_closed = closed_j (seed_num/seed_den)
             record.add_equal(
-                f"normalization-ratio-{parity}-j{j}", rec_fam[j] * closed_fam[0], closed_fam[j] * rec_fam[0]
+                f"normalization-ratio-{parity}-j{j}", num * seed_closed * seed_den, closed_j * seed_num * den
             )
     return record
 
@@ -590,15 +599,16 @@ def coefficient_consistency(r: int) -> VerificationRecord:
 def _full_series(r: int) -> tuple[RMatrixFamily, RMatrixFamily, RMatrixFamily]:
     """(full, even, odd): the series R(u) = sum_k c_k(u)/k! I_k and its sums
     over the even and the odd k, each built once per rank.  The closed forms
-    are polynomials, so Q = 1, and the full series' parts are the even and
-    odd parts added degree by degree.
+    are polynomials, so Q = 1, the parts are their degree parts, and the
+    full series' parts are the even and odd parts added degree by degree.
     """
     closed = closed_form_coefficients(r)
     one = Poly.const(1)
 
     def parity(first: int, coeffs) -> RMatrixFamily:
         ks = range(first, 2 * r + 1, 2)
-        return _cleared_family(4**r, one, [(c * Rat(1, factorial(k)), invariant_I(r, k)) for k, c in zip(ks, coeffs)])
+        terms = [(c * Rat(1, factorial(k)), invariant_I(r, k)) for k, c in zip(ks, coeffs)]
+        return RMatrixFamily(q=one, parts=_degree_parts(4**r, terms))
 
     even, odd = parity(0, closed.even), parity(1, closed.odd)
     zero = ExactMatrix.zero(4**r)

@@ -214,12 +214,10 @@ def test_split_casimir_does_not_use_the_invariants(r, monkeypatch):
 
 @pytest.fixture
 def cold_invariant_caches():
-    """Invariant caches empty before and after the test, so no perturbed
+    """The invariant cache empty before and after the test, so no perturbed
     build outlives it."""
-    casimir.invariant_I.cache_clear()
     casimir._elementary_invariants.cache_clear()
     yield
-    casimir.invariant_I.cache_clear()
     casimir._elementary_invariants.cache_clear()
 
 

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from spincas import casimir, clifford, oracles
+from spincas import casimir, clifford, oracles, spectra, ybe
 from spincas.clifford import (
     antisym_gamma,
     build_gamma,
@@ -184,12 +184,20 @@ def test_half_spinor_blocks_restrict_to_the_chirality_layout():
 
 @pytest.mark.parametrize("eps", ["", "0", "++", "plus"])
 def test_bad_eps_is_refused(eps):
+    # every refusal comes before the split Casimir operator is built, so
+    # none misses its emptied cache
+    casimir.split_casimir_rho.cache_clear()
     for call in (chirality_indices, half_spinor_blocks):
         with pytest.raises(ValueError, match="eps must be"):
             call(3, eps)
-    for sector in ("+" + eps, eps + "-"):
-        with pytest.raises(ValueError):
-            casimir.sector_indices(3, sector)
+    for sector in ("+" + eps, eps + "-", eps + eps):
+        for call in (casimir.sector_indices, casimir.sector_casimir):
+            with pytest.raises(ValueError, match="sector must be"):
+                call(3, sector)
+    for call in (ybe.sector_r_matrix, spectra.permutation_symmetry):
+        with pytest.raises(ValueError, match="sector must be"):
+            call(3, eps)
+    assert casimir.split_casimir_rho.cache_info().misses == 0
 
 
 def test_patched_layout_reaches_every_user(monkeypatch):
@@ -205,15 +213,11 @@ def test_patched_layout_reaches_every_user(monkeypatch):
 
     for module in (clifford, casimir):
         monkeypatch.setattr(module, "chirality_indices", minus_first)
-    half_spinor_blocks.cache_clear()
-    try:
-        [check] = failing_checks(integrity_report(build_gamma(r)))
-        assert check.check_id == "grading-diagonal-pm1"
-        assert check.witness == "first differing entry (0, 0): 1/1 != -1/1"
-        assert casimir.sector_indices(r, "++") == tuple(i * 2 * half + j for i in minus for j in minus)
-        assert half_spinor_blocks(r, "+") == tuple(g.restrict(minus) for g in rotation_generators(r))
-    finally:
-        half_spinor_blocks.cache_clear()
+    [check] = failing_checks(integrity_report(build_gamma(r)))
+    assert check.check_id == "grading-diagonal-pm1"
+    assert check.witness == "first differing entry (0, 0): 1/1 != -1/1"
+    assert casimir.sector_indices(r, "++") == tuple(i * 2 * half + j for i in minus for j in minus)
+    assert half_spinor_blocks(r, "+") == tuple(g.restrict(minus) for g in rotation_generators(r))
 
 
 def test_entry_alphabet():

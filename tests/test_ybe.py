@@ -12,21 +12,27 @@ from spincas.clifford import build_gamma, cartan_generators, half_spinor_blocks,
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, kron, lincomb, permutation_operator
 from spincas.oracles import basis_pairs
-from spincas.ratfunc import Poly, RationalFunction, rising_factorial
+from spincas.ratfunc import Poly, limit_at_infinity, poly_from_roots, rising_factorial
 from spincas.records import FAIL, PASS, VerificationRecord, mismatch
 from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks
 
 
+def at(tau, u):
+    """The value num(u)/den(u) of a coefficient pair."""
+    num, den = tau
+    return num(u) / den(u)
+
+
 def test_tau_coefficients():
     top = ybe.tau_coefficient(2, 0)
-    assert top == RationalFunction.const(1)
+    assert top == (Poly.const(1), Poly.const(1))
     first = ybe.tau_coefficient(2, 1)
-    assert first(Rat(3)) == Rat(1, 2)
+    assert at(first, Rat(3)) == Rat(1, 2)
     braid = ybe.tau_coefficient(2, 1, "braid")
-    assert braid(Rat(3)) == Rat(-1, 2)
-    assert first.den(Rat(-1)) == 0  # the pole at u = -1
+    assert at(braid, Rat(3)) == Rat(-1, 2)
+    assert first[1](Rat(-1)) == 0  # the pole at u = -1
 
 
 @pytest.mark.parametrize("form", ["brade", "Braid", ""])
@@ -44,7 +50,7 @@ def test_family_structure():
             q = q * Poly([root, 1])
         assert ybe.tau_denominator(r) == q
         # the braid form flips only numerator signs, so one Q serves both forms
-        assert all(ybe.tau_coefficient(r, k, "braid").den == ybe.tau_coefficient(r, k).den for k in range(r // 2 + 1))
+        assert all(ybe.tau_coefficient(r, k, "braid")[1] == ybe.tau_coefficient(r, k)[1] for k in range(r // 2 + 1))
         if r < 5:  # the r=5 blocks are left to the spectra tests
             family = ybe.sector_r_matrix(r, eps)
             assert family.q == q
@@ -104,6 +110,38 @@ def test_asymptotics(r):
     assert record.ok, [c.check_id for c in failing_checks(record)]
 
 
+def test_a_wrong_tau_numerator_fails_its_limit(monkeypatch):
+    # r = 4: tau_1 = (u - 3)/(u + 1) in place of (u - 1)/(u + 1), so
+    # u (tau_1 - 1) = -4u/(u + 1) tends to -4, not -2
+    r = 4
+    real = ybe.tau_coefficient
+
+    def shifted(rank, k, form="plain"):
+        num, den = real(rank, k, form)
+        return (Poly([-3, 1]), den) if k == 1 else (num, den)
+
+    monkeypatch.setattr(ybe, "tau_coefficient", shifted)
+    failed = {c.check_id: c.witness for c in failing_checks(ybe.asymptotic_check(r))}
+    assert failed == {"limit-k1": "-4 != -2"}
+
+
+U_PLUS_1, U_MINUS_1 = Poly([1, 1]), Poly([-1, 1])
+
+
+@pytest.mark.parametrize(
+    "num, den, limit",
+    [
+        (U_PLUS_1 * 3, U_MINUS_1 * 2, Rat(3, 2)),  # equal degrees: the leading coefficients
+        (Poly.const(5), U_MINUS_1, 0),  # a lower numerator degree
+        (Poly(), U_MINUS_1, 0),  # a zero numerator
+        (U_PLUS_1 * U_PLUS_1, U_MINUS_1, None),  # a higher numerator degree diverges
+    ],
+    ids=["equal-degrees", "lower-degree", "zero", "higher-degree"],
+)
+def test_limit_at_infinity_reads_the_degrees(num, den, limit):
+    assert limit_at_infinity(num, den) == limit
+
+
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_tau_ratio_constraints(r):
     record = ybe.tau_ratio_constraints(r)
@@ -127,23 +165,30 @@ def test_a_wrong_top_eigenvalue_fails_every_casimir_difference(monkeypatch):
 
 def test_a_doubled_tau_fails_both_of_its_ratios(monkeypatch):
     # r = 4: tau_1 is the coefficient of P_2, the top of one ratio and the
-    # bottom of the other; the ratio of label l is (u + d)/(u - d), d = 3 - l
+    # bottom of the other; the ratio of label l is (u + d)/(u - d), d = 3 - l,
+    # and tau_0 = 1, tau_1 = (u - 1)/(u + 1), tau_2 = tau_1 (u - 3)/(u + 3)
     r = 4
     real = ybe.tau_coefficient
-    monkeypatch.setattr(
-        ybe, "tau_coefficient", lambda rank, k, form="plain": real(rank, k, form) * (2 if k == 1 else 1)
-    )
+
+    def doubled(rank, k, form="plain"):
+        num, den = real(rank, k, form)
+        return (num * 2, den) if k == 1 else (num, den)
+
+    monkeypatch.setattr(ybe, "tau_coefficient", doubled)
     failed = {c.check_id: c.witness for c in failing_checks(ybe.tau_ratio_constraints(r))}
-    ratio = {d: RationalFunction(Poly([d, 1]), Poly([-d, 1])) for d in (1, 3)}
+    # label 0: 2(u - 1) (u + 1)(u + 3) (u - 3) against (u + 3) (u + 1) (u - 1)(u - 3)
+    # label 2: 1 (u + 1) (u - 1) against (u + 1) 1 2(u - 1)
+    label0, label2 = poly_from_roots([1, -1, 3, -3]), poly_from_roots([1, -1])
     assert failed == {
-        "scaled-ratio-label0": f"{ratio[3] * 2} != {ratio[3]}",
-        "scaled-ratio-label2": f"{ratio[1] * Rat(1, 2)} != {ratio[1]}",
+        "scaled-ratio-label0": f"{label0 * 2} != {label0}",
+        "scaled-ratio-label2": f"{label2} != {label2 * 2}",
     }
 
 
 def test_a_wrong_casimir_value_fails_the_rescaling_with_both_functions(monkeypatch):
     # c2(T_r_plus) one too large adds 1/4 to the quarter difference of the
-    # top label pair, so the rescaled ratio of label 2 is (u + 4)/(u - 4)
+    # top label pair, so the rescaled ratio of label 2 is (u + 4)/(u - 4);
+    # cross-multiplied with (u + 1)/(u - 1), (u + 4)(u - 1) against (u + 1)(u - 4)
     r = 4
     real = oracles.c2_closed_form
     monkeypatch.setattr(
@@ -152,33 +197,33 @@ def test_a_wrong_casimir_value_fails_the_rescaling_with_both_functions(monkeypat
     failed = {c.check_id: c.witness for c in failing_checks(ybe.tau_ratio_constraints(r))}
     assert failed == {
         "casimir-quarter-difference-label2": "1/3 != 1/12",
-        "rescaling-consistency-label2": (
-            f"{RationalFunction(Poly([4, 1]), Poly([-4, 1]))} != {RationalFunction(Poly([1, 1]), Poly([-1, 1]))}"
-        ),
+        "rescaling-consistency-label2": f"{Poly([-4, 3, 1])} != {Poly([-4, -3, 1])}",
     }
 
 
 def test_a_wrong_closed_form_fails_its_recurrence_and_normalization(monkeypatch):
     # even[1] doubled: the recurrence into it and out of it breaks, and so
-    # does its ratio to the seed
+    # does its ratio to the seed; c_(k+2) den_k = c_k num_k, with (num_k,
+    # den_k) the step k, and the generated even[1] is (num_0, den_0)
     r = 3
     real = ybe.closed_form_coefficients(r)
     even = (real.even[0], real.even[1] * 2, *real.even[2:])
     monkeypatch.setattr(ybe, "closed_form_coefficients", lambda rank: dataclasses.replace(real, even=even))
     failed = {c.check_id: c.witness for c in failing_checks(ybe.coefficient_consistency(r))}
-    rec = ybe.recurrence_coefficients(r)
+    (num_0, den_0), (_, den_2) = ybe._recurrence_step(r, 0), ybe._recurrence_step(r, 2)
+    into, out_of, ratio = real.even[1] * den_0, real.even[2] * den_2, num_0 * real.even[0]
     assert failed == {
-        "closed-form-recurrence-even-k0": f"{real.even[1] * 2} != {real.even[1]}",
-        "closed-form-recurrence-even-k2": f"{real.even[2]} != {real.even[2] * 2}",
-        "normalization-ratio-even-j1": f"{rec.even[1] * real.even[0]} != {real.even[1] * 2}",
+        "closed-form-recurrence-even-k0": f"{into * 2} != {into}",
+        "closed-form-recurrence-even-k2": f"{out_of} != {out_of * 2}",
+        "normalization-ratio-even-j1": f"{ratio} != {real.even[1] * den_0 * 2}",
     }
 
 
 def test_recurrence_ratio_example():
     rec = ybe.recurrence_coefficients(2)
-    ratio = rec.even[1] / rec.even[0]
-    # step from the seed: u / (2 - 2r - u) at r = 2
-    assert ratio == RationalFunction(Poly([0, 1]), Poly([2, 1])) * Rat(-1)
+    (num_1, den_1), (num_0, den_0) = rec.even[1], rec.even[0]
+    # step from the seed: (num_1/den_1) / (num_0/den_0) = -u / (u + 2) at r = 2
+    assert num_1 * den_0 * Poly([2, 1]) == Poly([0, -1]) * den_1 * num_0
 
 
 def test_closed_form_example():
@@ -247,14 +292,13 @@ def test_rising_factorial_polynomial():
 
 # -- the coefficient-matrix expansion against direct products ---------------
 
-# the originals, so a test can call and clear them while their names are patched
+# the originals, so a test can call them while their names are patched
 CLOSED_FORMS = ybe.closed_form_coefficients
 GRID = ybe.admissible_grid
 
 # the caches that hold a family or anything derived from one
 CACHED = (
     ybe.sector_r_matrix,
-    ybe.closed_form_coefficients,
     ybe._full_series,
     ybe._sector_braid_slice,
     ybe._full_braid_slice,
@@ -298,7 +342,7 @@ def taus(r, form):
 
 
 def at_pole(r, form, *points):
-    return any(not tau.den(x) for tau in taus(r, form).values() for x in points)
+    return any(not den(x) for _, den in taus(r, form).values() for x in points)
 
 
 def sector_expansion(r, eps, u, form):
@@ -306,7 +350,7 @@ def sector_expansion(r, eps, u, form):
     projectors, not from the family's parts.
     """
     projectors = spectra.sector_spectral(r, eps + eps).projectors
-    return lincomb(4 ** (r - 1), [(tau(u), projectors[label]) for label, tau in taus(r, form).items()])
+    return lincomb(4 ** (r - 1), [(at(tau, u), projectors[label]) for label, tau in taus(r, form).items()])
 
 
 def invariant_series(r, u):
@@ -350,7 +394,7 @@ def triple_product_sum(r, eps, u, v, form="braid"):
     t = taus(r, form)
     total = ExactMatrix.zero(8 ** (r - 1))
     for (a, b, c), k_abc in triple_products(r, eps).items():
-        total = total + k_abc * (t[a](u) * t[b](u + v) * t[c](v))
+        total = total + k_abc * (at(t[a], u) * at(t[b], u + v) * at(t[c], v))
     return total.is_zero()
 
 
@@ -531,7 +575,7 @@ def test_full_point_matches_direct_products(u, v):
 def raised_degree(r):
     """Closed forms with u^(r+1) added to the coefficient of I_2."""
     closed = CLOSED_FORMS(r)
-    bump = RationalFunction(Poly([0] * (r + 1) + [1]))
+    bump = Poly([0] * (r + 1) + [1])
     return dataclasses.replace(closed, even=(closed.even[0], closed.even[1] + bump, *closed.even[2:]))
 
 
@@ -984,7 +1028,8 @@ def test_swap_relation_holds(r, eps):
 
 
 def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
-    # every build of a family's parts goes through _cleared_family
+    # every build of a sector family's parts goes through _cleared_family; the
+    # full series has polynomial coefficients and takes its degree parts directly
     built, requested = [], set()
     real_build, real_family = ybe._cleared_family, ybe.sector_r_matrix
 
@@ -1010,8 +1055,8 @@ def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
     monkeypatch.setattr(ybe, "_swap_relation", counted_relation)
     records = report.ybe_suite(3)
     assert requested == {(3, eps, form) for eps in "+-" for form in ("plain", "braid")}
-    # one build per (eps, form) on the 16-dim sector block, one per parity of the full series
-    assert sorted(built) == [16] * 4 + [64] * 2
+    # one build per (eps, form) on the 16-dim sector block
+    assert built == [16] * 4
     assert relations == [(3, "+")]
     names = [record.name for record in records]
     assert "swap-relation r=3 eps=+" in names and "plain-yang-baxter r=3 eps=+" in names
@@ -1067,8 +1112,8 @@ def rescaled_tau(r, k, form="plain"):
     """tau_k times 2 for k = 1 in both forms: the swap relation still holds,
     the Yang-Baxter equation does not.
     """
-    tau = TAU(r, k, form)
-    return tau * Rat(2) if k == 1 else tau
+    num, den = TAU(r, k, form)
+    return (num * 2, den) if k == 1 else (num, den)
 
 
 @pytest.mark.parametrize("r, eps", [(2, "+"), (2, "-"), (3, "+")])
@@ -1100,8 +1145,8 @@ def test_skewed_projector_fails_plain_points_like_direct_products(fresh_caches, 
 @pytest.mark.parametrize("r, k", [(2, 1), (3, 0), (4, 2)])
 def test_flipped_braid_tau_fails_the_relation_and_every_plain_point(fresh_caches, monkeypatch, r, k):
     def flipped(rank, index, form="plain"):
-        tau = TAU(rank, index, form)
-        return -tau if form == "braid" and index == k else tau
+        num, den = TAU(rank, index, form)
+        return (-num, den) if form == "braid" and index == k else (num, den)
 
     monkeypatch.setattr(ybe, "tau_coefficient", flipped)
     [relation] = ybe.swap_relation_check(r, "+").checks
