@@ -306,9 +306,10 @@ def permutation_symmetry(r: int, eps: str) -> VerificationRecord:
     alternating signs: swap * P_{r-2k} = (-1)^k P_{r-2k}.
     """
     sector = eps + eps
-    data = sector_spectral(r, sector)
     record = VerificationRecord(name=f"permutation-symmetry r={r} sector={sector}")
-    swap = permutation_operator(2 ** (r - 1))
+    half = 2 ** (r - 1)
+    swap = permutation_operator(half)
+    data = sector_spectral(r, sector)
     for k in range(r // 2 + 1):
         label = r - 2 * k
         proj = data.projectors[label]

@@ -519,13 +519,12 @@ class CoefficientFamily:
     """Coefficients of the invariant expansion R(u) = sum_k c_k(u)/k! I_k.
 
     even[k] is the coefficient of I_{2k}, odd[k] of I_{2k+1}; both satisfy
-    c_{k+2}(u) = ((k + u)/(k + 2 - 2r - u)) c_k(u).  A coefficient is a Poly
-    in the closed forms and a pair (num, den) in the generated family.
+    c_{k+2}(u) = ((k + u)/(k + 2 - 2r - u)) c_k(u).
     """
 
     r: int
-    even: tuple
-    odd: tuple
+    even: tuple[Poly, ...]
+    odd: tuple[Poly, ...]
 
 
 def _recurrence_step(r: int, k: int) -> tuple[Poly, Poly]:
@@ -533,9 +532,10 @@ def _recurrence_step(r: int, k: int) -> tuple[Poly, Poly]:
     return Poly([k, 1]), Poly([k + 2 - 2 * r, -1])
 
 
-def recurrence_coefficients(r: int) -> CoefficientFamily:
-    """Both parity families generated from the unit seed by the recurrence;
-    step k takes c_k to c_{k+2}, in the family of the parity of k.
+def recurrence_coefficients(r: int) -> tuple[tuple[tuple[Poly, Poly], ...], ...]:
+    """(even, odd), both parity families generated from the unit seed by the
+    recurrence, each coefficient a pair (num, den); step k takes c_k to
+    c_{k+2}, in the family of the parity of k.
     """
     one = (Poly.const(1), Poly.const(1))
     even, odd = [one], [one]
@@ -543,7 +543,7 @@ def recurrence_coefficients(r: int) -> CoefficientFamily:
         family = odd if k % 2 else even
         (num, den), (step_num, step_den) = family[-1], _recurrence_step(r, k)
         family.append((num * step_num, den * step_den))
-    return CoefficientFamily(r=r, even=tuple(even), odd=tuple(odd))
+    return tuple(even), tuple(odd)
 
 
 def closed_form_coefficients(r: int) -> CoefficientFamily:
@@ -573,11 +573,11 @@ def coefficient_consistency(r: int) -> VerificationRecord:
     identities, cross-multiplied.
     """
     record = VerificationRecord(name=f"coefficient-recurrence r={r}")
-    rec = recurrence_coefficients(r)
+    rec_even, rec_odd = recurrence_coefficients(r)
     closed = closed_form_coefficients(r)
     for parity, rec_fam, closed_fam, offset in (
-        ("even", rec.even, closed.even, 0),
-        ("odd", rec.odd, closed.odd, 1),
+        ("even", rec_even, closed.even, 0),
+        ("odd", rec_odd, closed.odd, 1),
     ):
         for j in range(len(closed_fam) - 1):
             k = 2 * j + offset

@@ -220,8 +220,8 @@ def test_a_wrong_closed_form_fails_its_recurrence_and_normalization(monkeypatch)
 
 
 def test_recurrence_ratio_example():
-    rec = ybe.recurrence_coefficients(2)
-    (num_1, den_1), (num_0, den_0) = rec.even[1], rec.even[0]
+    even, _ = ybe.recurrence_coefficients(2)
+    (num_1, den_1), (num_0, den_0) = even[1], even[0]
     # step from the seed: (num_1/den_1) / (num_0/den_0) = -u / (u + 2) at r = 2
     assert num_1 * den_0 * Poly([2, 1]) == Poly([0, -1]) * den_1 * num_0
 
@@ -1028,14 +1028,14 @@ def test_swap_relation_holds(r, eps):
 
 
 def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
-    # every build of a sector family's parts goes through _cleared_family; the
-    # full series has polynomial coefficients and takes its degree parts directly
+    # every family's parts are one _degree_parts call: the sector families
+    # through _cleared_family, the two parities of the full series directly
     built, requested = [], set()
-    real_build, real_family = ybe._cleared_family, ybe.sector_r_matrix
+    real_build, real_family = ybe._degree_parts, ybe.sector_r_matrix
 
-    def counted_build(dim, q, terms):
+    def counted_build(dim, terms):
         built.append(dim)
-        return real_build(dim, q, terms)
+        return real_build(dim, terms)
 
     def counted_family(r, eps, form="plain"):
         requested.add((r, eps, form))
@@ -1050,13 +1050,15 @@ def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
         relations.append((r, eps))
         return real_relation(r, eps)
 
-    monkeypatch.setattr(ybe, "_cleared_family", counted_build)
+    monkeypatch.setattr(ybe, "_degree_parts", counted_build)
     monkeypatch.setattr(ybe, "sector_r_matrix", counted_family)
     monkeypatch.setattr(ybe, "_swap_relation", counted_relation)
     records = report.ybe_suite(3)
     assert requested == {(3, eps, form) for eps in "+-" for form in ("plain", "braid")}
-    # one build per (eps, form) on the 16-dim sector block
-    assert built == [16] * 4
+    # one build per (eps, form) on the 16-dim sector block and one per parity
+    # of the full series on the 64-dim square; besides, unitarity collects its
+    # two sides per chirality and the factorization its two sides by degree
+    assert sorted(built) == [16] * (4 + 2 * 2) + [64] * (2 + 2)
     assert relations == [(3, "+")]
     names = [record.name for record in records]
     assert "swap-relation r=3 eps=+" in names and "plain-yang-baxter r=3 eps=+" in names
