@@ -17,19 +17,9 @@ BACKEND = "python"
 
 def mat_mul(a_rows, b_rows):
     """Sparse matrix product."""
-    out = {}
-    for i, arow in a_rows.items():
-        acc = {}
-        for k, a in arow.items():
-            brow = b_rows.get(k)
-            if brow is None:
-                continue
-            for j, b in brow.items():
-                acc[j] = acc.get(j, 0) + a * b
-        row = {j: v for j, v in acc.items() if v}
-        if row:
-            out[i] = row
-    return out
+    out = RowsSum()
+    out.add_product(1, a_rows, b_rows)
+    return out.rows()
 
 
 def mat_kron(terms, b_dim):
@@ -102,15 +92,18 @@ def mat_mul_leg(terms, b_dim):
 
 
 class RowsSum:
-    """A sum of int multiples of matrices, each added in place as it comes;
-    a zero entry stays until ``rows`` ends the sum.
+    """A sum of int multiples of matrices and of matrix products, each added
+    in place as it comes.  An entry that a product cancels is dropped at
+    once, so a sum read as a factor between products holds no zero entry;
+    an entry that a multiple cancels, and a row that a product empties,
+    stay until ``rows`` is read.
     """
 
     __slots__ = ("acc", "mixed")
 
     def __init__(self):
         self.acc = {}
-        self.mixed = set()  # rows that received more than one contribution
+        self.mixed = set()  # rows that may hold a zero entry, or none
 
     def add(self, c, rows):
         """Add c * rows."""
@@ -126,9 +119,38 @@ class RowsSum:
             for j, v in row.items():
                 arow[j] = arow.get(j, 0) + c * v
 
+    def add_product(self, c, a_rows, b_rows):
+        """Add c * a @ b, each row of the product added into the sum as it is
+        formed; no product matrix is built.  Neither factor may be this
+        sum's own rows.
+        """
+        if not c:
+            return
+        acc = self.acc
+        for i, arow in a_rows.items():
+            row = acc.get(i)
+            fresh = row is None
+            if fresh:
+                row = {}
+            for k, a in arow.items():
+                brow = b_rows.get(k)
+                if brow is not None:
+                    a *= c
+                    for j, b in brow.items():
+                        v = row.get(j, 0) + a * b
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+            if fresh:
+                if row:
+                    acc[i] = row
+            elif not row:
+                self.mixed.add(i)  # left for rows to drop
+
     def rows(self):
-        """The sum, without zero entries or empty rows; nothing may be added
-        after this.
+        """The sum so far, without zero entries or empty rows.  More may be
+        added afterwards; that changes the returned rows in place.
         """
         acc = self.acc
         for i in self.mixed:
@@ -137,6 +159,7 @@ class RowsSum:
                 acc[i] = row
             else:
                 del acc[i]
+        self.mixed.clear()
         return acc
 
 
@@ -163,7 +186,7 @@ def content(*parts) -> int:
     return g
 
 
-def mat_rank(rows, dim):
+def mat_rank(rows):
     """Exact rank by fraction-free elimination over Z.
 
     Each pivot row is scaled so that its pivot is a positive integer p.  A row

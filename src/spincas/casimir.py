@@ -24,13 +24,13 @@ from .clifford import (
 from .linalg import (
     ExactMatrix,
     PowerTable,
+    ScaledSum,
     diagonal_action,
     elementary_products,
     kron,
     kron_sum,
     lincomb,
     poly_eval,
-    sum_at_scale,
 )
 from .oracles import c2_closed_form, casimir_contraction, inverse_metric_diagonal
 from .ratfunc import Poly
@@ -275,8 +275,11 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     # d = g (x) 1 + 1 (x) g has integer entries over the scale of g, so every
     # d @ d is an integer matrix over the square of that scale
     den = lcm(*((g.scale * g.scale).denominator for g in gens))
-    diags = (diagonal_action(g) for g in gens)
-    c2_diag = sum_at_scale(dim * dim, (d @ d for d in diags), den) * coeff
+    total = ScaledSum(dim * dim, den)
+    for g in gens:
+        d = diagonal_action(g)
+        total.add_product(d, d)
+    c2_diag = total.matrix() * coeff
     rhs = diagonal_action(c2_single) + split_casimir_rho(r).matrix * 2
     record.add_equal("coproduct-split", c2_diag, rhs)
     spinor_c2 = c2_closed_form("Delta_plus", r)

@@ -26,7 +26,7 @@ index is i1 * d2 + i2.  Legs are numbered from 1, left to right.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import _backend
 from .ratfunc import Poly
@@ -117,18 +117,29 @@ def _products(terms) -> tuple:
     """Integer parts (re, im) of the sum of c * x @ y over the terms (c, x, y),
     c an int and x, y integer parts (re, im).  A lone kernel term of a part
     is one ``mat_mul`` call, a negative one negating its left factor rather
-    than the product; several are summed in one ``mat_lincomb`` call.
+    than the product; several are added into one accumulator as each
+    product row is formed.
     """
 
     def part(t):
-        if len(t) > 1:
-            return _backend.mat_lincomb((k, _backend.mat_mul(x, y)) for k, x, y in t)
-        if not t:
-            return {}
-        ((k, x, y),) = t
-        return _backend.mat_mul(x if k == 1 else _times(x, k), y)
+        if len(t) == 1:
+            ((k, x, y),) = t
+            return _backend.mat_mul(x if k == 1 else _times(x, k), y)
+        total = _backend.RowsSum()
+        for k, x, y in t:
+            total.add_product(k, x, y)
+        return total.rows()
 
     return tuple(part(t) for t in _part_terms(terms))
+
+
+def _add_products(sums: tuple, c: int, x: tuple, y: tuple) -> None:
+    """Add c * x @ y, for integer parts x and y, into the accumulators
+    sums = (re, im), each real product row by row as it is formed.
+    """
+    for total, terms in zip(sums, _part_terms([(c, x, y)])):
+        for k, a, b in terms:
+            total.add_product(k, a, b)
 
 
 class NotABasisMap(ValueError):
@@ -265,7 +276,7 @@ class ExactMatrix:
         """
         re, im = self._re, self._im
         if not (re and im):
-            return _backend.mat_rank(re or im, self.dim)
+            return _backend.mat_rank(re or im)
         n = self.dim
         real_form = {}
         for offset, left, right, sign in ((0, re, im, -1), (n, im, re, 1)):
@@ -273,7 +284,7 @@ class ExactMatrix:
                 row = dict(left.get(i, _NO_ROW))
                 row.update((n + j, sign * v) for j, v in right.get(i, _NO_ROW).items())
                 real_form[offset + i] = row
-        return _backend.mat_rank(real_form, 2 * n) // 2
+        return _backend.mat_rank(real_form) // 2
 
     # -- arithmetic -------------------------------------------------------
 
@@ -388,6 +399,18 @@ class ScaledSum:
         self._im.add(c1, re)
         self._im.add(c0, im)
 
+    def add_product(self, a: ExactMatrix, b: ExactMatrix) -> None:
+        """Add a @ b, whose scale must be a multiple of 1/den, without
+        forming it: each product row is added as it is formed.
+        """
+        c = a.scale * b.scale * self.den
+        if a.dim != self.dim or b.dim != self.dim or c.denominator != 1:
+            raise ValueError(
+                f"cannot add a product of dim-{a.dim} and dim-{b.dim} matrices"
+                f" of scale {a.scale * b.scale} at dim {self.dim}, scale 1/{self.den}"
+            )
+        _add_products((self._re, self._im), c.numerator, (a._re, a._im), (b._re, b._im))
+
     def matrix(self) -> ExactMatrix:
         """The sum; nothing may be added after this."""
         return ExactMatrix._make(self.dim, Rat(1, self.den), self._re.rows(), self._im.rows())
@@ -451,41 +474,27 @@ def leg_products(terms, b_dim: int) -> tuple:
     return tuple(_backend.mat_mul_leg(t, b_dim) if t else {} for t in _part_terms(terms))
 
 
-def sum_at_scale(dim: int, matrices: Iterable[ExactMatrix], den: int) -> ExactMatrix:
-    """The sum of matrices whose scales are integer multiples of 1/den, each
-    added as the iterable yields it, so at most one of them is held at a time.
-    """
-    total = ScaledSum(dim, den)
-    for m in matrices:
-        c = m.scale * den
-        if m.dim != dim or c.denominator != 1:
-            raise ValueError(f"cannot add a dim-{m.dim} matrix of scale {m.scale} at scale 1/{den}")
-        total.add(c.numerator, 0, (m._re, m._im))
-    return total.matrix()
-
-
 def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ...]:
     """e_0 .. e_n of the ordered products of n factors.
 
     e_k is the sum over i_1 < ... < i_k of factors[i_1] @ ... @ factors[i_k],
     so e_0 is the identity.  The factors are brought to one common
     denominator D and the recurrence e_k += e_(k-1) @ factor runs on integer
-    parts; every term of e_k then carries the scale 1/D^k.  Multiplying on
-    the right keeps each product in ascending order, so the factors need not
+    accumulators, each product row added into e_k as it is formed; every
+    term of e_k then carries the scale 1/D^k.  Running k downwards reads
+    each e_(k-1) before this factor is added into it.  Multiplying on the
+    right keeps each product in ascending order, so the factors need not
     commute.
     """
     dim = factors[0].dim
     den = lcm(*(g.scale.denominator for g in factors))
-    sums = [(ExactMatrix.identity(dim)._re, {})] + [({}, {}) for _ in factors]
+    sums = [(_backend.RowsSum(), _backend.RowsSum()) for _ in range(len(factors) + 1)]
+    sums[0][0].add(1, ExactMatrix.identity(dim)._re)
     for n, g in enumerate(factors, start=1):
-        c = _int(g.scale, den)
-        g_parts = (_times(g._re, c), _times(g._im, c))
+        c, g_parts = _int(g.scale, den), (g._re, g._im)
         for k in range(n, 0, -1):
-            step = _products([(1, sums[k - 1], g_parts)])
-            sums[k] = tuple(
-                _backend.mat_lincomb([(1, s), (1, t)]) if s and t else s or t for s, t in zip(sums[k], step)
-            )
-    return tuple(ExactMatrix._make(dim, Rat(1, den**k), *parts) for k, parts in enumerate(sums))
+            _add_products(sums[k], c, tuple(s.rows() for s in sums[k - 1]), g_parts)
+    return tuple(ExactMatrix._make(dim, Rat(1, den**k), re.rows(), im.rows()) for k, (re, im) in enumerate(sums))
 
 
 def partial_trace(m: ExactMatrix, inner: int) -> ExactMatrix:

@@ -8,7 +8,7 @@ from spincas import _backend, casimir, linalg, report
 from spincas.clifford import antisym_gamma, build_gamma, chain_generators, rotation_generators
 
 CHAIN_GENERATORS = chain_generators
-from spincas.linalg import ExactMatrix, kron_sum
+from spincas.linalg import ExactMatrix, kron, kron_sum
 from spincas.ratfunc import Poly
 from spincas.scalar import Rat
 
@@ -151,6 +151,24 @@ def test_a_wrong_spinor_casimir_fails_with_a_witness(monkeypatch):
     failed = {c.check_id: c.witness for c in failing_checks(casimir.coproduct_consistency(2))}
     assert list(failed) == ["single-space-casimir-scalar"]
     assert failed["single-space-casimir-scalar"].startswith("first differing entry (0, 0)")
+
+
+def test_a_diagonal_action_missing_a_term_fails_the_split(monkeypatch):
+    # d_g = g (x) 1 for one generator: the left side loses that generator's
+    # 1 (x) g terms, while the single-space Casimir does not read d_g
+    r = 2
+    first = rotation_generators(r)[0]
+    real = casimir.diagonal_action
+
+    def perturbed(g):
+        return kron(g, ExactMatrix.identity(g.dim)) if g is first else real(g)
+
+    monkeypatch.setattr(casimir, "diagonal_action", perturbed)
+    record = casimir.coproduct_consistency(r)
+    assert [c.check_id for c in record.checks] == ["coproduct-split", "single-space-casimir-scalar"]
+    failed = {c.check_id: c.witness for c in failing_checks(record)}
+    assert list(failed) == ["coproduct-split"]
+    assert failed["coproduct-split"].startswith("first differing entry (")
 
 
 @pytest.mark.parametrize("r", [2, 3])

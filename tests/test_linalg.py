@@ -7,12 +7,12 @@ from spincas import _backend
 from spincas.linalg import (
     ExactMatrix,
     PowerTable,
+    ScaledSum,
     first_difference,
     kron,
     partial_trace,
     permutation_operator,
     poly_eval,
-    sum_at_scale,
 )
 from spincas.ratfunc import Poly
 from spincas.scalar import ExactScalar, Rat
@@ -140,38 +140,44 @@ def test_first_difference():
 
 
 
-def test_sum_at_scale():
+def test_scaled_sum_adds_products_at_its_scale():
     a = ExactMatrix(2, {(0, 1): Rat(1, 2), (1, 1): 1})
     b = ExactMatrix(2, {(0, 1): Rat(-1, 2), (1, 0): Rat(3, 4)})
-    assert sum_at_scale(2, iter([a, b]), 4) == a + b
+    total = ScaledSum(2, 8)
+    total.add_product(a, a)
+    total.add_product(b, ExactMatrix.identity(2))
+    assert total.matrix() == a @ a + b
     with pytest.raises(ValueError):
-        sum_at_scale(2, [a, b], 2)  # 3/4 is not a multiple of 1/2
+        ScaledSum(2, 2).add_product(b, ExactMatrix.identity(2))  # 3/4 is not a multiple of 1/2
     with pytest.raises(ValueError):
-        sum_at_scale(3, [a], 4)
+        ScaledSum(3, 4).add_product(a, a)
+    with pytest.raises(ValueError):
+        ScaledSum(2, 4).add_product(a, ExactMatrix.identity(3))
 
 
 def test_products_make_one_kernel_call_per_pair_of_nonzero_parts(monkeypatch):
-    # a real or an imaginary factor meets each nonzero part of the other once;
-    # two complex factors make four products, summed per part in one call
+    # a real or an imaginary factor meets each nonzero part of the other once,
+    # in one mat_mul call; two complex factors make four products, added per
+    # part into one accumulator with no product matrix and no mat_lincomb
     real = ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3), (2, 0): -1})
     imaginary = ExactMatrix(3, {(0, 0): ExactScalar(0, 5), (2, 1): ExactScalar(0, -1)})
     both = real + imaginary
     calls = []
-    for name in ("mat_mul", "mat_lincomb"):
+    for owner, name in ((_backend, "mat_mul"), (_backend, "mat_lincomb"), (_backend.RowsSum, "add_product")):
 
-        def counted(*args, _name=name, _kernel=getattr(_backend, name)):
+        def counted(*args, _name=name, _kernel=getattr(owner, name)):
             calls.append(_name)
             return _kernel(*args)
 
-        monkeypatch.setattr(_backend, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     def kernel_calls(product, a, b):
         calls.clear()
         product(a, b)
-        return calls.count("mat_mul"), calls.count("mat_lincomb")
+        return calls.count("mat_mul"), calls.count("add_product"), calls.count("mat_lincomb")
 
-    assert kernel_calls(matmul, real, real) == (1, 0)
-    assert kernel_calls(matmul, real, imaginary) == (1, 0)
-    assert kernel_calls(matmul, imaginary, imaginary) == (1, 0)
-    assert kernel_calls(matmul, both, both) == (4, 2)
+    assert kernel_calls(matmul, real, real) == (1, 1, 0)
+    assert kernel_calls(matmul, real, imaginary) == (1, 1, 0)
+    assert kernel_calls(matmul, imaginary, imaginary) == (1, 1, 0)
+    assert kernel_calls(matmul, both, both) == (0, 4, 0)
     assert imaginary @ imaginary == ExactMatrix(3, {(0, 0): -25})

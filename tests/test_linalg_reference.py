@@ -8,7 +8,7 @@ reached the same canonical (scale, integer rows) form.
 """
 
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from spincas import _backend
 from spincas.linalg import (
     ExactMatrix,
+    ScaledSum,
     elementary_products,
     integer_parts,
     kron,
@@ -357,6 +358,72 @@ def test_kron_kernel_matches_the_sum_of_single_products(case):
         assert cancelled not in got
     for c, a, b in terms:
         assert _backend.mat_kron([(c, a, b)], b_dim) == ref_kron_sum([(c, a, b)], b_dim)
+
+
+def int_dense(rows, dim):
+    return dense(ExactMatrix(dim, {(i, j): v for i, row in rows.items() for j, v in row.items()}))
+
+
+@st.composite
+def product_cases(draw):
+    """(dim, terms): one to three terms (c, a, b) of sparse int rows, in
+    which a row of a or of b may be missing, and when drawn a last term that
+    takes the first product back out of some of its rows, so those rows of
+    the sum cancel to zero unless another term reaches them.
+    """
+    dim = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+
+    def rows():
+        row = st.dictionaries(st.integers(0, dim - 1), ints, max_size=dim)
+        drawn = draw(st.dictionaries(st.integers(0, dim - 1), row))
+        return {i: r for i, row in drawn.items() if (r := {j: v for j, v in row.items() if v})}
+
+    terms = [(draw(ints), rows(), rows()) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        c, a, b = terms[0]
+        kept = draw(st.sets(st.sampled_from(sorted(a)))) if a else set()
+        terms.append((-c, {i: a[i] for i in kept}, b))
+    return dim, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_cases())
+def test_add_product_matches_the_dense_products(case):
+    # the sum is read after every term and is then added to again, as the
+    # recurrence of elementary_products reads e_(k-1)
+    dim, terms = case
+    total = _backend.RowsSum()
+    expected = [[ZERO] * dim for _ in range(dim)]
+    for c, a, b in terms:
+        total.add_product(c, a, b)
+        product = ref_mul(int_dense(a, dim), int_dense(b, dim))
+        expected = ref_add(expected, ref_scale(product, ExactScalar(c)))
+        got = total.rows()
+        assert all(row and all(type(v) is int and v for v in row.values()) for row in got.values())
+        assert int_dense(got, dim) == expected
+    c, a, b = terms[0]
+    assert int_dense(_backend.mat_mul(a, b), dim) == ref_mul(int_dense(a, dim), int_dense(b, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims.flatmap(lambda d: st.lists(st.tuples(part_matrices(d), part_matrices(d)), min_size=1, max_size=3)),
+    st.booleans(),
+)
+def test_scaled_sum_adds_complex_products(pairs, cancel):
+    # real, imaginary and mixed factors; a last product -a @ b of the first
+    # pair, when drawn, cancels it
+    if cancel:
+        a, b = pairs[0]
+        pairs = [*pairs, (-a, b)]
+    dim = pairs[0][0].dim
+    total = ScaledSum(dim, lcm(*((a.scale * b.scale).denominator for a, b in pairs)))
+    expected = [[ZERO] * dim for _ in range(dim)]
+    for a, b in pairs:
+        total.add_product(a, b)
+        expected = ref_add(expected, ref_mul(dense(a), dense(b)))
+    assert_matches(total.matrix(), expected)
 
 
 @st.composite

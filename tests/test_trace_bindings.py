@@ -3,14 +3,19 @@
 ``perfbench/spans.py`` wraps the functions it lists in ``LAYERS``,
 ``COUNTED`` and ``RECORDS`` by name.  A refactor that renames or drops one
 of them breaks only the traced benchmark run, so this test loads that file
-by path, without running its ``install``, and resolves every name.
+by path, without running its ``install``, and resolves every name.  The
+tracer also counts the multiply-adds of ``_backend.mat_mul`` from its two
+positional arguments, so the signature of that kernel is pinned here too.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from spincas import _backend
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -40,3 +45,10 @@ def test_traced_name_resolves(module, dotted):
         assert hasattr(owner, part), f"spincas.{module}.{dotted} is gone"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_mat_mul_takes_the_two_factors_the_tracer_counts():
+    # the traced run counts multiply-adds of mat_mul from args[0] and args[1]
+    params = inspect.signature(_backend.mat_mul).parameters
+    assert list(params) == ["a_rows", "b_rows"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params.values())
