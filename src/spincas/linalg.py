@@ -378,9 +378,10 @@ def lincomb(dim: int, terms) -> ExactMatrix:
 
 
 class ScaledSum:
-    """A sum of matrices at the one scale 1/den.  Each term is added in place
-    into integer accumulators of the real and the imaginary part as it comes,
-    so no term need be held after it is added and no partial sum is read
+    """A sum of matrices and of matrix products at the one scale 1/den.  Each
+    term is added in place into integer accumulators of the real and the
+    imaginary part as it comes, so no term need be held after it is added,
+    no product is formed apart from the sum and no partial sum is read
     again; ``matrix`` makes the sum canonical once, at the end.
     """
 
