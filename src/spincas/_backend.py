@@ -4,8 +4,9 @@ A matrix here is a rows dict ``{i: {j: v}}`` whose values are nonzero Python
 ints; row dicts are never empty.  ``linalg`` stores each exact matrix as a
 rational scale times a real and an imaginary part of this kind, and builds
 the complex arithmetic from calls of these real kernels, so every loop below
-multiplies and adds plain ints.  Results are not divided by their content;
-``linalg`` does that.
+multiplies and adds plain ints.  Every sum is formed in one accumulator,
+``RowsSum``; ``mat_mul``, ``mat_kron`` and ``mat_lincomb`` each fill a fresh
+one.  Results are not divided by their content; ``linalg`` does that.
 """
 
 from __future__ import annotations
@@ -23,80 +24,25 @@ def mat_mul(a_rows, b_rows):
 
 
 def mat_kron(terms, b_dim):
-    """Sum of c * a (x) b over the terms (nonzero int c, a_rows, b_rows),
-    each b b_dim-square; a indexes the slow (leading) legs.  No Kronecker matrix is
-    formed per term: each is added row by row into the output as it is
-    formed, and only a row in which a sum of contributions came to zero is
-    filtered.
+    """Sum of c * a (x) b over the terms (int c, a_rows, b_rows), each b
+    b_dim-square; a indexes the slow (leading) legs.  No Kronecker matrix is
+    formed per term: each is added into one ``RowsSum``.
     """
-    out = {}
-    zeroed = set()  # rows in which a sum came to zero
+    out = RowsSum()
     for c, a_rows, b_rows in terms:
-        for i1, arow in a_rows.items():
-            scaled = [(j1 * b_dim, c * a) for j1, a in arow.items()]
-            for i2, brow in b_rows.items():
-                i = i1 * b_dim + i2
-                row = out.get(i)
-                if row is None:
-                    out[i] = {base + j2: a * b for base, a in scaled for j2, b in brow.items()}
-                    continue
-                for base, a in scaled:
-                    for j2, b in brow.items():
-                        col = base + j2
-                        v = row.get(col)
-                        if v is None:
-                            row[col] = a * b
-                        else:
-                            row[col] = v = v + a * b
-                            if not v:
-                                zeroed.add(i)
-    for i in zeroed:
-        row = {j: v for j, v in out[i].items() if v}
-        if row:
-            out[i] = row
-        else:
-            del out[i]
-    return out
-
-
-def mat_mul_leg(terms, b_dim):
-    """Sum of c * a @ (1 (x) b (x) 1_inner) over the terms (int c, a_rows,
-    b_rows, inner), each b b_dim-square, by index arithmetic on the legs: no
-    Kronecker matrix is formed, and the terms are added row by row as they
-    are multiplied.
-
-    A column j of a splits as j = base + k * inner with k = j // inner % b_dim;
-    b sends it to the columns base + k2 * inner, one per entry b[k, k2].
-    """
-    out = {}
-    for i in set().union(*(a_rows for _, a_rows, _, _ in terms)):
-        acc = {}
-        for c, a_rows, b_rows, inner in terms:
-            arow = a_rows.get(i)
-            if arow is None:
-                continue
-            for j, a in arow.items():
-                k = j // inner % b_dim
-                brow = b_rows.get(k)
-                if brow is None:
-                    continue
-                base = j - k * inner
-                a *= c
-                for k2, b in brow.items():
-                    col = base + k2 * inner
-                    acc[col] = acc.get(col, 0) + a * b
-        row = {j: v for j, v in acc.items() if v}
-        if row:
-            out[i] = row
-    return out
+        out.add_kron(c, a_rows, b_rows, b_dim)
+    return out.rows()
 
 
 class RowsSum:
-    """A sum of int multiples of matrices and of matrix products, each added
-    in place as it comes.  An entry that a product cancels is dropped at
-    once, so a sum read as a factor between products holds no zero entry;
-    an entry that a multiple cancels, and a row that a product empties,
-    stay until ``rows`` is read.
+    """The one sparse sum: int multiples of matrices, matrix products,
+    Kronecker products and products with an operator on one leg, each added
+    in place row by row as it is formed; no factor may be this sum's rows.
+    A row that may hold a zero entry, or none, is marked for ``rows`` to
+    clean: a row that ``add`` reaches again, a row in which ``add_kron``
+    cancels an entry, any row of ``add_leg_product`` and a row that a
+    product empties.  A product drops the entries it cancels at once, so a
+    sum read as a factor between products holds no zero entry.
     """
 
     __slots__ = ("acc", "mixed")
@@ -120,10 +66,7 @@ class RowsSum:
                 arow[j] = arow.get(j, 0) + c * v
 
     def add_product(self, c, a_rows, b_rows):
-        """Add c * a @ b, each row of the product added into the sum as it is
-        formed; no product matrix is built.  Neither factor may be this
-        sum's own rows.
-        """
+        """Add c * a @ b."""
         if not c:
             return
         acc = self.acc
@@ -146,7 +89,53 @@ class RowsSum:
                 if row:
                     acc[i] = row
             elif not row:
-                self.mixed.add(i)  # left for rows to drop
+                self.mixed.add(i)
+
+    def add_kron(self, c, a_rows, b_rows, b_dim):
+        """Add c * a (x) b, b b_dim-square and a on the slow legs."""
+        if not c:
+            return
+        acc, mixed = self.acc, self.mixed
+        for i1, arow in a_rows.items():
+            scaled = [(j1 * b_dim, c * a) for j1, a in arow.items()]
+            for i2, brow in b_rows.items():
+                i = i1 * b_dim + i2
+                row = acc.get(i)
+                if row is None:
+                    acc[i] = {base + j2: a * b for base, a in scaled for j2, b in brow.items()}
+                    continue
+                for base, a in scaled:
+                    for j2, b in brow.items():
+                        col = base + j2
+                        row[col] = v = row.get(col, 0) + a * b
+                        if not v:
+                            mixed.add(i)
+
+    def add_leg_product(self, c, a_rows, b_rows, inner, b_dim):
+        """Add c * a @ (1 (x) b (x) 1_inner), b b_dim-square, by index
+        arithmetic on the legs: no Kronecker matrix is formed.
+
+        A column j of a splits as j = base + k * inner with k = j // inner % b_dim;
+        b sends it to the columns base + k2 * inner, one per entry b[k, k2].
+        """
+        if not c:
+            return
+        acc, mixed = self.acc, self.mixed
+        for i, arow in a_rows.items():
+            row = acc.get(i)
+            if row is None:
+                acc[i] = row = {}
+            mixed.add(i)
+            for j, a in arow.items():
+                k = j // inner % b_dim
+                brow = b_rows.get(k)
+                if brow is None:
+                    continue
+                base = j - k * inner
+                a *= c
+                for k2, b in brow.items():
+                    col = base + k2 * inner
+                    row[col] = row.get(col, 0) + a * b
 
     def rows(self):
         """The sum so far, without zero entries or empty rows.  More may be

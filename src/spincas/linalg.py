@@ -113,33 +113,32 @@ def _part_terms(terms) -> tuple[list, list]:
     return re_terms, im_terms
 
 
+def _add_terms(sums: tuple, add, terms, *extra) -> None:
+    """Add the sum of c * x * y over the terms (c, x, y, *rest) into the
+    accumulators sums = (re, im): each real term of ``_part_terms`` is added
+    by the ``RowsSum`` method add(total, k, x_part, y_part, *rest, *extra).
+    """
+    for total, part in zip(sums, _part_terms(terms)):
+        for k, x, y, *rest in part:
+            add(total, k, x, y, *rest, *extra)
+
+
 def _products(terms) -> tuple:
     """Integer parts (re, im) of the sum of c * x @ y over the terms (c, x, y),
-    c an int and x, y integer parts (re, im).  A lone kernel term of a part
-    is one ``mat_mul`` call, a negative one negating its left factor rather
-    than the product; several are added into one accumulator as each
-    product row is formed.
+    c an int and x, y integer parts (re, im).  A part that is one product
+    with coefficient 1 is one ``mat_mul`` call; the products of any other
+    part are added into one accumulator as each product row is formed.
     """
 
     def part(t):
-        if len(t) == 1:
-            ((k, x, y),) = t
-            return _backend.mat_mul(x if k == 1 else _times(x, k), y)
+        if len(t) == 1 and t[0][0] == 1:
+            return _backend.mat_mul(t[0][1], t[0][2])
         total = _backend.RowsSum()
         for k, x, y in t:
             total.add_product(k, x, y)
         return total.rows()
 
     return tuple(part(t) for t in _part_terms(terms))
-
-
-def _add_products(sums: tuple, c: int, x: tuple, y: tuple) -> None:
-    """Add c * x @ y, for integer parts x and y, into the accumulators
-    sums = (re, im), each real product row by row as it is formed.
-    """
-    for total, terms in zip(sums, _part_terms([(c, x, y)])):
-        for k, a, b in terms:
-            total.add_product(k, a, b)
 
 
 class NotABasisMap(ValueError):
@@ -410,7 +409,8 @@ class ScaledSum:
                 f"cannot add a product of dim-{a.dim} and dim-{b.dim} matrices"
                 f" of scale {a.scale * b.scale} at dim {self.dim}, scale 1/{self.den}"
             )
-        _add_products((self._re, self._im), c.numerator, (a._re, a._im), (b._re, b._im))
+        terms = [(c.numerator, (a._re, a._im), (b._re, b._im))]
+        _add_terms((self._re, self._im), _backend.RowsSum.add_product, terms)
 
     def matrix(self) -> ExactMatrix:
         """The sum; nothing may be added after this."""
@@ -469,10 +469,12 @@ def leg_products(terms, b_dim: int) -> tuple:
     """Integer parts (re, im) of the sum of c * a @ (1 (x) b (x) 1_inner)
     over the terms (c, a, b, inner): c an int, a and b integer parts (re, im),
     b acting on the legs whose flat index has stride ``inner`` and the
-    identity on the legs before and after them.  One kernel call per nonzero
-    part of the result; no Kronecker matrix is formed.
+    identity on the legs before and after them.  No Kronecker matrix is
+    formed.
     """
-    return tuple(_backend.mat_mul_leg(t, b_dim) if t else {} for t in _part_terms(terms))
+    sums = (_backend.RowsSum(), _backend.RowsSum())
+    _add_terms(sums, _backend.RowsSum.add_leg_product, terms, b_dim)
+    return tuple(total.rows() for total in sums)
 
 
 def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ...]:
@@ -494,7 +496,8 @@ def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ..
     for n, g in enumerate(factors, start=1):
         c, g_parts = _int(g.scale, den), (g._re, g._im)
         for k in range(n, 0, -1):
-            _add_products(sums[k], c, tuple(s.rows() for s in sums[k - 1]), g_parts)
+            terms = [(c, tuple(s.rows() for s in sums[k - 1]), g_parts)]
+            _add_terms(sums[k], _backend.RowsSum.add_product, terms)
     return tuple(ExactMatrix._make(dim, Rat(1, den**k), re.rows(), im.rows()) for k, (re, im) in enumerate(sums))
 
 
@@ -506,20 +509,13 @@ def partial_trace(m: ExactMatrix, inner: int) -> ExactMatrix:
         raise ValueError(f"a leg of dimension {inner} does not divide dim {m.dim}")
 
     def traced(part):
-        rows: dict = {}
+        total = _backend.RowsSum()
         for i, row in part.items():
             i_out, i_leg = divmod(i, inner)
-            for j, v in row.items():
-                j_out, j_leg = divmod(j, inner)
-                if j_leg == i_leg:
-                    out_row = rows.setdefault(i_out, {})
-                    out_row[j_out] = out_row.get(j_out, 0) + v
-        clean = {}
-        for i, row in rows.items():
-            row = {j: v for j, v in row.items() if v}
-            if row:
-                clean[i] = row
-        return clean
+            traced_row = {j // inner: v for j, v in row.items() if j % inner == i_leg}
+            if traced_row:
+                total.add(1, {i_out: traced_row})
+        return total.rows()
 
     return m._map(traced, canonical=True, dim=m.dim // inner)
 

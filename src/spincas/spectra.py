@@ -166,6 +166,9 @@ def char_identity_rho(r: int) -> VerificationRecord:
         sector = next(s for s in SECTORS if omit in sector_kvalues(r, s))
         data = sector_spectral(r, sector)
         proj = data.projectors[omit]
+        if not proj:
+            record.add(f"minimality-omit-k{omit}", False, f"the k{omit} projector of sector {sector} is zero")
+            continue
         row, _ = next(proj.support())
         image = ExactMatrix(proj.dim, {(row, row): 1}) @ proj
         for j, e in enumerate(eigs):

@@ -149,8 +149,12 @@ def _degree_parts(dim: int, terms) -> tuple[ExactMatrix, ...]:
 def _cleared_family(dim: int, q: Poly, terms) -> RMatrixFamily:
     """The family sum_a c_a(u) M_a, for terms ((num_a, den_a), M_a) with
     c_a = num_a/den_a and every den_a dividing q: its parts are the degree
-    parts of q(u) sum_a c_a(u) M_a.
+    parts of q(u) sum_a c_a(u) M_a.  A den_a that does not divide q is
+    refused, naming its coefficient.
     """
+    for a, ((_, den), _) in enumerate(terms):
+        if not q.divmod(den)[1].is_zero():
+            raise ValueError(f"the denominator {den} of coefficient {a} does not divide q = {q}")
     return RMatrixFamily(q=q, parts=_degree_parts(dim, [(num * q.divmod(den)[0], m) for (num, den), m in terms]))
 
 

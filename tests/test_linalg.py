@@ -156,9 +156,11 @@ def test_scaled_sum_adds_products_at_its_scale():
 
 
 def test_products_make_one_kernel_call_per_pair_of_nonzero_parts(monkeypatch):
-    # a real or an imaginary factor meets each nonzero part of the other once,
-    # in one mat_mul call; two complex factors make four products, added per
-    # part into one accumulator with no product matrix and no mat_lincomb
+    # a real or an imaginary factor meets each nonzero part of the other once:
+    # a product with coefficient 1 is one mat_mul call, and -im @ im is added
+    # into an accumulator rather than negating a copy of its left factor; two
+    # complex factors make four products, added per part into one accumulator
+    # with no product matrix and no mat_lincomb
     real = ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3), (2, 0): -1})
     imaginary = ExactMatrix(3, {(0, 0): ExactScalar(0, 5), (2, 1): ExactScalar(0, -1)})
     both = real + imaginary
@@ -178,6 +180,6 @@ def test_products_make_one_kernel_call_per_pair_of_nonzero_parts(monkeypatch):
 
     assert kernel_calls(matmul, real, real) == (1, 1, 0)
     assert kernel_calls(matmul, real, imaginary) == (1, 1, 0)
-    assert kernel_calls(matmul, imaginary, imaginary) == (1, 1, 0)
+    assert kernel_calls(matmul, imaginary, imaginary) == (0, 1, 0)
     assert kernel_calls(matmul, both, both) == (0, 4, 0)
     assert imaginary @ imaginary == ExactMatrix(3, {(0, 0): -25})

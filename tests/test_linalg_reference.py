@@ -322,10 +322,10 @@ def ref_kron_sum(terms, b_dim):
 
 @st.composite
 def kron_cases(draw):
-    """(terms, b_dim, cancelled row): one to three terms (c, a, b) of sparse
-    int rows, and when drawn a last term that cancels the product of the
-    first in one row, a row of a that no other term has, so that row of the
-    sum vanishes.
+    """(terms, a_rows, b_dim, cancelled row): one to three terms (c, a, b)
+    of sparse int rows, a with at most a_rows rows, and when drawn a last
+    term that cancels the product of the first in one row, a row of a that
+    no other term has, so that row of the sum vanishes.
     """
     a_dim, b_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     ints = st.integers(-3, 3)
@@ -344,13 +344,13 @@ def kron_cases(draw):
         b[i2] = b.get(i2) or {draw(st.integers(0, b_dim - 1)): draw(ints.filter(bool))}
         terms.append((-c, {i1: a[i1]}, {i2: b[i2]}))
         cancelled = i1 * b_dim + i2
-    return terms, b_dim, cancelled
+    return terms, a_dim + 1, b_dim, cancelled
 
 
 @settings(max_examples=150, deadline=None)
 @given(kron_cases())
 def test_kron_kernel_matches_the_sum_of_single_products(case):
-    terms, b_dim, cancelled = case
+    terms, _, b_dim, cancelled = case
     got = _backend.mat_kron(terms, b_dim)
     assert got == ref_kron_sum(terms, b_dim)
     assert all(row and all(type(v) is int and v for v in row.values()) for row in got.values())
@@ -362,6 +362,61 @@ def test_kron_kernel_matches_the_sum_of_single_products(case):
 
 def int_dense(rows, dim):
     return dense(ExactMatrix(dim, {(i, j): v for i, row in rows.items() for j, v in row.items()}))
+
+
+# dense integer grids, rectangular where a factor has rows beyond its columns
+
+
+def grid(rows, n_rows, n_cols):
+    return [[rows.get(i, {}).get(j, 0) for j in range(n_cols)] for i in range(n_rows)]
+
+
+def grid_rows(g):
+    """The sparse rows of a dense grid: no zero entry, no empty row."""
+    return {i: r for i, row in enumerate(g) if (r := {j: v for j, v in enumerate(row) if v})}
+
+
+def eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def grid_add(a, b, c=1):
+    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def grid_mul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(ra)) for j in range(len(b[0]))] for ra in a]
+
+
+def grid_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def leg_factor(outer, b, inner):
+    """1_outer (x) b (x) 1_inner as a dense grid."""
+    return grid_kron(grid_kron(eye(outer), b), eye(inner))
+
+
+def assert_clean(rows):
+    assert all(row and all(type(v) is int and v for v in row.values()) for row in rows.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(kron_cases())
+def test_add_kron_matches_the_dense_kron(case):
+    # the sum is read after every term and is then added to again
+    terms, a_rows, b_dim, cancelled = case
+    total = _backend.RowsSum()
+    expected = [[0] * (a_rows * b_dim) for _ in range(a_rows * b_dim)]
+    for c, a, b in terms:
+        total.add_kron(c, a, b, b_dim)
+        product = grid_kron(grid(a, a_rows, a_rows), grid(b, b_dim, b_dim))
+        expected = grid_add(expected, product, c)
+        got = total.rows()
+        assert_clean(got)
+        assert got == grid_rows(expected)
+    if cancelled is not None:
+        assert cancelled not in got
 
 
 @st.composite
@@ -467,14 +522,124 @@ def identity_rows(dim):
 def test_mul_leg_kernel_matches_kron_then_mul(case):
     terms, b_dim, layouts, cancelling = case
     products = []
+    total = _backend.RowsSum()
     for (c, a, b, inner), outer in zip(terms, layouts):
         factor = _backend.mat_kron([(1, identity_rows(outer), b)], b_dim)
         factor = _backend.mat_kron([(1, factor, identity_rows(inner))], inner)
         products.append((c, _backend.mat_mul(a, factor)))
+        total.add_leg_product(c, a, b, inner, b_dim)
     expected = _backend.mat_lincomb(products)
-    assert _backend.mat_mul_leg(terms, b_dim) == expected
+    assert total.rows() == expected
     if cancelling is not None:
         assert cancelling not in expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(leg_cases())
+def test_add_leg_product_matches_the_dense_product(case):
+    # the sum is read after every term and is then added to again
+    terms, b_dim, layouts, cancelling = case
+    dim = layouts[0] * b_dim * terms[0][3]
+    n_rows = 1 + max(max(a, default=0) for _, a, _, _ in terms)
+    total = _backend.RowsSum()
+    expected = [[0] * dim for _ in range(n_rows)]
+    for (c, a, b, inner), outer in zip(terms, layouts):
+        total.add_leg_product(c, a, b, inner, b_dim)
+        product = grid_mul(grid(a, n_rows, dim), leg_factor(outer, grid(b, b_dim, b_dim), inner))
+        expected = grid_add(expected, product, c)
+        got = total.rows()
+        assert_clean(got)
+        assert got == grid_rows(expected)
+    if cancelling is not None:
+        assert cancelling not in got
+
+
+@st.composite
+def mixed_sums(draw):
+    """(dim, b_dim, terms, cancel): terms (kind, c, args) of all four kinds
+    of ``RowsSum`` on one space of dimension a_dim * b_dim, the first a
+    Kronecker product.  A leg product acts on the b_dim leg, before or after
+    the a_dim leg.  ``cancel``, when drawn, is the kind of a last term that
+    takes back the row of the sum that the Kronecker product reached first,
+    so that row empties.
+    """
+    a_dim, b_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dim = a_dim * b_dim
+    ints = st.integers(-3, 3)
+
+    def rows(count, width):
+        row = st.dictionaries(st.integers(0, width - 1), ints, max_size=width)
+        drawn = draw(st.dictionaries(st.integers(0, count - 1), row))
+        return {i: r for i, row in drawn.items() if (r := {j: v for j, v in row.items() if v})}
+
+    def nonempty(count, width):
+        i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, width - 1))
+        return {**rows(count, width), i: {j: draw(ints.filter(bool))}}
+
+    terms = [("kron", draw(ints.filter(bool)), (nonempty(a_dim, a_dim), nonempty(b_dim, b_dim)))]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["add", "product", "kron", "leg"]))
+        if kind == "add":
+            args = (rows(dim, dim),)
+        elif kind == "product":
+            args = (rows(dim, dim), rows(dim, dim))
+        elif kind == "kron":
+            args = (rows(a_dim, a_dim), rows(b_dim, b_dim))
+        else:
+            args = (rows(dim, dim), rows(b_dim, b_dim), draw(st.sampled_from([1, a_dim])))
+        terms.append((kind, draw(ints), args))
+    cancel = draw(st.sampled_from([None, "add", "product", "leg"]))
+    return dim, b_dim, terms, cancel
+
+
+def mixed_term(total, dim, b_dim, kind, c, args):
+    """Add c times one term of the given kind into a RowsSum, and return
+    the term's dense grid, without c.
+    """
+    if kind == "add":
+        (a,) = args
+        total.add(c, a)
+        return grid(a, dim, dim)
+    if kind == "product":
+        a, b = args
+        total.add_product(c, a, b)
+        return grid_mul(grid(a, dim, dim), grid(b, dim, dim))
+    if kind == "kron":
+        a, b = args
+        total.add_kron(c, a, b, b_dim)
+        return grid_kron(grid(a, dim // b_dim, dim // b_dim), grid(b, b_dim, b_dim))
+    a, b, inner = args
+    total.add_leg_product(c, a, b, inner, b_dim)
+    return grid_mul(grid(a, dim, dim), leg_factor(dim // (b_dim * inner), grid(b, b_dim, b_dim), inner))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_sums(), st.booleans())
+def test_one_rows_sum_takes_every_kind_of_term(case, read_between):
+    # each kind of term lands in rows that other kinds formed; the sum is
+    # clean whether or not it was read between additions
+    dim, b_dim, terms, cancel = case
+    total = _backend.RowsSum()
+    expected = [[0] * dim for _ in range(dim)]
+    for kind, c, args in terms:
+        expected = grid_add(expected, mixed_term(total, dim, b_dim, kind, c, args), c)
+        if read_between:
+            got = total.rows()
+            assert_clean(got)
+            assert got == grid_rows(expected)
+    (_, _, (a, b)) = terms[0]
+    emptied = min(a) * b_dim + min(b)
+    row = grid_rows(expected).get(emptied)
+    if cancel is not None and row:
+        back = {"add": ({emptied: row},), "product": ({emptied: row}, identity_rows(dim))}
+        back["leg"] = ({emptied: row}, identity_rows(b_dim), 1)
+        expected = grid_add(expected, mixed_term(total, dim, b_dim, cancel, -1, back[cancel]), -1)
+        assert not any(expected[emptied])
+    got = total.rows()
+    assert_clean(got)
+    assert got == grid_rows(expected)
+    if cancel is not None:
+        assert emptied not in got
 
 
 @settings(max_examples=60, deadline=None)

@@ -99,6 +99,25 @@ def test_minimality_fails_on_swapped_projectors(r, monkeypatch):
     assert spectra.char_identity_rho(r).ok
 
 
+def test_minimality_fails_on_a_zero_projector(monkeypatch):
+    # a zero projector has no row to push through the subproduct: the check
+    # fails with a witness that names it, rather than the record raising
+    r = 3
+    real = spectra.sector_spectral
+    data = real(r, "++")
+    k = sorted(data.projectors)[1]
+    projectors = {**data.projectors, k: ExactMatrix.zero(data.block.dim)}
+
+    def served(rank, sector):
+        got = real(rank, sector)
+        return replace(got, projectors=projectors) if (rank, sector) == (r, "++") else got
+
+    monkeypatch.setattr(spectra, "sector_spectral", served)
+    record = spectra.char_identity_rho(r)
+    failed = {c.check_id: c.witness for c in failing_checks(record)}
+    assert failed == {f"minimality-omit-k{k}": f"the k{k} projector of sector ++ is zero"}
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_sector_minimal_identities(r):
     record = spectra.sector_minimal_identities(r)

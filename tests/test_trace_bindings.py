@@ -6,18 +6,24 @@ of them breaks only the traced benchmark run, so this test loads that file
 by path, without running its ``install``, and resolves every name.  The
 tracer also counts the multiply-adds of ``_backend.mat_mul`` from its two
 positional arguments, so the signature of that kernel is pinned here too.
+A name can resolve and still be bypassed, so one traced run checks that
+every kernel of the ``kernels`` layer is reached through its traced entry.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from spincas import _backend
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -52,3 +58,17 @@ def test_mat_mul_takes_the_two_factors_the_tracer_counts():
     params = inspect.signature(_backend.mat_mul).parameters
     assert list(params) == ["a_rows", "b_rows"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params.values())
+
+
+def test_a_traced_run_counts_every_kernel(tmp_path):
+    # a kernel that the package reached around its traced entry would read 0
+    result = tmp_path / "r.json"
+    command = [sys.executable, str(PERFBENCH / "child.py"), str(result), "trace", "t", "-", "--"]
+    command += ["report", "--r", "2", "--suites", "oracle,spectra", "--out", str(tmp_path / "a.json")]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    run = json.loads(result.read_text(encoding="utf-8"))
+    assert run["exit_code"] == 0
+    _, kernels = _load_spans().LAYERS["kernels"]
+    calls = {fn: run["layers"].get(f"kernels.{fn}.calls", 0) for fn in kernels}
+    assert all(calls.values()), calls

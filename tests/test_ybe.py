@@ -41,6 +41,16 @@ def test_tau_coefficient_refuses_an_unknown_form(form):
         ybe.tau_coefficient(3, 1, form)
 
 
+def test_cleared_family_refuses_a_q_missing_a_factor():
+    # at r=4, Q = (u + 1)(u + 3) and tau_2 has denominator (u + 1)(u + 3):
+    # with (u + 3) left out of q, tau_2 cannot be cleared
+    r = 4
+    terms = [(ybe.tau_coefficient(r, k), ExactMatrix.identity(2)) for k in range(r // 2 + 1)]
+    assert ybe._cleared_family(2, ybe.tau_denominator(r), terms).q == ybe.tau_denominator(r)
+    with pytest.raises(ValueError, match=r"denominator Poly\(\[3/1, 4/1, 1/1\]\) of coefficient 2 does not divide"):
+        ybe._cleared_family(2, Poly([1, 1]), terms)
+
+
 def test_family_structure():
     # Q is the lcm of the tau denominators, and Q(u) R(u) has one part per
     # power of u up to the degree of Q
@@ -830,8 +840,10 @@ def test_failing_points_make_no_products(fresh_caches, monkeypatch, failing):
     def refused(*args):
         raise AssertionError("a matrix product at a grid point")
 
-    for kernel in ("mat_mul", "mat_kron", "mat_mul_leg"):
+    for kernel in ("mat_mul", "mat_kron"):
         monkeypatch.setattr(_backend, kernel, refused)
+    for method in ("add_product", "add_kron", "add_leg_product"):
+        monkeypatch.setattr(_backend.RowsSum, method, refused)
     record = family.grid("grid", ybe.grid_points(r))
     assert len(failing_checks(record)) == 81
 
