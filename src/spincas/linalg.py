@@ -509,12 +509,15 @@ def partial_trace(m: ExactMatrix, inner: int) -> ExactMatrix:
         raise ValueError(f"a leg of dimension {inner} does not divide dim {m.dim}")
 
     def traced(part):
-        total = _backend.RowsSum()
+        legs = [{} for _ in range(inner)]  # leg index -> {output row: traced row}
         for i, row in part.items():
             i_out, i_leg = divmod(i, inner)
             traced_row = {j // inner: v for j, v in row.items() if j % inner == i_leg}
             if traced_row:
-                total.add(1, {i_out: traced_row})
+                legs[i_leg][i_out] = traced_row
+        total = _backend.RowsSum()
+        for rows in legs:
+            total.add(1, rows)
         return total.rows()
 
     return m._map(traced, canonical=True, dim=m.dim // inner)

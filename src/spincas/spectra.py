@@ -5,7 +5,12 @@ square, projector traces, and permutation symmetry.
 Multiplicities are always recomputed as exact ranks; the closed-form
 binomial dimensions act as assertions on top of that ground truth.  Every
 polynomial in a sector block is evaluated from the block's power table,
-held by its ``SectorSpectral``.  The family on the full space is assembled
+held by its ``SectorSpectral``.  Each distinct sector block is analysed
+once: a sector whose labels and block equal those of an earlier sector,
+compared exactly at run time, shares that sector's analysis (the ``--``
+block equals the ``++`` block and ``-+`` equals ``+-``), and the sector
+records evaluate each value once per analysis while still checking every
+sector by its own id.  The family on the full space is assembled
 from the sector projectors and checked by its axioms there; with distinct
 eigenvalues those imply that each member is the Lagrange projector of the
 full operator (see ``rho_family_check``), so none is rebuilt from the
@@ -35,8 +40,8 @@ from .linalg import (
     permutation_operator,
     poly_eval,
 )
-from .ratfunc import poly_from_roots
-from .records import VerificationRecord, mismatch
+from .ratfunc import Poly, poly_from_roots
+from .records import CheckResult, VerificationRecord, mismatch
 from .scalar import Rat
 
 OPPOSITE = {"++": "+-", "+-": "++", "-+": "--", "--": "-+"}
@@ -73,14 +78,14 @@ class Spectrum:
     entries: tuple[tuple[int, Rat, int], ...]  # (k, eigenvalue, multiplicity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorSpectral:
     """One sector block with its power table, projectors, and verified
-    spectrum.
+    spectrum.  It belongs to the block, which twin sectors share, and it
+    hashes by identity, so that a value cached per analysis is keyed on the
+    whole object.
     """
 
-    r: int
-    sector: str
     block: ExactMatrix
     powers: PowerTable  # of the block
     spectrum: Spectrum
@@ -97,28 +102,53 @@ def _lagrange_projector(eigs: dict[int, Rat], k: int, powers: PowerTable) -> Exa
 
 @lru_cache(maxsize=None)
 def sector_spectral(r: int, sector: str) -> SectorSpectral:
-    """Build the sector block, its eigenprojectors, and rank-verified spectrum."""
+    """Build the sector block, its eigenprojectors, and rank-verified spectrum.
+
+    A sector whose labels and block equal those of an earlier sector in
+    ``SECTORS`` order gets that sector's analysis itself, so each distinct
+    block is analysed once; the blocks are compared exactly, at run time.
+    """
     block = sector_casimir(r, sector)
-    eigs = {k: c2k_eigenvalue(r, k) for k in sector_kvalues(r, sector)}
+    labels = sector_kvalues(r, sector)
+    for earlier in SECTORS[: SECTORS.index(sector)]:
+        if sector_kvalues(r, earlier) == labels and sector_casimir(r, earlier) == block:
+            return _analysis_of(r, earlier)
+    eigs = {k: c2k_eigenvalue(r, k) for k in labels}
     powers = PowerTable(block)
     projectors = {k: _lagrange_projector(eigs, k, powers) for k in eigs}
     entries = tuple((k, ev, projectors[k].rank()) for k, ev in eigs.items())
-    return SectorSpectral(
-        r=r,
-        sector=sector,
-        block=block,
-        powers=powers,
-        spectrum=Spectrum(entries=entries),
-        projectors=projectors,
-    )
+    return SectorSpectral(block=block, powers=powers, spectrum=Spectrum(entries=entries), projectors=projectors)
+
+
+# the twin is looked up through the cache itself, not the module name, so an
+# analysis served in place of a sector's is never shared with its twin
+_analysis_of = sector_spectral
+
+
+def _value(values: dict, data: SectorSpectral, poly: Poly) -> ExactMatrix:
+    """poly on the block of ``data``, evaluated once per analysis and
+    polynomial in ``values``, a dict local to one record.
+    """
+    key = (data, poly.coeffs)
+    if key not in values:
+        values[key] = poly_eval(poly, data.powers)
+    return values[key]
 
 
 def projector_axioms(r: int, sector: str) -> VerificationRecord:
     """Idempotence, completeness, reconstruction, traces, ranks; the first
     two imply orthogonality, as in rho_family_check, so it is not checked.
+    No check id names the sector, so the checks are made once per analysis.
     """
     record = VerificationRecord(name=f"projector-axioms r={r} sector={sector}")
-    data = sector_spectral(r, sector)
+    record.checks.extend(_axiom_checks(r, sector_spectral(r, sector)))
+    return record
+
+
+@lru_cache(maxsize=None)
+def _axiom_checks(r: int, data: SectorSpectral) -> tuple[CheckResult, ...]:
+    """The checks of projector_axioms on one analysis."""
+    record = VerificationRecord(name="")
     ident = ExactMatrix.identity(data.block.dim)
     for k, proj in data.projectors.items():
         record.add_equal(f"idempotent-k{k}", proj @ proj, proj)
@@ -134,7 +164,7 @@ def projector_axioms(r: int, sector: str) -> VerificationRecord:
         expected = sector_trace_closed_form(r, k)
         record.add_equal(f"trace-k{k}", proj.trace(), expected)
         record.add_equal(f"rank-k{k}", mult, expected)
-    return record
+    return tuple(record.checks)
 
 
 def char_identity_rho(r: int) -> VerificationRecord:
@@ -157,11 +187,12 @@ def char_identity_rho(r: int) -> VerificationRecord:
     eigs = [c2k_eigenvalue(r, k) for k in range(r + 1)]
     full_poly = poly_from_roots(eigs)
     top_poly = i2k_polynomial(r, r + 1)
+    values = {}
     for sector in SECTORS:
-        powers = sector_spectral(r, sector).powers
-        zero = ExactMatrix.zero(powers.base.dim)
-        record.add_equal(f"factorized-identity-{sector}", poly_eval(full_poly, powers), zero)
-        record.add_equal(f"top-invariant-vanishes-{sector}", poly_eval(top_poly, powers), zero)
+        data = sector_spectral(r, sector)
+        zero = ExactMatrix.zero(data.block.dim)
+        record.add_equal(f"factorized-identity-{sector}", _value(values, data, full_poly), zero)
+        record.add_equal(f"top-invariant-vanishes-{sector}", _value(values, data, top_poly), zero)
     for omit in range(r + 1):
         sector = next(s for s in SECTORS if omit in sector_kvalues(r, s))
         data = sector_spectral(r, sector)
@@ -197,7 +228,11 @@ def duality_pair_identities(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"sector-pair-identities r={r}")
     polys = [i2k_polynomial(r, j) for j in range(r + 1)]
-    witnesses = {sector: _signed_pair_witnesses(r, sector, polys) for sector in SECTORS}
+    values = {}
+    witnesses = {}
+    for sector in SECTORS:
+        data = sector_spectral(r, sector)
+        witnesses[sector] = _signed_pair_witnesses(r, sector, [_value(values, data, p) for p in polys])
     for sector in SECTORS:
         for k, witness in enumerate(witnesses[sector]):
             record.add(f"signed-pair-{sector}-k{k}", not witness, witness)
@@ -216,14 +251,12 @@ def duality_pair_identities(r: int) -> VerificationRecord:
     return record
 
 
-def _signed_pair_witnesses(r: int, sector: str, polys) -> list[str]:
+def _signed_pair_witnesses(r: int, sector: str, values) -> list[str]:
     """The mismatch of the signed pair identity on one sector for k = 0..r,
-    empty where it holds.  Each I_2j is evaluated once.
+    empty where it holds, from the values I_0 .. I_2r on its block.
     """
     sign_r = (-1) ** r
     eps = 1 if sector in ("++", "--") else -1
-    powers = sector_spectral(r, sector).powers
-    values = [poly_eval(p, powers) for p in polys]
     out = []
     for k in range(r + 1):
         ratio = Rat(factorial(2 * r - 2 * k), factorial(2 * k))
@@ -234,10 +267,11 @@ def _signed_pair_witnesses(r: int, sector: str, polys) -> list[str]:
 def sector_minimal_identities(r: int) -> VerificationRecord:
     """Minimal-degree invariant identities annihilating each sector block."""
     record = VerificationRecord(name=f"sector-minimal-identities r={r}")
+    values = {}
 
     def vanishes(check_id, poly, sector):
-        powers = sector_spectral(r, sector).powers
-        record.add_equal(check_id, poly_eval(poly, powers), ExactMatrix.zero(powers.base.dim))
+        data = sector_spectral(r, sector)
+        record.add_equal(check_id, _value(values, data, poly), ExactMatrix.zero(data.block.dim))
 
     if r % 2 == 0:
         for sector in ("+-", "-+"):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from spincas import report, spectra
+from spincas import _backend, report, spectra
 from spincas.casimir import SECTORS, casimir_powers, split_casimir_rho
 from spincas.linalg import ExactMatrix, PowerTable
 from spincas.ratfunc import Poly
@@ -60,6 +60,56 @@ def test_known_spectra(key):
     r, sector = key
     spectrum = spectra.sector_spectral(r, sector).spectrum
     assert list(spectrum.entries) == KNOWN_SPECTRA[key]
+
+
+@pytest.fixture
+def fresh_analyses():
+    """No sector analysis built in the test outlives it, and none built
+    before it is reused.
+    """
+    spectra.sector_spectral.cache_clear()
+    yield
+    spectra.sector_spectral.cache_clear()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_twin_sectors_share_one_analysis(r):
+    # the -- block equals the ++ block and -+ equals +-, found at run time
+    assert spectra.sector_spectral(r, "--") is spectra.sector_spectral(r, "++")
+    assert spectra.sector_spectral(r, "-+") is spectra.sector_spectral(r, "+-")
+    assert spectra.sector_spectral(r, "+-") is not spectra.sector_spectral(r, "++")
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_defect_in_one_twin_is_caught(r, monkeypatch, fresh_analyses):
+    # a -- block with one wrong entry no longer equals the ++ block, so it
+    # gets an analysis of its own, and its checks fail while those of ++ pass
+    real = spectra.sector_casimir
+    wrong = real(r, "--") + ExactMatrix(4 ** (r - 1), {(0, 1): 1})
+    monkeypatch.setattr(spectra, "sector_casimir", lambda rank, s: wrong if (rank, s) == (r, "--") else real(rank, s))
+    twin = spectra.sector_spectral(r, "--")
+    assert twin is not spectra.sector_spectral(r, "++") and twin.block == wrong
+    assert spectra.sector_spectral(r, "-+") is spectra.sector_spectral(r, "+-")
+    assert spectra.projector_axioms(r, "++").ok
+    assert failing_checks(spectra.projector_axioms(r, "--"))
+    failed = {c.check_id: c.witness for c in failing_checks(spectra.char_identity_rho(r))}
+    assert sorted(failed) == ["factorized-identity---", "top-invariant-vanishes---"]
+    assert all(witness.startswith("first differing entry") for witness in failed.values())
+
+
+def test_the_spectra_suite_ranks_each_distinct_analysis_once(monkeypatch, fresh_analyses):
+    # r = 4: one exact rank per label of the ++ analysis (0, 2, 4) and of the
+    # +- analysis (1, 3); their twins add none
+    real = _backend.mat_rank
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(_backend, "mat_rank", counted)
+    assert all(record.ok for record in report.spectra_suite(4))
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -147,17 +197,23 @@ def test_pair_identities_odd_rank_notes(r):
 def test_odd_rank_unsigned_pair_failure_names_the_exchanged_signed_check(monkeypatch):
     # I_0 of the ++ block with one wrong entry: the signed checks of ++ fail
     # at k = 0 and k = r, and the unsigned checks of the exchanged sector +-
-    # fail with their witnesses
+    # fail with their witnesses.  ++ is served an analysis of its own, with a
+    # fresh table of the same block, so the -- twin does not read the wrong I_0
     r = 3
-    real = spectra.poly_eval
-    plus = spectra.sector_spectral(r, "++").powers
+    real_spectral, real_eval = spectra.sector_spectral, spectra.poly_eval
+    data = real_spectral(r, "++")
+    plus = replace(data, powers=PowerTable(data.block))
+
+    def served(rank, sector):
+        return plus if (rank, sector) == (r, "++") else real_spectral(rank, sector)
 
     def perturbed(p, table):
-        value = real(p, table)
-        if table is plus and p == Poly.const(1):
+        value = real_eval(p, table)
+        if table is plus.powers and p == Poly.const(1):
             value = value + ExactMatrix(value.dim, {(0, 1): 1})
         return value
 
+    monkeypatch.setattr(spectra, "sector_spectral", served)
     monkeypatch.setattr(spectra, "poly_eval", perturbed)
     record = spectra.duality_pair_identities(r)
     failed = {c.check_id: c.witness for c in failing_checks(record)}
