@@ -6,7 +6,8 @@ rational scale times a real and an imaginary part of this kind, and builds
 the complex arithmetic from calls of these real kernels, so every loop below
 multiplies and adds plain ints.  Every sum is formed in one accumulator,
 ``RowsSum``; ``mat_mul``, ``mat_kron`` and ``mat_lincomb`` each fill a fresh
-one.  Results are not divided by their content; ``linalg`` does that.
+one, and ``linalg.ScaledSum`` holds one per part of a complex sum.  Results
+are not divided by their content; ``linalg`` does that.
 """
 
 from __future__ import annotations

@@ -275,7 +275,7 @@ def coproduct_consistency(r: int) -> VerificationRecord:
     # d = g (x) 1 + 1 (x) g has integer entries over the scale of g, so every
     # d @ d is an integer matrix over the square of that scale
     den = lcm(*((g.scale * g.scale).denominator for g in gens))
-    total = ScaledSum(dim * dim, den)
+    total = ScaledSum(dim * dim, Rat(1, den))
     for g in gens:
         d = diagonal_action(g)
         total.add_product(d, d)

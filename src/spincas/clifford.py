@@ -5,7 +5,7 @@ G_i G_j + G_j G_i = 2 delta_ij.  The construction is the iterated
 two-dimensional tensor build, ordered so that the top grading element
 (product of all generators, normalized by (-i)^r) comes out diagonal with
 +1 on the first half of the basis and -1 on the second half.  All entries
-are in {0, +-1, +-i}, asserted at build time.  The module is the one home
+are in {0, +-1, +-i}, checked at build time.  The module is the one home
 of the spinor leg: the chirality layout, the generators on Delta_+-, the
 Cartan, the leg weights, and the closure, orbit and Levi premises.
 """
@@ -72,9 +72,10 @@ def build_gamma(r: int) -> GammaRep:
         gammas.append(kron(PAULI_X, chirality))
         gammas.append(kron(PAULI_Y, ident))
         chirality = kron(PAULI_Z, ident)
-    for g in gammas:
-        for _, _, value in g.items():
-            assert value in _ALLOWED_ENTRIES, f"unexpected generator entry {value}"
+    for k, g in enumerate(gammas, start=1):
+        for i, j, value in g.items():
+            if value not in _ALLOWED_ENTRIES:
+                raise ValueError(f"generator G_{k} has entry {value} at ({i}, {j}), not one of +-1, +-i")
     return GammaRep(r=r, gammas=tuple(gammas), chirality=chirality)
 
 

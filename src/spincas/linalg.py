@@ -8,7 +8,9 @@ zero matrix has scale 1 and two empty parts.  That form is unique, so
 equality is a structural comparison.  The kernels in ``_backend`` multiply
 and add real integer matrices; ``_part_terms`` splits every complex product
 here into one kernel term per pair of nonzero parts, so a zero part costs
-nothing.  The public interface speaks Q(i): entries come out as
+nothing.  Every sum of matrices and of matrix products is formed in the
+one complex accumulator, ``ScaledSum``; a Kronecker sum is one ``mat_kron``
+call per part.  The public interface speaks Q(i): entries come out as
 ``ExactScalar`` values with ``Fraction`` parts.
 
 A polynomial in an operator is a ``ratfunc.Poly`` evaluated from the
@@ -113,34 +115,6 @@ def _part_terms(terms) -> tuple[list, list]:
     return re_terms, im_terms
 
 
-def _add_terms(sums: tuple, add, terms, *extra) -> None:
-    """Add the sum of c * x * y over the terms (c, x, y, *rest) into the
-    accumulators sums = (re, im): each real term of ``_part_terms`` is added
-    by the ``RowsSum`` method add(total, k, x_part, y_part, *rest, *extra).
-    """
-    for total, part in zip(sums, _part_terms(terms)):
-        for k, x, y, *rest in part:
-            add(total, k, x, y, *rest, *extra)
-
-
-def _products(terms) -> tuple:
-    """Integer parts (re, im) of the sum of c * x @ y over the terms (c, x, y),
-    c an int and x, y integer parts (re, im).  A part that is one product
-    with coefficient 1 is one ``mat_mul`` call; the products of any other
-    part are added into one accumulator as each product row is formed.
-    """
-
-    def part(t):
-        if len(t) == 1 and t[0][0] == 1:
-            return _backend.mat_mul(t[0][1], t[0][2])
-        total = _backend.RowsSum()
-        for k, x, y in t:
-            total.add_product(k, x, y)
-        return total.rows()
-
-    return tuple(part(t) for t in _part_terms(terms))
-
-
 class NotABasisMap(ValueError):
     """A column of a matrix is not a nonzero multiple of one basis vector."""
 
@@ -185,10 +159,9 @@ class ExactMatrix:
         """Canonical matrix from a positive scale and integer parts of any content."""
         return cls._wrap(dim, *_canonical(scale, re, im))
 
-    def _map(self, f, canonical: bool = False, dim: int | None = None) -> "ExactMatrix":
-        """f applied to both parts; ``canonical`` when f may drop content."""
-        build = ExactMatrix._make if canonical else ExactMatrix._wrap
-        return build(self.dim if dim is None else dim, self.scale, f(self._re), f(self._im))
+    def _map(self, f, dim: int | None = None) -> "ExactMatrix":
+        """f, which keeps the content, applied to both parts."""
+        return ExactMatrix._wrap(self.dim if dim is None else dim, self.scale, f(self._re), f(self._im))
 
     # -- constructors -----------------------------------------------------
 
@@ -290,8 +263,9 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
-        re, im = _products([(1, (self._re, self._im), (other._re, other._im))])
-        return ExactMatrix._make(self.dim, self.scale * other.scale, re, im)
+        total = ScaledSum(self.dim, self.scale * other.scale)  # at the product's scale: coefficient 1
+        total.add_terms(_backend.RowsSum.add_product, [(1, (self._re, self._im), (other._re, other._im))])
+        return total.matrix()
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return lincomb(self.dim, [(1, self), (1, other)])
@@ -340,7 +314,7 @@ class ExactMatrix:
                         out[pi] = new_row
             return out
 
-        return self._map(block, canonical=True, dim=len(indices))
+        return ExactMatrix._make(len(indices), self.scale, block(self._re), block(self._im))
 
     def embed(self, indices: Sequence[int], dim: int) -> "ExactMatrix":
         """Inverse of ``restrict``: place this block at the given coordinates."""
@@ -370,28 +344,29 @@ def lincomb(dim: int, terms) -> ExactMatrix:
     if not scaled:
         return ExactMatrix.zero(dim)
     den = lcm(*(x.denominator for re, im, _ in scaled for x in (re, im)))
-    total = ScaledSum(dim, den)
+    total = ScaledSum(dim, Rat(1, den))
     for re, im, m in scaled:
         total.add(_int(re, den), _int(im, den), (m._re, m._im))
     return total.matrix()
 
 
 class ScaledSum:
-    """A sum of matrices and of matrix products at the one scale 1/den.  Each
-    term is added in place into integer accumulators of the real and the
-    imaginary part as it comes, so no term need be held after it is added,
-    no product is formed apart from the sum and no partial sum is read
-    again; ``matrix`` makes the sum canonical once, at the end.
+    """The one complex accumulator: a sum over Q(i) at one positive rational
+    scale, held as integer accumulators of the real and the imaginary part.
+    Each term is added in place as it comes, so no term need be held after
+    it is added and no product is formed apart from the sum; ``parts`` may
+    be read between additions, and ``matrix`` makes the sum canonical once,
+    at the end.
     """
 
-    __slots__ = ("dim", "den", "_re", "_im")
+    __slots__ = ("dim", "scale", "_re", "_im")
 
-    def __init__(self, dim: int, den: int):
-        self.dim, self.den = dim, den
+    def __init__(self, dim: int, scale: Rat):
+        self.dim, self.scale = dim, scale
         self._re, self._im = _backend.RowsSum(), _backend.RowsSum()
 
     def add(self, c0: int, c1: int, parts: tuple) -> None:
-        """Add (c0 + i c1)(re + i im)/den for integer parts (re, im)."""
+        """Add (c0 + i c1)(re + i im) for integer parts (re, im)."""
         # (c0 + i c1)(re + i im) = (c0 re - c1 im) + i (c1 re + c0 im)
         re, im = parts
         self._re.add(c0, re)
@@ -399,22 +374,37 @@ class ScaledSum:
         self._im.add(c1, re)
         self._im.add(c0, im)
 
-    def add_product(self, a: ExactMatrix, b: ExactMatrix) -> None:
-        """Add a @ b, whose scale must be a multiple of 1/den, without
-        forming it: each product row is added as it is formed.
+    def add_terms(self, add, terms, *extra) -> None:
+        """Add the sum of c * x * y over the terms (c, x, y, *rest), c an int
+        and x, y integer parts (re, im): each real term of ``_part_terms`` is
+        added by the ``RowsSum`` method add(total, k, x_part, y_part, *rest,
+        *extra).
         """
-        c = a.scale * b.scale * self.den
+        for total, part in zip((self._re, self._im), _part_terms(terms)):
+            for k, x, y, *rest in part:
+                add(total, k, x, y, *rest, *extra)
+
+    def add_product(self, a: ExactMatrix, b: ExactMatrix) -> None:
+        """Add a @ b, whose scale must be an integer multiple of this sum's,
+        without forming it: each product row is added as it is formed.
+        """
+        c = a.scale * b.scale / self.scale
         if a.dim != self.dim or b.dim != self.dim or c.denominator != 1:
             raise ValueError(
                 f"cannot add a product of dim-{a.dim} and dim-{b.dim} matrices"
-                f" of scale {a.scale * b.scale} at dim {self.dim}, scale 1/{self.den}"
+                f" of scale {a.scale * b.scale} at dim {self.dim}, scale {self.scale}"
             )
-        terms = [(c.numerator, (a._re, a._im), (b._re, b._im))]
-        _add_terms((self._re, self._im), _backend.RowsSum.add_product, terms)
+        self.add_terms(_backend.RowsSum.add_product, [(c.numerator, (a._re, a._im), (b._re, b._im))])
+
+    def parts(self) -> tuple[dict, dict]:
+        """Integer parts (re, im) of the sum so far, over its scale, with no
+        zero entry; more may be added afterwards, which changes them in place.
+        """
+        return self._re.rows(), self._im.rows()
 
     def matrix(self) -> ExactMatrix:
         """The sum; nothing may be added after this."""
-        return ExactMatrix._make(self.dim, Rat(1, self.den), self._re.rows(), self._im.rows())
+        return ExactMatrix._make(self.dim, self.scale, *self.parts())
 
 
 # -- tensor toolkit --------------------------------------------------------
@@ -472,9 +462,9 @@ def leg_products(terms, b_dim: int) -> tuple:
     identity on the legs before and after them.  No Kronecker matrix is
     formed.
     """
-    sums = (_backend.RowsSum(), _backend.RowsSum())
-    _add_terms(sums, _backend.RowsSum.add_leg_product, terms, b_dim)
-    return tuple(total.rows() for total in sums)
+    total = ScaledSum(0, RAT_ONE)  # read as parts only, so no dimension
+    total.add_terms(_backend.RowsSum.add_leg_product, terms, b_dim)
+    return total.parts()
 
 
 def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ...]:
@@ -482,23 +472,21 @@ def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ..
 
     e_k is the sum over i_1 < ... < i_k of factors[i_1] @ ... @ factors[i_k],
     so e_0 is the identity.  The factors are brought to one common
-    denominator D and the recurrence e_k += e_(k-1) @ factor runs on integer
-    accumulators, each product row added into e_k as it is formed; every
-    term of e_k then carries the scale 1/D^k.  Running k downwards reads
-    each e_(k-1) before this factor is added into it.  Multiplying on the
-    right keeps each product in ascending order, so the factors need not
-    commute.
+    denominator D and the recurrence e_k += e_(k-1) @ factor runs on one
+    ``ScaledSum`` per e_k, at the scale 1/D^k, each product row added into
+    e_k as it is formed.  Running k downwards reads each e_(k-1) before this
+    factor is added into it.  Multiplying on the right keeps each product in
+    ascending order, so the factors need not commute.
     """
     dim = factors[0].dim
     den = lcm(*(g.scale.denominator for g in factors))
-    sums = [(_backend.RowsSum(), _backend.RowsSum()) for _ in range(len(factors) + 1)]
-    sums[0][0].add(1, ExactMatrix.identity(dim)._re)
+    sums = [ScaledSum(dim, Rat(1, den**k)) for k in range(len(factors) + 1)]
+    sums[0].add(1, 0, ({i: {i: 1} for i in range(dim)}, {}))
     for n, g in enumerate(factors, start=1):
         c, g_parts = _int(g.scale, den), (g._re, g._im)
         for k in range(n, 0, -1):
-            terms = [(c, tuple(s.rows() for s in sums[k - 1]), g_parts)]
-            _add_terms(sums[k], _backend.RowsSum.add_product, terms)
-    return tuple(ExactMatrix._make(dim, Rat(1, den**k), re.rows(), im.rows()) for k, (re, im) in enumerate(sums))
+            sums[k].add_terms(_backend.RowsSum.add_product, [(c, sums[k - 1].parts(), g_parts)])
+    return tuple(total.matrix() for total in sums)
 
 
 def partial_trace(m: ExactMatrix, inner: int) -> ExactMatrix:
@@ -507,20 +495,17 @@ def partial_trace(m: ExactMatrix, inner: int) -> ExactMatrix:
     """
     if inner < 1 or m.dim % inner:
         raise ValueError(f"a leg of dimension {inner} does not divide dim {m.dim}")
-
-    def traced(part):
-        legs = [{} for _ in range(inner)]  # leg index -> {output row: traced row}
+    legs = [({}, {}) for _ in range(inner)]  # leg index -> parts {output row: traced row}
+    for p, part in enumerate((m._re, m._im)):
         for i, row in part.items():
             i_out, i_leg = divmod(i, inner)
             traced_row = {j // inner: v for j, v in row.items() if j % inner == i_leg}
             if traced_row:
-                legs[i_leg][i_out] = traced_row
-        total = _backend.RowsSum()
-        for rows in legs:
-            total.add(1, rows)
-        return total.rows()
-
-    return m._map(traced, canonical=True, dim=m.dim // inner)
+                legs[i_leg][p][i_out] = traced_row
+    total = ScaledSum(m.dim // inner, m.scale)
+    for parts in legs:
+        total.add(1, 0, parts)
+    return total.matrix()
 
 
 def permutation_operator(d: int) -> ExactMatrix:

@@ -47,7 +47,7 @@ def commutator_table(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int]]:
         i1, i2 = a
         for b in pairs:
             j1, j2 = b
-            acc: dict[Pair, int] = {}
+            acc: dict[Pair, int | Rat] = {}
             for coeff, p, q in (
                 (1 if i2 == j1 else 0, i1, j2),
                 (-1 if i2 == j2 else 0, i1, j1),
@@ -83,7 +83,7 @@ def structure_constant(n: int, k_pair: Pair, a: Pair, b: Pair) -> Rat:
     return Rat(total, 2) if total else RAT_ZERO
 
 
-def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int]]:
+def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, int | Rat]]:
     """Same data as commutator_table but built from structure_constant.
 
     The coefficient of the canonical element M_{k1k2} (k1 < k2) collects the
@@ -91,13 +91,15 @@ def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, i
     Every term of the formula carries a delta between an index of a and one
     of b, so a pair (a, b) that shares no index has the empty row without a
     call; and every term carries d(k, p) with p an index of a or b, so only
-    the pairs c drawn from those indices are tried.
+    the pairs c drawn from those indices are tried.  A coefficient 2X that
+    is not an integer is kept as the exact rational, so it differs from the
+    commutator table.
     """
     pairs = basis_pairs(n)
-    table: dict[tuple[Pair, Pair], dict[Pair, int]] = {}
+    table: dict[tuple[Pair, Pair], dict[Pair, int | Rat]] = {}
     for a in pairs:
         for b in pairs:
-            acc: dict[Pair, int] = {}
+            acc: dict[Pair, int | Rat] = {}
             table[(a, b)] = acc
             indices = set(a) | set(b)
             if len(indices) == 4:
@@ -106,8 +108,7 @@ def structure_table_from_formula(n: int) -> dict[tuple[Pair, Pair], dict[Pair, i
                 x = structure_constant(n, c, a, b)
                 if x:
                     x *= 2
-                    assert x.denominator == 1
-                    acc[c] = int(x)
+                    acc[c] = x.numerator if x.denominator == 1 else x
     return table
 
 
@@ -143,6 +144,11 @@ def _contract_killing(ad_a: AdjointMap, ad_b: AdjointMap) -> int:
     return sum(f * ad_b.get((c, d), 0) for (d, c), f in ad_a.items())
 
 
+def _row_text(row: dict) -> str:
+    """A table row as ``{c: value}``, a rational value written p/q."""
+    return "{" + ", ".join(f"{c}: {v}" for c, v in row.items()) + "}"
+
+
 def algebra_integrity(n: int) -> VerificationRecord:
     """Structure constants vs commutators, Killing metric, Jacobi identity.
 
@@ -155,7 +161,7 @@ def algebra_integrity(n: int) -> VerificationRecord:
     record.add_first_failure(
         "structure-constants-match-commutators",
         (
-            f"[{a}, {b}]: commutator table {by_comm[(a, b)]} != formula {by_formula[(a, b)]}"
+            f"[{a}, {b}]: commutator table {_row_text(by_comm[(a, b)])} != formula {_row_text(by_formula[(a, b)])}"
             for a in pairs
             for b in pairs
             if by_comm[(a, b)] != by_formula[(a, b)]

@@ -11,7 +11,7 @@ polynomials.
 
 from __future__ import annotations
 
-from .scalar import Rat, format_rat
+from .scalar import Rat
 
 
 class Poly:
@@ -114,7 +114,7 @@ class Poly:
         return a * (Rat(1) / a.leading())
 
     def __repr__(self):
-        return f"Poly([{', '.join(format_rat(c) for c in self.coeffs)}])"
+        return f"Poly([{', '.join(map(str, self.coeffs))}])"  # 3 and 1/2, as Fraction prints them
 
 
 def poly_from_roots(roots) -> Poly:

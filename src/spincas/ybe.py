@@ -261,7 +261,7 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int, rows) ->
                 for m in range(b + 1):
                     key = (a + m, c + b - m)
                     if key not in sums:
-                        sums[key] = ScaledSum(dim, den**3)
+                        sums[key] = ScaledSum(dim, Rat(1, den**3))
                     sums[key].add(comb(b, m) * c_a * c_b * c_c, 0, k_abc)
     diffs = ((key, total.matrix()) for key, total in sorted(sums.items()))
     return tuple((key, d.transpose()) for key, d in diffs if d)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import factorial
@@ -29,6 +30,15 @@ CHIRALITY_INDICES = chirality_indices
 def test_integrity(r):
     record = integrity_report(build_gamma(r))
     assert record.ok, [c.check_id for c in failing_checks(record)]
+
+
+@pytest.mark.parametrize("r, where", [(1, "(0, 1)"), (2, "(0, 3)")])
+def test_a_generator_entry_outside_the_units_is_refused(monkeypatch, r, where):
+    # a Pauli matrix with entry 2: the first generator built from it, G_2,
+    # is named with the entry; the uncached build leaves the cache as it was
+    monkeypatch.setattr(clifford, "PAULI_Y", ExactMatrix(2, {(0, 1): 2, (1, 0): ExactScalar(0, 1)}))
+    with pytest.raises(ValueError, match=re.escape(f"generator G_2 has entry 2/1 at {where},")):
+        build_gamma.__wrapped__(r)
 
 
 def test_integrity_witnesses_name_the_first_differing_entry():

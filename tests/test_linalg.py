@@ -143,24 +143,41 @@ def test_first_difference():
 def test_scaled_sum_adds_products_at_its_scale():
     a = ExactMatrix(2, {(0, 1): Rat(1, 2), (1, 1): 1})
     b = ExactMatrix(2, {(0, 1): Rat(-1, 2), (1, 0): Rat(3, 4)})
-    total = ScaledSum(2, 8)
+    total = ScaledSum(2, Rat(1, 8))
     total.add_product(a, a)
     total.add_product(b, ExactMatrix.identity(2))
     assert total.matrix() == a @ a + b
     with pytest.raises(ValueError):
-        ScaledSum(2, 2).add_product(b, ExactMatrix.identity(2))  # 3/4 is not a multiple of 1/2
+        ScaledSum(2, Rat(1, 2)).add_product(b, ExactMatrix.identity(2))  # 3/4 is not a multiple of 1/2
     with pytest.raises(ValueError):
-        ScaledSum(3, 4).add_product(a, a)
+        ScaledSum(3, Rat(1, 4)).add_product(a, a)
     with pytest.raises(ValueError):
-        ScaledSum(2, 4).add_product(a, ExactMatrix.identity(3))
+        ScaledSum(2, Rat(1, 4)).add_product(a, ExactMatrix.identity(3))
+
+
+def test_scaled_sum_at_a_scale_above_a_unit_fraction():
+    # at scale 3/4, three @ half (scale 3/4) is once the scale and
+    # three @ three (scale 9/4) three times; the parts are read between
+    three = ExactMatrix(2, {(0, 0): 3, (0, 1): Rat(3, 2), (1, 1): ExactScalar(0, 3)})  # 3/2 [[2, 1], [0, 2i]]
+    half = ExactMatrix(2, {(0, 1): Rat(1, 2), (1, 0): Rat(1, 2)})
+    total = ScaledSum(2, Rat(3, 4))
+    total.add_product(three, half)
+    assert total.parts() == ({0: {0: 1, 1: 2}}, {1: {0: 2}})  # [[1, 2], [2i, 0]]
+    total.add_product(three, three)
+    # plus 3 [[4, 2 + 2i], [0, -4]]
+    assert total.parts() == ({0: {0: 13, 1: 8}, 1: {1: -12}}, {0: {1: 6}, 1: {0: 2}})
+    assert total.matrix() == three @ half + three @ three
+    for a, b in ((three, half * Rat(1, 2)), (half, half)):  # scales 3/8 and 1/4
+        with pytest.raises(ValueError):
+            ScaledSum(2, Rat(3, 4)).add_product(a, b)
 
 
 def test_products_make_one_kernel_call_per_pair_of_nonzero_parts(monkeypatch):
-    # a real or an imaginary factor meets each nonzero part of the other once:
-    # a product with coefficient 1 is one mat_mul call, and -im @ im is added
-    # into an accumulator rather than negating a copy of its left factor; two
-    # complex factors make four products, added per part into one accumulator
-    # with no product matrix and no mat_lincomb
+    # a real or an imaginary factor meets each nonzero part of the other once,
+    # and -im @ im is added into the accumulator rather than negating a copy
+    # of its left factor; two complex factors make four products, added per
+    # part into one accumulator; no product is a mat_mul call and none makes
+    # a product matrix or a mat_lincomb
     real = ExactMatrix(3, {(0, 1): 2, (1, 2): Rat(1, 3), (2, 0): -1})
     imaginary = ExactMatrix(3, {(0, 0): ExactScalar(0, 5), (2, 1): ExactScalar(0, -1)})
     both = real + imaginary
@@ -178,8 +195,8 @@ def test_products_make_one_kernel_call_per_pair_of_nonzero_parts(monkeypatch):
         product(a, b)
         return calls.count("mat_mul"), calls.count("add_product"), calls.count("mat_lincomb")
 
-    assert kernel_calls(matmul, real, real) == (1, 1, 0)
-    assert kernel_calls(matmul, real, imaginary) == (1, 1, 0)
+    assert kernel_calls(matmul, real, real) == (0, 1, 0)
+    assert kernel_calls(matmul, real, imaginary) == (0, 1, 0)
     assert kernel_calls(matmul, imaginary, imaginary) == (0, 1, 0)
     assert kernel_calls(matmul, both, both) == (0, 4, 0)
     assert imaginary @ imaginary == ExactMatrix(3, {(0, 0): -25})

@@ -473,7 +473,7 @@ def test_scaled_sum_adds_complex_products(pairs, cancel):
         a, b = pairs[0]
         pairs = [*pairs, (-a, b)]
     dim = pairs[0][0].dim
-    total = ScaledSum(dim, lcm(*((a.scale * b.scale).denominator for a, b in pairs)))
+    total = ScaledSum(dim, Rat(1, lcm(*((a.scale * b.scale).denominator for a, b in pairs))))
     expected = [[ZERO] * dim for _ in range(dim)]
     for a, b in pairs:
         total.add_product(a, b)

@@ -147,6 +147,23 @@ def test_flipped_structure_constant_fails_the_formula_check(monkeypatch):
     )
 
 
+def test_a_structure_constant_off_by_a_quarter_fails_with_its_exact_value(monkeypatch):
+    # 2X is then 1/2, not an integer: the formula table keeps it exactly and
+    # the check fails with a witness, where truncating it would read 0
+    real = oracles.structure_constant
+
+    def shifted(n, k_pair, a, b):
+        value = real(n, k_pair, a, b)
+        return value - Rat(1, 4) if (k_pair, a, b) == ((1, 4), (1, 3), (3, 4)) else value
+
+    monkeypatch.setattr(oracles, "structure_constant", shifted)
+    record = oracles.algebra_integrity(4)
+    assert [c.check_id for c in failing_checks(record)] == ["structure-constants-match-commutators"]
+    assert failing_checks(record)[0].witness == (
+        "[(1, 3), (3, 4)]: commutator table {(1, 4): 1} != formula {(1, 4): 1/2}"
+    )
+
+
 def test_wrong_inverse_metric_fails_its_check(monkeypatch):
     monkeypatch.setattr(oracles, "inverse_metric_diagonal", lambda n: Rat(-1, 2 * (n - 1)))
     record = oracles.algebra_integrity(4)

@@ -29,14 +29,18 @@ def perturbed_copy(table: PowerTable, n: int, degree: int) -> PowerTable:
 
 @pytest.fixture
 def mat_mul_calls(monkeypatch):
+    """One entry per real product of integer parts: every product of exact
+    matrices is added through ``RowsSum.add_product``, one call per pair of
+    nonzero parts, so a product of real matrices is one call.
+    """
     calls = []
-    real = _backend.mat_mul
+    real = _backend.RowsSum.add_product
 
-    def counted(a, b):
+    def counted(total, c, a, b):
         calls.append(1)
-        return real(a, b)
+        return real(total, c, a, b)
 
-    monkeypatch.setattr(_backend, "mat_mul", counted)
+    monkeypatch.setattr(_backend.RowsSum, "add_product", counted)
     return calls
 
 

@@ -76,7 +76,7 @@ def test_mismatch_is_empty_on_equal_values_and_shows_both_otherwise():
 def test_polynomial_witnesses_render_coefficients_as_fractions():
     p = Poly([1, Rat(-1, 2)])
     f = (Poly([1, 1]), Poly([-1, 1]))
-    assert records.mismatch(p, Poly([1])) == "Poly([1/1, -1/2]) != Poly([1/1])"
+    assert records.mismatch(p, Poly([1])) == "Poly([1, -1/2]) != Poly([1])"
     for witness in (records.mismatch(p, Poly([1])), records.mismatch(f, (f[0] * 2, f[1]))):
         assert "Fraction(" not in witness
 
