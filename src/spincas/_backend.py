@@ -4,14 +4,18 @@ A matrix here is a rows dict ``{i: {j: v}}`` whose values are nonzero Python
 ints; row dicts are never empty.  ``linalg`` stores each exact matrix as a
 rational scale times a real and an imaginary part of this kind, and builds
 the complex arithmetic from calls of these real kernels, so every loop below
-multiplies and adds plain ints.  Every sum is formed in one accumulator,
-``RowsSum``; ``mat_mul``, ``mat_kron`` and ``mat_lincomb`` each fill a fresh
-one, and ``linalg.ScaledSum`` holds one per part of a complex sum.  Results
-are not divided by their content; ``linalg`` does that.
+multiplies and adds plain ints.  Every sum of matrices and of products is
+formed in one accumulator, ``RowsSum``; ``mat_mul`` and ``mat_lincomb``
+each fill a fresh one, and ``linalg.ScaledSum`` holds one per part of a
+complex sum.  A Kronecker sum is the one exception: ``mat_kron`` sets each
+entry of it once, from the terms' factors grouped by their values, so it
+needs no accumulator.  Results are not divided by their content; ``linalg``
+does that.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import gcd
 
 BACKEND = "python"
@@ -26,24 +30,92 @@ def mat_mul(a_rows, b_rows):
 
 def mat_kron(terms, b_dim):
     """Sum of c * a (x) b over the terms (int c, a_rows, b_rows), each b
-    b_dim-square; a indexes the slow (leading) legs.  No Kronecker matrix is
-    formed per term: each is added into one ``RowsSum``.
+    b_dim-square; a indexes the slow (leading) legs.  Each entry of the sum
+    is set once: no Kronecker matrix is formed per term, no entry is
+    accumulated over the terms, and no zero entry is made.
+
+    A position (i1, j1) of the factors a has the vector u of its values over
+    the terms, u = s1 * p with p primitive (``_buckets``); a position
+    (i2, j2) of the factors b likewise has w = s2 * q.  The sum's entry at
+    (i1 * b_dim + i2, j1 * b_dim + j2) is then s1 * s2 * K with
+    K = sum_t c_t p_t q_t, which is formed once per pair of buckets (p, q)
+    that share a term.  The rows come in ascending order.
     """
-    out = RowsSum()
-    for c, a_rows, b_rows in terms:
-        out.add_kron(c, a_rows, b_rows, b_dim)
-    return out.rows()
+    terms = [(c, a, b) for c, a, b in terms if c and a and b]
+    lefts = _buckets([a for _, a, _ in terms])
+    # a sum of Kronecker squares, as C is, reads its factors' positions once
+    rights = lefts if all(a is b for _, a, b in terms) else _buckets([b for _, _, b in terms])
+    by_term = [[] for _ in terms]  # t -> (index of a right bucket, q_t)
+    for n, q in enumerate(rights):
+        for k in range(0, len(q), 2):
+            by_term[q[k]].append((n, q[k + 1]))
+    right_positions = list(rights.values())
+    out = defaultdict(dict)
+    for p, positions in lefts.items():
+        pair_sums = {}
+        for k in range(0, len(p), 2):
+            t = p[k]
+            cp = terms[t][0] * p[k + 1]
+            for n, q_t in by_term[t]:
+                pair_sums[n] = pair_sums.get(n, 0) + cp * q_t
+        for n, pair_sum in pair_sums.items():
+            if not pair_sum:
+                continue
+            for i1, j1, s1 in positions:
+                i1 *= b_dim
+                j1 *= b_dim
+                s1 *= pair_sum
+                for i2, j2, s2 in right_positions[n]:
+                    out[i1 + i2][j1 + j2] = s1 * s2
+    return {i: out[i] for i in sorted(out)}
+
+
+def _buckets(factors):
+    """The entry positions of the factors, one matrix per term, keyed by
+    their primitive vectors.  A position (i, j) has the vector of the values
+    v_t of the factors that have an entry there, flattened to
+    (t, v_t, t', v_t', ...) in term order.  It is s times the primitive
+    vector p, whose values have gcd 1 and the first of them positive, and
+    the key p holds (i, j, s).  One factor is one bucket, with p = (0, 1),
+    and is read without a vector per position.
+    """
+    if len(factors) == 1:
+        return {(0, 1): [(i, j, v) for i, row in factors[0].items() for j, v in row.items()]}
+    vectors = {}
+    for t, rows in enumerate(factors):
+        for i, row in rows.items():
+            for j, v in row.items():
+                vector = vectors.get((i, j))
+                if vector is None:
+                    vectors[i, j] = [t, v]
+                else:
+                    vector += (t, v)
+    buckets = {}
+    for (i, j), vector in vectors.items():
+        values = vector[1::2]
+        s = gcd(*values)
+        if values[0] < 0:
+            s = -s
+        if s != 1:
+            vector[1::2] = [v // s for v in values]
+        p = tuple(vector)
+        bucket = buckets.get(p)
+        if bucket is None:
+            buckets[p] = [(i, j, s)]
+        else:
+            bucket.append((i, j, s))
+    return buckets
 
 
 class RowsSum:
-    """The one sparse sum: int multiples of matrices, matrix products,
-    Kronecker products and products with an operator on one leg, each added
-    in place row by row as it is formed; no factor may be this sum's rows.
-    A row that may hold a zero entry, or none, is marked for ``rows`` to
-    clean: a row that ``add`` reaches again, a row in which ``add_kron``
-    cancels an entry, any row of ``add_leg_product`` and a row that a
-    product empties.  A product drops the entries it cancels at once, so a
-    sum read as a factor between products holds no zero entry.
+    """The one sparse sum: int multiples of matrices, matrix products and
+    products with an operator on one leg, each added in place row by row as
+    it is formed; no factor may be this sum's rows.  Kronecker sums are not
+    added here (``mat_kron``).  A row that may hold a zero entry, or none,
+    is marked for ``rows`` to clean: a row that ``add`` reaches again, any
+    row of ``add_leg_product`` and a row that a product empties.  A product
+    drops the entries it cancels at once, so a sum read as a factor between
+    products holds no zero entry.
     """
 
     __slots__ = ("acc", "mixed")
@@ -91,26 +163,6 @@ class RowsSum:
                     acc[i] = row
             elif not row:
                 self.mixed.add(i)
-
-    def add_kron(self, c, a_rows, b_rows, b_dim):
-        """Add c * a (x) b, b b_dim-square and a on the slow legs."""
-        if not c:
-            return
-        acc, mixed = self.acc, self.mixed
-        for i1, arow in a_rows.items():
-            scaled = [(j1 * b_dim, c * a) for j1, a in arow.items()]
-            for i2, brow in b_rows.items():
-                i = i1 * b_dim + i2
-                row = acc.get(i)
-                if row is None:
-                    acc[i] = {base + j2: a * b for base, a in scaled for j2, b in brow.items()}
-                    continue
-                for base, a in scaled:
-                    for j2, b in brow.items():
-                        col = base + j2
-                        row[col] = v = row.get(col, 0) + a * b
-                        if not v:
-                            mixed.add(i)
 
     def add_leg_product(self, c, a_rows, b_rows, inner, b_dim):
         """Add c * a @ (1 (x) b (x) 1_inner), b b_dim-square, by index

@@ -10,8 +10,9 @@ and add real integer matrices; ``_part_terms`` splits every complex product
 here into one kernel term per pair of nonzero parts, so a zero part costs
 nothing.  Every sum of matrices and of matrix products is formed in the
 one complex accumulator, ``ScaledSum``; a Kronecker sum is one ``mat_kron``
-call per part.  The public interface speaks Q(i): entries come out as
-``ExactScalar`` values with ``Fraction`` parts.
+call per part, which sets each entry of that part once.  The public
+interface speaks Q(i): entries come out as ``ExactScalar`` values with
+``Fraction`` parts.
 
 A polynomial in an operator is a ``ratfunc.Poly`` evaluated from the
 operator's ``PowerTable``, which keeps the powers base^0, base^1, ... once
@@ -421,7 +422,8 @@ def kron_sum(terms) -> ExactMatrix:
 
     The coefficients times the scales of a and b are brought to one common
     denominator; each nonzero part of the sum is then one kernel call over
-    all the terms, so no Kronecker matrix is formed per term.
+    all the terms, which forms no Kronecker matrix per term and sets each
+    entry of the part once, so the products that cancel cost nothing.
     """
     terms = [(Rat(c) * a.scale * b.scale, a, b) for c, a, b in terms]
     a_dims, b_dims = {a.dim for _, a, _ in terms}, {b.dim for _, _, b in terms}
@@ -455,14 +457,14 @@ def integer_parts(matrices: Sequence[ExactMatrix]) -> tuple[int, list]:
     return den, [(_int(m.scale, den), (m._re, m._im)) for m in matrices]
 
 
-def leg_products(terms, b_dim: int) -> tuple:
+def leg_products(dim: int, terms, b_dim: int) -> tuple:
     """Integer parts (re, im) of the sum of c * a @ (1 (x) b (x) 1_inner)
-    over the terms (c, a, b, inner): c an int, a and b integer parts (re, im),
-    b acting on the legs whose flat index has stride ``inner`` and the
-    identity on the legs before and after them.  No Kronecker matrix is
-    formed.
+    over the terms (c, a, b, inner) on a space of dimension dim: c an int,
+    a and b integer parts (re, im), b acting on the legs whose flat index
+    has stride ``inner`` and the identity on the legs before and after them.
+    No Kronecker matrix is formed.
     """
-    total = ScaledSum(0, RAT_ONE)  # read as parts only, so no dimension
+    total = ScaledSum(dim, RAT_ONE)
     total.add_terms(_backend.RowsSum.add_leg_product, terms, b_dim)
     return total.parts()
 

@@ -248,16 +248,16 @@ def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int, rows) ->
     square = leg * leg
     den, factors = integer_parts([m.transpose() for m in parts])
     start = ({i: {i: 1} for i in rows}, {})  # the slice rows of the identity
-    left = [leg_products([(1, start, z, leg)], square) for _, z in factors]  # (R_d x 1)^T
-    right = [leg_products([(1, start, z, 1)], square) for _, z in factors]  # (1 x R_d)^T
+    left = [leg_products(dim, [(1, start, z, leg)], square) for _, z in factors]  # (R_d x 1)^T
+    right = [leg_products(dim, [(1, start, z, 1)], square) for _, z in factors]  # (1 x R_d)^T
     sums: dict = {}
     for b, (c_b, z_b) in enumerate(factors):
         # ((1 x R_b)(R_c x 1))^T and ((R_b x 1)(1 x R_a))^T on the slice
-        right_left = [leg_products([(1, x, z_b, 1)], square) for x in left]
-        left_right = [leg_products([(1, x, z_b, leg)], square) for x in right]
+        right_left = [leg_products(dim, [(1, x, z_b, 1)], square) for x in left]
+        left_right = [leg_products(dim, [(1, x, z_b, leg)], square) for x in right]
         for a, (c_a, z_a) in enumerate(factors):
             for c, (c_c, z_c) in enumerate(factors):
-                k_abc = leg_products([(1, right_left[c], z_a, leg), (-1, left_right[a], z_c, 1)], square)
+                k_abc = leg_products(dim, [(1, right_left[c], z_a, leg), (-1, left_right[a], z_c, 1)], square)
                 for m in range(b + 1):
                     key = (a + m, c + b - m)
                     if key not in sums:

@@ -14,13 +14,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spincas import _backend
+from spincas.clifford import rotation_generators
 from spincas.linalg import (
     ExactMatrix,
     ScaledSum,
     elementary_products,
     integer_parts,
     kron,
+    kron_sum,
     leg_products,
+    lincomb,
     partial_trace,
 )
 from spincas.scalar import ExactScalar, Rat
@@ -360,6 +363,102 @@ def test_kron_kernel_matches_the_sum_of_single_products(case):
         assert _backend.mat_kron([(c, a, b)], b_dim) == ref_kron_sum([(c, a, b)], b_dim)
 
 
+@settings(max_examples=60, deadline=None)
+@given(kron_cases())
+def test_kron_kernel_cancels_a_sum_completely(case):
+    terms, _, b_dim, _ = case
+    c, a, b = terms[0]
+    assert _backend.mat_kron([(c, a, b), (-c, a, b)], b_dim) == {}
+    assert _backend.mat_kron([(c, a, b), (-c, a, b)] + terms, b_dim) == ref_kron_sum(terms, b_dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kron_cases())
+def test_kron_kernel_on_squares_and_other_terms(case):
+    # a sum of Kronecker squares, like C, groups one set of positions for
+    # both sides; a term that is not a square needs the right side's own
+    terms, _, b_dim, _ = case
+    squares = [(c, b, b) for c, _, b in terms]
+    assert _backend.mat_kron(squares, b_dim) == ref_kron_sum(squares, b_dim)
+    mixed = squares + terms[:1]
+    assert _backend.mat_kron(mixed, b_dim) == ref_kron_sum(mixed, b_dim)
+
+
+@st.composite
+def proportional_factors(draw):
+    """(factors, dim): dim-square matrices, one per term, whose every
+    nonzero position carries a multiple of one vector p over the terms.  p
+    has a negative first value, and every multiple is divisible by g = 2 or
+    3, so each position's vector has a gcd above 1.
+    """
+    dim = draw(st.integers(1, 3))
+    p = [-draw(st.integers(1, 3))] + draw(st.lists(st.integers(-3, 3).filter(bool), min_size=0, max_size=2))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    g = draw(st.integers(2, 3))
+    multiples = draw(st.dictionaries(cells, st.integers(-2, 2).filter(bool).map(lambda m: g * m), min_size=1))
+    factors = [{} for _ in p]
+    for (i, j), m in multiples.items():
+        for rows, v in zip(factors, p):
+            rows.setdefault(i, {})[j] = m * v
+    return factors, dim
+
+
+@settings(max_examples=100, deadline=None)
+@given(proportional_factors(), proportional_factors(), st.data())
+def test_kron_kernel_groups_proportional_positions(left, right, data):
+    # all positions of the left factors share one bucket, whatever their
+    # multiple, and so do those of the right factors
+    (a_factors, _), (b_factors, b_dim) = left, right
+    n = min(len(a_factors), len(b_factors))
+    coeffs = data.draw(st.lists(st.integers(-3, 3).filter(bool), min_size=n, max_size=n))
+    terms = list(zip(coeffs, a_factors, b_factors))
+    assert _backend.mat_kron(terms, b_dim) == ref_kron_sum(terms, b_dim)
+    for factors in (a_factors[:n], b_factors[:n]):
+        assert len(_backend._buckets(factors)) == 1
+
+
+def test_kron_kernel_reads_a_proportional_pair_once():
+    # (0, 0) and (0, 1) of a carry (-2, 4) and (3, -6), both (1, -2) up to
+    # their multiples -2 and 3, so they share a bucket
+    a0, a1 = {0: {0: -2, 1: 3}}, {0: {0: 4, 1: -6}}
+    b0, b1 = {0: {0: 1}}, {0: {0: 1}}
+    terms = [(5, a0, b0), (1, a1, b1)]  # K = 5 * 1 * 1 + 1 * -2 * 1 = 3
+    assert _backend._buckets([a0, a1]) == {(0, 1, 1, -2): [(0, 0, -2), (0, 1, 3)]}
+    assert _backend.mat_kron(terms, 1) == {0: {0: -6, 1: 9}} == ref_kron_sum(terms, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kron_cases(), st.data())
+def test_kron_kernel_skips_a_zero_coefficient_and_an_empty_factor(case, data):
+    terms, _, b_dim, _ = case
+    c, a, b = terms[0]
+    idle = [(0, a, b), (c, {}, b), (c, a, {})]
+    mixed = list(terms)
+    for term in data.draw(st.lists(st.sampled_from(idle), min_size=1, max_size=3)):
+        mixed.insert(data.draw(st.integers(0, len(mixed))), term)
+    assert _backend.mat_kron(mixed, b_dim) == ref_kron_sum(terms, b_dim)
+    assert _backend.mat_kron(idle, b_dim) == {}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_kron_kernel_builds_the_split_casimir_sum(r, monkeypatch):
+    # the r(2r-1) terms g (x) g of C: positions shared by several generators
+    # fall in common buckets, and most products cancel
+    generators = rotation_generators(r)
+    real, calls = _backend.mat_kron, []
+
+    def recorded(terms, b_dim):
+        calls.append((terms, b_dim, real(terms, b_dim)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(_backend, "mat_kron", recorded)
+    total = kron_sum([(1, g, g) for g in generators])
+    assert [len(terms) for terms, _, _ in calls] == [len(generators)]
+    for terms, b_dim, got in calls:
+        assert got == ref_kron_sum(terms, b_dim)
+    assert total == lincomb(total.dim, [(1, kron(g, g)) for g in generators])
+
+
 def int_dense(rows, dim):
     return dense(ExactMatrix(dim, {(i, j): v for i, row in rows.items() for j, v in row.items()}))
 
@@ -403,16 +502,14 @@ def assert_clean(rows):
 
 @settings(max_examples=150, deadline=None)
 @given(kron_cases())
-def test_add_kron_matches_the_dense_kron(case):
-    # the sum is read after every term and is then added to again
+def test_kron_kernel_matches_the_dense_kron(case):
+    # every prefix of the terms is one kernel call against the dense sum
     terms, a_rows, b_dim, cancelled = case
-    total = _backend.RowsSum()
     expected = [[0] * (a_rows * b_dim) for _ in range(a_rows * b_dim)]
-    for c, a, b in terms:
-        total.add_kron(c, a, b, b_dim)
+    for n, (c, a, b) in enumerate(terms, start=1):
         product = grid_kron(grid(a, a_rows, a_rows), grid(b, b_dim, b_dim))
         expected = grid_add(expected, product, c)
-        got = total.rows()
+        got = _backend.mat_kron(terms[:n], b_dim)
         assert_clean(got)
         assert got == grid_rows(expected)
     if cancelled is not None:
@@ -556,12 +653,12 @@ def test_add_leg_product_matches_the_dense_product(case):
 
 @st.composite
 def mixed_sums(draw):
-    """(dim, b_dim, terms, cancel): terms (kind, c, args) of all four kinds
+    """(dim, b_dim, terms, cancel): terms (kind, c, args) of all three kinds
     of ``RowsSum`` on one space of dimension a_dim * b_dim, the first a
-    Kronecker product.  A leg product acts on the b_dim leg, before or after
-    the a_dim leg.  ``cancel``, when drawn, is the kind of a last term that
-    takes back the row of the sum that the Kronecker product reached first,
-    so that row empties.
+    multiple of a nonzero matrix.  A leg product acts on the b_dim leg,
+    before or after the a_dim leg.  ``cancel``, when drawn, is the kind of a
+    last term that takes back the sum's row at the lowest row index of the
+    first term, so that row empties.
     """
     a_dim, b_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     dim = a_dim * b_dim
@@ -576,15 +673,13 @@ def mixed_sums(draw):
         i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, width - 1))
         return {**rows(count, width), i: {j: draw(ints.filter(bool))}}
 
-    terms = [("kron", draw(ints.filter(bool)), (nonempty(a_dim, a_dim), nonempty(b_dim, b_dim)))]
+    terms = [("add", draw(ints.filter(bool)), (nonempty(dim, dim),))]
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["add", "product", "kron", "leg"]))
+        kind = draw(st.sampled_from(["add", "product", "leg"]))
         if kind == "add":
             args = (rows(dim, dim),)
         elif kind == "product":
             args = (rows(dim, dim), rows(dim, dim))
-        elif kind == "kron":
-            args = (rows(a_dim, a_dim), rows(b_dim, b_dim))
         else:
             args = (rows(dim, dim), rows(b_dim, b_dim), draw(st.sampled_from([1, a_dim])))
         terms.append((kind, draw(ints), args))
@@ -604,10 +699,6 @@ def mixed_term(total, dim, b_dim, kind, c, args):
         a, b = args
         total.add_product(c, a, b)
         return grid_mul(grid(a, dim, dim), grid(b, dim, dim))
-    if kind == "kron":
-        a, b = args
-        total.add_kron(c, a, b, b_dim)
-        return grid_kron(grid(a, dim // b_dim, dim // b_dim), grid(b, b_dim, b_dim))
     a, b, inner = args
     total.add_leg_product(c, a, b, inner, b_dim)
     return grid_mul(grid(a, dim, dim), leg_factor(dim // (b_dim * inner), grid(b, b_dim, b_dim), inner))
@@ -627,8 +718,8 @@ def test_one_rows_sum_takes_every_kind_of_term(case, read_between):
             got = total.rows()
             assert_clean(got)
             assert got == grid_rows(expected)
-    (_, _, (a, b)) = terms[0]
-    emptied = min(a) * b_dim + min(b)
+    (_, _, (a,)) = terms[0]
+    emptied = min(a)
     row = grid_rows(expected).get(emptied)
     if cancel is not None and row:
         back = {"add": ({emptied: row},), "product": ({emptied: row}, identity_rows(dim))}
@@ -667,7 +758,7 @@ def test_parts_leg_products(case):
         product = ref_mul(dense(a * Rat(den_a, c_a)), dense(factor))
         expected = ref_add(expected, ref_scale(product, coeff))
         terms.append((coeff, parts_a, parts_b, n))
-    re, im = leg_products(terms, b_dim)
+    re, im = leg_products(dim, terms, b_dim)
     rows = [row for part in (re, im) for row in part.values()]
     assert all(row and all(type(x) is int and x for x in row.values()) for row in rows)
     support = {(i, j) for part in (re, im) for i, row in part.items() for j in row}
