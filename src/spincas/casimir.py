@@ -51,8 +51,8 @@ def split_casimir_rho(r: int) -> SplitCasimir:
     """-1/(2(N-2)) sum_{i<j} rho(M_ij) (x) rho(M_ij) with N = 2r."""
     if r < 2:
         raise ValueError("rank must be at least 2")
-    total = kron_sum([(1, g, g) for g in rotation_generators(r)])
-    return SplitCasimir(r=r, matrix=total * inverse_metric_diagonal(2 * r))
+    factor = inverse_metric_diagonal(2 * r)
+    return SplitCasimir(r=r, matrix=kron_sum([(factor, g, g) for g in rotation_generators(r)]))
 
 
 def casimir_powers(r: int) -> PowerTable:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -60,7 +59,6 @@ def _bounded_int(what: str, low: int, high: int):
 
 _rank = _bounded_int("rank", 2, report.MAX_RANK)
 _rungs = _bounded_int("rung count", 0, colour.MAX_RUNGS)
-_jobs = _bounded_int("job count", 1, 1024)
 
 
 def _spectral(text: str):
@@ -81,29 +79,24 @@ def _build_parser() -> _Parser:
     def common(p, formats=("json", "csv")):
         p.add_argument("--r", type=_rank, default=2, help=f"rank (2..{report.MAX_RANK})")
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--out", help="output path (default: stdout or $SPINCAS_OUT)")
-        p.add_argument("--jobs", type=_jobs, default=1,
-                       help="1..1024, accepted for interface compatibility; execution is sequential")
+        p.add_argument("--out", help="output path (default: stdout)")
         return p
 
     common(sub.add_parser("gamma", help="gamma-matrix integrity checks"))
-    common(sub.add_parser("oracle", help="independent algebra oracles"), ("json",))
+    common(sub.add_parser("oracle", help="independent algebra oracles"))
     common(sub.add_parser("invariants", help="invariant recurrences and polynomial tables"))
-    spectra_p = common(sub.add_parser("spectra", help="spectral suite or eigenvalue tables"))
-    spectra_p.add_argument("--tables", action="store_true",
-                           help="emit the eigenvalue/multiplicity CSV table only")
+    common(sub.add_parser("spectra", help="spectral suite, or with --format csv the eigenvalue tables"))
 
     colour_p = common(sub.add_parser("colour", help="ladder colour factors"), ("json",))
     colour_p.add_argument("--L", type=_rungs, default=2, help=f"rung count (0..{colour.MAX_RUNGS})")
     colour_p.add_argument("--sector", choices=tuple(REVERSE_SECTOR_LABELS), default="pp")
     colour_p.add_argument("--closure", choices=("full", "partial", "open"), default="full")
 
-    ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter verification"), ("json",))
+    ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter verification: the grid, or one point (--u, --v)"), ("json",))
     ybe_p.add_argument("--mode", choices=("sector", "full"), default="sector")
     ybe_p.add_argument("--form", choices=("plain", "braid"), default="braid")
     ybe_p.add_argument("--u", type=_spectral, help="spectral parameter, e.g. 2/3")
     ybe_p.add_argument("--v", type=_spectral, help="second spectral parameter, e.g. 5/7")
-    ybe_p.add_argument("--grid", action="store_true", help="run the full deterministic grid")
 
     report_p = common(sub.add_parser("report", help="run suites and emit a report"))
     report_p.add_argument("--r-max", type=_rank, default=None,
@@ -123,24 +116,12 @@ def _suite_report(args, suites: tuple[str, ...], r_max: int) -> tuple[str, int]:
 
 
 def _run_command(args) -> tuple[str, int]:
-    if args.command in ("gamma", "invariants"):
+    if args.command == "spectra" and args.format == "csv":
+        tables, ok = report.emit_tables(args.r)
+        return tables, 0 if ok else 1
+
+    if args.command in ("gamma", "oracle", "invariants", "spectra"):
         return _suite_report(args, (args.command,), args.r)
-
-    if args.command == "oracle":
-        records = report.oracle_suite(args.r)
-        payload = {
-            "engine_version": __version__,
-            "r": args.r,
-            "records": [rec.as_dict() for rec in records],
-        }
-        code = 0 if all(rec.ok for rec in records) else 1
-        return json.dumps(payload, indent=2) + "\n", code
-
-    if args.command == "spectra":
-        if args.tables or args.format == "csv":
-            tables, ok = report.emit_tables(args.r)
-            return tables, 0 if ok else 1
-        return _suite_report(args, ("spectra",), args.r)
 
     if args.command == "colour":
         closure = {"full": "full_trace", "partial": "partial_trace", "open": "open"}
@@ -167,14 +148,12 @@ def _run_command(args) -> tuple[str, int]:
 def _run_ybe(args) -> tuple[str, int]:
     if args.mode == "full" and args.form == "plain":
         raise _UsageError("--mode full checks the braid form only; --form plain needs --mode sector")
-    if args.grid and (args.u is not None or args.v is not None):
-        raise _UsageError("--grid runs the whole grid; give a point with --u and --v instead")
     if args.u is None and args.v is None:
         pairs = ybe.grid_points(args.r)
     elif args.u is not None and args.v is not None:
         pairs = [(args.u, args.v)]
     else:
-        raise _UsageError("provide both --u and --v, or use --grid")
+        raise _UsageError("provide both --u and --v, or neither for the whole grid")
 
     if args.mode == "full":
         record = ybe.full_ybe_check(args.r, pairs)
@@ -205,15 +184,7 @@ def _run_ybe(args) -> tuple[str, int]:
     return json.dumps(payload, indent=2) + "\n", 0 if not failures else 1
 
 
-def _write_output(text: str, args) -> None:
-    out = args.out
-    if out is None and os.environ.get("SPINCAS_OUT"):
-        # named after what the file holds: the rank range, and CSV for the tables
-        ranks = f"r{args.r}"
-        if getattr(args, "r_max", None) not in (None, args.r):
-            ranks += f"-{args.r_max}"
-        ext = "csv" if getattr(args, "tables", False) else args.format
-        out = os.path.join(os.environ["SPINCAS_OUT"], f"{args.command}-{ranks}.{ext}")
+def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
@@ -234,7 +205,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         text, code = _run_command(args)
-        _write_output(text, args)
+        _write_output(text, args.out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -105,6 +105,11 @@ SUITES = tuple(_SUITE_RUNNERS)
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """A rank range and a selection of suites.  The selection is kept in
+    ``SUITES`` order, each suite once, as it runs: a list given in another
+    order or with repeats configures the same report.
+    """
+
     r_min: int = 2
     r_max: int = 5
     suites: tuple[str, ...] = SUITES
@@ -117,14 +122,13 @@ class SuiteConfig:
         for suite in self.suites:
             if suite not in SUITES:
                 raise ValueError(f"unknown suite {suite!r}")
+        object.__setattr__(self, "suites", tuple(s for s in SUITES if s in self.suites))
 
 
 def run_suite(cfg: SuiteConfig) -> dict:
     """Execute the configured suites and aggregate a deterministic report."""
     records: list[tuple[str, int, VerificationRecord]] = []
-    for suite in SUITES:
-        if suite not in cfg.suites:
-            continue
+    for suite in cfg.suites:
         for r in range(cfg.r_min, cfg.r_max + 1):
             for record in _SUITE_RUNNERS[suite](r):
                 records.append((suite, r, record))

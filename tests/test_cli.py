@@ -30,7 +30,41 @@ def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "--r", "2")
     assert code == 0
     payload = json.loads(out)
+    assert payload["ok"] is True
     assert all(record["ok"] for record in payload["records"])
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    # spectra --format csv writes the eigenvalue tables instead
+    [(c, f) for c in ("gamma", "oracle", "invariants") for f in ("json", "csv")] + [("spectra", "json")],
+)
+def test_suite_command_is_the_report_of_its_suite(capsys, command, fmt):
+    code, out, _ = run(capsys, command, "--r", "2", "--format", fmt)
+    assert (code, out) == run(capsys, "report", "--r", "2", "--suites", command, "--format", fmt)[:2]
+
+
+def test_oracle_csv_holds_a_row_per_check(capsys):
+    code, out, _ = run(capsys, "oracle", "--r", "2", "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "suite,r,record,check,status,witness"
+    records = [row.split(",")[2] for row in rows]
+    assert list(dict.fromkeys(records)) == [
+        '"so-algebra-integrity N=4"',
+        '"defining-representation N=4"',
+        '"c2-closed-form-vs-weights r=2"',
+    ]
+    assert all(row.startswith("oracle,2,") and ",pass," in row for row in rows)
+
+
+def test_report_keeps_its_suites_in_run_order(capsys):
+    # the config lists each suite once, in the order the suites run
+    code, out, _ = run(capsys, "report", "--r", "2", "--suites", "ybe,gamma,gamma")
+    assert code == 0
+    assert json.loads(out)["config"]["suites"] == ["gamma", "ybe"]
+    assert out == run(capsys, "report", "--r", "2", "--suites", "gamma,ybe")[1]
+    assert report.SuiteConfig(suites=("ybe", "gamma", "gamma")) == report.SuiteConfig(suites=("gamma", "ybe"))
 
 
 def test_report_runs_the_oracle_suite(capsys):
@@ -66,14 +100,13 @@ def test_spectra_tables_csv(capsys):
 
 
 def test_spectra_tables_known_rows(capsys):
-    _, out, _ = run(capsys, "spectra", "--r", "5", "--tables")
+    _, out, _ = run(capsys, "spectra", "--r", "5", "--format", "csv")
     assert "rho,5,5/64,252" in out
-    _, out, _ = run(capsys, "spectra", "--r", "2", "--tables")
+    _, out, _ = run(capsys, "spectra", "--r", "2", "--format", "csv")
     assert "pm,1,0,4" in out
 
 
-@pytest.mark.parametrize("flag", [("--tables",), ("--format", "csv")])
-def test_spectra_tables_show_the_verified_rank(capsys, monkeypatch, flag):
+def test_spectra_tables_show_the_verified_rank(capsys, monkeypatch):
     real = spectra.sector_spectral
 
     def served(rank, sector):
@@ -85,14 +118,14 @@ def test_spectra_tables_show_the_verified_rank(capsys, monkeypatch, flag):
         return replace(data, spectrum=spectra.Spectrum(entries=((k, eigenvalue, mult + 1), *rest)))
 
     monkeypatch.setattr(spectra, "sector_spectral", served)
-    code, out, _ = run(capsys, "spectra", "--r", "3", *flag)
+    code, out, _ = run(capsys, "spectra", "--r", "3", "--format", "csv")
     assert code == 1
     lines = out.splitlines()
     assert "pm,0,-15/32,2" in lines and "mp,0,-15/32,1" in lines
     assert "rho,0,-15/32,3" in lines
     monkeypatch.undo()
     assert real(3, "+-").spectrum.entries[0] == (0, Rat(-15, 32), 1)
-    code, out, _ = run(capsys, "spectra", "--r", "3", *flag)
+    code, out, _ = run(capsys, "spectra", "--r", "3", "--format", "csv")
     assert code == 0 and "rho,0,-15/32,2" in out.splitlines()
 
 
@@ -144,7 +177,7 @@ def test_ybe_full_mode(capsys):
     assert json.loads(out)["failures"] == []
 
 
-@pytest.mark.parametrize("point", [["--u", "1/3", "--v", "1/7"], ["--grid"]])
+@pytest.mark.parametrize("point", [["--u", "1/3", "--v", "1/7"], []])
 def test_ybe_full_mode_plain_form_is_refused_before_work(capsys, monkeypatch, point):
     # the full series is verified in braid form only
     _no_ybe_work(monkeypatch)
@@ -161,12 +194,23 @@ def test_ybe_full_mode_without_form_writes_braid(capsys):
 
 
 def test_ybe_full_mode_grid_matches_the_record(capsys):
-    code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", "full", "--grid")
+    code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", "full")
     assert code == 0
     record = ybe.full_ybe_check(2)
     points = json.loads(out)["points"]
     assert len(points) == len(record.checks) == 49
     assert [f"point-u{p['u']}-v{p['v']}" for p in points] == [c.check_id for c in record.checks]
+
+
+def _patch_work(monkeypatch, module, name, fn):
+    """Replace module.name by fn, and a suite runner also in the table that
+    report.run_suite calls it through.
+    """
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, fn)
+    for suite, runner in report._SUITE_RUNNERS.items():
+        if runner is real:
+            monkeypatch.setitem(report._SUITE_RUNNERS, suite, fn)
 
 
 def _no_ybe_work(monkeypatch):
@@ -266,7 +310,7 @@ def test_ybe_bad_negative_parameter_after_the_option(capsys, monkeypatch, u, mes
 @pytest.mark.parametrize("mode", ["sector", "full"])
 @pytest.mark.parametrize("point", [["--u", "2/3", "--v", "5/7"], ["--u", "2/3"], ["--v", "5/7"]])
 def test_ybe_grid_with_a_point_is_refused_before_work(capsys, monkeypatch, mode, point):
-    # the grid would run and the point be dropped without a word
+    # --grid is no option: the grid runs when no point is given
     _no_ybe_work(monkeypatch)
     code, out, err = run(capsys, "ybe", "--r", "2", "--mode", mode, "--grid", *point)
     assert code == 2
@@ -311,7 +355,7 @@ def test_rank_outside_range_is_refused_before_work(capsys, monkeypatch, argv):
         (ybe, "admissible_grid"),
         (ybe, "full_ybe_check"),
     ):
-        monkeypatch.setattr(module, name, no_work)
+        _patch_work(monkeypatch, module, name, no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -332,22 +376,16 @@ def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert json.loads(target.read_text())["ok"] is True
 
+    # --out is the one way to write a file: SPINCAS_OUT names no directory
+    target.unlink()
     monkeypatch.setenv("SPINCAS_OUT", str(tmp_path))
     code, out, _ = run(capsys, "spectra", "--r", "2", "--format", "csv")
     assert code == 0
-    assert (tmp_path / "spectra-r2.csv").read_text().startswith("sector,k,")
-
-    # the name says what the file holds: CSV tables, and the rank range
-    (tmp_path / "spectra-r2.csv").unlink()
-    code, out, _ = run(capsys, "spectra", "--r", "2", "--tables")
+    assert out.startswith("sector,k,")
+    code, out, _ = run(capsys, "report", "--r", "2", "--r-max", "3", "--suites", "gamma")
     assert code == 0
-    assert (tmp_path / "spectra-r2.csv").read_text().startswith("sector,k,")
-    assert not (tmp_path / "spectra-r2.json").exists()
-    for argv in (["--r", "2", "--r-max", "3"], ["--r", "2"], ["--r", "3", "--r-max", "3"]):
-        assert run(capsys, "report", *argv, "--suites", "gamma")[0] == 0
-    for name, ranks in {"report-r2-3.json": (2, 3), "report-r2.json": (2, 2), "report-r3.json": (3, 3)}.items():
-        config = json.loads((tmp_path / name).read_text())["config"]
-        assert (config["r_min"], config["r_max"]) == ranks
+    assert json.loads(out)["config"]["r_max"] == 3
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_determinism(capsys):
@@ -368,21 +406,27 @@ def test_report_csv_format(capsys):
     assert all(line.startswith("gamma,2,") for line in lines[1:])
 
 
-def test_jobs_flag_accepted(capsys):
-    code, _, _ = run(capsys, "gamma", "--r", "2", "--jobs", "4")
-    assert code == 0
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
-def test_jobs_below_one_is_refused_before_work(capsys, monkeypatch, jobs):
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("gamma", "--r", "2", "--jobs", "4"), "--jobs"),
+        (("ybe", "--r", "2", "--grid"), "--grid"),
+        (("spectra", "--r", "2", "--tables"), "--tables"),
+    ],
+    ids=["jobs", "grid", "tables"],
+)
+def test_removed_switches_are_refused_before_work(capsys, monkeypatch, argv, flag):
+    # each selected nothing that another way to ask did not already select
     def no_work(*args, **kwargs):
-        raise AssertionError("work started for a refused job count")
+        raise AssertionError("work started for a removed switch")
 
-    monkeypatch.setattr(report, "run_suite", no_work)
-    code, out, err = run(capsys, "gamma", "--r", "2", "--jobs", jobs)
+    _no_ybe_work(monkeypatch)
+    for module, name in ((report, "run_suite"), (report, "emit_tables"), (ybe, "grid_points")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "usage error" in err and "job count must be an integer in 1..1024" in err
+    assert "usage error: unrecognized arguments: " + flag in err
 
 
 def test_empty_suites_report(capsys, monkeypatch):
@@ -403,28 +447,26 @@ def test_empty_suites_report(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, module, name",
     [
-        (("oracle", "--r", "2"), report, "oracle_suite"),
         (("colour", "--r", "2", "--L", "2"), colour, "colour_report"),
         (("ybe", "--r", "2", "--u", "2/3", "--v", "5/7"), ybe, "ybe_check"),
     ],
-    ids=["oracle", "colour", "ybe"],
+    ids=["colour", "ybe"],
 )
 def test_csv_format_is_refused_where_only_json_is_written(capsys, monkeypatch, tmp_path, argv, module, name):
     def no_work(*args, **kwargs):
         raise AssertionError("work started for a refused format")
 
     monkeypatch.setattr(module, name, no_work)
-    monkeypatch.setenv("SPINCAS_OUT", str(tmp_path))
-    code, out, err = run(capsys, *argv, "--format", "csv")
+    target = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--format", "csv", "--out", str(target))
     assert code == 2
     assert out == ""
     assert "usage error" in err and "--format" in err and "'csv'" in err
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
-    monkeypatch.setenv("SPINCAS_OUT", str(tmp_path))
-    code, _, _ = run(capsys, *argv, "--format", "json")
+    code, _, _ = run(capsys, *argv, "--format", "json", "--out", str(target))
     assert code == 0
-    assert [p.name for p in tmp_path.iterdir()] == [f"{argv[0]}-r2.json"]
+    assert json.loads(target.read_text())
 
 
 @pytest.mark.parametrize(
@@ -464,7 +506,7 @@ def test_an_exception_in_the_work_is_an_internal_error(capsys, monkeypatch, exc,
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(module, name, broken)
+    _patch_work(monkeypatch, module, name, broken)
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
