@@ -90,11 +90,10 @@ def _build_parser() -> _Parser:
     colour_p = common(sub.add_parser("colour", help="ladder colour factors"), ("json",))
     colour_p.add_argument("--L", type=_rungs, default=2, help=f"rung count (0..{colour.MAX_RUNGS})")
     colour_p.add_argument("--sector", choices=tuple(REVERSE_SECTOR_LABELS), default="pp")
-    colour_p.add_argument("--closure", choices=("full", "partial", "open"), default="full")
 
     ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter verification: the grid, or one point (--u, --v)"), ("json",))
     ybe_p.add_argument("--mode", choices=("sector", "full"), default="sector")
-    ybe_p.add_argument("--form", choices=("plain", "braid"), default="braid")
+    ybe_p.add_argument("--form", choices=ybe.FORMS, default="braid")
     ybe_p.add_argument("--u", type=_spectral, help="spectral parameter, e.g. 2/3")
     ybe_p.add_argument("--v", type=_spectral, help="second spectral parameter, e.g. 5/7")
 
@@ -124,16 +123,9 @@ def _run_command(args) -> tuple[str, int]:
         return _suite_report(args, (args.command,), args.r)
 
     if args.command == "colour":
-        closure = {"full": "full_trace", "partial": "partial_trace", "open": "open"}
-        spec = colour.LadderSpec(
-            r=args.r,
-            L=args.L,
-            sector=REVERSE_SECTOR_LABELS[args.sector],
-            closure=closure[args.closure],
-        )
+        spec = colour.LadderSpec(r=args.r, L=args.L, sector=REVERSE_SECTOR_LABELS[args.sector])
         result = colour.colour_report(spec)
-        ok = result["cross_check"] and result.get("is_identity_multiple", True)
-        return json.dumps(result, indent=2) + "\n", 0 if ok else 1
+        return json.dumps(result, indent=2) + "\n", 0 if result["record"]["ok"] else 1
 
     if args.command == "ybe":
         return _run_ybe(args)

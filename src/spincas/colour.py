@@ -4,16 +4,18 @@ The L-rung ladder is the L-th power of the sector split Casimir.  Spectral
 evaluation (eigenvalue powers times eigenprojectors) is cross-checked
 entrywise against direct matrix powers, made from the sector block's power
 table, and the two closures are the full trace and the partial trace over
-the second line.  Twin sectors share one analysis (see ``spectra``), so
-their ladders are made once.
+the second line.  One helper states the three checks of a ladder, for the
+suite's record and for ``spincas colour`` alike.  Twin sectors share one
+analysis (see ``spectra``), so their ladders are made once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import __version__
 from .linalg import ExactMatrix, lincomb, partial_trace
-from .records import VerificationRecord
+from .records import VerificationRecord, mismatch
 from .scalar import Rat
 from .spectra import (
     SECTORS,
@@ -25,15 +27,12 @@ from .spectra import (
 
 MAX_RUNGS = 16
 
-CLOSURES = ("open", "full_trace", "partial_trace")
-
 
 @dataclass(frozen=True)
 class LadderSpec:
     r: int
     L: int
     sector: str
-    closure: str = "open"
 
     def __post_init__(self):
         if self.r < 2:
@@ -42,8 +41,6 @@ class LadderSpec:
             raise ValueError(f"rung count must lie in [0, {MAX_RUNGS}]")
         if self.sector not in SECTORS:
             raise ValueError(f"unknown sector {self.sector!r}")
-        if self.closure not in CLOSURES:
-            raise ValueError(f"unknown closure {self.closure!r}")
 
 
 def ladder_operator(spec: LadderSpec) -> ExactMatrix:
@@ -68,68 +65,70 @@ def ladder_full_trace(spec: LadderSpec) -> Rat:
     return total
 
 
-def ladder_partial_trace(spec: LadderSpec, ladder: ExactMatrix | None = None) -> tuple[Rat, bool]:
-    """Close only the second line: exact identity multiple on the first.
+def ladder_partial_trace(spec: LadderSpec, ladder: ExactMatrix | None = None) -> tuple[Rat, ExactMatrix]:
+    """Close only the second line: (coefficient, traced), the coefficient
+    fixed by the full trace and the partial trace of the ladder, which is
+    the coefficient times the identity when the closure is scalar.
 
     ``ladder`` is the spectral ladder of ``spec`` when the caller already
-    holds it.  Returns (coefficient, is_identity_multiple), with the
-    coefficient fixed by the full trace; a non-scalar partial trace gives
-    False.
+    holds it.
     """
     half = 2 ** (spec.r - 1)
-    coefficient = ladder_full_trace(spec) / half
     if ladder is None:
         ladder = ladder_operator(spec)
-    traced = partial_trace(ladder, half)
-    return coefficient, traced == ExactMatrix.identity(half) * coefficient
+    return ladder_full_trace(spec) / half, partial_trace(ladder, half)
+
+
+def _ladder_checks(record: VerificationRecord, spec: LadderSpec, power, spectral, partial) -> None:
+    """The three checks of one ladder: the spectral ladder against the direct
+    power, the full trace against the power's trace, and the partial trace
+    (coefficient, traced) against the coefficient times the identity.
+    """
+    coefficient, traced = partial
+    tag = f"{spec.sector}-L{spec.L}"
+    record.add_equal(f"spectral-equals-direct-{tag}", spectral, power)
+    record.add_equal(f"full-trace-matches-matrix-{tag}", ladder_full_trace(spec), power.trace())
+    record.add_equal(f"partial-trace-scalar-{tag}", traced, ExactMatrix.identity(traced.dim) * coefficient)
 
 
 def colour_report(spec: LadderSpec) -> dict:
-    """Per-eigenvalue breakdown with the spectral-vs-direct cross-check.
+    """The artifact of one ladder: its per-eigenvalue breakdown, both
+    closures, and the record of its three ladder checks, whose ``ok`` is
+    the verdict.
 
     The metadata records the overall normalization bookkeeping for diagrams
     with n34 index-loop vertices and npr propagator insertions: the power of
     the trace normalization constant is k = n34 - npr.
     """
     data = sector_spectral(spec.r, spec.sector)
-    direct = data.powers.power(spec.L)
     spectral = ladder_operator(spec)
-    per_k = []
-    for k in sector_kvalues(spec.r, spec.sector):
-        per_k.append(
-            {
-                "k": k,
-                "eigenvalue": str(c2k_eigenvalue(spec.r, k)),
-                "eigenvalue_power_L": str(c2k_eigenvalue(spec.r, k) ** spec.L),
-                "weight": sector_trace_closed_form(spec.r, k),
-            }
-        )
-    report = {
-        "spec": {
-            "r": spec.r,
-            "L": spec.L,
-            "sector": spec.sector,
-            "closure": spec.closure,
-        },
+    partial = ladder_partial_trace(spec, spectral)
+    record = VerificationRecord(name=f"ladder-colour-factor r={spec.r} sector={spec.sector} L={spec.L}")
+    _ladder_checks(record, spec, data.powers.power(spec.L), spectral, partial)
+    per_k = [
+        {
+            "k": k,
+            "eigenvalue": str(c2k_eigenvalue(spec.r, k)),
+            "eigenvalue_power_L": str(c2k_eigenvalue(spec.r, k) ** spec.L),
+            "weight": sector_trace_closed_form(spec.r, k),
+        }
+        for k in sector_kvalues(spec.r, spec.sector)
+    ]
+    return {
+        "engine_version": __version__,
+        "spec": {"r": spec.r, "L": spec.L, "sector": spec.sector},
         "per_k": per_k,
-        "cross_check": spectral == direct,
+        "full_trace": str(ladder_full_trace(spec)),
+        "partial_trace": str(partial[0]),
         "metadata": {"normalization_power": "k = n34 - npr"},
+        "record": record.as_dict(),
     }
-    if spec.closure == "full_trace":
-        report["total"] = str(ladder_full_trace(spec))
-    elif spec.closure == "partial_trace":
-        coefficient, scalar = ladder_partial_trace(spec, spectral)
-        report["total"] = str(coefficient)
-        report["is_identity_multiple"] = scalar
-    else:
-        report["total"] = "matrix"
-    return report
 
 
 def ladder_consistency(r: int) -> VerificationRecord:
-    """Spectral vs direct powers, tracelessness at L=1, scalar partial traces,
-    for L = 0..6.  The ladders and partial traces are made once per sector
-    analysis and checked under the ids of every sector that shares it.
+    """The three checks of every ladder for L = 0..6, and tracelessness at
+    L=1.  The ladders and partial traces are made once per sector analysis
+    and checked under the ids of every sector that shares it.
     """
     record = VerificationRecord(name=f"ladder-colour-factors r={r}")
     ladders = {}  # analysis -> its spectral ladders and partial traces, for L = 0..6
@@ -138,15 +137,8 @@ def ladder_consistency(r: int) -> VerificationRecord:
         specs = [LadderSpec(r=r, L=L, sector=sector) for L in range(7)]
         if data not in ladders:
             ladders[data] = [(m, ladder_partial_trace(spec, m)) for spec, m in zip(specs, map(ladder_operator, specs))]
-        for spec, power, (spectral, (coefficient, scalar)) in zip(specs, data.powers.upto(6), ladders[data]):
-            L = spec.L
-            record.add_equal(f"spectral-equals-direct-{sector}-L{L}", spectral, power)
-            record.add_equal(f"full-trace-matches-matrix-{sector}-L{L}", ladder_full_trace(spec), power.trace())
-            record.add(
-                f"partial-trace-scalar-{sector}-L{L}",
-                scalar,
-                f"partial trace is not {coefficient} times the identity",
-            )
+        for spec, power, (spectral, partial) in zip(specs, data.powers.upto(6), ladders[data]):
+            _ladder_checks(record, spec, power, spectral, partial)
         record.add_equal(f"traceless-L1-{sector}", ladder_full_trace(LadderSpec(r=r, L=1, sector=sector)), 0)
     return record
 
@@ -162,9 +154,9 @@ def worked_values() -> VerificationRecord:
     record.add_equal("full-trace-r4-pp-L2", ladder_full_trace(LadderSpec(r=4, L=2, sector="++")), Rat(7, 9))
     record.add_equal("full-trace-r5-pp-L1-vanishes", ladder_full_trace(LadderSpec(r=5, L=1, sector="++")), 0)
     nonzero = (
-        f"the L={L} ladder of sector +- is nonzero"
+        f"the L={L} ladder of sector +- is nonzero: {witness}"
         for L in range(1, 5)
-        if not ladder_operator(LadderSpec(r=2, L=L, sector="+-")).is_zero()
+        if (witness := mismatch(ladder_operator(LadderSpec(r=2, L=L, sector="+-")), ExactMatrix.zero(4)))
     )
     record.add_first_failure("opposite-sector-vanishes-r2", nonzero)
     L0 = ladder_partial_trace(LadderSpec(r=3, L=0, sector="++"))[0]

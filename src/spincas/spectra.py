@@ -47,6 +47,11 @@ from .scalar import Rat
 OPPOSITE = {"++": "+-", "+-": "++", "-+": "--", "--": "-+"}
 
 
+def _chirality_sign(sector: str) -> int:
+    """1 on the equal-chirality sectors ++ and --, -1 on the opposite ones."""
+    return 1 if sector in ("++", "--") else -1
+
+
 def c2k_eigenvalue(r: int, k: int) -> Rat:
     """(2k(2r-k) - r(2r-1)) / (16(r-1)) for 0 <= k <= 2r."""
     if not 0 <= k <= 2 * r:
@@ -62,7 +67,7 @@ def sector_kvalues(r: int, sector: str) -> tuple[int, ...]:
     chiralities carry the even labels 0, .., r-1 and equal chiralities the
     odd labels 1, .., r.
     """
-    equal = sector in ("++", "--")
+    equal = _chirality_sign(sector) == 1
     if r % 2 == 0:
         return tuple(range(0, r + 1, 2)) if equal else tuple(range(1, r, 2))
     return tuple(range(1, r + 1, 2)) if equal else tuple(range(0, r, 2))
@@ -256,7 +261,7 @@ def _signed_pair_witnesses(r: int, sector: str, values) -> list[str]:
     empty where it holds, from the values I_0 .. I_2r on its block.
     """
     sign_r = (-1) ** r
-    eps = 1 if sector in ("++", "--") else -1
+    eps = _chirality_sign(sector)
     out = []
     for k in range(r + 1):
         ratio = Rat(factorial(2 * r - 2 * k), factorial(2 * k))
@@ -286,8 +291,7 @@ def sector_minimal_identities(r: int) -> VerificationRecord:
         coeff = r * (r + 1)
         for sector in SECTORS:
             # equal chirality: plus sign; opposite chirality: minus sign
-            sign = 1 if sector in ("++", "--") else -1
-            vanishes(f"degree-{(r + 1) // 2}-{sector}", hi + lo * (sign * coeff), sector)
+            vanishes(f"degree-{(r + 1) // 2}-{sector}", hi + lo * (_chirality_sign(sector) * coeff), sector)
     return record
 
 

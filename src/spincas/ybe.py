@@ -104,8 +104,9 @@ from .spectra import c2k_eigenvalue, rho_projectors, sector_spectral
 FORMS = ("plain", "braid")
 
 
-def tau_coefficient(r: int, k: int, form: str = "plain") -> tuple[Poly, Poly]:
-    """Coefficient (num, den) of the projector with label r - 2k.
+def tau_coefficient(k: int, form: str = "plain") -> tuple[Poly, Poly]:
+    """Coefficient (num, den) of the projector with label r - 2k, the same
+    at every rank r.
 
     Plain form: product over m = 1..k of (u - (2m-1)) / (u + (2m-1)); the
     braid form carries an extra (-1)^k from the swap eigenvalue.
@@ -174,7 +175,7 @@ def tau_denominator(r: int) -> Poly:
     """
     q = Poly.const(1)
     for k in range(r // 2 + 1):
-        _, den = tau_coefficient(r, k)
+        _, den = tau_coefficient(k)
         q = q * den.divmod(q.gcd(den))[0]
     return q
 
@@ -195,7 +196,7 @@ def sector_r_matrix(r: int, eps: str, form: str = "plain") -> RMatrixFamily:
     if r < 2:
         raise ValueError("rank must be at least 2")
     projectors = sector_spectral(r, eps + eps).projectors
-    terms = [(tau_coefficient(r, k, form), projectors[r - 2 * k]) for k in range(r // 2 + 1)]
+    terms = [(tau_coefficient(k, form), projectors[r - 2 * k]) for k in range(r // 2 + 1)]
     return _cleared_family(4 ** (r - 1), tau_denominator(r), terms)
 
 
@@ -479,7 +480,7 @@ def asymptotic_check(r: int) -> VerificationRecord:
     """
     record = VerificationRecord(name=f"large-u-asymptotics r={r}")
     for k in range(r // 2 + 1):
-        num, den = tau_coefficient(r, k, "plain")
+        num, den = tau_coefficient(k, "plain")
         limit = limit_at_infinity(Poly.x() * (num - den), den)  # u (num/den - 1)
         record.add_equal(f"limit-k{k}", limit, Rat(-2 * k * k))
         diff = 4 * (r - 1) * (c2k_eigenvalue(r, r - 2 * k) - c2k_eigenvalue(r, r))
@@ -493,7 +494,7 @@ def tau_ratio_constraints(r: int) -> VerificationRecord:
     unscaled form recovered from independent quadratic-Casimir values.
     """
     record = VerificationRecord(name=f"coefficient-ratio-constraints r={r}")
-    coeffs = {r - 2 * k: tau_coefficient(r, k, "plain") for k in range(r // 2 + 1)}
+    coeffs = {r - 2 * k: tau_coefficient(k, "plain") for k in range(r // 2 + 1)}
     for label in sorted(coeffs):
         if label + 2 not in coeffs:
             continue

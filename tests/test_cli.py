@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from spincas import colour, report, spectra, ybe
+from spincas import __version__, colour, report, spectra, ybe
 from spincas.cli import main
+from spincas.linalg import ExactMatrix
 from spincas.records import VerificationRecord
 from spincas.scalar import Rat
 
@@ -130,34 +131,37 @@ def test_spectra_tables_show_the_verified_rank(capsys, monkeypatch):
 
 
 def test_colour_command(capsys):
-    code, out, _ = run(
-        capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp", "--closure", "full"
-    )
+    code, out, _ = run(capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp")
     assert code == 0
     payload = json.loads(out)
-    assert payload["total"] == "3/16"
-    assert payload["cross_check"] is True
+    assert payload["full_trace"] == "3/16"
+    assert payload["record"]["ok"] is True
+    assert [c["id"] for c in payload["record"]["checks"]] == [
+        "spectral-equals-direct-++-L2",
+        "full-trace-matches-matrix-++-L2",
+        "partial-trace-scalar-++-L2",
+    ]
+    assert "total" not in payload
 
 
 def test_colour_partial(capsys):
-    code, out, _ = run(
-        capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp", "--closure", "partial"
-    )
+    # both closures are in every artifact
+    code, out, _ = run(capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp")
     assert code == 0
     payload = json.loads(out)
-    assert payload["total"] == "3/32"
-    assert payload["is_identity_multiple"] is True
+    assert (payload["full_trace"], payload["partial_trace"]) == ("3/16", "3/32")
+    assert payload["record"]["checks"][-1] == {"id": "partial-trace-scalar-++-L2", "status": "pass"}
 
 
 def test_colour_partial_not_scalar_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(colour, "ladder_partial_trace", lambda spec, ladder: (Rat(3, 32), False))
-    code, out, err = run(
-        capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp", "--closure", "partial"
-    )
+    # e_00 as the partial trace of the ladder: not 3/32 times the identity
+    monkeypatch.setattr(colour, "partial_trace", lambda ladder, inner: ExactMatrix(inner, {(0, 0): 1}))
+    code, out, err = run(capsys, "colour", "--r", "2", "--L", "2", "--sector", "pp")
     assert code == 1
     payload = json.loads(out)
-    assert payload["cross_check"] is True
-    assert payload["is_identity_multiple"] is False
+    assert payload["record"]["ok"] is False
+    assert [c["status"] for c in payload["record"]["checks"]] == ["pass", "pass", "fail"]
+    assert payload["record"]["checks"][-1]["witness"] == "first differing entry (0, 0): 1/1 != 3/32"
     assert "Traceback" not in err
 
 
@@ -412,8 +416,9 @@ def test_report_csv_format(capsys):
         (("gamma", "--r", "2", "--jobs", "4"), "--jobs"),
         (("ybe", "--r", "2", "--grid"), "--grid"),
         (("spectra", "--r", "2", "--tables"), "--tables"),
+        (("colour", "--r", "2", "--closure", "full"), "--closure"),
     ],
-    ids=["jobs", "grid", "tables"],
+    ids=["jobs", "grid", "tables", "closure"],
 )
 def test_removed_switches_are_refused_before_work(capsys, monkeypatch, argv, flag):
     # each selected nothing that another way to ask did not already select
@@ -421,7 +426,8 @@ def test_removed_switches_are_refused_before_work(capsys, monkeypatch, argv, fla
         raise AssertionError("work started for a removed switch")
 
     _no_ybe_work(monkeypatch)
-    for module, name in ((report, "run_suite"), (report, "emit_tables"), (ybe, "grid_points")):
+    work = ((report, "run_suite"), (report, "emit_tables"), (ybe, "grid_points"), (colour, "colour_report"))
+    for module, name in work:
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -521,3 +527,23 @@ def test_version_has_one_source():
     assert "version" not in config["project"]
     assert "version" in config["project"]["dynamic"]
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "spincas.__version__"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma",),
+        ("oracle",),
+        ("invariants",),
+        ("spectra",),
+        ("report", "--suites", "gamma,colour"),
+        ("colour", "--L", "3", "--sector", "mm"),
+        ("ybe", "--u", "2/3", "--v", "5/7"),
+        ("ybe", "--mode", "full", "--u", "2/3", "--v", "5/7"),
+    ],
+    ids=["gamma", "oracle", "invariants", "spectra", "report", "colour", "ybe", "ybe-full"],
+)
+def test_every_json_artifact_carries_the_engine_version(capsys, argv):
+    code, out, _ = run(capsys, argv[0], "--r", "2", *argv[1:])
+    assert code == 0
+    assert json.loads(out)["engine_version"] == __version__

@@ -1,6 +1,6 @@
 import pytest
 
-from spincas import colour
+from spincas import __version__, colour
 from spincas.casimir import SECTORS, sector_casimir
 from spincas.linalg import ExactMatrix
 from spincas.scalar import ExactScalar, Rat
@@ -17,8 +17,8 @@ def test_spec_validation():
         colour.LadderSpec(r=2, L=colour.MAX_RUNGS + 1, sector="++")
     with pytest.raises(ValueError):
         colour.LadderSpec(r=2, L=1, sector="xx")
-    with pytest.raises(ValueError):
-        colour.LadderSpec(r=2, L=1, sector="++", closure="sideways")
+    with pytest.raises(TypeError):  # a spec names no closure: both are always made
+        colour.LadderSpec(r=2, L=1, sector="++", closure="open")
 
 
 def test_zero_rungs_is_identity():
@@ -60,8 +60,8 @@ def test_full_trace_values():
 
 
 def test_partial_trace_values():
-    coeff, scalar = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=2, sector="++"))
-    assert scalar and coeff == Rat(3, 32)
+    coeff, traced = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=2, sector="++"))
+    assert coeff == Rat(3, 32) and traced == ExactMatrix.identity(2) * coeff
     coeff, _ = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=1, sector="++"))
     assert coeff == 0
     coeff, _ = colour.ladder_partial_trace(colour.LadderSpec(r=4, L=0, sector="--"))
@@ -69,14 +69,25 @@ def test_partial_trace_values():
 
 
 def test_report_schema():
-    spec = colour.LadderSpec(r=3, L=3, sector="--", closure="partial_trace")
+    spec = colour.LadderSpec(r=3, L=3, sector="--")
     report = colour.colour_report(spec)
-    assert report["spec"] == {"r": 3, "L": 3, "sector": "--", "closure": "partial_trace"}
-    assert report["cross_check"] is True
-    assert report["is_identity_multiple"] is True
+    assert list(report) == ["engine_version", "spec", "per_k", "full_trace", "partial_trace", "metadata", "record"]
+    assert report["engine_version"] == __version__
+    assert report["spec"] == {"r": 3, "L": 3, "sector": "--"}
     labels = [term["k"] for term in report["per_k"]]
     assert labels == [1, 3]
+    assert report["full_trace"] == str(colour.ladder_full_trace(spec))
+    assert report["partial_trace"] == str(colour.ladder_full_trace(spec) / 4)
     assert "normalization_power" in report["metadata"]
+    # the record's checks are the suite's checks of this ladder, in its order
+    ids = ["spectral-equals-direct----L3", "full-trace-matches-matrix----L3", "partial-trace-scalar----L3"]
+    suite = colour.ladder_consistency(3).as_dict()["checks"]
+    assert report["record"] == {
+        "name": "ladder-colour-factor r=3 sector=-- L=3",
+        "ok": True,
+        "checks": [c for c in suite if c["id"] in ids],
+    }
+    assert [c["id"] for c in report["record"]["checks"]] == ids
 
 
 def test_non_scalar_partial_trace_fails_with_witness(monkeypatch):
@@ -85,13 +96,21 @@ def test_non_scalar_partial_trace_fails_with_witness(monkeypatch):
         return ExactMatrix(4 ** (spec.r - 1), {(0, 0): 1})
 
     monkeypatch.setattr(colour, "ladder_operator", lopsided)
-    coeff, scalar = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=2, sector="++"))
-    assert coeff == Rat(3, 32) and scalar is False
+    coeff, traced = colour.ladder_partial_trace(colour.LadderSpec(r=2, L=2, sector="++"))
+    assert coeff == Rat(3, 32) and traced == ExactMatrix(2, {(0, 0): 1})
     record = colour.ladder_consistency(2)
     failed = {c.check_id: c.witness for c in failing_checks(record)}
-    assert failed["partial-trace-scalar-++-L1"] == "partial trace is not 0 times the identity"
-    report = colour.colour_report(colour.LadderSpec(r=2, L=2, sector="++", closure="partial_trace"))
-    assert report["is_identity_multiple"] is False
+    # the witness is the first entry where the trace leaves coefficient * 1
+    assert failed["partial-trace-scalar-++-L1"] == "first differing entry (0, 0): 1/1 != 0/1"
+    assert failed["partial-trace-scalar-++-L2"] == "first differing entry (0, 0): 1/1 != 3/32"
+    report = colour.colour_report(colour.LadderSpec(r=2, L=2, sector="++"))
+    assert report["record"]["ok"] is False
+    checks = {c["id"]: c for c in report["record"]["checks"]}
+    assert checks["partial-trace-scalar-++-L2"] == {
+        "id": "partial-trace-scalar-++-L2",
+        "status": "fail",
+        "witness": "first differing entry (0, 0): 1/1 != 3/32",
+    }
 
 
 def test_a_wrong_full_trace_fails_with_both_values(monkeypatch):
@@ -122,6 +141,8 @@ def test_wrong_worked_values_fail_with_both_values(monkeypatch):
         "partial-trace-r2-pp-L1-vanishes": "1/2 != 0",
         "full-trace-r4-pp-L2": "16/9 != 7/9",
         "full-trace-r5-pp-L1-vanishes": "1 != 0",
-        "opposite-sector-vanishes-r2": "the L=1 ladder of sector +- is nonzero",
+        "opposite-sector-vanishes-r2": (
+            "the L=1 ladder of sector +- is nonzero: first differing entry (0, 0): 1/1 != 0/1"
+        ),
         "L0-partial-trace-counts-dimension-r3": "17/4 != 4",
     }

@@ -86,7 +86,7 @@ def test_colour_report_leaves_the_sector_table_as_it_was():
     table = spectra.sector_spectral(2, "++").powers
     kept = list(table._powers)
     report = colour.colour_report(colour.LadderSpec(r=2, L=colour.MAX_RUNGS, sector="++"))
-    assert report["cross_check"]
+    assert report["record"]["ok"]
     assert table._powers == kept
 
 

@@ -26,11 +26,11 @@ def at(tau, u):
 
 
 def test_tau_coefficients():
-    top = ybe.tau_coefficient(2, 0)
+    top = ybe.tau_coefficient(0)
     assert top == (Poly.const(1), Poly.const(1))
-    first = ybe.tau_coefficient(2, 1)
+    first = ybe.tau_coefficient(1)
     assert at(first, Rat(3)) == Rat(1, 2)
-    braid = ybe.tau_coefficient(2, 1, "braid")
+    braid = ybe.tau_coefficient(1, "braid")
     assert at(braid, Rat(3)) == Rat(-1, 2)
     assert first[1](Rat(-1)) == 0  # the pole at u = -1
 
@@ -38,14 +38,14 @@ def test_tau_coefficients():
 @pytest.mark.parametrize("form", ["brade", "Braid", ""])
 def test_tau_coefficient_refuses_an_unknown_form(form):
     with pytest.raises(ValueError, match="unknown form"):
-        ybe.tau_coefficient(3, 1, form)
+        ybe.tau_coefficient(1, form)
 
 
 def test_cleared_family_refuses_a_q_missing_a_factor():
     # at r=4, Q = (u + 1)(u + 3) and tau_2 has denominator (u + 1)(u + 3):
     # with (u + 3) left out of q, tau_2 cannot be cleared
     r = 4
-    terms = [(ybe.tau_coefficient(r, k), ExactMatrix.identity(2)) for k in range(r // 2 + 1)]
+    terms = [(ybe.tau_coefficient(k), ExactMatrix.identity(2)) for k in range(r // 2 + 1)]
     assert ybe._cleared_family(2, ybe.tau_denominator(r), terms).q == ybe.tau_denominator(r)
     with pytest.raises(ValueError, match=r"denominator Poly\(\[3, 4, 1\]\) of coefficient 2 does not divide"):
         ybe._cleared_family(2, Poly([1, 1]), terms)
@@ -60,7 +60,7 @@ def test_family_structure():
             q = q * Poly([root, 1])
         assert ybe.tau_denominator(r) == q
         # the braid form flips only numerator signs, so one Q serves both forms
-        assert all(ybe.tau_coefficient(r, k, "braid")[1] == ybe.tau_coefficient(r, k)[1] for k in range(r // 2 + 1))
+        assert all(ybe.tau_coefficient(k, "braid")[1] == ybe.tau_coefficient(k)[1] for k in range(r // 2 + 1))
         if r < 5:  # the r=5 blocks are left to the spectra tests
             family = ybe.sector_r_matrix(r, eps)
             assert family.q == q
@@ -109,9 +109,10 @@ def test_unitarity(r, eps):
     assert ybe.unitarity_check(r, eps).ok
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_swap_symmetry(r):
-    assert ybe.symmetry_check(r, "+").ok
+    for eps in ("+", "-"):
+        assert ybe.symmetry_check(r, eps).ok
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -126,8 +127,8 @@ def test_a_wrong_tau_numerator_fails_its_limit(monkeypatch):
     r = 4
     real = ybe.tau_coefficient
 
-    def shifted(rank, k, form="plain"):
-        num, den = real(rank, k, form)
+    def shifted(k, form="plain"):
+        num, den = real(k, form)
         return (Poly([-3, 1]), den) if k == 1 else (num, den)
 
     monkeypatch.setattr(ybe, "tau_coefficient", shifted)
@@ -180,8 +181,8 @@ def test_a_doubled_tau_fails_both_of_its_ratios(monkeypatch):
     r = 4
     real = ybe.tau_coefficient
 
-    def doubled(rank, k, form="plain"):
-        num, den = real(rank, k, form)
+    def doubled(k, form="plain"):
+        num, den = real(k, form)
         return (num * 2, den) if k == 1 else (num, den)
 
     monkeypatch.setattr(ybe, "tau_coefficient", doubled)
@@ -348,7 +349,7 @@ def full_at(r, u):
 
 def taus(r, form):
     """{label r - 2k: tau_k} of a sector family."""
-    return {r - 2 * k: ybe.tau_coefficient(r, k, form) for k in range(r // 2 + 1)}
+    return {r - 2 * k: ybe.tau_coefficient(k, form) for k in range(r // 2 + 1)}
 
 
 def at_pole(r, form, *points):
@@ -751,7 +752,7 @@ def test_wrong_right_hand_triple_product_fails_with_a_D_witness(fresh_caches, mo
     assert record.checks[-1].witness.startswith("D_(0, 0) is nonzero on the slice: first differing entry")
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_braid_identity_records_pass(r):
     records = (
         ybe.full_ybe_identity_check(r),
@@ -1122,11 +1123,11 @@ def test_plain_point_matches_direct_plain_products(r, eps, u, v):
     assert_plain_matches_direct(r, eps, [(Rat(u), Rat(v))])
 
 
-def rescaled_tau(r, k, form="plain"):
+def rescaled_tau(k, form="plain"):
     """tau_k times 2 for k = 1 in both forms: the swap relation still holds,
     the Yang-Baxter equation does not.
     """
-    num, den = TAU(r, k, form)
+    num, den = TAU(k, form)
     return (num * 2, den) if k == 1 else (num, den)
 
 
@@ -1158,8 +1159,8 @@ def test_skewed_projector_fails_plain_points_like_direct_products(fresh_caches, 
 
 @pytest.mark.parametrize("r, k", [(2, 1), (3, 0), (4, 2)])
 def test_flipped_braid_tau_fails_the_relation_and_every_plain_point(fresh_caches, monkeypatch, r, k):
-    def flipped(rank, index, form="plain"):
-        num, den = TAU(rank, index, form)
+    def flipped(index, form="plain"):
+        num, den = TAU(index, form)
         return (-num, den) if form == "braid" and index == k else (num, den)
 
     monkeypatch.setattr(ybe, "tau_coefficient", flipped)
@@ -1360,18 +1361,23 @@ def test_factorization_fails_on_a_scaled_part(monkeypatch, r):
     assert all(c.check_id.startswith("coefficient-u^") for c in failed)
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 4])
 def test_swap_symmetry_fails_on_an_asymmetric_part(monkeypatch, r):
     # e_0 (x) e_1 <- e_0 (x) e_0 is not fixed by the swap, which moves it to
-    # e_1 (x) e_0 <- e_0 (x) e_0
-    family = SECTOR_FAMILY(r, "+")
-    last = len(family.parts) - 1
-    skewed = family.parts[last] + ExactMatrix(family.parts[last].dim, {(1, 0): 1})
-    serve_family(monkeypatch, (r, "+", "plain"), [*family.parts[:last], skewed])
+    # e_1 (x) e_0 <- e_0 (x) e_0; the family of the other chirality still passes
     swap = permutation_operator(2 ** (r - 1))
-    failed = failing_checks(ybe.symmetry_check(r, "+"))
-    assert [c.check_id for c in failed] == [f"coefficient-u^{last}"]
-    assert failed[0].witness == mismatch(swap @ skewed @ swap, skewed)
+    for eps, other in (("+", "-"), ("-", "+")):
+        family = SECTOR_FAMILY(r, eps)
+        last = len(family.parts) - 1
+        skewed = family.parts[last] + ExactMatrix(family.parts[last].dim, {(1, 0): 1})
+        serve_family(monkeypatch, (r, eps, "plain"), [*family.parts[:last], skewed])
+        failed = failing_checks(ybe.symmetry_check(r, eps))
+        assert [c.check_id for c in failed] == [f"coefficient-u^{last}"]
+        assert failed[0].witness == mismatch(swap @ skewed @ swap, skewed)
+        assert failed[0].witness.startswith("first differing entry (1, 0): ")
+        assert ybe.symmetry_check(r, other).ok
+        monkeypatch.undo()
+        assert SECTOR_FAMILY(r, eps) is family
 
 
 @pytest.mark.parametrize("r", [2, 3])
