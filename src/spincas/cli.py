@@ -16,7 +16,6 @@ import sys
 import time
 
 from . import __version__, colour, report, ybe
-from .records import FAIL
 from .scalar import parse_rat
 
 REVERSE_SECTOR_LABELS = {v: k for k, v in report.SECTOR_LABELS.items()}
@@ -32,7 +31,8 @@ class _OutputError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no prefix of a flag stands for the flag: "--form" is not "--format"
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # argparse takes "-1/2" for an option; let a negative p/q be a value
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
@@ -91,9 +91,9 @@ def _build_parser() -> _Parser:
     colour_p.add_argument("--L", type=_rungs, default=2, help=f"rung count (0..{colour.MAX_RUNGS})")
     colour_p.add_argument("--sector", choices=tuple(REVERSE_SECTOR_LABELS), default="pp")
 
-    ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter verification: the grid, or one point (--u, --v)"), ("json",))
-    ybe_p.add_argument("--mode", choices=("sector", "full"), default="sector")
-    ybe_p.add_argument("--form", choices=ybe.FORMS, default="braid")
+    ybe_p = common(sub.add_parser("ybe", help="Yang-Baxter record: the grid, or one point (--u, --v)"), ("json",))
+    ybe_p.add_argument("--mode", choices=("braid", "plain", "full"), default="braid",
+                       help="braid or plain form of the sector family, or the full series (braid form)")
     ybe_p.add_argument("--u", type=_spectral, help="spectral parameter, e.g. 2/3")
     ybe_p.add_argument("--v", type=_spectral, help="second spectral parameter, e.g. 5/7")
 
@@ -116,8 +116,10 @@ def _suite_report(args, suites: tuple[str, ...], r_max: int) -> tuple[str, int]:
 
 def _run_command(args) -> tuple[str, int]:
     if args.command == "spectra" and args.format == "csv":
-        tables, ok = report.emit_tables(args.r)
-        return tables, 0 if ok else 1
+        tables, witness = report.emit_tables(args.r)
+        if witness:
+            print(f"verification failure: {witness}", file=sys.stderr)
+        return tables, 1 if witness else 0
 
     if args.command in ("gamma", "oracle", "invariants", "spectra"):
         return _suite_report(args, (args.command,), args.r)
@@ -138,42 +140,27 @@ def _run_command(args) -> tuple[str, int]:
 
 
 def _run_ybe(args) -> tuple[str, int]:
-    if args.mode == "full" and args.form == "plain":
-        raise _UsageError("--mode full checks the braid form only; --form plain needs --mode sector")
     if args.u is None and args.v is None:
-        pairs = ybe.grid_points(args.r)
+        pairs = ybe.grid_points(args.r)  # pole-free by construction
     elif args.u is not None and args.v is not None:
+        if args.mode != "full" and ybe.ybe_pole(ybe.tau_denominator(args.r), args.u, args.v):
+            raise _UsageError(f"(u, v) = ({args.u}, {args.v}) is at a pole of the {args.mode} sector family")
         pairs = [(args.u, args.v)]
     else:
         raise _UsageError("provide both --u and --v, or neither for the whole grid")
 
-    if args.mode == "full":
-        record = ybe.full_ybe_check(args.r, pairs)
+    if args.mode == "braid":
+        record = ybe.ybe_check(args.r, "+", pairs)
+    elif args.mode == "plain":
+        record = ybe.plain_ybe_spot_check(args.r, "+", pairs)
     else:
-        q = ybe.tau_denominator(args.r)
-        for u, v in pairs:
-            if ybe.ybe_pole(q, u, v):
-                raise _UsageError(
-                    f"(u, v) = ({u}, {v}) is at a pole of the {args.form} sector family"
-                )
-        verify = ybe.ybe_check if args.form == "braid" else ybe.plain_ybe_spot_check
-        record = verify(args.r, "+", pairs)
-
-    points, failures = [], []
-    for check, (u, v) in zip(record.checks, pairs):
-        points.append({"u": str(u), "v": str(v), "pass": check.status != FAIL})
-        if check.status == FAIL:
-            failures.append({"u": str(u), "v": str(v), "witness": check.witness})
-
+        record = ybe.full_ybe_check(args.r, pairs)
     payload = {
         "engine_version": __version__,
-        "mode": args.mode,
-        "form": args.form,
-        "r": args.r,
-        "points": points,
-        "failures": failures,
+        "spec": {"r": args.r, "mode": args.mode},
+        "record": record.as_dict(),
     }
-    return json.dumps(payload, indent=2) + "\n", 0 if not failures else 1
+    return json.dumps(payload, indent=2) + "\n", 0 if record.ok else 1
 
 
 def _write_output(text: str, out: str | None) -> None:

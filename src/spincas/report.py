@@ -178,9 +178,10 @@ def render_report(report: dict, fmt: str) -> str:
     return out.getvalue()
 
 
-def emit_tables(r: int) -> tuple[str, bool]:
+def emit_tables(r: int) -> tuple[str, str]:
     """CSV of the eigenvalue/multiplicity listings, one row per (sector, k),
-    and whether every multiplicity equals its closed form.
+    and the witness of the first row whose multiplicity differs from its
+    closed form ("" when every row agrees).
 
     Sector labels: pp, pm, mp, mm for the four chirality blocks and rho for
     the assembled family on the full tensor square.  A sector multiplicity
@@ -200,4 +201,6 @@ def emit_tables(r: int) -> tuple[str, bool]:
     out.write("sector,k,eigenvalue,multiplicity\n")
     for label, k, eigenvalue, rank, _ in rows:
         out.write(f"{label},{k},{eigenvalue},{rank}\n")
-    return out.getvalue(), all(rank == expected for *_, rank, expected in rows)
+    bad = (f"{label} k={k}: rank {rank} != closed form {expected}"
+           for label, k, _, rank, expected in rows if rank != expected)
+    return out.getvalue(), next(bad, "")

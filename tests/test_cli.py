@@ -119,15 +119,19 @@ def test_spectra_tables_show_the_verified_rank(capsys, monkeypatch):
         return replace(data, spectrum=spectra.Spectrum(entries=((k, eigenvalue, mult + 1), *rest)))
 
     monkeypatch.setattr(spectra, "sector_spectral", served)
-    code, out, _ = run(capsys, "spectra", "--r", "3", "--format", "csv")
+    code, out, err = run(capsys, "spectra", "--r", "3", "--format", "csv")
     assert code == 1
     lines = out.splitlines()
     assert "pm,0,-15/32,2" in lines and "mp,0,-15/32,1" in lines
     assert "rho,0,-15/32,3" in lines
+    # the witness is the first bad row in table order; the table is unchanged
+    assert err.startswith("verification failure: pm k=0: rank 2 != closed form 1\n")
+    assert report.emit_tables(3)[1] == "pm k=0: rank 2 != closed form 1"
     monkeypatch.undo()
     assert real(3, "+-").spectrum.entries[0] == (0, Rat(-15, 32), 1)
-    code, out, _ = run(capsys, "spectra", "--r", "3", "--format", "csv")
+    code, out, err = run(capsys, "spectra", "--r", "3", "--format", "csv")
     assert code == 0 and "rho,0,-15/32,2" in out.splitlines()
+    assert "verification failure" not in err and report.emit_tables(3)[1] == ""
 
 
 def test_colour_command(capsys):
@@ -165,12 +169,37 @@ def test_colour_partial_not_scalar_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+# the library call that makes the record of each ybe --mode
+YBE_RECORDS = {
+    "braid": lambda r, points: ybe.ybe_check(r, "+", points),
+    "plain": lambda r, points: ybe.plain_ybe_spot_check(r, "+", points),
+    "full": ybe.full_ybe_check,
+}
+
+
+@pytest.mark.parametrize("point", [("2/3", "5/7"), None], ids=["point", "grid"])
+@pytest.mark.parametrize("mode", list(YBE_RECORDS))
+def test_ybe_command_is_the_record_of_its_mode(capsys, mode, point):
+    argv = () if point is None else ("--u", point[0], "--v", point[1])
+    code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", mode, *argv)
+    points = ybe.grid_points(2) if point is None else [(Rat(point[0]), Rat(point[1]))]
+    record = YBE_RECORDS[mode](2, points)
+    assert len(record.checks) == len(points) and record.ok
+    assert code == 0
+    assert json.loads(out) == {
+        "engine_version": __version__,
+        "spec": {"r": 2, "mode": mode},
+        "record": record.as_dict(),
+    }
+
+
 def test_ybe_single_point(capsys):
     code, out, _ = run(capsys, "ybe", "--r", "2", "--u", "2/3", "--v", "5/7")
     assert code == 0
     payload = json.loads(out)
-    assert payload["points"] == [{"u": "2/3", "v": "5/7", "pass": True}]
-    assert payload["failures"] == []
+    assert payload["spec"] == {"r": 2, "mode": "braid"}
+    assert payload["record"]["checks"] == [{"id": "point-u2/3-v5/7", "status": "pass"}]
+    assert "points" not in payload and "failures" not in payload
 
 
 def test_ybe_full_mode(capsys):
@@ -178,32 +207,36 @@ def test_ybe_full_mode(capsys):
         capsys, "ybe", "--r", "2", "--mode", "full", "--u", "1/3", "--v", "1/7"
     )
     assert code == 0
-    assert json.loads(out)["failures"] == []
+    record = json.loads(out)["record"]
+    assert (record["name"], record["ok"]) == ("full-yang-baxter r=2", True)
 
 
 @pytest.mark.parametrize("point", [["--u", "1/3", "--v", "1/7"], []])
 def test_ybe_full_mode_plain_form_is_refused_before_work(capsys, monkeypatch, point):
-    # the full series is verified in braid form only
+    # the full series is verified in braid form only, and --form is no option
     _no_ybe_work(monkeypatch)
     code, out, err = run(capsys, "ybe", "--r", "2", "--mode", "full", "--form", "plain", *point)
     assert code == 2
     assert out == ""
-    assert "usage error" in err and "--form plain" in err
+    assert "usage error: unrecognized arguments: --form plain" in err
 
 
 def test_ybe_full_mode_without_form_writes_braid(capsys):
+    # the full record is of the braid equation; the artifact names no form
     code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", "full", "--u", "1/3", "--v", "1/7")
     assert code == 0
-    assert json.loads(out)["form"] == "braid"
+    payload = json.loads(out)
+    assert "form" not in payload and "form" not in payload["spec"]
+    assert payload["record"] == ybe.full_ybe_check(2, [(Rat(1, 3), Rat(1, 7))]).as_dict()
 
 
 def test_ybe_full_mode_grid_matches_the_record(capsys):
     code, out, _ = run(capsys, "ybe", "--r", "2", "--mode", "full")
     assert code == 0
     record = ybe.full_ybe_check(2)
-    points = json.loads(out)["points"]
-    assert len(points) == len(record.checks) == 49
-    assert [f"point-u{p['u']}-v{p['v']}" for p in points] == [c.check_id for c in record.checks]
+    checks = json.loads(out)["record"]["checks"]
+    assert len(checks) == len(record.checks) == 49
+    assert [c["id"] for c in checks] == [c.check_id for c in record.checks]
 
 
 def _patch_work(monkeypatch, module, name, fn):
@@ -230,26 +263,30 @@ def _no_ybe_work(monkeypatch):
         monkeypatch.setattr(ybe, name, no_work)
 
 
+# a mode of each family: the sector family (braid form) and the full series
+FAMILY_MODE = {"sector": "braid", "full": "full"}
+
+
 @pytest.mark.parametrize(
     "u, v",
     [("1/0", "1/2"), ("1/2", "0/0"), ("abc", "1/2"), ("1/2", "1/2/3"), ("0.5", "1/2"), ("", "1")],
 )
-@pytest.mark.parametrize("mode", ["sector", "full"])
-def test_ybe_bad_spectral_parameter_is_usage_error(capsys, monkeypatch, u, v, mode):
+@pytest.mark.parametrize("family", ["sector", "full"])
+def test_ybe_bad_spectral_parameter_is_usage_error(capsys, monkeypatch, u, v, family):
     _no_ybe_work(monkeypatch)
-    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", mode, f"--u={u}", f"--v={v}")
+    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", FAMILY_MODE[family], f"--u={u}", f"--v={v}")
     assert code == 2
     assert out == ""
     assert "usage error" in err and "spectral parameter" in err
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("form", ["braid", "plain"])
+@pytest.mark.parametrize("mode", ["braid", "plain"])
 @pytest.mark.parametrize("u, v", [("-1", "1"), ("1", "-1"), ("-1/2", "-1/2"), ("5", "-6")])
-def test_ybe_sector_pole_is_refused_before_work(capsys, monkeypatch, form, u, v):
+def test_ybe_sector_pole_is_refused_before_work(capsys, monkeypatch, mode, u, v):
     # the only pole of the r=2 family is -1, here at u, v or u + v
     _no_ybe_work(monkeypatch)
-    code, out, err = run(capsys, "ybe", "--r", "2", "--form", form, f"--u={u}", f"--v={v}")
+    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", mode, f"--u={u}", f"--v={v}")
     assert code == 2
     assert out == ""
     assert "usage error" in err and "pole" in err
@@ -258,7 +295,7 @@ def test_ybe_sector_pole_is_refused_before_work(capsys, monkeypatch, form, u, v)
 def test_ybe_negative_point_off_the_poles_is_verified(capsys):
     code, out, _ = run(capsys, "ybe", "--r", "3", "--u=-1/2", "--v=-2/3")
     assert code == 0
-    assert json.loads(out)["points"] == [{"u": "-1/2", "v": "-2/3", "pass": True}]
+    assert json.loads(out)["record"]["checks"] == [{"id": "point-u-1/2-v-2/3", "status": "pass"}]
 
 
 NEGATIVE_POINTS = [("-1/2", "5/7"), ("2/3", "-5/7"), ("-1/2", "-2/3"), ("-7/2", "1/3")]
@@ -279,7 +316,7 @@ def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
     code, out, err = run(capsys, "ybe", "--r", "3", "--u", u, "--v", v)
     assert code == 0, err
     assert seen == [(3, "+", [(Rat(u), Rat(v))])]
-    assert json.loads(out)["points"] == [{"u": u, "v": v, "pass": True}]
+    assert json.loads(out)["record"]["checks"] == [{"id": f"point-u{u}-v{v}", "status": "pass"}]
 
 
 @pytest.mark.parametrize("u, v", NEGATIVE_POINTS)
@@ -297,7 +334,7 @@ def test_ybe_full_mode_negative_fraction_after_the_option(capsys, monkeypatch, u
     code, out, err = run(capsys, "ybe", "--r", "3", "--mode", "full", "--u", u, "--v", v)
     assert code == 0, err
     assert seen == [(3, [(Rat(u), Rat(v))])]
-    assert json.loads(out)["points"] == [{"u": u, "v": v, "pass": True}]
+    assert json.loads(out)["record"]["checks"] == [{"id": f"point-u{u}-v{v}", "status": "pass"}]
 
 
 @pytest.mark.parametrize(
@@ -311,12 +348,12 @@ def test_ybe_bad_negative_parameter_after_the_option(capsys, monkeypatch, u, mes
     assert "usage error" in err and message in err
 
 
-@pytest.mark.parametrize("mode", ["sector", "full"])
+@pytest.mark.parametrize("family", ["sector", "full"])
 @pytest.mark.parametrize("point", [["--u", "2/3", "--v", "5/7"], ["--u", "2/3"], ["--v", "5/7"]])
-def test_ybe_grid_with_a_point_is_refused_before_work(capsys, monkeypatch, mode, point):
+def test_ybe_grid_with_a_point_is_refused_before_work(capsys, monkeypatch, family, point):
     # --grid is no option: the grid runs when no point is given
     _no_ybe_work(monkeypatch)
-    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", mode, "--grid", *point)
+    code, out, err = run(capsys, "ybe", "--r", "2", "--mode", FAMILY_MODE[family], "--grid", *point)
     assert code == 2
     assert out == ""
     assert "usage error" in err and "--grid" in err
@@ -411,16 +448,22 @@ def test_report_csv_format(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, message",
     [
-        (("gamma", "--r", "2", "--jobs", "4"), "--jobs"),
-        (("ybe", "--r", "2", "--grid"), "--grid"),
-        (("spectra", "--r", "2", "--tables"), "--tables"),
-        (("colour", "--r", "2", "--closure", "full"), "--closure"),
+        (("gamma", "--r", "2", "--jobs", "4"), "unrecognized arguments: --jobs"),
+        (("ybe", "--r", "2", "--grid"), "unrecognized arguments: --grid"),
+        (("spectra", "--r", "2", "--tables"), "unrecognized arguments: --tables"),
+        (("colour", "--r", "2", "--closure", "full"), "unrecognized arguments: --closure"),
+        (("ybe", "--r", "2", "--form", "braid"), "unrecognized arguments: --form braid"),
+        (("ybe", "--r", "2", "--mode", "sector"), "argument --mode: invalid choice: 'sector'"),
+        # no prefix of a flag stands for it: --form is not --format
+        (("ybe", "--r", "2", "--form", "json"), "unrecognized arguments: --form json"),
+        (("report", "--r", "2", "--suite", "gamma"), "unrecognized arguments: --suite gamma"),
+        (("colour", "--r", "2", "--sec", "pm"), "unrecognized arguments: --sec pm"),
     ],
-    ids=["jobs", "grid", "tables", "closure"],
+    ids=["jobs", "grid", "tables", "closure", "form", "mode-sector", "form-as-format", "suite", "sec"],
 )
-def test_removed_switches_are_refused_before_work(capsys, monkeypatch, argv, flag):
+def test_removed_switches_are_refused_before_work(capsys, monkeypatch, argv, message):
     # each selected nothing that another way to ask did not already select
     def no_work(*args, **kwargs):
         raise AssertionError("work started for a removed switch")
@@ -432,7 +475,7 @@ def test_removed_switches_are_refused_before_work(capsys, monkeypatch, argv, fla
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "usage error: unrecognized arguments: " + flag in err
+    assert "usage error: " + message in err
 
 
 def test_empty_suites_report(capsys, monkeypatch):
@@ -540,8 +583,9 @@ def test_version_has_one_source():
         ("colour", "--L", "3", "--sector", "mm"),
         ("ybe", "--u", "2/3", "--v", "5/7"),
         ("ybe", "--mode", "full", "--u", "2/3", "--v", "5/7"),
+        ("ybe", "--mode", "plain", "--u", "2/3", "--v", "5/7"),
     ],
-    ids=["gamma", "oracle", "invariants", "spectra", "report", "colour", "ybe", "ybe-full"],
+    ids=["gamma", "oracle", "invariants", "spectra", "report", "colour", "ybe", "ybe-full", "ybe-plain"],
 )
 def test_every_json_artifact_carries_the_engine_version(capsys, argv):
     code, out, _ = run(capsys, argv[0], "--r", "2", *argv[1:])

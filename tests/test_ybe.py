@@ -853,8 +853,10 @@ def test_cli_failure_carries_its_witness(fresh_caches, monkeypatch, capsys):
     perturb_projector(monkeypatch, 3)
     code = main(["ybe", "--r", "3", "--u", "1/3", "--v", "1/7"])
     assert code == 1
-    [failure] = json.loads(capsys.readouterr().out)["failures"]
-    assert (failure["u"], failure["v"]) == ("1/3", "1/7")
+    record = json.loads(capsys.readouterr().out)["record"]
+    assert record["ok"] is False
+    [failure] = record["checks"]
+    assert (failure["id"], failure["status"]) == ("point-u1/3-v1/7", "fail")
     assert failure["witness"] == premise_witness(ybe.ybe_identity_check(3, "+"))
     assert failure["witness"].startswith("premise degree-parts-commute-with-symmetries fails: S_")
 
