@@ -234,23 +234,33 @@ def mat_rank(rows):
     Each pivot row is scaled so that its pivot is a positive integer p.  A row
     with entry v in that column becomes p/g * row - v/g * pivot row, with
     g = gcd(p, v), and is then divided by its content, which keeps the
-    entries from growing with the number of eliminations.
+    entries from growing with the number of eliminations.  A row is reduced
+    at its pivot columns in increasing order, kept in a set of the pivot
+    columns it holds: a pivot row has no entry left of its pivot, so an
+    elimination adds columns only to the right of the one it clears.
     """
-    rank = 0
-    pivot_rows = []  # (pivot col, pivot value, row), sorted by column
+    pivots = {}  # pivot column -> (pivot value, row)
     for source in rows.values():
         row = dict(source)
-        for pcol, p, prow in pivot_rows:
+        todo = row.keys() & pivots.keys()
+        while todo:
+            pcol = min(todo)
+            todo.remove(pcol)
             v = row.get(pcol)
             if v is None:
                 continue
+            p, prow = pivots[pcol]
             g = gcd(p, v)
             m, w = p // g, v // g
             if m != 1:
                 row = {j: m * x for j, x in row.items()}
             for j, x in prow.items():
-                s = row.get(j, 0) - w * x
-                if s:
+                s = row.get(j)
+                if s is None:
+                    row[j] = -w * x
+                    if j in pivots:
+                        todo.add(j)
+                elif s := s - w * x:
                     row[j] = s
                 else:
                     del row[j]
@@ -264,7 +274,5 @@ def mat_rank(rows):
         pcol = min(row)
         if row[pcol] < 0:
             row = {j: -x for j, x in row.items()}
-        pivot_rows.append((pcol, row[pcol], row))
-        pivot_rows.sort(key=lambda item: item[0])
-        rank += 1
-    return rank
+        pivots[pcol] = (row[pcol], row)
+    return len(pivots)

@@ -134,7 +134,7 @@ def _value(values: dict, data: SectorSpectral, poly: Poly) -> ExactMatrix:
     """poly on the block of ``data``, evaluated once per analysis and
     polynomial in ``values``, a dict local to one record.
     """
-    key = (data, poly.coeffs)
+    key = (data, poly)
     if key not in values:
         values[key] = poly_eval(poly, data.powers)
     return values[key]

@@ -51,6 +51,24 @@ def test_cleared_family_refuses_a_q_missing_a_factor():
         ybe._cleared_family(2, Poly([1, 1]), terms)
 
 
+@pytest.mark.parametrize(
+    "u, v, hit",
+    [
+        (Rat(-1, 3), Rat(1, 7), True),  # u at the root of 3u + 1
+        (Rat(2, 5), Rat(-1, 3), True),  # v at it
+        (Rat(1, 2), Rat(-5), True),  # v at the root of u + 5
+        (Rat(-7, 3), Rat(-8, 3), True),  # only u + v = -5 at a root
+        (Rat(-1, 3) + Rat(1, 1000), Rat(1, 7), False),
+        (Rat(2, 5), Rat(-1, 3) - Rat(1, 1000), False),
+        (Rat(-7, 3), Rat(-8, 3) + Rat(1, 1000), False),
+        (Rat(-1), Rat(-3), False),  # integers, none a root
+    ],
+)
+def test_ybe_pole_finds_roots_off_the_integers(u, v, hit):
+    q = Poly([1, 3]) * Poly([5, 1])  # (3u + 1)(u + 5)
+    assert ybe.ybe_pole(q, u, v) is hit
+
+
 def test_family_structure():
     # Q is the lcm of the tau denominators, and Q(u) R(u) has one part per
     # power of u up to the degree of Q
