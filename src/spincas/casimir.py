@@ -8,7 +8,6 @@ a compressed matrix on its own coordinate set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, lcm
 
@@ -40,10 +39,11 @@ from .scalar import Rat
 SECTORS = ("++", "+-", "-+", "--")
 
 
-@dataclass(frozen=True)
 class SplitCasimir:
-    r: int
-    matrix: ExactMatrix
+    __slots__ = ("r", "matrix")
+
+    def __init__(self, r: int, matrix: ExactMatrix):
+        self.r, self.matrix = r, matrix
 
 
 @lru_cache(maxsize=None)

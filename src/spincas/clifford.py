@@ -12,7 +12,6 @@ Cartan, the leg weights, and the closure, orbit and Levi premises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import gcd
@@ -45,13 +44,13 @@ def chirality_indices(r: int, eps: str) -> range:
     return range(half) if eps == "+" else range(half, 2 * half)
 
 
-@dataclass(frozen=True)
 class GammaRep:
     """The 2r generators on dimension 2^r plus the diagonal grading element."""
 
-    r: int
-    gammas: tuple[ExactMatrix, ...]
-    chirality: ExactMatrix
+    __slots__ = ("r", "gammas", "chirality")
+
+    def __init__(self, r: int, gammas: tuple[ExactMatrix, ...], chirality: ExactMatrix):
+        self.r, self.gammas, self.chirality = r, gammas, chirality
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,6 @@ analysis (see ``spectra``), so their ladders are made once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import __version__
 from .linalg import ExactMatrix, lincomb, partial_trace
@@ -28,19 +27,17 @@ from .spectra import (
 MAX_RUNGS = 16
 
 
-@dataclass(frozen=True)
 class LadderSpec:
-    r: int
-    L: int
-    sector: str
+    __slots__ = ("r", "L", "sector")
 
-    def __post_init__(self):
-        if self.r < 2:
+    def __init__(self, r: int, L: int, sector: str):
+        if r < 2:
             raise ValueError("rank must be at least 2")
-        if not 0 <= self.L <= MAX_RUNGS:
+        if not 0 <= L <= MAX_RUNGS:
             raise ValueError(f"rung count must lie in [0, {MAX_RUNGS}]")
-        if self.sector not in SECTORS:
-            raise ValueError(f"unknown sector {self.sector!r}")
+        if sector not in SECTORS:
+            raise ValueError(f"unknown sector {sector!r}")
+        self.r, self.L, self.sector = r, L, sector
 
 
 def ladder_operator(spec: LadderSpec) -> ExactMatrix:

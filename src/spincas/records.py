@@ -8,8 +8,6 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import ExactMatrix, first_difference
 
 PASS = "pass"
@@ -17,25 +15,27 @@ FAIL = "fail"
 NOTE = "documented-discrepancy"
 
 
-@dataclass(frozen=True)
 class CheckResult:
     """One verified statement: identity, trace value, spectrum entry, ..."""
 
-    check_id: str
-    status: str
-    witness: str = ""
+    __slots__ = ("check_id", "status", "witness")
+
+    def __init__(self, check_id: str, status: str, witness: str = ""):
+        self.check_id, self.status, self.witness = check_id, status, witness
 
     @property
     def ok(self) -> bool:
         return self.status in (PASS, NOTE)
 
 
-@dataclass
 class VerificationRecord:
     """Ordered collection of check results for one verification sweep."""
 
-    name: str
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str, checks: list[CheckResult] | None = None):
+        self.name = name
+        self.checks = [] if checks is None else checks
 
     def add(self, check_id: str, passed: bool, witness: str = "") -> CheckResult:
         """Record one check; a failing check must carry a witness."""

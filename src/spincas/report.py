@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
 
 from . import __version__, casimir, clifford, colour, oracles, spectra, ybe
 from .records import FAIL, NOTE, PASS, VerificationRecord
@@ -103,26 +102,24 @@ _SUITE_RUNNERS = {
 SUITES = tuple(_SUITE_RUNNERS)
 
 
-@dataclass(frozen=True)
 class SuiteConfig:
     """A rank range and a selection of suites.  The selection is kept in
     ``SUITES`` order, each suite once, as it runs: a list given in another
     order or with repeats configures the same report.
     """
 
-    r_min: int = 2
-    r_max: int = 5
-    suites: tuple[str, ...] = SUITES
+    __slots__ = ("r_min", "r_max", "suites")
 
-    def __post_init__(self):
-        if not self.suites:
+    def __init__(self, r_min: int = 2, r_max: int = 5, suites: tuple[str, ...] = SUITES):
+        if not suites:
             raise ValueError("no suite selected")
-        if not 2 <= self.r_min <= self.r_max <= MAX_RANK:
+        if not 2 <= r_min <= r_max <= MAX_RANK:
             raise ValueError(f"rank range must satisfy 2 <= min <= max <= {MAX_RANK}")
-        for suite in self.suites:
+        for suite in suites:
             if suite not in SUITES:
                 raise ValueError(f"unknown suite {suite!r}")
-        object.__setattr__(self, "suites", tuple(s for s in SUITES if s in self.suites))
+        self.r_min, self.r_max = r_min, r_max
+        self.suites = tuple(s for s in SUITES if s in suites)
 
 
 def run_suite(cfg: SuiteConfig) -> dict:

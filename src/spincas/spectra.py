@@ -19,7 +19,6 @@ full operator's powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
@@ -78,12 +77,13 @@ def sector_trace_closed_form(r: int, k: int) -> int:
     return comb(2 * r, k) // 2 if k == r else comb(2 * r, k)
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    entries: tuple[tuple[int, Rat, int], ...]  # (k, eigenvalue, multiplicity)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, Rat, int], ...]):
+        self.entries = entries  # (k, eigenvalue, multiplicity)
 
 
-@dataclass(frozen=True, eq=False)
 class SectorSpectral:
     """One sector block with its power table, projectors, and verified
     spectrum.  It belongs to the block, which twin sectors share, and it
@@ -91,10 +91,10 @@ class SectorSpectral:
     whole object.
     """
 
-    block: ExactMatrix
-    powers: PowerTable  # of the block
-    spectrum: Spectrum
-    projectors: dict[int, ExactMatrix]
+    __slots__ = ("block", "powers", "spectrum", "projectors")
+
+    def __init__(self, block: ExactMatrix, powers: PowerTable, spectrum: Spectrum, projectors: dict[int, ExactMatrix]):
+        self.block, self.powers, self.spectrum, self.projectors = block, powers, spectrum, projectors
 
 
 def _lagrange_projector(eigs: dict[int, Rat], k: int, powers: PowerTable) -> ExactMatrix:

@@ -66,7 +66,6 @@ checked as an identity in u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb, factorial
@@ -123,14 +122,15 @@ def tau_coefficient(k: int, form: str = "plain") -> tuple[Poly, Poly]:
     return num, den
 
 
-@dataclass(frozen=True)
 class RMatrixFamily:
     """R(u) = sum_d u^d/q(u) parts[d]: one family with the denominators of
     its coefficients cleared by their lcm q, so the parts are parameter-free.
     """
 
-    q: Poly
-    parts: tuple[ExactMatrix, ...]
+    __slots__ = ("q", "parts")
+
+    def __init__(self, q: Poly, parts: tuple[ExactMatrix, ...]):
+        self.q, self.parts = q, parts
 
     def evaluate(self, u) -> ExactMatrix:
         u = Rat(u)
@@ -287,7 +287,6 @@ def _first_nonzero(m: ExactMatrix) -> str:
     return mismatch(m, ExactMatrix.zero(m.dim))
 
 
-@dataclass(frozen=True)
 class BraidFamily:
     """One family R(x) on the tensor square of a leg of dimension leg, its
     braid coefficients on the Levi slice, and the identity record whose
@@ -295,11 +294,10 @@ class BraidFamily:
     premise holds, else the witness of its first failed check.
     """
 
-    family: RMatrixFamily
-    record: VerificationRecord
-    premise: str | None
-    diffs: tuple
-    leg: int
+    __slots__ = ("family", "record", "premise", "diffs", "leg")
+
+    def __init__(self, family: RMatrixFamily, record: VerificationRecord, premise: str | None, diffs: tuple, leg: int):
+        self.family, self.record, self.premise, self.diffs, self.leg = family, record, premise, diffs, leg
 
     def grid(self, name: str, points) -> VerificationRecord:
         """One braid Yang-Baxter check per point (u, v).
@@ -519,7 +517,6 @@ def tau_ratio_constraints(r: int) -> VerificationRecord:
 # -- coefficient recurrence on the full reducible square --------------------
 
 
-@dataclass(frozen=True)
 class CoefficientFamily:
     """Coefficients of the invariant expansion R(u) = sum_k c_k(u)/k! I_k.
 
@@ -527,9 +524,10 @@ class CoefficientFamily:
     c_{k+2}(u) = ((k + u)/(k + 2 - 2r - u)) c_k(u).
     """
 
-    r: int
-    even: tuple[Poly, ...]
-    odd: tuple[Poly, ...]
+    __slots__ = ("r", "even", "odd")
+
+    def __init__(self, r: int, even: tuple[Poly, ...], odd: tuple[Poly, ...]):
+        self.r, self.even, self.odd = r, even, odd
 
 
 def _recurrence_step(r: int, k: int) -> tuple[Poly, Poly]:

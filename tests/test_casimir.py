@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 from math import factorial
 
@@ -12,7 +11,7 @@ from spincas.linalg import ExactMatrix, kron, kron_sum
 from spincas.ratfunc import Poly
 from spincas.scalar import Rat
 
-from failing import failing_checks
+from failing import failing_checks, replace
 
 
 def test_split_casimir_shape_and_trace():

@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 from itertools import combinations, permutations
 from math import factorial
 
@@ -21,7 +20,7 @@ from spincas.linalg import ExactMatrix
 from spincas.records import FAIL
 from spincas.scalar import ExactScalar, Rat
 
-from failing import failing_checks
+from failing import failing_checks, replace
 
 CHIRALITY_INDICES = chirality_indices
 

@@ -5,8 +5,6 @@ The mutation tests serve a perturbed copy of a cached table and leave the
 cached table itself as it was.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from spincas import _backend, casimir, colour, spectra
@@ -14,7 +12,7 @@ from spincas.linalg import ExactMatrix, PowerTable, poly_eval
 from spincas.ratfunc import Poly
 from spincas.scalar import Rat
 
-from failing import failing_checks
+from failing import failing_checks, replace
 
 
 def perturbed_copy(table: PowerTable, n: int, degree: int) -> PowerTable:

@@ -1,5 +1,4 @@
 import functools
-from dataclasses import replace
 
 import pytest
 
@@ -10,7 +9,7 @@ from spincas.ratfunc import Poly
 from spincas.records import VerificationRecord
 from spincas.scalar import ExactScalar, Rat
 
-from failing import failing_checks
+from failing import failing_checks, replace
 
 
 def test_eigenvalue_formula():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import json
@@ -16,7 +15,7 @@ from spincas.ratfunc import Poly, limit_at_infinity, poly_from_roots, rising_fac
 from spincas.records import FAIL, PASS, VerificationRecord, mismatch
 from spincas.scalar import ExactScalar, Rat
 
-from failing import failing_checks
+from failing import failing_checks, replace
 
 
 def at(tau, u):
@@ -237,7 +236,7 @@ def test_a_wrong_closed_form_fails_its_recurrence_and_normalization(monkeypatch)
     r = 3
     real = ybe.closed_form_coefficients(r)
     even = (real.even[0], real.even[1] * 2, *real.even[2:])
-    monkeypatch.setattr(ybe, "closed_form_coefficients", lambda rank: dataclasses.replace(real, even=even))
+    monkeypatch.setattr(ybe, "closed_form_coefficients", lambda rank: replace(real, even=even))
     failed = {c.check_id: c.witness for c in failing_checks(ybe.coefficient_consistency(r))}
     (num_0, den_0), (_, den_2) = ybe._recurrence_step(r, 0), ybe._recurrence_step(r, 2)
     into, out_of, ratio = real.even[1] * den_0, real.even[2] * den_2, num_0 * real.even[0]
@@ -605,7 +604,7 @@ def raised_degree(r):
     """Closed forms with u^(r+1) added to the coefficient of I_2."""
     closed = CLOSED_FORMS(r)
     bump = Poly([0] * (r + 1) + [1])
-    return dataclasses.replace(closed, even=(closed.even[0], closed.even[1] + bump, *closed.even[2:]))
+    return replace(closed, even=(closed.even[0], closed.even[1] + bump, *closed.even[2:]))
 
 
 def test_raised_coefficient_degree_fails_like_direct_products(fresh_caches, monkeypatch):
@@ -815,7 +814,7 @@ def replace_projectors(monkeypatch, r, projectors):
     """The r, ++ sector with the given projectors, for the program and for
     the references alike.
     """
-    perturbed = dataclasses.replace(SECTOR_SPECTRAL(r, "++"), projectors=projectors)
+    perturbed = replace(SECTOR_SPECTRAL(r, "++"), projectors=projectors)
 
     def patched(rank, sector):
         return perturbed if (rank, sector) == (r, "++") else SECTOR_SPECTRAL(rank, sector)
