@@ -108,12 +108,11 @@ def _buckets(factors):
 
 
 class RowsSum:
-    """The one sparse sum: int multiples of matrices, matrix products and
-    products with an operator on one leg, each added in place row by row as
-    it is formed; no factor may be this sum's rows.  Kronecker sums are not
-    added here (``mat_kron``).  A row that may hold a zero entry, or none,
-    is marked for ``rows`` to clean: a row that ``add`` reaches again, any
-    row of ``add_leg_product`` and a row that a product empties.  A product
+    """The one sparse sum: int multiples of matrices and of matrix products,
+    each added in place row by row as it is formed; no factor may be this
+    sum's rows.  Kronecker sums are not added here (``mat_kron``).  A row
+    that may hold a zero entry, or none, is marked for ``rows`` to clean: a
+    row that ``add`` reaches again and a row that a product empties.  A product
     drops the entries it cancels at once, so a sum read as a factor between
     products holds no zero entry.
     """
@@ -163,32 +162,6 @@ class RowsSum:
                     acc[i] = row
             elif not row:
                 self.mixed.add(i)
-
-    def add_leg_product(self, c, a_rows, b_rows, inner, b_dim):
-        """Add c * a @ (1 (x) b (x) 1_inner), b b_dim-square, by index
-        arithmetic on the legs: no Kronecker matrix is formed.
-
-        A column j of a splits as j = base + k * inner with k = j // inner % b_dim;
-        b sends it to the columns base + k2 * inner, one per entry b[k, k2].
-        """
-        if not c:
-            return
-        acc, mixed = self.acc, self.mixed
-        for i, arow in a_rows.items():
-            row = acc.get(i)
-            if row is None:
-                acc[i] = row = {}
-            mixed.add(i)
-            for j, a in arow.items():
-                k = j // inner % b_dim
-                brow = b_rows.get(k)
-                if brow is None:
-                    continue
-                base = j - k * inner
-                a *= c
-                for k2, b in brow.items():
-                    col = base + k2 * inner
-                    row[col] = row.get(col, 0) + a * b
 
     def rows(self):
         """The sum so far, without zero entries or empty rows.  More may be

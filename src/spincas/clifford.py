@@ -6,20 +6,19 @@ two-dimensional tensor build, ordered so that the top grading element
 (product of all generators, normalized by (-i)^r) comes out diagonal with
 +1 on the first half of the basis and -1 on the second half.  All entries
 are in {0, +-1, +-i}, checked at build time.  The module is the one home
-of the spinor leg: the chirality layout, the generators on Delta_+-, the
-Cartan, the leg weights, and the closure, orbit and Levi premises.
+of the spinor leg: the chirality layout, the Clifford relations and the
+trace premise of the monomial classes, and the closure premise.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import gcd
+from math import gcd, prod
 from typing import Iterator
 
-from .linalg import ExactMatrix, NotABasisMap, diagonal_action, kron
+from .linalg import ExactMatrix, NotABasisMap, kron
 from .oracles import basis_pairs
-from .records import VerificationRecord, mismatch
+from .records import VerificationRecord
 from .scalar import ExactScalar, Rat
 
 _I = ExactScalar(0, 1)
@@ -121,6 +120,34 @@ def integrity_report(rep: GammaRep) -> VerificationRecord:
     return record
 
 
+def product_trace_failures(rep: GammaRep) -> Iterator[str]:
+    """Witness against: tr G_C = 0 for every nonempty C, G_C the ordered
+    product of the G_a, a in C.  Each G_a is a basis map, so each G_C is one
+    too, formed from its prefix: G_C G_a e_j = ph_a(j) G_C e_(im_a(j)).
+    """
+    maps = []
+    for a, g in enumerate(rep.gammas, start=1):
+        try:
+            maps.append(g.basis_map())
+        except NotABasisMap as exc:
+            yield f"G_{a} {exc}"
+            return
+    stack = [((), range(rep.dim), [(1, 0)] * rep.dim)]
+    while stack:
+        subset, images, phases = stack.pop()
+        for a in range(subset[-1] if subset else 0, len(maps)):
+            image, phase = maps[a]
+            subset_c, images_c = (*subset, a + 1), [images[k] for k in image]
+            # (x + i y)(p + i q): the phase of G_a at e_j times that of G_C at e_(im_a(j))
+            phases_c = [(x * p - y * q, x * q + y * p) for (x, y), (p, q) in zip(phase, (phases[k] for k in image))]
+            trace = [sum(ph[t] for j, ph in enumerate(phases_c) if images_c[j] == j) for t in (0, 1)]
+            if any(trace):
+                scale = prod(rep.gammas[b - 1].scale for b in subset_c)
+                yield f"tr G_{list(subset_c)} = {ExactScalar(*trace) * scale}, not 0"
+                return
+            stack.append((subset_c, images_c, phases_c))
+
+
 @lru_cache(maxsize=None)
 def rotation_generators(r: int) -> tuple[ExactMatrix, ...]:
     """Spinor-representation images of the rotation generators, one per i<j pair.
@@ -137,20 +164,12 @@ def chain_pairs(r: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(1, 2 * r)]
 
 
-def chain_generators(r: int, gens=None) -> tuple[ExactMatrix, ...]:
-    """The images of L_(i,i+1), i = 1..2r-1, picked from gens, a tuple in
-    basis_pairs(2r) order (default: rotation_generators(r)).
-
-    Each is half a product of two generators, so it sends every basis vector
-    to a multiple of one basis vector.
+def chain_generators(r: int) -> tuple[ExactMatrix, ...]:
+    """The images of L_(i,i+1), i = 1..2r-1.  Each is half a product of two
+    generators, so it sends every basis vector to a multiple of one.
     """
-    by_pair = dict(zip(basis_pairs(2 * r), rotation_generators(r) if gens is None else gens))
+    by_pair = dict(zip(basis_pairs(2 * r), rotation_generators(r)))
     return tuple(by_pair[pair] for pair in chain_pairs(r))
-
-
-def cartan_generators(r: int, gens=None) -> list[tuple[tuple[int, int], ExactMatrix]]:
-    """(pair, L_pair) of the Cartan L_(2k-1,2k), k = 1..r: every other chain generator."""
-    return list(zip(chain_pairs(r), chain_generators(r, gens)))[::2]
 
 
 def _ray(images, phases):
@@ -185,10 +204,9 @@ def _commutator(a, b):
     return tuple(a_im[bj] for bj in b_im), tuple(phases)
 
 
-def closure_failures(r: int, chain, gens=None) -> Iterator[str]:
+def closure_failures(r: int, chain) -> Iterator[str]:
     """Witness against: iterated commutators of the chain matrices reach
-    every rotation generator rho(L_ab) up to a nonzero scalar; gens holds
-    the generators in basis_pairs(2r) order (default: rotation_generators(r)).
+    every rotation generator rho(L_ab) up to a nonzero scalar.
 
     The rotation generators are basis maps (each sends every basis vector to
     a nonzero multiple of one basis vector), so a chain matrix must be one
@@ -203,8 +221,7 @@ def closure_failures(r: int, chain, gens=None) -> Iterator[str]:
         except NotABasisMap as exc:
             yield f"chain generator {k} of {len(chain)} {exc}"
             return
-    gens = rotation_generators(r) if gens is None else gens
-    targets = {_ray(*g.basis_map()): pair for pair, g in zip(basis_pairs(2 * r), gens)}
+    targets = {_ray(*g.basis_map()): pair for pair, g in zip(basis_pairs(2 * r), rotation_generators(r))}
     reached = set()
 
     def new_generators(candidates):
@@ -227,95 +244,3 @@ def closure_failures(r: int, chain, gens=None) -> Iterator[str]:
             f"iterated commutators of {len(chain)} chain generators reach "
             f"{len(reached)} of {len(targets)} rotation generators; L_{missed[0]} is missed"
         )
-
-
-def orbit_failures(symmetries, leg: int):
-    """Witness against: each symmetry sends each basis vector of the leg to a
-    nonzero multiple of one basis vector, and the orbit of e_0 under them
-    covers the basis.
-    """
-    images = []
-    for label, g, _ in symmetries:
-        try:
-            images.append(g.basis_map()[0])
-        except NotABasisMap as exc:
-            yield f"{label} {exc}"
-            return
-    reached, frontier = {0}, [0]
-    while frontier:
-        frontier = [image[j] for j in frontier for image in images if image[j] not in reached]
-        reached.update(frontier)
-    if len(reached) < leg:
-        missed = min(set(range(leg)) - reached)
-        yield f"the orbit of e_0 reaches {len(reached)} of {leg} basis vectors; e_{missed} is missed"
-
-
-def leg_weights(cartan) -> list[tuple[int, ...]]:
-    """w(j) for each basis vector e_j of the leg: twice the imaginary parts
-    of the diagonal entries (j, j) of the Cartan generators L_(2k-1,2k), so
-    a spinor weight has coordinates +-1 and a root +-2 eps_a +- 2 eps_b.  It
-    is the weight of e_j when the leg basis is a weight basis.
-    """
-    return [tuple(int(2 * h[j, j].im) for _, h in cartan) for j in range(cartan[0][1].dim)]
-
-
-def twist(weights) -> tuple[int, ...]:
-    """sigma: the signs of the coordinates of w(0)."""
-    return tuple(-1 if x < 0 else 1 for x in weights[0])
-
-
-def weight_basis_failures(cartan):
-    """Witness against: each Cartan generator L_(2k-1,2k) is diagonal with
-    entries in (i/2) Z, so every basis vector of the leg has a weight.
-    """
-    for pair, h in cartan:
-        for i, j, value in h.items():
-            if i != j or value.re or (2 * value.im).denominator != 1:
-                yield f"L_{pair} has entry ({i}, {j}) = {value}, not a diagonal entry in (i/2) Z"
-                return
-
-
-def levi_failures(weights, r: int, chain, gens):
-    """Witness against: the Levi subalgebra, the Cartan and the root spaces
-    of the roots alpha = sigma_a eps_a - sigma_b eps_b, lies in the algebra
-    the chain generates and fixes the line of e_0.  A root vector sends e_0
-    into the weight space of w(0) + alpha, so it kills e_0 when no leg weight
-    is w(0) + alpha.  The root vectors are sums of rotation generators, so
-    they lie in the algebra when iterated commutators of the chain reach
-    every rotation generator on the leg.
-    """
-    w0, sigma = weights[0], twist(weights)
-    first = {}
-    for j, w in enumerate(weights):
-        first.setdefault(w, j)
-    for a, b in permutations(range(len(w0)), 2):
-        shifted = list(w0)
-        shifted[a] += 2 * sigma[a]
-        shifted[b] -= 2 * sigma[b]
-        j = first.get(tuple(shifted))
-        if j is not None:
-            root = f"sigma_{a + 1} eps_{a + 1} - sigma_{b + 1} eps_{b + 1}"
-            yield f"e_{j} has weight w(0) + alpha for the Levi root alpha = {root}"
-            return
-    yield from closure_failures(r, chain, gens)
-
-
-def commutation_failures(matrices, symmetries) -> Iterator[str]:
-    """Witnesses against: each labelled matrix (label, X) on the tensor
-    square of a space commutes with the action there of each symmetry
-    (label, g, lie) of the space.  A Lie algebra element g (lie true) acts
-    as g (x) 1 + 1 (x) g, a group element g as g (x) g.  One witness per
-    failing pair, with the first entry where X @ action and action @ X
-    differ.
-    """
-    for symmetry, g, lie in symmetries:
-        action = diagonal_action(g) if lie else kron(g, g)
-        for label, x in matrices:
-            if witness := mismatch(x @ action, action @ x):
-                yield f"{label} does not commute with {symmetry}: {witness}"
-
-
-def half_spinor_blocks(r: int, eps: str) -> tuple[ExactMatrix, ...]:
-    """The rotation generators compressed to the half-spinor leg Delta_eps."""
-    indices = chirality_indices(r, eps)
-    return tuple(g.restrict(indices) for g in rotation_generators(r))

@@ -99,20 +99,20 @@ def _entries(re: dict, im: dict) -> Iterator[tuple[int, int, int, int]]:
 
 def _part_terms(terms) -> tuple[list, list]:
     """The real and the imaginary part of a sum of c * x * y over the terms
-    (c, x, y, *rest), with x and y integer parts (re, im) and * a real
-    bilinear kernel, as two lists of kernel terms (k, x_part, y_part, *rest);
-    a product with an empty part is left out.  This is the one place where a
-    complex product is split into real ones: matrix products, Kronecker sums
-    and leg products all go through it.
+    (c, x, y), with x and y integer parts (re, im) and * a real bilinear
+    kernel, as two lists of kernel terms (k, x_part, y_part); a product with
+    an empty part is left out.  This is the one place where a complex
+    product is split into real ones: matrix products and Kronecker sums both
+    go through it.
     """
     re_terms: list = []
     im_terms: list = []
-    for c, (xr, xi), (yr, yi), *rest in terms:
+    for c, (xr, xi), (yr, yi) in terms:
         # (xr + i xi)(yr + i yi) = (xr yr - xi yi) + i (xr yi + xi yr)
         products = ((re_terms, c, xr, yr), (re_terms, -c, xi, yi), (im_terms, c, xr, yi), (im_terms, c, xi, yr))
         for out, k, x, y in products:
             if x and y:
-                out.append((k, x, y, *rest))
+                out.append((k, x, y))
     return re_terms, im_terms
 
 
@@ -265,7 +265,7 @@ class ExactMatrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in matrix product")
         total = ScaledSum(self.dim, self.scale * other.scale)  # at the product's scale: coefficient 1
-        total.add_terms(_backend.RowsSum.add_product, [(1, (self._re, self._im), (other._re, other._im))])
+        total.add_terms([(1, (self._re, self._im), (other._re, other._im))])
         return total.matrix()
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -295,9 +295,6 @@ class ExactMatrix:
 
     def conj_transpose(self) -> "ExactMatrix":
         return ExactMatrix._wrap(self.dim, self.scale, _transpose(self._re), _times(_transpose(self._im), -1))
-
-    def transpose(self) -> "ExactMatrix":
-        return self._map(_transpose)
 
     # -- subspace embedding ------------------------------------------------
 
@@ -375,15 +372,14 @@ class ScaledSum:
         self._im.add(c1, re)
         self._im.add(c0, im)
 
-    def add_terms(self, add, terms, *extra) -> None:
-        """Add the sum of c * x * y over the terms (c, x, y, *rest), c an int
-        and x, y integer parts (re, im): each real term of ``_part_terms`` is
-        added by the ``RowsSum`` method add(total, k, x_part, y_part, *rest,
-        *extra).
+    def add_terms(self, terms) -> None:
+        """Add the sum of c * x @ y over the terms (c, x, y), c an int and x,
+        y integer parts (re, im), one kernel product per real term of
+        ``_part_terms``.
         """
         for total, part in zip((self._re, self._im), _part_terms(terms)):
-            for k, x, y, *rest in part:
-                add(total, k, x, y, *rest, *extra)
+            for k, x, y in part:
+                total.add_product(k, x, y)
 
     def add_product(self, a: ExactMatrix, b: ExactMatrix) -> None:
         """Add a @ b, whose scale must be an integer multiple of this sum's,
@@ -395,7 +391,7 @@ class ScaledSum:
                 f"cannot add a product of dim-{a.dim} and dim-{b.dim} matrices"
                 f" of scale {a.scale * b.scale} at dim {self.dim}, scale {self.scale}"
             )
-        self.add_terms(_backend.RowsSum.add_product, [(c.numerator, (a._re, a._im), (b._re, b._im))])
+        self.add_terms([(c.numerator, (a._re, a._im), (b._re, b._im))])
 
     def parts(self) -> tuple[dict, dict]:
         """Integer parts (re, im) of the sum so far, over its scale, with no
@@ -448,27 +444,6 @@ def diagonal_action(g: ExactMatrix) -> ExactMatrix:
     return kron_sum([(1, g, ident), (1, ident, g)])
 
 
-def integer_parts(matrices: Sequence[ExactMatrix]) -> tuple[int, list]:
-    """(den, [(c, (re, im)), ...]): one common denominator den of the scales,
-    and per matrix the int c with matrix = c/den (re + i*im).  The parts are
-    the matrix's own rows dicts, to be read, not changed.
-    """
-    den = lcm(*(m.scale.denominator for m in matrices))
-    return den, [(_int(m.scale, den), (m._re, m._im)) for m in matrices]
-
-
-def leg_products(dim: int, terms, b_dim: int) -> tuple:
-    """Integer parts (re, im) of the sum of c * a @ (1 (x) b (x) 1_inner)
-    over the terms (c, a, b, inner) on a space of dimension dim: c an int,
-    a and b integer parts (re, im), b acting on the legs whose flat index
-    has stride ``inner`` and the identity on the legs before and after them.
-    No Kronecker matrix is formed.
-    """
-    total = ScaledSum(dim, RAT_ONE)
-    total.add_terms(_backend.RowsSum.add_leg_product, terms, b_dim)
-    return total.parts()
-
-
 def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ...]:
     """e_0 .. e_n of the ordered products of n factors.
 
@@ -487,7 +462,7 @@ def elementary_products(factors: Sequence[ExactMatrix]) -> tuple[ExactMatrix, ..
     for n, g in enumerate(factors, start=1):
         c, g_parts = _int(g.scale, den), (g._re, g._im)
         for k in range(n, 0, -1):
-            sums[k].add_terms(_backend.RowsSum.add_product, [(c, sums[k - 1].parts(), g_parts)])
+            sums[k].add_terms([(c, sums[k - 1].parts(), g_parts)])
     return tuple(total.matrix() for total in sums)
 
 

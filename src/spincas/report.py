@@ -73,12 +73,14 @@ def ybe_suite(r: int) -> list[VerificationRecord]:
         ybe.asymptotic_check(r),
         ybe.tau_ratio_constraints(r),
         ybe.coefficient_consistency(r),
-        ybe.ybe_identity_check(r, "+"),
+        ybe.ybe_identity_check(r),
         ybe.ybe_check(r, "+"),
         ybe.unitarity_check(r, "+"),
         ybe.unitarity_check(r, "-"),
         ybe.symmetry_check(r, "+"),
+        ybe.symmetry_check(r, "-"),
         ybe.swap_relation_check(r, "+"),
+        ybe.swap_relation_check(r, "-"),
         ybe.plain_ybe_spot_check(r, "+", [(us[0], vs[0]), (us[1], vs[1])]),
         ybe.symmetric_part_factorization(r),
         ybe.chirality_split_check(r),

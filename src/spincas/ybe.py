@@ -22,42 +22,32 @@ The scalar identities in u (the tau ratios, the large-u limits and the
 coefficient recurrence) are polynomial identities too: a coefficient is a
 pair (num, den) of ``Poly``, and a/b = c/d is decided as a d = c b.
 
-Yang-Baxter checks run over a deterministic pole-free grid of rational
-spectral parameters.  Both sides of the braid equation are trilinear in the
-S_d, so Q(u) Q(u+v) Q(v) (LHS - RHS) = sum_ij u^i v^j D_ij exactly.
+Both braid identities are decided on Clifford monomial classes.  On
+V (x) V (x) V put x_a = G_a (x) G_a (x) 1 and y_a = 1 (x) G_a (x) G_a.  By
+the Clifford relations the x_a commute, the y_a commute, all square to 1,
+and x_a y_b = -y_b x_a for a != b, so each product of them is +-x_A y_B =
+G_A (x) +-G_(A delta B) (x) G_B.  As tr G_C = 0 for nonempty C, the 4^r
+products G_C are a basis of End V, so the x_A y_B are linearly independent.
+A family sum_j chi_j(u) e_j(g), g_a = G_a (x) G_a, has R12 = sum_j chi_j
+e_j(x) and R23 = sum_j chi_j e_j(y).  By the generating functions
+prod_a (1 + s x_a), the x_A y_B coefficient of R12(u) R23(u+v) R12(v) is
+L(n) = chi_b(u+v) sum_ik F_ik (-1)^(b k) chi_i(u) chi_k(v), b = |B|, with
+F_ik the s^i t^k coefficient of (s-t)^n11 (s+t)^n10 (1-st)^n01 (1+st)^n00:
+it depends only on the class n = (|A & B|, |A - B|, |B - A|, rest).  The
+right side's is L(swap n), swap n = (n11, n01, n10, n00), so the equation
+holds exactly when L(n) = L(swap n) for n10 < n01, polynomial identities
+in (u, v) on integer coefficients (the equation is cubic in R, so clearing
+denominators is harmless).  The full series has chi_j = c_j.
 
-Each D_ij is built only on the columns of the Levi slice, a subset of
-e_0 (x) V (x) V.  The slice decides only when a premise holds, checked in
-four parts; ``clifford`` holds the last three, which read only the leg:
-
-- every degree part commutes with L (x) 1 + 1 (x) L for the chain
-  generators L = L_(i,i+1) (restricted to the half-spinor leg for a sector
-  family), the full series also with gamma_1 (x) gamma_1;
-- the orbit of e_0 under these maps covers the basis of the leg;
-- the leg basis is a weight basis: the Cartan generators L_(2k-1,2k),
-  which are chain generators, are diagonal, and e_j has the weight w(j)
-  read off their diagonals;
-- the Levi subalgebra fixes the line of e_0.  With sigma_k the sign of
-  w(0)_k, the Levi is the Cartan and the root spaces of the roots
-  sigma_a eps_a - sigma_b eps_b.
-
-Then each D_ij commutes with the same maps on the triple product, and with
-the group they generate.  The Weyl group of the Levi permutes the
-coordinates of the weights twisted by sigma, and is carried by group
-elements that keep the line of e_0.  So a D_ij that kills e_0 (x) x (x) y
-for every weight vector x (x) y of V (x) V whose twisted weight
-sigma (w(x) + w(y)) is weakly decreasing kills e_0 (x) V (x) V; those
-vectors are the slice.  Since L(x)1(x)1 + 1(x)Delta(L) sends e (x) w to
-Le (x) w + e (x) Delta(L) w, and gamma_1^(x)3 sends it to
-gamma_1 e (x) (gamma_1 (x) gamma_1) w, a D_ij that kills e (x) V (x) V also
-kills Le (x) V (x) V and gamma_1 e (x) V (x) V, so by the orbit it kills
-everything.  The twist matters on Delta_-, where e_0 has weight
-(+, ..., +, -): in plain coordinates w(0) + eps_r - eps_1 is a weight there,
-so the Levi of the plain roots eps_a - eps_b would not fix the line of e_0.
-The slice is the only path that decides a grid point, and no point forms a
-matrix on the triple product: under the premise a point passes exactly when
-sum_ij u^i v^j D_ij vanishes on the slice, and without it every point fails
-with the witness of the first failed premise check.
+A sector family is the block of its class lift X = sum_k tau_k (Pi_(r-2k) +
+Pi_(r+2k)), Pi_m = 4^-r sum_j K_m(j) e_j(g) the projector on the Bell
+vectors of class m, K_m(j) a Krawtchouk value.  X is even in the g_a, so
+with s = (-1)^r, (LHS - RHS)(1 + s x_[2r])(1 + s y_[2r]) = 0 says that the
+equation holds on Delta_+^(x)3 and on Delta_-^(x)3; on classes it adds to
+each d(n) = L(n) - L(swap n) its complements in A, in B and in both.  The
+premise: the Clifford relations, tr G_C = 0 and, for the sector families,
+that each equals the lift on its block.  A grid point passes when every
+nonzero class difference vanishes there, and no point forms a matrix.
 
 The plain form R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u) is the braid
 equation at (v, u) once the braid family is P times the plain one, which is
@@ -68,33 +58,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from . import oracles
 from .casimir import invariant_I, sector_indices, split_casimir_rho
-from .clifford import (
-    build_gamma,
-    cartan_generators,
-    chain_generators,
-    chain_pairs,
-    commutation_failures,
-    half_spinor_blocks,
-    leg_weights,
-    levi_failures,
-    orbit_failures,
-    rotation_generators,
-    twist,
-    weight_basis_failures,
-)
-from .linalg import (
-    ExactMatrix,
-    ScaledSum,
-    integer_parts,
-    kron_sum,
-    leg_products,
-    lincomb,
-    permutation_operator,
-)
+from .clifford import build_gamma, chirality_indices, integrity_report, product_trace_failures
+from .linalg import ExactMatrix, kron_sum, lincomb, permutation_operator
 from .ratfunc import Poly, limit_at_infinity, rising_factorial
 from .records import PASS, VerificationRecord, mismatch
 from .scalar import Rat
@@ -223,136 +192,161 @@ def admissible_grid(r: int) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
     return tuple(us), tuple(vs)
 
 
-# -- Yang-Baxter verification ----------------------------------------------
+# -- Yang-Baxter verification on Clifford monomial classes -----------------
 
 
-def _sliced_braid_differences(parts: tuple[ExactMatrix, ...], leg: int, rows) -> tuple:
-    """((i, j), sliced D_ij) for each D_ij of LHS - RHS that is not zero on
-    the slice columns ``rows``, for the family R(u) = sum_d u^d parts[d] on
-    the tensor square of a leg V of dimension leg.  A slice column i < leg^2
-    is the basis vector e_0 (x) e_(i // leg) (x) e_(i % leg).
+@lru_cache(maxsize=None)
+def _binomials(plus: int, minus: int) -> tuple[int, ...]:
+    """The coefficients of (1 + w)^plus (1 - w)^minus, constant term first."""
+    out = [1]
+    for sign in [1] * plus + [-1] * minus:
+        out = [x + sign * y for x, y in zip(out + [0], [0] + out)]
+    return tuple(out)
 
-    With K_abc = (R_a x 1)(1 x R_b)(R_c x 1) - (1 x R_c)(R_b x 1)(1 x R_a),
-    LHS - RHS = sum_abc u^a (u+v)^b v^c K_abc, and the binomial expansion of
-    (u+v)^b gives sum_ij u^i v^j D_ij.
-    The products are formed on transposes, so each runs over the rows of
-    the slice, from the rightmost factor of K_abc to the leftmost, and
-    each factor R_d^T x 1 or 1 x R_d^T acts on those rows by index arithmetic
-    on the legs.  They run on integer parts: with R_d^T = c_d/den Z_d, K_abc
-    is c_a c_b c_c/den^3 times a difference of products of the Z_d.  The
-    pair products of one b are shared by the triples of that b.  Each K_abc
-    is formed once, as one difference of its two triple products, and added
-    in place into the integer accumulators of its D_ij, which are made
-    canonical once, at the end.
+
+def _classes(n: int):
+    """Every class (n11, n10, n01, n00) of pairs of subsets of n indices."""
+    for n11 in range(n + 1):
+        for n10 in range(n + 1 - n11):
+            for n01 in range(n + 1 - n11 - n10):
+                yield n11, n10, n01, n - n11 - n10 - n01
+
+
+def _add(terms) -> dict:
+    """sum of c * p over the terms (c, p), for integers c and polynomials p
+    in (u, v) as {(i, j): nonzero coefficient of u^i v^j}.
     """
-    dim = leg**3
-    square = leg * leg
-    den, factors = integer_parts([m.transpose() for m in parts])
-    start = ({i: {i: 1} for i in rows}, {})  # the slice rows of the identity
-    left = [leg_products(dim, [(1, start, z, leg)], square) for _, z in factors]  # (R_d x 1)^T
-    right = [leg_products(dim, [(1, start, z, 1)], square) for _, z in factors]  # (1 x R_d)^T
-    sums: dict = {}
-    for b, (c_b, z_b) in enumerate(factors):
-        # ((1 x R_b)(R_c x 1))^T and ((R_b x 1)(1 x R_a))^T on the slice
-        right_left = [leg_products(dim, [(1, x, z_b, 1)], square) for x in left]
-        left_right = [leg_products(dim, [(1, x, z_b, leg)], square) for x in right]
-        for a, (c_a, z_a) in enumerate(factors):
-            for c, (c_c, z_c) in enumerate(factors):
-                k_abc = leg_products(dim, [(1, right_left[c], z_a, leg), (-1, left_right[a], z_c, 1)], square)
-                for m in range(b + 1):
-                    key = (a + m, c + b - m)
-                    if key not in sums:
-                        sums[key] = ScaledSum(dim, Rat(1, den**3))
-                    sums[key].add(comb(b, m) * c_a * c_b * c_c, 0, k_abc)
-    diffs = ((key, total.matrix()) for key, total in sorted(sums.items()))
-    return tuple((key, d.transpose()) for key, d in diffs if d)
+    out: dict = {}
+    for c, p in terms:
+        for key, x in p.items():
+            out[key] = out.get(key, 0) + c * x
+    return {key: x for key, x in out.items() if x}
 
 
-def _levi_rows(weights) -> list[int]:
-    """The slice: the flat indices x * leg + y of the basis vectors x (x) y
-    of V (x) V whose weight, twisted by sigma, is weakly decreasing.
+def _class_side(chi, shifted, n) -> dict:
+    """L(n) = chi_b(u+v) sum_ik F_ik (-1)^(b k) chi_i(u) chi_k(v), with
+    shifted[b] the terms of chi_b(u+v).  F = sum_pq h_p g_q s^(p+q) t^(a-p+q)
+    for a = n11 + n10, with h_p t^(a-p) s^p the terms of (s-t)^n11 (s+t)^n10
+    and g_q (st)^q those of (1-st)^n01 (1+st)^n00; each sum_i F_ik chi_i(u)
+    is formed first.
     """
-    sigma = twist(weights)
-    twisted = [tuple(s * c for s, c in zip(sigma, w)) for w in weights]
-    rows = []
-    for x, wx in enumerate(twisted):
-        for y, wy in enumerate(twisted):
-            nu = [a + b for a, b in zip(wx, wy)]
-            if all(p >= q for p, q in zip(nu, nu[1:])):
-                rows.append(x * len(weights) + y)
-    return rows
+    n11, n10, n01, n00 = n
+    a, b = n11 + n10, n11 + n01
+    width = max(map(len, chi))
+    rows: dict = {}
+    for p, h in enumerate(_binomials(n10, n11)):  # (s - t)^n11 (s + t)^n10 up to (-1)^n11
+        for q, g in enumerate(_binomials(n00, n01)):
+            row = rows.setdefault(a - p + q, [0] * width)
+            for x, c in enumerate(chi[p + q]):
+                row[x] += h * g * c
+    w = [[0] * width for _ in range(width)]
+    for k, row in rows.items():
+        sign = -1 if (n11 + b * k) % 2 else 1
+        for x, cx in enumerate(row):
+            if cx:
+                wx = w[x]
+                for y, cy in enumerate(chi[k]):
+                    wx[y] += sign * cx * cy
+    out = [[0] * (2 * width) for _ in range(2 * width)]
+    for (x, y), c in shifted[b]:
+        for x2, wx in enumerate(w):
+            ox = out[x + x2]
+            for y2, c2 in enumerate(wx):
+                if c2:
+                    ox[y + y2] += c * c2
+    return {(x, y): c for x, ox in enumerate(out) for y, c in enumerate(ox) if c}
 
 
-def _first_nonzero(m: ExactMatrix) -> str:
-    return mismatch(m, ExactMatrix.zero(m.dim))
+def _class_failures(chi, s=None):
+    """(n, lhs, rhs) for each class n on which the sides of the braid equation
+    of sum_j chi_j(u) e_j(g) differ, chi_j integer coefficient lists: with s
+    None L(n) and L(swap n), n10 < n01; with s = (-1)^r the coefficients of
+    LHS and RHS times (1 + s x_[2r])(1 + s y_[2r]), on every class.
+    """
+    shifted = [[((x, m - x), c * comb(m, x)) for m, c in enumerate(cs) if c for x in range(m + 1)] for cs in chi]
+    side = lru_cache(maxsize=None)(lambda n: _class_side(chi, shifted, n))
+    for n in _classes(len(chi) - 1):
+        n11, n10, n01, n00 = n
+        if s is None and n10 >= n01:
+            continue
+        terms = [(1, n)]
+        if s is not None:  # the complements in A, in B and in both, with (-1)^|B|
+            sign = -1 if (n11 + n01) % 2 else 1
+            terms += [(s * sign, (n01, n00, n11, n10)), (s, (n10, n11, n00, n01)), (sign, (n00, n01, n10, n11))]
+        lhs = _add((c, side(m)) for c, m in terms)
+        rhs = _add((c, side((m[0], m[2], m[1], m[3]))) for c, m in terms)
+        if lhs != rhs:
+            yield n, lhs, rhs
 
 
-class BraidFamily:
-    """One family R(x) on the tensor square of a leg of dimension leg, its
-    braid coefficients on the Levi slice, and the identity record whose
-    premise says whether the slice decides.  premise is None when the
-    premise holds, else the witness of its first failed check.
+def _class_label(n) -> str:
+    """The class n and its smallest representative x_A y_B."""
+    n11, n10, n01, _ = n
+    a, b = range(1, n11 + n10 + 1), [*range(1, n11 + 1), *range(n11 + n10 + 1, n11 + n10 + n01 + 1)]
+    return f"class (n11, n10, n01, n00) = {n}, x_A y_B with A = {{{str(list(a))[1:-1]}}}, B = {{{str(b)[1:-1]}}}"
+
+
+@lru_cache(maxsize=None)
+def _leg_premises(r: int) -> tuple[tuple[str, str], ...]:
+    """(check id, witness or "") of the premises on the 2^r leg."""
+    rep = build_gamma(r)
+    failed = (f"{c.check_id}: {c.witness}" for c in integrity_report(rep).checks if c.status != PASS)
+    traces = product_trace_failures(rep)
+    return ("gamma-integrity", next(failed, "")), ("gamma-products-are-traceless", next(traces, ""))
+
+
+class BraidClasses:
+    """A family sum_j chi_j(u) e_j(g) with cleared denominator q: its braid
+    identity record, nonzero class differences (n, {(i, j): u^i v^j
+    coefficient}) and premise, the first failed premise witness or None.
     """
 
-    __slots__ = ("family", "record", "premise", "diffs", "leg")
+    __slots__ = ("q", "record", "premise", "diffs")
 
-    def __init__(self, family: RMatrixFamily, record: VerificationRecord, premise: str | None, diffs: tuple, leg: int):
-        self.family, self.record, self.premise, self.diffs, self.leg = family, record, premise, diffs, leg
+    def __init__(self, q: Poly, record: VerificationRecord, premise: str | None, diffs: tuple):
+        self.q, self.record, self.premise, self.diffs = q, record, premise, diffs
 
     def grid(self, name: str, points) -> VerificationRecord:
-        """One braid Yang-Baxter check per point (u, v).
-
-        A pole hit is a failure.  Without the premise the slice decides
-        nothing, so every other point fails with the premise's witness.  With
-        it, Q(u) Q(u+v) Q(v) is not zero away from a pole, so the equation
-        holds exactly when sum_ij u^i v^j D_ij vanishes on the slice; a
-        failure's witness is the first nonzero entry of that sum.
+        """One braid Yang-Baxter check per point (u, v).  A pole hit fails,
+        and without the premise every other point fails with its witness.
+        With it, Q(u) Q(u+v) Q(v) is not zero away from a pole, so a point
+        fails exactly at the first class difference that does not vanish.
         """
         record = VerificationRecord(name=name)
         for u, v in points:
             u, v = Rat(u), Rat(v)
             check_id = f"point-u{u}-v{v}"
-            if ybe_pole(self.family.q, u, v):
+            if ybe_pole(self.q, u, v):
                 record.add(check_id, False, "pole hit")
             elif self.premise is not None:
                 record.add(check_id, False, self.premise)
             else:
-                total = lincomb(self.leg**3, [(u**i * v**j, d) for (i, j), d in self.diffs])
-                if total.is_zero():
-                    record.add(check_id, True)
-                else:
-                    witness = _first_nonzero(total)
-                    record.add(check_id, False, f"Q(u) Q(u+v) Q(v) (LHS - RHS) is nonzero on the slice: {witness}")
+                values = ((n, sum(c * u**i * v**j for (i, j), c in d.items())) for n, d in self.diffs)
+                failed = (f"{_class_label(n)}: LHS - RHS, cleared, is {x} here" for n, x in values if x)
+                record.add_first_failure(check_id, failed)
         return record
 
 
-def _braid_family(name: str, family: RMatrixFamily, r: int, gens, group=()) -> BraidFamily:
-    """The braid slice of a family on the tensor square of a leg V, with
-    gens the rotation generators on V in basis_pairs(2r) order and group the
-    (label, g) of further group elements g that act as g (x) g.
+def _braid_classes(name: str, q: Poly, r: int, chi, s=None, lifts=()) -> BraidClasses:
+    """The braid classes of sum_j chi_j(u) e_j(g), chi_j polynomials, with s
+    as in ``_class_failures`` and lifts the (check id, failures) of the
+    premise beyond the leg's.  A failure's witness is its class and the first
+    u^i v^j coefficient of the cleared sides that differs, with both values.
     """
-    leg = gens[0].dim
-    chain = chain_generators(r, gens)
-    symmetries = [(f"L_{pair}", g, True) for pair, g in zip(chain_pairs(r), chain)]
-    symmetries += [(label, g, False) for label, g in group]
-    cartan = cartan_generators(r, gens)
-    weights = leg_weights(cartan)
-    rows = _levi_rows(weights)
     record = VerificationRecord(name=name)
-    premise = [
-        record.add_first_failure(
-            "degree-parts-commute-with-symmetries",
-            commutation_failures([(f"S_{d}", part) for d, part in enumerate(family.parts)], symmetries),
-        ),
-        record.add_first_failure("orbit-of-e0-covers-leg", orbit_failures(symmetries, leg)),
-        record.add_first_failure("leg-basis-is-a-weight-basis", weight_basis_failures(cartan)),
-        record.add_first_failure("levi-fixes-the-line-of-e0", levi_failures(weights, r, chain, gens)),
-    ]
-    diffs = _sliced_braid_differences(family.parts, leg, rows)
-    first = (f"D_{key} is nonzero on the slice: {_first_nonzero(d)}" for key, d in diffs)
-    record.add_first_failure("every-D_ij-vanishes-on-the-slice", first)
+    premise = [record.add(check_id, not witness, witness) for check_id, witness in _leg_premises(r)]
+    premise += [record.add_first_failure(check_id, failures) for check_id, failures in lifts]
+    den = lcm(*(p.den for p in chi))
+    failures = list(_class_failures([[c * (den // p.den) for c in p.ints] for p in chi], s))
+    diffs = tuple((n, _add([(1, lhs), (-1, rhs)])) for n, lhs, rhs in failures)
+    witnesses = (  # min(d) is the first u^i v^j coefficient on which the sides differ
+        f"{_class_label(n)}: u^{i} v^{j} coefficient {lhs.get((i, j), 0)} != {rhs.get((i, j), 0)}"
+        for (n, lhs, rhs), (_, d) in zip(failures, diffs)
+        for i, j in [min(d)]
+    )
+    record.add_first_failure("both-sides-agree-on-every-class", witnesses)
     failed = (f"premise {check.check_id} fails: {check.witness}" for check in premise if check.status != PASS)
-    return BraidFamily(family=family, record=record, premise=next(failed, None), diffs=diffs, leg=leg)
+    return BraidClasses(q=q, record=record, premise=next(failed, None), diffs=diffs)
 
 
 def grid_points(r: int) -> list:
@@ -361,18 +355,50 @@ def grid_points(r: int) -> list:
     return [(u, v) for u in us for v in vs]
 
 
-@lru_cache(maxsize=None)
-def _sector_braid_slice(r: int, eps: str) -> BraidFamily:
-    """The braid sector family, Q(u) R(u) = sum_d u^d S_d."""
-    name = f"yang-baxter-identity r={r} eps={eps} form=braid"
-    return _braid_family(name, sector_r_matrix(r, eps, "braid"), r, half_spinor_blocks(r, eps))
+def _krawtchouk(n: int, m: int, j: int) -> int:
+    """K_m(j) = sum_i (-1)^i binom(j, i) binom(n - j, m - i)."""
+    return sum((-1) ** i * comb(j, i) * comb(n - j, m - i) for i in range(min(j, m) + 1))
 
 
-def ybe_identity_check(r: int, eps: str = "+") -> VerificationRecord:
-    """The braid equation of a sector family as an identity in (u, v): the
-    equivariance premise and every D_ij vanishing on the slice.
+def _class_lift(r: int, coefficients) -> list[Poly]:
+    """chi_j = sum_k p_k (K_(r-2k)(j) + K_(r+2k)(j)), k = 0 contributing K_r
+    once, for the coefficients p_k of the labels r - 2k: 4^r times the
+    coefficient of e_j(g) in X = sum_k p_k (Pi_(r-2k) + Pi_(r+2k)).
     """
-    record = _sector_braid_slice(r, eps).record
+    labels = [{r - 2 * k, r + 2 * k} for k in range(len(coefficients))]
+    return [
+        sum((p * sum(_krawtchouk(2 * r, m, j) for m in ms) for p, ms in zip(coefficients, labels)), Poly())
+        for j in range(2 * r + 1)
+    ]
+
+
+def _lift_failures(r: int, eps: str, chi):
+    """Witness against: each cleared degree part S_d of the braid sector
+    family eps is 4^-r sum_j [u^d]chi_j e_j(g) on its block, entrywise.
+    """
+    family = sector_r_matrix(r, eps, "braid")
+    dim, block = 4 ** (r - 1), sector_indices(r, eps + eps)
+    terms = [(c, invariant_I(r, j).restrict(block) * Rat(1, 4**r * factorial(j))) for j, c in enumerate(chi) if c.ints]
+    for d in range(max(len(family.parts), *(c.degree + 1 for c, _ in terms))):
+        lift = lincomb(dim, [(c.coeffs[d], e) for c, e in terms if d <= c.degree])
+        part = family.parts[d] if d < len(family.parts) else ExactMatrix.zero(dim)
+        if witness := mismatch(part, lift):
+            yield f"S_{d} is not its class lift: {witness}"
+
+
+@lru_cache(maxsize=None)
+def _sector_braid_classes(r: int) -> BraidClasses:
+    """Both braid sector families, by their class lift with p_k = Q tau_k."""
+    q = tau_denominator(r)
+    taus = [tau_coefficient(k, "braid") for k in range(r // 2 + 1)]
+    chi = _class_lift(r, [num * q.divmod(den)[0] for num, den in taus])
+    lifts = [(f"family-is-its-class-lift-eps{eps}", _lift_failures(r, eps, chi)) for eps in "+-"]
+    return _braid_classes(f"yang-baxter-identity r={r} eps=+- form=braid", q, r, chi, (-1) ** r, lifts)
+
+
+def ybe_identity_check(r: int) -> VerificationRecord:
+    """The braid equation of both sector families as an identity in (u, v)."""
+    record = _sector_braid_classes(r).record
     return VerificationRecord(name=record.name, checks=list(record.checks))
 
 
@@ -386,11 +412,12 @@ def ybe_point(r: int, eps: str, u, v):
 
 def ybe_check(r: int, eps: str = "+", points=None) -> VerificationRecord:
     """The braid Yang-Baxter equation of a sector family at the given points,
-    by default the admissible grid.
-
-    That grid is pole-free by construction, so a pole hit is a failure.
+    by default the admissible grid, which is pole-free by construction, so a
+    pole hit is a failure.  The classes decide both chiralities at once, so
+    a point passes when the equation holds on both.
     """
-    return _sector_braid_slice(r, eps).grid(
+    chirality_indices(r, eps)  # refuses a bad eps
+    return _sector_braid_classes(r).grid(
         f"yang-baxter-grid r={r} eps={eps} form=braid",
         grid_points(r) if points is None else points,
     )
@@ -433,7 +460,7 @@ def plain_ybe_spot_check(r: int, eps: str, points) -> VerificationRecord:
     record = VerificationRecord(name=f"plain-yang-baxter r={r} eps={eps}")
     [relation] = _swap_relation(r, eps).checks
     if relation.status == PASS:
-        braid = _sector_braid_slice(r, eps).grid(record.name, [(v, u) for u, v in points])
+        braid = _sector_braid_classes(r).grid(record.name, [(v, u) for u, v in points])
         outcomes = [(check.status == PASS, check.witness) for check in braid.checks]
     else:
         outcomes = [(False, relation.witness)] * len(points)
@@ -652,19 +679,18 @@ def chirality_split_check(r: int) -> VerificationRecord:
 
 
 @lru_cache(maxsize=None)
-def _full_braid_slice(r: int) -> BraidFamily:
-    """The full series, R(u) = sum_d u^d R_d; its coefficients are
-    polynomials, so it has no poles.
+def _full_braid_classes(r: int) -> BraidClasses:
+    """The full series, chi_k = c_k from the closed forms as ``_full_series``
+    reads them: polynomials, so the family has no poles.
     """
-    gamma_1 = build_gamma(r).gammas[0]  # exchanges the two chiralities
-    return _braid_family(
-        f"yang-baxter-identity r={r} family=full", _full_series(r)[0], r, rotation_generators(r), [("gamma_1", gamma_1)]
-    )
+    closed = closed_form_coefficients(r)
+    chi = [(closed.odd if k % 2 else closed.even)[k // 2] for k in range(2 * r + 1)]
+    return _braid_classes(f"yang-baxter-identity r={r} family=full", Poly.const(1), r, chi)
 
 
 def full_ybe_identity_check(r: int) -> VerificationRecord:
     """The braid equation of the full series as an identity in (u, v)."""
-    record = _full_braid_slice(r).record
+    record = _full_braid_classes(r).record
     return VerificationRecord(name=record.name, checks=list(record.checks))
 
 
@@ -672,7 +698,7 @@ def full_ybe_check(r: int, points=None) -> VerificationRecord:
     """Braid Yang-Baxter for the full invariant-series R-matrix at the given
     points of the 2^r-leg triple product, by default the admissible grid.
     """
-    return _full_braid_slice(r).grid(f"full-yang-baxter r={r}", grid_points(r) if points is None else points)
+    return _full_braid_classes(r).grid(f"full-yang-baxter r={r}", grid_points(r) if points is None else points)
 
 
 # -- the symmetric-part factorization and its lemmas ------------------------

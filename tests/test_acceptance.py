@@ -10,6 +10,8 @@ from spincas import casimir, clifford, colour, oracles, report, spectra, ybe
 from spincas.linalg import ExactMatrix
 from spincas.scalar import Rat
 
+from spinor_legs import half_spinor_blocks
+
 
 @pytest.fixture
 def announce(capfd):
@@ -164,7 +166,7 @@ def test_criterion_10_oracle_consistency(announce):
                 ok = False
         half = ExactMatrix.identity(2 ** (r - 1))
         for eps, rep in (("+", "Delta_plus"), ("-", "Delta_minus")):
-            blocks = clifford.half_spinor_blocks(r, eps)
+            blocks = half_spinor_blocks(r, eps)
             if oracles.casimir_contraction(blocks, n) != half * oracles.c2_closed_form(rep, r):
                 ok = False
         closed_f = oracles.c2_closed_form("T_f", r)

@@ -12,7 +12,6 @@ from spincas.clifford import (
     chain_pairs,
     chirality_indices,
     closure_failures,
-    half_spinor_blocks,
     integrity_report,
     rotation_generators,
 )
@@ -21,6 +20,7 @@ from spincas.records import FAIL
 from spincas.scalar import ExactScalar, Rat
 
 from failing import failing_checks, replace
+from spinor_legs import half_spinor_blocks
 
 CHIRALITY_INDICES = chirality_indices
 
@@ -284,3 +284,25 @@ def test_closure_holds_for_a_chain_generator_times_a_scalar(monkeypatch, factor,
     assert list(closure_failures(r, chain)) == []
     monkeypatch.setattr(casimir, "chain_generators", lambda rank: tuple(chain))
     assert casimir.ad_invariance_check(r).ok
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_every_gamma_product_is_traceless(r):
+    assert list(clifford.product_trace_failures(build_gamma(r))) == []
+
+
+def test_a_repeated_generator_fails_the_trace_premise():
+    # G_1 G_1 = 1 has trace 4 at r = 2
+    rep = build_gamma(2)
+    twice = replace(rep, gammas=(rep.gammas[0], *rep.gammas[:1], *rep.gammas[2:]))
+    assert list(clifford.product_trace_failures(twice)) == ["tr G_[1, 2] = 4/1, not 0"]
+    scaled = replace(rep, gammas=(rep.gammas[0], rep.gammas[0] * Rat(1, 2), *rep.gammas[2:]))
+    assert list(clifford.product_trace_failures(scaled)) == ["tr G_[1, 2] = 2/1, not 0"]
+
+
+def test_a_generator_that_is_no_basis_map_fails_the_trace_premise():
+    rep = build_gamma(2)
+    mixed = replace(rep, gammas=(rep.gammas[0] + rep.gammas[2], *rep.gammas[1:]))
+    assert list(clifford.product_trace_failures(mixed)) == [
+        "G_1 does not send e_0 to a nonzero multiple of one basis vector"
+    ]

@@ -19,10 +19,8 @@ from spincas.linalg import (
     ExactMatrix,
     ScaledSum,
     elementary_products,
-    integer_parts,
     kron,
     kron_sum,
-    leg_products,
     lincomb,
     partial_trace,
 )
@@ -475,10 +473,6 @@ def grid_rows(g):
     return {i: r for i, row in enumerate(g) if (r := {j: v for j, v in enumerate(row) if v})}
 
 
-def eye(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def grid_add(a, b, c=1):
     return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -489,11 +483,6 @@ def grid_mul(a, b):
 
 def grid_kron(a, b):
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
-
-
-def leg_factor(outer, b, inner):
-    """1_outer (x) b (x) 1_inner as a dense grid."""
-    return grid_kron(grid_kron(eye(outer), b), eye(inner))
 
 
 def assert_clean(rows):
@@ -578,90 +567,19 @@ def test_scaled_sum_adds_complex_products(pairs, cancel):
     assert_matches(total.matrix(), expected)
 
 
-@st.composite
-def leg_cases(draw):
-    """(terms, b_dim, layouts, cancelling row): one or two terms (c, a, b,
-    inner) of integer rows on outer * b_dim * inner columns, the second with
-    outer and inner exchanged, and when drawn a third term that cancels a row
-    of the first to zero.
-    """
-    outer, b_dim, inner = (draw(st.integers(1, 3)) for _ in range(3))
-    dim = outer * b_dim * inner
-    ints = st.integers(-3, 3)
-
-    def rows(count, width, size):
-        row = st.dictionaries(st.integers(0, width - 1), ints, max_size=size)
-        drawn = draw(st.dictionaries(st.integers(0, count - 1), row))
-        return {i: r for i, row in drawn.items() if (r := {j: v for j, v in row.items() if v})}
-
-    c = draw(ints.filter(bool))
-    a = rows(6, dim, 4)
-    terms = [(c, a, rows(b_dim, b_dim, b_dim), inner)]
-    layouts = [outer]
-    if draw(st.booleans()):
-        terms.append((draw(ints), rows(6, dim, 4), rows(b_dim, b_dim, b_dim), outer))
-        layouts.append(inner)
-    cancelling = None
-    if draw(st.booleans()):
-        cancelling = 6
-        a[cancelling] = {draw(st.integers(0, dim - 1)): draw(ints.filter(bool))}
-        terms.append((-c, {cancelling: a[cancelling]}, terms[0][2], inner))
-        layouts.append(outer)
-    return terms, b_dim, layouts, cancelling
-
-
 def identity_rows(dim):
     return {i: {i: 1} for i in range(dim)}
 
 
-@settings(max_examples=150, deadline=None)
-@given(leg_cases())
-def test_mul_leg_kernel_matches_kron_then_mul(case):
-    terms, b_dim, layouts, cancelling = case
-    products = []
-    total = _backend.RowsSum()
-    for (c, a, b, inner), outer in zip(terms, layouts):
-        factor = _backend.mat_kron([(1, identity_rows(outer), b)], b_dim)
-        factor = _backend.mat_kron([(1, factor, identity_rows(inner))], inner)
-        products.append((c, _backend.mat_mul(a, factor)))
-        total.add_leg_product(c, a, b, inner, b_dim)
-    expected = _backend.mat_lincomb(products)
-    assert total.rows() == expected
-    if cancelling is not None:
-        assert cancelling not in expected
-
-
-@settings(max_examples=150, deadline=None)
-@given(leg_cases())
-def test_add_leg_product_matches_the_dense_product(case):
-    # the sum is read after every term and is then added to again
-    terms, b_dim, layouts, cancelling = case
-    dim = layouts[0] * b_dim * terms[0][3]
-    n_rows = 1 + max(max(a, default=0) for _, a, _, _ in terms)
-    total = _backend.RowsSum()
-    expected = [[0] * dim for _ in range(n_rows)]
-    for (c, a, b, inner), outer in zip(terms, layouts):
-        total.add_leg_product(c, a, b, inner, b_dim)
-        product = grid_mul(grid(a, n_rows, dim), leg_factor(outer, grid(b, b_dim, b_dim), inner))
-        expected = grid_add(expected, product, c)
-        got = total.rows()
-        assert_clean(got)
-        assert got == grid_rows(expected)
-    if cancelling is not None:
-        assert cancelling not in got
-
-
 @st.composite
 def mixed_sums(draw):
-    """(dim, b_dim, terms, cancel): terms (kind, c, args) of all three kinds
-    of ``RowsSum`` on one space of dimension a_dim * b_dim, the first a
-    multiple of a nonzero matrix.  A leg product acts on the b_dim leg,
-    before or after the a_dim leg.  ``cancel``, when drawn, is the kind of a
-    last term that takes back the sum's row at the lowest row index of the
-    first term, so that row empties.
+    """(dim, terms, cancel): terms (kind, c, args) of both kinds of
+    ``RowsSum`` on one space of dimension dim, the first a multiple of a
+    nonzero matrix.  ``cancel``, when drawn, is the kind of a last term that
+    takes back the sum's row at the lowest row index of the first term, so
+    that row empties.
     """
-    a_dim, b_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    dim = a_dim * b_dim
+    dim = draw(st.integers(1, 9))
     ints = st.integers(-3, 3)
 
     def rows(count, width):
@@ -675,19 +593,14 @@ def mixed_sums(draw):
 
     terms = [("add", draw(ints.filter(bool)), (nonempty(dim, dim),))]
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["add", "product", "leg"]))
-        if kind == "add":
-            args = (rows(dim, dim),)
-        elif kind == "product":
-            args = (rows(dim, dim), rows(dim, dim))
-        else:
-            args = (rows(dim, dim), rows(b_dim, b_dim), draw(st.sampled_from([1, a_dim])))
+        kind = draw(st.sampled_from(["add", "product"]))
+        args = (rows(dim, dim),) if kind == "add" else (rows(dim, dim), rows(dim, dim))
         terms.append((kind, draw(ints), args))
-    cancel = draw(st.sampled_from([None, "add", "product", "leg"]))
-    return dim, b_dim, terms, cancel
+    cancel = draw(st.sampled_from([None, "add", "product"]))
+    return dim, terms, cancel
 
 
-def mixed_term(total, dim, b_dim, kind, c, args):
+def mixed_term(total, dim, kind, c, args):
     """Add c times one term of the given kind into a RowsSum, and return
     the term's dense grid, without c.
     """
@@ -695,13 +608,9 @@ def mixed_term(total, dim, b_dim, kind, c, args):
         (a,) = args
         total.add(c, a)
         return grid(a, dim, dim)
-    if kind == "product":
-        a, b = args
-        total.add_product(c, a, b)
-        return grid_mul(grid(a, dim, dim), grid(b, dim, dim))
-    a, b, inner = args
-    total.add_leg_product(c, a, b, inner, b_dim)
-    return grid_mul(grid(a, dim, dim), leg_factor(dim // (b_dim * inner), grid(b, b_dim, b_dim), inner))
+    a, b = args
+    total.add_product(c, a, b)
+    return grid_mul(grid(a, dim, dim), grid(b, dim, dim))
 
 
 @settings(max_examples=200, deadline=None)
@@ -709,11 +618,11 @@ def mixed_term(total, dim, b_dim, kind, c, args):
 def test_one_rows_sum_takes_every_kind_of_term(case, read_between):
     # each kind of term lands in rows that other kinds formed; the sum is
     # clean whether or not it was read between additions
-    dim, b_dim, terms, cancel = case
+    dim, terms, cancel = case
     total = _backend.RowsSum()
     expected = [[0] * dim for _ in range(dim)]
     for kind, c, args in terms:
-        expected = grid_add(expected, mixed_term(total, dim, b_dim, kind, c, args), c)
+        expected = grid_add(expected, mixed_term(total, dim, kind, c, args), c)
         if read_between:
             got = total.rows()
             assert_clean(got)
@@ -723,47 +632,13 @@ def test_one_rows_sum_takes_every_kind_of_term(case, read_between):
     row = grid_rows(expected).get(emptied)
     if cancel is not None and row:
         back = {"add": ({emptied: row},), "product": ({emptied: row}, identity_rows(dim))}
-        back["leg"] = ({emptied: row}, identity_rows(b_dim), 1)
-        expected = grid_add(expected, mixed_term(total, dim, b_dim, cancel, -1, back[cancel]), -1)
+        expected = grid_add(expected, mixed_term(total, dim, cancel, -1, back[cancel]), -1)
         assert not any(expected[emptied])
     got = total.rows()
     assert_clean(got)
     assert got == grid_rows(expected)
     if cancel is not None:
         assert emptied not in got
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2)).flatmap(
-        lambda d: st.tuples(
-            st.just(d),
-            st.lists(
-                st.tuples(part_matrices(d[0] * d[1] * d[2]), part_matrices(d[1])), min_size=1, max_size=2
-            ),
-            st.integers(-2, 2),
-        )
-    )
-)
-def test_parts_leg_products(case):
-    # the second term, if any, acts with outer and inner exchanged
-    (outer, b_dim, inner), pairs, c = case
-    dim = outer * b_dim * inner
-    expected = [[ZERO] * dim for _ in range(dim)]
-    terms = []
-    for (a, b), coeff, (o, n) in zip(pairs, (1, c), ((outer, inner), (inner, outer))):
-        (den_a, [(c_a, parts_a)]), (den_b, [(c_b, parts_b)]) = integer_parts([a]), integer_parts([b])
-        # the integer parts are den/c times the matrix
-        factor = kron(kron(ExactMatrix.identity(o), b * Rat(den_b, c_b)), ExactMatrix.identity(n))
-        product = ref_mul(dense(a * Rat(den_a, c_a)), dense(factor))
-        expected = ref_add(expected, ref_scale(product, coeff))
-        terms.append((coeff, parts_a, parts_b, n))
-    re, im = leg_products(dim, terms, b_dim)
-    rows = [row for part in (re, im) for row in part.values()]
-    assert all(row and all(type(x) is int and x for x in row.values()) for row in rows)
-    support = {(i, j) for part in (re, im) for i, row in part.items() for j in row}
-    got = {(i, j): ExactScalar(re.get(i, {}).get(j, 0), im.get(i, {}).get(j, 0)) for i, j in support}
-    assert ExactMatrix(dim, got) == from_dense(expected)
 
 
 @settings(max_examples=80, deadline=None)

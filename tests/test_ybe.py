@@ -1,19 +1,18 @@
 import functools
-import itertools
 import json
+import re
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spincas import _backend, casimir, clifford, oracles, report, spectra, ybe
-from spincas.clifford import build_gamma, cartan_generators, half_spinor_blocks, rotation_generators
+from spincas.clifford import build_gamma
 from spincas.cli import main
 from spincas.linalg import ExactMatrix, kron, lincomb, permutation_operator
-from spincas.oracles import basis_pairs
 from spincas.ratfunc import Poly, limit_at_infinity, poly_from_roots, rising_factorial
 from spincas.records import FAIL, PASS, VerificationRecord, mismatch
-from spincas.scalar import ExactScalar, Rat
+from spincas.scalar import Rat
 
 from failing import failing_checks, replace
 
@@ -323,14 +322,16 @@ def test_rising_factorial_polynomial():
 # the originals, so a test can call them while their names are patched
 CLOSED_FORMS = ybe.closed_form_coefficients
 GRID = ybe.admissible_grid
+TAU = ybe.tau_coefficient
 
 # the caches that hold a family or anything derived from one
 CACHED = (
     ybe.sector_r_matrix,
     ybe._full_series,
-    ybe._sector_braid_slice,
-    ybe._full_braid_slice,
+    ybe._sector_braid_classes,
+    ybe._full_braid_classes,
     ybe._swap_relation,
+    ybe._leg_premises,
 )
 
 
@@ -426,96 +427,130 @@ def triple_product_sum(r, eps, u, v, form="braid"):
     return total.is_zero()
 
 
-def reference_braid_differences(parts, leg):
-    """The nonzero D_ij on all leg^3 columns, as {(i, j): D_ij}, from every
-    K_abc formed in full; the sliced build must agree with their columns.
+# -- families on Clifford monomial classes -----------------------------------
+
+
+def full_chi(r, closed=None):
+    """chi_k = c_k of the full series, from the closed forms."""
+    closed = closed or CLOSED_FORMS(r)
+    return [(closed.odd if k % 2 else closed.even)[k // 2] for k in range(2 * r + 1)]
+
+
+def cleared_taus(r, form="braid"):
+    """Q tau_k, k = 0..r/2: the coefficients of the labels r - 2k."""
+    q = ybe.tau_denominator(r)
+    return [num * q.divmod(den)[0] for num, den in (TAU(k, form) for k in range(r // 2 + 1))]
+
+
+def elementary(r, j):
+    """e_j(g) on V (x) V, from the invariants."""
+    return casimir.invariant_I(r, j) * Rat(1, factorial(j))
+
+
+def class_family_at(r, chi, u):
+    """Reference: sum_j chi_j(u) e_j(g)."""
+    return lincomb(4**r, [(c(u), elementary(r, j)) for j, c in enumerate(chi)])
+
+
+def sector_family_at(r, eps, coefficients, u):
+    """Reference: sum_k p_k(u) P_(r-2k) on the block of Delta_eps (x) Delta_eps."""
+    projectors = spectra.sector_spectral(r, eps + eps).projectors
+    return lincomb(4 ** (r - 1), [(p(u), projectors[r - 2 * k]) for k, p in enumerate(coefficients)])
+
+
+def direct_class_full(r, chi, u, v):
+    lhs, rhs = direct_braid(*(class_family_at(r, chi, x) for x in (u, u + v, v)), 2**r)
+    return lhs == rhs
+
+
+def direct_class_sector(r, coefficients, u, v):
+    """The braid equation holds on Delta_+^(x)3 and on Delta_-^(x)3."""
+    leg = 2 ** (r - 1)
+    sides = (direct_braid(*(sector_family_at(r, eps, coefficients, x) for x in (u, u + v, v)), leg) for eps in "+-")
+    return all(lhs == rhs for lhs, rhs in sides)
+
+
+def class_grid(r, chi, s=None):
+    """The braid classes of sum_j chi_j(u) e_j(g), chi a list of Poly; with
+    s = (-1)^r, on Delta_+^(x)3 + Delta_-^(x)3.
     """
-    ident = ExactMatrix.identity(leg)
-    left = [kron(m, ident) for m in parts]
-    right = [kron(ident, m) for m in parts]
-    n = len(parts)
-    grouped = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                k_abc = left[a] @ right[b] @ left[c] - right[c] @ left[b] @ right[a]
-                for m in range(b + 1):
-                    grouped.setdefault((a + m, c + b - m), []).append((comb(b, m), k_abc))
-    diffs = {key: lincomb(leg**3, terms) for key, terms in grouped.items()}
-    return {key: d for key, d in diffs.items() if d}
+    return ybe._braid_classes("classes", Poly.const(1), r, chi, s)
 
 
-def columns_in(m, columns):
-    return ExactMatrix(m.dim, {(i, j): value for i, j, value in m.items() if j in columns})
+def class_verdict(r, chi, s, u, v):
+    [check] = class_grid(r, chi, s).grid("point", [(u, v)]).checks
+    return check.status == PASS
 
 
-def sector_braid_family(r, eps, form):
-    """The braid slice of a sector family in either form; the program builds
-    only the braid form's, so the plain form's is built here.
+CLASS_WITNESS = re.compile(
+    r"class \(n11, n10, n01, n00\) = \((\d+), (\d+), (\d+), (\d+)\), "
+    r"x_A y_B with A = \{([\d, ]*)\}, B = \{([\d, ]*)\}: (.*)"
+)
+
+
+def parse_class_witness(witness):
+    """(class, A, B, rest) of a class witness; A and B must be the smallest
+    representative of the class.
     """
-    name = f"yang-baxter-identity r={r} eps={eps} form={form}"
-    return ybe._braid_family(name, ybe.sector_r_matrix(r, eps, form), r, half_spinor_blocks(r, eps))
+    match = CLASS_WITNESS.fullmatch(witness)
+    assert match, witness
+    n = tuple(int(x) for x in match.group(1, 2, 3, 4))
+    a, b = ([int(x) for x in group.split(", ") if x] for group in match.group(5, 6))
+    n11, n10, n01, _ = n
+    assert a == list(range(1, n11 + n10 + 1))
+    assert b == [*range(1, n11 + 1), *range(n11 + n10 + 1, n11 + n10 + n01 + 1)]
+    return n, a, b, match.group(7)
 
 
-def e0_slice(leg):
-    """The reference slice e_0 (x) V (x) V: the first leg^2 columns."""
-    return range(leg * leg)
+def monomial(r, a, b):
+    """x_A y_B on V (x) V (x) V."""
+    leg = ExactMatrix.identity(2**r)
+    gammas = build_gamma(r).gammas
+    out = ExactMatrix.identity(8**r)
+    for index in a:
+        out = out @ kron(kron(gammas[index - 1], gammas[index - 1]), leg)
+    for index in b:
+        out = out @ kron(leg, kron(gammas[index - 1], gammas[index - 1]))
+    return out
 
 
-def levi_slice(r, eps=None):
-    """The program's Levi slice of the full leg (eps None) or of Delta_eps."""
-    gens = rotation_generators(r) if eps is None else half_spinor_blocks(r, eps)
-    return ybe._levi_rows(clifford.leg_weights(cartan_generators(r, gens)))
-
-
-def assert_slice_matches_reference(parts, leg, rows):
-    """The sliced D_ij are the reference D_ij on the slice columns rows."""
-    sliced = ybe._sliced_braid_differences(parts, leg, rows)
-    reference = reference_braid_differences(parts, leg)
-    columns = on_slice(reference, rows)
-    assert dict(sliced) == {key: d for key, d in columns.items() if d}
-    return dict(sliced), reference
-
-
-def on_slice(diffs, rows):
-    """The D_ij restricted to the slice columns rows."""
-    rows = set(rows)
-    return {key: columns_in(d, rows) for key, d in diffs.items()}
-
-
-def slice_witness(diffs, leg, u, v):
-    """The witness of a failing point under the premise: the first nonzero
-    entry of sum_ij u^i v^j D_ij, for the D_ij on the slice.
+def class_coefficient(r, chi, a, b, u, v):
+    """Reference: the coefficient of x_A y_B in LHS - RHS at (u, v), read by
+    the trace form: the monomials are orthogonal, each of norm 8^r.
     """
-    total = lincomb(leg**3, [(u**i * v**j, d) for (i, j), d in diffs.items()])
-    assert total, "a failing point must be nonzero on the slice"
-    witness = mismatch(total, ExactMatrix.zero(leg**3))
-    return f"Q(u) Q(u+v) Q(v) (LHS - RHS) is nonzero on the slice: {witness}"
+    lhs, rhs = direct_braid(*(class_family_at(r, chi, x) for x in (u, u + v, v)), 2**r)
+    return ((monomial(r, a, b).conj_transpose() @ (lhs - rhs)).trace()) / 8**r
 
 
-def assert_matches_direct(record, r, direct, parts, leg, rows):
-    """Every check of a grid record whose family keeps the premise has the
-    direct products' outcome; a failing one carries the witness on the
-    slice columns rows.
+def assert_class_failure(record, r=None, chi=None):
+    """The record's premise holds and its class check fails with a class
+    witness: the smallest representative, a u^i v^j coefficient and both
+    values.  Given chi, the monomial's coefficient in LHS - RHS is nonzero
+    at some grid point, by direct products.
+    """
+    assert [c.status for c in record.checks[:-1]] == [PASS] * (len(record.checks) - 1)
+    last = record.checks[-1]
+    assert (last.check_id, last.status) == ("both-sides-agree-on-every-class", FAIL)
+    _, a, b, rest = parse_class_witness(last.witness)
+    match = re.fullmatch(r"u\^(\d+) v\^(\d+) coefficient (-?\d+) != (-?\d+)", rest)
+    assert match and match.group(3) != match.group(4), rest
+    if chi is not None:
+        assert any(class_coefficient(r, chi, a, b, u, v) for u, v in ybe.grid_points(r)[:3])
+
+
+def assert_matches_direct(record, r, direct):
+    """Every check of a grid record has the direct products' outcome; a
+    failing one carries the witness of a class.
     """
     points = ybe.grid_points(r)
     assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in points]
-    diffs = None  # built on the first failing point
     for check, (u, v) in zip(record.checks, points):
         passed = direct(u, v)
         assert (check.status == PASS) == passed, check.check_id
-        if not passed:
-            diffs = diffs or on_slice(reference_braid_differences(parts, leg), rows)
-        assert check.witness == ("" if passed else slice_witness(diffs, leg, u, v)), check.check_id
-
-
-# the premise checks of a yang-baxter-identity record, before its D_ij check
-PREMISE = [
-    "degree-parts-commute-with-symmetries",
-    "orbit-of-e0-covers-leg",
-    "leg-basis-is-a-weight-basis",
-    "levi-fixes-the-line-of-e0",
-]
+        if passed:
+            assert check.witness == ""
+        else:
+            assert parse_class_witness(check.witness)[3].startswith("LHS - RHS, cleared, is ")
 
 
 def premise_witness(identity):
@@ -527,8 +562,8 @@ def premise_witness(identity):
 
 
 def assert_premise_fails_every_point(record, r, identity):
-    """Without the premise the slice decides nothing: every grid point fails
-    with the premise witness.
+    """Without the premise the classes decide nothing: every grid point
+    fails with the premise witness.
     """
     assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in ybe.grid_points(r)]
     witness = premise_witness(identity)
@@ -557,24 +592,28 @@ def test_degree_parts_sum_to_full_r_matrix(r):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_full_grid_matches_direct_products(r):
-    parts = ybe._full_series(r)[0].parts
-    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v), parts, 2**r, levi_slice(r))
+    assert_matches_direct(ybe.full_ybe_check(r), r, lambda u, v: direct_full(r, u, v))
 
 
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("eps", ["+", "-"])
 @pytest.mark.parametrize("form", ["braid", "plain"])
 def test_sector_grid_matches_triple_products(r, eps, form):
+    # the classes decide both chiralities at once
     points = ybe.grid_points(r)
-    record = sector_braid_family(r, eps, form).grid("grid", points)
-    for check, (u, v) in zip(record.checks, points):
-        assert (check.status == PASS) == triple_product_sum(r, eps, u, v, form)
     if form == "braid":
+        record = ybe.ybe_check(r, eps)
         assert [ybe.ybe_point(r, eps, u, v) for u, v in points] == [c.status == PASS for c in record.checks]
     else:
-        direct = functools.partial(direct_sector, r, eps, form="plain")
-        parts = ybe.sector_r_matrix(r, eps, form).parts
-        assert_matches_direct(record, r, direct, parts, 2 ** (r - 1), levi_slice(r, eps))
+        record = class_grid(r, ybe._class_lift(r, cleared_taus(r, form)), (-1) ** r).grid("grid", points)
+    for check, (u, v) in zip(record.checks, points):
+        holds = all(triple_product_sum(r, chirality, u, v, form) for chirality in "+-")
+        assert triple_product_sum(r, eps, u, v, form) == holds
+        assert (check.status == PASS) == holds
+        if holds:
+            assert check.witness == ""
+        else:
+            parse_class_witness(check.witness)
 
 
 spectral = st.fractions(min_value=-6, max_value=6, max_denominator=9)
@@ -592,12 +631,128 @@ def test_sector_point_matches_direct_products(r, eps, u, v):
 @settings(max_examples=15, deadline=None)
 @given(u=spectral, v=spectral)
 def test_full_point_matches_direct_products(u, v):
-    [check] = ybe._full_braid_slice(2).grid("full-point", [(u, v)]).checks
+    [check] = ybe._full_braid_classes(2).grid("full-point", [(u, v)]).checks
     assert direct_full(2, u, v)
     assert (check.status, check.witness) == (PASS, "")
 
 
-# -- mutations: a perturbed family fails where direct products fail ---------
+# -- random families: the classes against direct products ---------------------
+
+small_polys = st.lists(st.integers(-3, 3), max_size=3).map(Poly)
+factors = small_polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), u=spectral, v=spectral)
+def test_random_full_family_gets_the_verdict_of_direct_products(data, u, v):
+    # a random family, or the full series times a polynomial, which solves
+    # the equation too: it is cubic in R
+    r = 2
+    if data.draw(st.booleans()):
+        chi = data.draw(st.lists(small_polys, min_size=2 * r + 1, max_size=2 * r + 1))
+    else:
+        factor = data.draw(factors)
+        chi = [c * factor for c in full_chi(r)]
+    assert class_verdict(r, chi, None, u, v) == direct_class_full(r, chi, u, v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), u=spectral, v=spectral)
+def test_random_sector_family_gets_the_verdict_of_direct_products(data, u, v):
+    # random coefficients of the labels r - 2k, or the braid family's times a
+    # polynomial; the verdict covers both chiralities
+    r = 2
+    if data.draw(st.booleans()):
+        coefficients = data.draw(st.lists(small_polys, min_size=r // 2 + 1, max_size=r // 2 + 1))
+    else:
+        factor = data.draw(factors)
+        coefficients = [p * factor for p in cleared_taus(r)]
+    chi = ybe._class_lift(r, coefficients)
+    assert class_verdict(r, chi, (-1) ** r, u, v) == direct_class_sector(r, coefficients, u, v)
+
+
+RANK3_FAMILIES = {
+    "scaled": lambda chi: [c * Poly([3, 2]) for c in chi],
+    "bumped-c1": lambda chi: [c + Poly([0, 1]) if j == 1 else c for j, c in enumerate(chi)],
+    "random": lambda chi: [Poly([j % 3 - 1, (j * j) % 5 - 2, 1]) for j in range(len(chi))],
+}
+
+
+@pytest.mark.parametrize("family", sorted(RANK3_FAMILIES))
+def test_rank3_full_family_gets_the_verdict_of_direct_products(family):
+    r = 3
+    us, vs = ybe.admissible_grid(r)
+    chi = RANK3_FAMILIES[family](full_chi(r))
+    verdict = class_verdict(r, chi, None, us[1], vs[2])
+    assert verdict == direct_class_full(r, chi, us[1], vs[2])
+    assert verdict == (family == "scaled")
+
+
+@pytest.mark.parametrize("family", ["scaled", "bumped-p0", "plain"])
+def test_rank3_sector_family_gets_the_verdict_of_direct_products(family):
+    r = 3
+    us, vs = ybe.admissible_grid(r)
+    coefficients = {
+        "scaled": [p * Poly([3, 2]) for p in cleared_taus(r)],
+        "bumped-p0": [p + Poly([0, 1]) if k == 0 else p for k, p in enumerate(cleared_taus(r))],
+        "plain": cleared_taus(r, "plain"),
+    }[family]
+    chi = ybe._class_lift(r, coefficients)
+    verdict = class_verdict(r, chi, (-1) ** r, us[1], vs[2])
+    assert verdict == direct_class_sector(r, coefficients, us[1], vs[2])
+    assert verdict == (family == "scaled")
+
+
+# -- mutations: each fails with a class witness, or passes as it must --------
+
+BUMPS = {"constant": Poly([1]), "u": Poly([0, 1]), "u^2": Poly([0, 0, 1])}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("bump", sorted(BUMPS))
+def test_bumped_full_coefficient_fails_with_a_class_witness(fresh_caches, monkeypatch, r, bump):
+    for k in sorted({0, 1, 2, r, 2 * r}):
+        closed = CLOSED_FORMS(r)
+        parity = "odd" if k % 2 else "even"
+        coeffs = list(getattr(closed, parity))
+        coeffs[k // 2] = coeffs[k // 2] + BUMPS[bump]
+        bumped = replace(closed, **{parity: tuple(coeffs)})
+        monkeypatch.setattr(ybe, "closed_form_coefficients", lambda rank, c=bumped: c)
+        ybe._full_braid_classes.cache_clear()
+        chi = full_chi(r)
+        chi[k] = chi[k] + BUMPS[bump]
+        assert_class_failure(ybe.full_ybe_identity_check(r), r, chi if r == 2 else None)
+
+
+def pi_term(r, m):
+    """u Pi_m as 4^r times its coefficients of e_j(g): u K_m(j)."""
+    return [Poly([0, ybe._krawtchouk(2 * r, m, j)]) for j in range(2 * r + 1)]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_sector_lift_plus_u_pi_r_fails_with_a_class_witness(r):
+    chi = [c + p for c, p in zip(ybe._class_lift(r, cleared_taus(r)), pi_term(r, r))]
+    assert_class_failure(class_grid(r, chi, (-1) ** r).record)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_sector_lift_plus_u_pi_r_minus_1_passes(r):
+    # Pi_(r-1) lives on Delta_+ (x) Delta_- + Delta_- (x) Delta_+
+    chi = [c + p for c, p in zip(ybe._class_lift(r, cleared_taus(r)), pi_term(r, r - 1))]
+    assert class_grid(r, chi, (-1) ** r).record.ok
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_every_family_times_2u_plus_3_passes(r):
+    scaled = [c * Poly([3, 2]) for c in ybe._class_lift(r, cleared_taus(r))]
+    assert class_grid(r, scaled, (-1) ** r).record.ok
+    assert class_grid(r, [c * Poly([3, 2]) for c in full_chi(r)]).record.ok
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_plain_form_keeps_the_premise_but_is_no_braid_identity(r):
+    # the plain form solves R12 R13 R23 = R23 R13 R12, not the braid equation
+    assert_class_failure(class_grid(r, ybe._class_lift(r, cleared_taus(r, "plain")), (-1) ** r).record)
 
 
 def raised_degree(r):
@@ -610,201 +765,107 @@ def raised_degree(r):
 def test_raised_coefficient_degree_fails_like_direct_products(fresh_caches, monkeypatch):
     monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
     r = 2
-    parts = ybe._full_series(r)[0].parts
-    assert len(parts) == r + 2  # the u^(r+1) part is kept
+    assert len(ybe._full_series(r)[0].parts) == r + 2  # the u^(r+1) part is kept
     record = ybe.full_ybe_check(r)
     assert failing_checks(record)
-    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v), parts, 2**r, levi_slice(r))
+    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
+
+
+def test_raised_degree_keeps_the_premise_and_fails_on_a_class(fresh_caches, monkeypatch):
+    monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
+    r = 2
+    assert_class_failure(ybe.full_ybe_identity_check(r), r, full_chi(r, raised_degree(r)))
 
 
 def test_perturbed_invariant_fails_like_direct_products(fresh_caches, monkeypatch):
+    # a perturbed closed form, c_2 + u/3: the class grid fails exactly where
+    # direct products do
     r = 2
-    real = ybe.invariant_I
-    perturbed = real(r, 2) + ExactMatrix(4**r, {(0, 5): Rat(1, 3)})
-    monkeypatch.setattr(ybe, "invariant_I", lambda rank, k: perturbed if k == 2 else real(rank, k))
-    # the perturbed I_2 breaks the premise, and direct products fail everywhere
-    assert not any(direct_full(r, u, v) for u, v in ybe.grid_points(r))
-    assert_premise_fails_every_point(ybe.full_ybe_check(r), r, ybe.full_ybe_identity_check(r))
+    closed = CLOSED_FORMS(r)
+    perturbed = replace(closed, even=(closed.even[0], closed.even[1] + Poly([0, Rat(1, 3)]), *closed.even[2:]))
+    monkeypatch.setattr(ybe, "closed_form_coefficients", lambda rank: perturbed)
+    record = ybe.full_ybe_check(r)
+    assert failing_checks(record)
+    assert_matches_direct(record, r, lambda u, v: direct_full(r, u, v))
+
+
+def test_corrupted_invariant_fails_the_records_that_read_it(fresh_caches, monkeypatch):
+    # the braid records read the closed forms, not I_k; the records that
+    # read I_k catch a corrupted one, here an entry of I_2 from e_0 (x) e_2 in
+    # Delta_+ (x) Delta_- to e_0 (x) e_0 in Delta_+ (x) Delta_+
+    r = 2
+    real = casimir.invariant_I
+    perturbed = real(r, 2) + ExactMatrix(4**r, {(0, 2): Rat(1, 3)})
+
+    def corrupted(rank, k):
+        return perturbed if (rank, k) == (r, 2) else real(rank, k)
+
+    monkeypatch.setattr(casimir, "invariant_I", corrupted)
+    monkeypatch.setattr(ybe, "invariant_I", corrupted)
+    for record in (casimir.verify_recurrences(r), ybe.symmetric_part_factorization(r), ybe.chirality_split_check(r)):
+        assert failing_checks(record), record.name
+    assert ybe.full_ybe_identity_check(r).ok
 
 
 def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatch):
     r = 3
     perturb_projector(monkeypatch, r)
     assert not any(direct_sector(r, "+", u, v) for u, v in ybe.grid_points(r))
-    assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, ybe.ybe_identity_check(r, "+"))
+    assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, ybe.ybe_identity_check(r))
 
 
-# -- the Levi slice and its premise ------------------------------------------
+# -- the records and their premise --------------------------------------------
 
-
-@pytest.mark.parametrize("r", [2, 3])
-def test_full_slice_matches_reference_columns(r):
-    for rows in (e0_slice(2**r), levi_slice(r)):
-        sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r, rows)
-        assert sliced.keys() == reference.keys()  # zero exactly where the reference is
-
-
-@pytest.mark.parametrize("r", [2, 3, 4])
-@pytest.mark.parametrize("eps", ["+", "-"])
-@pytest.mark.parametrize("form", ["braid", "plain"])
-def test_sector_slice_matches_reference_columns(r, eps, form):
-    parts = ybe.sector_r_matrix(r, eps, form).parts
-    for rows in (e0_slice(2 ** (r - 1)), levi_slice(r, eps)):
-        sliced, reference = assert_slice_matches_reference(parts, 2 ** (r - 1), rows)
-        assert sliced.keys() == reference.keys()
-
-
-def spinor_weights(r, chirality=None):
-    """The weights (+-1, ..., +-1), in units of 1/2, of the full spinor leg,
-    or of the half-spinor leg with that product of signs, led by the weight
-    of e_0: (1, ..., 1) on Delta_+ and on the full leg, (1, ..., 1, -1) on
-    Delta_-.
-    """
-    weights = list(itertools.product((1, -1), repeat=r))
-    if chirality is not None:
-        weights = [w for w in weights if (-1) ** w.count(-1) == chirality]
-    lead = (1,) * (r - 1) + (chirality or 1,)
-    return [lead] + [w for w in weights if w != lead]
-
-
-# slice widths: the full series, and each sector leg, at r = 3..7
-LEVI_WIDTHS = {3: (26, 6), 4: (57, 17), 5: (120, 27), 6: (247, 70), 7: (502, 112)}
-
-
-@pytest.mark.parametrize("r", sorted(LEVI_WIDTHS))
-def test_levi_slice_widths(r):
-    # weight arithmetic alone: no leg matrix and no family is built
-    full, sector = LEVI_WIDTHS[r]
-    assert len(ybe._levi_rows(spinor_weights(r))) == full
-    assert len(ybe._levi_rows(spinor_weights(r, 1))) == sector
-    assert len(ybe._levi_rows(spinor_weights(r, -1))) == sector
-
-
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
-def test_leg_weights_are_the_spinor_weights(r):
-    # the Cartan generators L_(2k-1,2k) are diagonal in the gamma basis, with
-    # e_0 of weight (1, ..., 1) on the full leg and on Delta_+
-    legs = ((rotation_generators(r), None), (half_spinor_blocks(r, "+"), 1), (half_spinor_blocks(r, "-"), -1))
-    for gens, chirality in legs:
-        cartan = cartan_generators(r, gens)
-        assert list(clifford.weight_basis_failures(cartan)) == []
-        weights = clifford.leg_weights(cartan)
-        assert weights[0] == spinor_weights(r, chirality)[0]
-        assert sorted(weights) == sorted(spinor_weights(r, chirality))
-
-
-def identity_family(leg):
-    """R(u) = 1 on the tensor square of a leg: it solves the braid equation."""
-    return ybe.RMatrixFamily(q=Poly.const(1), parts=(ExactMatrix.identity(leg * leg),))
-
-
-def real_family(r, eps):
-    """(family, gens, group) of the full series (eps None) or of a braid
-    sector family, as the program passes them to its braid slice.
-    """
-    if eps is None:
-        return ybe._full_series(r)[0], rotation_generators(r), [("gamma_1", build_gamma(r).gammas[0])]
-    return ybe.sector_r_matrix(r, eps, "braid"), half_spinor_blocks(r, eps), []
-
-
-# equivariant mutations of the degree parts: each keeps every part a sum of
-# invariants, so the premise holds and the Levi slice must still decide
-MUTATIONS = {
-    "none": lambda parts: parts,
-    "double-S1": lambda parts: (parts[0], parts[1] * 2, *parts[2:]),
-    "S0-plus-1": lambda parts: (parts[0] + ExactMatrix.identity(parts[0].dim), *parts[1:]),
-    "drop-top": lambda parts: parts[:-1],
-    "swap-S0-S1": lambda parts: (parts[1], parts[0], *parts[2:]),
-}
-
-
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
-@pytest.mark.parametrize("r, eps", [(3, None), (4, None), (4, "+"), (4, "-")])
-def test_levi_slice_sees_the_nonzero_D_ij_of_the_e0_slice(r, eps, mutation):
-    family, gens, group = real_family(r, eps)
-    mutated = ybe.RMatrixFamily(q=family.q, parts=MUTATIONS[mutation](family.parts))
-    levi = ybe._braid_family("mutated", mutated, r, gens, group)
-    assert levi.premise is None
-    leg = gens[0].dim
-    reference = ybe._sliced_braid_differences(mutated.parts, leg, e0_slice(leg))
-    assert {key for key, _ in levi.diffs} == {key for key, _ in reference}
-    assert bool(reference) == (mutation != "none")
-
-
-def test_slice_forms_no_kronecker_matrix_on_the_triple_product(monkeypatch):
-    r = 3
-    leg = 2**r
-    parts = ybe._full_series(r)[0].parts
-    real = _backend.mat_kron
-    output_rows = []
-
-    def counted(terms, b_dim):
-        out = real(terms, b_dim)
-        output_rows.append(len(out))
-        return out
-
-    monkeypatch.setattr(_backend, "mat_kron", counted)
-    ybe._sliced_braid_differences(parts, leg, e0_slice(leg))
-    assert all(rows < leg**3 for rows in output_rows)
-
-
-def test_wrong_right_hand_triple_product_fails_with_a_D_witness(fresh_caches, monkeypatch):
-    # each K_abc is one call with its two triple products as terms; the first
-    # such call forms K_000, and an added term puts one wrong entry into its
-    # right-hand product (1 x R_c)(R_b x 1)(1 x R_a) only
-    real = ybe.leg_products
-    wrong = []
-
-    def perturbed(dim, terms, b_dim):
-        if len(terms) == 2 and not wrong:
-            identity = ({k: {k: 1} for k in range(b_dim)}, {})
-            terms = [*terms, (-1, ({0: {1: 1}}, {}), identity, 1)]
-            wrong.append(terms)
-        return real(dim, terms, b_dim)
-
-    monkeypatch.setattr(ybe, "leg_products", perturbed)
-    record = ybe.ybe_identity_check(2, "+")
-    assert len(wrong) == 1
-    assert [c.status for c in record.checks] == [PASS] * 4 + [FAIL]
-    assert record.checks[-1].witness.startswith("D_(0, 0) is nonzero on the slice: first differing entry")
+LEG_PREMISE = ["gamma-integrity", "gamma-products-are-traceless"]
+LIFTS = ["family-is-its-class-lift-eps+", "family-is-its-class-lift-eps-"]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_braid_identity_records_pass(r):
-    records = (
-        ybe.full_ybe_identity_check(r),
-        ybe.ybe_identity_check(r, "+"),
-        ybe.ybe_identity_check(r, "-"),
-    )
-    for record in records:
+    full, sector = ybe.full_ybe_identity_check(r), ybe.ybe_identity_check(r)
+    assert full.name == f"yang-baxter-identity r={r} family=full"
+    assert sector.name == f"yang-baxter-identity r={r} eps=+- form=braid"
+    for record, premise in ((full, LEG_PREMISE), (sector, LEG_PREMISE + LIFTS)):
         assert record.ok, [(c.check_id, c.witness) for c in failing_checks(record)]
-        assert record.name.startswith(f"yang-baxter-identity r={r} ")
-        assert [c.check_id for c in record.checks[:4]] == PREMISE
-        assert record.checks[-1].check_id == "every-D_ij-vanishes-on-the-slice"
-    full, sector = {2: (11, 4), **LEVI_WIDTHS}[r]
-    assert len(levi_slice(r)) == full
-    assert len(levi_slice(r, "+")) == len(levi_slice(r, "-")) == sector
+        assert [c.check_id for c in record.checks] == premise + ["both-sides-agree-on-every-class"]
+    assert len(list(ybe._classes(2 * r))) == comb(2 * r + 3, 3)
 
 
-@pytest.mark.parametrize("r", [2, 3])
-def test_plain_form_keeps_the_premise_but_is_no_braid_identity(r):
-    # the plain form solves R12 R13 R23 = R23 R13 R12, not the braid equation
-    record = sector_braid_family(r, "+", "plain").record
-    assert [c.status for c in record.checks] == [PASS] * 4 + [FAIL]
-    assert "is nonzero on the slice" in record.checks[-1].witness
+def test_braid_records_and_grids_form_no_matrix_on_the_triple_product(fresh_caches, monkeypatch):
+    # every matrix made lives on V (x) V or a smaller space: at r = 4 the
+    # triple products of the sector leg have dimension 512, of V 4096
+    r = 4
+    dims = []
+    real_wrap, real_init = ExactMatrix._wrap.__func__, ExactMatrix.__init__
+
+    def wrap(cls, dim, *parts):
+        dims.append(dim)
+        return real_wrap(cls, dim, *parts)
+
+    def init(self, dim, entries=None):
+        dims.append(dim)
+        real_init(self, dim, entries)
+
+    monkeypatch.setattr(ExactMatrix, "_wrap", classmethod(wrap))
+    monkeypatch.setattr(ExactMatrix, "__init__", init)
+    us, vs = ybe.admissible_grid(r)
+    records = [
+        ybe.ybe_identity_check(r),
+        ybe.full_ybe_identity_check(r),
+        ybe.ybe_check(r, "-"),
+        ybe.full_ybe_check(r),
+        ybe.plain_ybe_spot_check(r, "+", [(us[0], vs[0])]),
+    ]
+    assert all(record.ok for record in records)
+    assert dims and max(dims) == 4**r < 8 ** (r - 1)
 
 
-def test_raised_degree_keeps_the_premise_and_fails_on_the_slice(fresh_caches, monkeypatch):
-    # the parts stay sums of invariants, so the slice decides, and the
-    # nonzero D_ij are nonzero on the slice too
-    monkeypatch.setattr(ybe, "closed_form_coefficients", raised_degree)
-    r = 2
-    sliced, reference = assert_slice_matches_reference(ybe._full_series(r)[0].parts, 2**r, levi_slice(r))
-    assert reference and sliced.keys() == reference.keys()
-    record = ybe.full_ybe_identity_check(r)
-    assert [c.status for c in record.checks] == [PASS] * 4 + [FAIL]
-    witness = record.checks[-1].witness
-    assert witness.startswith(f"D_{min(reference)} is nonzero on the slice: first differing entry")
+def perturb_projector(monkeypatch, r):
+    """The r, ++ family with one projector entry changed."""
+    data = SECTOR_SPECTRAL(r, "++")
+    projectors = dict(data.projectors)
+    projectors[1] = projectors[1] + ExactMatrix(data.block.dim, {(2, 3): 1})
+    replace_projectors(monkeypatch, r, projectors)
 
 
 SECTOR_SPECTRAL = spectra.sector_spectral
@@ -823,45 +884,36 @@ def replace_projectors(monkeypatch, r, projectors):
     monkeypatch.setattr(spectra, "sector_spectral", patched)
 
 
-def perturb_projector(monkeypatch, r):
-    """The r, ++ family with one projector entry changed."""
-    data = SECTOR_SPECTRAL(r, "++")
-    projectors = dict(data.projectors)
-    projectors[1] = projectors[1] + ExactMatrix(data.block.dim, {(2, 3): 1})
-    replace_projectors(monkeypatch, r, projectors)
-
-
 def test_perturbed_projector_fails_the_premise(fresh_caches, monkeypatch):
     r = 3
     perturb_projector(monkeypatch, r)
-    assert_slice_matches_reference(ybe.sector_r_matrix(r, "+", "braid").parts, 2 ** (r - 1), e0_slice(2 ** (r - 1)))
-    commute = ybe.ybe_identity_check(r, "+").checks[0]
-    assert commute.check_id == "degree-parts-commute-with-symmetries"
-    assert commute.status == FAIL
-    assert commute.witness.startswith("S_") and "first differing entry" in commute.witness
-    premise = ybe._sector_braid_slice(r, "+").premise
-    assert premise == f"premise degree-parts-commute-with-symmetries fails: {commute.witness}"
+    record = ybe.ybe_identity_check(r)
+    assert [c.status for c in record.checks] == [PASS, PASS, FAIL, PASS, PASS]
+    lift = record.checks[2]
+    assert lift.check_id == "family-is-its-class-lift-eps+"
+    assert lift.witness.startswith("S_") and ": first differing entry" in lift.witness
+    premise = ybe._sector_braid_classes(r).premise
+    assert premise == f"premise family-is-its-class-lift-eps+ fails: {lift.witness}"
 
 
-@pytest.mark.parametrize("failing", ["premise", "slice"])
+@pytest.mark.parametrize("failing", ["premise", "classes"])
 def test_failing_points_make_no_products(fresh_caches, monkeypatch, failing):
     # without the premise a point takes the premise's witness; with it, a
-    # point is one linear combination of the sliced D_ij and its witness
+    # point evaluates the class differences
     r = 3
     if failing == "premise":
         perturb_projector(monkeypatch, r)
-        family = ybe._sector_braid_slice(r, "+")
+        family = ybe._sector_braid_classes(r)
     else:
-        family = sector_braid_family(r, "+", "plain")
-    assert (family.premise is None) == (failing == "slice")
+        family = class_grid(r, ybe._class_lift(r, cleared_taus(r, "plain")), (-1) ** r)
+    assert (family.premise is None) == (failing == "classes")
 
     def refused(*args):
         raise AssertionError("a matrix product at a grid point")
 
     for kernel in ("mat_mul", "mat_kron"):
         monkeypatch.setattr(_backend, kernel, refused)
-    for method in ("add_product", "add_leg_product"):
-        monkeypatch.setattr(_backend.RowsSum, method, refused)
+    monkeypatch.setattr(_backend.RowsSum, "add_product", refused)
     record = family.grid("grid", ybe.grid_points(r))
     assert len(failing_checks(record)) == 81
 
@@ -874,138 +926,48 @@ def test_cli_failure_carries_its_witness(fresh_caches, monkeypatch, capsys):
     assert record["ok"] is False
     [failure] = record["checks"]
     assert (failure["id"], failure["status"]) == ("point-u1/3-v1/7", "fail")
-    assert failure["witness"] == premise_witness(ybe.ybe_identity_check(3, "+"))
-    assert failure["witness"].startswith("premise degree-parts-commute-with-symmetries fails: S_")
+    assert failure["witness"] == premise_witness(ybe.ybe_identity_check(3))
+    assert failure["witness"].startswith("premise family-is-its-class-lift-eps+ fails: S_")
 
 
-def test_slice_decides_nothing_without_the_premise(fresh_caches, monkeypatch):
-    # a slice on which every D_ij vanishes, for a family that fails the premise
+def test_classes_decide_nothing_without_the_premise(fresh_caches, monkeypatch):
+    # classes that all agree, for a family that fails the premise
     r = 3
     perturb_projector(monkeypatch, r)
-    monkeypatch.setattr(ybe, "_sliced_braid_differences", lambda parts, leg, rows: ())
-    identity = ybe.ybe_identity_check(r, "+")
-    assert [c.status for c in identity.checks] == [FAIL] + [PASS] * 4
+    monkeypatch.setattr(ybe, "_class_failures", lambda chi, s=None: iter(()))
+    identity = ybe.ybe_identity_check(r)
+    assert [c.status for c in identity.checks] == [PASS, PASS, FAIL, PASS, PASS]
     assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, identity)
 
 
-def test_full_series_without_gamma1_fails_the_orbit_check():
+@pytest.mark.parametrize(
+    "patch, failed",
+    [
+        ("integrity_report", "gamma-integrity"),
+        ("product_trace_failures", "gamma-products-are-traceless"),
+    ],
+)
+def test_failed_leg_premise_fails_every_point(fresh_caches, monkeypatch, patch, failed):
+    # the full series still solves the equation, but without the premise the
+    # classes cannot show it
     r = 2
-    family = ybe._braid_family("no-gamma-1", ybe._full_series(r)[0], r, rotation_generators(r))
-    record = family.record
-    assert [c.status for c in record.checks] == [PASS, FAIL, PASS, PASS, PASS]
-    # the chain generators keep the chirality, so the orbit stays in Delta_+
-    assert record.checks[1].witness == "the orbit of e_0 reaches 2 of 4 basis vectors; e_2 is missed"
-    # the series solves the equation, but without the premise the slice
-    # cannot show it, so every point fails
-    assert all(direct_full(r, u, v) for u, v in ybe.grid_points(r))
-    assert_premise_fails_every_point(family.grid("grid", ybe.grid_points(r)), r, record)
-
-
-def assert_first_failed_premise(family, r, check_id):
-    """check_id is the family's first failed premise check, and every grid
-    point fails with its witness, though R = 1 solves the equation.
-    """
-    statuses = {c.check_id: c.status for c in family.record.checks}
-    before = PREMISE[: PREMISE.index(check_id) + 1]
-    assert [statuses[name] for name in before] == [PASS] * (len(before) - 1) + [FAIL]
-    assert family.premise.startswith(f"premise {check_id} fails: ")
-    assert_premise_fails_every_point(family.grid("grid", ybe.grid_points(r)), r, family.record)
-
-
-def test_mixed_cartan_generator_fails_the_weight_basis_check():
-    # L_(1,2) conjugated by the mix e_0 +- e_a of two basis vectors whose
-    # L_(1,2) weights differ: it still sends each basis vector to a multiple
-    # of one, so the orbit check passes, but it is no longer diagonal
-    r = 3
-    gens = list(half_spinor_blocks(r, "+"))
-    index = basis_pairs(2 * r).index((1, 2))
-    h = gens[index]
-    a = next(j for j in range(h.dim) if h[j, j] != h[0, 0])
-    mix = {(j, j): 1 for j in range(h.dim)}
-    mix.update({(0, a): 1, (a, 0): 1, (a, a): -1})
-    mix = ExactMatrix(h.dim, mix)
-    gens[index] = mix @ h @ mix * Rat(1, 2)  # the mix squares to 2
-    family = ybe._braid_family("mixed", identity_family(h.dim), r, gens)
-    [check] = [c for c in family.record.checks if c.check_id == "leg-basis-is-a-weight-basis"]
-    assert check.witness == f"L_(1, 2) has entry (0, {a}) = {h[0, 0]}, not a diagonal entry in (i/2) Z"
-    assert_first_failed_premise(family, r, "leg-basis-is-a-weight-basis")
-
-
-@pytest.mark.parametrize("entry", [ExactScalar(0, Rat(1, 3)), ExactScalar(Rat(1, 2), Rat(1, 2))])
-def test_cartan_entry_outside_half_integers_fails_the_weight_basis_check(entry):
-    cartan = [((1, 2), ExactMatrix(2, {(0, 0): ExactScalar(0, Rat(1, 2)), (1, 1): entry}))]
-    assert list(clifford.weight_basis_failures(cartan)) == [
-        f"L_(1, 2) has entry (1, 1) = {entry}, not a diagonal entry in (i/2) Z"
-    ]
-
-
-def test_e0_inside_a_weight_string_fails_the_levi_check():
-    # spinor legs have only extremal weights, so this leg is made for the
-    # test: three basis vectors on the string of the root (1, -1), permuted
-    # so that e_0 has the middle weight (1/2, 1/2); L_(2,3) cycles them
-    r = 2
-
-    def cartan(*weights):
-        return ExactMatrix(3, {(j, j): ExactScalar(0, Rat(w, 2)) for j, w in enumerate(weights)})
-
-    cartan_1, cartan_2 = cartan(1, 3, -1), cartan(1, -1, 3)
-    cycle = ExactMatrix(3, {(1, 0): 1, (2, 1): 1, (0, 2): 1})
-    # basis_pairs(4) order: (1,2) (1,3) (1,4) (2,3) (2,4) (3,4); the chain is (1,2) (2,3) (3,4)
-    gens = (cartan_1, cycle, cycle, cycle, cycle, cartan_2)
-    family = ybe._braid_family("string", identity_family(3), r, gens)
-    [check] = [c for c in family.record.checks if c.check_id == "levi-fixes-the-line-of-e0"]
-    assert check.witness == "e_1 has weight w(0) + alpha for the Levi root alpha = sigma_1 eps_1 - sigma_2 eps_2"
-    assert_first_failed_premise(family, r, "levi-fixes-the-line-of-e0")
-
-
-def test_chain_that_misses_a_root_vector_fails_the_levi_check():
-    # L_(1,2) in place of L_(2,3): the chain then generates so(2) + so(4),
-    # which holds no root vector of eps_1 - eps_2; a cyclic group element
-    # keeps the orbit check passing
-    r = 3
-    gens = list(half_spinor_blocks(r, "+"))
-    gens[basis_pairs(2 * r).index((2, 3))] = gens[basis_pairs(2 * r).index((1, 2))]
-    leg = gens[0].dim
-    cycle = ExactMatrix(leg, {((j + 1) % leg, j): 1 for j in range(leg)})
-    family = ybe._braid_family("short-chain", identity_family(leg), r, gens, [("cycle", cycle)])
-    [check] = [c for c in family.record.checks if c.check_id == "levi-fixes-the-line-of-e0"]
-    assert check.witness == (
-        "iterated commutators of 5 chain generators reach 7 of 14 rotation generators; L_(1, 3) is missed"
-    )
-    assert_first_failed_premise(family, r, "levi-fixes-the-line-of-e0")
-
-
-@pytest.mark.parametrize("r", [2, 3, 4])
-def test_untwisted_levi_fails_on_delta_minus(monkeypatch, r):
-    # e_0 of Delta_- has weight (+, ..., +, -), so with the plain roots
-    # eps_a - eps_b the weight w(0) + eps_r - eps_1 is on the leg; both users
-    # of the twist, the slice rows and the Levi check, go untwisted
-    def untwisted(weights):
-        return (1,) * len(weights[0])
-
-    monkeypatch.setattr(clifford, "twist", untwisted)
-    monkeypatch.setattr(ybe, "twist", untwisted)
-    untwisted_rows = levi_slice(r, "-")
-    family = ybe._braid_family("untwisted", identity_family(2 ** (r - 1)), r, half_spinor_blocks(r, "-"))
-    [check] = [c for c in family.record.checks if c.check_id == "levi-fixes-the-line-of-e0"]
-    assert check.witness.startswith("e_") and check.witness.endswith(f"sigma_{r} eps_{r} - sigma_1 eps_1")
-    assert_first_failed_premise(family, r, "levi-fixes-the-line-of-e0")
-    monkeypatch.undo()
-    assert levi_slice(r, "-") != untwisted_rows
-    assert ybe._braid_family("twisted", identity_family(2 ** (r - 1)), r, half_spinor_blocks(r, "-")).premise is None
-
-
-def test_orbit_check_refuses_a_non_monomial_map():
-    g = ExactMatrix(2, {(0, 0): 1, (1, 0): 1, (1, 1): 1})
-    witnesses = list(clifford.orbit_failures([("g", g, True)], 2))
-    assert witnesses == ["g does not send e_0 to a nonzero multiple of one basis vector"]
-    swap = ExactMatrix(2, {(0, 1): 1, (1, 0): 1})
-    assert list(clifford.orbit_failures([("swap", swap, False)], 2)) == []
+    if patch == "integrity_report":
+        broken = VerificationRecord(name="broken")
+        broken.add("anticommutator-1-2", False, "first differing entry (0, 0): 2 != 0")
+        monkeypatch.setattr(ybe, patch, lambda rep: broken)
+        witness = "anticommutator-1-2: first differing entry (0, 0): 2 != 0"
+    else:
+        witness = "tr G_[1, 2] = 4, not 0"
+        monkeypatch.setattr(ybe, patch, lambda rep: iter([witness]))
+    record = ybe.full_ybe_identity_check(r)
+    assert [(c.check_id, c.status == PASS) for c in record.checks[:2]] == [(p, p != failed) for p in LEG_PREMISE]
+    assert record.checks[LEG_PREMISE.index(failed)].witness == witness
+    assert record.checks[-1].status == PASS
+    assert all(direct_full(r, u, v) for u, v in ybe.grid_points(r)[:3])
+    assert_premise_fails_every_point(ybe.full_ybe_check(r), r, record)
 
 
 # -- the plain form through the swap relation --------------------------------
-
-TAU = ybe.tau_coefficient
 
 
 def direct_plain(r, eps, u, v):
@@ -1025,13 +987,11 @@ def direct_plain(r, eps, u, v):
 def assert_plain_matches_direct(r, eps, points):
     """Each plain check has the outcome of the direct plain products; a
     failing one carries the witness of the braid point (v, u): the premise's,
-    if the braid family fails it, else the slice witness.
+    if the braid families fail it, else that of a class.
     """
     record = ybe.plain_ybe_spot_check(r, eps, points)
     assert [c.check_id for c in record.checks] == [f"point-u{u}-v{v}" for u, v in points]
-    identity = ybe.ybe_identity_check(r, eps)
-    leg = 2 ** (r - 1)
-    diffs = None  # built on the first failing point that the slice decides
+    identity = ybe.ybe_identity_check(r)
     for check, (u, v) in zip(record.checks, points):
         sides = direct_plain(r, eps, u, v)
         if sides is None:
@@ -1040,14 +1000,12 @@ def assert_plain_matches_direct(r, eps, points):
         passed = sides[0] == sides[1]
         assert (check.status == PASS) == passed, check.check_id
         if passed:
-            expected = ""
+            assert check.witness == "", check.check_id
         elif all(c.status == PASS for c in identity.checks[:-1]):
-            parts = ybe.sector_r_matrix(r, eps, "braid").parts
-            diffs = diffs or on_slice(reference_braid_differences(parts, leg), levi_slice(r, eps))
-            expected = slice_witness(diffs, leg, v, u)
+            assert check.witness == ybe.ybe_check(r, eps, [(v, u)]).checks[0].witness, check.check_id
+            parse_class_witness(check.witness)
         else:
-            expected = premise_witness(identity)
-        assert check.witness == expected, check.check_id
+            assert check.witness == premise_witness(identity), check.check_id
     return record
 
 
@@ -1091,9 +1049,12 @@ def test_ybe_suite_builds_the_swap_relation_once(fresh_caches, monkeypatch):
     # of the full series on the 64-dim square; besides, unitarity collects its
     # two sides per chirality and the factorization its two sides by degree
     assert sorted(built) == [16] * (4 + 2 * 2) + [64] * (2 + 2)
-    assert relations == [(3, "+")]
+    assert relations == [(3, "+"), (3, "-")]
     names = [record.name for record in records]
-    assert "swap-relation r=3 eps=+" in names and "plain-yang-baxter r=3 eps=+" in names
+    for name in ("swap-relation r=3 eps=+", "swap-relation r=3 eps=-", "plain-yang-baxter r=3 eps=+"):
+        assert name in names
+    # the report decides Delta_-: its swap symmetry and one braid identity for both chiralities
+    assert "swap-symmetry r=3 eps=-" in names and "yang-baxter-identity r=3 eps=+- form=braid" in names
     # each record handed out is a copy of the cached one
     copy = ybe.swap_relation_check(3, "+")
     copy.add("extra", False, "x")
@@ -1154,7 +1115,7 @@ def rescaled_tau(k, form="plain"):
 def test_rescaled_tau_fails_plain_points_like_direct_products(fresh_caches, monkeypatch, r, eps):
     monkeypatch.setattr(ybe, "tau_coefficient", rescaled_tau)
     assert ybe.swap_relation_check(r, eps).ok
-    assert not ybe.ybe_identity_check(r, eps).ok
+    assert not ybe.ybe_identity_check(r).ok
     record = assert_plain_matches_direct(r, eps, ybe.grid_points(r))
     assert failing_checks(record)
 
@@ -1168,7 +1129,7 @@ def test_skewed_projector_fails_plain_points_like_direct_products(fresh_caches, 
     projectors = dict(data.projectors)
     top = projectors[2]
     skew = top @ ExactMatrix(data.block.dim, {(0, 1): 1}) @ top
-    assert skew and skew.transpose() != skew
+    assert skew and skew != ExactMatrix(skew.dim, {(j, i): value for i, j, value in skew.items()})
     projectors[2] = top + skew
     replace_projectors(monkeypatch, r, projectors)
     assert ybe.swap_relation_check(r, "+").ok
@@ -1193,9 +1154,9 @@ def test_flipped_braid_tau_fails_the_relation_and_every_plain_point(fresh_caches
     assert all((c.status, c.witness) == (FAIL, relation.witness) for c in record.checks)
 
 
-def test_plain_and_full_points_make_no_direct_products_once_the_slices_are_built(monkeypatch):
+def test_plain_and_full_points_make_no_direct_products_once_the_classes_are_built(monkeypatch):
     us, vs = ybe.admissible_grid(4)
-    ybe.ybe_identity_check(4, "+")  # builds and keeps the slices
+    ybe.ybe_identity_check(4)  # builds and keeps the classes
     ybe.full_ybe_identity_check(3)
 
     def refused(*args, **kwargs):
