@@ -7,10 +7,11 @@ the complex arithmetic from calls of these real kernels, so every loop below
 multiplies and adds plain ints.  Every sum of matrices and of products is
 formed in one accumulator, ``RowsSum``; ``mat_mul`` and ``mat_lincomb``
 each fill a fresh one, and ``linalg.ScaledSum`` holds one per part of a
-complex sum.  A Kronecker sum is the one exception: ``mat_kron`` sets each
-entry of it once, from the terms' factors grouped by their values, so it
-needs no accumulator.  Results are not divided by their content; ``linalg``
-does that.
+complex sum.  After every call it holds no zero entry and no empty row, so
+it may be read as a matrix at any time.  A Kronecker sum is the one
+exception: ``mat_kron`` sets each entry of it once, from the terms' factors
+grouped by their values, so it needs no accumulator.  Results are not
+divided by their content; ``linalg`` does that.
 """
 
 from __future__ import annotations
@@ -76,11 +77,8 @@ def _buckets(factors):
     v_t of the factors that have an entry there, flattened to
     (t, v_t, t', v_t', ...) in term order.  It is s times the primitive
     vector p, whose values have gcd 1 and the first of them positive, and
-    the key p holds (i, j, s).  One factor is one bucket, with p = (0, 1),
-    and is read without a vector per position.
+    the key p holds (i, j, s).
     """
-    if len(factors) == 1:
-        return {(0, 1): [(i, j, v) for i, row in factors[0].items() for j, v in row.items()]}
     vectors = {}
     for t, rows in enumerate(factors):
         for i, row in rows.items():
@@ -110,32 +108,33 @@ def _buckets(factors):
 class RowsSum:
     """The one sparse sum: int multiples of matrices and of matrix products,
     each added in place row by row as it is formed; no factor may be this
-    sum's rows.  Kronecker sums are not added here (``mat_kron``).  A row
-    that may hold a zero entry, or none, is marked for ``rows`` to clean: a
-    row that ``add`` reaches again and a row that a product empties.  A product
-    drops the entries it cancels at once, so a sum read as a factor between
-    products holds no zero entry.
+    sum's rows.  Kronecker sums are not added here (``mat_kron``).  Each
+    call drops the entries it cancels and the rows it empties at once, so
+    the sum holds no zero entry and no empty row after every call.
     """
 
-    __slots__ = ("acc", "mixed")
+    __slots__ = ("acc",)
 
     def __init__(self):
         self.acc = {}
-        self.mixed = set()  # rows that may hold a zero entry, or none
 
     def add(self, c, rows):
         """Add c * rows."""
         if not c:
             return
-        acc, mixed = self.acc, self.mixed
+        acc = self.acc
         for i, row in rows.items():
             arow = acc.get(i)
             if arow is None:
                 acc[i] = dict(row) if c == 1 else {j: c * v for j, v in row.items()}
                 continue
-            mixed.add(i)
             for j, v in row.items():
-                arow[j] = arow.get(j, 0) + c * v
+                if s := arow.get(j, 0) + c * v:
+                    arow[j] = s
+                else:
+                    del arow[j]
+            if not arow:
+                del acc[i]
 
     def add_product(self, c, a_rows, b_rows):
         """Add c * a @ b."""
@@ -143,39 +142,24 @@ class RowsSum:
             return
         acc = self.acc
         for i, arow in a_rows.items():
-            row = acc.get(i)
-            fresh = row is None
-            if fresh:
-                row = {}
+            row = acc.setdefault(i, {})
             for k, a in arow.items():
                 brow = b_rows.get(k)
                 if brow is not None:
                     a *= c
                     for j, b in brow.items():
-                        v = row.get(j, 0) + a * b
-                        if v:
+                        if v := row.get(j, 0) + a * b:
                             row[j] = v
                         else:
                             del row[j]
-            if fresh:
-                if row:
-                    acc[i] = row
-            elif not row:
-                self.mixed.add(i)
+            if not row:
+                del acc[i]
 
     def rows(self):
-        """The sum so far, without zero entries or empty rows.  More may be
-        added afterwards; that changes the returned rows in place.
+        """The sum so far.  More may be added afterwards; that changes the
+        returned rows in place.
         """
-        acc = self.acc
-        for i in self.mixed:
-            row = {j: v for j, v in acc[i].items() if v}
-            if row:
-                acc[i] = row
-            else:
-                del acc[i]
-        self.mixed.clear()
-        return acc
+        return self.acc
 
 
 def mat_lincomb(terms):

@@ -199,9 +199,6 @@ class ExactMatrix:
     def nnz(self) -> int:
         return sum(1 for _ in _entries(self._re, self._im))
 
-    def is_zero(self) -> bool:
-        return not (self._re or self._im)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -394,8 +391,8 @@ class ScaledSum:
         self.add_terms([(c.numerator, (a._re, a._im), (b._re, b._im))])
 
     def parts(self) -> tuple[dict, dict]:
-        """Integer parts (re, im) of the sum so far, over its scale, with no
-        zero entry; more may be added afterwards, which changes them in place.
+        """Integer parts (re, im) of the sum so far, over its scale; more may
+        be added afterwards, which changes them in place.
         """
         return self._re.rows(), self._im.rows()
 

@@ -30,8 +30,8 @@ def test_scalar_relation_to_quadratic_invariant():
 
 
 def test_invariant_vanishes_beyond_top_degree():
-    assert casimir.invariant_I(2, 5).is_zero()
-    assert casimir.invariant_I(3, 7).is_zero()
+    assert not casimir.invariant_I(2, 5)
+    assert not casimir.invariant_I(3, 7)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

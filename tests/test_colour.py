@@ -37,7 +37,7 @@ def test_opposite_chirality_vanishes_at_minimal_rank():
     # both eigenvalues in the (+,-) block are zero at rank 2
     for L in range(1, 6):
         op = colour.ladder_operator(colour.LadderSpec(r=2, L=L, sector="+-"))
-        assert op.is_zero()
+        assert not op
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])

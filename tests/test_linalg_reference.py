@@ -531,17 +531,17 @@ def product_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(product_cases())
 def test_add_product_matches_the_dense_products(case):
-    # the sum is read after every term and is then added to again, as the
-    # recurrence of elementary_products reads e_(k-1)
+    # the rows, read once, are the live sum: clean after every term, as the
+    # recurrence of elementary_products reads e_(k-1) between additions
     dim, terms = case
     total = _backend.RowsSum()
+    got = total.rows()
     expected = [[ZERO] * dim for _ in range(dim)]
     for c, a, b in terms:
         total.add_product(c, a, b)
         product = ref_mul(int_dense(a, dim), int_dense(b, dim))
         expected = ref_add(expected, ref_scale(product, ExactScalar(c)))
-        got = total.rows()
-        assert all(row and all(type(v) is int and v for v in row.values()) for row in got.values())
+        assert_clean(got)
         assert int_dense(got, dim) == expected
     c, a, b = terms[0]
     assert int_dense(_backend.mat_mul(a, b), dim) == ref_mul(int_dense(a, dim), int_dense(b, dim))
@@ -614,19 +614,18 @@ def mixed_term(total, dim, kind, c, args):
 
 
 @settings(max_examples=200, deadline=None)
-@given(mixed_sums(), st.booleans())
-def test_one_rows_sum_takes_every_kind_of_term(case, read_between):
-    # each kind of term lands in rows that other kinds formed; the sum is
-    # clean whether or not it was read between additions
+@given(mixed_sums())
+def test_one_rows_sum_takes_every_kind_of_term(case):
+    # each kind of term lands in rows that other kinds formed; the rows, read
+    # once, are the live sum and are clean after every addition
     dim, terms, cancel = case
     total = _backend.RowsSum()
+    got = total.rows()
     expected = [[0] * dim for _ in range(dim)]
     for kind, c, args in terms:
         expected = grid_add(expected, mixed_term(total, dim, kind, c, args), c)
-        if read_between:
-            got = total.rows()
-            assert_clean(got)
-            assert got == grid_rows(expected)
+        assert_clean(got)
+        assert got == grid_rows(expected)
     (_, _, (a,)) = terms[0]
     emptied = min(a)
     row = grid_rows(expected).get(emptied)
@@ -634,11 +633,23 @@ def test_one_rows_sum_takes_every_kind_of_term(case, read_between):
         back = {"add": ({emptied: row},), "product": ({emptied: row}, identity_rows(dim))}
         expected = grid_add(expected, mixed_term(total, dim, cancel, -1, back[cancel]), -1)
         assert not any(expected[emptied])
-    got = total.rows()
     assert_clean(got)
     assert got == grid_rows(expected)
     if cancel is not None:
         assert emptied not in got
+
+
+def test_a_row_that_add_empties_is_no_row_of_a_product():
+    # elementary_products' pattern: a sum read once, emptied at a row by
+    # add, is then the left factor of a product into another sum
+    left = _backend.RowsSum()
+    a = left.rows()
+    left.add(1, {0: {0: 1, 1: 2}, 1: {1: 3}})
+    left.add(-1, {0: {0: 1, 1: 2}})
+    assert a == {1: {1: 3}}
+    total = _backend.RowsSum()
+    total.add_product(2, a, identity_rows(2))
+    assert total.rows() == {1: {1: 6}}
 
 
 @settings(max_examples=80, deadline=None)

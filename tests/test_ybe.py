@@ -424,7 +424,7 @@ def triple_product_sum(r, eps, u, v, form="braid"):
     total = ExactMatrix.zero(8 ** (r - 1))
     for (a, b, c), k_abc in triple_products(r, eps).items():
         total = total + k_abc * (at(t[a], u) * at(t[b], u + v) * at(t[c], v))
-    return total.is_zero()
+    return not total
 
 
 # -- families on Clifford monomial classes -----------------------------------
