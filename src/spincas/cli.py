@@ -150,7 +150,7 @@ def _run_ybe(args) -> tuple[str, int]:
         raise _UsageError("provide both --u and --v, or neither for the whole grid")
 
     if args.mode == "braid":
-        record = ybe.ybe_check(args.r, "+", pairs)
+        record = ybe.ybe_check(args.r, pairs)
     elif args.mode == "plain":
         record = ybe.plain_ybe_spot_check(args.r, "+", pairs)
     else:

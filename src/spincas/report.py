@@ -74,7 +74,7 @@ def ybe_suite(r: int) -> list[VerificationRecord]:
         ybe.tau_ratio_constraints(r),
         ybe.coefficient_consistency(r),
         ybe.ybe_identity_check(r),
-        ybe.ybe_check(r, "+"),
+        ybe.ybe_check(r),
         ybe.unitarity_check(r, "+"),
         ybe.unitarity_check(r, "-"),
         ybe.symmetry_check(r, "+"),

@@ -62,7 +62,7 @@ from math import comb, factorial, lcm
 
 from . import oracles
 from .casimir import invariant_I, sector_indices, split_casimir_rho
-from .clifford import build_gamma, chirality_indices, integrity_report, product_trace_failures
+from .clifford import build_gamma, integrity_report, product_trace_failures
 from .linalg import ExactMatrix, kron_sum, lincomb, permutation_operator
 from .ratfunc import Poly, limit_at_infinity, rising_factorial
 from .records import PASS, VerificationRecord, mismatch
@@ -407,18 +407,17 @@ def ybe_point(r: int, eps: str, u, v):
     u, v = Rat(u), Rat(v)
     if ybe_pole(sector_r_matrix(r, eps, "braid").q, u, v):
         return None
-    return ybe_check(r, eps, [(u, v)]).ok
+    return ybe_check(r, [(u, v)]).ok
 
 
-def ybe_check(r: int, eps: str = "+", points=None) -> VerificationRecord:
-    """The braid Yang-Baxter equation of a sector family at the given points,
-    by default the admissible grid, which is pole-free by construction, so a
-    pole hit is a failure.  The classes decide both chiralities at once, so
-    a point passes when the equation holds on both.
+def ybe_check(r: int, points=None) -> VerificationRecord:
+    """The braid Yang-Baxter equation of both sector families at the given
+    points, by default the admissible grid, which is pole-free by
+    construction, so a pole hit is a failure.  The classes decide both
+    chiralities at once, so a point passes when the equation holds on both.
     """
-    chirality_indices(r, eps)  # refuses a bad eps
     return _sector_braid_classes(r).grid(
-        f"yang-baxter-grid r={r} eps={eps} form=braid",
+        f"yang-baxter-grid r={r} eps=+- form=braid",
         grid_points(r) if points is None else points,
     )
 

@@ -135,7 +135,7 @@ def test_criterion_07_colour_factors(announce):
 
 
 def test_criterion_08_yang_baxter(announce):
-    ok = all(ybe.ybe_check(r, "+").ok for r in (2, 3, 4))
+    ok = all(ybe.ybe_check(r).ok for r in (2, 3, 4))
     ok = ok and all(ybe.full_ybe_check(r).ok for r in (2, 3))
     for r in (2, 3, 4):
         ok = ok and ybe.unitarity_check(r, "+").ok

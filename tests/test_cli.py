@@ -173,7 +173,7 @@ def test_colour_partial_not_scalar_exits_1(capsys, monkeypatch):
 
 # the library call that makes the record of each ybe --mode
 YBE_RECORDS = {
-    "braid": lambda r, points: ybe.ybe_check(r, "+", points),
+    "braid": ybe.ybe_check,
     "plain": lambda r, points: ybe.plain_ybe_spot_check(r, "+", points),
     "full": ybe.full_ybe_check,
 }
@@ -307,8 +307,8 @@ NEGATIVE_POINTS = [("-1/2", "5/7"), ("2/3", "-5/7"), ("-1/2", "-2/3"), ("-7/2", 
 def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
     seen = []
 
-    def fake_check(r, eps, points):
-        seen.append((r, eps, points))
+    def fake_check(r, points):
+        seen.append((r, points))
         record = VerificationRecord(name="fake")
         for pu, pv in points:
             record.add(f"point-u{pu}-v{pv}", True)
@@ -317,7 +317,7 @@ def test_ybe_negative_fraction_after_the_option(capsys, monkeypatch, u, v):
     monkeypatch.setattr(ybe, "ybe_check", fake_check)
     code, out, err = run(capsys, "ybe", "--r", "3", "--u", u, "--v", v)
     assert code == 0, err
-    assert seen == [(3, "+", [(Rat(u), Rat(v))])]
+    assert seen == [(3, [(Rat(u), Rat(v))])]
     assert json.loads(out)["record"]["checks"] == [{"id": f"point-u{u}-v{v}", "status": "pass"}]
 
 

@@ -108,7 +108,7 @@ def test_admissible_grid():
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_braid_ybe_grid(r):
-    record = ybe.ybe_check(r, "+")
+    record = ybe.ybe_check(r)
     assert record.ok, [c.check_id for c in failing_checks(record)]
     assert len(record.checks) == (2 * r + 3) ** 2
 
@@ -602,7 +602,7 @@ def test_sector_grid_matches_triple_products(r, eps, form):
     # the classes decide both chiralities at once
     points = ybe.grid_points(r)
     if form == "braid":
-        record = ybe.ybe_check(r, eps)
+        record = ybe.ybe_check(r)
         assert [ybe.ybe_point(r, eps, u, v) for u, v in points] == [c.status == PASS for c in record.checks]
     else:
         record = class_grid(r, ybe._class_lift(r, cleared_taus(r, form)), (-1) ** r).grid("grid", points)
@@ -811,7 +811,7 @@ def test_perturbed_projector_fails_like_direct_products(fresh_caches, monkeypatc
     r = 3
     perturb_projector(monkeypatch, r)
     assert not any(direct_sector(r, "+", u, v) for u, v in ybe.grid_points(r))
-    assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, ybe.ybe_identity_check(r))
+    assert_premise_fails_every_point(ybe.ybe_check(r), r, ybe.ybe_identity_check(r))
 
 
 # -- the records and their premise --------------------------------------------
@@ -852,7 +852,7 @@ def test_braid_records_and_grids_form_no_matrix_on_the_triple_product(fresh_cach
     records = [
         ybe.ybe_identity_check(r),
         ybe.full_ybe_identity_check(r),
-        ybe.ybe_check(r, "-"),
+        ybe.ybe_check(r),
         ybe.full_ybe_check(r),
         ybe.plain_ybe_spot_check(r, "+", [(us[0], vs[0])]),
     ]
@@ -937,7 +937,7 @@ def test_classes_decide_nothing_without_the_premise(fresh_caches, monkeypatch):
     monkeypatch.setattr(ybe, "_class_failures", lambda chi, s=None: iter(()))
     identity = ybe.ybe_identity_check(r)
     assert [c.status for c in identity.checks] == [PASS, PASS, FAIL, PASS, PASS]
-    assert_premise_fails_every_point(ybe.ybe_check(r, "+"), r, identity)
+    assert_premise_fails_every_point(ybe.ybe_check(r), r, identity)
 
 
 @pytest.mark.parametrize(
@@ -1002,7 +1002,7 @@ def assert_plain_matches_direct(r, eps, points):
         if passed:
             assert check.witness == "", check.check_id
         elif all(c.status == PASS for c in identity.checks[:-1]):
-            assert check.witness == ybe.ybe_check(r, eps, [(v, u)]).checks[0].witness, check.check_id
+            assert check.witness == ybe.ybe_check(r, [(v, u)]).checks[0].witness, check.check_id
             parse_class_witness(check.witness)
         else:
             assert check.witness == premise_witness(identity), check.check_id
@@ -1187,7 +1187,7 @@ def grid_with_pole(r):
 @pytest.mark.parametrize(
     "check",
     [
-        lambda: ybe.ybe_check(2, "+"),
+        lambda: ybe.ybe_check(2),
         lambda: ybe.plain_ybe_spot_check(2, "+", [(Rat(-1), Rat(1, 7))]),
     ],
     ids=["grid", "plain-spot"],
