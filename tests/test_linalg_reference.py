@@ -637,19 +637,11 @@ def test_one_rows_sum_takes_every_kind_of_term(case):
     assert got == grid_rows(expected)
     if cancel is not None:
         assert emptied not in got
-
-
-def test_a_row_that_add_empties_is_no_row_of_a_product():
-    # elementary_products' pattern: a sum read once, emptied at a row by
-    # add, is then the left factor of a product into another sum
-    left = _backend.RowsSum()
-    a = left.rows()
-    left.add(1, {0: {0: 1, 1: 2}, 1: {1: 3}})
-    left.add(-1, {0: {0: 1, 1: 2}})
-    assert a == {1: {1: 3}}
-    total = _backend.RowsSum()
-    total.add_product(2, a, identity_rows(2))
-    assert total.rows() == {1: {1: 6}}
+    # elementary_products' pattern: the sum is the left factor of a product
+    # into another sum, which gets no row where this one emptied
+    product = _backend.RowsSum()
+    product.add_product(1, got, identity_rows(dim))
+    assert product.rows() == got
 
 
 @settings(max_examples=80, deadline=None)
