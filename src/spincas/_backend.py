@@ -7,11 +7,11 @@ the complex arithmetic from calls of these real kernels, so every loop below
 multiplies and adds plain ints.  Every sum of matrices and of products is
 formed in one accumulator, ``RowsSum``; ``mat_mul`` and ``mat_lincomb``
 each fill a fresh one, and ``linalg.ScaledSum`` holds one per part of a
-complex sum.  After every call it holds no zero entry and no empty row, so
-it may be read as a matrix at any time.  A Kronecker sum is the one
-exception: ``mat_kron`` sets each entry of it once, from the terms' factors
-grouped by their values, so it needs no accumulator.  Results are not
-divided by their content; ``linalg`` does that.
+complex sum.  A ``RowsSum`` holds no zero entry and no empty row after
+every call, so it may be read as a matrix at any time.  A Kronecker sum is
+the one exception: ``mat_kron`` sets each entry of it once, from the terms'
+factors grouped by their values, so it needs no accumulator.  Results are
+not divided by their content; ``linalg`` does that.
 """
 
 from __future__ import annotations
